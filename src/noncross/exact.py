@@ -8,7 +8,9 @@ polynomial identity, so floating point is never used.
 
 The linear solver performs fraction-free (integer) Gaussian elimination
 with content reduction and returns the full affine solution space
-(a particular solution plus a nullspace basis).
+(a particular solution plus a nullspace basis).  Ranks, kernels and
+adjugates of small dense integer matrices all come from one Bareiss
+elimination, ``bareiss``.
 """
 
 from __future__ import annotations
@@ -292,6 +294,95 @@ def substitute_rational(p, substitutions, clearing_power):
                 term = term * SparsePolynomial({tuple(keep): Fraction(1)})
         result = result + term
     return result
+
+
+# ---------------------------------------------------------------------------
+# small integer matrices
+
+
+def bareiss(rows):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination over Python ints.
+
+    Returns ``(a, pivots, sign)``: the eliminated copy of the matrix, its
+    pivot columns and the sign of the row permutation.  Each step maps
+    every row r other than the pivot row to ``(p * r - f * pivot_row) //
+    previous_p``; by Sylvester's identity every entry is then a minor of
+    the input, so the division is exact.  Afterwards every pivot row has
+    the same pivot entry d (the last pivot), its other entries are d
+    times those of the reduced row echelon form, and the rows below the
+    rank are zero.
+    """
+    a = [list(map(int, r)) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots = []
+    sign = 1
+    prev = 1
+    for col in range(n):
+        row = len(pivots)
+        if row == m:
+            break
+        pivot = next((r for r in range(row, m) if a[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            a[row], a[pivot] = a[pivot], a[row]
+            sign = -sign
+        prow = a[row]
+        p = prow[col]
+        for r in range(m):
+            if r != row:
+                f = a[r][col]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], prow)]
+        prev = p
+        pivots.append(col)
+    return a, pivots, sign
+
+
+def int_rank(rows):
+    """Exact rank of a small integer matrix (list of row lists)."""
+    return len(bareiss(rows)[1])
+
+
+def int_kernel(rows):
+    """Integer basis of the right kernel of an integer matrix.
+
+    One vector per non-pivot column fc, in column order: the primitive
+    integer multiple of the reduced-echelon kernel vector (1 at fc, minus
+    column fc of the reduced rows at the pivots) with a positive entry
+    at fc.
+    """
+    a, pivots, _ = bareiss(rows)
+    n = len(rows[0]) if rows else 0
+    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        vec = [0] * n
+        vec[fc] = d
+        for r, pc in enumerate(pivots):
+            vec[pc] = -a[r][fc]
+        g = 0
+        for x in vec:
+            g = gcd(g, x)
+        if d < 0:
+            g = -g
+        basis.append([x // g for x in vec])
+    return basis
+
+
+def int_adjugate(rows):
+    """Adjugate (as a list of row lists) and determinant of a square
+    integer matrix, exactly.  Raises ``ValueError`` when it is singular."""
+    n = len(rows)
+    augmented = [list(r) + [int(i == j) for j in range(n)]
+                 for i, r in enumerate(rows)]
+    a, pivots, sign = bareiss(augmented)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix has no inverse")
+    # the right block is d * inverse with d = sign * det
+    return [[sign * x for x in r[n:]] for r in a], sign * a[0][0]
 
 
 # ---------------------------------------------------------------------------

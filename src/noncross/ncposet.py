@@ -13,6 +13,24 @@ produced without any filtering, and the moved root sets double as
 * the parabolic type of the element (classification of the sub-root
   system spanned by the moved roots).
 
+Moved-root sets without per-element linear algebra.  Let the walk
+reach u = t_{a_j} ... t_{a_1} c.  Reflection lengths add along it, so
+c u^{-1} = t_{a_1} ... t_{a_j} is a reduced product of j reflections
+and, by Carter's lemma, Mov(c u^{-1}) = span(a_1, ..., a_j)
+(Brady-Watt: moved spaces add when lengths add).  If u x = x then
+(c - I) x = (c u^{-1} - I) x, so (c - I) Fix(u) lies in Mov(c u^{-1});
+both sides have dimension n - l(u) and c - I is invertible (c fixes no
+nonzero vector), hence
+
+    Fix(u) = (c - I)^{-1} Mov(c u^{-1}) = span((c - I)^{-1} a_i).
+
+The moved space is the Cartan-orthogonal complement of the fixed space,
+so a root b is moved by u exactly when <b, (c - I)^{-1} a_i> = 0 for
+every i.  Clearing the determinant, ``Z[a, b] = b^T C adj(c - I) a`` is
+one integer K x K matrix per ambient (K positive roots), and the moved
+set of the child t_a w is the moved set of w intersected with the zero
+pattern of row a of Z: one boolean AND per element.
+
 The m-divisible poset NC^m consists of minimal-length factorizations
 c = w0 * w1 * ... * wm ordered componentwise (opposite order in the
 coordinates 1..m); it is graded by the length of w0.
@@ -30,12 +48,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact
-from .exact import SparsePolynomial, Z as _Z, M as _M
+from .exact import SparsePolynomial, Z as _Z, M as _M, int_adjugate
 from .rootsystem import build_root_system
-from .typelabel import TypeLabel, label, EMPTY_TYPE
+from .typelabel import label
 from .weyl import (
-    GroupElement, _reflection_data, _classify_moved_set,
-    bipartite_coxeter, int_kernel,
+    GroupElement, _reflection_data, bipartite_coxeter, classify_moved_roots,
+    moved_positive_roots,
 )
 
 CACHE_SCHEMA_VERSION = 1
@@ -98,21 +116,18 @@ class NcPoset:
         return census
 
 
-def _moved_root_indices(rs, mat, roots_arr, cartan_arr):
-    """Positive-root indices inside im(w - I), exactly."""
-    delta = (mat - np.eye(rs.n, dtype=np.int64)).tolist()
-    kernel = int_kernel(delta)
-    if not kernel:
-        return frozenset(range(len(roots_arr)))
-    bound = max(abs(x) for row in kernel for x in row)
-    if bound < (1 << 40):
-        karr = np.array(kernel, dtype=np.int64)
-        proj = karr @ cartan_arr @ roots_arr.T
-    else:  # exact fallback for outsized kernel entries
-        karr = np.array(kernel, dtype=object)
-        proj = karr @ np.array(cartan_arr, dtype=object) @ roots_arr.T.astype(object)
-    mask = ~np.any(proj != 0, axis=0)
-    return frozenset(int(i) for i in np.nonzero(mask)[0])
+def _descent_masks(rs, c):
+    """The zero pattern of Z[a, b] = b^T C adj(c - I) a, in exact integers.
+
+    Row a masks the roots that stay moved after a step down by root a:
+    moved(t_a w) = moved(w) & zero[a] (see the module docstring).
+    """
+    delta = (c.mat - np.eye(rs.n, dtype=np.int64)).tolist()
+    adj, _ = int_adjugate(delta)         # raises when c - I is singular
+    roots = np.array(rs.positive_roots, dtype=object)
+    cartan = np.array(rs.cartan.tolist(), dtype=object)
+    z = roots @ cartan @ np.array(adj, dtype=object) @ roots.T   # [b, a]
+    return np.ascontiguousarray((z == 0).T)
 
 
 @lru_cache(maxsize=None)
@@ -120,45 +135,53 @@ def enumerate_nc(name):
     """Enumerate and type the poset NC for the named ambient.
 
     Walks down from the bipartite Coxeter element; each element stores
-    its matrix, exact inverse, rank, moved positive roots and type.
-    Every moved-root set is checked to belong to a single element.
+    its matrix, exact inverse, rank, moved positive roots and type.  The
+    moved roots of a child come from its parent's by one mask AND.
+    Every type's rank is checked against the BFS level, and every
+    moved-root set is checked to belong to a single element.
     """
     rs = build_root_system(name)
     n = rs.n
-    roots_arr, mats = _reflection_data(name)
-    cartan_arr = rs.cartan
+    _, mats = _reflection_data(name)
     c = bipartite_coxeter(rs)
     cinv = c.inverse()
+    zero = _descent_masks(rs, c)
 
-    def make(mat, inv, rank):
+    def make(mat, inv, rank, mask):
         mat = np.ascontiguousarray(mat)
         inv = np.ascontiguousarray(inv)
-        moved = _moved_root_indices(rs, mat, roots_arr, cartan_arr)
-        typ, _ = _classify_moved_set(name, moved)
+        moved = np.flatnonzero(mask)
+        typ = classify_moved_roots(rs, moved)
         if typ.rank != rank:
             raise AssertionError("type rank %d != BFS level %d" % (typ.rank, rank))
-        return NcElement(mat.tobytes(), mat, inv, rank, moved, typ)
+        return NcElement(mat.tobytes(), mat, inv, rank,
+                         frozenset(moved.tolist()), typ)
 
-    top = make(c.mat, cinv.mat, n)
+    top_mask = np.ones(len(zero), dtype=bool)
+    top = make(c.mat, cinv.mat, n, top_mask)
     elements = {top.key: top}
     levels = [[] for _ in range(n + 1)]
     levels[n].append(top)
+    masks = {top.key: top_mask}          # moved-root masks, walk only
     seen_moved = {top.moved: top.key}
 
     for k in range(n, 0, -1):
         for el in levels[k]:
-            idx = sorted(el.moved)
+            mask = masks.pop(el.key)
+            idx = np.flatnonzero(mask)
             child_mats = mats[idx] @ el.mat
             child_invs = el.inv @ mats[idx]
-            for cm, ci in zip(child_mats, child_invs):
-                key = np.ascontiguousarray(cm).tobytes()
+            child_masks = zero[idx] & mask
+            for cm, ci, cmask in zip(child_mats, child_invs, child_masks):
+                key = cm.tobytes()
                 if key in elements:
                     continue
-                child = make(cm, ci, k - 1)
+                child = make(cm, ci, k - 1, cmask)
                 if child.moved in seen_moved:
                     raise AssertionError("moved-root set shared by two elements")
                 seen_moved[child.moved] = key
                 elements[key] = child
+                masks[key] = cmask
                 levels[k - 1].append(child)
 
     by_type = {}
@@ -451,12 +474,24 @@ def read_cache(path, expected_ambient=None):
 
     Matrices are taken from the file; ranks/types are revalidated while
     the moved-root sets (needed for the order relation) are recomputed.
+    The top must be the bipartite Coxeter element and every element's
+    complement must be present with the complementary rank.  Any damaged,
+    stale or inconsistent content raises ``CacheFormatError``.
     """
+    try:
+        return _read_cache(path, expected_ambient)
+    except CacheFormatError:
+        raise
+    # what damaged content raises while it is parsed and revalidated
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError,
+            AssertionError) as err:
+        raise CacheFormatError("damaged cache record (%s: %s)"
+                               % (type(err).__name__, err)) from None
+
+
+def _read_cache(path, expected_ambient):
     with open(path) as handle:
-        try:
-            header = json.loads(handle.readline())
-        except json.JSONDecodeError as err:
-            raise CacheFormatError("bad cache header: %s" % err) from None
+        header = json.loads(handle.readline())
         if header.get("schema_version") != CACHE_SCHEMA_VERSION:
             raise CacheFormatError("unsupported cache schema %r"
                                    % header.get("schema_version"))
@@ -466,18 +501,17 @@ def read_cache(path, expected_ambient=None):
                                    % (name, str(expected_ambient)))
         rs = build_root_system(name)
         n = rs.n
-        roots_arr, _ = _reflection_data(name)
         elements = {}
         levels = [[] for _ in range(n + 1)]
         for line in handle:
             record = json.loads(line)
             mat = np.array(record["mat"], dtype=np.int64).reshape(n, n)
-            inv = GroupElement(rs, mat).inverse().mat
-            moved = _moved_root_indices(rs, mat, roots_arr, rs.cartan)
-            typ, _ = _classify_moved_set(name, moved)
+            g = GroupElement(rs, mat)
+            moved = moved_positive_roots(rs, g)
+            typ = classify_moved_roots(rs, sorted(moved))
             if str(typ) != record["type"] or typ.rank != record["rank"]:
                 raise CacheFormatError("cache record does not revalidate")
-            el = NcElement(mat.tobytes(), mat, inv, record["rank"], moved, typ)
+            el = NcElement(g.key, mat, g.inverse().mat, typ.rank, moved, typ)
             elements[el.key] = el
             levels[el.rank].append(el)
     by_type = {}
@@ -487,6 +521,11 @@ def read_cache(path, expected_ambient=None):
                     identity=levels[0][0], top=levels[n][0])
     if len(poset) != ncm_cardinality(label(name), 1):
         raise CacheFormatError("cache element count does not match")
+    if poset.top.key != bipartite_coxeter(rs).key:
+        raise CacheFormatError("cache top is not the Coxeter element")
+    for el in elements.values():
+        if poset.complement(el).rank != n - el.rank:
+            raise CacheFormatError("cache complements do not match")
     return poset
 
 

@@ -11,13 +11,13 @@ Supported ambient types: A_n (1 <= n <= 8), D_n (4 <= n <= 8), E6, E7, E8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import prod
 
 import numpy as np
 
+from .exact import int_adjugate
 from .typelabel import TypeLabel, label
 
 SUPPORTED_AMBIENTS = (
@@ -236,30 +236,6 @@ def _bipartition(diagram):
     return (block_a, block_b)
 
 
-def _exact_adjugate(mat):
-    """Adjugate and determinant of a small integer matrix, exactly."""
-    n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] +
-         [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    det_int = int(det)
-    adj = np.array([[int(a[i][n + j] * det) for j in range(n)]
-                    for i in range(n)], dtype=np.int64)
-    return adj, det_int
-
-
 @lru_cache(maxsize=None)
 def build_root_system(name):
     """Build the root system for an ambient label such as ``"E8"``.
@@ -282,11 +258,11 @@ def build_root_system(name):
     cartan_list = cartan.tolist()
     positives = _positive_roots(cartan_list, n)
     degrees = tuple(sorted(_DEGREES[family](n)))
-    adj, det = _exact_adjugate(cartan_list)
+    adj, det = int_adjugate(cartan_list)
     rs = RootSystem(
         typ=label(name), n=n, cartan=cartan, positive_roots=positives,
         diagram=diagram, bipartition=_bipartition(diagram), degrees=degrees,
-        cartan_adjugate=adj, cartan_det=det,
+        cartan_adjugate=np.array(adj, dtype=np.int64), cartan_det=det,
     )
     h = rs.coxeter_number
     if len(positives) != n * h // 2:

@@ -5,113 +5,19 @@ of its fixed space, computed as the exact integer rank of ``w - I``.
 The absolute order ``u <=_T w`` holds when lengths add up along the
 factorization ``w = u * (u^{-1} w)``.
 
-All linear algebra here is exact: ranks and kernels via fraction-free /
-rational elimination over Python integers, never floating point.
+All linear algebra here is exact: ranks and kernels come from the
+fraction-free elimination in ``exact.bareiss`` over Python integers,
+never floating point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from .exact import int_kernel, int_rank
 from .rootsystem import build_root_system, classify_diagram, DynkinDiagram
-from .typelabel import TypeLabel
-
-
-# ---------------------------------------------------------------------------
-# exact small-matrix linear algebra
-
-
-def int_rank(rows):
-    """Exact rank of a small integer matrix (list of row lists).
-
-    Fraction-free (Bareiss-style cross multiplication); destructive on
-    its argument copy only.
-    """
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    if m == 0:
-        return 0
-    n = len(a[0])
-    rank = 0
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        pv = a[row][col]
-        for r in range(row + 1, m):
-            f = a[r][col]
-            if f:
-                ar, ap = a[r], a[row]
-                for c in range(col, n):
-                    ar[c] = ar[c] * pv - f * ap[c]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
-
-
-def int_kernel(rows):
-    """Integer basis of the right kernel of an integer matrix.
-
-    Returns a list of integer vectors (each cleared of denominators and
-    divided by content) spanning ``ker`` over the rationals.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -a[r][fc]
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
-        ivec = [int(x * denom) for x in vec]
-        g = 0
-        for x in ivec:
-            g = _gcd(g, abs(x))
-        if g > 1:
-            ivec = [x // g for x in ivec]
-        basis.append(ivec)
-    return basis
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -248,44 +154,56 @@ def moved_positive_roots(rs, w):
     roots, _ = _reflection_data(str(rs.typ))
     if not kernel:
         return frozenset(range(len(roots)))
-    karr = np.array(kernel, dtype=object)            # exact big-int arithmetic
-    proj = karr @ np.array(rs.cartan, dtype=object) @ np.array(roots, dtype=object).T
-    mask = ~np.any(proj != 0, axis=0)
-    return frozenset(int(i) for i in np.nonzero(mask)[0])
-
-
-def _simple_system(rs, root_indices):
-    """Simple roots of the sub-root-system spanned by the given positive
-    roots: the positive members not expressible as a sum of two members."""
-    roots = [rs.positive_roots[i] for i in root_indices]
-    rootset = set(roots)
-    simples = []
-    for alpha in roots:
-        decomposable = False
-        for beta in roots:
-            if beta != alpha:
-                diff = tuple(a - b for a, b in zip(alpha, beta))
-                if diff in rootset:
-                    decomposable = True
-                    break
-        if not decomposable:
-            simples.append(alpha)
-    return simples
+    # int64 is exact while kernel entries stay below 2^40 (two roots pair
+    # to at most 2 in absolute value and n <= 8); else big ints
+    small = max(abs(x) for row in kernel for x in row) < 1 << 40
+    dtype = np.int64 if small else object
+    proj = np.array(kernel, dtype=dtype) @ (rs.cartan @ roots.T).astype(dtype)
+    return frozenset(np.flatnonzero(~np.any(proj != 0, axis=0)).tolist())
 
 
 @lru_cache(maxsize=None)
-def _classify_moved_set(name, root_indices):
+def _root_tables(name):
+    """Root-sum index table and root Gram matrix of an ambient.
+
+    ``sums[i, j]`` is the index of root_i + root_j among the positive
+    roots, or -1 when the sum is not a root; ``gram[i, j]`` is the Cartan
+    pairing of root_i and root_j.
+    """
     rs = build_root_system(name)
-    simples = _simple_system(rs, sorted(root_indices))
-    k = len(simples)
-    cartan = rs.cartan
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            pairing = int(np.dot(np.array(simples[i]) @ cartan, simples[j]))
-            if pairing != 0:
-                edges.append((i, j))
-    return classify_diagram(DynkinDiagram.from_edges(k, edges)), tuple(simples)
+    roots, _ = _reflection_data(name)
+    index = {r: i for i, r in enumerate(rs.positive_roots)}
+    sums = np.array([[index.get(tuple(a + b for a, b in zip(r, s)), -1)
+                      for s in rs.positive_roots] for r in rs.positive_roots],
+                    dtype=np.intp)
+    gram = roots @ rs.cartan @ roots.T
+    for table in (sums, gram):
+        table.flags.writeable = False
+    return sums, gram
+
+
+@lru_cache(maxsize=None)
+def _classify_edges(k, edges):
+    return classify_diagram(DynkinDiagram.from_edges(k, edges))
+
+
+def classify_moved_roots(rs, moved):
+    """Type of the sub-root system formed by the positive roots with the
+    given ascending indices.
+
+    Its simple roots are the members that are not the sum of two members
+    (ambient positivity); their pairings give the Dynkin diagram.
+    """
+    sums, gram = _root_tables(str(rs.typ))
+    moved = np.asarray(moved, dtype=np.intp)
+    # one spare slot at the end absorbs the -1 entries (sums that are not roots)
+    decomposable = np.zeros(len(sums) + 1, dtype=bool)
+    decomposable[sums[moved][:, moved]] = True
+    simples = moved[~decomposable[moved]]
+    i, j = np.nonzero(gram[simples][:, simples])
+    upper = i < j
+    return _classify_edges(len(simples),
+                           tuple(zip(i[upper].tolist(), j[upper].tolist())))
 
 
 def classify_parabolic_type(rs, w, coxeter=None, check=True):
@@ -302,8 +220,7 @@ def classify_parabolic_type(rs, w, coxeter=None, check=True):
         c = coxeter if coxeter is not None else bipartite_coxeter(rs)
         if not le_absolute(rs, w, c):
             raise ValueError("element is not below the Coxeter element")
-    moved = moved_positive_roots(rs, w)
-    typ, _ = _classify_moved_set(str(rs.typ), frozenset(moved))
+    typ = classify_moved_roots(rs, sorted(moved_positive_roots(rs, w)))
     length = absolute_length(rs, w)
     if typ.rank != length:
         raise AssertionError("classified rank %d != reflection length %d"

@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from noncross.cli import main
+from noncross.ncposet import CacheFormatError, enumerate_nc, read_cache
+from noncross.rootsystem import build_root_system
+from noncross.weyl import GroupElement, classify_parabolic_type, enumerate_group
 
 
 def run(capsys, *argv):
@@ -39,6 +43,85 @@ def test_nc_enumerate_cache_dir(capsys, tmp_path):
                      "--cache-dir", str(tmp_path))
     assert code == 0
     assert (tmp_path / "nc_A3.jsonl").exists()
+
+
+# ---------------------------------------------------------------------------
+# a damaged cache file regenerates; lines[0] is the header, lines[1] the top
+
+
+def _edit(lines, index, change):
+    record = json.loads(lines[index])
+    change(record)
+    lines[index] = json.dumps(record)
+
+
+def _truncated_line(lines):
+    lines[-1] = lines[-1][:-20]
+
+
+def _wrong_shape(lines):
+    _edit(lines, 3, lambda r: r["mat"].pop())
+
+
+def _missing_key(lines):
+    _edit(lines, 3, lambda r: r.pop("type"))
+
+
+def _wrong_ambient(lines):
+    _edit(lines, 0, lambda r: r.update(ambient="D5"))
+
+
+def _wrong_schema(lines):
+    _edit(lines, 0, lambda r: r.update(schema_version=r["schema_version"] + 1))
+
+
+def _tampered_type(lines):
+    _edit(lines, 1, lambda r: r.update(type="A4"))
+
+
+def _tampered_matrix(lines):
+    """Swap a rank-2 element for a group element outside NC(D4) with the
+    same type, so that only the complement check can notice."""
+    rs = build_root_system("D4")
+    poset = enumerate_nc("D4")
+    index = next(i for i, line in enumerate(lines[1:], 1)
+                 if json.loads(line)["rank"] == 2)
+    typ = json.loads(lines[index])["type"]
+    for key, length in enumerate_group(rs).items():
+        mat = np.frombuffer(key, dtype=np.int64).reshape(rs.n, rs.n)
+        if length == 2 and key not in poset.elements:
+            try:
+                found = str(classify_parabolic_type(rs, GroupElement(rs, mat),
+                                                    check=False))
+            except AssertionError:
+                continue
+            if found == typ:
+                flat = mat.reshape(-1).tolist()
+                _edit(lines, index, lambda r: r.update(mat=flat))
+                return
+    raise AssertionError("no element outside NC(D4) of type %s" % typ)
+
+
+@pytest.mark.parametrize("damage", [
+    _truncated_line, _wrong_shape, _missing_key, _wrong_ambient,
+    _wrong_schema, _tampered_type, _tampered_matrix,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_nc_enumerate_damaged_cache_regenerates(capsys, tmp_path, damage):
+    argv = ("nc", "enumerate", "D4", "--format", "json",
+            "--cache-dir", str(tmp_path))
+    code, clean, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "nc_D4.jsonl"
+    lines = path.read_text().splitlines()
+    damage(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheFormatError):
+        read_cache(str(path), expected_ambient="D4")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == clean
+    assert read_cache(str(path), expected_ambient="D4").rank_sizes() == \
+        json.loads(clean)["rank_sizes"]
 
 
 def test_decomp_count(capsys):

@@ -1,13 +1,17 @@
 """Exact polynomial arithmetic and fraction-free linear algebra."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from noncross import exact
 from noncross.exact import (InconsistentSystemError, LinearSystem,
                             SparsePolynomial, binomial_poly, exact_divide,
-                            poly, solve, substitute_rational)
+                            int_adjugate, int_kernel, int_rank, poly, solve,
+                            substitute_rational)
 
 X = SparsePolynomial.variable("x")
 Y = SparsePolynomial.variable("y")
@@ -107,3 +111,69 @@ def test_linear_solve_big_integer_coefficients():
     values = space.as_dict()
     assert values["a"] * big + values["b"] == big + 7
     assert values["a"] + values["b"] * big == 7 * big + 1
+
+
+# ---------------------------------------------------------------------------
+# small integer matrices: the Bareiss core against sympy
+
+
+@st.composite
+def int_matrices(draw, max_dim=6, square=False):
+    """Small integer matrices, often rank-deficient (a product of two
+    thin factors) or sparse."""
+    m = draw(st.integers(1, max_dim))
+    n = m if square else draw(st.integers(1, max_dim))
+    entries = st.integers(-9, 9)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(m, n)))
+        left = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                             min_size=m, max_size=m))
+        right = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+        return [[sum(left[i][l] * right[l][j] for l in range(k))
+                 for j in range(n)] for i in range(m)]
+    sparse = st.one_of(st.just(0), entries)
+    return draw(st.lists(st.lists(sparse, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+
+
+def _primitive(vec):
+    """The primitive integer multiple of a rational vector, by a positive
+    factor: cleared of denominators, then divided by its content."""
+    denom = 1
+    for x in vec:
+        denom = denom * x.q // gcd(denom, x.q)
+    ints = [int(x * denom) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return [x // g for x in ints]
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+def test_int_kernel_and_rank_match_sympy(rows):
+    matrix = sympy.Matrix(rows)
+    rank = matrix.rank()
+    assert int_rank(rows) == rank
+    kernel = int_kernel(rows)
+    # sympy's basis has one vector per free column, 1 at that column:
+    # its primitive integer multiple is exactly our vector
+    expected = [_primitive(list(v)) for v in matrix.nullspace()]
+    assert kernel == expected
+    assert len(kernel) == len(rows[0]) - rank
+    for vec in kernel:
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(max_dim=5, square=True))
+def test_int_adjugate_matches_sympy(rows):
+    matrix = sympy.Matrix(rows)
+    if matrix.det() == 0:
+        with pytest.raises(ValueError):
+            int_adjugate(rows)
+        return
+    adj, det = int_adjugate(rows)
+    assert det == matrix.det()
+    assert adj == matrix.adjugate().tolist()

@@ -2,6 +2,7 @@
 
 from math import comb
 
+import numpy as np
 import pytest
 
 from noncross import exact
@@ -11,9 +12,10 @@ from noncross.ncposet import (NcPoset, ResourceGuardError, build_ncm,
                               mobius_from_top, ncm_cardinality, read_cache,
                               write_cache, zeta_closed, zeta_direct)
 from noncross.refdata import chi_star_reference
-from noncross.rootsystem import build_root_system
+from noncross.rootsystem import (DynkinDiagram, build_root_system,
+                                 classify_diagram)
 from noncross.typelabel import label
-from noncross.weyl import GroupElement, le_absolute
+from noncross.weyl import GroupElement, le_absolute, moved_positive_roots
 
 # total element counts: Cat(n+1) for A_n, known values for D and E
 SIZES = {
@@ -52,6 +54,39 @@ def test_subset_order_equals_absolute_order(name):
         for w in elements:
             gw = GroupElement(rs, w.mat)
             assert poset.le(u, w) == le_absolute(rs, gu, gw)
+
+
+def _simple_system(rs, root_indices):
+    """Simple roots of the sub-root-system spanned by the given positive
+    roots: the positive members not expressible as a sum of two members
+    (pairwise differences, independent of the package's sum table)."""
+    roots = [rs.positive_roots[i] for i in root_indices]
+    rootset = set(roots)
+    simples = []
+    for alpha in roots:
+        if not any(tuple(a - b for a, b in zip(alpha, beta)) in rootset
+                   for beta in roots if beta != alpha):
+            simples.append(alpha)
+    return simples
+
+
+def _type_of_moved_set(rs, moved):
+    simples = _simple_system(rs, sorted(moved))
+    edges = [(i, j) for i in range(len(simples))
+             for j in range(i + 1, len(simples))
+             if int(np.array(simples[i]) @ rs.cartan @ simples[j]) != 0]
+    return classify_diagram(DynkinDiagram.from_edges(len(simples), edges))
+
+
+@pytest.mark.parametrize("name", ["A5", "D5", "D6", "E6", "E7"])
+def test_walk_matches_kernel_and_classifier_oracles(name):
+    """The moved sets from the descent walk equal the per-element kernel
+    route, and the sum-table types equal the pairwise classifier."""
+    rs = build_root_system(name)
+    poset = enumerate_nc(name)
+    for el in poset.elements.values():
+        assert el.moved == moved_positive_roots(rs, GroupElement(rs, el.mat))
+        assert el.typ == _type_of_moved_set(rs, el.moved)
 
 
 def test_moebius_top_bottom_agree():

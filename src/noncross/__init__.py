@@ -12,8 +12,8 @@ from .decomp import (DecompositionTable, all_labels_of_rank,
                      all_tuples_of_rank, canonical_tuple, count_bruteforce,
                      count_product, count_typeA, full_table, orderings,
                      special_values, tuple_rank)
-from .exact import (InconsistentSystemError, LinearSystem, SolutionSpace,
-                    SparsePolynomial, solve)
+from .exact import (Echelon, InconsistentSystemError, LinearSystem,
+                    SolutionSpace, SparsePolynomial, echelon, solve)
 from .linsys import (EXPECTED_DIMENSION, ReplayError, ReplayReport,
                      generate_equations, production_table, replay)
 from .ncposet import (NcPoset, ResourceGuardError, build_ncm,

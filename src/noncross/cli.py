@@ -207,7 +207,8 @@ def cmd_linsys(args):
     }
     if args.report:
         with open(args.report, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True, default=str)
+            json.dump(dict(payload, rows_by_family=report.rows_by_family),
+                      handle, indent=2, sort_keys=True, default=str)
     _emit(payload, args.format)
     failed = golden_diff or not report.all_assertions_pass
     return 1 if failed else 0

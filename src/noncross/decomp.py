@@ -151,7 +151,7 @@ def count_typeA(n, types):
 # products of ambients
 
 
-def count_product(factors, types):
+def count_product(factors, types, _memo=None):
     """Decomposition number for a reducible ambient from factor tables.
 
     ``factors`` is a sequence of DecompositionTable objects, one per
@@ -159,12 +159,21 @@ def count_product(factors, types):
     a disjoint union T_i = U_i * V_i over the first factor and the rest;
     only splittings that are full-rank in each part contribute (the
     others vanish), and the two parts are counted independently.
+
+    ``_memo`` optionally shares the values of the recursive calls,
+    keyed by (number of factors left, canonical tuple); share one memo
+    only between calls with the same ``factors``.
     """
     factors = list(factors)
     if not factors:
         return 1 if not canonical_tuple(types) else 0
     if len(factors) == 1:
         return factors[0].lookup(types)
+    if _memo is not None:
+        state = (len(factors), canonical_tuple(types))
+        cached = _memo.get(state)
+        if cached is not None:
+            return cached
     head, rest = factors[0], factors[1:]
     rest_rank = sum(t.ambient.rank for t in rest)
     types = [t if isinstance(t, TypeLabel) else label(t) for t in types]
@@ -175,7 +184,10 @@ def count_product(factors, types):
         left, right = split
         left_tuple = [TypeLabel(c) for c in left if c]
         right_tuple = [TypeLabel(c) for c in right if c]
-        total += head.lookup(left_tuple) * count_product(rest, right_tuple)
+        total += head.lookup(left_tuple) * count_product(rest, right_tuple,
+                                                         _memo=_memo)
+    if _memo is not None:
+        _memo[state] = total
     return total
 
 

@@ -6,9 +6,11 @@ from exponent 4-tuples to coefficients.  This is deliberately small and
 dependency-free: every identity checked in this package is an *exact*
 polynomial identity, so floating point is never used.
 
-The linear solver performs fraction-free (integer) Gaussian elimination
-with content reduction and returns the full affine solution space
-(a particular solution plus a nullspace basis).  Ranks, kernels and
+The linear solver works in integers throughout: fraction-free Gaussian
+elimination with content reduction into an ``Echelon`` (which takes
+further rows later), then fraction-free back-substitution to the full
+affine solution space (a particular solution plus a nullspace basis);
+only its final entries become fractions.  Ranks, kernels and
 adjugates of small dense integer matrices all come from one Bareiss
 elimination, ``bareiss``.
 """
@@ -450,85 +452,135 @@ class InconsistentSystemError(ValueError):
         self.provenance = provenance
 
 
-def solve(system):
-    """Fraction-free Gaussian elimination with content reduction.
+def _reduce_content(vec):
+    """``vec`` divided by the gcd of its entries (itself when that is 1)."""
+    g = 0
+    for v in vec:
+        if v:
+            g = gcd(g, v)
+            if g == 1:
+                return vec
+    if g > 1:
+        vec = [v // g for v in vec]
+    return vec
 
-    Rows are scaled to integers, inserted one at a time into an echelon
-    basis (pivot = leading variable in the fixed variable order), with
-    each combination divided by its integer content.  Deterministic for
-    a fixed row ordering.
+
+class Echelon:
+    """Integer row echelon form of a linear system, built row by row.
+
+    Each row is scaled to integers and inserted into the echelon basis
+    (pivot = leading variable in the fixed variable order): every pivot
+    it meets is cleared by ``a * p - f * b`` and the result divided by
+    its integer content.  Rows are inserted in the order given, so
+    adding rows to an echelon gives exactly the echelon of the longer
+    system.
     """
-    nvars = system.num_vars
-    pivots = {}          # column -> integer row (list of n+1 ints, rhs last)
 
-    def to_int_row(row, rhs):
+    def __init__(self, variables):
+        self.variables = list(variables)
+        self._index = {v: i for i, v in enumerate(self.variables)}
+        self.pivots = {}     # column -> primitive integer row, rhs last
+
+    @property
+    def dimension(self):
+        return len(self.variables) - len(self.pivots)
+
+    @property
+    def free_columns(self):
+        return [c for c in range(len(self.variables)) if c not in self.pivots]
+
+    def add_row(self, coeffs, rhs, provenance=""):
+        """Insert the row sum(coeffs[v] * v) = rhs, keyed by variable."""
+        self._insert({self._index[v]: _as_fraction(c)
+                      for v, c in coeffs.items() if c},
+                     _as_fraction(rhs), provenance)
+
+    def _insert(self, row, rhs, provenance):
+        """Insert a row keyed by column; raises InconsistentSystemError
+        (naming ``provenance``) and leaves the echelon unchanged when the
+        row reduces to 0 = nonzero."""
+        nvars = len(self.variables)
+        pivots = self.pivots
         denom = rhs.denominator
         for c in row.values():
             denom = denom * c.denominator // gcd(denom, c.denominator)
         vec = [0] * (nvars + 1)
         for col, c in row.items():
-            vec[col] = int(c * denom)
-        vec[nvars] = int(rhs * denom)
-        return vec
-
-    def reduce_content(vec):
-        g = 0
-        for v in vec:
-            if v:
-                g = gcd(g, abs(v))
-                if g == 1:
-                    return vec
-        if g > 1:
-            vec = [v // g for v in vec]
-        return vec
-
-    for row, rhs, provenance in system.rows:
-        vec = to_int_row(row, rhs)
+            vec[col] = c.numerator * (denom // c.denominator)
+        vec[nvars] = rhs.numerator * (denom // rhs.denominator)
         col = 0
         while col < nvars:
             if vec[col] and col in pivots:
+                # both rows are zero left of col
                 pivot = pivots[col]
                 f, pv = vec[col], pivot[col]
-                vec = [a * pv - f * b for a, b in zip(vec, pivot)]
-                vec = reduce_content(vec)
+                vec[col:] = _reduce_content([a * pv - f * b for a, b in
+                                             zip(vec[col:], pivot[col:])])
             if vec[col]:
                 break
             col += 1
         if col < nvars:
-            pivots[col] = reduce_content(vec)
+            pivots[col] = _reduce_content(vec)
         elif vec[nvars] != 0:
             raise InconsistentSystemError(provenance)
 
-    pivot_cols = sorted(pivots)
-    free_cols = [c for c in range(nvars) if c not in pivots]
+    def space(self):
+        """The affine solution space, by integer back-substitution.
 
-    # back substitution on the echelon rows, exact rationals
-    reduced = {}
-    for col in reversed(pivot_cols):
-        vec = [Fraction(v) for v in pivots[col]]
-        for col2 in pivot_cols:
-            if col2 > col and vec[col2]:
+        Going up from the last pivot, each row has every later pivot
+        column cleared by ``a * p - f * b`` with the finished row of that
+        column, is divided by its content and made positive at its pivot.
+        That leaves the primitive multiple of the reduced-echelon row, so
+        only the final entries become fractions (over the pivot entry).
+        """
+        nvars = len(self.variables)
+        pivot_cols = sorted(self.pivots)
+        free_cols = self.free_columns
+        reduced = {}
+        for col in reversed(pivot_cols):
+            vec = self.pivots[col]
+            for col2, done in reduced.items():
                 f = vec[col2]
-                vec = [a - f * b for a, b in zip(vec, reduced[col2])]
-        lead = vec[col]
-        reduced[col] = [a / lead for a in vec]
+                if f:
+                    p = done[col2]
+                    vec = _reduce_content([a * p - f * b
+                                           for a, b in zip(vec, done)])
+            if vec[col] < 0:
+                vec = [-a for a in vec]
+            reduced[col] = vec
 
-    particular = [Fraction(0)] * nvars
-    for col in pivot_cols:
-        particular[col] = reduced[col][nvars]
-
-    nullspace = []
-    for fc in free_cols:
-        basis = [Fraction(0)] * nvars
-        basis[fc] = Fraction(1)
+        particular = [Fraction(0)] * nvars
         for col in pivot_cols:
-            basis[col] = -reduced[col][fc]
-        nullspace.append(basis)
+            particular[col] = Fraction(reduced[col][nvars], reduced[col][col])
+        nullspace = []
+        for fc in free_cols:
+            basis = [Fraction(0)] * nvars
+            basis[fc] = Fraction(1)
+            for col in pivot_cols:
+                basis[col] = Fraction(-reduced[col][fc], reduced[col][col])
+            nullspace.append(basis)
 
-    return SolutionSpace(
-        variables=list(system.variables),
-        particular=particular,
-        nullspace=nullspace,
-        pivot_columns=pivot_cols,
-        free_columns=free_cols,
-    )
+        return SolutionSpace(
+            variables=list(self.variables),
+            particular=particular,
+            nullspace=nullspace,
+            pivot_columns=pivot_cols,
+            free_columns=free_cols,
+        )
+
+
+def echelon(system):
+    """The Echelon of a LinearSystem, its rows inserted in order."""
+    ech = Echelon(system.variables)
+    for row, rhs, provenance in system.rows:
+        ech._insert(row, rhs, provenance)
+    return ech
+
+
+def solve(system):
+    """The affine solution space of a LinearSystem.  Given an Echelon
+    instead (say one extended by pin rows), only its back-substitution
+    is left to do."""
+    if not isinstance(system, Echelon):
+        system = echelon(system)
+    return system.space()

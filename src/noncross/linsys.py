@@ -13,10 +13,11 @@ equation families:
 * zero equations for tuples containing a type that is not realizable as
   a sub-diagram of the ambient's Dynkin diagram.
 
-The resulting system is solved exactly.  For the large ambients it is
-underdetermined by a small dimension; the remaining freedom is pinned
-with a handful of brute-force counts, and classical arithmetic
-consistency relations are then asserted on the pinned solution.
+The resulting system is eliminated exactly, once.  For the large
+ambients it is underdetermined by a small dimension; the remaining
+freedom is pinned with a handful of brute-force counts, added as rows to
+the same echelon, and classical arithmetic consistency relations are
+then asserted on the pinned solution.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .decomp import (DecompositionTable, all_labels_of_rank,
                      all_tuples_of_rank, canonical_tuple, count_bruteforce,
                      count_product, full_table, orderings, special_values,
                      tuple_rank)
-from .exact import LinearSystem, SparsePolynomial, binomial_poly, poly, solve
+from .exact import LinearSystem, binomial_poly, echelon, poly, solve
 from . import exact
 from .ncposet import zeta_closed
 from .rootsystem import build_root_system, subdiagram_types
@@ -47,6 +48,9 @@ PIN_TUPLES = {
     "E7": (("A1^4", "A1^3"), ("A1^2*A2", "A1^3")),
     "E8": (("A5", "A1*A2"), ("D5", "A1*A2"), ("A4", "A1*A3"), ("D4", "A4")),
 }
+
+# equation families, named by the prefix of each row's provenance
+ROW_FAMILIES = ("forbidden", "special", "split", "zeta", "oracle-pin")
 
 
 class ReplayError(RuntimeError):
@@ -65,6 +69,7 @@ class ReplayReport:
     congruence_assertions: list          # (description, bool)
     final_table: DecompositionTable
     flags: list = field(default_factory=list)
+    rows_by_family: dict = field(default_factory=dict)   # family -> rows
 
     @property
     def all_assertions_pass(self):
@@ -89,6 +94,12 @@ def _component_tables(t):
     return tuple(production_table("%s%d" % comp) for comp in t.components)
 
 
+@lru_cache(maxsize=None)
+def _product_memo(t):
+    """The count_product memo of one reducible ambient type."""
+    return {}
+
+
 def lower_count(t, types):
     """N_T(types) for an ambient type of lower rank, reducible allowed."""
     types = canonical_tuple(types)
@@ -96,18 +107,18 @@ def lower_count(t, types):
         return 1 if not types else 0
     if t.is_irreducible:
         return production_table(str(t)).lookup(types)
-    return count_product(_component_tables(t), types)
+    return count_product(_component_tables(t), types, _memo=_product_memo(t))
 
 
-def _coeff_mz(p, i, j):
-    """The rational coefficient of m^i z^j in a polynomial in m, z."""
-    c = p.coefficient(m=i, z=j)
-    if not c.terms:
-        return Fraction(0)
-    (exp, value), = c.terms.items()
-    if any(exp):
-        raise ValueError("coefficient is not constant")
-    return value
+def _coeffs_mz(p):
+    """The rational coefficients of a polynomial in m, z, as a map
+    (power of m, power of z) -> coefficient."""
+    coeffs = {}
+    for (ex, ey, ez, em), value in p.terms.items():
+        if ex or ey:
+            raise ValueError("coefficient is not constant")
+        coeffs[em, ez] = value
+    return coeffs
 
 
 def generate_equations(name):
@@ -178,18 +189,23 @@ def generate_equations(name):
                                 for extra in all_labels_of_rank(n - s))
             for var in targets:
                 forms[var] = forms.get(var, exact.ZERO) + weight
-    lhs = zeta_closed(ambient, m="m") - poly(1)
+    buckets = {}                          # (i, j) -> {var: coefficient}
+    for var, form in forms.items():
+        for mz, c in _coeffs_mz(form).items():
+            buckets.setdefault(mz, {})[var] = c
+    lhs = _coeffs_mz(zeta_closed(ambient, m="m") - poly(1))
     for i in range(n + 1):
         for j in range(n + 1):
-            coeffs = {}
-            for var, form in forms.items():
-                c = _coeff_mz(form, i, j)
-                if c:
-                    coeffs[var] = c
-            rhs = _coeff_mz(lhs, i, j)
+            coeffs = buckets.get((i, j), {})
+            rhs = lhs.get((i, j), Fraction(0))
             if coeffs or rhs:
                 system.add_row(coeffs, rhs, "zeta:m^%d z^%d" % (i, j))
     return system
+
+
+def row_family(provenance):
+    """The equation family of a row, from its provenance prefix."""
+    return next(f for f in ROW_FAMILIES if provenance.startswith(f))
 
 
 def check_system_against_table(system, table):
@@ -213,12 +229,12 @@ def replay(name):
     n = ambient.rank
     flags = []
     system = generate_equations(name)
-    space = solve(system)
-    dimension = space.dimension
+    ech = echelon(system)
+    dimension = ech.dimension
 
     expected = EXPECTED_DIMENSION.get(name, 0)
     if dimension > expected:
-        free = [system.variables[c] for c in space.free_columns]
+        free = [system.variables[c] for c in ech.free_columns]
         raise ReplayError(
             "%s solution space has dimension %d, expected %d; free: %s"
             % (name, dimension, expected,
@@ -232,16 +248,12 @@ def replay(name):
                 for tup in PIN_TUPLES.get(name, ())]
     for key in pin_keys[:dimension]:
         pins[key] = count_bruteforce(name, key)
-    if pins:
-        pinned_system = LinearSystem(variables=system.variables,
-                                     rows=list(system.rows))
-        for key, value in pins.items():
-            pinned_system.add_row({key: 1}, value,
-                                  "oracle-pin:%s" % ",".join(map(str, key)))
-        space = solve(pinned_system)       # inconsistency -> pins outside
-        if space.dimension != 0:
-            raise ReplayError("%s: oracle pins leave dimension %d"
-                              % (name, space.dimension))
+    for key, value in pins.items():        # inconsistency -> pins outside
+        ech.add_row({key: 1}, value, "oracle-pin:%s" % ",".join(map(str, key)))
+    if pins and ech.dimension != 0:
+        raise ReplayError("%s: oracle pins leave dimension %d"
+                          % (name, ech.dimension))
+    space = solve(ech)
 
     values = space.as_dict()
     entries = {}
@@ -253,6 +265,10 @@ def replay(name):
             entries[key] = int(value)
     table = DecompositionTable(ambient, entries, provenance="linear-system")
     assertions = _consistency_assertions(name, table)
+    rows_by_family = dict.fromkeys(ROW_FAMILIES, 0)
+    for _, _, provenance in system.rows:
+        rows_by_family[row_family(provenance)] += 1
+    rows_by_family["oracle-pin"] = len(pins)
     return ReplayReport(
         ambient=ambient,
         equation_count=system.num_rows,
@@ -262,6 +278,7 @@ def replay(name):
         congruence_assertions=assertions,
         final_table=table,
         flags=flags,
+        rows_by_family=rows_by_family,
     )
 
 

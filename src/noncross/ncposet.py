@@ -148,8 +148,9 @@ def enumerate_nc(name):
     zero = _descent_masks(rs, c)
 
     def make(mat, inv, rank, mask):
-        mat = np.ascontiguousarray(mat)
-        inv = np.ascontiguousarray(inv)
+        # own copies: a view would keep its whole per-parent batch alive
+        mat = np.array(mat)
+        inv = np.array(inv)
         moved = np.flatnonzero(mask)
         typ = classify_moved_roots(rs, moved)
         if typ.rank != rank:

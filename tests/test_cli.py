@@ -173,6 +173,18 @@ def test_linsys_replay_report(capsys, tmp_path):
     assert payload["dimension"] == 0
 
 
+def test_linsys_replay_rows_by_family_in_report_only(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    _, plain, _ = run(capsys, "linsys", "replay", "E6")
+    code, out, _ = run(capsys, "linsys", "replay", "E6", "--report", str(path))
+    assert code == 0
+    assert out == plain and "rows_by_family" not in out
+    payload = json.loads(path.read_text())
+    counts = payload["rows_by_family"]
+    assert counts["oracle-pin"] == len(payload["pins"]) == 1
+    assert sum(counts.values()) == payload["equations"] + 1
+
+
 def test_verify_suite(capsys):
     code, out, _ = run(capsys, "verify", "zeta")
     assert code == 0

@@ -124,3 +124,13 @@ def test_full_table_matches_reference(name):
 def test_table_rejects_overfull_rank():
     table = full_table("A2")
     assert table.lookup(L("A2", "A1")) == 0
+
+
+def test_product_rule_memo_matches_plain():
+    # one memo shared over a reducible ambient's whole key universe
+    factors = [full_table(n) for n in ("A1", "A2", "D4")]
+    memo = {}
+    for key in all_tuples_of_rank(7):
+        assert count_product(factors, key, _memo=memo) == \
+            count_product(factors, key)
+    assert memo

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from noncross import exact
 from noncross.exact import (InconsistentSystemError, LinearSystem,
-                            SparsePolynomial, binomial_poly, exact_divide,
-                            int_adjugate, int_kernel, int_rank, poly, solve,
-                            substitute_rational)
+                            SparsePolynomial, binomial_poly, echelon,
+                            exact_divide, int_adjugate, int_kernel, int_rank,
+                            poly, solve, substitute_rational)
 
 X = SparsePolynomial.variable("x")
 Y = SparsePolynomial.variable("y")
@@ -96,8 +96,39 @@ def test_linear_solve_inconsistent():
     system = LinearSystem(variables=("a",))
     system.add_row({"a": 1}, 1, "r1")
     system.add_row({"a": 1}, 2, "bad-row")
-    with pytest.raises(InconsistentSystemError):
+    with pytest.raises(InconsistentSystemError) as exc:
         solve(system)
+    assert exc.value.provenance == "bad-row"
+
+
+def test_echelon_pin_row_inconsistent_names_row():
+    # the pin path: a contradictory row added to an existing echelon
+    system = LinearSystem(variables=("a", "b", "c"))
+    system.add_row({"a": 1, "b": 1}, 3, "r1")
+    system.add_row({"b": 1, "c": -1}, 1, "r2")
+    ech = echelon(system)
+    ech.add_row({"c": 1}, 0, "pin-c")
+    pivots = {col: list(row) for col, row in ech.pivots.items()}
+    with pytest.raises(InconsistentSystemError) as exc:
+        ech.add_row({"a": 1, "c": 2}, 5, "contradictory-pin")
+    assert exc.value.provenance == "contradictory-pin"
+    assert ech.pivots == pivots           # the failed row left no trace
+    assert ech.space().as_dict() == {"a": 2, "b": 1, "c": 0}
+
+
+def test_echelon_extended_equals_echelon_of_longer_system():
+    system = LinearSystem(variables=("a", "b", "c", "d"))
+    system.add_row({"a": 2, "b": Fraction(1, 3), "d": 1}, 4, "r1")
+    system.add_row({"b": 3, "c": -2}, Fraction(1, 2), "r2")
+    longer = LinearSystem(variables=system.variables, rows=list(system.rows))
+    longer.add_row({"c": 5, "d": 1}, 7, "p1")
+    longer.add_row({"a": 1, "c": 1}, -1, "p2")
+    ech = echelon(system)
+    assert ech.dimension == 2 and ech.free_columns == [2, 3]
+    ech.add_row({"c": 5, "d": 1}, 7, "p1")
+    ech.add_row({"a": 1, "c": 1}, -1, "p2")
+    assert ech.pivots == echelon(longer).pivots
+    assert solve(ech) == solve(longer)
 
 
 def test_linear_solve_big_integer_coefficients():
@@ -177,3 +208,63 @@ def test_int_adjugate_matches_sympy(rows):
     adj, det = int_adjugate(rows)
     assert det == matrix.det()
     assert adj == matrix.adjugate().tolist()
+
+
+# ---------------------------------------------------------------------------
+# exact linear systems against sympy
+
+
+@st.composite
+def rational_systems(draw, max_dim=5):
+    """Small rational systems as (coefficient rows, rhs), often
+    rank-deficient, consistent or not."""
+    rows = draw(int_matrices(max_dim=max_dim))
+    scale = draw(st.lists(st.integers(1, 4), min_size=len(rows),
+                          max_size=len(rows)))
+    coeffs = [[Fraction(x, d) for x in r] for r, d in zip(rows, scale)]
+    if draw(st.booleans()):               # consistent: rhs = A x0
+        x0 = [Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 3)))
+              for _ in rows[0]]
+        rhs = [sum(a * x for a, x in zip(r, x0)) for r in coeffs]
+    else:
+        rhs = [Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 3)))
+               for _ in coeffs]
+    return coeffs, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_systems())
+def test_solve_matches_sympy(data):
+    coeffs, rhs = data
+    n = len(coeffs[0])
+    names = ["v%d" % i for i in range(n)]
+    system = LinearSystem(variables=names)
+    for i, (row, b) in enumerate(zip(coeffs, rhs)):
+        system.add_row(dict(zip(names, row)), b, "row%d" % i)
+    a = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                      for r in coeffs])
+    b = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in rhs])
+    rank = a.rank()
+    if a.row_join(b).rank() > rank:
+        with pytest.raises(InconsistentSystemError) as exc:
+            solve(system)
+        assert exc.value.provenance.startswith("row")
+        return
+    space = solve(system)
+    assert len(space.pivot_columns) == rank
+    assert space.dimension == n - rank
+    assert sorted(space.pivot_columns + space.free_columns) == list(range(n))
+    for row, value in zip(coeffs, rhs):
+        assert sum(c * x for c, x in zip(row, space.particular)) == value
+        for vec in space.nullspace:
+            assert sum(c * x for c, x in zip(row, vec)) == 0
+    # the nullspace spans sympy's: same rank alone and side by side
+    ours = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in vec] for vec in space.nullspace])
+    theirs = a.nullspace()
+    if theirs:
+        stacked = sympy.Matrix.hstack(*theirs).T
+        assert ours.rank() == stacked.rank() == n - rank
+        assert ours.col_join(stacked).rank() == n - rank
+    else:
+        assert not space.nullspace

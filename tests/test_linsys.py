@@ -1,12 +1,16 @@
 """Linear-system derivation of the decomposition tables."""
 
+from fractions import Fraction
+
 import pytest
 
 from noncross.decomp import (DecompositionTable, canonical_tuple, full_table,
                              tuple_rank)
-from noncross.linsys import (EXPECTED_DIMENSION, check_system_against_table,
-                             generate_equations, lower_count, production_table,
-                             replay)
+from noncross.exact import echelon
+from noncross.linsys import (EXPECTED_DIMENSION, ROW_FAMILIES,
+                             check_system_against_table, generate_equations,
+                             lower_count, production_table, replay,
+                             row_family)
 from noncross.refdata import reference_table
 from noncross.typelabel import label
 
@@ -91,3 +95,58 @@ def test_equation_budget_loose():
     system = generate_equations("E6")
     assert system.num_vars < 200
     assert system.num_rows > system.num_vars
+
+
+def _fraction_back_substitution(ech):
+    """The dense Fraction back-substitution that ``Echelon.space`` replaced,
+    kept as its reference: (particular, nullspace, pivots, free columns)."""
+    nvars = len(ech.variables)
+    pivot_cols = sorted(ech.pivots)
+    free_cols = [c for c in range(nvars) if c not in ech.pivots]
+    reduced = {}
+    for col in reversed(pivot_cols):
+        vec = [Fraction(v) for v in ech.pivots[col]]
+        for col2 in pivot_cols:
+            if col2 > col and vec[col2]:
+                f = vec[col2]
+                vec = [a - f * b for a, b in zip(vec, reduced[col2])]
+        lead = vec[col]
+        reduced[col] = [a / lead for a in vec]
+    particular = [Fraction(0)] * nvars
+    for col in pivot_cols:
+        particular[col] = reduced[col][nvars]
+    nullspace = []
+    for fc in free_cols:
+        basis = [Fraction(0)] * nvars
+        basis[fc] = Fraction(1)
+        for col in pivot_cols:
+            basis[col] = -reduced[col][fc]
+        nullspace.append(basis)
+    return particular, nullspace, pivot_cols, free_cols
+
+
+@pytest.mark.parametrize("name", ["E6", "D6", "D7"])
+def test_integer_back_substitution_matches_fraction_reference(name):
+    ech = echelon(generate_equations(name))
+    for key, value in replay(name).pinned_values.items():
+        space = ech.space()
+        assert (space.particular, space.nullspace, space.pivot_columns,
+                space.free_columns) == _fraction_back_substitution(ech)
+        ech.add_row({key: 1}, value, "oracle-pin")
+    space = ech.space()
+    assert space.dimension == 0
+    assert (space.particular, space.nullspace, space.pivot_columns,
+            space.free_columns) == _fraction_back_substitution(ech)
+
+
+@pytest.mark.parametrize("name", ["D5", "E6", "D6"])
+def test_rows_by_family(name):
+    report = replay(name)
+    counts = report.rows_by_family
+    assert tuple(counts) == ROW_FAMILIES
+    assert sum(counts.values()) == \
+        report.equation_count + len(report.pinned_values)
+    assert counts["oracle-pin"] == len(report.pinned_values)
+    families = [row_family(p) for _, _, p in generate_equations(name).rows]
+    for family in ROW_FAMILIES[:-1]:
+        assert counts[family] == families.count(family) > 0

@@ -166,3 +166,11 @@ def test_load_or_enumerate_uses_cache_dir(tmp_path):
     assert (tmp_path / "nc_A3.jsonl").exists()
     second = load_or_enumerate("A3", str(tmp_path))
     assert len(first) == len(second) == 14
+
+
+@pytest.mark.parametrize("name", ["D5", "E6", "E7"])
+def test_element_matrices_own_their_buffers(name):
+    # a view into a per-parent batch keeps the whole batch alive
+    for el in enumerate_nc(name).elements.values():
+        for arr in (el.mat, el.inv):
+            assert arr.base is None or arr.base.nbytes <= arr.nbytes

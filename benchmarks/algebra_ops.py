@@ -1,0 +1,102 @@
+"""Op timings of the warm algebra layer: triangles, product rule, lookups.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 benchmarks/algebra_ops.py [--repeats 5]
+
+Decomposition tables come from the published reference data and the
+E7/E8 M-triangles from their published dual polynomials, built once
+before any timing, as in a warm library session.  Each op is timed
+``--repeats`` times with ``time.perf_counter`` and the median printed
+as one JSON object, in seconds:
+
+* ``fm_transform:E7|E8``: one ``fm_transform`` at m = 3;
+* ``f_reciprocity_checks:E7|E8``: one call at m = 2 (two transforms
+  and the three reciprocity forms);
+* ``reciprocity_check:E7|E8``: the m -> -m check of the M-triangle;
+* ``zeta_identity_check:A7|D7|E7``: the zeta identity of the table;
+* ``count_product:E7*A1`` (and D4*D4, E6*A2, D5*A3): ``count_product``
+  without a memo over the pair's whole full-rank key universe;
+* ``lookup:E8|E7|A7``: a batch of 4000 lookups, half full-rank keys
+  and half made rank-deficient by dropping one factor (seeded), on a
+  fresh table per repeat, so any lazily built index is timed too.
+"""
+
+import argparse
+import json
+import random
+import statistics
+import time
+
+from noncross import decomp, refdata, triangles
+
+PRODUCTS = (("E7", "A1"), ("D4", "D4"), ("E6", "A2"), ("D5", "A3"))
+LOOKUP_BATCH = 4000
+
+
+def median_time(fn, repeats):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return round(statistics.median(times), 4)
+
+
+def lookup_keys(name, seed=0):
+    rng = random.Random(seed)
+    full_rank = sorted(refdata.reference_table(name))
+    keys = []
+    for _ in range(LOOKUP_BATCH):
+        key = rng.choice(full_rank)
+        if len(key) > 1 and rng.random() < 0.5:
+            drop = rng.randrange(len(key))
+            key = key[:drop] + key[drop + 1:]
+        keys.append(key)
+    return keys
+
+
+def ops():
+    """(name, zero-argument callable) pairs, everything built up front."""
+    tables = {name: decomp.DecompositionTable(name, refdata.reference_table(name))
+              for name in refdata.REFERENCE_TABLE_NAMES}
+    mts = {name: triangles.MTriangle.from_dual(name, refdata.golden_dual(name))
+           for name in ("E7", "E8")}
+    out = []
+    for name, mt in mts.items():
+        out.append(("fm_transform:" + name,
+                    lambda mt=mt: triangles.fm_transform(mt, 3)))
+        out.append(("f_reciprocity_checks:" + name,
+                    lambda mt=mt: triangles.f_reciprocity_checks(mt, 2)))
+        out.append(("reciprocity_check:" + name,
+                    lambda mt=mt: triangles.reciprocity_check(mt)))
+    for name in ("A7", "D7", "E7"):
+        out.append(("zeta_identity_check:" + name,
+                    lambda name=name: triangles.zeta_identity_check(
+                        name, tables[name])))
+    for pair in PRODUCTS:
+        factors = [tables[name] for name in pair]
+        keys = decomp.all_tuples_of_rank(sum(t.ambient.rank for t in factors))
+        out.append(("count_product:" + "*".join(pair),
+                    lambda f=factors, keys=keys: [decomp.count_product(f, k)
+                                                  for k in keys]))
+    for name in ("E8", "E7", "A7"):
+        entries, keys = refdata.reference_table(name), lookup_keys(name)
+
+        def batch(name=name, entries=entries, keys=keys):
+            table = decomp.DecompositionTable(name, entries)
+            return [table.lookup(k) for k in keys]
+        out.append(("lookup:" + name, batch))
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    print(json.dumps({name: median_time(fn, args.repeats)
+                      for name, fn in ops()}, indent=1), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -362,9 +362,6 @@ def build_parser():
                         default="text")
     common.add_argument("--cache-dir", default=None,
                         help="poset cache directory (or $%s)" % CACHE_ENV_VAR)
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker count (validated; computation is "
-                             "single-process)")
     parents = [common]
 
     parser = argparse.ArgumentParser(
@@ -441,8 +438,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        return _fail_input("--threads must be >= 1")
     try:
         return args.func(args)
     except ResourceGuardError as err:

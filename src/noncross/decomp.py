@@ -175,56 +175,48 @@ def count_product(factors, types, _memo=None):
         if cached is not None:
             return cached
     head, rest = factors[0], factors[1:]
-    rest_rank = sum(t.ambient.rank for t in rest)
-    types = [t if isinstance(t, TypeLabel) else label(t) for t in types]
+    splits = [_entry_splits(t if isinstance(t, TypeLabel) else label(t))
+              for t in types]
 
-    total = 0
-    for split in _component_splits([t.components for t in types],
-                                   head.ambient.rank, rest_rank):
-        left, right = split
-        left_tuple = [TypeLabel(c) for c in left if c]
-        right_tuple = [TypeLabel(c) for c in right if c]
-        total += head.lookup(left_tuple) * count_product(rest, right_tuple,
-                                                         _memo=_memo)
+    def walk(i, room, left, right):
+        # room: rank still to be placed in the head factor
+        if i == len(splits):
+            if room:
+                return 0
+            return head.lookup(left) * count_product(rest, right, _memo=_memo)
+        total = 0
+        for left_part, right_part, left_rank in splits[i]:
+            if left_rank <= room:
+                total += walk(i + 1, room - left_rank,
+                              left + left_part, right + right_part)
+        return total
+
+    total = walk(0, head.ambient.rank, (), ())
     if _memo is not None:
         _memo[state] = total
     return total
 
 
-def _component_splits(component_lists, left_rank, right_rank):
-    """All ways to split each entry's component multiset into two parts
-    with prescribed total ranks on each side."""
-    results = []
-
-    def rank_of(comps):
-        return sum(r for _, r in comps)
-
-    def recurse(i, left_acc, right_acc, left_sum):
-        if left_sum > left_rank:
-            return
-        if i == len(component_lists):
-            if left_sum == left_rank:
-                results.append((list(left_acc), list(right_acc)))
-            return
-        comps = component_lists[i]
-        seen = set()
-        for mask in range(1 << len(comps)):
-            left = tuple(sorted(comps[j] for j in range(len(comps))
-                                if mask >> j & 1))
-            if left in seen:
-                continue
-            seen.add(left)
-            right = list(comps)
-            for item in left:
-                right.remove(item)
-            left_acc.append(left)
-            right_acc.append(tuple(right))
-            recurse(i + 1, left_acc, right_acc, left_sum + rank_of(left))
-            left_acc.pop()
-            right_acc.pop()
-
-    recurse(0, [], [], 0)
-    return results
+@lru_cache(maxsize=None)
+def _entry_splits(t):
+    """The distinct ways to split one entry's components into two parts,
+    as ``(left part, right part, left rank)`` in the order of the first
+    subset mask giving each left part; a part is a 1-tuple holding its
+    label, or empty when it has no components."""
+    comps = t.components
+    seen = set()
+    splits = []
+    for mask in range(1 << len(comps)):
+        # comps is sorted, so equal sub-multisets give equal subsequences
+        left = tuple(c for j, c in enumerate(comps) if mask >> j & 1)
+        if left in seen:
+            continue
+        seen.add(left)
+        right = tuple(c for j, c in enumerate(comps) if not mask >> j & 1)
+        splits.append(((TypeLabel(left),) if left else (),
+                       (TypeLabel(right),) if right else (),
+                       sum(r for _, r in left)))
+    return tuple(splits)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +229,17 @@ class DecompositionTable:
     ``entries`` maps canonical full-rank tuples to integers; lookups of
     tuples with rank sum above the ambient rank return 0, and
     rank-deficient lookups are resolved through the one-extra-factor
-    identity (sum over all types of the complementary rank).
+    identity (sum over all types of the complementary rank).  Those
+    sums are read from an index built on the first such lookup, in one
+    pass over ``entries``; ``entries`` is not to be changed after
+    construction (no caller does).
     """
 
     def __init__(self, ambient, entries, provenance="bruteforce"):
         self.ambient = ambient if isinstance(ambient, TypeLabel) else label(ambient)
         self.entries = dict(entries)
         self.provenance = provenance
+        self._deficient = None
 
     def lookup(self, types):
         key = canonical_tuple(types)
@@ -255,10 +251,26 @@ class DecompositionTable:
             return 1
         if s == n:
             return self.entries.get(key, 0)
-        total = 0
-        for extra in all_labels_of_rank(n - s):
-            total += self.entries.get(canonical_tuple(key + (extra,)), 0)
-        return total
+        if self._deficient is None:
+            self._deficient = self._deficient_index()
+        return self._deficient.get(key, 0)
+
+    def _deficient_index(self):
+        """N(key) for every rank-deficient key one factor short of an
+        entry: each full-rank entry adds its value to the key left by
+        removing one copy of any one of its distinct factors (the factor
+        removed is the one extra factor of the identity)."""
+        n = self.ambient.rank
+        index = {}
+        for key, value in self.entries.items():
+            if tuple_rank(key) != n:
+                continue
+            for i, t in enumerate(key):
+                if i and key[i - 1] == t:
+                    continue                  # one copy per distinct factor
+                rest = key[:i] + key[i + 1:]
+                index[rest] = index.get(rest, 0) + value
+        return index
 
     def full_rank_items(self):
         return sorted(self.entries.items(),

@@ -1,10 +1,14 @@
 """Exact sparse multivariate polynomials and exact linear solving.
 
-Polynomials live in Q[x, y, z, m] with arbitrary-precision rational
-coefficients (``fractions.Fraction``); terms are held sparsely as a map
-from exponent 4-tuples to coefficients.  This is deliberately small and
-dependency-free: every identity checked in this package is an *exact*
-polynomial identity, so floating point is never used.
+Polynomials live in Q[x, y, z, m]; terms are held sparsely as a map
+from exponent 4-tuples to coefficients.  A coefficient is canonical: a
+Python ``int`` when its value is integral, otherwise a
+``fractions.Fraction`` in lowest terms, and never a float (a float
+coefficient raises ``TypeError``).  Most coefficients met in this
+package are integers, so most arithmetic stays in ``int``.  This is
+deliberately small and dependency-free: every identity checked in this
+package is an *exact* polynomial identity, so floating point is never
+used.
 
 The linear solver works in integers throughout: fraction-free Gaussian
 elimination with content reduction into an ``Echelon`` (which takes
@@ -20,16 +24,38 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, factorial
+from numbers import Integral, Rational
 
 VARS = ("x", "y", "z", "m")
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 _ZERO_EXP = (0, 0, 0, 0)
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
+def _coeff(value):
+    """The canonical form of an exact number: an ``int`` when it is
+    integral (numpy integers included), otherwise a ``Fraction`` in
+    lowest terms.  Floats are refused with ``TypeError``."""
+    kind = type(value)
+    if kind is int:
         return value
-    return Fraction(value)
+    if kind is Fraction:
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, Integral):
+        return int(value)
+    if isinstance(value, Rational):
+        return _coeff(Fraction(value.numerator, value.denominator))
+    raise TypeError("exact coefficient expected, got %s %r"
+                    % (kind.__name__, value))
+
+
+def _quotient(a, b):
+    """The exact quotient a / b of two canonical coefficients, canonical."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coeff(Fraction(a.numerator * b.denominator,
+                           a.denominator * b.numerator))
 
 
 class SparsePolynomial:
@@ -41,7 +67,7 @@ class SparsePolynomial:
         cleaned = {}
         if terms:
             for exp, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = _coeff(coeff)
                 if coeff:
                     cleaned[tuple(exp)] = coeff
         self.terms = cleaned
@@ -50,14 +76,14 @@ class SparsePolynomial:
 
     @classmethod
     def constant(cls, value):
-        value = _as_fraction(value)
+        value = _coeff(value)
         return cls({_ZERO_EXP: value} if value else {})
 
     @classmethod
     def variable(cls, name, power=1):
         exp = [0, 0, 0, 0]
         exp[_VAR_INDEX[name]] = power
-        return cls({tuple(exp): Fraction(1)})
+        return cls({tuple(exp): 1})
 
     # -- ring operations --------------------------------------------------
 
@@ -65,11 +91,11 @@ class SparsePolynomial:
         other = _coerce(other)
         result = dict(self.terms)
         for exp, coeff in other.terms.items():
-            new = result.get(exp, Fraction(0)) + coeff
+            new = result.get(exp, 0) + coeff
             if new:
-                result[exp] = new
+                result[exp] = new if type(new) is int else _coeff(new)
             else:
-                result.pop(exp, None)
+                del result[exp]
         out = SparsePolynomial.__new__(SparsePolynomial)
         out.terms = result
         return out
@@ -90,16 +116,17 @@ class SparsePolynomial:
     def __mul__(self, other):
         other = _coerce(other)
         result = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                new = result.get(exp, Fraction(0)) + c1 * c2
-                if new:
-                    result[exp] = new
+        right = list(other.terms.items())
+        for (a, b, c, d), c1 in self.terms.items():
+            for (p, q, r, s), c2 in right:
+                exp = (a + p, b + q, c + r, d + s)
+                if exp in result:
+                    result[exp] += c1 * c2
                 else:
-                    result.pop(exp, None)
+                    result[exp] = c1 * c2
         out = SparsePolynomial.__new__(SparsePolynomial)
-        out.terms = result
+        out.terms = {e: v if type(v) is int else _coeff(v)
+                     for e, v in result.items() if v}
         return out
 
     __rmul__ = __mul__
@@ -142,7 +169,7 @@ class SparsePolynomial:
         for exp, coeff in self.terms.items():
             if all(exp[i] == k for i, k in idxs.items()):
                 new = tuple(0 if i in idxs else exp[i] for i in range(4))
-                result[new] = result.get(new, Fraction(0)) + coeff
+                result[new] = result.get(new, 0) + coeff
         return SparsePolynomial(result)
 
     def substitute(self, **assignments):
@@ -165,7 +192,7 @@ class SparsePolynomial:
                 else:
                     keep = [0, 0, 0, 0]
                     keep[i] = exp[i]
-                    term = term * SparsePolynomial({tuple(keep): Fraction(1)})
+                    term = term * SparsePolynomial({tuple(keep): 1})
             result = result + term
         return result
 
@@ -173,7 +200,7 @@ class SparsePolynomial:
         """Fully evaluate; all variables present in the polynomial must
         be assigned.  Returns a Fraction."""
         total = Fraction(0)
-        vals = {_VAR_INDEX[v]: _as_fraction(k) for v, k in assignments.items()}
+        vals = {_VAR_INDEX[v]: _coeff(k) for v, k in assignments.items()}
         for exp, coeff in self.terms.items():
             term = coeff
             for i in range(4):
@@ -245,16 +272,25 @@ def exact_divide(numerator, divisor):
         raise ZeroDivisionError("division by the zero polynomial")
     div_lead = max(divisor.terms)
     div_coeff = divisor.terms[div_lead]
-    remainder = SparsePolynomial(dict(numerator.terms))
+    div_terms = list(divisor.terms.items())
+    remainder = dict(numerator.terms)
     quotient = {}
-    while remainder.terms:
-        lead = max(remainder.terms)
+    while remainder:
+        lead = max(remainder)
         exp = tuple(l - d for l, d in zip(lead, div_lead))
         if any(e < 0 for e in exp):
             raise ValueError("nonzero remainder in exact division")
-        coeff = remainder.terms[lead] / div_coeff
-        quotient[exp] = quotient.get(exp, Fraction(0)) + coeff
-        remainder = remainder - SparsePolynomial({exp: coeff}) * divisor
+        coeff = _quotient(remainder[lead], div_coeff)
+        # the leading terms strictly decrease, so each exp comes once
+        quotient[exp] = coeff
+        a, b, c, d = exp
+        for (p, q, r, s), dc in div_terms:
+            key = (a + p, b + q, c + r, d + s)
+            new = remainder.get(key, 0) - coeff * dc
+            if new:
+                remainder[key] = _coeff(new)
+            else:
+                del remainder[key]
     return SparsePolynomial(quotient)
 
 
@@ -293,7 +329,7 @@ def substitute_rational(p, substitutions, clearing_power):
             elif exp[i]:
                 keep = [0, 0, 0, 0]
                 keep[i] = exp[i]
-                term = term * SparsePolynomial({tuple(keep): Fraction(1)})
+                term = term * SparsePolynomial({tuple(keep): 1})
         result = result + term
     return result
 
@@ -395,7 +431,8 @@ def int_adjugate(rows):
 class LinearSystem:
     """A linear system over the rationals with named variables.
 
-    Rows are (coefficient dict var->Fraction, rhs, provenance-string).
+    Rows are (coefficient dict column->coefficient, rhs, provenance
+    string), each number an int or a Fraction as in a polynomial.
     """
 
     variables: list
@@ -407,10 +444,10 @@ class LinearSystem:
     def add_row(self, coeffs, rhs, provenance=""):
         row = {}
         for var, c in coeffs.items():
-            c = _as_fraction(c)
+            c = _coeff(c)
             if c:
                 row[self._index[var]] = c
-        self.rows.append((row, _as_fraction(rhs), provenance))
+        self.rows.append((row, _coeff(rhs), provenance))
 
     @property
     def num_rows(self):
@@ -440,7 +477,7 @@ class SolutionSpace:
         variable -> value."""
         vec = list(self.particular)
         for c, basis in zip(coeffs, self.nullspace):
-            vec = [v + _as_fraction(c) * b for v, b in zip(vec, basis)]
+            vec = [v + _coeff(c) * b for v, b in zip(vec, basis)]
         return dict(zip(self.variables, vec))
 
 
@@ -491,9 +528,9 @@ class Echelon:
 
     def add_row(self, coeffs, rhs, provenance=""):
         """Insert the row sum(coeffs[v] * v) = rhs, keyed by variable."""
-        self._insert({self._index[v]: _as_fraction(c)
+        self._insert({self._index[v]: _coeff(c)
                       for v, c in coeffs.items() if c},
-                     _as_fraction(rhs), provenance)
+                     _coeff(rhs), provenance)
 
     def _insert(self, row, rhs, provenance):
         """Insert a row keyed by column; raises InconsistentSystemError

@@ -12,7 +12,6 @@ reciprocity checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import exact
@@ -70,21 +69,26 @@ def assemble_dual(name, table):
     Sums, over all multisets of nonempty types with rank sum at most n,
     the number of orderings times the decomposition number times
     x^(rank sum) * prod chi*(T_i)(y) * binom(m, d); the empty multiset
-    contributes the constant 1.
+    contributes the constant 1.  Terms are summed per (s, d) before
+    the common factor x^s * binom(m, d) is multiplied in.
     """
     ambient = label(name) if not isinstance(name, TypeLabel) else name
     n = ambient.rank
     total = poly(1)
     for s in range(1, n + 1):
-        x_power = X ** s
+        by_length = {}
         for tup in all_tuples_of_rank(s):
             count = table.lookup(tup)
             if count == 0:
                 continue
-            term = poly(count * orderings(tup)) * x_power
+            term = poly(count * orderings(tup))
             for t in tup:
                 term = term * _chi_star(t)
-            total = total + term * binomial_poly(len(tup))
+            d = len(tup)
+            by_length[d] = by_length.get(d, exact.ZERO) + term
+        x_power = X ** s
+        for d in sorted(by_length):
+            total = total + by_length[d] * x_power * binomial_poly(d)
     return MTriangle.from_dual(ambient, total)
 
 
@@ -106,13 +110,14 @@ def mtriangle_direct(ncm):
 def zeta_identity_check(name, table):
     """Difference between the closed-form zeta polynomial of NC^m and
     its decomposition-number expansion; zero in z and m when the table
-    is consistent."""
+    is consistent.  Terms are summed per tuple length d before binom(m, d)
+    is multiplied in."""
     ambient = label(name) if not isinstance(name, TypeLabel) else name
     n = ambient.rank
     lhs = zeta_closed(ambient, m="m")
-    rhs = poly(1)
     shifted = lru_cache(maxsize=None)(
         lambda t: zeta_closed(t, m=1).substitute(z=exact.Z - 1))
+    by_length = {}
     for s in range(1, n + 1):
         for tup in all_tuples_of_rank(s):
             count = table.lookup(tup)
@@ -121,7 +126,11 @@ def zeta_identity_check(name, table):
             term = poly(count * orderings(tup))
             for t in tup:
                 term = term * shifted(t)
-            rhs = rhs + term * binomial_poly(len(tup))
+            d = len(tup)
+            by_length[d] = by_length.get(d, exact.ZERO) + term
+    rhs = poly(1)
+    for d in sorted(by_length):
+        rhs = rhs + by_length[d] * binomial_poly(d)
     return lhs - rhs
 
 
@@ -132,7 +141,7 @@ class FTriangleCandidate:
     ambient: TypeLabel
     m: int
     poly: SparsePolynomial
-    coefficients: dict          # (k, l) -> Fraction
+    coefficients: dict          # (k, l) -> int, or Fraction if not integral
 
     def problems(self):
         """Violations of the expected F-triangle shape, as messages."""
@@ -197,7 +206,7 @@ def reciprocity_check(mt):
             raise ValueError("triangle support violates k <= l <= n")
         sign = -1 if mdeg % 2 else 1
         key = (xdeg, new_ydeg, zdeg, mdeg)
-        transformed[key] = transformed.get(key, Fraction(0)) + sign * coeff
+        transformed[key] = transformed.get(key, 0) + sign * coeff
     return SparsePolynomial(transformed) - mt.primal
 
 
@@ -228,10 +237,10 @@ def f_reciprocity_checks(mt, m):
         failures.append("two-variable reciprocity identity fails")
 
     def f_total(cand, k):
-        return sum(cand.coefficients.get((l, k - l), Fraction(0))
+        return sum(cand.coefficients.get((l, k - l), 0)
                    for l in range(k + 1))
 
-    top = f_pos.coefficients.get((n, 0), Fraction(0))
+    top = f_pos.coefficients.get((n, 0), 0)
     alternating = sum((-1) ** k * f_total(f_neg, k) for k in range(n + 1))
     if top != alternating:
         failures.append("alternating face-count identity fails: %s != %s"
@@ -240,7 +249,7 @@ def f_reciprocity_checks(mt, m):
     from math import comb
     for k in range(n + 1):
         for l in range(n + 1 - k):
-            expected = Fraction(0)
+            expected = 0
             for r in range(n + 1):
                 for s in range(n + 1 - r):
                     if k + l - r - s < 0 or n - r - s < 0:
@@ -248,8 +257,8 @@ def f_reciprocity_checks(mt, m):
                     expected += ((-1) ** (r + s + l)
                                  * comb(n - r - s, k + l - r - s)
                                  * comb(s, l)
-                                 * f_neg.coefficients.get((r, s), Fraction(0)))
-            if f_pos.coefficients.get((k, l), Fraction(0)) != expected:
+                                 * f_neg.coefficients.get((r, s), 0))
+            if f_pos.coefficients.get((k, l), 0) != expected:
                 failures.append("coefficientwise reciprocity fails at "
                                 "x^%d y^%d" % (k, l))
     return failures

@@ -28,9 +28,11 @@ class TypeLabel:
     """Immutable canonical label of a simply-laced type.
 
     Internally a sorted tuple of ``(family, rank)`` component pairs.
+    The rank and the sort key ``(rank, components)`` are computed once,
+    on construction.
     """
 
-    __slots__ = ("components", "_str")
+    __slots__ = ("components", "_str", "rank", "_key")
 
     def __init__(self, components=()):
         normalized = []
@@ -39,8 +41,11 @@ class TypeLabel:
             rank = int(rank)
             for item in self._normalize_component(family, rank):
                 normalized.append(item)
-        object.__setattr__(self, "components",
-                           tuple(sorted(normalized, key=_component_key)))
+        components = tuple(sorted(normalized, key=_component_key))
+        rank = sum(r for _, r in components)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "_key", (rank, components))
         object.__setattr__(self, "_str", self._render())
 
     @staticmethod
@@ -100,10 +105,6 @@ class TypeLabel:
         return "*".join(parts)
 
     @property
-    def rank(self):
-        return sum(rank for _, rank in self.components)
-
-    @property
     def is_irreducible(self):
         return len(self.components) == 1
 
@@ -123,7 +124,7 @@ class TypeLabel:
         return isinstance(other, TypeLabel) and self.components == other.components
 
     def __lt__(self, other):
-        return (self.rank, self.components) < (other.rank, other.components)
+        return self._key < other._key
 
     def __hash__(self):
         return hash(self.components)

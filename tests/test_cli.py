@@ -203,8 +203,10 @@ def test_bad_label_exit_code(capsys):
 
 
 def test_bad_threads_exit_code(capsys):
-    code, _, _ = run(capsys, "chi", "A2", "--threads", "0")
-    assert code == 2
+    # there is no --threads flag; argparse rejects it with exit 2
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "chi", "A2", "--threads", "1")
+    assert exc.value.code == 2
 
 
 def test_csv_format(capsys):

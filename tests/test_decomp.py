@@ -7,9 +7,9 @@ from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              count_bruteforce, count_product, count_typeA,
                              full_table, make_bruteforce_memo, orderings,
                              special_values, tuple_rank)
-from noncross.refdata import reference_table
+from noncross.refdata import REFERENCE_TABLE_NAMES, reference_table
 from noncross.rootsystem import build_root_system
-from noncross.typelabel import label
+from noncross.typelabel import TypeLabel, label
 
 
 def L(*names):
@@ -134,3 +134,102 @@ def test_product_rule_memo_matches_plain():
         assert count_product(factors, key, _memo=memo) == \
             count_product(factors, key)
     assert memo
+
+
+# ---------------------------------------------------------------------------
+# the product rule and deficient lookups against their earlier routes
+
+
+def _reference_lookup(table, types):
+    """A rank-deficient lookup as the sum over every type of the
+    complementary rank (the route before the deficient-key index)."""
+    key = canonical_tuple(types)
+    s, n = tuple_rank(key), table.ambient.rank
+    if s > n:
+        return 0
+    if not key:
+        return 1
+    if s == n:
+        return table.entries.get(key, 0)
+    return sum(table.entries.get(canonical_tuple(key + (extra,)), 0)
+               for extra in all_labels_of_rank(n - s))
+
+
+def _reference_count_product(factors, types):
+    """count_product re-splitting every entry's component multiset on
+    every call (the route before the per-entry split tables)."""
+    factors = list(factors)
+    if not factors:
+        return 1 if not canonical_tuple(types) else 0
+    if len(factors) == 1:
+        return _reference_lookup(factors[0], types)
+    head, rest = factors[0], factors[1:]
+    types = [t if isinstance(t, TypeLabel) else label(t) for t in types]
+    total = 0
+    for left, right in _reference_component_splits(
+            [t.components for t in types], head.ambient.rank):
+        left_tuple = [TypeLabel(c) for c in left if c]
+        right_tuple = [TypeLabel(c) for c in right if c]
+        total += (_reference_lookup(head, left_tuple)
+                  * _reference_count_product(rest, right_tuple))
+    return total
+
+
+def _reference_component_splits(component_lists, left_rank):
+    results = []
+
+    def recurse(i, left_acc, right_acc, left_sum):
+        if left_sum > left_rank:
+            return
+        if i == len(component_lists):
+            if left_sum == left_rank:
+                results.append((list(left_acc), list(right_acc)))
+            return
+        comps = component_lists[i]
+        seen = set()
+        for mask in range(1 << len(comps)):
+            left = tuple(sorted(comps[j] for j in range(len(comps))
+                                if mask >> j & 1))
+            if left in seen:
+                continue
+            seen.add(left)
+            right = list(comps)
+            for item in left:
+                right.remove(item)
+            left_acc.append(left)
+            right_acc.append(tuple(right))
+            recurse(i + 1, left_acc, right_acc,
+                    left_sum + sum(r for _, r in left))
+            left_acc.pop()
+            right_acc.pop()
+
+    recurse(0, [], [], 0)
+    return results
+
+
+def _published(name):
+    return DecompositionTable(name, reference_table(name))
+
+
+@pytest.mark.parametrize("ambient", [("E7", "A1"), ("D4", "D4"),
+                                     ("E6", "A2"), ("D5", "A3"),
+                                     ("A3", "A2", "A1"), ("D4", "A3", "A1")],
+                         ids="*".join)
+def test_product_rule_matches_resplitting_reference(ambient):
+    factors = [_published(name) for name in ambient]
+    n = sum(t.ambient.rank for t in factors)
+    memo = {}
+    for s in range(n + 1):
+        for key in all_tuples_of_rank(s):
+            expected = _reference_count_product(factors, key)
+            assert count_product(factors, key) == expected, key
+            assert count_product(factors, key, _memo=memo) == expected, key
+
+
+@pytest.mark.parametrize("name", REFERENCE_TABLE_NAMES)
+def test_deficient_lookup_matches_sum_over_extra_types(name):
+    table = _published(name)
+    n = table.ambient.rank
+    for s in range(n + 2):
+        for key in all_tuples_of_rank(s):
+            assert table.lookup(key) == _reference_lookup(table, key), key

@@ -3,9 +3,10 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from noncross import exact
 from noncross.exact import (InconsistentSystemError, LinearSystem,
@@ -72,6 +73,90 @@ def test_substitute_rational_clearing():
     p = X ** 2
     cleared = substitute_rational(p, {"x": (1 + Y, Y - X)}, {"x": 2})
     assert cleared == (1 + Y) ** 2
+
+
+# ---------------------------------------------------------------------------
+# canonical coefficients: int when integral, else Fraction, never float
+
+
+def _assert_canonical(p):
+    for coeff in p.terms.values():
+        assert coeff != 0
+        if type(coeff) is Fraction:
+            assert coeff.denominator != 1, coeff
+        else:
+            assert type(coeff) is int, (type(coeff), coeff)
+
+
+_EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.just(0),
+                       st.integers(0, 2))
+_COEFFS = st.one_of(st.integers(-6, 6),
+                    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+def polynomials(min_terms=0):
+    """Small polynomials in x, y and m with integer or rational
+    coefficients (integral Fractions included)."""
+    return st.dictionaries(_EXPONENTS, _COEFFS, min_size=min_terms,
+                           max_size=5).map(SparsePolynomial)
+
+
+def nonzero_polynomials():
+    return polynomials(min_terms=1).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials(), nonzero_polynomials())
+@example(X ** 2 + 3 * X * Y - 1, 2 * X + 3)
+@example(Fraction(1, 2) * X + Y, 2 * X + 3)
+def test_exact_divide_inverts_multiplication(p, q):
+    product = p * q
+    quotient = exact_divide(product, q)
+    assert quotient == p
+    for result in (p, q, product, quotient):
+        _assert_canonical(result)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials(), polynomials(), nonzero_polynomials(),
+       st.integers(0, 3))
+def test_results_have_canonical_coefficients(p, q, r, k):
+    results = [p + q, p - q, p * q, q ** k, -p,
+               p.substitute(x=q), p.substitute(m=Fraction(1, 3)),
+               p.coefficient(y=1),
+               substitute_rational(p, {"x": (q, r)}, {"x": p.degree("x")}),
+               exact_divide(p * r, r)]
+    for result in results:
+        _assert_canonical(result)
+    assert type(p.evaluate(x=1, y=2, m=3)) is Fraction
+
+
+def test_integral_fractions_become_ints():
+    p = SparsePolynomial({(1, 0, 0, 0): Fraction(4, 2), (0, 0, 0, 0): 3})
+    assert p.terms == {(1, 0, 0, 0): 2, (0, 0, 0, 0): 3}
+    assert all(type(c) is int for c in p.terms.values())
+    half = Fraction(1, 2) * X
+    assert type((half + half).terms[(1, 0, 0, 0)]) is int
+    assert type((half * 2).terms[(1, 0, 0, 0)]) is int
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        SparsePolynomial({(1, 0, 0, 0): 0.5})
+    with pytest.raises(TypeError):
+        poly(1.0)
+    with pytest.raises(TypeError):
+        X * 2.0
+    with pytest.raises(TypeError):
+        X.evaluate(x=0.5)
+
+
+def test_numpy_integers_do_not_overflow():
+    big = np.int64(2 ** 62 - 1)
+    p = SparsePolynomial({(1, 0, 0, 0): big}) * poly(np.int64(2 ** 62))
+    assert p.terms == {(1, 0, 0, 0): (2 ** 62 - 1) * 2 ** 62}
+    assert type(p.terms[(1, 0, 0, 0)]) is int
+    assert (poly(big) ** 2).terms[(0, 0, 0, 0)] == (2 ** 62 - 1) ** 2
 
 
 def test_linear_solve_unique():

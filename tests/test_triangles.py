@@ -89,6 +89,18 @@ def test_transform_failure_on_bad_triangle():
         fm_transform(broken, 1)
 
 
+@pytest.mark.parametrize("k,l,coeff", [(2, 1, 1), (3, 0, 3), (3, 2, -2)])
+def test_transform_failure_on_term_below_diagonal(k, l, coeff):
+    # a valid triangle plus one term x^k y^l with k > l: the cleared
+    # numerator is then not divisible by (y-x)^n
+    mt = assembled("A3")
+    broken = MTriangle(ambient=mt.ambient, n=mt.n, dual=mt.dual,
+                       primal=mt.primal + coeff * X ** k * Y ** l)
+    for m in (1, 2):
+        with pytest.raises(TransformFailure):
+            fm_transform(broken, m)
+
+
 @pytest.mark.parametrize("name,m", [("A3", 2), ("D4", 2)])
 def test_f_reciprocity_small(name, m):
     assert f_reciprocity_checks(assembled(name), m) == []

@@ -13,12 +13,10 @@ import json
 import os
 import sys
 
-from . import linsys, refdata, triangles
-from .decomp import (all_tuples_of_rank, canonical_tuple, count_typeA,
-                     full_table)
-from .ncposet import (ResourceGuardError, build_ncm, characteristic_direct,
-                      characteristic_polynomial, enumerate_nc,
-                      load_or_enumerate, zeta_closed, zeta_direct)
+from . import linsys, refdata, triangles, verify
+from .decomp import all_tuples_of_rank, canonical_tuple
+from .ncposet import (ResourceGuardError, characteristic_polynomial,
+                      enumerate_nc, load_or_enumerate, zeta_closed)
 from .rootsystem import SUPPORTED_AMBIENTS, build_root_system
 from .typelabel import label
 
@@ -214,134 +212,14 @@ def cmd_linsys(args):
     return 1 if failed else 0
 
 
-# ---------------------------------------------------------------------------
-# verify suites
-
-
-def _suite_appendix(extended):
-    names = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"]
-    if extended:
-        names += ["A6", "A7", "D6", "D7"]
-    for name in names:
-        computed = {k: v for k, v in full_table(name).entries.items() if v}
-        published = {k: v for k, v in refdata.reference_table(name).items() if v}
-        yield ("table %s (%d values)" % (name, len(published)),
-               computed == published)
-
-
-def _suite_typeA(extended):
-    from .decomp import count_bruteforce, make_bruteforce_memo
-    top = 5 if not extended else 6
-    for n in range(1, top + 1):
-        name = "A%d" % n
-        memo = make_bruteforce_memo()
-        ok = True
-        for s in range(0, n + 1):
-            for key in all_tuples_of_rank(s):
-                if any(f != "A" for t in key for f, _ in t.components):
-                    continue
-                if count_typeA(n, key) != count_bruteforce(name, key, _memo=memo):
-                    ok = False
-        yield ("closed form vs brute force on A%d" % n, ok)
-
-
-def _suite_chi(extended):
-    for name in refdata.CHI_STAR_COEFFS:
-        published = refdata.chi_star_reference(name)
-        recursive = characteristic_polynomial(label(name))
-        yield ("chi* recursion %s" % name, recursive == published)
-        if label(name).rank <= 6:
-            direct = characteristic_direct(enumerate_nc(name))
-            yield ("chi* direct %s" % name, direct == published)
-
-
-def _suite_zeta(extended):
-    for name in SUPPORTED_AMBIENTS:
-        if label(name).rank > 4:
-            continue
-        poset = enumerate_nc(name)
-        ok = all(zeta_direct(poset, z) == zeta_closed(label(name)).evaluate(z=z)
-                 for z in range(1, 6))
-        yield ("zeta multichain vs closed form %s" % name, ok)
-    for name, mmax in (("A2", 3), ("A3", 2)):
-        for m in range(1, mmax + 1):
-            ncm = build_ncm(name, m)
-            closed = zeta_closed(label(name), m=m)
-            ok = all(zeta_direct(ncm, z) == closed.evaluate(z=z)
-                     for z in range(1, 5))
-            yield ("zeta NC^%d(%s)" % (m, name), ok)
-
-
-def _replay_suite(name):
-    report = linsys.replay(name)
-    yield ("%s replay dimension %d" % (name, report.dimension),
-           report.dimension <= linsys.EXPECTED_DIMENSION.get(name, 0))
-    published = {k: v for k, v in refdata.reference_table(name).items() if v}
-    yield ("%s table matches published list" % name,
-           report.final_table.entries == published)
-    for desc, ok in report.congruence_assertions:
-        yield ("%s: %s" % (name, desc), ok)
-    if name in ("E7", "E8"):
-        mt = triangles.assemble_dual(name, report.final_table)
-        yield ("%s assembled dual equals published polynomial" % name,
-               mt.dual == refdata.golden_dual(name))
-
-
-def _suite_e6(extended):
-    return _replay_suite("E6")
-
-
-def _suite_e7(extended):
-    return _replay_suite("E7")
-
-
-def _suite_e8(extended):
-    return _replay_suite("E8")
-
-
-def _reciprocity_ambients():
-    return ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6", "E7", "E8"]
-
-
-def _suite_reciprocity(extended):
-    for name in _reciprocity_ambients():
-        mt = _assembled(name)
-        diff = triangles.reciprocity_check(mt)
-        yield ("reciprocity %s" % name, not diff.terms)
-
-
-def _suite_fm(extended):
-    for name in _reciprocity_ambients():
-        mt = _assembled(name)
-        for m in (1, 2, 3):
-            try:
-                cand = triangles.fm_transform(mt, m)
-                ok = not cand.problems()
-            except triangles.TransformFailure:
-                ok = False
-            yield ("F=M transform %s m=%d" % (name, m), ok)
-
-
-SUITES = {
-    "appendix": _suite_appendix,
-    "typeA": _suite_typeA,
-    "chi": _suite_chi,
-    "zeta": _suite_zeta,
-    "e6": _suite_e6,
-    "e7": _suite_e7,
-    "e8": _suite_e8,
-    "reciprocity": _suite_reciprocity,
-    "fm": _suite_fm,
-}
-
-
 def cmd_verify(args):
-    if args.suite not in SUITES:
+    if args.suite not in verify.SUITES:
         return _fail_input("unknown suite %r (choose from %s)"
-                           % (args.suite, ", ".join(sorted(SUITES))))
+                           % (args.suite, ", ".join(verify.SUITES)))
+    generator, _ = verify.SUITES[args.suite]
     passed = failed = 0
     results = {}
-    for description, ok in SUITES[args.suite](args.extended):
+    for description, ok in generator():
         results[description] = "pass" if ok else "FAIL"
         if ok:
             passed += 1
@@ -429,7 +307,6 @@ def build_parser():
     p = sub.add_parser("verify", parents=parents,
                        help="run a verification suite")
     p.add_argument("suite")
-    p.add_argument("--extended", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -33,7 +33,7 @@ from .decomp import (DecompositionTable, all_labels_of_rank,
                      tuple_rank)
 from .exact import LinearSystem, binomial_poly, echelon, poly, solve
 from . import exact
-from .ncposet import zeta_closed
+from .ncposet import zeta_closed, zeta_shifted
 from .rootsystem import build_root_system, subdiagram_types
 from .typelabel import TypeLabel, label
 
@@ -174,14 +174,12 @@ def generate_equations(name):
                                   ",".join(map(str, primed))))
 
     # zeta-polynomial coefficient comparison in m and z
-    shifted = lru_cache(maxsize=None)(
-        lambda t: zeta_closed(t, m=1).substitute(z=exact.Z - 1))
     forms = {}
     for s in range(1, n + 1):
         for tup in all_tuples_of_rank(s):
             weight = poly(orderings(tup)) * binomial_poly(len(tup))
             for t in tup:
-                weight = weight * shifted(t)
+                weight = weight * zeta_shifted(t)
             if s == n:
                 targets = (tup,)
             else:

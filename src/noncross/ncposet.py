@@ -347,6 +347,14 @@ def zeta_closed(t, m=1):
     return result
 
 
+@lru_cache(maxsize=None)
+def zeta_shifted(t):
+    """The closed-form zeta polynomial of NC(t) at z - 1: the factor a
+    type contributes to the decomposition-number expansion of the zeta
+    polynomial of NC^m."""
+    return zeta_closed(t, m=1).substitute(z=_Z - 1)
+
+
 def ncm_cardinality(t, m):
     """|NC^m| for the given type: the closed-form zeta at z = 2."""
     value = zeta_closed(t, m).evaluate(z=2)

@@ -18,7 +18,8 @@ from . import exact
 from .exact import (M, X, Y, SparsePolynomial, binomial_poly, exact_divide,
                     poly, substitute_rational)
 from .decomp import all_tuples_of_rank, orderings
-from .ncposet import characteristic_polynomial, mobius, zeta_closed
+from .ncposet import (characteristic_polynomial, mobius, zeta_closed,
+                      zeta_shifted)
 from .typelabel import TypeLabel, label
 
 
@@ -115,8 +116,6 @@ def zeta_identity_check(name, table):
     ambient = label(name) if not isinstance(name, TypeLabel) else name
     n = ambient.rank
     lhs = zeta_closed(ambient, m="m")
-    shifted = lru_cache(maxsize=None)(
-        lambda t: zeta_closed(t, m=1).substitute(z=exact.Z - 1))
     by_length = {}
     for s in range(1, n + 1):
         for tup in all_tuples_of_rank(s):
@@ -125,7 +124,7 @@ def zeta_identity_check(name, table):
                 continue
             term = poly(count * orderings(tup))
             for t in tup:
-                term = term * shifted(t)
+                term = term * zeta_shifted(t)
             d = len(tup)
             by_length[d] = by_length.get(d, exact.ZERO) + term
     rhs = poly(1)

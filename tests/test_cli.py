@@ -8,6 +8,7 @@ import pytest
 from noncross.cli import main
 from noncross.ncposet import CacheFormatError, enumerate_nc, read_cache
 from noncross.rootsystem import build_root_system
+from noncross.verify import SUITES
 from noncross.weyl import GroupElement, classify_parabolic_type, enumerate_group
 
 
@@ -194,6 +195,8 @@ def test_verify_suite(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == 2
+    assert err == "error: unknown suite 'nope' (choose from %s)\n" % (
+        ", ".join(SUITES))
 
 
 def test_bad_label_exit_code(capsys):

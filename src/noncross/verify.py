@@ -49,7 +49,19 @@ def _assembled(name):
 
 def _appendix():
     """Brute force reproduces every tabulated value."""
-    for name in ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6", "D6", "D7"):
+    yield from appendix_core()
+    yield from appendix_extended()
+
+
+def appendix_core():
+    """The part of ``appendix`` up to rank 6: A1-A5, D4, D5 and E6."""
+    for name in ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"):
+        yield _table_check(name, decomp.full_table(name).entries)
+
+
+def appendix_extended():
+    """The rest of ``appendix``: D6, D7, A6 and A7."""
+    for name in ("D6", "D7"):
         yield _table_check(name, decomp.full_table(name).entries)
     # full_table takes the closed form for type A, so A6 and A7 are
     # brute-forced key by key instead

@@ -1,0 +1,78 @@
+"""Stage timings of NC(W) enumeration and its consumers.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 benchmarks/nc_stages.py [--repeats 5]
+
+Each stage is timed ``--repeats`` times with ``time.perf_counter`` and
+the median is printed as one JSON object:
+
+* ``walk_classify_E8_s``: one uncached ``enumerate_nc("E8")``, the walk
+  with every element typed;
+* ``pair_census_E8_s``: ``pair_census`` of the enumerated NC(E8);
+* ``full_table_D7_s``: the brute-force ``full_table("D7")``, NC(D7)
+  already enumerated;
+* ``build_ncm_D4_2_s``: ``build_ncm("D4", 2)``, NC(D4) already
+  enumerated;
+* ``read_cache_D5_s``: ``read_cache`` of a D5 cache file written once
+  before the runs.
+
+It also prints ``poset_E8_mb``, the memory held by one enumerated
+NC(E8) as ``tracemalloc`` counts it (one extra, untimed enumeration).
+"""
+
+import argparse
+import json
+import os
+import statistics
+import tempfile
+import time
+import tracemalloc
+
+from noncross import decomp, ncposet
+
+
+def timed(fn, repeats):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return round(statistics.median(times), 4)
+
+
+def stages(repeats):
+    out = {}
+    out["walk_classify_E8_s"] = timed(
+        lambda: ncposet.enumerate_nc.__wrapped__("E8"), repeats)
+    poset = ncposet.enumerate_nc("E8")
+    out["pair_census_E8_s"] = timed(poset.pair_census, repeats)
+    ncposet.enumerate_nc("D7")
+    out["full_table_D7_s"] = timed(lambda: decomp.full_table("D7"), repeats)
+    ncposet.enumerate_nc("D4")
+    out["build_ncm_D4_2_s"] = timed(lambda: ncposet.build_ncm("D4", 2),
+                                    repeats)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "nc_D5.jsonl")
+        ncposet.write_cache(ncposet.enumerate_nc("D5"), path)
+        out["read_cache_D5_s"] = timed(
+            lambda: ncposet.read_cache(path, expected_ambient="D5"), repeats)
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    held = ncposet.enumerate_nc.__wrapped__("E8")
+    out["poset_E8_mb"] = round(
+        (tracemalloc.get_traced_memory()[0] - before) / 2 ** 20, 1)
+    tracemalloc.stop()
+    del held
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    print(json.dumps(stages(args.repeats)), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import linsys, refdata, triangles, verify
+from . import exact, linsys, refdata, triangles, verify
 from .decomp import all_tuples_of_rank, canonical_tuple
 from .ncposet import (ResourceGuardError, characteristic_polynomial,
                       enumerate_nc, load_or_enumerate, zeta_closed)
@@ -26,7 +26,7 @@ CACHE_ENV_VAR = "NONCROSS_CACHE_DIR"
 def _parse_label(text):
     try:
         return label(text)
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         raise SystemExit(_fail_input("bad type label %r: %s" % (text, err)))
 
 
@@ -181,7 +181,11 @@ def cmd_ftriangle(args):
 
 def cmd_linsys(args):
     name = _require_ambient(args.label)
-    report = linsys.replay(name)
+    try:
+        report = linsys.replay(name)
+    except (linsys.ReplayError, exact.InconsistentSystemError) as err:
+        print("error: linsys replay %s: %s" % (name, err), file=sys.stderr)
+        return 1
     golden_diff = {}
     if name in refdata.REFERENCE_TABLE_NAMES:
         published = {k: v for k, v in refdata.reference_table(name).items() if v}
@@ -320,7 +324,7 @@ def main(argv=None):
     except ResourceGuardError as err:
         print("resource guard: %s" % err, file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         return _fail_input(str(err))
 
 

@@ -65,7 +65,8 @@ def count_bruteforce(name, types, _memo=None):
     Works for any rank sum up to the ambient rank (rank-deficient tuples
     simply leave part of the Coxeter element unused).  Tuples with rank
     sum above the ambient rank return 0.  Memoized on (complement
-    element, remaining suffix).
+    element, remaining suffix); ``_memo`` may share one dict between
+    calls for the same ambient.
     """
     poset = enumerate_nc(name)
     types = tuple(label(t) if isinstance(t, str) else t for t in types)
@@ -89,17 +90,12 @@ def count_bruteforce(name, types, _memo=None):
             total = 1 if el.typ == head else 0
         else:
             for u in poset.by_type.get(head, ()):
-                if u.moved <= el.moved:
+                if poset.le(u, el):
                     total += descend(poset.complement(u, el), rest)
         memo[state] = total
         return total
 
     return descend(poset.top, types)
-
-
-def make_bruteforce_memo():
-    """A shared memo dict for repeated count_bruteforce calls."""
-    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +351,7 @@ def full_table(name, max_elements=30_000):
             "brute-force table for %s needs a %d-element poset (guard %d); "
             "use the linear-system route instead" % (name, len(poset), max_elements))
     allowed = subdiagram_types(name)
-    memo = make_bruteforce_memo()
+    memo = {}
     entries = {}
     for key in all_tuples_of_rank(n):
         if any(t not in allowed for t in key):

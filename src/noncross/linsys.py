@@ -54,7 +54,7 @@ ROW_FAMILIES = ("forbidden", "special", "split", "zeta", "oracle-pin")
 
 
 class ReplayError(RuntimeError):
-    """A replay step produced something other than the expected shape."""
+    """A replay stage failed; the message starts with the stage's name."""
 
 
 @dataclass
@@ -234,9 +234,10 @@ def replay(name):
     if dimension > expected:
         free = [system.variables[c] for c in ech.free_columns]
         raise ReplayError(
-            "%s solution space has dimension %d, expected %d; free: %s"
-            % (name, dimension, expected,
-               ["*".join(map(str, v)) for v in free]))
+            "elimination: solution space has dimension %d, expected %d; "
+            "free: %s" % (dimension, expected,
+                          ", ".join("N(%s)" % ",".join(map(str, v))
+                                    for v in free)))
     if dimension < expected:
         flags.append("dimension %d below the reported %d "
                      "(extra independent relations)" % (dimension, expected))
@@ -249,16 +250,17 @@ def replay(name):
     for key, value in pins.items():        # inconsistency -> pins outside
         ech.add_row({key: 1}, value, "oracle-pin:%s" % ",".join(map(str, key)))
     if pins and ech.dimension != 0:
-        raise ReplayError("%s: oracle pins leave dimension %d"
-                          % (name, ech.dimension))
+        raise ReplayError("pins: oracle pins leave dimension %d"
+                          % ech.dimension)
     space = solve(ech)
 
     values = space.as_dict()
     entries = {}
     for key, value in values.items():
         if value.denominator != 1 or value < 0:
-            raise ReplayError("%s: entry %s = %s is not a nonnegative "
-                              "integer" % (name, ",".join(map(str, key)), value))
+            raise ReplayError("back-substitution: entry N(%s) = %s is not "
+                              "a nonnegative integer"
+                              % (",".join(map(str, key)), value))
         if value:
             entries[key] = int(value)
     table = DecompositionTable(ambient, entries, provenance="linear-system")

@@ -4,7 +4,8 @@
 absolute order, graded by reflection length.  Enumeration walks down
 from c: the elements covered by w are exactly ``t_alpha * w`` for the
 positive roots alpha in the moved space of w, so each BFS level is
-produced without any filtering, and the moved root sets double as
+produced without any filtering.  An element is known by its set of
+moved positive roots, a bit mask, which doubles as
 
 * the order test:  u <=_T w  iff  moved(u) is a subset of moved(w)
   (the subspace map is injective and order-preserving on the interval;
@@ -29,7 +30,25 @@ so a root b is moved by u exactly when <b, (c - I)^{-1} a_i> = 0 for
 every i.  Clearing the determinant, ``Z[a, b] = b^T C adj(c - I) a`` is
 one integer K x K matrix per ambient (K positive roots), and the moved
 set of the child t_a w is the moved set of w intersected with the zero
-pattern of row a of Z: one boolean AND per element.
+pattern of row a of Z: one AND of two masks per element.
+
+Complements from the same table.  If u x = x then
+(u^{-1} c - I) c^{-1} x = (I - c^{-1}) x; both sides below have
+dimension n - l(u), so Mov(u^{-1} c) = (I - c^{-1}) Fix(u), and a root
+b is moved by u^{-1} c exactly when (I - c^{-1})^{-1} b is orthogonal to
+every moved root a of u.  As c preserves the Cartan form,
+<a, (I - c^{-1})^{-1} b> = -Z[a, b] / det(c - I), so
+
+    moved(u^{-1} c) = AND of zero[a] over the moved roots a of u.
+
+For u <= v <= c, lengths add along u^{-1} c = (u^{-1} v)(v^{-1} c),
+along v = (u^{-1} v)(v^{-1} u v) and along c = v (v^{-1} c).  So
+Mov(u^{-1} c) = Mov(u^{-1} v) + Mov(v^{-1} c), Mov(u^{-1} v) lies in
+Mov(v), and Mov(v) meets Mov(v^{-1} c) only in 0.  A root b = x + y
+moved by u^{-1} c and by v, with x in Mov(u^{-1} v) and y in
+Mov(v^{-1} c), has y = b - x in Mov(v), so y = 0 and
+
+    moved(u^{-1} v) = moved(u^{-1} c) & moved(v).
 
 The m-divisible poset NC^m consists of minimal-length factorizations
 c = w0 * w1 * ... * wm ordered componentwise (opposite order in the
@@ -51,29 +70,21 @@ from . import exact
 from .exact import SparsePolynomial, Z as _Z, M as _M, int_adjugate
 from .rootsystem import build_root_system
 from .typelabel import label
-from .weyl import (
-    GroupElement, _reflection_data, bipartite_coxeter, classify_moved_roots,
-    moved_positive_roots,
-)
+from .weyl import bipartite_coxeter, classify_moved_roots
 
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 
+@dataclass(slots=True, eq=False)
 class NcElement:
-    """One element of NC: matrices, rank, moved roots and type."""
+    """One element u of NC: its moved-root mask ``key`` (bit i set when
+    positive root i is moved), rank, type, and ``comp``, the mask of its
+    right complement u^{-1} c."""
 
-    __slots__ = ("key", "mat", "inv", "rank", "moved", "typ")
-
-    def __init__(self, key, mat, inv, rank, moved, typ):
-        self.key = key
-        self.mat = mat
-        self.inv = inv
-        self.rank = rank
-        self.moved = moved
-        self.typ = typ
-
-    def __repr__(self):
-        return "<NcElement rank=%d type=%s>" % (self.rank, self.typ)
+    key: int
+    rank: int
+    typ: object
+    comp: int
 
 
 @dataclass
@@ -81,7 +92,7 @@ class NcPoset:
     """The full typed poset NC for one ambient type."""
 
     rs: object
-    elements: dict               # key -> NcElement
+    elements: dict               # moved-root mask -> NcElement
     levels: list                 # levels[k] = list of NcElements of rank k
     by_type: dict                # TypeLabel -> list of NcElements
     identity: NcElement
@@ -92,13 +103,13 @@ class NcPoset:
 
     def le(self, u, w):
         """u <=_T w via moved-root containment."""
-        return u.moved <= w.moved
+        return u.key & w.key == u.key
 
     def complement(self, u, w=None):
-        """The complement u^{-1} w (default w = top), as a poset element."""
-        wmat = self.top.mat if w is None else w.mat
-        key = np.ascontiguousarray(u.inv @ wmat).tobytes()
-        return self.elements[key]
+        """The complement u^{-1} w of u <= w (default w = top), as a poset
+        element."""
+        mask = u.comp if w is None else u.comp & w.key
+        return self.elements[mask]
 
     def rank_sizes(self):
         return [len(level) for level in self.levels]
@@ -110,87 +121,85 @@ class NcPoset:
         """
         census = {}
         for el in self.elements.values():
-            comp = self.complement(el)
-            key = (el.typ, comp.typ)
+            key = (el.typ, self.complement(el).typ)
             census[key] = census.get(key, 0) + 1
         return census
 
 
-def _descent_masks(rs, c):
-    """The zero pattern of Z[a, b] = b^T C adj(c - I) a, in exact integers.
-
-    Row a masks the roots that stay moved after a step down by root a:
-    moved(t_a w) = moved(w) & zero[a] (see the module docstring).
-    """
-    delta = (c.mat - np.eye(rs.n, dtype=np.int64)).tolist()
+@lru_cache(maxsize=None)
+def _descent_masks(name):
+    """The rows zero[a] of the zero pattern of Z[a, b] = b^T C adj(c - I) a,
+    in exact integers, each a mask over b (see the module docstring)."""
+    rs = build_root_system(name)
+    delta = (bipartite_coxeter(rs).mat - np.eye(rs.n, dtype=np.int64)).tolist()
     adj, _ = int_adjugate(delta)         # raises when c - I is singular
     roots = np.array(rs.positive_roots, dtype=object)
     cartan = np.array(rs.cartan.tolist(), dtype=object)
     z = roots @ cartan @ np.array(adj, dtype=object) @ roots.T   # [b, a]
-    return np.ascontiguousarray((z == 0).T)
+    return tuple(sum(1 << b for b in np.flatnonzero(column == 0).tolist())
+                 for column in z.T)
+
+
+def _walk(name):
+    """NC by moved-root masks, one level at a time from the top.  Each
+    level maps the masks of one rank, in discovery order (parents in
+    order, each stepping down by its moved roots in ascending order), to
+    the mask of the right complement and the list of moved roots."""
+    zero = _descent_masks(name)
+    top = (1 << len(zero)) - 1
+    level = {top: None}
+    while level:
+        below = {}
+        for mask in level:
+            comp, rest, moved = top, mask, []
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a = low.bit_length() - 1
+                moved.append(a)
+                comp &= zero[a]
+                below[mask & zero[a]] = None
+            level[mask] = comp, moved
+        yield level
+        level = below
+
+
+def _poset(rs, elements):
+    """An NcPoset from its elements, given in order of discovery."""
+    levels = [[] for _ in range(rs.n + 1)]
+    by_type = {}
+    for el in elements:
+        levels[el.rank].append(el)
+        by_type.setdefault(el.typ, []).append(el)
+    return NcPoset(rs=rs, elements={el.key: el for el in elements},
+                   levels=levels, by_type=by_type, identity=levels[0][0],
+                   top=levels[rs.n][0])
 
 
 @lru_cache(maxsize=None)
 def enumerate_nc(name):
     """Enumerate and type the poset NC for the named ambient.
 
-    Walks down from the bipartite Coxeter element; each element stores
-    its matrix, exact inverse, rank, moved positive roots and type.  The
-    moved roots of a child come from its parent's by one mask AND.
-    Every type's rank is checked against the BFS level, and every
-    moved-root set is checked to belong to a single element.
+    Walks down from the bipartite Coxeter element by moved-root masks;
+    each element stores its mask, rank, type and complement mask.  Every
+    type's rank is checked against the BFS level, and the element count
+    against the closed form (two elements sharing a mask would collapse
+    into one).
     """
     rs = build_root_system(name)
-    n = rs.n
-    _, mats = _reflection_data(name)
-    c = bipartite_coxeter(rs)
-    cinv = c.inverse()
-    zero = _descent_masks(rs, c)
-
-    def make(mat, inv, rank, mask):
-        # own copies: a view would keep its whole per-parent batch alive
-        mat = np.array(mat)
-        inv = np.array(inv)
-        moved = np.flatnonzero(mask)
-        typ = classify_moved_roots(rs, moved)
-        if typ.rank != rank:
-            raise AssertionError("type rank %d != BFS level %d" % (typ.rank, rank))
-        return NcElement(mat.tobytes(), mat, inv, rank,
-                         frozenset(moved.tolist()), typ)
-
-    top_mask = np.ones(len(zero), dtype=bool)
-    top = make(c.mat, cinv.mat, n, top_mask)
-    elements = {top.key: top}
-    levels = [[] for _ in range(n + 1)]
-    levels[n].append(top)
-    masks = {top.key: top_mask}          # moved-root masks, walk only
-    seen_moved = {top.moved: top.key}
-
-    for k in range(n, 0, -1):
-        for el in levels[k]:
-            mask = masks.pop(el.key)
-            idx = np.flatnonzero(mask)
-            child_mats = mats[idx] @ el.mat
-            child_invs = el.inv @ mats[idx]
-            child_masks = zero[idx] & mask
-            for cm, ci, cmask in zip(child_mats, child_invs, child_masks):
-                key = cm.tobytes()
-                if key in elements:
-                    continue
-                child = make(cm, ci, k - 1, cmask)
-                if child.moved in seen_moved:
-                    raise AssertionError("moved-root set shared by two elements")
-                seen_moved[child.moved] = key
-                elements[key] = child
-                masks[key] = cmask
-                levels[k - 1].append(child)
-
-    by_type = {}
-    for el in elements.values():
-        by_type.setdefault(el.typ, []).append(el)
-    ident = levels[0][0]
-    return NcPoset(rs=rs, elements=elements, levels=levels,
-                   by_type=by_type, identity=ident, top=top)
+    elements = []
+    for depth, level in enumerate(_walk(name)):
+        for mask, (comp, moved) in level.items():
+            typ = classify_moved_roots(rs, moved)
+            if typ.rank != rs.n - depth:
+                raise AssertionError("type rank %d != BFS level %d"
+                                     % (typ.rank, rs.n - depth))
+            elements.append(NcElement(mask, typ.rank, typ, comp))
+    expected = ncm_cardinality(label(name), 1)
+    if len(elements) != expected:
+        raise AssertionError("NC(%s) has %d elements, expected %d"
+                             % (name, len(elements), expected))
+    return _poset(rs, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +403,7 @@ class NcmPoset:
 
     def le(self, u, w):
         """u <= w  iff  w_i <=_T u_i for every coordinate i >= 1."""
-        return all(wp.moved <= up.moved
+        return all(up.key & wp.key == wp.key
                    for up, wp in zip(u.parts, w.parts))
 
 
@@ -424,7 +433,7 @@ def build_ncm(name, m, guard=100_000):
             elements.append(NcmElement(tuple(prefix), rank))
             return
         for u in poset.elements.values():
-            if u.moved <= rest.moved:
+            if u.key & rest.key == u.key:
                 prefix.append(u)
                 descend(poset.complement(u, rest), depth + 1)
                 prefix.pop()
@@ -443,10 +452,10 @@ def build_ncm(name, m, guard=100_000):
 def write_cache(poset, path):
     """Write an enumerated poset to a versioned record stream.
 
-    One JSON object per line: a header with the schema version, ambient
-    label and Coxeter matrix, then one record per element with the
-    row-major matrix, rank and type.  The write is atomic (temp file +
-    rename).
+    One JSON object per line: a header with the schema version and the
+    ambient label, then one record per element, level by level, with
+    its moved-root mask (hexadecimal), rank and type.  The write is
+    atomic (temp file + rename).
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -456,13 +465,12 @@ def write_cache(poset, path):
             header = {
                 "schema_version": CACHE_SCHEMA_VERSION,
                 "ambient": str(poset.rs.typ),
-                "coxeter": poset.top.mat.reshape(-1).tolist(),
             }
             handle.write(json.dumps(header) + "\n")
             for level in poset.levels:
                 for el in level:
                     record = {
-                        "mat": el.mat.reshape(-1).tolist(),
+                        "mask": format(el.key, "x"),
                         "rank": el.rank,
                         "type": str(el.typ),
                     }
@@ -481,11 +489,10 @@ class CacheFormatError(ValueError):
 def read_cache(path, expected_ambient=None):
     """Rebuild a typed poset from a cache file written by write_cache.
 
-    Matrices are taken from the file; ranks/types are revalidated while
-    the moved-root sets (needed for the order relation) are recomputed.
-    The top must be the bipartite Coxeter element and every element's
-    complement must be present with the complementary rank.  Any damaged,
-    stale or inconsistent content raises ``CacheFormatError``.
+    The masks must be exactly the masks of a fresh walk of NC, and every
+    record's rank and type must equal those of its mask, reclassified.
+    Any damaged, stale or inconsistent content raises
+    ``CacheFormatError``.
     """
     try:
         return _read_cache(path, expected_ambient)
@@ -508,34 +515,21 @@ def _read_cache(path, expected_ambient):
         if expected_ambient is not None and name != str(expected_ambient):
             raise CacheFormatError("cache is for ambient %r, expected %r"
                                    % (name, str(expected_ambient)))
-        rs = build_root_system(name)
-        n = rs.n
-        elements = {}
-        levels = [[] for _ in range(n + 1)]
-        for line in handle:
-            record = json.loads(line)
-            mat = np.array(record["mat"], dtype=np.int64).reshape(n, n)
-            g = GroupElement(rs, mat)
-            moved = moved_positive_roots(rs, g)
-            typ = classify_moved_roots(rs, sorted(moved))
-            if str(typ) != record["type"] or typ.rank != record["rank"]:
-                raise CacheFormatError("cache record does not revalidate")
-            el = NcElement(g.key, mat, g.inverse().mat, typ.rank, moved, typ)
-            elements[el.key] = el
-            levels[el.rank].append(el)
-    by_type = {}
-    for el in elements.values():
-        by_type.setdefault(el.typ, []).append(el)
-    poset = NcPoset(rs=rs, elements=elements, levels=levels, by_type=by_type,
-                    identity=levels[0][0], top=levels[n][0])
-    if len(poset) != ncm_cardinality(label(name), 1):
-        raise CacheFormatError("cache element count does not match")
-    if poset.top.key != bipartite_coxeter(rs).key:
-        raise CacheFormatError("cache top is not the Coxeter element")
-    for el in elements.values():
-        if poset.complement(el).rank != n - el.rank:
-            raise CacheFormatError("cache complements do not match")
-    return poset
+        records = [json.loads(line) for line in handle]
+    rs = build_root_system(name)
+    walked = {mask: value for level in _walk(name)
+              for mask, value in level.items()}
+    masks = [int(record["mask"], 16) for record in records]
+    if len(masks) != len(walked) or set(masks) != walked.keys():
+        raise CacheFormatError("cache masks are not the elements of NC")
+    elements = []
+    for mask, record in zip(masks, records):
+        comp, moved = walked[mask]
+        typ = classify_moved_roots(rs, moved)
+        if str(typ) != record["type"] or typ.rank != record["rank"]:
+            raise CacheFormatError("cache record does not revalidate")
+        elements.append(NcElement(mask, typ.rank, typ, comp))
+    return _poset(rs, elements)
 
 
 def load_or_enumerate(name, cache_dir=None):

@@ -66,7 +66,7 @@ def appendix_extended():
     # full_table takes the closed form for type A, so A6 and A7 are
     # brute-forced key by key instead
     for name in ("A6", "A7"):
-        memo = decomp.make_bruteforce_memo()
+        memo = {}
         yield _table_check(name, {
             key: decomp.count_bruteforce(name, key, _memo=memo)
             for key in all_tuples_of_rank(label(name).rank)})
@@ -76,7 +76,7 @@ def _typeA():
     """The type-A closed form equals brute force on every tuple."""
     for n in range(1, 7):
         name = "A%d" % n
-        memo = decomp.make_bruteforce_memo()
+        memo = {}
         ok = all(decomp.count_typeA(n, key)
                  == decomp.count_bruteforce(name, key, _memo=memo)
                  for s in range(n + 1) for key in all_tuples_of_rank(s)
@@ -162,7 +162,7 @@ def _lookups():
 
 def _pins():
     """The E7 pin values by brute force."""
-    memo = decomp.make_bruteforce_memo()
+    memo = {}
     for key, value in (("A1^4,A1^3", 9), ("A1^2*A2,A1^3", 54)):
         count = decomp.count_bruteforce("E7", _key(key), _memo=memo)
         yield ("E7 pin %s = %d by brute force" % (key, value), count == value)

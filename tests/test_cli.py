@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from noncross import exact, linsys
 from noncross.cli import main
 from noncross.ncposet import CacheFormatError, enumerate_nc, read_cache
 from noncross.rootsystem import build_root_system
 from noncross.verify import SUITES
-from noncross.weyl import GroupElement, classify_parabolic_type, enumerate_group
+from noncross.weyl import (GroupElement, classify_parabolic_type,
+                           enumerate_group, moved_positive_roots)
 
 
 def run(capsys, *argv):
@@ -47,7 +49,8 @@ def test_nc_enumerate_cache_dir(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# a damaged cache file regenerates; lines[0] is the header, lines[1] the top
+# a damaged cache file regenerates; lines[0] is the header, lines[1] the
+# identity (records go level by level from rank 0)
 
 
 def _edit(lines, index, change):
@@ -61,7 +64,9 @@ def _truncated_line(lines):
 
 
 def _wrong_shape(lines):
-    _edit(lines, 3, lambda r: r["mat"].pop())
+    """Set a mask bit past the 12 positive roots of D4."""
+    _edit(lines, 3, lambda r: r.update(
+        mask=format(int(r["mask"], 16) | 1 << 12, "x")))
 
 
 def _missing_key(lines):
@@ -81,24 +86,25 @@ def _tampered_type(lines):
 
 
 def _tampered_matrix(lines):
-    """Swap a rank-2 element for a group element outside NC(D4) with the
-    same type, so that only the complement check can notice."""
+    """Swap a rank-2 element for the moved-root mask of a length-2 group
+    element outside NC(D4) with the same type, so that only the check
+    against the walk can notice."""
     rs = build_root_system("D4")
     poset = enumerate_nc("D4")
     index = next(i for i, line in enumerate(lines[1:], 1)
                  if json.loads(line)["rank"] == 2)
     typ = json.loads(lines[index])["type"]
     for key, length in enumerate_group(rs).items():
-        mat = np.frombuffer(key, dtype=np.int64).reshape(rs.n, rs.n)
-        if length == 2 and key not in poset.elements:
+        g = GroupElement(rs, np.frombuffer(key, dtype=np.int64)
+                         .reshape(rs.n, rs.n))
+        mask = sum(1 << i for i in moved_positive_roots(rs, g))
+        if length == 2 and mask not in poset.elements:
             try:
-                found = str(classify_parabolic_type(rs, GroupElement(rs, mat),
-                                                    check=False))
+                found = str(classify_parabolic_type(rs, g, check=False))
             except AssertionError:
                 continue
             if found == typ:
-                flat = mat.reshape(-1).tolist()
-                _edit(lines, index, lambda r: r.update(mat=flat))
+                _edit(lines, index, lambda r: r.update(mask=format(mask, "x")))
                 return
     raise AssertionError("no element outside NC(D4) of type %s" % typ)
 
@@ -203,6 +209,38 @@ def test_bad_label_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "chi", "Q7")
     assert exc.value.code == 2
+
+
+def test_internal_key_error_is_not_bad_input(capsys, monkeypatch):
+    # a lookup bug inside a command is not reported as bad input (exit 2):
+    # main lets it through, and the interpreter exits 1 with a traceback
+    def broken(name):
+        raise KeyError(name)
+    monkeypatch.setattr(linsys, "production_table", broken)
+    with pytest.raises(KeyError):
+        run(capsys, "decomp", "count", "A3", "A1")
+
+
+def test_failed_replay_exits_1_with_one_line(capsys, monkeypatch):
+    # E6 keeps one free variable; expecting none makes elimination fail
+    monkeypatch.setitem(linsys.EXPECTED_DIMENSION, "E6", 0)
+    monkeypatch.setattr(linsys, "replay", linsys.replay.__wrapped__)
+    code, out, err = run(capsys, "linsys", "replay", "E6")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: linsys replay E6: elimination: solution space "
+                   "has dimension 1, expected 0; free: N(A3,A3)\n")
+
+
+def test_inconsistent_replay_exits_1_naming_the_row(capsys, monkeypatch):
+    def inconsistent(system):
+        raise exact.InconsistentSystemError("zeta:m^1 z^2")
+    monkeypatch.setattr(linsys, "echelon", inconsistent)
+    monkeypatch.setattr(linsys, "replay", linsys.replay.__wrapped__)
+    code, out, err = run(capsys, "linsys", "replay", "E6")
+    assert (code, out) == (1, "")
+    assert err == ("error: linsys replay E6: inconsistent linear system "
+                   "(row: zeta:m^1 z^2)\n")
 
 
 def test_bad_threads_exit_code(capsys):

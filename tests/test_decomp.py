@@ -5,8 +5,8 @@ import pytest
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple,
                              count_bruteforce, count_product, count_typeA,
-                             full_table, make_bruteforce_memo, orderings,
-                             special_values, tuple_rank)
+                             full_table, orderings, special_values,
+                             tuple_rank)
 from noncross.refdata import REFERENCE_TABLE_NAMES, reference_table
 from noncross.rootsystem import build_root_system
 from noncross.typelabel import TypeLabel, label
@@ -55,7 +55,7 @@ def test_typeA_closed_form_small():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_typeA_closed_form_vs_bruteforce(n):
     name = "A%d" % n
-    memo = make_bruteforce_memo()
+    memo = {}
     for s in range(0, n + 1):
         for key in all_tuples_of_rank(s):
             if any(f != "A" for t in key for f, _ in t.components):

@@ -5,8 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from noncross import exact
-from noncross.ncposet import (NcPoset, ResourceGuardError, build_ncm,
+from noncross.ncposet import (ResourceGuardError, _descent_masks, build_ncm,
                               characteristic_direct, characteristic_polynomial,
                               enumerate_nc, load_or_enumerate, mobius,
                               mobius_from_top, ncm_cardinality, read_cache,
@@ -15,7 +14,8 @@ from noncross.refdata import chi_star_reference
 from noncross.rootsystem import (DynkinDiagram, build_root_system,
                                  classify_diagram)
 from noncross.typelabel import label
-from noncross.weyl import GroupElement, le_absolute, moved_positive_roots
+from noncross.weyl import (GroupElement, _reflection_data, bipartite_coxeter,
+                           le_absolute, moved_positive_roots)
 
 # total element counts: Cat(n+1) for A_n, known values for D and E
 SIZES = {
@@ -42,17 +42,51 @@ def test_rank_sizes_symmetric_D5():
     assert sizes == sizes[::-1]
 
 
+def _matrix_walk(name):
+    """The walk of NC by group elements: children t_a w as matrix
+    products, their moved sets from the descent table.  Returns the map
+    moved-root mask -> matrix in discovery order, and checks that no two
+    elements share a moved set."""
+    rs = build_root_system(name)
+    _, mats = _reflection_data(name)
+    zero = _descent_masks(name)
+    top = bipartite_coxeter(rs).mat
+    found = {top.tobytes(): (1 << len(zero)) - 1}     # matrix bytes -> mask
+    frontier = [top]
+    while frontier:
+        below = []
+        for mat in frontier:
+            mask = found[mat.tobytes()]
+            for a in range(len(zero)):
+                if mask >> a & 1:
+                    child = mats[a] @ mat
+                    if child.tobytes() not in found:
+                        found[child.tobytes()] = mask & zero[a]
+                        below.append(child)
+        frontier = below
+    matrices = {mask: np.frombuffer(key, dtype=np.int64).reshape(rs.n, rs.n)
+                for key, mask in found.items()}
+    assert len(matrices) == len(found), "moved sets are not injective"
+    return matrices
+
+
+def _roots(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 @pytest.mark.parametrize("name", ["A3", "D4"])
 def test_subset_order_equals_absolute_order(name):
     """The moved-set containment order must agree with the definitional
     absolute order on every pair of elements."""
     rs = build_root_system(name)
     poset = enumerate_nc(name)
+    matrices = _matrix_walk(name)
+    assert list(matrices) == list(poset.elements)
     elements = list(poset.elements.values())
     for u in elements:
-        gu = GroupElement(rs, u.mat)
+        gu = GroupElement(rs, matrices[u.key])
         for w in elements:
-            gw = GroupElement(rs, w.mat)
+            gw = GroupElement(rs, matrices[w.key])
             assert poset.le(u, w) == le_absolute(rs, gu, gw)
 
 
@@ -84,9 +118,35 @@ def test_walk_matches_kernel_and_classifier_oracles(name):
     route, and the sum-table types equal the pairwise classifier."""
     rs = build_root_system(name)
     poset = enumerate_nc(name)
+    matrices = _matrix_walk(name)
+    assert list(matrices) == list(poset.elements)
     for el in poset.elements.values():
-        assert el.moved == moved_positive_roots(rs, GroupElement(rs, el.mat))
-        assert el.typ == _type_of_moved_set(rs, el.moved)
+        moved = _roots(el.key)
+        assert moved == moved_positive_roots(
+            rs, GroupElement(rs, matrices[el.key]))
+        assert el.typ == _type_of_moved_set(rs, moved)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "A5", "D5", "E6", "D6"])
+def test_complements_match_matrix_oracle(name):
+    """complement(u) and complement(u, v), bit ANDs of masks, are the
+    elements whose matrices are u^{-1} c and u^{-1} v, for every u and
+    every comparable pair u <= v."""
+    rs = build_root_system(name)
+    poset = enumerate_nc(name)
+    matrices = _matrix_walk(name)
+    mask_of = {mat.tobytes(): mask for mask, mat in matrices.items()}
+    inverses = {mask: GroupElement(rs, mat).inverse().mat
+                for mask, mat in matrices.items()}
+    top = matrices[poset.top.key]
+    for u in poset.elements.values():
+        product = np.ascontiguousarray(inverses[u.key] @ top)
+        assert poset.complement(u).key == mask_of[product.tobytes()]
+        for v in poset.elements.values():
+            if poset.le(u, v):
+                product = np.ascontiguousarray(inverses[u.key]
+                                               @ matrices[v.key])
+                assert poset.complement(u, v).key == mask_of[product.tobytes()]
 
 
 def test_moebius_top_bottom_agree():
@@ -166,11 +226,3 @@ def test_load_or_enumerate_uses_cache_dir(tmp_path):
     assert (tmp_path / "nc_A3.jsonl").exists()
     second = load_or_enumerate("A3", str(tmp_path))
     assert len(first) == len(second) == 14
-
-
-@pytest.mark.parametrize("name", ["D5", "E6", "E7"])
-def test_element_matrices_own_their_buffers(name):
-    # a view into a per-parent batch keeps the whole batch alive
-    for el in enumerate_nc(name).elements.values():
-        for arr in (el.mat, el.inv):
-            assert arr.base is None or arr.base.nbytes <= arr.nbytes

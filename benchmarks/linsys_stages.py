@@ -24,11 +24,13 @@ import json
 import statistics
 import time
 
-from noncross import exact, linsys
+from noncross import decomp, exact, linsys
 
 
 def clear_memos():
-    memo = getattr(linsys, "_product_memo", None)
+    # the memos live in decomp since the census route, in linsys before
+    memo = getattr(decomp, "_product_memo", None) or \
+        getattr(linsys, "_product_memo", None)
     if memo is not None:
         memo.cache_clear()
 

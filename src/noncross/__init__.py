@@ -9,9 +9,9 @@ decomposition tables.  All arithmetic is exact (integers and fractions).
 """
 
 from .decomp import (DecompositionTable, all_labels_of_rank,
-                     all_tuples_of_rank, canonical_tuple, count_bruteforce,
-                     count_product, count_typeA, full_table, orderings,
-                     special_values, tuple_rank)
+                     all_tuples_of_rank, canonical_tuple, census_table,
+                     count_bruteforce, count_product, count_typeA,
+                     full_table, orderings, special_values, tuple_rank)
 from .exact import (Echelon, InconsistentSystemError, LinearSystem,
                     SolutionSpace, SparsePolynomial, echelon, solve)
 from .linsys import (EXPECTED_DIMENSION, ReplayError, ReplayReport,

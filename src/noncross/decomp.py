@@ -6,28 +6,36 @@ lying below the Coxeter element c in absolute order, lengths adding up,
 and type(c_i) = T_i.  The count is invariant under permuting the T_i, so
 tables are keyed by the canonical sorted tuple.
 
-Three independent routes are implemented:
+Four routes are implemented:
 
 * ``count_bruteforce`` -- recursive descent over the enumerated poset
-  (the oracle everything else is checked against);
+  (the oracle the other routes are checked against);
 * ``count_typeA`` -- closed product formula for type A;
-* ``count_product`` -- reduction of a reducible ambient to its factors.
+* ``count_product`` -- reduction of a reducible ambient to its factors;
+* ``census_table`` -- every full-rank value of one ambient from its pair
+  census.  The prefix q = c_1 ... c_{d-1} of a factorization is a
+  parabolic Coxeter element of some type S, and [1, q] is isomorphic to
+  NC(W_S) with types kept (Brady-Watt), so
 
-``full_table`` builds the complete table for one ambient (all full-rank
-tuples by brute force; rank-deficient tuples by summing one extra factor
-over all types of the complementary rank).
+      N_W(T_1, ..., T_d) = sum_S N_W(S, T_d) * N_S(T_1, ..., T_{d-1}),
+
+  where N_W(S, T_d) is the pair census and N_S is a lower table
+  (``lower_count``).
+
+``full_table`` builds the complete table for one ambient: the closed
+form for type A, the census for D and E.  Rank-deficient tuples are
+looked up by summing one extra factor over all types of the
+complementary rank.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
-from .ncposet import enumerate_nc, ResourceGuardError
-from .rootsystem import build_root_system, subdiagram_types, \
-    single_node_deletion_count
+from .ncposet import enumerate_nc, ncm_cardinality, ResourceGuardError
+from .rootsystem import build_root_system, single_node_deletion_count
 from .typelabel import TypeLabel, label, EMPTY_TYPE
 
 
@@ -329,10 +337,11 @@ def all_tuples_of_rank(total, max_ranks=None):
 
 
 def full_table(name, max_elements=30_000):
-    """Complete full-rank table for one irreducible ambient, brute force.
+    """Complete full-rank table for one irreducible ambient.
 
-    For type-A ambients the closed formula is used (it is itself checked
-    against brute force in the tests).  Guarded by the poset size.
+    Type A takes the closed formula, D and E the census (both are
+    checked against brute force in the tests).  Guarded by the poset
+    size, which is known in closed form before anything is enumerated.
     """
     ambient = label(name)
     n = ambient.rank
@@ -345,21 +354,61 @@ def full_table(name, max_elements=30_000):
             if value:
                 entries[key] = value
         return DecompositionTable(ambient, entries, provenance="typeA-closed-form")
-    poset = enumerate_nc(name)
-    if len(poset) > max_elements:
+    size = ncm_cardinality(ambient, 1)
+    if size > max_elements:
         raise ResourceGuardError(
-            "brute-force table for %s needs a %d-element poset (guard %d); "
-            "use the linear-system route instead" % (name, len(poset), max_elements))
-    allowed = subdiagram_types(name)
-    memo = {}
+            "table for %s needs a %d-element poset (guard %d)"
+            % (name, size, max_elements))
+    return census_table(name)
+
+
+@lru_cache(maxsize=None)
+def census_table(name):
+    """Complete full-rank table for one irreducible ambient, from its
+    pair census: N(T_1, ..., T_d) = sum over S of census[S, T_d] times
+    N_S(T_1, ..., T_{d-1}), with T_d the last (highest-rank) entry of
+    the canonical key.  The element types of NC are the sub-diagram
+    types (a subword of the bipartite Coxeter element has each), so
+    tuples holding a type outside the census vanish and are skipped."""
+    ambient = label(name)
+    by_last = {}                          # type(q^-1 c) -> [(type q, count)]
+    for (prefix_type, last), count in \
+            enumerate_nc(name).pair_census().items():
+        by_last.setdefault(last, []).append((prefix_type, count))
+    allowed = by_last.keys()
     entries = {}
-    for key in all_tuples_of_rank(n):
+    for key in all_tuples_of_rank(ambient.rank):
         if any(t not in allowed for t in key):
-            continue                      # contains a forbidden type: 0
-        value = count_bruteforce(name, key, _memo=memo)
+            continue
+        value = sum(count * lower_count(prefix_type, key[:-1])
+                    for prefix_type, count in by_last.get(key[-1], ()))
         if value:
             entries[key] = value
-    return DecompositionTable(ambient, entries, provenance="bruteforce")
+    return DecompositionTable(ambient, entries, provenance="census")
+
+
+@lru_cache(maxsize=None)
+def _component_tables(t):
+    """The full tables of the irreducible components of a type."""
+    return tuple(full_table("%s%d" % comp) for comp in t.components)
+
+
+@lru_cache(maxsize=None)
+def _product_memo(t):
+    """The count_product memo of one reducible ambient type."""
+    return {}
+
+
+def lower_count(t, types):
+    """N_T(types) for an ambient type T of lower rank, reducible allowed:
+    the full table of an irreducible T, the product rule over the
+    component tables otherwise."""
+    types = canonical_tuple(types)
+    if t.is_empty:
+        return 1 if not types else 0
+    if t.is_irreducible:
+        return _component_tables(t)[0].lookup(types)
+    return count_product(_component_tables(t), types, _memo=_product_memo(t))
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from . import decomp
 from .decomp import (DecompositionTable, all_labels_of_rank,
                      all_tuples_of_rank, canonical_tuple, count_bruteforce,
-                     count_product, full_table, orderings, special_values,
+                     full_table, lower_count, orderings, special_values,
                      tuple_rank)
 from .exact import LinearSystem, binomial_poly, echelon, poly, solve
 from . import exact
@@ -79,35 +78,10 @@ class ReplayReport:
 @lru_cache(maxsize=None)
 def production_table(name):
     """The full-rank table of an irreducible ambient by its cheapest
-    exact route: closed form for type A, brute force for the D types and
-    E6, linear-system replay for E7 and E8."""
-    fam = label(name).components[0][0]
-    if fam == "A" or name in ("D4", "D5", "D6", "D7", "E6"):
-        return full_table(name)
-    if name in ("E7", "E8"):
-        return replay(name).final_table
-    raise ValueError("no production route for ambient %r" % name)
-
-
-@lru_cache(maxsize=None)
-def _component_tables(t):
-    return tuple(production_table("%s%d" % comp) for comp in t.components)
-
-
-@lru_cache(maxsize=None)
-def _product_memo(t):
-    """The count_product memo of one reducible ambient type."""
-    return {}
-
-
-def lower_count(t, types):
-    """N_T(types) for an ambient type of lower rank, reducible allowed."""
-    types = canonical_tuple(types)
-    if t.is_empty:
-        return 1 if not types else 0
-    if t.is_irreducible:
-        return production_table(str(t)).lookup(types)
-    return count_product(_component_tables(t), types, _memo=_product_memo(t))
+    exact route, ``full_table``: closed form for type A, the census for
+    D and E.  The linear system is the paper's route, checked against
+    it by the replay suites."""
+    return full_table(name)
 
 
 def _coeffs_mz(p):

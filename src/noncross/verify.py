@@ -53,23 +53,27 @@ def _appendix():
     yield from appendix_extended()
 
 
+def _bruteforce_table(name):
+    """Every full-rank value of one ambient by ``count_bruteforce``, key
+    by key with one shared memo (``full_table`` takes the closed form or
+    the census, which this checks)."""
+    memo = {}
+    return {key: decomp.count_bruteforce(name, key, _memo=memo)
+            for key in all_tuples_of_rank(label(name).rank)}
+
+
 def appendix_core():
     """The part of ``appendix`` up to rank 6: A1-A5, D4, D5 and E6."""
-    for name in ("A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"):
+    for name in ("A1", "A2", "A3", "A4", "A5"):
         yield _table_check(name, decomp.full_table(name).entries)
+    for name in ("D4", "D5", "E6"):
+        yield _table_check(name, _bruteforce_table(name))
 
 
 def appendix_extended():
-    """The rest of ``appendix``: D6, D7, A6 and A7."""
-    for name in ("D6", "D7"):
-        yield _table_check(name, decomp.full_table(name).entries)
-    # full_table takes the closed form for type A, so A6 and A7 are
-    # brute-forced key by key instead
-    for name in ("A6", "A7"):
-        memo = {}
-        yield _table_check(name, {
-            key: decomp.count_bruteforce(name, key, _memo=memo)
-            for key in all_tuples_of_rank(label(name).rank)})
+    """The rest of ``appendix``: D6, D7, A6 and A7, by brute force."""
+    for name in ("D6", "D7", "A6", "A7"):
+        yield _table_check(name, _bruteforce_table(name))
 
 
 def _typeA():
@@ -158,6 +162,29 @@ def _lookups():
                        ("A5,A1*A2", 390), ("D5,A1*A2", 195)):
         yield ("E8 lookup %s = %d" % (key, value),
                table.lookup(_key(key)) == value)
+
+
+def _census():
+    """The census tables against the published tables, the replays, the
+    type-A closed form, and on D8 (no published table) against every
+    equation of its linear system and the zeta identity."""
+    for name in ("D4", "D5", "D6", "D7", "E6", "E7", "E8"):
+        desc, ok = _table_check(name, decomp.census_table(name).entries)
+        yield ("census " + desc, ok)
+    for name in ("E6", "D6", "D7", "E7", "E8"):
+        yield ("census %s equals the %s replay" % (name, name),
+               decomp.census_table(name).entries
+               == linsys.replay(name).final_table.entries)
+    for name in ("A6", "A7", "A8"):
+        yield ("census %s equals the closed form" % name,
+               decomp.census_table(name).entries
+               == decomp.full_table(name).entries)
+    table = decomp.census_table("D8")
+    failures = linsys.check_system_against_table(
+        linsys.generate_equations("D8"), table)
+    yield ("census D8 satisfies every D8 equation", not failures)
+    diff = triangles.zeta_identity_check("D8", table)
+    yield ("zeta identity on the census D8", not diff.terms)
 
 
 def _pins():
@@ -249,6 +276,7 @@ SUITES = {
     "e7": (partial(_replay, "E7"), 300),
     "e8": (partial(_replay, "E8"), 3600),
     "lookups": (_lookups, 3600),
+    "census": (_census, 120),
     "pins": (_pins, None),
     "orbits": (_orbits, None),
     "reciprocity": (_reciprocity, None),

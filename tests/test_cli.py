@@ -7,7 +7,8 @@ import pytest
 
 from noncross import exact, linsys
 from noncross.cli import main
-from noncross.ncposet import CacheFormatError, enumerate_nc, read_cache
+from noncross.ncposet import (CacheFormatError, ResourceGuardError,
+                              enumerate_nc, read_cache)
 from noncross.rootsystem import build_root_system
 from noncross.verify import SUITES
 from noncross.weyl import (GroupElement, classify_parabolic_type,
@@ -135,6 +136,32 @@ def test_decomp_count(capsys):
     code, out, _ = run(capsys, "decomp", "count", "A3", "A1,A1,A1")
     assert code == 0
     assert out.strip() == "16"
+
+
+@pytest.mark.parametrize("key, value", [("A1", 56), ("D8", 1)])
+def test_decomp_count_D8(capsys, key, value):
+    # D8 has no published table; its census table is the production route
+    code, out, _ = run(capsys, "decomp", "count", "D8", key)
+    assert code == 0
+    assert out == "%d\n" % value
+
+
+@pytest.mark.parametrize("argv", [("decomp", "table", "D8"),
+                                  ("mtriangle", "D8"),
+                                  ("ftriangle", "D8", "--m", "2")])
+def test_D8_commands_exit_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
+
+
+def test_resource_guard_exits_3_with_one_line(capsys, monkeypatch):
+    def refused(name):
+        raise ResourceGuardError("table for %s refused" % name)
+    monkeypatch.setattr(linsys, "production_table", refused)
+    code, out, err = run(capsys, "decomp", "count", "E6", "A3,A3")
+    assert (code, out) == (3, "")
+    assert err == "resource guard: table for E6 refused\n"
 
 
 def test_decomp_table_full_rank_only(capsys):

@@ -4,9 +4,10 @@ import pytest
 
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple,
-                             count_bruteforce, count_product, count_typeA,
-                             full_table, orderings, special_values,
-                             tuple_rank)
+                             census_table, count_bruteforce, count_product,
+                             count_typeA, full_table, lower_count, orderings,
+                             special_values, tuple_rank)
+from noncross.ncposet import ResourceGuardError
 from noncross.refdata import REFERENCE_TABLE_NAMES, reference_table
 from noncross.rootsystem import build_root_system
 from noncross.typelabel import TypeLabel, label
@@ -233,3 +234,49 @@ def test_deficient_lookup_matches_sum_over_extra_types(name):
     for s in range(n + 2):
         for key in all_tuples_of_rank(s):
             assert table.lookup(key) == _reference_lookup(table, key), key
+
+
+# ---------------------------------------------------------------------------
+# the census route against the descent, the closed form and the product rule
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "E6"])
+def test_census_table_matches_bruteforce(name):
+    table = census_table(name)
+    assert table.provenance == "census"
+    memo = {}
+    for key in all_tuples_of_rank(label(name).rank):
+        assert table.entries.get(key, 0) == \
+            count_bruteforce(name, key, _memo=memo), key
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_census_table_matches_typeA_closed_form(n):
+    table = census_table("A%d" % n)
+    for key in all_tuples_of_rank(n):
+        if any(f != "A" for t in key for f, _ in t.components):
+            assert key not in table.entries, key
+        else:
+            assert table.entries.get(key, 0) == count_typeA(n, key), key
+
+
+@pytest.mark.parametrize("ambient", ["A1*A2", "A1^2*A3", "A2*D4", "A1*E6",
+                                     "A1*A2*D5"])
+def test_lower_count_of_reducible_type_matches_product_rule(ambient):
+    # the factors are the published tables, independent of the census
+    t = label(ambient)
+    factors = [DecompositionTable(c, reference_table(c))
+               for c in map(str, t.irreducibles())]
+    memo = {}
+    for s in range(t.rank + 1):
+        for key in all_tuples_of_rank(s):
+            expected = count_product(factors, key)
+            assert lower_count(t, key) == expected, key
+            assert count_product(factors, key, _memo=memo) == expected, key
+
+
+def test_full_table_guard_message():
+    with pytest.raises(ResourceGuardError,
+                       match=r"^table for E8 needs a 25080-element poset "
+                             r"\(guard 1000\)$"):
+        full_table("E8", max_elements=1000)

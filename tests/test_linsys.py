@@ -80,8 +80,10 @@ def test_lower_count_matches_bruteforce():
 
 
 def test_production_table_routes():
-    assert production_table("A3").provenance != "linear-system"
-    assert production_table("E6").provenance != "linear-system"
+    for name in ("A1", "A3", "A5", "A8"):
+        assert production_table(name).provenance == "typeA-closed-form"
+    for name in ("D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8"):
+        assert production_table(name).provenance == "census"
 
 
 def test_variables_are_full_rank_tuples():

@@ -104,3 +104,11 @@ def test_transform_failure_on_term_below_diagonal(k, l, coeff):
 @pytest.mark.parametrize("name,m", [("A3", 2), ("D4", 2)])
 def test_f_reciprocity_small(name, m):
     assert f_reciprocity_checks(assembled(name), m) == []
+
+
+def test_D8_census_table_passes_reciprocity_and_fm():
+    # D8 has no published table: its census table is checked by identities
+    mt = assemble_dual("D8", production_table("D8"))
+    assert not reciprocity_check(mt).terms
+    for m in (1, 2, 3):
+        assert not fm_transform(mt, m).problems(), m

@@ -7,8 +7,9 @@ Run from the repository root:
 Each stage is timed ``--repeats`` times with ``time.perf_counter`` and
 the median is printed as one JSON object:
 
-* ``walk_classify_E8_s``: one uncached ``enumerate_nc("E8")``, the walk
-  with every element typed;
+* ``walk_classify_E8_s``, ``walk_classify_E7_s``, ``walk_classify_D8_s``:
+  one uncached ``enumerate_nc`` of E8, E7 and D8, the walk with every
+  element typed;
 * ``pair_census_E8_s``: ``pair_census`` of the enumerated NC(E8);
 * ``full_table_D7_s``: every full-rank D7 value of a sub-diagram type
   by ``count_bruteforce`` with one shared memo, NC(D7) already
@@ -19,13 +20,18 @@ the median is printed as one JSON object:
   before the runs.
 
 It also prints ``poset_E8_mb``, the memory held by one enumerated
-NC(E8) as ``tracemalloc`` counts it (one extra, untimed enumeration).
+NC(E8) as ``tracemalloc`` counts it (one extra, untimed enumeration),
+and ``classify_calls_verify_e8``: the calls of
+``weyl.classify_moved_roots`` in one cold ``noncross verify e8`` run in a
+child process, in total and made inside ``enumerate_nc``.
 """
 
 import argparse
 import json
 import os
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -33,6 +39,38 @@ import tracemalloc
 from noncross import decomp, ncposet
 from noncross.rootsystem import subdiagram_types
 from noncross.typelabel import label
+
+
+# Counts the classifier calls of one cold `verify e8`, rebinding the
+# classifier wherever the package imported it.
+COUNT_CALLS = r"""
+import contextlib, io, json, sys
+import noncross.cli
+from noncross import weyl
+
+original = weyl.classify_moved_roots
+calls = {"total": 0, "enumerate_nc": 0}
+
+
+def counted(*args):
+    calls["total"] += 1
+    frame = sys._getframe(1)
+    while frame is not None:
+        if frame.f_code.co_name == "enumerate_nc":
+            calls["enumerate_nc"] += 1
+            break
+        frame = frame.f_back
+    return original(*args)
+
+
+for module in list(sys.modules.values()):
+    if getattr(module, "classify_moved_roots", None) is original:
+        module.classify_moved_roots = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    code = noncross.cli.main(["verify", "e8"])
+assert code == 0, code
+print(json.dumps(calls))
+"""
 
 
 def timed(fn, repeats):
@@ -56,8 +94,9 @@ def descent(name):
 
 def stages(repeats):
     out = {}
-    out["walk_classify_E8_s"] = timed(
-        lambda: ncposet.enumerate_nc.__wrapped__("E8"), repeats)
+    for name in ("E8", "E7", "D8"):
+        out["walk_classify_%s_s" % name] = timed(
+            lambda: ncposet.enumerate_nc.__wrapped__(name), repeats)
     poset = ncposet.enumerate_nc("E8")
     out["pair_census_E8_s"] = timed(poset.pair_census, repeats)
     ncposet.enumerate_nc("D7")
@@ -77,6 +116,9 @@ def stages(repeats):
         (tracemalloc.get_traced_memory()[0] - before) / 2 ** 20, 1)
     tracemalloc.stop()
     del held
+    child = subprocess.run([sys.executable, "-c", COUNT_CALLS], check=True,
+                           capture_output=True, text=True)
+    out["classify_calls_verify_e8"] = json.loads(child.stdout)
     return out
 
 

@@ -223,12 +223,16 @@ def cmd_verify(args):
     generator, _ = verify.SUITES[args.suite]
     passed = failed = 0
     results = {}
-    for description, ok in generator():
-        results[description] = "pass" if ok else "FAIL"
-        if ok:
-            passed += 1
-        else:
-            failed += 1
+    try:
+        for description, ok in generator():
+            results[description] = "pass" if ok else "FAIL"
+            if ok:
+                passed += 1
+            else:
+                failed += 1
+    except (linsys.ReplayError, exact.InconsistentSystemError) as err:
+        print("error: verify %s: %s" % (args.suite, err), file=sys.stderr)
+        return 1
     _emit({"suite": args.suite, "passed": passed, "failed": failed,
            "checks": results}, args.format)
     return 1 if failed else 0

@@ -50,6 +50,20 @@ Mov(v^{-1} c), has y = b - x in Mov(v), so y = 0 and
 
     moved(u^{-1} v) = moved(u^{-1} c) & moved(v).
 
+Types once per orbit of conjugation by c.  The map u -> c u c^{-1}
+sends NC onto itself: it keeps the absolute order and fixes c.  It
+moves the space c Mov(u), so on masks it is the permutation pi of the
+positive roots with pi(b) = the index of +-c b
+(``weyl.coxeter_root_permutation``), applied bit by bit.  It keeps
+reflection length, so each orbit lies inside one BFS level.  The
+parabolic subgroup of c u c^{-1} is that of u conjugated by c, so types
+are constant on an orbit, and the complement of c u c^{-1} is
+c (u^{-1} c) c^{-1}, so complements are carried along it too.  Orbit
+sizes divide the Coxeter number h, as c^h = 1; this is the cyclic
+action behind the cyclic sieving of NC(W).  Enumeration therefore
+classifies one mask per orbit, copies its type along the orbit, and
+checks that no image leaves the level.
+
 The m-divisible poset NC^m consists of minimal-length factorizations
 c = w0 * w1 * ... * wm ordered componentwise (opposite order in the
 coordinates 1..m); it is graded by the length of w0.
@@ -70,7 +84,8 @@ from . import exact
 from .exact import SparsePolynomial, Z as _Z, M as _M, int_adjugate
 from .rootsystem import build_root_system
 from .typelabel import label
-from .weyl import bipartite_coxeter, classify_moved_roots
+from .weyl import (bipartite_coxeter, classify_moved_roots,
+                   coxeter_root_permutation)
 
 CACHE_SCHEMA_VERSION = 2
 
@@ -144,24 +159,72 @@ def _walk(name):
     """NC by moved-root masks, one level at a time from the top.  Each
     level maps the masks of one rank, in discovery order (parents in
     order, each stepping down by its moved roots in ascending order), to
-    the mask of the right complement and the list of moved roots."""
+    the mask of the right complement."""
     zero = _descent_masks(name)
     top = (1 << len(zero)) - 1
     level = {top: None}
     while level:
         below = {}
         for mask in level:
-            comp, rest, moved = top, mask, []
+            comp, rest = top, mask
             while rest:
                 low = rest & -rest
                 rest ^= low
-                a = low.bit_length() - 1
-                moved.append(a)
-                comp &= zero[a]
-                below[mask & zero[a]] = None
-            level[mask] = comp, moved
+                row = zero[low.bit_length() - 1]
+                comp &= row
+                below[mask & row] = None
+            level[mask] = comp
         yield level
         level = below
+
+
+def _byte_tables(name):
+    """The mask map of conjugation by c, one table per byte of a mask:
+    entry x of table k is the image under pi of the roots 8k + i for
+    the bits i of x."""
+    pi = coxeter_root_permutation(name)
+    tables = []
+    for start in range(0, len(pi), 8):
+        table = [0] * (1 << min(8, len(pi) - start))
+        for x in range(1, len(table)):
+            low = (x & -x).bit_length() - 1
+            table[x] = table[x & (x - 1)] | 1 << pi[start + low]
+        tables.append(table)
+    return tables
+
+
+def _typed_walk(name):
+    """The elements of NC, in order of discovery, typed once per orbit of
+    conjugation by c.  A mask not yet typed is classified, and its type
+    is copied along its orbit, which must stay inside the level."""
+    rs = build_root_system(name)
+    tables = _byte_tables(name)
+    width = len(tables)
+
+    def conjugate(mask):
+        image = 0
+        for table, byte in zip(tables, mask.to_bytes(width, "little")):
+            image |= table[byte]
+        return image
+
+    for depth, level in enumerate(_walk(name)):
+        rank = rs.n - depth
+        types = {}
+        for mask, comp in level.items():
+            typ = types.pop(mask, None)
+            if typ is None:
+                moved = [a for a in range(mask.bit_length()) if mask >> a & 1]
+                typ = classify_moved_roots(rs, moved)
+                if typ.rank != rank:
+                    raise AssertionError("type rank %d != BFS level %d"
+                                         % (typ.rank, rank))
+                image = conjugate(mask)
+                while image != mask:
+                    if image not in level:
+                        raise AssertionError("orbit leaves the level")
+                    types[image] = typ
+                    image = conjugate(image)
+            yield NcElement(mask, rank, typ, comp)
 
 
 def _poset(rs, elements):
@@ -181,25 +244,18 @@ def enumerate_nc(name):
     """Enumerate and type the poset NC for the named ambient.
 
     Walks down from the bipartite Coxeter element by moved-root masks;
-    each element stores its mask, rank, type and complement mask.  Every
-    type's rank is checked against the BFS level, and the element count
-    against the closed form (two elements sharing a mask would collapse
-    into one).
+    each element stores its mask, rank, type and complement mask.  One
+    element per c-conjugation orbit is classified; its type's rank is
+    checked against the BFS level, every orbit against the level it
+    starts in, and the element count against the closed form (two
+    elements sharing a mask would collapse into one).
     """
-    rs = build_root_system(name)
-    elements = []
-    for depth, level in enumerate(_walk(name)):
-        for mask, (comp, moved) in level.items():
-            typ = classify_moved_roots(rs, moved)
-            if typ.rank != rs.n - depth:
-                raise AssertionError("type rank %d != BFS level %d"
-                                     % (typ.rank, rs.n - depth))
-            elements.append(NcElement(mask, typ.rank, typ, comp))
+    elements = list(_typed_walk(name))
     expected = ncm_cardinality(label(name), 1)
     if len(elements) != expected:
         raise AssertionError("NC(%s) has %d elements, expected %d"
                              % (name, len(elements), expected))
-    return _poset(rs, elements)
+    return _poset(build_root_system(name), elements)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +546,8 @@ def read_cache(path, expected_ambient=None):
     """Rebuild a typed poset from a cache file written by write_cache.
 
     The masks must be exactly the masks of a fresh walk of NC, and every
-    record's rank and type must equal those of its mask, reclassified.
-    Any damaged, stale or inconsistent content raises
+    record's rank and type must equal those of its mask in the walk,
+    typed afresh.  Any damaged, stale or inconsistent content raises
     ``CacheFormatError``.
     """
     try:
@@ -516,20 +572,15 @@ def _read_cache(path, expected_ambient):
             raise CacheFormatError("cache is for ambient %r, expected %r"
                                    % (name, str(expected_ambient)))
         records = [json.loads(line) for line in handle]
-    rs = build_root_system(name)
-    walked = {mask: value for level in _walk(name)
-              for mask, value in level.items()}
+    walked = {el.key: el for el in _typed_walk(name)}
     masks = [int(record["mask"], 16) for record in records]
     if len(masks) != len(walked) or set(masks) != walked.keys():
         raise CacheFormatError("cache masks are not the elements of NC")
-    elements = []
-    for mask, record in zip(masks, records):
-        comp, moved = walked[mask]
-        typ = classify_moved_roots(rs, moved)
-        if str(typ) != record["type"] or typ.rank != record["rank"]:
+    elements = [walked[mask] for mask in masks]
+    for el, record in zip(elements, records):
+        if str(el.typ) != record["type"] or el.rank != record["rank"]:
             raise CacheFormatError("cache record does not revalidate")
-        elements.append(NcElement(mask, typ.rank, typ, comp))
-    return _poset(rs, elements)
+    return _poset(build_root_system(name), elements)
 
 
 def load_or_enumerate(name, cache_dir=None):

@@ -136,6 +136,23 @@ def bipartite_coxeter(rs):
     return GroupElement(rs, result)
 
 
+@lru_cache(maxsize=None)
+def coxeter_root_permutation(name):
+    """The permutation pi of the positive-root indices by the bipartite
+    Coxeter element c: pi[b] is the index of the positive one of c.b and
+    -c.b.  Conjugation by c maps the reflection t_b to t_{pi[b]}, and an
+    element moving the roots S to one moving pi(S)."""
+    rs = build_root_system(name)
+    index = {r: i for i, r in enumerate(rs.positive_roots)}
+    images = np.array(rs.positive_roots, dtype=np.int64) \
+        @ bipartite_coxeter(rs).mat.T
+    pi = tuple(index[r] if r in index else index[tuple(-x for x in r)]
+               for r in map(tuple, images.tolist()))
+    if sorted(pi) != list(range(len(pi))):
+        raise AssertionError("c does not permute the positive roots")
+    return pi
+
+
 def moved_space_kernel(rs, w):
     """Integer basis of the fixed space ker(w - I)."""
     mat = w.mat if isinstance(w, GroupElement) else np.asarray(w)
@@ -230,20 +247,19 @@ def classify_parabolic_type(rs, w, coxeter=None, check=True):
 
 def reflection_orbits(rs):
     """Orbits of the reflections under conjugation by the bipartite
-    Coxeter element.
+    Coxeter element: the cycles of ``coxeter_root_permutation``.
 
     Returns a list of dicts with keys ``size``, ``representative`` (a
     positive-root index), and ``product_type`` (the type of t*c).  Orbit
     sizes are checked to be h or h/2.
     """
     c = bipartite_coxeter(rs)
-    cinv = c.inverse()
-    roots, mats = _reflection_data(str(rs.typ))
-    key_to_index = {m.tobytes(): i for i, m in enumerate(mats)}
+    pi = coxeter_root_permutation(str(rs.typ))
+    _, mats = _reflection_data(str(rs.typ))
     h = rs.coxeter_number
     seen = set()
     orbits = []
-    for start in range(len(mats)):
+    for start in range(len(pi)):
         if start in seen:
             continue
         orbit = []
@@ -251,8 +267,7 @@ def reflection_orbits(rs):
         while cur not in seen:
             seen.add(cur)
             orbit.append(cur)
-            conj = c.mat @ mats[cur] @ cinv.mat
-            cur = key_to_index[np.ascontiguousarray(conj).tobytes()]
+            cur = pi[cur]
         if len(orbit) not in (h, h // 2):
             raise AssertionError("orbit size %d not in {h, h/2}" % len(orbit))
         tc = GroupElement(rs, mats[start] @ c.mat)

@@ -270,6 +270,27 @@ def test_inconsistent_replay_exits_1_naming_the_row(capsys, monkeypatch):
                    "(row: zeta:m^1 z^2)\n")
 
 
+def test_verify_failed_replay_exits_1_with_one_line(capsys, monkeypatch):
+    monkeypatch.setitem(linsys.EXPECTED_DIMENSION, "E6", 0)
+    monkeypatch.setattr(linsys, "replay", linsys.replay.__wrapped__)
+    code, out, err = run(capsys, "verify", "e6")
+    assert (code, out) == (1, "")
+    assert err == ("error: verify e6: elimination: solution space "
+                   "has dimension 1, expected 0; free: N(A3,A3)\n")
+
+
+def test_verify_inconsistent_replay_exits_1_naming_the_row(capsys,
+                                                           monkeypatch):
+    def inconsistent(system):
+        raise exact.InconsistentSystemError("zeta:m^1 z^2")
+    monkeypatch.setattr(linsys, "echelon", inconsistent)
+    monkeypatch.setattr(linsys, "replay", linsys.replay.__wrapped__)
+    code, out, err = run(capsys, "verify", "e6")
+    assert (code, out) == (1, "")
+    assert err == ("error: verify e6: inconsistent linear system "
+                   "(row: zeta:m^1 z^2)\n")
+
+
 def test_bad_threads_exit_code(capsys):
     # there is no --threads flag; argparse rejects it with exit 2
     with pytest.raises(SystemExit) as exc:

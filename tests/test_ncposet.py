@@ -5,16 +5,18 @@ from math import comb
 import numpy as np
 import pytest
 
-from noncross.ncposet import (ResourceGuardError, _descent_masks, build_ncm,
+from noncross.ncposet import (ResourceGuardError, _descent_masks, _walk,
+                              build_ncm,
                               characteristic_direct, characteristic_polynomial,
                               enumerate_nc, load_or_enumerate, mobius,
                               mobius_from_top, ncm_cardinality, read_cache,
                               write_cache, zeta_closed, zeta_direct)
 from noncross.refdata import chi_star_reference
-from noncross.rootsystem import (DynkinDiagram, build_root_system,
-                                 classify_diagram)
+from noncross.rootsystem import (SUPPORTED_AMBIENTS, DynkinDiagram,
+                                 build_root_system, classify_diagram)
 from noncross.typelabel import label
 from noncross.weyl import (GroupElement, _reflection_data, bipartite_coxeter,
+                           classify_moved_roots, coxeter_root_permutation,
                            le_absolute, moved_positive_roots)
 
 # total element counts: Cat(n+1) for A_n, known values for D and E
@@ -147,6 +149,61 @@ def test_complements_match_matrix_oracle(name):
                 product = np.ascontiguousarray(inverses[u.key]
                                                @ matrices[v.key])
                 assert poset.complement(u, v).key == mask_of[product.tobytes()]
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_orbit_typing_equals_per_element_classification(name):
+    """Typing one element per c-conjugation orbit gives the poset that
+    classifying every element of the walk gives: same masks in the same
+    order, same ranks, types and complements."""
+    rs = build_root_system(name)
+    reference = [(mask, rs.n - depth,
+                  classify_moved_roots(rs, sorted(_roots(mask))), comp)
+                 for depth, level in enumerate(_walk(name))
+                 for mask, comp in level.items()]
+    poset = enumerate_nc(name)
+    assert [(el.key, el.rank, el.typ, el.comp)
+            for el in poset.elements.values()] == reference
+
+
+def _conjugate(pi, mask):
+    """The mask of c u c^{-1} from the mask of u, root by root."""
+    return sum(1 << pi[a] for a in _roots(mask))
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_root_permutation_is_conjugation_by_c(name):
+    """pi permutes the positive roots, and c t_b c^{-1} = t_{pi(b)}."""
+    rs = build_root_system(name)
+    pi = coxeter_root_permutation(name)
+    assert sorted(pi) == list(range(rs.num_positive_roots))
+    c = bipartite_coxeter(rs)
+    _, mats = _reflection_data(name)
+    for b, t in enumerate(mats):
+        assert (c.mat @ t @ c.inverse().mat == mats[pi[b]]).all()
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_conjugation_orbits_stay_in_levels(name):
+    """pi maps each level of NC into itself, and every orbit of
+    conjugation by c on NC has a size dividing h."""
+    rs = build_root_system(name)
+    pi = coxeter_root_permutation(name)
+    poset = enumerate_nc(name)
+    for level in poset.levels:
+        masks = {el.key for el in level}
+        assert {_conjugate(pi, mask) for mask in masks} == masks
+    seen = set()
+    for mask in poset.elements:
+        if mask in seen:
+            continue
+        orbit = [mask]
+        image = _conjugate(pi, mask)
+        while image != mask:
+            orbit.append(image)
+            image = _conjugate(pi, image)
+        seen.update(orbit)
+        assert rs.coxeter_number % len(orbit) == 0
 
 
 def test_moebius_top_bottom_agree():

@@ -230,7 +230,9 @@ def cmd_verify(args):
                 passed += 1
             else:
                 failed += 1
-    except (linsys.ReplayError, exact.InconsistentSystemError) as err:
+    # AssertionError: an internal consistency check of a layer failed
+    except (linsys.ReplayError, exact.InconsistentSystemError,
+            AssertionError) as err:
         print("error: verify %s: %s" % (args.suite, err), file=sys.stderr)
         return 1
     _emit({"suite": args.suite, "passed": passed, "failed": failed,

@@ -74,18 +74,16 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from . import exact
 from .exact import SparsePolynomial, Z as _Z, M as _M, int_adjugate
 from .rootsystem import build_root_system
 from .typelabel import label
-from .weyl import (bipartite_coxeter, classify_moved_roots,
-                   coxeter_root_permutation)
+from .weyl import (_matmul, _minus_eye, bipartite_coxeter,
+                   classify_moved_roots, coxeter_root_permutation)
 
 CACHE_SCHEMA_VERSION = 2
 
@@ -112,6 +110,8 @@ class NcPoset:
     by_type: dict                # TypeLabel -> list of NcElements
     identity: NcElement
     top: NcElement
+    _census: dict = field(default=None, init=False, repr=False,
+                          compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -133,12 +133,16 @@ class NcPoset:
         """Counts of (type(w), type(w^{-1} c)) over all elements.
 
         These are exactly the full-rank two-factor decomposition counts.
+        They are counted on the first call and kept; each call returns a
+        copy.
         """
-        census = {}
-        for el in self.elements.values():
-            key = (el.typ, self.complement(el).typ)
-            census[key] = census.get(key, 0) + 1
-        return census
+        if self._census is None:
+            census = {}
+            for el in self.elements.values():
+                key = (el.typ, self.complement(el).typ)
+                census[key] = census.get(key, 0) + 1
+            self._census = census
+        return dict(self._census)
 
 
 @lru_cache(maxsize=None)
@@ -146,13 +150,14 @@ def _descent_masks(name):
     """The rows zero[a] of the zero pattern of Z[a, b] = b^T C adj(c - I) a,
     in exact integers, each a mask over b (see the module docstring)."""
     rs = build_root_system(name)
-    delta = (bipartite_coxeter(rs).mat - np.eye(rs.n, dtype=np.int64)).tolist()
-    adj, _ = int_adjugate(delta)         # raises when c - I is singular
-    roots = np.array(rs.positive_roots, dtype=object)
-    cartan = np.array(rs.cartan.tolist(), dtype=object)
-    z = roots @ cartan @ np.array(adj, dtype=object) @ roots.T   # [b, a]
-    return tuple(sum(1 << b for b in np.flatnonzero(column == 0).tolist())
-                 for column in z.T)
+    # raises when c - I is singular
+    adj, _ = int_adjugate(_minus_eye(bipartite_coxeter(rs).mat))
+    roots = rs.positive_roots
+    # v_a = C adj(c - I) a, one n-vector per root, so Z[a, b] = b . v_a
+    vectors = _matmul(roots, tuple(zip(*_matmul(rs.cartan, adj))))
+    return tuple(sum(1 << b for b, r in enumerate(roots)
+                     if not sum(x * y for x, y in zip(r, v)))
+                 for v in vectors)
 
 
 def _walk(name):

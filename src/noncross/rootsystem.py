@@ -15,8 +15,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import prod
 
-import numpy as np
-
 from .exact import int_adjugate
 from .typelabel import TypeLabel, label
 
@@ -147,7 +145,8 @@ class RootSystem:
     ----------
     typ : TypeLabel            irreducible ambient type
     n : int                    rank
-    cartan : np.ndarray        n x n Cartan matrix (= Gram matrix of simples)
+    cartan : tuple             n x n Cartan matrix (= Gram matrix of simples),
+                               a tuple of row tuples of ints
     positive_roots : tuple     coordinate tuples, simple roots first
     diagram : DynkinDiagram
     bipartition : tuple        (block_a, block_b) node 2-coloring
@@ -156,12 +155,12 @@ class RootSystem:
 
     typ: TypeLabel
     n: int
-    cartan: np.ndarray = field(repr=False)
+    cartan: tuple = field(repr=False)
     positive_roots: tuple = field(repr=False)
     diagram: DynkinDiagram = field(repr=False)
     bipartition: tuple
     degrees: tuple
-    cartan_adjugate: np.ndarray = field(repr=False)
+    cartan_adjugate: tuple = field(repr=False)
     cartan_det: int
 
     @property
@@ -249,20 +248,15 @@ def build_root_system(name):
                          % (name, ", ".join(SUPPORTED_AMBIENTS)))
     family, n = name[0], int(name[1:])
     diagram = DynkinDiagram.from_edges(n, _edges(family, n))
-    cartan = np.full((n, n), 0, dtype=np.int64)
-    for i in range(n):
-        cartan[i, i] = 2
-    for e in diagram.edges:
-        a, b = sorted(e)
-        cartan[a, b] = cartan[b, a] = -1
-    cartan_list = cartan.tolist()
-    positives = _positive_roots(cartan_list, n)
+    cartan = tuple(tuple(2 if i == j else -int(diagram.adjacent(i, j))
+                         for j in range(n)) for i in range(n))
+    positives = _positive_roots(cartan, n)
     degrees = tuple(sorted(_DEGREES[family](n)))
-    adj, det = int_adjugate(cartan_list)
+    adj, det = int_adjugate(cartan)
     rs = RootSystem(
         typ=label(name), n=n, cartan=cartan, positive_roots=positives,
         diagram=diagram, bipartition=_bipartition(diagram), degrees=degrees,
-        cartan_adjugate=np.array(adj, dtype=np.int64), cartan_det=det,
+        cartan_adjugate=tuple(map(tuple, adj)), cartan_det=det,
     )
     h = rs.coxeter_number
     if len(positives) != n * h // 2:

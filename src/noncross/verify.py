@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from functools import partial
 
-import numpy as np
-
 from . import decomp, linsys, ncposet, refdata, triangles, weyl
 from .decomp import all_tuples_of_rank
 from .rootsystem import SUPPORTED_AMBIENTS, build_root_system
@@ -257,9 +255,8 @@ def _length():
         dist = weyl.enumerate_group(rs)
         yield ("%s group has order %d" % (name, rs.group_order),
                len(dist) == rs.group_order)
-        ok = all(weyl.absolute_length(
-                     rs, np.frombuffer(k, dtype=np.int64).reshape(rs.n, rs.n))
-                 == d for k, d in dist.items())
+        ok = all(weyl.absolute_length(rs, mat) == d
+                 for mat, d in dist.items())
         yield ("absolute length equals Cayley distance on %s" % name, ok)
 
 

@@ -5,19 +5,35 @@ of its fixed space, computed as the exact integer rank of ``w - I``.
 The absolute order ``u <=_T w`` holds when lengths add up along the
 factorization ``w = u * (u^{-1} w)``.
 
-All linear algebra here is exact: ranks and kernels come from the
-fraction-free elimination in ``exact.bareiss`` over Python integers,
-never floating point.
+All linear algebra here is exact: matrices are tuples of row tuples of
+Python ints, so no product can overflow, and ranks and kernels come
+from the fraction-free elimination in ``exact.bareiss``, never floating
+point.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from .exact import int_kernel, int_rank
 from .rootsystem import build_root_system, classify_diagram, DynkinDiagram
+
+
+def _matmul(a, b):
+    """Product of two integer matrices held as tuples of row tuples."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                 for row in a)
+
+
+def _eye(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _minus_eye(mat):
+    """The list of rows of mat - I."""
+    return [[x - (i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(mat)]
 
 
 # ---------------------------------------------------------------------------
@@ -28,16 +44,15 @@ class GroupElement:
     """An element of the Weyl group: an integer matrix, hashable.
 
     ``mat`` acts on root coordinates (columns are images of the simple
-    roots).  The matrix is stored as a read-only int64 numpy array.
+    roots).  The matrix is stored as a tuple of row tuples of Python
+    ints, which is also its ``key``.
     """
 
-    __slots__ = ("mat", "_key", "_inv", "_rs")
+    __slots__ = ("mat", "_inv", "_rs")
 
     def __init__(self, rs, mat):
-        mat = np.asarray(mat, dtype=np.int64)
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "_key", mat.tobytes())
+        object.__setattr__(self, "mat", tuple(tuple(map(int, row))
+                                              for row in mat))
         object.__setattr__(self, "_inv", None)
         object.__setattr__(self, "_rs", rs)
 
@@ -49,10 +64,10 @@ class GroupElement:
 
     @property
     def key(self):
-        return self._key
+        return self.mat
 
     def __mul__(self, other):
-        return GroupElement(self._rs, self.mat @ other.mat)
+        return GroupElement(self._rs, _matmul(self.mat, other.mat))
 
     def inverse(self):
         """Exact inverse, using invariance of the Cartan form.
@@ -62,44 +77,44 @@ class GroupElement:
         """
         if self._inv is None:
             rs = self._rs
-            raw = rs.cartan_adjugate @ self.mat.T @ rs.cartan
-            q, r = np.divmod(raw, rs.cartan_det)
-            if r.any():
+            raw = _matmul(_matmul(rs.cartan_adjugate, tuple(zip(*self.mat))),
+                          rs.cartan)
+            det = rs.cartan_det
+            if any(x % det for row in raw for x in row):
                 raise AssertionError("inverse is not integral")
-            object.__setattr__(self, "_inv", GroupElement(rs, q))
+            object.__setattr__(self, "_inv", GroupElement(
+                rs, [[x // det for x in row] for row in raw]))
         return self._inv
 
     def __eq__(self, other):
-        return isinstance(other, GroupElement) and self._key == other._key
+        return isinstance(other, GroupElement) and self.mat == other.mat
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self.mat)
 
     def __repr__(self):
-        return "GroupElement(%s, %s)" % (self._rs.typ, self.mat.tolist())
+        return "GroupElement(%s, %s)" % (self._rs.typ,
+                                         [list(row) for row in self.mat])
 
 
 def identity(rs):
-    return GroupElement(rs, np.eye(rs.n, dtype=np.int64))
+    return GroupElement(rs, _eye(rs.n))
 
 
 @lru_cache(maxsize=None)
 def _reflection_data(name):
-    """Stacked reflection matrices and root matrix for an ambient."""
+    """The positive roots and their reflection matrices for an ambient:
+    t_r = I - r p^T, with p the Cartan pairing row of the root r."""
     rs = build_root_system(name)
-    n = rs.n
-    roots = np.array(rs.positive_roots, dtype=np.int64)          # (K, n)
-    pairings = roots @ rs.cartan                                  # (K, n): <., alpha>
-    mats = np.stack([np.eye(n, dtype=np.int64) - np.outer(r, p)
-                     for r, p in zip(roots, pairings)])
-    for m in mats:
-        m.flags.writeable = False
-    roots.flags.writeable = False
+    roots = rs.positive_roots
+    mats = tuple(tuple(tuple(int(i == j) - x * y for j, y in enumerate(p))
+                       for i, x in enumerate(r))
+                 for r, p in zip(roots, _matmul(roots, rs.cartan)))
     return roots, mats
 
 
 def reflection_matrices(rs):
-    """Stack of reflection matrices, one per positive root, shape (K,n,n)."""
+    """The reflection matrices, one per positive root."""
     return _reflection_data(str(rs.typ))[1]
 
 
@@ -110,9 +125,7 @@ def reflection(rs, root_index):
 
 def absolute_length(rs, w):
     """Reflection length = rank(w - I), exactly."""
-    mat = w.mat if isinstance(w, GroupElement) else np.asarray(w)
-    delta = mat - np.eye(rs.n, dtype=np.int64)
-    return int_rank(delta.tolist())
+    return int_rank(_minus_eye(w.mat if isinstance(w, GroupElement) else w))
 
 
 def le_absolute(rs, u, w):
@@ -127,12 +140,11 @@ def le_absolute(rs, u, w):
 def bipartite_coxeter(rs):
     """The bipartite Coxeter element: all simple reflections of the first
     color block, then all of the second, ascending node index in each."""
-    n = rs.n
-    result = np.eye(n, dtype=np.int64)
+    result = _eye(rs.n)
     _, mats = _reflection_data(str(rs.typ))
     for block in rs.bipartition:
         for i in block:
-            result = result @ mats[i]
+            result = _matmul(result, mats[i])
     return GroupElement(rs, result)
 
 
@@ -144,10 +156,10 @@ def coxeter_root_permutation(name):
     element moving the roots S to one moving pi(S)."""
     rs = build_root_system(name)
     index = {r: i for i, r in enumerate(rs.positive_roots)}
-    images = np.array(rs.positive_roots, dtype=np.int64) \
-        @ bipartite_coxeter(rs).mat.T
+    c = bipartite_coxeter(rs).mat
+    images = _matmul(rs.positive_roots, tuple(zip(*c)))
     pi = tuple(index[r] if r in index else index[tuple(-x for x in r)]
-               for r in map(tuple, images.tolist()))
+               for r in images)
     if sorted(pi) != list(range(len(pi))):
         raise AssertionError("c does not permute the positive roots")
     return pi
@@ -155,9 +167,7 @@ def coxeter_root_permutation(name):
 
 def moved_space_kernel(rs, w):
     """Integer basis of the fixed space ker(w - I)."""
-    mat = w.mat if isinstance(w, GroupElement) else np.asarray(w)
-    delta = (mat - np.eye(rs.n, dtype=np.int64)).tolist()
-    return int_kernel(delta)
+    return int_kernel(_minus_eye(w.mat if isinstance(w, GroupElement) else w))
 
 
 def moved_positive_roots(rs, w):
@@ -167,36 +177,31 @@ def moved_positive_roots(rs, w):
     orthogonal complement of the fixed space, so membership is the exact
     integer test  K^T C alpha = 0  with K a fixed-space basis.
     """
-    kernel = moved_space_kernel(rs, w)
-    roots, _ = _reflection_data(str(rs.typ))
-    if not kernel:
-        return frozenset(range(len(roots)))
-    # int64 is exact while kernel entries stay below 2^40 (two roots pair
-    # to at most 2 in absolute value and n <= 8); else big ints
-    small = max(abs(x) for row in kernel for x in row) < 1 << 40
-    dtype = np.int64 if small else object
-    proj = np.array(kernel, dtype=dtype) @ (rs.cartan @ roots.T).astype(dtype)
-    return frozenset(np.flatnonzero(~np.any(proj != 0, axis=0)).tolist())
+    forms = _matmul(moved_space_kernel(rs, w), rs.cartan)
+    return frozenset(i for i, r in enumerate(rs.positive_roots)
+                     if not any(sum(x * y for x, y in zip(f, r))
+                                for f in forms))
 
 
 @lru_cache(maxsize=None)
 def _root_tables(name):
-    """Root-sum index table and root Gram matrix of an ambient.
+    """Root partners and root pairings of an ambient.
 
-    ``sums[i, j]`` is the index of root_i + root_j among the positive
-    roots, or -1 when the sum is not a root; ``gram[i, j]`` is the Cartan
+    ``partners[k]`` is the mask of the positive roots a for which
+    root_k - root_a is a positive root too; ``gram[i][j]`` is the Cartan
     pairing of root_i and root_j.
     """
     rs = build_root_system(name)
-    roots, _ = _reflection_data(name)
-    index = {r: i for i, r in enumerate(rs.positive_roots)}
-    sums = np.array([[index.get(tuple(a + b for a, b in zip(r, s)), -1)
-                      for s in rs.positive_roots] for r in rs.positive_roots],
-                    dtype=np.intp)
-    gram = roots @ rs.cartan @ roots.T
-    for table in (sums, gram):
-        table.flags.writeable = False
-    return sums, gram
+    roots = rs.positive_roots
+    index = {r: i for i, r in enumerate(roots)}
+    partners = [0] * len(roots)
+    for a, r in enumerate(roots):
+        for b in range(a + 1, len(roots)):
+            k = index.get(tuple(x + y for x, y in zip(r, roots[b])))
+            if k is not None:
+                partners[k] |= 1 << a | 1 << b
+    gram = _matmul(_matmul(roots, rs.cartan), tuple(zip(*roots)))
+    return tuple(partners), gram
 
 
 @lru_cache(maxsize=None)
@@ -206,21 +211,20 @@ def _classify_edges(k, edges):
 
 def classify_moved_roots(rs, moved):
     """Type of the sub-root system formed by the positive roots with the
-    given ascending indices.
+    given ascending indices, the positive roots lying in a subspace (the
+    moved set of a group element).
 
     Its simple roots are the members that are not the sum of two members
-    (ambient positivity); their pairings give the Dynkin diagram.
+    (ambient positivity); their pairings give the Dynkin diagram.  When
+    root_k and root_a lie in the subspace, so does root_k - root_a, so
+    root_k is such a sum exactly when one of its partners is a member.
     """
-    sums, gram = _root_tables(str(rs.typ))
-    moved = np.asarray(moved, dtype=np.intp)
-    # one spare slot at the end absorbs the -1 entries (sums that are not roots)
-    decomposable = np.zeros(len(sums) + 1, dtype=bool)
-    decomposable[sums[moved][:, moved]] = True
-    simples = moved[~decomposable[moved]]
-    i, j = np.nonzero(gram[simples][:, simples])
-    upper = i < j
-    return _classify_edges(len(simples),
-                           tuple(zip(i[upper].tolist(), j[upper].tolist())))
+    partners, gram = _root_tables(str(rs.typ))
+    inside = sum(1 << a for a in moved)
+    simples = [k for k in moved if not partners[k] & inside]
+    edges = tuple((i, j) for i, a in enumerate(simples)
+                  for j in range(i + 1, len(simples)) if gram[a][simples[j]])
+    return _classify_edges(len(simples), edges)
 
 
 def classify_parabolic_type(rs, w, coxeter=None, check=True):
@@ -270,7 +274,7 @@ def reflection_orbits(rs):
             cur = pi[cur]
         if len(orbit) not in (h, h // 2):
             raise AssertionError("orbit size %d not in {h, h/2}" % len(orbit))
-        tc = GroupElement(rs, mats[start] @ c.mat)
+        tc = GroupElement(rs, _matmul(mats[start], c.mat))
         orbits.append({
             "size": len(orbit),
             "representative": start,
@@ -282,7 +286,8 @@ def reflection_orbits(rs):
 def enumerate_group(rs, max_order=200_000):
     """BFS enumeration of the whole Weyl group by all reflections.
 
-    Returns ``{element_key: distance}`` where distance is the reflection
+    Returns ``{matrix: distance}``, keyed by each element's matrix (its
+    ``GroupElement.key``), where distance is the reflection
     length in the Cayley graph (the oracle for ``absolute_length``).
     Guarded by ``max_order``.
     """
@@ -290,8 +295,8 @@ def enumerate_group(rs, max_order=200_000):
         raise ValueError("group order %d exceeds guard %d"
                          % (rs.group_order, max_order))
     _, mats = _reflection_data(str(rs.typ))
-    eye = np.eye(rs.n, dtype=np.int64)
-    dist = {eye.tobytes(): 0}
+    eye = _eye(rs.n)
+    dist = {eye: 0}
     frontier = [eye]
     d = 0
     while frontier:
@@ -299,10 +304,9 @@ def enumerate_group(rs, max_order=200_000):
         new = []
         for w in frontier:
             for t in mats:
-                v = t @ w
-                k = v.tobytes()
-                if k not in dist:
-                    dist[k] = d
+                v = _matmul(t, w)
+                if v not in dist:
+                    dist[v] = d
                     new.append(v)
         frontier = new
     return dist

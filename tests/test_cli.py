@@ -1,11 +1,14 @@
 """Command-line interface: commands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
-import numpy as np
 import pytest
 
-from noncross import exact, linsys
+import noncross
+from noncross import exact, linsys, weyl
 from noncross.cli import main
 from noncross.ncposet import (CacheFormatError, ResourceGuardError,
                               enumerate_nc, read_cache)
@@ -96,8 +99,7 @@ def _tampered_matrix(lines):
                  if json.loads(line)["rank"] == 2)
     typ = json.loads(lines[index])["type"]
     for key, length in enumerate_group(rs).items():
-        g = GroupElement(rs, np.frombuffer(key, dtype=np.int64)
-                         .reshape(rs.n, rs.n))
+        g = GroupElement(rs, key)
         mask = sum(1 << i for i in moved_positive_roots(rs, g))
         if length == 2 and mask not in poset.elements:
             try:
@@ -289,6 +291,33 @@ def test_verify_inconsistent_replay_exits_1_naming_the_row(capsys,
     assert (code, out) == (1, "")
     assert err == ("error: verify e6: inconsistent linear system "
                    "(row: zeta:m^1 z^2)\n")
+
+
+def test_verify_internal_check_exits_1_with_one_line(capsys, monkeypatch):
+    def broken(rs):
+        raise AssertionError("orbit size 18 not in {h, h/2}")
+    monkeypatch.setattr(weyl, "reflection_orbits", broken)
+    code, out, err = run(capsys, "verify", "orbits")
+    assert (code, out) == (1, "")
+    assert err == "error: verify orbits: orbit size 18 not in {h, h/2}\n"
+
+
+NUMPY_GUARD = """
+import sys
+from noncross import cli
+assert cli.main(["nc", "enumerate", "D4"]) == 0
+assert cli.main(["rootsys", "info", "E8"]) == 0
+print("numpy imported:", "numpy" in sys.modules)
+"""
+
+
+def test_cli_does_not_import_numpy():
+    # a fresh interpreter: this test process may have imported numpy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(noncross.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", NUMPY_GUARD], env=env,
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.endswith("numpy imported: False\n")
 
 
 def test_bad_threads_exit_code(capsys):

@@ -2,7 +2,6 @@
 
 from math import comb
 
-import numpy as np
 import pytest
 
 from noncross.ncposet import (ResourceGuardError, _descent_masks, _walk,
@@ -44,6 +43,12 @@ def test_rank_sizes_symmetric_D5():
     assert sizes == sizes[::-1]
 
 
+def matmul(a, b):
+    """Product of two integer matrices given as sequences of rows."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col))
+                       for col in zip(*b)) for row in a)
+
+
 def _matrix_walk(name):
     """The walk of NC by group elements: children t_a w as matrix
     products, their moved sets from the descent table.  Returns the map
@@ -53,21 +58,20 @@ def _matrix_walk(name):
     _, mats = _reflection_data(name)
     zero = _descent_masks(name)
     top = bipartite_coxeter(rs).mat
-    found = {top.tobytes(): (1 << len(zero)) - 1}     # matrix bytes -> mask
+    found = {top: (1 << len(zero)) - 1}     # matrix -> mask
     frontier = [top]
     while frontier:
         below = []
         for mat in frontier:
-            mask = found[mat.tobytes()]
+            mask = found[mat]
             for a in range(len(zero)):
                 if mask >> a & 1:
-                    child = mats[a] @ mat
-                    if child.tobytes() not in found:
-                        found[child.tobytes()] = mask & zero[a]
+                    child = matmul(mats[a], mat)
+                    if child not in found:
+                        found[child] = mask & zero[a]
                         below.append(child)
         frontier = below
-    matrices = {mask: np.frombuffer(key, dtype=np.int64).reshape(rs.n, rs.n)
-                for key, mask in found.items()}
+    matrices = {mask: mat for mat, mask in found.items()}
     assert len(matrices) == len(found), "moved sets are not injective"
     return matrices
 
@@ -110,7 +114,9 @@ def _type_of_moved_set(rs, moved):
     simples = _simple_system(rs, sorted(moved))
     edges = [(i, j) for i in range(len(simples))
              for j in range(i + 1, len(simples))
-             if int(np.array(simples[i]) @ rs.cartan @ simples[j]) != 0]
+             if sum(x * cartan * y
+                    for x, row in zip(simples[i], rs.cartan)
+                    for cartan, y in zip(row, simples[j])) != 0]
     return classify_diagram(DynkinDiagram.from_edges(len(simples), edges))
 
 
@@ -137,18 +143,17 @@ def test_complements_match_matrix_oracle(name):
     rs = build_root_system(name)
     poset = enumerate_nc(name)
     matrices = _matrix_walk(name)
-    mask_of = {mat.tobytes(): mask for mask, mat in matrices.items()}
+    mask_of = {mat: mask for mask, mat in matrices.items()}
     inverses = {mask: GroupElement(rs, mat).inverse().mat
                 for mask, mat in matrices.items()}
     top = matrices[poset.top.key]
     for u in poset.elements.values():
-        product = np.ascontiguousarray(inverses[u.key] @ top)
-        assert poset.complement(u).key == mask_of[product.tobytes()]
+        product = matmul(inverses[u.key], top)
+        assert poset.complement(u).key == mask_of[product]
         for v in poset.elements.values():
             if poset.le(u, v):
-                product = np.ascontiguousarray(inverses[u.key]
-                                               @ matrices[v.key])
-                assert poset.complement(u, v).key == mask_of[product.tobytes()]
+                product = matmul(inverses[u.key], matrices[v.key])
+                assert poset.complement(u, v).key == mask_of[product]
 
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
@@ -180,7 +185,7 @@ def test_root_permutation_is_conjugation_by_c(name):
     c = bipartite_coxeter(rs)
     _, mats = _reflection_data(name)
     for b, t in enumerate(mats):
-        assert (c.mat @ t @ c.inverse().mat == mats[pi[b]]).all()
+        assert matmul(matmul(c.mat, t), c.inverse().mat) == mats[pi[b]]
 
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)

@@ -47,7 +47,7 @@ def test_cartan_matrix_shape(name):
     rs = build_root_system(name)
     cartan = rs.cartan
     n = rs.n
-    assert cartan.shape == (n, n)
+    assert len(cartan) == n and all(len(row) == n for row in cartan)
     for i in range(n):
         assert cartan[i][i] == 2
         for j in range(n):

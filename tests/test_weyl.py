@@ -1,6 +1,5 @@
 """Weyl group elements, absolute length, Coxeter conjugation orbits."""
 
-import numpy as np
 import pytest
 
 from noncross.rootsystem import build_root_system
@@ -11,11 +10,17 @@ from noncross.weyl import (GroupElement, absolute_length, bipartite_coxeter,
                            reflection_orbits)
 
 
+def matmul(a, b):
+    """Product of two integer matrices given as sequences of rows."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col))
+                       for col in zip(*b)) for row in a)
+
+
 def bfs_with_matrices(rs):
     """Independent Cayley-graph BFS keeping the group matrices."""
     mats = reflection_matrices(rs)
-    eye = np.eye(rs.n, dtype=np.int64)
-    dist = {eye.tobytes(): (0, eye)}
+    eye = tuple(tuple(int(i == j) for j in range(rs.n)) for i in range(rs.n))
+    dist = {eye: (0, eye)}
     frontier = [eye]
     d = 0
     while frontier:
@@ -23,10 +28,9 @@ def bfs_with_matrices(rs):
         new = []
         for w in frontier:
             for t in mats:
-                v = t @ w
-                k = v.tobytes()
-                if k not in dist:
-                    dist[k] = (d, v)
+                v = matmul(t, w)
+                if v not in dist:
+                    dist[v] = (d, v)
                     new.append(v)
         frontier = new
     return dist

@@ -1,8 +1,8 @@
-"""Stage timings of the linear-system route for E7 and E8.
+"""Stage timings of the linear-system route for E7, E8 and D8.
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 benchmarks/linsys_stages.py [--repeats 5] [E7 E8]
+    PYTHONPATH=src python3 benchmarks/linsys_stages.py [--repeats 5] [E7 E8 D8]
 
 Each stage is timed ``--repeats`` times with ``time.perf_counter`` and
 the median is printed as JSON, one object per ambient:
@@ -11,7 +11,8 @@ the median is printed as JSON, one object per ambient:
   tables already built (warm), product-count memos emptied first;
 * ``elimination_s`` and ``back_substitution_s``: ``exact.echelon`` and
   ``Echelon.space`` on the unpinned system (older trees without an
-  echelon report one ``solve_s`` instead);
+  echelon report one ``solve_s`` instead; since the echelon is reduced,
+  ``Echelon.space`` only reads the space off its rows);
 * ``replay_s``: one uncached ``linsys.replay`` with the poset and the
   lower tables warm, memos emptied first.
 
@@ -72,7 +73,7 @@ def stages(name, repeats):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("ambients", nargs="*", default=["E7", "E8"])
+    parser.add_argument("ambients", nargs="*", default=["E7", "E8", "D8"])
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     for name in args.ambients:

@@ -183,7 +183,9 @@ def cmd_linsys(args):
     name = _require_ambient(args.label)
     try:
         report = linsys.replay(name)
-    except (linsys.ReplayError, exact.InconsistentSystemError) as err:
+    # AssertionError: an internal consistency check of a layer failed
+    except (linsys.ReplayError, exact.InconsistentSystemError,
+            AssertionError) as err:
         print("error: linsys replay %s: %s" % (name, err), file=sys.stderr)
         return 1
     golden_diff = {}

@@ -10,13 +10,14 @@ deliberately small and dependency-free: every identity checked in this
 package is an *exact* polynomial identity, so floating point is never
 used.
 
-The linear solver works in integers throughout: fraction-free Gaussian
-elimination with content reduction into an ``Echelon`` (which takes
-further rows later), then fraction-free back-substitution to the full
-affine solution space (a particular solution plus a nullspace basis);
-only its final entries become fractions.  Ranks, kernels and
-adjugates of small dense integer matrices all come from one Bareiss
-elimination, ``bareiss``.
+The linear solver works in integers throughout.  An ``Echelon`` holds
+the reduced row echelon form of the rows inserted so far, each row a
+sparse map to primitive integers (the equation systems here have a
+handful of nonzeros per row), and takes further rows at any time.  The
+affine solution space (a particular solution plus a nullspace basis) is
+read straight off its rows; only those final entries become fractions.
+Ranks, kernels and adjugates of small dense integer matrices all come
+from one Bareiss elimination, ``bareiss``.
 """
 
 from __future__ import annotations
@@ -489,34 +490,56 @@ class InconsistentSystemError(ValueError):
         self.provenance = provenance
 
 
-def _reduce_content(vec):
-    """``vec`` divided by the gcd of its entries (itself when that is 1)."""
-    g = 0
-    for v in vec:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return vec
+def _combine(a, b, col):
+    """The sparse row ``a * p - f * b`` with ``p = b[col]`` and ``f =
+    a[col]`` divided by their gcd, so that column ``col`` drops out."""
+    p, f = b[col], a[col]
+    g = gcd(p, f)
     if g > 1:
-        vec = [v // g for v in vec]
-    return vec
+        p //= g
+        f //= g
+    out = dict(a) if p == 1 else {c: v * p for c, v in a.items()}
+    for c, v in b.items():
+        new = out.get(c, 0) - f * v
+        if new:
+            out[c] = new
+        else:
+            del out[c]
+    return out
+
+
+def _primitive(row, lead):
+    """A sparse row divided by its content, positive at column ``lead``."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 class Echelon:
-    """Integer row echelon form of a linear system, built row by row.
+    """Reduced row echelon form of a linear system, built row by row.
 
-    Each row is scaled to integers and inserted into the echelon basis
-    (pivot = leading variable in the fixed variable order): every pivot
-    it meets is cleared by ``a * p - f * b`` and the result divided by
-    its integer content.  Rows are inserted in the order given, so
-    adding rows to an echelon gives exactly the echelon of the longer
-    system.
+    Rows are sparse: a dict column -> nonzero int, the right-hand side
+    under the key ``len(variables)``.  Each pivot row (``pivots``, keyed
+    by its pivot column) is the primitive integer multiple, positive at
+    its pivot, of a row of the reduced row echelon form: its pivot is its
+    leading column and it is zero at every other pivot column.  That form
+    of a row space is unique, so the echelon does not depend on the order
+    of the rows, and adding rows to an echelon gives exactly the echelon
+    of the longer system.
+
+    An incoming row is scaled to integers and cleared, by ``a * p - f *
+    b``, at the pivot columns in its support; what is left lies on free
+    columns and the right-hand side.  If a free column is left, the
+    leading one becomes a new pivot and is cleared from every pivot row
+    that holds it, found through a free column -> pivot rows index.
     """
 
     def __init__(self, variables):
         self.variables = list(variables)
         self._index = {v: i for i, v in enumerate(self.variables)}
-        self.pivots = {}     # column -> primitive integer row, rhs last
+        self.pivots = {}     # pivot column -> primitive sparse row
+        self._holders = {}   # free column -> pivot columns of rows on it
 
     @property
     def dimension(self):
@@ -541,60 +564,53 @@ class Echelon:
         denom = rhs.denominator
         for c in row.values():
             denom = denom * c.denominator // gcd(denom, c.denominator)
-        vec = [0] * (nvars + 1)
-        for col, c in row.items():
-            vec[col] = c.numerator * (denom // c.denominator)
-        vec[nvars] = rhs.numerator * (denom // rhs.denominator)
-        col = 0
-        while col < nvars:
-            if vec[col] and col in pivots:
-                # both rows are zero left of col
-                pivot = pivots[col]
-                f, pv = vec[col], pivot[col]
-                vec[col:] = _reduce_content([a * pv - f * b for a, b in
-                                             zip(vec[col:], pivot[col:])])
-            if vec[col]:
-                break
-            col += 1
-        if col < nvars:
-            pivots[col] = _reduce_content(vec)
-        elif vec[nvars] != 0:
-            raise InconsistentSystemError(provenance)
+        vec = {col: c.numerator * (denom // c.denominator)
+               for col, c in row.items()}
+        if rhs:
+            vec[nvars] = rhs.numerator * (denom // rhs.denominator)
+        for col in [c for c in vec if c in pivots]:
+            vec = _combine(vec, pivots[col], col)
+        lead = min((c for c in vec if c < nvars), default=None)
+        if lead is None:
+            if vec:
+                raise InconsistentSystemError(provenance)
+            return
+        vec = _primitive(vec, lead)
+        holders = self._holders
+        for col in holders.pop(lead, ()):
+            old = pivots[col]
+            new = pivots[col] = _primitive(_combine(old, vec, lead), col)
+            for c in old.keys() - new.keys():
+                if c != lead and c != nvars:
+                    holders[c].discard(col)
+            for c in new.keys() - old.keys():
+                if c != nvars:
+                    holders.setdefault(c, set()).add(col)
+        pivots[lead] = vec
+        for c in vec:
+            if c != lead and c != nvars:
+                holders.setdefault(c, set()).add(lead)
 
     def space(self):
-        """The affine solution space, by integer back-substitution.
-
-        Going up from the last pivot, each row has every later pivot
-        column cleared by ``a * p - f * b`` with the finished row of that
-        column, is divided by its content and made positive at its pivot.
-        That leaves the primitive multiple of the reduced-echelon row, so
-        only the final entries become fractions (over the pivot entry).
-        """
+        """The affine solution space, read off the reduced rows: each
+        pivot row gives its pivot's particular value ``rhs / pivot`` and
+        its entry ``-row[fc] / pivot`` in the nullspace vector of each
+        free column fc."""
         nvars = len(self.variables)
-        pivot_cols = sorted(self.pivots)
+        pivots = self.pivots
+        pivot_cols = sorted(pivots)
         free_cols = self.free_columns
-        reduced = {}
-        for col in reversed(pivot_cols):
-            vec = self.pivots[col]
-            for col2, done in reduced.items():
-                f = vec[col2]
-                if f:
-                    p = done[col2]
-                    vec = _reduce_content([a * p - f * b
-                                           for a, b in zip(vec, done)])
-            if vec[col] < 0:
-                vec = [-a for a in vec]
-            reduced[col] = vec
-
         particular = [Fraction(0)] * nvars
         for col in pivot_cols:
-            particular[col] = Fraction(reduced[col][nvars], reduced[col][col])
+            row = pivots[col]
+            particular[col] = Fraction(row.get(nvars, 0), row[col])
         nullspace = []
         for fc in free_cols:
             basis = [Fraction(0)] * nvars
             basis[fc] = Fraction(1)
-            for col in pivot_cols:
-                basis[col] = Fraction(-reduced[col][fc], reduced[col][col])
+            for col in self._holders.get(fc, ()):
+                row = pivots[col]
+                basis[col] = Fraction(-row[fc], row[col])
             nullspace.append(basis)
 
         return SolutionSpace(
@@ -616,8 +632,8 @@ def echelon(system):
 
 def solve(system):
     """The affine solution space of a LinearSystem.  Given an Echelon
-    instead (say one extended by pin rows), only its back-substitution
-    is left to do."""
+    instead (say one extended by pin rows), only reading the space off
+    its rows is left to do."""
     if not isinstance(system, Echelon):
         system = echelon(system)
     return system.space()

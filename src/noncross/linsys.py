@@ -38,7 +38,7 @@ from .typelabel import TypeLabel, label
 
 # solution-space dimensions expected for the under-determined ambients,
 # and the tuples whose brute-force values pin the remaining freedom
-EXPECTED_DIMENSION = {"E6": 1, "D6": 2, "D7": 2, "E7": 2, "E8": 4}
+EXPECTED_DIMENSION = {"E6": 1, "D6": 2, "D7": 2, "E7": 2, "E8": 4, "D8": 5}
 
 PIN_TUPLES = {
     "E6": (("A1^3", "A1^3"),),
@@ -46,6 +46,8 @@ PIN_TUPLES = {
     "D7": (("A1^4", "A1^3"), ("A1^2*A2", "A1^3")),
     "E7": (("A1^4", "A1^3"), ("A1^2*A2", "A1^3")),
     "E8": (("A5", "A1*A2"), ("D5", "A1*A2"), ("A4", "A1*A3"), ("D4", "A4")),
+    "D8": (("A3", "D5"), ("A2^2", "D4"), ("A4", "A4"), ("A4", "D4"),
+           ("D4", "D4")),
 }
 
 # equation families, named by the prefix of each row's provenance
@@ -147,13 +149,17 @@ def generate_equations(name):
                                % (",".join(map(str, unprimed)),
                                   ",".join(map(str, primed))))
 
-    # zeta-polynomial coefficient comparison in m and z
+    # zeta-polynomial coefficient comparison in m and z; a canonical
+    # tuple's prefix is a canonical tuple of lower rank, so each product
+    # of shifted zeta polynomials is one product from an earlier one
     forms = {}
+    products = {(): exact.ONE}
+    binomials = [binomial_poly(d) for d in range(n + 1)]
     for s in range(1, n + 1):
         for tup in all_tuples_of_rank(s):
-            weight = poly(orderings(tup)) * binomial_poly(len(tup))
-            for t in tup:
-                weight = weight * zeta_shifted(t)
+            product = products[tup[:-1]] * zeta_shifted(tup[-1])
+            products[tup] = product
+            weight = poly(orderings(tup)) * binomials[len(tup)] * product
             if s == n:
                 targets = (tup,)
             else:

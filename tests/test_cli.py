@@ -272,6 +272,25 @@ def test_inconsistent_replay_exits_1_naming_the_row(capsys, monkeypatch):
                    "(row: zeta:m^1 z^2)\n")
 
 
+def test_linsys_replay_internal_check_exits_1_with_one_line(capsys,
+                                                            monkeypatch):
+    def broken(name):
+        raise AssertionError("orbit leaves the level")
+    monkeypatch.setattr(linsys, "replay", broken)
+    code, out, err = run(capsys, "linsys", "replay", "E6")
+    assert (code, out) == (1, "")
+    assert err == "error: linsys replay E6: orbit leaves the level\n"
+
+
+def test_linsys_replay_D8(capsys):
+    code, out, _ = run(capsys, "linsys", "replay", "D8", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dimension"] == 5
+    assert payload["pins"] == {"A3,D5": 7, "A2^2,D4": 7, "A4,A4": 14,
+                               "A4,D4": 7, "D4,D4": 0}
+
+
 def test_verify_failed_replay_exits_1_with_one_line(capsys, monkeypatch):
     monkeypatch.setitem(linsys.EXPECTED_DIMENSION, "E6", 0)
     monkeypatch.setattr(linsys, "replay", linsys.replay.__wrapped__)

@@ -8,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from dense_echelon import DenseEchelon
 from noncross import exact
 from noncross.exact import (InconsistentSystemError, LinearSystem,
                             SparsePolynomial, binomial_poly, echelon,
@@ -193,7 +194,7 @@ def test_echelon_pin_row_inconsistent_names_row():
     system.add_row({"b": 1, "c": -1}, 1, "r2")
     ech = echelon(system)
     ech.add_row({"c": 1}, 0, "pin-c")
-    pivots = {col: list(row) for col, row in ech.pivots.items()}
+    pivots = {col: dict(row) for col, row in ech.pivots.items()}
     with pytest.raises(InconsistentSystemError) as exc:
         ech.add_row({"a": 1, "c": 2}, 5, "contradictory-pin")
     assert exc.value.provenance == "contradictory-pin"
@@ -353,3 +354,79 @@ def test_solve_matches_sympy(data):
         assert ours.col_join(stacked).rank() == n - rank
     else:
         assert not space.nullspace
+
+
+# ---------------------------------------------------------------------------
+# the sparse reduced echelon against the dense one it replaced
+
+
+@st.composite
+def sparse_systems(draw, max_vars=8):
+    """A few variables, sparse rows with int or Fraction entries and
+    rows added after elimination, each right-hand side either taken from
+    one rational point (consistent) or drawn freely (often not)."""
+    n = draw(st.integers(1, max_vars))
+    point = [Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+             for _ in range(n)]
+    entries = st.one_of(st.integers(-6, 6),
+                        st.builds(Fraction, st.integers(-6, 6),
+                                  st.integers(1, 4)))
+
+    def rows(count):
+        out = []
+        for _ in range(count):
+            cols = draw(st.sets(st.integers(0, n - 1), max_size=3))
+            row = {c: draw(entries) for c in cols}
+            if draw(st.integers(0, 5)):
+                rhs = sum(c * point[col] for col, c in row.items())
+            else:
+                rhs = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 3)))
+            out.append((row, rhs))
+        return out
+
+    return n, rows(draw(st.integers(0, 2 * n))), rows(draw(st.integers(0, 4)))
+
+
+def _space_fields(ech):
+    space = ech.space()
+    return (space.particular, space.nullspace, space.pivot_columns,
+            space.free_columns)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_systems())
+def test_sparse_echelon_matches_dense_oracle(data):
+    n, rows, pins = data
+    names = ["v%d" % i for i in range(n)]
+    system = LinearSystem(variables=names)
+    for i, (row, rhs) in enumerate(rows):
+        system.add_row({names[c]: x for c, x in row.items()}, rhs, "row%d" % i)
+    outcomes = []
+    for build in (echelon, DenseEchelon.of):
+        try:
+            outcomes.append(build(system))
+        except InconsistentSystemError as exc:
+            outcomes.append(exc.provenance)
+    sparse, dense = outcomes
+    if isinstance(sparse, str) or isinstance(dense, str):
+        assert sparse == dense
+        return
+    assert _space_fields(sparse) == _space_fields(dense)
+    for i, (row, rhs) in enumerate(pins):
+        coeffs = {names[c]: x for c, x in row.items()}
+        before = {col: dict(r) for col, r in sparse.pivots.items()}
+        failed = []
+        for ech in (sparse, dense):
+            try:
+                ech.add_row(coeffs, rhs, "pin%d" % i)
+            except InconsistentSystemError as exc:
+                failed.append(exc.provenance)
+        assert failed in ([], ["pin%d" % i] * 2)
+        if failed:
+            assert sparse.pivots == before   # the failed row left no trace
+        assert _space_fields(sparse) == _space_fields(dense)
+        for r in sparse.pivots.values():      # primitive, reduced, positive
+            assert gcd(*r.values()) == 1 and 0 not in r.values()
+        for col, r in sparse.pivots.items():
+            assert min(r) == col and r[col] > 0
+            assert not any(c in sparse.pivots for c in r if c != col)

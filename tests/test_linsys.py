@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from noncross.decomp import (DecompositionTable, canonical_tuple, full_table,
-                             tuple_rank)
-from noncross.exact import echelon
-from noncross.linsys import (EXPECTED_DIMENSION, ROW_FAMILIES,
+from dense_echelon import DenseEchelon
+from noncross.decomp import (DecompositionTable, all_labels_of_rank,
+                             all_tuples_of_rank, canonical_tuple, full_table,
+                             orderings, tuple_rank)
+from noncross.exact import ZERO, LinearSystem, binomial_poly, echelon, poly
+from noncross.linsys import (EXPECTED_DIMENSION, ROW_FAMILIES, _coeffs_mz,
                              check_system_against_table, generate_equations,
                              lower_count, production_table, replay,
                              row_family)
+from noncross.ncposet import zeta_closed, zeta_shifted
 from noncross.refdata import reference_table
 from noncross.typelabel import label
 
@@ -100,8 +103,9 @@ def test_equation_budget_loose():
 
 
 def _fraction_back_substitution(ech):
-    """The dense Fraction back-substitution that ``Echelon.space`` replaced,
-    kept as its reference: (particular, nullspace, pivots, free columns)."""
+    """The dense Fraction back-substitution of the dense oracle's pivot
+    rows, kept as a reference: (particular, nullspace, pivots, free
+    columns)."""
     nvars = len(ech.variables)
     pivot_cols = sorted(ech.pivots)
     free_cols = [c for c in range(nvars) if c not in ech.pivots]
@@ -129,16 +133,75 @@ def _fraction_back_substitution(ech):
 
 @pytest.mark.parametrize("name", ["E6", "D6", "D7"])
 def test_integer_back_substitution_matches_fraction_reference(name):
-    ech = echelon(generate_equations(name))
+    system = generate_equations(name)
+    ech = echelon(system)
+    dense = DenseEchelon.of(system)
     for key, value in replay(name).pinned_values.items():
         space = ech.space()
         assert (space.particular, space.nullspace, space.pivot_columns,
-                space.free_columns) == _fraction_back_substitution(ech)
+                space.free_columns) == _fraction_back_substitution(dense)
         ech.add_row({key: 1}, value, "oracle-pin")
+        dense.add_row({key: 1}, value, "oracle-pin")
     space = ech.space()
     assert space.dimension == 0
     assert (space.particular, space.nullspace, space.pivot_columns,
-            space.free_columns) == _fraction_back_substitution(ech)
+            space.free_columns) == _fraction_back_substitution(dense)
+
+
+@pytest.mark.parametrize("name", ["E6", "D6", "D7", "E7", "E8"])
+def test_sparse_echelon_matches_dense_oracle(name):
+    system = generate_equations(name)
+    echelons = (echelon(system), DenseEchelon.of(system))
+    spaces = [ech.space() for ech in echelons]
+    assert spaces[0] == spaces[1]
+    report = replay(name)
+    assert spaces[0].dimension == report.dimension > 0
+    for key, value in report.pinned_values.items():
+        for ech in echelons:
+            ech.add_row({key: 1}, value, "oracle-pin")
+    spaces = [ech.space() for ech in echelons]
+    assert spaces[0] == spaces[1]
+    assert spaces[0].dimension == 0
+
+
+def _zeta_rows_per_tuple(name):
+    """The zeta rows as built before the products were shared: one
+    product of shifted zeta polynomials per tuple entry."""
+    ambient = label(name)
+    n = ambient.rank
+    system = LinearSystem(variables=all_tuples_of_rank(n))
+    forms = {}
+    for s in range(1, n + 1):
+        for tup in all_tuples_of_rank(s):
+            weight = poly(orderings(tup)) * binomial_poly(len(tup))
+            for t in tup:
+                weight = weight * zeta_shifted(t)
+            if s == n:
+                targets = (tup,)
+            else:
+                targets = tuple(canonical_tuple(tup + (extra,))
+                                for extra in all_labels_of_rank(n - s))
+            for var in targets:
+                forms[var] = forms.get(var, ZERO) + weight
+    buckets = {}
+    for var, form in forms.items():
+        for mz, c in _coeffs_mz(form).items():
+            buckets.setdefault(mz, {})[var] = c
+    lhs = _coeffs_mz(zeta_closed(ambient, m="m") - poly(1))
+    for i in range(n + 1):
+        for j in range(n + 1):
+            coeffs = buckets.get((i, j), {})
+            rhs = lhs.get((i, j), Fraction(0))
+            if coeffs or rhs:
+                system.add_row(coeffs, rhs, "zeta:m^%d z^%d" % (i, j))
+    return system.rows
+
+
+@pytest.mark.parametrize("name", ["D5", "E6"])
+def test_zeta_rows_match_per_tuple_products(name):
+    rows = [row for row in generate_equations(name).rows
+            if row_family(row[2]) == "zeta"]
+    assert rows == _zeta_rows_per_tuple(name)
 
 
 @pytest.mark.parametrize("name", ["D5", "E6", "D6"])

@@ -14,6 +14,14 @@ host falls on both alike.  Prints one JSON object, one entry per label:
   ``noncross.cli``, median over ``--rounds``;
 * ``light_s``: per light command (``LIGHT``), the wall time of one cold
   ``python -m noncross.cli`` process, median over ``--rounds``;
+* ``loads``: per light command, the ``noncross`` submodules and the heavy
+  stdlib modules (``HEAVY``) that one call loads, taken once in a fresh
+  ``python -S`` (no site hooks, which may load stdlib modules of their
+  own) that diffs ``sys.modules`` around the call;
+* ``bytecode_writing_off``: whether the cold processes run with bytecode
+  writing off (``PYTHONDONTWRITEBYTECODE`` set in the environment they
+  inherit); then every cold call compiles the package source afresh,
+  unless ``__pycache__`` already holds valid bytecode;
 * ``peak_rss_mb``: the max RSS (``wait4`` rusage) of the import-only
   process, of ``decomp count E7 A4,A3`` and of ``verify e8``, median over
   ``--rounds``;
@@ -35,12 +43,15 @@ import subprocess
 import sys
 import time
 
-LIGHT = (("decomp", "count", "A5", "A2,A3"),
+LIGHT = (("rootsys", "info", "A1"),
+         ("decomp", "count", "A5", "A2,A3"),
          ("nc", "enumerate", "D5"),
          ("zeta", "E7"),
          ("mtriangle", "A4", "--dual"),
          ("chi", "A3*D4"),
          ("decomp", "table", "A6"))
+
+HEAVY = ("dataclasses", "tempfile")
 
 RSS = (("import",), ("decomp", "count", "E7", "A4,A3"), ("verify", "e8"))
 
@@ -80,6 +91,15 @@ print(json.dumps(out))
 """
 
 
+LOADS = r"""
+import sys
+before = set(sys.modules)
+from noncross import cli
+cli.main(sys.argv[1:])
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
 def cold(src, argv):
     """Wall time in s and max RSS in MB of one fresh process; ``import``
     only imports ``noncross.cli``."""
@@ -95,6 +115,19 @@ def cold(src, argv):
     if proc.returncode:
         raise RuntimeError("%s exited %d" % (" ".join(argv), proc.returncode))
     return wall, usage.ru_maxrss / 1024
+
+
+def loads(src, argv):
+    """The noncross submodules and ``HEAVY`` modules one call loads."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("NONCROSS_CACHE_DIR", None)
+    child = subprocess.run([sys.executable, "-S", "-c", LOADS, *argv],
+                           env=env, check=True, capture_output=True,
+                           text=True)
+    modules = child.stdout.splitlines()[-1].split()
+    return {"noncross": [m.split(".", 1)[1] for m in modules
+                         if m.startswith("noncross.")],
+            "heavy": [m for m in modules if m in HEAVY]}
 
 
 def median(values, digits):
@@ -123,9 +156,12 @@ def measure(trees, rounds, repeats):
             for key, value in stages(src, repeats).items():
                 staged[label].setdefault(key, []).append(value)
     return {label: {
+        "bytecode_writing_off": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "import_cli_s": median(walls[label][("import",)], 4),
         "light_s": {" ".join(argv): median(walls[label][argv], 4)
                     for argv in LIGHT},
+        "loads": {" ".join(argv): loads(trees[label], argv)
+                  for argv in LIGHT},
         "peak_rss_mb": {" ".join(argv): median(rss[label][argv], 1)
                         for argv in RSS},
         **{key: median(values, 4) for key, values in staged[label].items()},

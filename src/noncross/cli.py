@@ -2,23 +2,23 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 resource-guard refusal.
+
+Importing this module loads only ``typelabel`` of the package: each
+command imports the layers it runs inside its function, so a cold call
+compiles and imports only those.  Layer functions are called through
+their modules or imported at call time, so that a wrapper installed on
+a module attribute sees the call.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 
-from . import exact, linsys, refdata, triangles, verify
-from .decomp import all_tuples_of_rank, canonical_tuple
-from .ncposet import (ResourceGuardError, characteristic_polynomial,
-                      enumerate_nc, load_or_enumerate, zeta_closed)
-from .rootsystem import SUPPORTED_AMBIENTS, build_root_system
-from .typelabel import label
+from .typelabel import ResourceGuardError, label
 
 CACHE_ENV_VAR = "NONCROSS_CACHE_DIR"
 
@@ -31,6 +31,7 @@ def _parse_label(text):
 
 
 def _parse_tuple(text):
+    from .decomp import canonical_tuple
     if not text or text == "-":
         return canonical_tuple(())
     return canonical_tuple(tuple(_parse_label(tok) for tok in text.split(",")))
@@ -46,6 +47,7 @@ def _emit(payload, fmt):
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     elif fmt == "csv":
+        import csv
         out = io.StringIO()
         writer = csv.writer(out)
         for key in sorted(payload):
@@ -75,6 +77,7 @@ def _emit(payload, fmt):
 
 
 def _require_ambient(name):
+    from .rootsystem import SUPPORTED_AMBIENTS
     if name not in SUPPORTED_AMBIENTS:
         raise SystemExit(_fail_input(
             "unsupported ambient %r (choose from %s)"
@@ -87,6 +90,7 @@ def _require_ambient(name):
 
 
 def cmd_rootsys(args):
+    from .rootsystem import build_root_system
     name = _require_ambient(args.label)
     rs = build_root_system(name)
     _emit({
@@ -101,6 +105,7 @@ def cmd_rootsys(args):
 
 
 def cmd_nc(args):
+    from .ncposet import enumerate_nc, load_or_enumerate
     name = _require_ambient(args.label)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     if cache_dir:
@@ -118,16 +123,18 @@ def cmd_nc(args):
 
 
 def cmd_decomp_count(args):
+    from .decomp import production_table
     name = _require_ambient(args.ambient)
     key = _parse_tuple(args.tuple)
-    table = linsys.production_table(name)
+    table = production_table(name)
     print(table.lookup(key))
     return 0
 
 
 def cmd_decomp_table(args):
+    from .decomp import all_tuples_of_rank, production_table
     name = _require_ambient(args.ambient)
-    table = linsys.production_table(name)
+    table = production_table(name)
     n = label(name).rank
     entries = {}
     ranks = (n,) if args.full_rank_only else tuple(range(1, n + 1))
@@ -142,12 +149,14 @@ def cmd_decomp_table(args):
 
 
 def cmd_chi(args):
+    from .ncposet import characteristic_polynomial
     t = _parse_label(args.label)
     print(characteristic_polynomial(t))
     return 0
 
 
 def cmd_zeta(args):
+    from .ncposet import zeta_closed
     t = _parse_label(args.label)
     m = "m" if args.symbolic else args.m
     print(zeta_closed(t, m=m))
@@ -155,8 +164,10 @@ def cmd_zeta(args):
 
 
 def _assembled(name):
+    from .decomp import production_table
+    from .triangles import assemble_dual
     name = _require_ambient(name)
-    return triangles.assemble_dual(name, linsys.production_table(name))
+    return assemble_dual(name, production_table(name))
 
 
 def cmd_mtriangle(args):
@@ -169,8 +180,9 @@ def cmd_mtriangle(args):
 
 
 def cmd_ftriangle(args):
+    from .triangles import fm_transform
     mt = _assembled(args.label)
-    cand = triangles.fm_transform(mt, args.m)
+    cand = fm_transform(mt, args.m)
     coeffs = {"x^%d*y^%d" % kl: str(v)
               for kl, v in sorted(cand.coefficients.items())}
     problems = cand.problems()
@@ -180,6 +192,7 @@ def cmd_ftriangle(args):
 
 
 def cmd_linsys(args):
+    from . import exact, linsys, refdata
     name = _require_ambient(args.label)
     try:
         report = linsys.replay(name)
@@ -219,6 +232,7 @@ def cmd_linsys(args):
 
 
 def cmd_verify(args):
+    from . import exact, linsys, verify
     if args.suite not in verify.SUITES:
         return _fail_input("unknown suite %r (choose from %s)"
                            % (args.suite, ", ".join(verify.SUITES)))

@@ -22,7 +22,6 @@ from one Bareiss elimination, ``bareiss``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, factorial
 from numbers import Integral, Rational
@@ -428,7 +427,6 @@ def int_adjugate(rows):
 # exact linear systems
 
 
-@dataclass
 class LinearSystem:
     """A linear system over the rationals with named variables.
 
@@ -436,11 +434,10 @@ class LinearSystem:
     string), each number an int or a Fraction as in a polynomial.
     """
 
-    variables: list
-    rows: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self._index = {v: i for i, v in enumerate(self.variables)}
+    def __init__(self, variables, rows=None):
+        self.variables = variables
+        self.rows = [] if rows is None else rows
+        self._index = {v: i for i, v in enumerate(variables)}
 
     def add_row(self, coeffs, rhs, provenance=""):
         row = {}
@@ -459,15 +456,22 @@ class LinearSystem:
         return len(self.variables)
 
 
-@dataclass
 class SolutionSpace:
-    """Affine solution space: particular + span(nullspace basis)."""
+    """Affine solution space: particular + span(nullspace basis).  Two
+    spaces are equal when all five fields are."""
 
-    variables: list
-    particular: list            # Fractions, free variables set to 0
-    nullspace: list             # list of Fraction vectors
-    pivot_columns: list
-    free_columns: list
+    def __init__(self, variables, particular, nullspace, pivot_columns,
+                 free_columns):
+        self.variables = variables
+        self.particular = particular        # Fractions, free variables 0
+        self.nullspace = nullspace          # list of Fraction vectors
+        self.pivot_columns = pivot_columns
+        self.free_columns = free_columns
+
+    def __eq__(self, other):
+        if type(other) is not SolutionSpace:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def dimension(self):

@@ -22,19 +22,17 @@ then asserted on the pinned solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .decomp import (DecompositionTable, all_labels_of_rank,
                      all_tuples_of_rank, canonical_tuple, count_bruteforce,
-                     full_table, lower_count, orderings, special_values,
-                     tuple_rank)
+                     lower_count, orderings, special_values, tuple_rank)
 from .exact import LinearSystem, binomial_poly, echelon, poly, solve
 from . import exact
 from .ncposet import zeta_closed, zeta_shifted
 from .rootsystem import build_root_system, subdiagram_types
-from .typelabel import TypeLabel, label
+from .typelabel import label
 
 # solution-space dimensions expected for the under-determined ambients,
 # and the tuples whose brute-force values pin the remaining freedom
@@ -58,32 +56,26 @@ class ReplayError(RuntimeError):
     """A replay stage failed; the message starts with the stage's name."""
 
 
-@dataclass
 class ReplayReport:
     """Outcome of one linear-system replay."""
 
-    ambient: TypeLabel
-    equation_count: int
-    variable_count: int
-    dimension: int
-    pinned_values: dict                  # canonical tuple -> int
-    congruence_assertions: list          # (description, bool)
-    final_table: DecompositionTable
-    flags: list = field(default_factory=list)
-    rows_by_family: dict = field(default_factory=dict)   # family -> rows
+    def __init__(self, ambient, equation_count, variable_count, dimension,
+                 pinned_values, congruence_assertions, final_table,
+                 flags=None, rows_by_family=None):
+        self.ambient = ambient
+        self.equation_count = equation_count
+        self.variable_count = variable_count
+        self.dimension = dimension
+        self.pinned_values = pinned_values      # canonical tuple -> int
+        self.congruence_assertions = congruence_assertions  # (desc, ok)
+        self.final_table = final_table
+        self.flags = [] if flags is None else flags
+        # family -> rows
+        self.rows_by_family = {} if rows_by_family is None else rows_by_family
 
     @property
     def all_assertions_pass(self):
         return all(ok for _, ok in self.congruence_assertions)
-
-
-@lru_cache(maxsize=None)
-def production_table(name):
-    """The full-rank table of an irreducible ambient by its cheapest
-    exact route, ``full_table``: closed form for type A, the census for
-    D and E.  The linear system is the paper's route, checked against
-    it by the replay suites."""
-    return full_table(name)
 
 
 def _coeffs_mz(p):

@@ -73,45 +73,48 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from . import exact
 from .exact import SparsePolynomial, Z as _Z, M as _M, int_adjugate
 from .rootsystem import build_root_system
-from .typelabel import label
+from .typelabel import ResourceGuardError, label
 from .weyl import (_matmul, _minus_eye, bipartite_coxeter,
                    classify_moved_roots, coxeter_root_permutation)
 
 CACHE_SCHEMA_VERSION = 2
 
 
-@dataclass(slots=True, eq=False)
 class NcElement:
     """One element u of NC: its moved-root mask ``key`` (bit i set when
     positive root i is moved), rank, type, and ``comp``, the mask of its
-    right complement u^{-1} c."""
+    right complement u^{-1} c.  Compared by identity."""
 
-    key: int
-    rank: int
-    typ: object
-    comp: int
+    __slots__ = ("key", "rank", "typ", "comp")
+
+    def __init__(self, key, rank, typ, comp):
+        self.key = key
+        self.rank = rank
+        self.typ = typ
+        self.comp = comp
+
+    def __repr__(self):
+        return "<NcElement %x rank=%d type=%s>" % (self.key, self.rank,
+                                                   self.typ)
 
 
-@dataclass
 class NcPoset:
     """The full typed poset NC for one ambient type."""
 
-    rs: object
-    elements: dict               # moved-root mask -> NcElement
-    levels: list                 # levels[k] = list of NcElements of rank k
-    by_type: dict                # TypeLabel -> list of NcElements
-    identity: NcElement
-    top: NcElement
-    _census: dict = field(default=None, init=False, repr=False,
-                          compare=False)
+    def __init__(self, rs, elements, levels, by_type, identity, top):
+        self.rs = rs
+        self.elements = elements     # moved-root mask -> NcElement
+        self.levels = levels         # levels[k] = NcElements of rank k
+        self.by_type = by_type       # TypeLabel -> list of NcElements
+        self.identity = identity
+        self.top = top
+        self._census = None
 
     def __len__(self):
         return len(self.elements)
@@ -301,10 +304,6 @@ def _sorted_items(poset):
     return items
 
 
-class ResourceGuardError(RuntimeError):
-    """A computation was refused because it exceeds a size guard."""
-
-
 def mobius_from_top(poset):
     """mu(u, top) for every u, by downward recursion."""
     items = _sorted_items(poset)
@@ -451,13 +450,13 @@ class NcmElement:
         return "<NcmElement rank=%d>" % self.rank
 
 
-@dataclass
 class NcmPoset:
     """NC^m with componentwise-opposite order in coordinates 1..m."""
 
-    nc: NcPoset
-    m: int
-    elements: list
+    def __init__(self, nc, m, elements):
+        self.nc = nc
+        self.m = m
+        self.elements = elements
 
     def __len__(self):
         return len(self.elements)
@@ -520,6 +519,7 @@ def write_cache(poset, path):
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    import tempfile     # here, so that only a cache write pays for it
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:

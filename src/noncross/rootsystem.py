@@ -10,7 +10,6 @@ Supported ambient types: A_n (1 <= n <= 8), D_n (4 <= n <= 8), E6, E7, E8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import prod
@@ -50,12 +49,23 @@ def _edges(family, n):
     raise ValueError(family)
 
 
-@dataclass(frozen=True)
 class DynkinDiagram:
-    """A simply-laced diagram on nodes 0..n-1 given by its edge set."""
+    """A simply-laced diagram on nodes 0..n-1 given by its edge set;
+    equal and hashed by both."""
 
-    n: int
-    edges: frozenset
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n, edges):
+        self.n = n
+        self.edges = edges
+
+    def __eq__(self, other):
+        if type(other) is not DynkinDiagram:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -137,7 +147,6 @@ def _classify_connected(diagram):
     raise ValueError("diagram component is not of ADE shape: arms %r" % (arms,))
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """An ADE root system in the simple-root basis.
 
@@ -151,17 +160,29 @@ class RootSystem:
     diagram : DynkinDiagram
     bipartition : tuple        (block_a, block_b) node 2-coloring
     degrees : tuple            fundamental degrees, ascending
+    cartan_adjugate : tuple    adjugate of the Cartan matrix
+    cartan_det : int           its determinant
+
+    Equal and hashed by ``typ``.
     """
 
-    typ: TypeLabel
-    n: int
-    cartan: tuple = field(repr=False)
-    positive_roots: tuple = field(repr=False)
-    diagram: DynkinDiagram = field(repr=False)
-    bipartition: tuple
-    degrees: tuple
-    cartan_adjugate: tuple = field(repr=False)
-    cartan_det: int
+    __slots__ = ("typ", "n", "cartan", "positive_roots", "diagram",
+                 "bipartition", "degrees", "cartan_adjugate", "cartan_det")
+
+    def __init__(self, typ, n, cartan, positive_roots, diagram, bipartition,
+                 degrees, cartan_adjugate, cartan_det):
+        self.typ = typ
+        self.n = n
+        self.cartan = cartan
+        self.positive_roots = positive_roots
+        self.diagram = diagram
+        self.bipartition = bipartition
+        self.degrees = degrees
+        self.cartan_adjugate = cartan_adjugate
+        self.cartan_det = cartan_det
+
+    def __repr__(self):
+        return "RootSystem(%s)" % self.typ
 
     @property
     def coxeter_number(self):
@@ -174,18 +195,6 @@ class RootSystem:
     @property
     def num_positive_roots(self):
         return len(self.positive_roots)
-
-    def root_index(self, coords):
-        return self._root_lookup[tuple(coords)]
-
-    @property
-    def _root_lookup(self):
-        try:
-            return self.__dict__["_lookup"]
-        except KeyError:
-            lookup = {tuple(r): i for i, r in enumerate(self.positive_roots)}
-            self.__dict__["_lookup"] = lookup
-            return lookup
 
     def __hash__(self):
         return hash(self.typ)

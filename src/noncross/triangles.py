@@ -11,7 +11,6 @@ reciprocity checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import exact
@@ -35,14 +34,20 @@ def dual_to_primal(dual, n):
     return SparsePolynomial(terms)
 
 
-@dataclass
 class MTriangle:
-    """Dual and primal M-triangles of NC^m, exact in x, y and m."""
+    """Dual and primal M-triangles of NC^m, exact in x, y and m; equal
+    when all four fields are."""
 
-    ambient: TypeLabel
-    n: int
-    dual: SparsePolynomial
-    primal: SparsePolynomial
+    def __init__(self, ambient, n, dual, primal):
+        self.ambient = ambient
+        self.n = n
+        self.dual = dual
+        self.primal = primal
+
+    def __eq__(self, other):
+        if type(other) is not MTriangle:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @classmethod
     def from_dual(cls, ambient, dual):
@@ -133,14 +138,21 @@ def zeta_identity_check(name, table):
     return lhs - rhs
 
 
-@dataclass
 class FTriangleCandidate:
-    """Candidate F-triangle obtained by transforming an M-triangle."""
+    """Candidate F-triangle obtained by transforming an M-triangle;
+    equal when all four fields are.  ``coefficients`` maps (k, l) to an
+    int, or to a Fraction where the transform is not integral."""
 
-    ambient: TypeLabel
-    m: int
-    poly: SparsePolynomial
-    coefficients: dict          # (k, l) -> int, or Fraction if not integral
+    def __init__(self, ambient, m, poly, coefficients):
+        self.ambient = ambient
+        self.m = m
+        self.poly = poly
+        self.coefficients = coefficients
+
+    def __eq__(self, other):
+        if type(other) is not FTriangleCandidate:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def problems(self):
         """Violations of the expected F-triangle shape, as messages."""

@@ -8,6 +8,10 @@ as ``A2``, ``A1^2*A3`` or ``A1*D5``; the empty label (rank 0) is ``0``.
 Rank-2 and rank-3 "D" components are synonyms for A1^2 and A3 and are
 collapsed on construction, so every abstract type has exactly one
 canonical label and one canonical string.
+
+``ResourceGuardError`` lives here too, though ``ncposet`` and ``decomp``
+raise it: the CLI loads this module anyway, so it can map the error to
+its exit code without importing the layers.
 """
 
 from __future__ import annotations
@@ -137,6 +141,10 @@ class TypeLabel:
 
 
 EMPTY_TYPE = TypeLabel(())
+
+
+class ResourceGuardError(RuntimeError):
+    """A computation was refused because it exceeds a size guard."""
 
 
 def label(text):

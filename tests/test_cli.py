@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import noncross
-from noncross import exact, linsys, weyl
+from noncross import decomp, exact, linsys, weyl
 from noncross.cli import main
 from noncross.ncposet import (CacheFormatError, ResourceGuardError,
                               enumerate_nc, read_cache)
@@ -160,7 +160,7 @@ def test_D8_commands_exit_0(capsys, argv):
 def test_resource_guard_exits_3_with_one_line(capsys, monkeypatch):
     def refused(name):
         raise ResourceGuardError("table for %s refused" % name)
-    monkeypatch.setattr(linsys, "production_table", refused)
+    monkeypatch.setattr(decomp, "production_table", refused)
     code, out, err = run(capsys, "decomp", "count", "E6", "A3,A3")
     assert (code, out) == (3, "")
     assert err == "resource guard: table for E6 refused\n"
@@ -245,7 +245,7 @@ def test_internal_key_error_is_not_bad_input(capsys, monkeypatch):
     # main lets it through, and the interpreter exits 1 with a traceback
     def broken(name):
         raise KeyError(name)
-    monkeypatch.setattr(linsys, "production_table", broken)
+    monkeypatch.setattr(decomp, "production_table", broken)
     with pytest.raises(KeyError):
         run(capsys, "decomp", "count", "A3", "A1")
 

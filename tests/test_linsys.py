@@ -7,12 +7,11 @@ import pytest
 from dense_echelon import DenseEchelon
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple, full_table,
-                             orderings, tuple_rank)
+                             orderings, production_table, tuple_rank)
 from noncross.exact import ZERO, LinearSystem, binomial_poly, echelon, poly
 from noncross.linsys import (EXPECTED_DIMENSION, ROW_FAMILIES, _coeffs_mz,
                              check_system_against_table, generate_equations,
-                             lower_count, production_table, replay,
-                             row_family)
+                             lower_count, replay, row_family)
 from noncross.ncposet import zeta_closed, zeta_shifted
 from noncross.refdata import reference_table
 from noncross.typelabel import label

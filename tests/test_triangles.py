@@ -3,8 +3,7 @@
 import pytest
 
 from noncross import exact
-from noncross.decomp import full_table
-from noncross.linsys import production_table
+from noncross.decomp import full_table, production_table
 from noncross.ncposet import build_ncm
 from noncross.triangles import (FTriangleCandidate, MTriangle,
                                 TransformFailure, assemble_dual,

@@ -32,7 +32,8 @@ _EXPORTS = {
                 "characteristic_direct", "characteristic_polynomial",
                 "enumerate_nc", "load_or_enumerate", "mobius",
                 "mobius_from_top", "ncm_cardinality", "read_cache",
-                "write_cache", "zeta_closed", "zeta_direct"),
+                "reflection_orbits", "write_cache", "zeta_closed",
+                "zeta_direct"),
     "refdata": ("CHI_STAR_COEFFS", "REFERENCE_TABLE_NAMES",
                 "chi_star_reference", "golden_dual", "reference_table"),
     "rootsystem": ("SUPPORTED_AMBIENTS", "RootSystem", "build_root_system"),
@@ -41,9 +42,7 @@ _EXPORTS = {
                   "fm_transform", "mtriangle_direct", "reciprocity_check",
                   "zeta_identity_check"),
     "typelabel": ("TypeLabel", "label"),
-    "weyl": ("absolute_length", "bipartite_coxeter",
-             "classify_parabolic_type", "enumerate_group",
-             "reflection_orbits"),
+    "weyl": ("absolute_length", "bipartite_coxeter", "enumerate_group"),
 }
 
 _ORIGIN = {name: module for module, names in _EXPORTS.items()

@@ -26,7 +26,9 @@ Four routes are implemented:
 form for type A, the census for D and E; ``production_table`` is its
 per-ambient cache, which the CLI and the verify suites read.
 Rank-deficient tuples are looked up by summing one extra factor over all
-types of the complementary rank.
+types of the complementary rank.  The functions that walk NC import
+``ncposet`` when called, so a type-A lookup loads none of ``ncposet``,
+``weyl`` and ``exact``.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .ncposet import enumerate_nc, ncm_cardinality, ResourceGuardError
 from .rootsystem import build_root_system, single_node_deletion_count
-from .typelabel import TypeLabel, label, EMPTY_TYPE
+from .typelabel import TypeLabel, label, EMPTY_TYPE, ResourceGuardError
 
 
 def canonical_tuple(types):
@@ -77,6 +78,7 @@ def count_bruteforce(name, types, _memo=None):
     element, remaining suffix); ``_memo`` may share one dict between
     calls for the same ambient.
     """
+    from .ncposet import enumerate_nc
     poset = enumerate_nc(name)
     types = tuple(label(t) if isinstance(t, str) else t for t in types)
     if any(t.is_empty for t in types):
@@ -355,6 +357,7 @@ def full_table(name, max_elements=30_000):
             if value:
                 entries[key] = value
         return DecompositionTable(ambient, entries, provenance="typeA-closed-form")
+    from .ncposet import ncm_cardinality
     size = ncm_cardinality(ambient, 1)
     if size > max_elements:
         raise ResourceGuardError(
@@ -380,6 +383,7 @@ def census_table(name):
     the canonical key.  The element types of NC are the sub-diagram
     types (a subword of the bipartite Coxeter element has each), so
     tuples holding a type outside the census vanish and are skipped."""
+    from .ncposet import enumerate_nc
     ambient = label(name)
     by_last = {}                          # type(q^-1 c) -> [(type q, count)]
     for (prefix_type, last), count in \

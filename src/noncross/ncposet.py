@@ -62,7 +62,9 @@ c (u^{-1} c) c^{-1}, so complements are carried along it too.  Orbit
 sizes divide the Coxeter number h, as c^h = 1; this is the cyclic
 action behind the cyclic sieving of NC(W).  Enumeration therefore
 classifies one mask per orbit, copies its type along the orbit, and
-checks that no image leaves the level.
+checks that no image leaves the level.  On the reflections the orbits
+are the cycles of pi, and ``reflection_orbits`` types each orbit's t c,
+the complement of t, from one row of the descent table.
 
 The m-divisible poset NC^m consists of minimal-length factorizations
 c = w0 * w1 * ... * wm ordered componentwise (opposite order in the
@@ -154,13 +156,56 @@ def _descent_masks(name):
     in exact integers, each a mask over b (see the module docstring)."""
     rs = build_root_system(name)
     # raises when c - I is singular
-    adj, _ = int_adjugate(_minus_eye(bipartite_coxeter(rs).mat))
+    adj, _ = int_adjugate(_minus_eye(bipartite_coxeter(rs)))
     roots = rs.positive_roots
     # v_a = C adj(c - I) a, one n-vector per root, so Z[a, b] = b . v_a
     vectors = _matmul(roots, tuple(zip(*_matmul(rs.cartan, adj))))
     return tuple(sum(1 << b for b, r in enumerate(roots)
                      if not sum(x * y for x, y in zip(r, v)))
                  for v in vectors)
+
+
+def _bits(mask):
+    """The ascending indices of the set bits of a mask."""
+    return [a for a in range(mask.bit_length()) if mask >> a & 1]
+
+
+def reflection_orbits(rs):
+    """Orbits of the reflections under conjugation by the bipartite
+    Coxeter element: the cycles of ``coxeter_root_permutation``.
+
+    Returns a list of dicts with keys ``size``, ``representative`` (a
+    positive-root index b), and ``product_type``, the type of t_b c.  As
+    t_b is an involution, t_b c is its right complement in NC; t_b moves
+    no positive root but b, so t_b c moves the roots of the row zero[b]
+    of the descent table.  Orbit sizes are checked to be h or h/2.
+    """
+    name = str(rs.typ)
+    zero = _descent_masks(name)
+    pi = coxeter_root_permutation(name)
+    h = rs.coxeter_number
+    seen = set()
+    orbits = []
+    for start in range(len(pi)):
+        if start in seen:
+            continue
+        orbit = []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            orbit.append(cur)
+            cur = pi[cur]
+        if len(orbit) not in (h, h // 2):
+            raise AssertionError("orbit size %d not in {h, h/2}" % len(orbit))
+        typ = classify_moved_roots(rs, _bits(zero[start]))
+        if typ.rank != rs.n - 1:
+            raise AssertionError("type rank %d of t*c != n - 1" % typ.rank)
+        orbits.append({
+            "size": len(orbit),
+            "representative": start,
+            "product_type": typ,
+        })
+    return orbits
 
 
 def _walk(name):
@@ -221,8 +266,7 @@ def _typed_walk(name):
         for mask, comp in level.items():
             typ = types.pop(mask, None)
             if typ is None:
-                moved = [a for a in range(mask.bit_length()) if mask >> a & 1]
-                typ = classify_moved_roots(rs, moved)
+                typ = classify_moved_roots(rs, _bits(mask))
                 if typ.rank != rank:
                     raise AssertionError("type rank %d != BFS level %d"
                                          % (typ.rank, rank))

@@ -14,7 +14,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import prod
 
-from .exact import int_adjugate
 from .typelabel import TypeLabel, label
 
 SUPPORTED_AMBIENTS = (
@@ -160,17 +159,15 @@ class RootSystem:
     diagram : DynkinDiagram
     bipartition : tuple        (block_a, block_b) node 2-coloring
     degrees : tuple            fundamental degrees, ascending
-    cartan_adjugate : tuple    adjugate of the Cartan matrix
-    cartan_det : int           its determinant
 
     Equal and hashed by ``typ``.
     """
 
     __slots__ = ("typ", "n", "cartan", "positive_roots", "diagram",
-                 "bipartition", "degrees", "cartan_adjugate", "cartan_det")
+                 "bipartition", "degrees")
 
     def __init__(self, typ, n, cartan, positive_roots, diagram, bipartition,
-                 degrees, cartan_adjugate, cartan_det):
+                 degrees):
         self.typ = typ
         self.n = n
         self.cartan = cartan
@@ -178,8 +175,6 @@ class RootSystem:
         self.diagram = diagram
         self.bipartition = bipartition
         self.degrees = degrees
-        self.cartan_adjugate = cartan_adjugate
-        self.cartan_det = cartan_det
 
     def __repr__(self):
         return "RootSystem(%s)" % self.typ
@@ -261,11 +256,9 @@ def build_root_system(name):
                          for j in range(n)) for i in range(n))
     positives = _positive_roots(cartan, n)
     degrees = tuple(sorted(_DEGREES[family](n)))
-    adj, det = int_adjugate(cartan)
     rs = RootSystem(
         typ=label(name), n=n, cartan=cartan, positive_roots=positives,
         diagram=diagram, bipartition=_bipartition(diagram), degrees=degrees,
-        cartan_adjugate=tuple(map(tuple, adj)), cartan_det=det,
     )
     h = rs.coxeter_number
     if len(positives) != n * h // 2:

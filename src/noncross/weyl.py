@@ -1,20 +1,27 @@
-"""Weyl group elements as exact integer matrices in the simple-root basis.
+"""Weyl group matrices in the simple-root basis, and the classifier of
+moved-root sets.
 
-The reflection length (absolute length) of an element is the codimension
-of its fixed space, computed as the exact integer rank of ``w - I``.
-The absolute order ``u <=_T w`` holds when lengths add up along the
-factorization ``w = u * (u^{-1} w)``.
+The reflections, the bipartite Coxeter element c and the whole group
+(for small ambients) are exact integer matrices acting on root
+coordinates.  The permutation of the positive roots by c gives the
+conjugation orbits that ``ncposet`` types once each.  The reflection
+length (absolute length) of a matrix is the codimension of its fixed
+space, the exact integer rank of ``w - I``; its Cayley-graph distance in
+``enumerate_group`` is the independent check.  ``classify_moved_roots``
+types a set of positive roots lying in a subspace, the moved roots of an
+element of NC(W).
 
 All linear algebra here is exact: matrices are tuples of row tuples of
-Python ints, so no product can overflow, and ranks and kernels come
-from the fraction-free elimination in ``exact.bareiss``, never floating
-point.
+Python ints, so no product can overflow, and ranks come from the
+fraction-free elimination in ``exact.bareiss``, never floating point.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+# int_kernel is not called here: perfbench/tracer.py wraps weyl.int_kernel
+# by name
 from .exact import int_kernel, int_rank
 from .rootsystem import build_root_system, classify_diagram, DynkinDiagram
 
@@ -36,71 +43,6 @@ def _minus_eye(mat):
             for i, row in enumerate(mat)]
 
 
-# ---------------------------------------------------------------------------
-# group elements
-
-
-class GroupElement:
-    """An element of the Weyl group: an integer matrix, hashable.
-
-    ``mat`` acts on root coordinates (columns are images of the simple
-    roots).  The matrix is stored as a tuple of row tuples of Python
-    ints, which is also its ``key``.
-    """
-
-    __slots__ = ("mat", "_inv", "_rs")
-
-    def __init__(self, rs, mat):
-        object.__setattr__(self, "mat", tuple(tuple(map(int, row))
-                                              for row in mat))
-        object.__setattr__(self, "_inv", None)
-        object.__setattr__(self, "_rs", rs)
-
-    def __setattr__(self, name, value):
-        if name == "_inv":
-            object.__setattr__(self, name, value)
-            return
-        raise AttributeError("GroupElement is immutable")
-
-    @property
-    def key(self):
-        return self.mat
-
-    def __mul__(self, other):
-        return GroupElement(self._rs, _matmul(self.mat, other.mat))
-
-    def inverse(self):
-        """Exact inverse, using invariance of the Cartan form.
-
-        ``w`` preserves the Cartan matrix C, so ``w^{-1} = C^{-1} w^T C``;
-        the result is integral and is computed with the exact adjugate.
-        """
-        if self._inv is None:
-            rs = self._rs
-            raw = _matmul(_matmul(rs.cartan_adjugate, tuple(zip(*self.mat))),
-                          rs.cartan)
-            det = rs.cartan_det
-            if any(x % det for row in raw for x in row):
-                raise AssertionError("inverse is not integral")
-            object.__setattr__(self, "_inv", GroupElement(
-                rs, [[x // det for x in row] for row in raw]))
-        return self._inv
-
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.mat == other.mat
-
-    def __hash__(self):
-        return hash(self.mat)
-
-    def __repr__(self):
-        return "GroupElement(%s, %s)" % (self._rs.typ,
-                                         [list(row) for row in self.mat])
-
-
-def identity(rs):
-    return GroupElement(rs, _eye(rs.n))
-
-
 @lru_cache(maxsize=None)
 def _reflection_data(name):
     """The positive roots and their reflection matrices for an ambient:
@@ -113,39 +55,21 @@ def _reflection_data(name):
     return roots, mats
 
 
-def reflection_matrices(rs):
-    """The reflection matrices, one per positive root."""
-    return _reflection_data(str(rs.typ))[1]
-
-
-def reflection(rs, root_index):
-    """Reflection in the ``root_index``-th positive root."""
-    return GroupElement(rs, reflection_matrices(rs)[root_index])
-
-
 def absolute_length(rs, w):
-    """Reflection length = rank(w - I), exactly."""
-    return int_rank(_minus_eye(w.mat if isinstance(w, GroupElement) else w))
-
-
-def le_absolute(rs, u, w):
-    """Absolute order:  u <=_T w  iff  l(u) + l(u^{-1} w) = l(w)."""
-    lu = absolute_length(rs, u)
-    lw = absolute_length(rs, w)
-    if lu > lw:
-        return False
-    return absolute_length(rs, u.inverse() * w) == lw - lu
+    """Reflection length of the matrix w: rank(w - I), exactly."""
+    return int_rank(_minus_eye(w))
 
 
 def bipartite_coxeter(rs):
     """The bipartite Coxeter element: all simple reflections of the first
-    color block, then all of the second, ascending node index in each."""
+    color block, then all of the second, ascending node index in each.
+    Returns its matrix."""
     result = _eye(rs.n)
     _, mats = _reflection_data(str(rs.typ))
     for block in rs.bipartition:
         for i in block:
             result = _matmul(result, mats[i])
-    return GroupElement(rs, result)
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -156,31 +80,13 @@ def coxeter_root_permutation(name):
     element moving the roots S to one moving pi(S)."""
     rs = build_root_system(name)
     index = {r: i for i, r in enumerate(rs.positive_roots)}
-    c = bipartite_coxeter(rs).mat
+    c = bipartite_coxeter(rs)
     images = _matmul(rs.positive_roots, tuple(zip(*c)))
     pi = tuple(index[r] if r in index else index[tuple(-x for x in r)]
                for r in images)
     if sorted(pi) != list(range(len(pi))):
         raise AssertionError("c does not permute the positive roots")
     return pi
-
-
-def moved_space_kernel(rs, w):
-    """Integer basis of the fixed space ker(w - I)."""
-    return int_kernel(_minus_eye(w.mat if isinstance(w, GroupElement) else w))
-
-
-def moved_positive_roots(rs, w):
-    """Indices of positive roots lying in the moved space im(w - I).
-
-    Since w is orthogonal for the Cartan form, the moved space is the
-    orthogonal complement of the fixed space, so membership is the exact
-    integer test  K^T C alpha = 0  with K a fixed-space basis.
-    """
-    forms = _matmul(moved_space_kernel(rs, w), rs.cartan)
-    return frozenset(i for i, r in enumerate(rs.positive_roots)
-                     if not any(sum(x * y for x, y in zip(f, r))
-                                for f in forms))
 
 
 @lru_cache(maxsize=None)
@@ -227,69 +133,12 @@ def classify_moved_roots(rs, moved):
     return _classify_edges(len(simples), edges)
 
 
-def classify_parabolic_type(rs, w, coxeter=None, check=True):
-    """Cartan-Killing type of the parabolic fixing Fix(w), for w <=_T c.
-
-    The moved space of w intersects the roots in a sub-root-system whose
-    simple system is extracted by ambient positivity; the induced diagram
-    is classified.  The label's rank always equals the reflection length.
-
-    Raises ``ValueError`` when ``check`` is set and w is not below the
-    (bipartite) Coxeter element.
-    """
-    if check:
-        c = coxeter if coxeter is not None else bipartite_coxeter(rs)
-        if not le_absolute(rs, w, c):
-            raise ValueError("element is not below the Coxeter element")
-    typ = classify_moved_roots(rs, sorted(moved_positive_roots(rs, w)))
-    length = absolute_length(rs, w)
-    if typ.rank != length:
-        raise AssertionError("classified rank %d != reflection length %d"
-                             % (typ.rank, length))
-    return typ
-
-
-def reflection_orbits(rs):
-    """Orbits of the reflections under conjugation by the bipartite
-    Coxeter element: the cycles of ``coxeter_root_permutation``.
-
-    Returns a list of dicts with keys ``size``, ``representative`` (a
-    positive-root index), and ``product_type`` (the type of t*c).  Orbit
-    sizes are checked to be h or h/2.
-    """
-    c = bipartite_coxeter(rs)
-    pi = coxeter_root_permutation(str(rs.typ))
-    _, mats = _reflection_data(str(rs.typ))
-    h = rs.coxeter_number
-    seen = set()
-    orbits = []
-    for start in range(len(pi)):
-        if start in seen:
-            continue
-        orbit = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            orbit.append(cur)
-            cur = pi[cur]
-        if len(orbit) not in (h, h // 2):
-            raise AssertionError("orbit size %d not in {h, h/2}" % len(orbit))
-        tc = GroupElement(rs, _matmul(mats[start], c.mat))
-        orbits.append({
-            "size": len(orbit),
-            "representative": start,
-            "product_type": classify_parabolic_type(rs, tc, coxeter=c, check=False),
-        })
-    return orbits
-
-
 def enumerate_group(rs, max_order=200_000):
     """BFS enumeration of the whole Weyl group by all reflections.
 
-    Returns ``{matrix: distance}``, keyed by each element's matrix (its
-    ``GroupElement.key``), where distance is the reflection
-    length in the Cayley graph (the oracle for ``absolute_length``).
-    Guarded by ``max_order``.
+    Returns ``{matrix: distance}``, keyed by each element's matrix, where
+    distance is the reflection length in the Cayley graph (the oracle for
+    ``absolute_length``).  Guarded by ``max_order``.
     """
     if rs.group_order > max_order:
         raise ValueError("group order %d exceeds guard %d"

@@ -1,0 +1,179 @@
+"""The matrix-element layer that the moved-root masks replaced, kept as
+the reference for them.
+
+A Weyl group element is an exact integer matrix in the simple-root
+basis.  Its moved positive roots are read off an integer basis of its
+fixed space ker(w - I), and its parabolic type is the classification of
+that moved set.  The absolute order ``u <=_T w`` holds when reflection
+lengths add up along ``w = u * (u^{-1} w)``.  ``reflection_orbits`` types
+each orbit's t*c from the matrix of t*c.
+"""
+
+from functools import lru_cache
+
+from noncross.exact import int_adjugate, int_kernel
+from noncross.rootsystem import build_root_system
+from noncross.weyl import (_eye, _matmul, _minus_eye, _reflection_data,
+                           absolute_length, bipartite_coxeter,
+                           classify_moved_roots, coxeter_root_permutation)
+
+
+@lru_cache(maxsize=None)
+def _cartan_adjugate(name):
+    """The adjugate of the Cartan matrix and its determinant."""
+    adj, det = int_adjugate(build_root_system(name).cartan)
+    return tuple(map(tuple, adj)), det
+
+
+class GroupElement:
+    """An element of the Weyl group: an integer matrix, hashable.
+
+    ``mat`` acts on root coordinates (columns are images of the simple
+    roots).  The matrix is stored as a tuple of row tuples of Python
+    ints, which is also its ``key``.
+    """
+
+    __slots__ = ("mat", "_inv", "_rs")
+
+    def __init__(self, rs, mat):
+        object.__setattr__(self, "mat", tuple(tuple(map(int, row))
+                                              for row in mat))
+        object.__setattr__(self, "_inv", None)
+        object.__setattr__(self, "_rs", rs)
+
+    def __setattr__(self, name, value):
+        if name == "_inv":
+            object.__setattr__(self, name, value)
+            return
+        raise AttributeError("GroupElement is immutable")
+
+    @property
+    def key(self):
+        return self.mat
+
+    def __mul__(self, other):
+        return GroupElement(self._rs, _matmul(self.mat, other.mat))
+
+    def inverse(self):
+        """Exact inverse, using invariance of the Cartan form.
+
+        ``w`` preserves the Cartan matrix C, so ``w^{-1} = C^{-1} w^T C``;
+        the result is integral and is computed with the exact adjugate.
+        """
+        if self._inv is None:
+            rs = self._rs
+            adj, det = _cartan_adjugate(str(rs.typ))
+            raw = _matmul(_matmul(adj, tuple(zip(*self.mat))), rs.cartan)
+            if any(x % det for row in raw for x in row):
+                raise AssertionError("inverse is not integral")
+            object.__setattr__(self, "_inv", GroupElement(
+                rs, [[x // det for x in row] for row in raw]))
+        return self._inv
+
+    def __eq__(self, other):
+        return isinstance(other, GroupElement) and self.mat == other.mat
+
+    def __hash__(self):
+        return hash(self.mat)
+
+    def __repr__(self):
+        return "GroupElement(%s, %s)" % (self._rs.typ,
+                                         [list(row) for row in self.mat])
+
+
+def identity(rs):
+    return GroupElement(rs, _eye(rs.n))
+
+
+def reflection_matrices(rs):
+    """The reflection matrices, one per positive root."""
+    return _reflection_data(str(rs.typ))[1]
+
+
+def reflection(rs, root_index):
+    """Reflection in the ``root_index``-th positive root."""
+    return GroupElement(rs, reflection_matrices(rs)[root_index])
+
+
+def coxeter_element(rs):
+    """The bipartite Coxeter element as a group element."""
+    return GroupElement(rs, bipartite_coxeter(rs))
+
+
+def le_absolute(rs, u, w):
+    """Absolute order:  u <=_T w  iff  l(u) + l(u^{-1} w) = l(w)."""
+    lu = absolute_length(rs, u.mat)
+    lw = absolute_length(rs, w.mat)
+    if lu > lw:
+        return False
+    return absolute_length(rs, (u.inverse() * w).mat) == lw - lu
+
+
+def moved_space_kernel(rs, w):
+    """Integer basis of the fixed space ker(w - I)."""
+    return int_kernel(_minus_eye(w.mat))
+
+
+def moved_positive_roots(rs, w):
+    """Indices of positive roots lying in the moved space im(w - I).
+
+    Since w is orthogonal for the Cartan form, the moved space is the
+    orthogonal complement of the fixed space, so membership is the exact
+    integer test  K^T C alpha = 0  with K a fixed-space basis.
+    """
+    forms = _matmul(moved_space_kernel(rs, w), rs.cartan)
+    return frozenset(i for i, r in enumerate(rs.positive_roots)
+                     if not any(sum(x * y for x, y in zip(f, r))
+                                for f in forms))
+
+
+def classify_parabolic_type(rs, w, coxeter=None, check=True):
+    """Cartan-Killing type of the parabolic fixing Fix(w), for w <=_T c.
+
+    The moved space of w intersects the roots in a sub-root-system whose
+    simple system is extracted by ambient positivity; the induced diagram
+    is classified.  The label's rank always equals the reflection length.
+
+    Raises ``ValueError`` when ``check`` is set and w is not below the
+    (bipartite) Coxeter element.
+    """
+    if check:
+        c = coxeter if coxeter is not None else coxeter_element(rs)
+        if not le_absolute(rs, w, c):
+            raise ValueError("element is not below the Coxeter element")
+    typ = classify_moved_roots(rs, sorted(moved_positive_roots(rs, w)))
+    length = absolute_length(rs, w.mat)
+    if typ.rank != length:
+        raise AssertionError("classified rank %d != reflection length %d"
+                             % (typ.rank, length))
+    return typ
+
+
+def reflection_orbits(rs):
+    """Orbits of the reflections under conjugation by the bipartite
+    Coxeter element, as ``ncposet.reflection_orbits`` returns them, with
+    each ``product_type`` classified from the matrix of t*c."""
+    c = coxeter_element(rs)
+    pi = coxeter_root_permutation(str(rs.typ))
+    mats = reflection_matrices(rs)
+    h = rs.coxeter_number
+    seen = set()
+    orbits = []
+    for start in range(len(pi)):
+        if start in seen:
+            continue
+        orbit = []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            orbit.append(cur)
+            cur = pi[cur]
+        if len(orbit) not in (h, h // 2):
+            raise AssertionError("orbit size %d not in {h, h/2}" % len(orbit))
+        tc = GroupElement(rs, _matmul(mats[start], c.mat))
+        orbits.append({
+            "size": len(orbit),
+            "representative": start,
+            "product_type": classify_parabolic_type(rs, tc, check=False),
+        })
+    return orbits

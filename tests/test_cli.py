@@ -8,14 +8,15 @@ import sys
 import pytest
 
 import noncross
-from noncross import decomp, exact, linsys, weyl
+from matrix_oracle import (GroupElement, classify_parabolic_type,
+                           moved_positive_roots)
+from noncross import decomp, exact, linsys, ncposet
 from noncross.cli import main
 from noncross.ncposet import (CacheFormatError, ResourceGuardError,
                               enumerate_nc, read_cache)
 from noncross.rootsystem import build_root_system
 from noncross.verify import SUITES
-from noncross.weyl import (GroupElement, classify_parabolic_type,
-                           enumerate_group, moved_positive_roots)
+from noncross.weyl import enumerate_group
 
 
 def run(capsys, *argv):
@@ -315,7 +316,7 @@ def test_verify_inconsistent_replay_exits_1_naming_the_row(capsys,
 def test_verify_internal_check_exits_1_with_one_line(capsys, monkeypatch):
     def broken(rs):
         raise AssertionError("orbit size 18 not in {h, h/2}")
-    monkeypatch.setattr(weyl, "reflection_orbits", broken)
+    monkeypatch.setattr(ncposet, "reflection_orbits", broken)
     code, out, err = run(capsys, "verify", "orbits")
     assert (code, out) == (1, "")
     assert err == "error: verify orbits: orbit size 18 not in {h, h/2}\n"

@@ -7,6 +7,7 @@ end of the call.  Nothing here is timed.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -19,7 +20,9 @@ import noncross
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(noncross.__file__)))
 
 # the names ``noncross`` exported when it imported every submodule
-# eagerly, by defining submodule; the submodules are exported too
+# eagerly, by defining submodule, less ``classify_parabolic_type`` (now a
+# test oracle) and with ``reflection_orbits`` moved to ``ncposet``; the
+# submodules are exported too
 EXPORTS = {
     "decomp": ("DecompositionTable", "all_labels_of_rank",
                "all_tuples_of_rank", "canonical_tuple", "census_table",
@@ -34,7 +37,8 @@ EXPORTS = {
                 "characteristic_direct", "characteristic_polynomial",
                 "enumerate_nc", "load_or_enumerate", "mobius",
                 "mobius_from_top", "ncm_cardinality", "read_cache",
-                "write_cache", "zeta_closed", "zeta_direct"),
+                "reflection_orbits", "write_cache", "zeta_closed",
+                "zeta_direct"),
     "refdata": ("CHI_STAR_COEFFS", "REFERENCE_TABLE_NAMES",
                 "chi_star_reference", "golden_dual", "reference_table"),
     "rootsystem": ("SUPPORTED_AMBIENTS", "RootSystem", "build_root_system"),
@@ -43,9 +47,7 @@ EXPORTS = {
                   "fm_transform", "mtriangle_direct", "reciprocity_check",
                   "zeta_identity_check"),
     "typelabel": ("TypeLabel", "label"),
-    "weyl": ("absolute_length", "bipartite_coxeter",
-             "classify_parabolic_type", "enumerate_group",
-             "reflection_orbits"),
+    "weyl": ("absolute_length", "bipartite_coxeter", "enumerate_group"),
 }
 
 HEAVY_STDLIB = {"dataclasses", "tempfile"}
@@ -99,15 +101,26 @@ def test_import_cli_loads_only_cli_and_typelabel():
     assert not modules & HEAVY_STDLIB
 
 
+# layers a light command skips besides the replay layers
+ALSO_SKIPPED = {("decomp", "count", "A6", "A3,A3"): {"ncposet", "weyl",
+                                                     "exact"}}
+
+
 @pytest.mark.parametrize("argv", [["rootsys", "info", "A1"],
                                   ["decomp", "count", "A6", "A3,A3"],
                                   ["nc", "enumerate", "D5"],
                                   ["zeta", "D4"]])
 def test_light_commands_skip_the_replay_layers(argv):
     modules = loaded_by(argv)
-    assert not package_modules(modules) & {"linsys", "refdata", "triangles",
-                                           "verify"}
+    skipped = {"linsys", "refdata", "triangles", "verify"}
+    skipped |= ALSO_SKIPPED.get(tuple(argv), set())
+    assert not package_modules(modules) & skipped
     assert not modules & HEAVY_STDLIB
+
+
+def test_rootsys_info_loads_only_the_root_system():
+    modules = loaded_by(["rootsys", "info", "A1"])
+    assert package_modules(modules) == {"cli", "typelabel", "rootsystem"}
 
 
 @pytest.mark.parametrize("argv", [["decomp", "table", "D4"],
@@ -128,7 +141,7 @@ def test_no_module_of_the_package_imports_dataclasses():
 def test_all_keeps_every_exported_name():
     names = {name for names in EXPORTS.values() for name in names}
     assert set(noncross.__all__) == names | set(EXPORTS)
-    assert len(noncross.__all__) == 73
+    assert len(noncross.__all__) == 72
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))
@@ -153,3 +166,17 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(noncross, "verify_everything")
     with pytest.raises(ImportError):
         exec("from noncross import nonesuch", {})
+
+
+def test_traced_names_resolve():
+    """perfbench/tracer.py wraps each ``TRACED`` (module, function) pair
+    by ``getattr``, so every pair must name a package function."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    for module, fn in tracer.TRACED:
+        assert callable(getattr(importlib.import_module("noncross." + module),
+                                fn)), (module, fn)

@@ -4,6 +4,8 @@ from math import comb
 
 import pytest
 
+from matrix_oracle import (GroupElement, coxeter_element, le_absolute,
+                           moved_positive_roots)
 from noncross.ncposet import (ResourceGuardError, _descent_masks, _walk,
                               build_ncm,
                               characteristic_direct, characteristic_polynomial,
@@ -14,9 +16,8 @@ from noncross.refdata import chi_star_reference
 from noncross.rootsystem import (SUPPORTED_AMBIENTS, DynkinDiagram,
                                  build_root_system, classify_diagram)
 from noncross.typelabel import label
-from noncross.weyl import (GroupElement, _reflection_data, bipartite_coxeter,
-                           classify_moved_roots, coxeter_root_permutation,
-                           le_absolute, moved_positive_roots)
+from noncross.weyl import (_reflection_data, bipartite_coxeter,
+                           classify_moved_roots, coxeter_root_permutation)
 
 # total element counts: Cat(n+1) for A_n, known values for D and E
 SIZES = {
@@ -57,7 +58,7 @@ def _matrix_walk(name):
     rs = build_root_system(name)
     _, mats = _reflection_data(name)
     zero = _descent_masks(name)
-    top = bipartite_coxeter(rs).mat
+    top = bipartite_coxeter(rs)
     found = {top: (1 << len(zero)) - 1}     # matrix -> mask
     frontier = [top]
     while frontier:
@@ -182,7 +183,7 @@ def test_root_permutation_is_conjugation_by_c(name):
     rs = build_root_system(name)
     pi = coxeter_root_permutation(name)
     assert sorted(pi) == list(range(rs.num_positive_roots))
-    c = bipartite_coxeter(rs)
+    c = coxeter_element(rs)
     _, mats = _reflection_data(name)
     for b, t in enumerate(mats):
         assert matmul(matmul(c.mat, t), c.inverse().mat) == mats[pi[b]]

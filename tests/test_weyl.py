@@ -2,12 +2,14 @@
 
 import pytest
 
-from noncross.rootsystem import build_root_system
+import matrix_oracle
+from matrix_oracle import (GroupElement, classify_parabolic_type,
+                           coxeter_element, identity, le_absolute, reflection,
+                           reflection_matrices)
+from noncross.ncposet import _descent_masks, enumerate_nc, reflection_orbits
+from noncross.rootsystem import SUPPORTED_AMBIENTS, build_root_system
 from noncross.typelabel import label
-from noncross.weyl import (GroupElement, absolute_length, bipartite_coxeter,
-                           classify_parabolic_type, enumerate_group, identity,
-                           le_absolute, reflection, reflection_matrices,
-                           reflection_orbits)
+from noncross.weyl import absolute_length, classify_moved_roots, enumerate_group
 
 
 def matmul(a, b):
@@ -55,14 +57,14 @@ def test_reflections_are_involutions():
     for i in range(rs.num_positive_roots):
         t = reflection(rs, i)
         assert t * t == identity(rs)
-        assert absolute_length(rs, t) == 1
+        assert absolute_length(rs, t.mat) == 1
 
 
 def test_bipartite_coxeter_order_and_length():
     for name in ("A3", "D4", "E6"):
         rs = build_root_system(name)
-        c = bipartite_coxeter(rs)
-        assert absolute_length(rs, c) == rs.n
+        c = coxeter_element(rs)
+        assert absolute_length(rs, c.mat) == rs.n
         power = identity(rs)
         order = 0
         while True:
@@ -75,7 +77,7 @@ def test_bipartite_coxeter_order_and_length():
 
 def test_classify_identity_and_coxeter():
     rs = build_root_system("D5")
-    c = bipartite_coxeter(rs)
+    c = coxeter_element(rs)
     assert classify_parabolic_type(rs, identity(rs), coxeter=c).is_empty
     assert classify_parabolic_type(rs, c, coxeter=c) == label("D5")
     assert classify_parabolic_type(rs, reflection(rs, 0), coxeter=c) == label("A1")
@@ -83,14 +85,14 @@ def test_classify_identity_and_coxeter():
 
 def test_le_absolute_reflections_below_coxeter():
     rs = build_root_system("A3")
-    c = bipartite_coxeter(rs)
+    c = coxeter_element(rs)
     for i in range(rs.num_positive_roots):
         assert le_absolute(rs, reflection(rs, i), c)
 
 
 def test_classify_rejects_non_noncrossing():
     rs = build_root_system("A2")
-    c = bipartite_coxeter(rs)
+    c = coxeter_element(rs)
     cinv = GroupElement(rs, c.inverse().mat)
     if not le_absolute(rs, cinv, c):
         with pytest.raises(ValueError):
@@ -137,3 +139,29 @@ def test_orbit_size_multisets():
     for name, sizes in expected.items():
         orbits = reflection_orbits(build_root_system(name))
         assert sorted(o["size"] for o in orbits) == sizes
+
+
+# ---------------------------------------------------------------------------
+# t*c typed from the descent masks, against the matrix oracle
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_mask_typed_tc_matches_matrix_oracle(name):
+    """For every positive root b, the type read from the descent row
+    zero[b], which is also the NC complement of t_b, is the type of the
+    matrix t_b * c."""
+    rs = build_root_system(name)
+    zero = _descent_masks(name)
+    poset = enumerate_nc(name)
+    c = coxeter_element(rs)
+    for b in range(rs.num_positive_roots):
+        assert poset.complement(poset.elements[1 << b]).key == zero[b]
+        moved = [a for a in range(zero[b].bit_length()) if zero[b] >> a & 1]
+        assert classify_moved_roots(rs, moved) == classify_parabolic_type(
+            rs, reflection(rs, b) * c)
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_reflection_orbits_match_matrix_oracle(name):
+    rs = build_root_system(name)
+    assert reflection_orbits(rs) == matrix_oracle.reflection_orbits(rs)

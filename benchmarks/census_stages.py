@@ -32,6 +32,7 @@ import subprocess
 import sys
 import time
 
+from linsys_stages import clear_memos
 from nc_stages import descent
 from noncross import decomp, linsys, ncposet
 
@@ -40,16 +41,9 @@ COLD_COMMANDS = (("decomp", "count", "E7", "A4,A3"),
                  ("verify", "e8"))
 
 
-def clear_memos():
-    # the memos live in decomp since the census route, in linsys before
-    memo = getattr(decomp, "_product_memo", None) or \
-        getattr(linsys, "_product_memo", None)
-    memo.cache_clear()
-
-
 def clear_all():
     for cached in (ncposet.enumerate_nc, decomp.census_table,
-                   decomp._component_tables):
+                   decomp.production_table, decomp._component_tables):
         cached.cache_clear()
     clear_memos()
 

@@ -8,7 +8,8 @@ Each stage is timed ``--repeats`` times with ``time.perf_counter`` and
 the median is printed as JSON, one object per ambient:
 
 * ``generate_equations_s``: equation generation with the lower-rank
-  tables already built (warm), product-count memos emptied first;
+  tables already built (warm), product-count memos emptied first (per
+  equation family, cold and warm: ``equation_families.py``);
 * ``elimination_s`` and ``back_substitution_s``: ``exact.echelon`` and
   ``Echelon.space`` on the unpinned system (older trees without an
   echelon report one ``solve_s`` instead; since the echelon is reduced,
@@ -29,7 +30,12 @@ from noncross import decomp, exact, linsys
 
 
 def clear_memos():
-    # the memos live in decomp since the census route, in linsys before
+    # one dict shared by every lower_count call since the shared memo;
+    # before it, one lru-cached memo per product type, in decomp since
+    # the census route and in linsys before that
+    shared = getattr(decomp, "_LOWER_MEMO", None)
+    if shared is not None:
+        shared.clear()
     memo = getattr(decomp, "_product_memo", None) or \
         getattr(linsys, "_product_memo", None)
     if memo is not None:

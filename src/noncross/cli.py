@@ -31,10 +31,17 @@ def _parse_label(text):
 
 
 def _parse_tuple(text):
+    """A comma-separated tuple of labels; ``-`` (or nothing) is the empty
+    tuple and ``0`` the empty type, but a blank factor is refused."""
     from .decomp import canonical_tuple
     if not text or text == "-":
         return canonical_tuple(())
-    return canonical_tuple(tuple(_parse_label(tok) for tok in text.split(",")))
+    tokens = text.split(",")
+    for tok in tokens:
+        if not tok.strip():
+            raise SystemExit(_fail_input("bad type label %r: empty factor in %r"
+                                         % (tok, text)))
+    return canonical_tuple(tuple(_parse_label(tok) for tok in tokens))
 
 
 def _fail_input(message):

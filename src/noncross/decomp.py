@@ -36,9 +36,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
+from operator import attrgetter
 
-from .rootsystem import build_root_system, single_node_deletion_count
+from .rootsystem import build_root_system, single_node_deletions
 from .typelabel import TypeLabel, label, EMPTY_TYPE, ResourceGuardError
+
+# the order of TypeLabel.__lt__, compared without calling it
+_SORT_KEY = attrgetter("_key")
 
 
 def canonical_tuple(types):
@@ -47,10 +51,10 @@ def canonical_tuple(types):
     for t in types:
         if isinstance(t, str):
             t = label(t)
-        if t.is_empty:
-            continue                      # empty factors are dropped
-        out.append(t)
-    return tuple(sorted(out))
+        if t is not EMPTY_TYPE:           # empty factors are dropped
+            out.append(t)
+    out.sort(key=_SORT_KEY)
+    return tuple(out)
 
 
 def tuple_rank(types):
@@ -168,8 +172,8 @@ def count_product(factors, types, _memo=None):
     others vanish), and the two parts are counted independently.
 
     ``_memo`` optionally shares the values of the recursive calls,
-    keyed by (number of factors left, canonical tuple); share one memo
-    only between calls with the same ``factors``.
+    keyed by (ambients of the factors left, canonical tuple); share one
+    memo only between calls with the same ``factors``.
     """
     factors = list(factors)
     if not factors:
@@ -177,7 +181,7 @@ def count_product(factors, types, _memo=None):
     if len(factors) == 1:
         return factors[0].lookup(types)
     if _memo is not None:
-        state = (len(factors), canonical_tuple(types))
+        state = (tuple(f.ambient for f in factors), canonical_tuple(types))
         cached = _memo.get(state)
         if cached is not None:
             return cached
@@ -190,7 +194,8 @@ def count_product(factors, types, _memo=None):
         if i == len(splits):
             if room:
                 return 0
-            return head.lookup(left) * count_product(rest, right, _memo=_memo)
+            value = head.lookup(left)
+            return value and value * count_product(rest, right, _memo=_memo)
         total = 0
         for left_part, right_part, left_rank in splits[i]:
             if left_rank <= room:
@@ -314,9 +319,10 @@ def all_labels_of_rank(r):
     return tuple(sorted(found))
 
 
+@lru_cache(maxsize=None)
 def all_tuples_of_rank(total, max_ranks=None):
     """All canonical tuples (multisets of nonempty labels) with the given
-    rank sum.  ``max_ranks`` optionally caps entry ranks."""
+    rank sum, as a tuple.  ``max_ranks`` optionally caps entry ranks."""
     labels_by_rank = {r: all_labels_of_rank(r) for r in range(1, total + 1)}
     if max_ranks is not None:
         labels_by_rank = {r: v for r, v in labels_by_rank.items()
@@ -336,7 +342,7 @@ def all_tuples_of_rank(total, max_ranks=None):
                 acc.pop()
 
     build(0, total, [])
-    return [canonical_tuple(t) for t in results]
+    return tuple(canonical_tuple(t) for t in results)
 
 
 def full_table(name, max_elements=30_000):
@@ -403,14 +409,14 @@ def census_table(name):
 
 @lru_cache(maxsize=None)
 def _component_tables(t):
-    """The full tables of the irreducible components of a type."""
-    return tuple(full_table("%s%d" % comp) for comp in t.components)
+    """The production tables of the irreducible components of a type."""
+    return tuple(production_table("%s%d" % comp) for comp in t.components)
 
 
-@lru_cache(maxsize=None)
-def _product_memo(t):
-    """The count_product memo of one reducible ambient type."""
-    return {}
+# the count_product memo of every lower_count call: its tables are the
+# production tables, one per ambient, so product types that share
+# trailing factors share their recursive counts
+_LOWER_MEMO = {}
 
 
 def lower_count(t, types):
@@ -422,7 +428,7 @@ def lower_count(t, types):
         return 1 if not types else 0
     if t.is_irreducible:
         return _component_tables(t)[0].lookup(types)
-    return count_product(_component_tables(t), types, _memo=_product_memo(t))
+    return count_product(_component_tables(t), types, _memo=_LOWER_MEMO)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +458,8 @@ def special_values(name):
     if chains.denominator != 1:
         raise AssertionError("non-integral reflection factorization count")
     values[all_a1] = int(chains)
+    deletions = single_node_deletions(name)
+    a1 = label("A1")
     for t in all_labels_of_rank(n - 1):
-        count = single_node_deletion_count(name, t)
-        values[canonical_tuple((t, label("A1")))] = h * count // 2
+        values[canonical_tuple((t, a1))] = h * deletions.get(t, 0) // 2
     return values

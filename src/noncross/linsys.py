@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, lcm
 
 from .decomp import (DecompositionTable, all_labels_of_rank,
                      all_tuples_of_rank, canonical_tuple, count_bruteforce,
                      lower_count, orderings, special_values, tuple_rank)
-from .exact import LinearSystem, binomial_poly, echelon, poly, solve
-from . import exact
+from .exact import VARS, LinearSystem, binomial_poly, echelon, poly, solve
 from .ncposet import zeta_closed, zeta_shifted
-from .rootsystem import build_root_system, subdiagram_types
+from .rootsystem import subdiagram_types
 from .typelabel import label
 
 # solution-space dimensions expected for the under-determined ambients,
@@ -89,6 +89,112 @@ def _coeffs_mz(p):
     return coeffs
 
 
+def _integer_coefficients(p, var):
+    """A polynomial in one variable as (integer coefficients, lowest
+    power first; their common denominator)."""
+    index = VARS.index(var)
+    den = lcm(*(Fraction(c).denominator for c in p.terms.values()))
+    vec = [0] * (p.degree(var) + 1)
+    for exp, c in p.terms.items():
+        vec[exp[index]] = int(c * den)
+    return vec, den
+
+
+def _convolve(a, b):
+    """The coefficients of the product of two polynomials in one
+    variable."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+@lru_cache(maxsize=None)
+def _shifted_zeta_vector(t):
+    """``zeta_shifted(t)`` as integer z-coefficients over a denominator;
+    the closed form multiplies over components, so a reducible type
+    takes the product of its components' vectors."""
+    if t.is_irreducible:
+        return _integer_coefficients(zeta_shifted(t), "z")
+    vec, den = [1], 1
+    for comp in t.irreducibles():
+        comp_vec, comp_den = _shifted_zeta_vector(comp)
+        vec, den = _convolve(vec, comp_vec), den * comp_den
+    return vec, den
+
+
+def _zeta_rows(system, ambient):
+    """Coefficient comparison in m and z between the closed-form zeta
+    polynomial of NC^m and its decomposition-number expansion
+
+        sum over tuples T of orderings(T) binom(m, len T) prod zeta_shifted(t),
+
+    where each rank-deficient tuple adds to every full-rank variable it
+    extends by one factor.  A tuple's product is a polynomial in z
+    alone, an integer vector over a denominator, and a canonical tuple's
+    prefix is a canonical tuple of lower rank, so each product is one
+    convolution from an earlier one; each variable sums its terms per
+    tuple length k as one z-vector over a common denominator, and
+    binom(m, k) enters once per variable and length."""
+    n = ambient.rank
+    products = {(): ([1], 1)}
+    for s in range(1, n + 1):
+        for tup in all_tuples_of_rank(s):
+            vec, den = products[tup[:-1]]
+            last_vec, last_den = _shifted_zeta_vector(tup[-1])
+            products[tup] = (_convolve(vec, last_vec), den * last_den)
+    del products[()]
+    common = lcm(*(den for _, den in products.values()))
+    forms = {}                            # var -> {length k: z-vector}
+    for s in range(1, n + 1):
+        for tup in all_tuples_of_rank(s):
+            vec, den = products[tup]
+            scale = orderings(tup) * (common // den)
+            if s == n:
+                targets = (tup,)
+            else:
+                targets = tuple(canonical_tuple(tup + (extra,))
+                                for extra in all_labels_of_rank(n - s))
+            for var in targets:
+                by_length = forms.setdefault(var, {})
+                acc = by_length.setdefault(len(tup), [0] * (n + 1))
+                for j, c in enumerate(vec):
+                    acc[j] += scale * c
+    # n! binom(m, k) has integer coefficients for every k <= n
+    n_factorial = factorial(n)
+    binomials = []
+    for k in range(n + 1):
+        vec, den = _integer_coefficients(binomial_poly(k), "m")
+        binomials.append([c * n_factorial // den for c in vec])
+    den = n_factorial * common
+    buckets = {}                          # (i, j) -> {var: coefficient}
+    for var, by_length in forms.items():
+        totals = {}
+        for k, zvec in by_length.items():
+            for i, b in enumerate(binomials[k]):
+                if b:
+                    for j, c in enumerate(zvec):
+                        if c:
+                            totals[i, j] = totals.get((i, j), 0) + b * c
+        for mz, c in totals.items():
+            if c:
+                buckets.setdefault(mz, {})[var] = Fraction(c, den)
+    lhs = _coeffs_mz(zeta_closed(ambient, m="m") - poly(1))
+    for i in range(n + 1):
+        for j in range(n + 1):
+            coeffs = buckets.get((i, j), {})
+            rhs = lhs.get((i, j), Fraction(0))
+            if coeffs or rhs:
+                system.add_row(coeffs, rhs, "zeta:m^%d z^%d" % (i, j))
+
+
+def _names(tuples):
+    """The provenance text of each tuple: its labels, comma-separated."""
+    return {tup: ",".join(map(str, tup)) for tup in tuples}
+
+
 def generate_equations(name):
     """The full equation system for one irreducible ambient.
 
@@ -98,7 +204,6 @@ def generate_equations(name):
     """
     ambient = label(name)
     n = ambient.rank
-    rs = build_root_system(name)
     variables = all_tuples_of_rank(n)
     system = LinearSystem(variables=variables)
     allowed = subdiagram_types(name)
@@ -126,50 +231,25 @@ def generate_equations(name):
     # splitting relations: a suffix of the tuple is contracted through
     # the tables of all lower-rank ambients of matching rank
     for split_rank in range(1, n):
-        for primed in all_tuples_of_rank(split_rank):
-            contractions = [(t, lower_count(t, primed))
-                            for t in all_labels_of_rank(split_rank)]
-            for unprimed in all_tuples_of_rank(n - split_rank):
-                coeffs = {canonical_tuple(unprimed + primed): Fraction(1)}
-                for t, count in contractions:
+        labels = all_labels_of_rank(split_rank)
+        unprimed_names = _names(all_tuples_of_rank(n - split_rank))
+        # unprimed tuple -> the variable it makes with each label
+        joined = {unprimed: [canonical_tuple(unprimed + (t,)) for t in labels]
+                  for unprimed in unprimed_names}
+        for primed, primed_name in _names(
+                all_tuples_of_rank(split_rank)).items():
+            counts = [lower_count(t, primed) for t in labels]
+            for unprimed, unprimed_name in unprimed_names.items():
+                coeffs = {canonical_tuple(unprimed + primed): 1}
+                for var, count in zip(joined[unprimed], counts):
                     if count:
-                        var = canonical_tuple(unprimed + (t,))
-                        coeffs[var] = coeffs.get(var, Fraction(0)) - count
+                        coeffs[var] = coeffs.get(var, 0) - count
                 if len(coeffs) == 1 and not next(iter(coeffs.values())):
                     continue
                 system.add_row(coeffs, 0, "split:%s|%s"
-                               % (",".join(map(str, unprimed)),
-                                  ",".join(map(str, primed))))
+                               % (unprimed_name, primed_name))
 
-    # zeta-polynomial coefficient comparison in m and z; a canonical
-    # tuple's prefix is a canonical tuple of lower rank, so each product
-    # of shifted zeta polynomials is one product from an earlier one
-    forms = {}
-    products = {(): exact.ONE}
-    binomials = [binomial_poly(d) for d in range(n + 1)]
-    for s in range(1, n + 1):
-        for tup in all_tuples_of_rank(s):
-            product = products[tup[:-1]] * zeta_shifted(tup[-1])
-            products[tup] = product
-            weight = poly(orderings(tup)) * binomials[len(tup)] * product
-            if s == n:
-                targets = (tup,)
-            else:
-                targets = tuple(canonical_tuple(tup + (extra,))
-                                for extra in all_labels_of_rank(n - s))
-            for var in targets:
-                forms[var] = forms.get(var, exact.ZERO) + weight
-    buckets = {}                          # (i, j) -> {var: coefficient}
-    for var, form in forms.items():
-        for mz, c in _coeffs_mz(form).items():
-            buckets.setdefault(mz, {})[var] = c
-    lhs = _coeffs_mz(zeta_closed(ambient, m="m") - poly(1))
-    for i in range(n + 1):
-        for j in range(n + 1):
-            coeffs = buckets.get((i, j), {})
-            rhs = lhs.get((i, j), Fraction(0))
-            if coeffs or rhs:
-                system.add_row(coeffs, rhs, "zeta:m^%d z^%d" % (i, j))
+    _zeta_rows(system, ambient)
     return system
 
 

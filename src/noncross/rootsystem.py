@@ -283,14 +283,20 @@ def subdiagram_types(name):
     return frozenset(found)
 
 
-def single_node_deletion_count(name, t):
-    """How many single-node deletions of the ambient diagram have type t."""
+def single_node_deletions(name):
+    """How many single-node deletions of the ambient diagram have each
+    type, as a map type -> count."""
     rs = build_root_system(name)
-    if isinstance(t, str):
-        t = label(t)
-    count = 0
+    counts = {}
     for drop in range(rs.n):
         nodes = [i for i in range(rs.n) if i != drop]
-        if classify_diagram(rs.diagram.induced(nodes)) == t:
-            count += 1
-    return count
+        t = classify_diagram(rs.diagram.induced(nodes))
+        counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
+def single_node_deletion_count(name, t):
+    """How many single-node deletions of the ambient diagram have type t."""
+    if isinstance(t, str):
+        t = label(t)
+    return single_node_deletions(name).get(t, 0)

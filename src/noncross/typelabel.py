@@ -27,30 +27,43 @@ def _component_key(comp):
     return (rank, family)
 
 
+# the one instance of each label, by canonical component tuple
+_INTERNED = {}
+
+
 @total_ordering
 class TypeLabel:
     """Immutable canonical label of a simply-laced type.
 
     Internally a sorted tuple of ``(family, rank)`` component pairs.
     The rank and the sort key ``(rank, components)`` are computed once,
-    on construction.
+    on construction.  Labels are interned: the constructor returns the
+    one instance of each canonical component tuple (pickle and copy
+    return it too), so two labels are equal exactly when they are the
+    same object, and equality and hashing are by identity.
     """
 
     __slots__ = ("components", "_str", "rank", "_key")
 
-    def __init__(self, components=()):
+    def __new__(cls, components=()):
         normalized = []
         for family, rank in components:
-            family = str(family).upper()
-            rank = int(rank)
-            for item in self._normalize_component(family, rank):
-                normalized.append(item)
+            normalized.extend(cls._normalize_component(str(family).upper(),
+                                                       int(rank)))
         components = tuple(sorted(normalized, key=_component_key))
+        self = _INTERNED.get(components)
+        if self is not None:
+            return self
+        self = object.__new__(cls)
         rank = sum(r for _, r in components)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_key", (rank, components))
         object.__setattr__(self, "_str", self._render())
+        return _INTERNED.setdefault(components, self)
+
+    def __reduce__(self):
+        return (TypeLabel, (self.components,))
 
     @staticmethod
     def _normalize_component(family, rank):
@@ -124,14 +137,8 @@ class TypeLabel:
         """Disjoint union of types."""
         return TypeLabel(self.components + other.components)
 
-    def __eq__(self, other):
-        return isinstance(other, TypeLabel) and self.components == other.components
-
     def __lt__(self, other):
         return self._key < other._key
-
-    def __hash__(self):
-        return hash(self.components)
 
     def __str__(self):
         return self._str

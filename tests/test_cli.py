@@ -141,6 +141,26 @@ def test_decomp_count(capsys):
     assert out.strip() == "16"
 
 
+@pytest.mark.parametrize("key", ["A1,,A1", "A1,", ",A1", " "])
+def test_decomp_count_empty_factor_exits_2(capsys, key):
+    # a stray comma used to drop the factor silently (D4 A1,,A1 gave 63)
+    with pytest.raises(SystemExit) as exc:
+        main(["decomp", "count", "D4", key])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    token = " " if key == " " else ""
+    assert captured.err == ("error: bad type label %r: empty factor in %r\n"
+                            % (token, key))
+
+
+@pytest.mark.parametrize("key, value", [("0", 1), ("-", 1), ("A1,0,A1", 63),
+                                        ("A1,A1", 63)])
+def test_decomp_count_empty_type_and_empty_tuple(capsys, key, value):
+    code, out, err = run(capsys, "decomp", "count", "D4", key)
+    assert (code, out, err) == (0, "%d\n" % value, "")
+
+
 @pytest.mark.parametrize("key, value", [("A1", 56), ("D8", 1)])
 def test_decomp_count_D8(capsys, key, value):
     # D8 has no published table; its census table is the production route

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from dense_echelon import DenseEchelon
+from noncross import decomp
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
-                             all_tuples_of_rank, canonical_tuple, full_table,
-                             orderings, production_table, tuple_rank)
+                             all_tuples_of_rank, canonical_tuple,
+                             count_product, full_table, orderings,
+                             production_table, tuple_rank)
 from noncross.exact import ZERO, LinearSystem, binomial_poly, echelon, poly
 from noncross.linsys import (EXPECTED_DIMENSION, ROW_FAMILIES, _coeffs_mz,
                              check_system_against_table, generate_equations,
@@ -79,6 +81,25 @@ def test_lower_count_matches_bruteforce():
         count_bruteforce("A2", L("A1", "A1"))
     assert lower_count(label("A1*A2"), L("A1", "A2")) > 0
     assert lower_count(label("0"), ()) == 1
+
+
+def test_shared_lower_count_memo_matches_plain_product_rule():
+    # every (reducible label, tuple) pair of rank 1-7 the E8 split rows
+    # read; the memo starts empty so that product types sharing trailing
+    # factors (A1*A3^2 and A2*A3^2) meet in it
+    decomp._LOWER_MEMO.clear()
+    pairs = 0
+    for r in range(1, 8):
+        for t in all_labels_of_rank(r):
+            if t.is_irreducible:
+                continue
+            factors = [full_table("%s%d" % comp) for comp in t.components]
+            for key in all_tuples_of_rank(r):
+                assert lower_count(t, key) == count_product(factors, key), \
+                    (t, key)
+                pairs += 1
+    assert pairs == 4046
+    assert decomp._LOWER_MEMO
 
 
 def test_production_table_routes():
@@ -196,7 +217,7 @@ def _zeta_rows_per_tuple(name):
     return system.rows
 
 
-@pytest.mark.parametrize("name", ["D5", "E6"])
+@pytest.mark.parametrize("name", ["D5", "E6", "E7", "E8", "D8"])
 def test_zeta_rows_match_per_tuple_products(name):
     rows = [row for row in generate_equations(name).rows
             if row_family(row[2]) == "zeta"]

@@ -1,7 +1,12 @@
 """Type labels: parsing, canonical form, ordering."""
 
+import copy
+import pickle
+import random
+
 import pytest
 
+from noncross.decomp import all_labels_of_rank
 from noncross.typelabel import TypeLabel, label
 
 
@@ -61,3 +66,47 @@ def test_bad_labels_rejected():
 def test_hashable_and_dict_key():
     d = {label("A1*A2"): 5}
     assert d[label("A2*A1")] == 5
+
+
+def test_labels_are_interned():
+    assert label("A1^2*A3") is TypeLabel([("A", 1), ("A", 1), ("A", 3)])
+    assert label("A3*A1*A1") is label("A1^2*A3")
+    assert TypeLabel() is label("0")
+    assert label("D4").irreducibles()[0] is label("D4")
+
+
+def test_low_rank_d_synonyms_are_the_same_instance():
+    assert label("D3") is label("A3")
+    assert label("D2") is label("A1^2")
+    assert TypeLabel([("D", 2), ("A", 3)]) is label("A1^2*A3")
+    assert TypeLabel([("d", 3)]) is label("A3")
+
+
+def test_pickle_and_deepcopy_return_the_same_instance():
+    for text in ("0", "A1", "A1^2*A3", "A1*D5", "E8"):
+        t = label(text)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(t, protocol)) is t
+        assert copy.deepcopy(t) is t
+        assert copy.copy(t) is t
+    key = (label("A1"), label("A2*A3"))
+    assert pickle.loads(pickle.dumps({key: 5})) == {key: 5}
+
+
+def test_sorted_order_is_rank_then_components_on_every_label():
+    # the order before interning: (rank, sorted (family, rank) components)
+    labels = [t for r in range(9) for t in all_labels_of_rank(r)]
+    shuffled = labels[::-1]
+    random.Random(5).shuffle(shuffled)
+    expected = sorted(shuffled, key=lambda t: (t.rank, t.components))
+    assert sorted(shuffled) == expected == labels
+    assert [str(t) for t in expected[:6]] == ["0", "A1", "A1^2", "A2",
+                                              "A1^3", "A1*A2"]
+
+
+def test_labels_stay_immutable():
+    t = label("A1*A2")
+    for name in ("components", "rank", "_key", "_str", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+    assert str(label("A1*A2")) == "A1*A2"

@@ -18,7 +18,12 @@ the median is printed as one JSON object:
 * ``build_ncm_D4_2_s``: ``build_ncm("D4", 2)``, NC(D4) already
   enumerated;
 * ``read_cache_D5_s``: ``read_cache`` of a D5 cache file written once
-  before the runs.
+  before the runs;
+* ``descent_table_s``: per D and E ambient, one uncached
+  ``ncposet._descent_masks`` (the root system already built), and
+  ``descent_tables_DE_s``, the sum of those medians;
+* ``length_suite_s``: the checks of ``noncross verify length``
+  (``enumerate_group`` and ``absolute_length`` on A3 and D4).
 
 It also prints ``poset_E8_mb``, the memory held by one enumerated
 NC(E8) as ``tracemalloc`` counts it (one extra, untimed enumeration),
@@ -37,8 +42,8 @@ import tempfile
 import time
 import tracemalloc
 
-from noncross import decomp, ncposet
-from noncross.rootsystem import subdiagram_types
+from noncross import decomp, ncposet, verify
+from noncross.rootsystem import build_root_system, subdiagram_types
 from noncross.typelabel import label
 
 
@@ -72,6 +77,9 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert code == 0, code
 print(json.dumps(calls))
 """
+
+
+DESCENT_AMBIENTS = ("D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8")
 
 
 def timed(fn, repeats):
@@ -115,6 +123,16 @@ def stages(repeats):
         ncposet.write_cache(ncposet.enumerate_nc("D5"), path)
         out["read_cache_D5_s"] = timed(
             lambda: ncposet.read_cache(path, expected_ambient="D5"), repeats)
+    tables = {}
+    for name in DESCENT_AMBIENTS:
+        build_root_system(name)
+        tables[name] = timed(
+            lambda: ncposet._descent_masks.__wrapped__(name), repeats)
+    out["descent_table_s"] = tables
+    out["descent_tables_DE_s"] = round(sum(tables.values()), 4)
+    length = verify.SUITES["length"][0]
+    out["length_suite_s"] = timed(lambda: all(ok for _, ok in length()),
+                                  repeats)
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]
     held = ncposet.enumerate_nc.__wrapped__("E8")

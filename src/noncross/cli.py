@@ -31,10 +31,10 @@ def _parse_label(text):
 
 
 def _parse_tuple(text):
-    """A comma-separated tuple of labels; ``-`` (or nothing) is the empty
-    tuple and ``0`` the empty type, but a blank factor is refused."""
+    """A comma-separated tuple of labels; ``-`` is the empty tuple and
+    ``0`` the empty type, but a blank factor is refused."""
     from .decomp import canonical_tuple
-    if not text or text == "-":
+    if text == "-":
         return canonical_tuple(())
     tokens = text.split(",")
     for tok in tokens:

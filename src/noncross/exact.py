@@ -16,14 +16,14 @@ sparse map to primitive integers (the equation systems here have a
 handful of nonzeros per row), and takes further rows at any time.  The
 affine solution space (a particular solution plus a nullspace basis) is
 read straight off its rows; only those final entries become fractions.
-Ranks, kernels and adjugates of small dense integer matrices all come
-from one Bareiss elimination, ``bareiss``.
+Integer kernels of small integer matrices (``int_kernel``) are read off
+an ``Echelon`` too, so it is the package's one elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, factorial
+from math import factorial, gcd, lcm
 from numbers import Integral, Rational
 
 VARS = ("x", "y", "z", "m")
@@ -335,95 +335,6 @@ def substitute_rational(p, substitutions, clearing_power):
 
 
 # ---------------------------------------------------------------------------
-# small integer matrices
-
-
-def bareiss(rows):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination over Python ints.
-
-    Returns ``(a, pivots, sign)``: the eliminated copy of the matrix, its
-    pivot columns and the sign of the row permutation.  Each step maps
-    every row r other than the pivot row to ``(p * r - f * pivot_row) //
-    previous_p``; by Sylvester's identity every entry is then a minor of
-    the input, so the division is exact.  Afterwards every pivot row has
-    the same pivot entry d (the last pivot), its other entries are d
-    times those of the reduced row echelon form, and the rows below the
-    rank are zero.
-    """
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    sign = 1
-    prev = 1
-    for col in range(n):
-        row = len(pivots)
-        if row == m:
-            break
-        pivot = next((r for r in range(row, m) if a[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != row:
-            a[row], a[pivot] = a[pivot], a[row]
-            sign = -sign
-        prow = a[row]
-        p = prow[col]
-        for r in range(m):
-            if r != row:
-                f = a[r][col]
-                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], prow)]
-        prev = p
-        pivots.append(col)
-    return a, pivots, sign
-
-
-def int_rank(rows):
-    """Exact rank of a small integer matrix (list of row lists)."""
-    return len(bareiss(rows)[1])
-
-
-def int_kernel(rows):
-    """Integer basis of the right kernel of an integer matrix.
-
-    One vector per non-pivot column fc, in column order: the primitive
-    integer multiple of the reduced-echelon kernel vector (1 at fc, minus
-    column fc of the reduced rows at the pivots) with a positive entry
-    at fc.
-    """
-    a, pivots, _ = bareiss(rows)
-    n = len(rows[0]) if rows else 0
-    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        vec = [0] * n
-        vec[fc] = d
-        for r, pc in enumerate(pivots):
-            vec[pc] = -a[r][fc]
-        g = 0
-        for x in vec:
-            g = gcd(g, x)
-        if d < 0:
-            g = -g
-        basis.append([x // g for x in vec])
-    return basis
-
-
-def int_adjugate(rows):
-    """Adjugate (as a list of row lists) and determinant of a square
-    integer matrix, exactly.  Raises ``ValueError`` when it is singular."""
-    n = len(rows)
-    augmented = [list(r) + [int(i == j) for j in range(n)]
-                 for i, r in enumerate(rows)]
-    a, pivots, sign = bareiss(augmented)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix has no inverse")
-    # the right block is d * inverse with d = sign * det
-    return [[sign * x for x in r[n:]] for r in a], sign * a[0][0]
-
-
-# ---------------------------------------------------------------------------
 # exact linear systems
 
 
@@ -641,3 +552,31 @@ def solve(system):
     if not isinstance(system, Echelon):
         system = echelon(system)
     return system.space()
+
+
+def int_kernel(rows):
+    """Integer basis of the right kernel of an integer matrix.
+
+    One vector per free column fc, in column order: the primitive integer
+    multiple, positive at fc, of the reduced-echelon kernel vector (1 at
+    fc, ``-row[fc] / row[pc]`` at the pivot pc of each row holding fc).
+    The pivot rows of an ``Echelon`` are positive at their pivots, so
+    scaling by the lcm of those pivots keeps it in integers.
+    """
+    n = len(rows[0]) if rows else 0
+    ech = Echelon(range(n))
+    for r in rows:
+        ech._insert({c: int(x) for c, x in enumerate(r) if x}, 0, "")
+    pivots = ech.pivots
+    basis = []
+    for fc in ech.free_columns:
+        held = ech._holders.get(fc, ())
+        scale = lcm(*(pivots[pc][pc] for pc in held))
+        vec = [0] * n
+        vec[fc] = scale
+        for pc in held:
+            row = pivots[pc]
+            vec[pc] = -row[fc] * scale // row[pc]
+        g = gcd(*vec)
+        basis.append([x // g for x in vec])
+    return basis

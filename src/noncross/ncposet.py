@@ -26,10 +26,13 @@ nonzero vector), hence
     Fix(u) = (c - I)^{-1} Mov(c u^{-1}) = span((c - I)^{-1} a_i).
 
 The moved space is the Cartan-orthogonal complement of the fixed space,
-so a root b is moved by u exactly when <b, (c - I)^{-1} a_i> = 0 for
-every i.  Clearing the determinant, ``Z[a, b] = b^T C adj(c - I) a`` is
-one integer K x K matrix per ambient (K positive roots), and the moved
-set of the child t_a w is the moved set of w intersected with the zero
+so a root b is moved by u exactly when Z[a_i, b] = 0 for every i, with
+``Z[a, b] = <b, (c - I)^{-1} a> = b^T C (c - I)^{-1} a``.  Its zero
+pattern is one K x K table per ambient (K positive roots), found in
+integers from one kernel: as c - I is invertible, the kernel of the
+n x (n + K) matrix [c - I | -a_1 ... -a_K] has one basis vector per root
+column a, a positive multiple of ((c - I)^{-1} a, e_a).  The moved set
+of the child t_a w is the moved set of w intersected with the zero
 pattern of row a of Z: one AND of two masks per element.
 
 Complements from the same table.  If u x = x then
@@ -37,7 +40,7 @@ Complements from the same table.  If u x = x then
 dimension n - l(u), so Mov(u^{-1} c) = (I - c^{-1}) Fix(u), and a root
 b is moved by u^{-1} c exactly when (I - c^{-1})^{-1} b is orthogonal to
 every moved root a of u.  As c preserves the Cartan form,
-<a, (I - c^{-1})^{-1} b> = -Z[a, b] / det(c - I), so
+<a, (I - c^{-1})^{-1} b> = -Z[a, b], so
 
     moved(u^{-1} c) = AND of zero[a] over the moved roots a of u.
 
@@ -79,7 +82,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import exact
-from .exact import SparsePolynomial, Z as _Z, M as _M, int_adjugate
+from .exact import SparsePolynomial, Z as _Z, M as _M, int_kernel
 from .rootsystem import build_root_system
 from .typelabel import ResourceGuardError, label
 from .weyl import (_matmul, _minus_eye, bipartite_coxeter,
@@ -152,14 +155,20 @@ class NcPoset:
 
 @lru_cache(maxsize=None)
 def _descent_masks(name):
-    """The rows zero[a] of the zero pattern of Z[a, b] = b^T C adj(c - I) a,
-    in exact integers, each a mask over b (see the module docstring)."""
+    """The rows zero[a] of the zero pattern of Z[a, b] = b^T C (c - I)^{-1} a,
+    in exact integers, each a mask over b.  The kernel of [c - I | -a_1
+    ... -a_K] gives y_a, a positive multiple of (c - I)^{-1} a, as its
+    vector for the root column a (see the module docstring)."""
     rs = build_root_system(name)
-    # raises when c - I is singular
-    adj, _ = int_adjugate(_minus_eye(bipartite_coxeter(rs)))
+    c_minus_eye = _minus_eye(bipartite_coxeter(rs))
+    if int_kernel(c_minus_eye):
+        raise ValueError("c - I is singular")
     roots = rs.positive_roots
-    # v_a = C adj(c - I) a, one n-vector per root, so Z[a, b] = b . v_a
-    vectors = _matmul(roots, tuple(zip(*_matmul(rs.cartan, adj))))
+    kernel = int_kernel([row + [-r[i] for r in roots]
+                         for i, row in enumerate(c_minus_eye)])
+    # v_a = C y_a, one n-vector per root, so Z[a, b] = b . v_a up to a
+    # positive factor
+    vectors = _matmul([y[:rs.n] for y in kernel], tuple(zip(*rs.cartan)))
     return tuple(sum(1 << b for b, r in enumerate(roots)
                      if not sum(x * y for x, y in zip(r, v)))
                  for v in vectors)

@@ -294,9 +294,3 @@ def single_node_deletions(name):
         counts[t] = counts.get(t, 0) + 1
     return counts
 
-
-def single_node_deletion_count(name, t):
-    """How many single-node deletions of the ambient diagram have type t."""
-    if isinstance(t, str):
-        t = label(t)
-    return single_node_deletions(name).get(t, 0)

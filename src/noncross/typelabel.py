@@ -91,10 +91,13 @@ class TypeLabel:
 
     @classmethod
     def parse(cls, text):
-        """Parse a label string such as ``"A1^2*A3"`` or ``"0"``."""
+        """Parse a label string such as ``"A1^2*A3"`` or ``"0"``; blank
+        text is refused."""
         text = text.strip()
-        if text in ("0", ""):
+        if text == "0":
             return cls(())
+        if not text:
+            raise ValueError("blank type label; write 0 for the empty type")
         components = []
         for token in text.split("*"):
             match = _COMPONENT_RE.match(token.strip())

@@ -6,23 +6,21 @@ The reflections, the bipartite Coxeter element c and the whole group
 coordinates.  The permutation of the positive roots by c gives the
 conjugation orbits that ``ncposet`` types once each.  The reflection
 length (absolute length) of a matrix is the codimension of its fixed
-space, the exact integer rank of ``w - I``; its Cayley-graph distance in
+space, the kernel of ``w - I``; its Cayley-graph distance in
 ``enumerate_group`` is the independent check.  ``classify_moved_roots``
 types a set of positive roots lying in a subspace, the moved roots of an
 element of NC(W).
 
 All linear algebra here is exact: matrices are tuples of row tuples of
-Python ints, so no product can overflow, and ranks come from the
-fraction-free elimination in ``exact.bareiss``, never floating point.
+Python ints, so no product can overflow, and kernels come from
+``exact.int_kernel``, an integer reduced echelon, never floating point.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-# int_kernel is not called here: perfbench/tracer.py wraps weyl.int_kernel
-# by name
-from .exact import int_kernel, int_rank
+from .exact import int_kernel
 from .rootsystem import build_root_system, classify_diagram, DynkinDiagram
 
 
@@ -56,8 +54,8 @@ def _reflection_data(name):
 
 
 def absolute_length(rs, w):
-    """Reflection length of the matrix w: rank(w - I), exactly."""
-    return int_rank(_minus_eye(w))
+    """Reflection length of the matrix w: n - dim ker(w - I), exactly."""
+    return rs.n - len(int_kernel(_minus_eye(w)))
 
 
 def bipartite_coxeter(rs):

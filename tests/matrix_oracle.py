@@ -11,7 +11,9 @@ each orbit's t*c from the matrix of t*c.
 
 from functools import lru_cache
 
-from noncross.exact import int_adjugate, int_kernel
+import sympy
+
+from noncross.exact import int_kernel
 from noncross.rootsystem import build_root_system
 from noncross.weyl import (_eye, _matmul, _minus_eye, _reflection_data,
                            absolute_length, bipartite_coxeter,
@@ -20,9 +22,10 @@ from noncross.weyl import (_eye, _matmul, _minus_eye, _reflection_data,
 
 @lru_cache(maxsize=None)
 def _cartan_adjugate(name):
-    """The adjugate of the Cartan matrix and its determinant."""
-    adj, det = int_adjugate(build_root_system(name).cartan)
-    return tuple(map(tuple, adj)), det
+    """The adjugate of the Cartan matrix and its determinant, from sympy."""
+    cartan = sympy.Matrix(build_root_system(name).cartan)
+    adj = tuple(tuple(map(int, row)) for row in cartan.adjugate().tolist())
+    return adj, int(cartan.det())
 
 
 class GroupElement:

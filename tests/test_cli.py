@@ -141,9 +141,10 @@ def test_decomp_count(capsys):
     assert out.strip() == "16"
 
 
-@pytest.mark.parametrize("key", ["A1,,A1", "A1,", ",A1", " "])
+@pytest.mark.parametrize("key", ["A1,,A1", "A1,", ",A1", " ", ""])
 def test_decomp_count_empty_factor_exits_2(capsys, key):
-    # a stray comma used to drop the factor silently (D4 A1,,A1 gave 63)
+    # a stray comma used to drop the factor silently (D4 A1,,A1 gave 63),
+    # and a blank argument read as the empty tuple
     with pytest.raises(SystemExit) as exc:
         main(["decomp", "count", "D4", key])
     captured = capsys.readouterr()
@@ -152,6 +153,19 @@ def test_decomp_count_empty_factor_exits_2(capsys, key):
     token = " " if key == " " else ""
     assert captured.err == ("error: bad type label %r: empty factor in %r\n"
                             % (token, key))
+
+
+@pytest.mark.parametrize("argv", [["chi", ""], ["chi", " "], ["zeta", ""],
+                                  ["zeta", " "]])
+def test_blank_label_exits_2(capsys, argv):
+    # a blank label used to read as the empty type and print 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: bad type label %r: blank type label; "
+                            "write 0 for the empty type\n" % argv[1])
 
 
 @pytest.mark.parametrize("key, value", [("0", 1), ("-", 1), ("A1,0,A1", 63),

@@ -3,6 +3,7 @@
 from math import comb
 
 import pytest
+import sympy
 
 from matrix_oracle import (GroupElement, coxeter_element, le_absolute,
                            moved_positive_roots)
@@ -42,6 +43,21 @@ def test_rank_sizes_A3_narayana():
 def test_rank_sizes_symmetric_D5():
     sizes = enumerate_nc("D5").rank_sizes()
     assert sizes == sizes[::-1]
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_descent_masks_match_sympy_adjugate(name):
+    # zero[a] is the zero pattern over b of Z[a, b] = b^T C adj(c - I) a,
+    # here with the adjugate from sympy instead of the package's kernel
+    rs = build_root_system(name)
+    c = sympy.Matrix(bipartite_coxeter(rs))
+    adj = (c - sympy.eye(rs.n)).adjugate()
+    vectors = matmul(rs.positive_roots,
+                     (sympy.Matrix(rs.cartan) * adj).T.tolist())
+    expected = tuple(sum(1 << b for b, r in enumerate(rs.positive_roots)
+                         if not sum(x * y for x, y in zip(r, v)))
+                     for v in vectors)
+    assert _descent_masks(name) == expected
 
 
 def matmul(a, b):

@@ -58,7 +58,7 @@ def test_low_rank_d_synonyms_collapse():
 
 
 def test_bad_labels_rejected():
-    for bad in ("X9", "A", "A0", "E9", "A1**2"):
+    for bad in ("X9", "A", "A0", "E9", "A1**2", "", " ", "\t"):
         with pytest.raises((ValueError, KeyError)):
             label(bad)
 

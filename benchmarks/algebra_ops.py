@@ -10,11 +10,17 @@ before any timing, as in a warm library session.  Each op is timed
 ``--repeats`` times with ``time.perf_counter`` and the median printed
 as one JSON object, in seconds:
 
+* ``at:E8``: ``MTriangle.at`` at m = 3, the primal triangle at a
+  numeric m;
+* ``substitute_rational:E8``: the F=M substitution alone, x -> (1+y)/(y-x)
+  and y -> (y-x)/y cleared to power 8, on the primal triangle at m = 3;
 * ``fm_transform:E7|E8``: one ``fm_transform`` at m = 3;
 * ``f_reciprocity_checks:E7|E8``: one call at m = 2 (two transforms
   and the three reciprocity forms);
 * ``reciprocity_check:E7|E8``: the m -> -m check of the M-triangle;
 * ``zeta_identity_check:A7|D7|E7``: the zeta identity of the table;
+* ``zeta_shifted:all``: ``zeta_shifted`` past its cache for each of the
+  100 type labels of rank 1 to 8 (``verify e8`` builds these);
 * ``count_product:E7*A1`` (and D4*D4, E6*A2, D5*A3): ``count_product``
   without a memo over the pair's whole full-rank key universe;
 * ``lookup:E8|E7|A7``: a batch of 4000 lookups, half full-rank keys
@@ -28,7 +34,7 @@ import random
 import statistics
 import time
 
-from noncross import decomp, refdata, triangles
+from noncross import decomp, exact, ncposet, refdata, triangles
 
 PRODUCTS = (("E7", "A1"), ("D4", "D4"), ("E6", "A2"), ("D5", "A3"))
 LOOKUP_BATCH = 4000
@@ -63,6 +69,13 @@ def ops():
     mts = {name: triangles.MTriangle.from_dual(name, refdata.golden_dual(name))
            for name in ("E7", "E8")}
     out = []
+    primal = mts["E8"].at(3)
+    fm_substitution = {"x": (1 + exact.Y, exact.Y - exact.X),
+                       "y": (exact.Y - exact.X, exact.Y)}
+    out.append(("at:E8", lambda: mts["E8"].at(3)))
+    out.append(("substitute_rational:E8",
+                lambda: exact.substitute_rational(primal, fm_substitution,
+                                                  {"x": 8, "y": 8})))
     for name, mt in mts.items():
         out.append(("fm_transform:" + name,
                     lambda mt=mt: triangles.fm_transform(mt, 3)))
@@ -74,6 +87,9 @@ def ops():
         out.append(("zeta_identity_check:" + name,
                     lambda name=name: triangles.zeta_identity_check(
                         name, tables[name])))
+    labels = [t for rank in range(1, 9) for t in decomp.all_labels_of_rank(rank)]
+    out.append(("zeta_shifted:all",
+                lambda: [ncposet.zeta_shifted.__wrapped__(t) for t in labels]))
     for pair in PRODUCTS:
         factors = [tables[name] for name in pair]
         keys = decomp.all_tuples_of_rank(sum(t.ambient.rank for t in factors))

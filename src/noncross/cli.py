@@ -188,6 +188,9 @@ def cmd_mtriangle(args):
 
 def cmd_ftriangle(args):
     from .triangles import fm_transform
+    # F=M is stated for m >= 1
+    if args.m < 1:
+        return _fail_input("ftriangle needs --m >= 1, got %d" % args.m)
     mt = _assembled(args.label)
     cand = fm_transform(mt, args.m)
     coeffs = {"x^%d*y^%d" % kl: str(v)

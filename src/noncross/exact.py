@@ -114,20 +114,9 @@ class SparsePolynomial:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
         result = {}
-        right = list(other.terms.items())
-        for (a, b, c, d), c1 in self.terms.items():
-            for (p, q, r, s), c2 in right:
-                exp = (a + p, b + q, c + r, d + s)
-                if exp in result:
-                    result[exp] += c1 * c2
-                else:
-                    result[exp] = c1 * c2
-        out = SparsePolynomial.__new__(SparsePolynomial)
-        out.terms = {e: v if type(v) is int else _coeff(v)
-                     for e, v in result.items() if v}
-        return out
+        _add_product(result, self.terms, _coerce(other).terms)
+        return _canonical(result)
 
     __rmul__ = __mul__
 
@@ -173,28 +162,32 @@ class SparsePolynomial:
         return SparsePolynomial(result)
 
     def substitute(self, **assignments):
-        """Substitute polynomials/constants for variables, exactly."""
-        subs = {}
-        for var, value in assignments.items():
-            subs[_VAR_INDEX[var]] = _coerce(value)
-        result = SparsePolynomial.constant(0)
-        pow_cache = {}
+        """Substitute polynomials or numbers for variables, exactly.
+
+        Terms that share their exponents in the substituted variables
+        form one group.  A group sums its coefficients times its kept
+        monomials, which takes no product, and is multiplied once by the
+        product of the values' powers, each power built once from the
+        one below it.  With numeric values that product is a constant,
+        so a group is only scaled: ``MTriangle.at(m)`` multiplies no two
+        non-constant polynomials.
+        """
+        subs = {_VAR_INDEX[var]: _coerce(value)
+                for var, value in assignments.items()}
+        groups = {}
         for exp, coeff in self.terms.items():
-            term = SparsePolynomial.constant(coeff)
-            for i in range(4):
-                if exp[i] == 0:
-                    continue
-                if i in subs:
-                    key = (i, exp[i])
-                    if key not in pow_cache:
-                        pow_cache[key] = subs[i] ** exp[i]
-                    term = term * pow_cache[key]
-                else:
-                    keep = [0, 0, 0, 0]
-                    keep[i] = exp[i]
-                    term = term * SparsePolynomial({tuple(keep): 1})
-            result = result + term
-        return result
+            key = tuple(exp[i] for i in subs)
+            kept = tuple(0 if i in subs else e for i, e in enumerate(exp))
+            groups.setdefault(key, {})[kept] = coeff
+        powers = {i: [ONE] for i in subs}
+        result = {}
+        for key, kept in groups.items():
+            factor = ONE
+            for i, e in zip(subs, key):
+                if e:
+                    factor = factor * _power(powers[i], subs[i], e)
+            _add_product(result, kept, factor.terms)
+        return _canonical(result)
 
     def evaluate(self, **assignments):
         """Fully evaluate; all variables present in the polynomial must
@@ -238,6 +231,36 @@ def _coerce(value):
     if isinstance(value, SparsePolynomial):
         return value
     return SparsePolynomial.constant(value)
+
+
+def _add_product(acc, left, right):
+    """Add the product of two term maps into the term map ``acc``; its
+    sums are left as they fall, for ``_canonical`` to clean up."""
+    right = list(right.items())
+    for (a, b, c, d), c1 in left.items():
+        for (p, q, r, s), c2 in right:
+            exp = (a + p, b + q, c + r, d + s)
+            if exp in acc:
+                acc[exp] += c1 * c2
+            else:
+                acc[exp] = c1 * c2
+
+
+def _canonical(terms):
+    """The polynomial of a term map whose coefficients are exact sums:
+    zeros dropped and integral Fractions made ints."""
+    out = SparsePolynomial.__new__(SparsePolynomial)
+    out.terms = {e: v if type(v) is int else _coeff(v)
+                 for e, v in terms.items() if v}
+    return out
+
+
+def _power(powers, base, k):
+    """``base ** k`` from the list ``powers`` of its powers found so
+    far (``[ONE]`` at first), extended one product at a time."""
+    while len(powers) <= k:
+        powers.append(powers[-1] * base)
+    return powers[k]
 
 
 ZERO = SparsePolynomial.constant(0)
@@ -304,34 +327,52 @@ def substitute_rational(p, substitutions, clearing_power):
     at least the degree of ``p`` in that variable).  The true value of
     the substituted expression is the returned numerator divided by
     ``prod(den_v ** clearing_power[v])``.
+
+    A term c * x^e of ``p`` becomes c times the product, over the
+    substituted variables v, of P(v, e_v) = num_v^e_v den_v^(k_v - e_v),
+    with k_v the clearing power, times the monomial of its other
+    variables.  Terms are grouped by their exponents in every substituted
+    variable but the last (in x, y, z, m order).  A group sums c P(last,
+    e_last) times the kept monomial over its terms, which is scaling and
+    shifting, not a product, and then takes one product with P(v, e_v)
+    per other substituted variable.  Each P(v, e) is built once, from
+    powers of num_v and den_v built one product at a time.
     """
     for var in substitutions:
         if clearing_power[var] < p.degree(var):
             raise ValueError("clearing power for %s below degree" % var)
-    result = ZERO
-    cache = {}
+    order = sorted(_VAR_INDEX[var] for var in substitutions)
+    if not order:
+        return SparsePolynomial(p.terms)
+    *outer, last = order
+    powers = {i: ([ONE], [ONE]) for i in order}   # of num_v and of den_v
+    factors = {}                                  # (v, e) -> P(v, e)
 
-    def cached_pow(tag, base, k):
-        key = (tag, k)
-        if key not in cache:
-            cache[key] = base ** k
-        return cache[key]
+    def factor(i, e):
+        if (i, e) not in factors:
+            (num, den), (num_powers, den_powers) = (substitutions[VARS[i]],
+                                                    powers[i])
+            k = clearing_power[VARS[i]]
+            factors[i, e] = (_power(num_powers, num, e)
+                             * _power(den_powers, den, k - e))
+        return factors[i, e]
 
+    groups = {}
     for exp, coeff in p.terms.items():
-        term = SparsePolynomial.constant(coeff)
-        for i in range(4):
-            var = VARS[i]
-            if var in substitutions:
-                num, den = substitutions[var]
-                term = term * cached_pow(("n", var), num, exp[i])
-                term = term * cached_pow(("d", var), den,
-                                         clearing_power[var] - exp[i])
-            elif exp[i]:
-                keep = [0, 0, 0, 0]
-                keep[i] = exp[i]
-                term = term * SparsePolynomial({tuple(keep): 1})
-        result = result + term
-    return result
+        kept = tuple(0 if i in order else e for i, e in enumerate(exp))
+        key = tuple(exp[i] for i in outer)
+        groups.setdefault(key, []).append((exp[last], kept, coeff))
+    result = {}
+    for key, terms in groups.items():
+        group = {}
+        for e, kept, coeff in terms:
+            _add_product(group, {kept: coeff}, factor(last, e).terms)
+        group = _canonical(group)
+        for i, e in zip(outer, key):
+            group = group * factor(i, e)
+        for exp, coeff in group.terms.items():
+            result[exp] = result.get(exp, 0) + coeff
+    return _canonical(result)
 
 
 # ---------------------------------------------------------------------------

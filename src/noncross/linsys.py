@@ -29,8 +29,9 @@ from math import factorial, lcm
 from .decomp import (DecompositionTable, all_labels_of_rank,
                      all_tuples_of_rank, canonical_tuple, count_bruteforce,
                      lower_count, orderings, special_values, tuple_rank)
-from .exact import VARS, LinearSystem, binomial_poly, echelon, poly, solve
-from .ncposet import zeta_closed, zeta_shifted
+from .exact import LinearSystem, binomial_poly, echelon, poly, solve
+from .ncposet import (_integer_coefficients, _tuple_zeta_vector,
+                      zeta_closed)
 from .rootsystem import subdiagram_types
 from .typelabel import label
 
@@ -89,42 +90,6 @@ def _coeffs_mz(p):
     return coeffs
 
 
-def _integer_coefficients(p, var):
-    """A polynomial in one variable as (integer coefficients, lowest
-    power first; their common denominator)."""
-    index = VARS.index(var)
-    den = lcm(*(Fraction(c).denominator for c in p.terms.values()))
-    vec = [0] * (p.degree(var) + 1)
-    for exp, c in p.terms.items():
-        vec[exp[index]] = int(c * den)
-    return vec, den
-
-
-def _convolve(a, b):
-    """The coefficients of the product of two polynomials in one
-    variable."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-@lru_cache(maxsize=None)
-def _shifted_zeta_vector(t):
-    """``zeta_shifted(t)`` as integer z-coefficients over a denominator;
-    the closed form multiplies over components, so a reducible type
-    takes the product of its components' vectors."""
-    if t.is_irreducible:
-        return _integer_coefficients(zeta_shifted(t), "z")
-    vec, den = [1], 1
-    for comp in t.irreducibles():
-        comp_vec, comp_den = _shifted_zeta_vector(comp)
-        vec, den = _convolve(vec, comp_vec), den * comp_den
-    return vec, den
-
-
 def _zeta_rows(system, ambient):
     """Coefficient comparison in m and z between the closed-form zeta
     polynomial of NC^m and its decomposition-number expansion
@@ -135,16 +100,15 @@ def _zeta_rows(system, ambient):
     extends by one factor.  A tuple's product is a polynomial in z
     alone, an integer vector over a denominator, and a canonical tuple's
     prefix is a canonical tuple of lower rank, so each product is one
-    convolution from an earlier one; each variable sums its terms per
-    tuple length k as one z-vector over a common denominator, and
-    binom(m, k) enters once per variable and length."""
+    convolution from an earlier one (``ncposet._tuple_zeta_vector``, the
+    route ``triangles.zeta_identity_check`` takes too); each variable
+    sums its terms per tuple length k as one z-vector over a common
+    denominator, and binom(m, k) enters once per variable and length."""
     n = ambient.rank
     products = {(): ([1], 1)}
     for s in range(1, n + 1):
         for tup in all_tuples_of_rank(s):
-            vec, den = products[tup[:-1]]
-            last_vec, last_den = _shifted_zeta_vector(tup[-1])
-            products[tup] = (_convolve(vec, last_vec), den * last_den)
+            _tuple_zeta_vector(tup, products)
     del products[()]
     common = lcm(*(den for _, den in products.values()))
     forms = {}                            # var -> {length k: z-vector}

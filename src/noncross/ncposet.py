@@ -80,9 +80,10 @@ import json
 import os
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import exact
-from .exact import SparsePolynomial, Z as _Z, M as _M, int_kernel
+from .exact import VARS, SparsePolynomial, Z as _Z, M as _M, int_kernel
 from .rootsystem import build_root_system
 from .typelabel import ResourceGuardError, label
 from .weyl import (_matmul, _minus_eye, bipartite_coxeter,
@@ -475,6 +476,54 @@ def zeta_shifted(t):
     type contributes to the decomposition-number expansion of the zeta
     polynomial of NC^m."""
     return zeta_closed(t, m=1).substitute(z=_Z - 1)
+
+
+def _integer_coefficients(p, var):
+    """A polynomial in one variable as (integer coefficients, lowest
+    power first; their common denominator)."""
+    index = VARS.index(var)
+    den = lcm(*(Fraction(c).denominator for c in p.terms.values()))
+    vec = [0] * (p.degree(var) + 1)
+    for exp, c in p.terms.items():
+        vec[exp[index]] = int(c * den)
+    return vec, den
+
+
+def _convolve(a, b):
+    """The coefficients of the product of two polynomials in one
+    variable."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+@lru_cache(maxsize=None)
+def _shifted_zeta_vector(t):
+    """``zeta_shifted(t)`` as integer z-coefficients over a denominator;
+    the closed form multiplies over components, so a reducible type
+    takes the product of its components' vectors."""
+    if t.is_irreducible:
+        return _integer_coefficients(zeta_shifted(t), "z")
+    vec, den = [1], 1
+    for comp in t.irreducibles():
+        comp_vec, comp_den = _shifted_zeta_vector(comp)
+        vec, den = _convolve(vec, comp_vec), den * comp_den
+    return vec, den
+
+
+def _tuple_zeta_vector(tup, products):
+    """The product of ``zeta_shifted`` over a canonical tuple, as integer
+    z-coefficients over a denominator.  A canonical tuple's prefix is a
+    canonical tuple, so the product is one convolution from its prefix's,
+    memoised in ``products`` (which maps ``()`` to ``([1], 1)``)."""
+    if tup not in products:
+        vec, den = _tuple_zeta_vector(tup[:-1], products)
+        last_vec, last_den = _shifted_zeta_vector(tup[-1])
+        products[tup] = (_convolve(vec, last_vec), den * last_den)
+    return products[tup]
 
 
 def ncm_cardinality(t, m):

@@ -235,6 +235,15 @@ def test_ftriangle(capsys):
     assert "none" in out
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_ftriangle_refuses_m_below_1(capsys, m):
+    # F=M is stated for m >= 1: bad input (exit 2), not a failed check
+    code, out, err = run(capsys, "ftriangle", "A3", "--m", m)
+    assert code == 2
+    assert out == ""
+    assert err == "error: ftriangle needs --m >= 1, got %s\n" % m
+
+
 def test_linsys_replay_report(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "linsys", "replay", "D4",

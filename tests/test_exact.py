@@ -8,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+import poly_oracle
 from dense_echelon import DenseEchelon
 from noncross import exact
 from noncross.exact import (InconsistentSystemError, LinearSystem,
@@ -130,6 +131,70 @@ def test_results_have_canonical_coefficients(p, q, r, k):
     for result in results:
         _assert_canonical(result)
     assert type(p.evaluate(x=1, y=2, m=3)) is Fraction
+
+
+_EXPONENTS_XYZM = st.tuples(st.integers(0, 3), st.integers(0, 2),
+                           st.integers(0, 2), st.integers(0, 2))
+
+
+def polynomials_xyzm(min_terms=0, max_terms=5):
+    """Small polynomials in x, y, z and m, integer or rational
+    coefficients."""
+    return st.dictionaries(_EXPONENTS_XYZM, _COEFFS, min_size=min_terms,
+                           max_size=max_terms).map(SparsePolynomial)
+
+
+_SUBSTITUTED = st.lists(st.sampled_from(exact.VARS), min_size=1, max_size=3,
+                        unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials_xyzm(), _SUBSTITUTED, st.data())
+def test_substitute_matches_term_by_term_oracle(p, names, data):
+    # the values are numbers or polynomials in every variable, the
+    # substituted ones included (the substitution is simultaneous)
+    values = {v: data.draw(st.one_of(_COEFFS, polynomials_xyzm(max_terms=3)),
+                           label=v)
+              for v in names}
+    got = p.substitute(**values)
+    assert got.terms == poly_oracle.substitute(p, **values).terms
+    _assert_canonical(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials_xyzm(), _SUBSTITUTED, st.data())
+def test_substitute_rational_matches_term_by_term_oracle(p, names, data):
+    # num and den may hold the substituted variables themselves, and the
+    # clearing power may exceed the degree
+    subs = {v: (data.draw(polynomials_xyzm(max_terms=3), label=v + " num"),
+                data.draw(polynomials_xyzm(min_terms=1, max_terms=2)
+                          .filter(bool), label=v + " den"))
+            for v in names}
+    clearing = {v: p.degree(v) + data.draw(st.integers(0, 2),
+                                           label=v + " extra")
+                for v in names}
+    got = substitute_rational(p, subs, clearing)
+    assert got.terms == poly_oracle.substitute_rational(p, subs,
+                                                        clearing).terms
+    _assert_canonical(got)
+
+
+def test_substitution_examples_match_the_oracle():
+    p = X ** 3 * Y ** 2 * M - 2 * X * Y * Z + Fraction(1, 3)
+    for values in ({"m": Fraction(-2, 3)}, {"x": Y - X, "y": X * M + 1},
+                   {"x": Z, "z": X, "m": 4}):
+        assert p.substitute(**values) == poly_oracle.substitute(p, **values)
+    # the F=M substitution, cleared above the degree in x
+    subs = {"x": (1 + Y, Y - X), "y": (Y - X, Y)}
+    clearing = {"x": 5, "y": 2}
+    assert (substitute_rational(p, subs, clearing)
+            == poly_oracle.substitute_rational(p, subs, clearing))
+
+
+def test_substitute_rational_refuses_clearing_power_below_degree():
+    with pytest.raises(ValueError, match="clearing power for y"):
+        substitute_rational(X * Y ** 2, {"x": (Y, X), "y": (X, Y)},
+                            {"x": 1, "y": 1})
 
 
 def test_integral_fractions_become_ints():

@@ -3,13 +3,18 @@
 import pytest
 
 from noncross import exact
-from noncross.decomp import full_table, production_table
+from noncross.decomp import (DecompositionTable, all_labels_of_rank,
+                             canonical_tuple, full_table, production_table)
 from noncross.ncposet import build_ncm
+from noncross.refdata import reference_table
+from noncross.rootsystem import subdiagram_types
+from noncross.typelabel import label
 from noncross.triangles import (FTriangleCandidate, MTriangle,
                                 TransformFailure, assemble_dual,
                                 dual_to_primal, f_reciprocity_checks,
                                 fm_transform, mtriangle_direct,
                                 reciprocity_check, zeta_identity_check)
+from poly_oracle import zeta_identity_expansion
 
 X = exact.SparsePolynomial.variable("x")
 Y = exact.SparsePolynomial.variable("y")
@@ -47,6 +52,40 @@ def test_assembly_equals_direct_moebius(name, m):
 def test_zeta_identity_small(name):
     diff = zeta_identity_check(name, full_table(name))
     assert not diff.terms
+
+
+def _tampered(name, kind):
+    """The published table of ``name`` with one entry raised by 1, or
+    with the entry at (A1, T), for a type T of corank 1 that is no
+    sub-diagram of the ambient, set from 0 to 1."""
+    entries = dict(reference_table(name))
+    if kind == "plus-one":
+        key = sorted(entries, key=str)[len(entries) // 2]
+    else:
+        n = label(name).rank
+        found = subdiagram_types(name)
+        foreign = next(t for t in all_labels_of_rank(n - 1) if t not in found)
+        key = canonical_tuple((label("A1"), foreign))
+        assert entries.get(key, 0) == 0
+    entries[key] = entries.get(key, 0) + 1
+    return DecompositionTable(name, entries)
+
+
+@pytest.mark.parametrize("kind", ["plus-one", "foreign-type"])
+@pytest.mark.parametrize("name", ["D5", "E6", "E7"])
+def test_zeta_identity_difference_on_tampered_tables(name, kind):
+    # the z-vector route and the Fraction expansion give the same nonzero
+    # difference polynomial, not just the same verdict
+    table = _tampered(name, kind)
+    diff = zeta_identity_check(name, table)
+    assert diff.terms
+    assert diff == zeta_identity_expansion(name, table)
+
+
+def test_zeta_identity_zero_on_D8_census_table():
+    table = production_table("D8")
+    assert not zeta_identity_check("D8", table).terms
+    assert not zeta_identity_expansion("D8", table).terms
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4", "D5"])

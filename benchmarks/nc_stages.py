@@ -18,7 +18,11 @@ the median is printed as one JSON object:
 * ``build_ncm_D4_2_s``: ``build_ncm("D4", 2)``, NC(D4) already
   enumerated;
 * ``read_cache_D5_s``: ``read_cache`` of a D5 cache file written once
-  before the runs;
+  before the runs, the kept posets emptied before each run, as in a
+  fresh ``nc enumerate D5 --cache-dir`` process;
+* ``chi_D6_s``: ``characteristic_polynomial`` of D6 with the kept
+  posets, censuses and chi* values emptied before each run (the root
+  systems and descent tables stay built);
 * ``descent_table_s``: per D and E ambient, one uncached
   ``ncposet._descent_masks`` (the root system already built), and
   ``descent_tables_DE_s``, the sum of those medians;
@@ -29,7 +33,10 @@ It also prints ``poset_E8_mb``, the memory held by one enumerated
 NC(E8) as ``tracemalloc`` counts it (one extra, untimed enumeration),
 and ``classify_calls_verify_e8``: the calls of
 ``weyl.classify_moved_roots`` in one cold ``noncross verify e8`` run in a
-child process, in total and made inside ``enumerate_nc``.
+child process, in total and made inside ``enumerate_nc``, and
+``chi_walks_D6`` and ``chi_walks_E7``: the posets that one cold
+``characteristic_polynomial`` of D6 and of E7 enumerates, as
+``enumerate_nc.cache_info().misses`` in a child process.
 """
 
 import argparse
@@ -79,6 +86,16 @@ print(json.dumps(calls))
 """
 
 
+# Counts the posets that one cold chi* enumerates.
+COUNT_WALKS = r"""
+import sys
+from noncross.ncposet import characteristic_polynomial, enumerate_nc
+from noncross.typelabel import label
+characteristic_polynomial(label(sys.argv[1]))
+print(enumerate_nc.cache_info().misses)
+"""
+
+
 DESCENT_AMBIENTS = ("D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8")
 
 
@@ -121,8 +138,20 @@ def stages(repeats):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "nc_D5.jsonl")
         ncposet.write_cache(ncposet.enumerate_nc("D5"), path)
-        out["read_cache_D5_s"] = timed(
-            lambda: ncposet.read_cache(path, expected_ambient="D5"), repeats)
+
+        def read():
+            ncposet.enumerate_nc.cache_clear()
+            return ncposet.read_cache(path, expected_ambient="D5")
+
+        out["read_cache_D5_s"] = timed(read, repeats)
+
+    def cold_chi():
+        for cached in (ncposet.enumerate_nc, ncposet._chi_star_irreducible,
+                       ncposet._mobius_number):
+            cached.cache_clear()
+        return ncposet.characteristic_polynomial(label("D6"))
+
+    out["chi_D6_s"] = timed(cold_chi, repeats)
     tables = {}
     for name in DESCENT_AMBIENTS:
         build_root_system(name)
@@ -143,6 +172,10 @@ def stages(repeats):
     child = subprocess.run([sys.executable, "-c", COUNT_CALLS], check=True,
                            capture_output=True, text=True)
     out["classify_calls_verify_e8"] = json.loads(child.stdout)
+    for name in ("D6", "E7"):
+        child = subprocess.run([sys.executable, "-c", COUNT_WALKS, name],
+                               check=True, capture_output=True, text=True)
+        out["chi_walks_%s" % name] = int(child.stdout)
     return out
 
 

@@ -112,13 +112,11 @@ def cmd_rootsys(args):
 
 
 def cmd_nc(args):
-    from .ncposet import enumerate_nc, load_or_enumerate
+    from .ncposet import load_or_enumerate
     name = _require_ambient(args.label)
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
-    if cache_dir:
-        poset = load_or_enumerate(name, cache_dir)
-    else:
-        poset = enumerate_nc(name)
+    # an empty flag or variable means no cache
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
+    poset = load_or_enumerate(name, cache_dir)
     by_type = {str(t): len(els) for t, els in poset.by_type.items()}
     _emit({
         "ambient": name,
@@ -322,9 +320,7 @@ def build_parser():
     p.add_argument("label")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--symbolic", action="store_true")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--dual", action="store_true")
-    group.add_argument("--primal", action="store_true")
+    p.add_argument("--dual", action="store_true")
     p.set_defaults(func=cmd_mtriangle)
 
     p = sub.add_parser("ftriangle", parents=parents,

@@ -320,14 +320,11 @@ def all_labels_of_rank(r):
 
 
 @lru_cache(maxsize=None)
-def all_tuples_of_rank(total, max_ranks=None):
+def all_tuples_of_rank(total):
     """All canonical tuples (multisets of nonempty labels) with the given
-    rank sum, as a tuple.  ``max_ranks`` optionally caps entry ranks."""
-    labels_by_rank = {r: all_labels_of_rank(r) for r in range(1, total + 1)}
-    if max_ranks is not None:
-        labels_by_rank = {r: v for r, v in labels_by_rank.items()
-                          if r <= max_ranks}
-    pool = sorted(t for ls in labels_by_rank.values() for t in ls)
+    rank sum, as a tuple."""
+    pool = sorted(t for r in range(1, total + 1)
+                  for t in all_labels_of_rank(r))
     results = []
 
     def build(start, remaining, acc):

@@ -84,7 +84,7 @@ from math import lcm
 
 from . import exact
 from .exact import VARS, SparsePolynomial, Z as _Z, M as _M, int_kernel
-from .rootsystem import build_root_system
+from .rootsystem import SUPPORTED_AMBIENTS, build_root_system
 from .typelabel import ResourceGuardError, label
 from .weyl import (_matmul, _minus_eye, bipartite_coxeter,
                    classify_moved_roots, coxeter_root_permutation)
@@ -289,18 +289,6 @@ def _typed_walk(name):
             yield NcElement(mask, rank, typ, comp)
 
 
-def _poset(rs, elements):
-    """An NcPoset from its elements, given in order of discovery."""
-    levels = [[] for _ in range(rs.n + 1)]
-    by_type = {}
-    for el in elements:
-        levels[el.rank].append(el)
-        by_type.setdefault(el.typ, []).append(el)
-    return NcPoset(rs=rs, elements={el.key: el for el in elements},
-                   levels=levels, by_type=by_type, identity=levels[0][0],
-                   top=levels[rs.n][0])
-
-
 @lru_cache(maxsize=None)
 def enumerate_nc(name):
     """Enumerate and type the poset NC for the named ambient.
@@ -312,12 +300,20 @@ def enumerate_nc(name):
     starts in, and the element count against the closed form (two
     elements sharing a mask would collapse into one).
     """
-    elements = list(_typed_walk(name))
+    rs = build_root_system(name)
+    levels = [[] for _ in range(rs.n + 1)]
+    by_type = {}
+    elements = {}
+    for el in _typed_walk(name):
+        levels[el.rank].append(el)
+        by_type.setdefault(el.typ, []).append(el)
+        elements[el.key] = el
     expected = ncm_cardinality(label(name), 1)
     if len(elements) != expected:
         raise AssertionError("NC(%s) has %d elements, expected %d"
                              % (name, len(elements), expected))
-    return _poset(build_root_system(name), elements)
+    return NcPoset(rs=rs, elements=elements, levels=levels, by_type=by_type,
+                   identity=levels[0][0], top=levels[rs.n][0])
 
 
 # ---------------------------------------------------------------------------
@@ -383,43 +379,46 @@ def characteristic_direct(poset):
 
 @lru_cache(maxsize=None)
 def _chi_star_irreducible(name):
-    """chi* of NC for an irreducible ambient, by the two-factor recursion.
+    """chi* of NC for an irreducible ambient, from its pair census.
 
+    The interval [u, c] of NC is NC of the type of u^{-1} c, so
     chi*(y) = sum over factorizations c = u (u^{-1} c) of
-    N(type u, type u^{-1}c) * mu(type of complement) * y^{rank u},
-    with the ambient's own Moebius value solved from chi*(1) = 0.
+    N(type u, type u^{-1}c) * mu(type of complement) * y^{rank u};
+    the identity term is the ambient's own Moebius number.  Raises
+    ``AssertionError`` unless chi*(1) = 0.
     """
-    poset = enumerate_nc(name)
-    census = poset.pair_census()
     result = exact.ZERO
-    ambient = label(name)
-    for (t_low, t_comp), count in census.items():
-        if t_comp == ambient:             # u = identity: the mu(ambient) term
-            continue
+    for (t_low, t_comp), count in enumerate_nc(name).pair_census().items():
         term = count * _mobius_number(t_comp)
         result = result + SparsePolynomial.variable("y", t_low.rank) * term
-    mu_ambient = -result.evaluate(y=1)
-    return result + exact.poly(mu_ambient)
+    at_one = result.evaluate(y=1)
+    if at_one:
+        raise AssertionError("chi*(1) = %s != 0 for NC(%s)" % (at_one, name))
+    return result
 
 
 @lru_cache(maxsize=None)
 def _mobius_number(t):
-    """mu(0,1) of NC of the given type; multiplicative over components."""
-    if t.is_empty:
-        return Fraction(1)
+    """mu(0,1) of NC of the given type, multiplicative over components.
+
+    An irreducible component of rank n, Coxeter number h and degrees d_i
+    has mu = (-1)^n prod_i (h + d_i - 2)/d_i (Chapoton 2004), one factor
+    -(h + d_i - 2)/d_i per degree.
+    """
     value = Fraction(1)
     for comp in t.irreducibles():
-        chi = _chi_star_irreducible(str(comp))
-        value *= chi.coefficient(y=0).evaluate()
+        rs = build_root_system(str(comp))
+        h = rs.coxeter_number
+        for d in rs.degrees:
+            value *= Fraction(2 - h - d, d)
     return value
 
 
 def characteristic_polynomial(t):
-    """chi* of NC of any (possibly reducible) type, recursion route."""
+    """chi* of NC of any (possibly reducible) type: the product of its
+    components' chi*, each from the component's pair census."""
     if isinstance(t, str):
         t = label(t)
-    if t.is_empty:
-        return exact.ONE
     result = exact.ONE
     for comp in t.irreducibles():
         result = result * _chi_star_irreducible(str(comp))
@@ -611,33 +610,39 @@ def build_ncm(name, m, guard=100_000):
 # poset cache files
 
 
-def write_cache(poset, path):
-    """Write an enumerated poset to a versioned record stream.
+def _cache_text(poset):
+    """The cache file of an enumerated poset, as a record stream.
 
     One JSON object per line: a header with the schema version and the
     ambient label, then one record per element, level by level, with
-    its moved-root mask (hexadecimal), rank and type.  The write is
-    atomic (temp file + rename).
+    its moved-root mask (hexadecimal), rank and type.
     """
+    header = {
+        "schema_version": CACHE_SCHEMA_VERSION,
+        "ambient": str(poset.rs.typ),
+    }
+    lines = [json.dumps(header)]
+    for level in poset.levels:
+        for el in level:
+            record = {
+                "mask": format(el.key, "x"),
+                "rank": el.rank,
+                "type": str(el.typ),
+            }
+            lines.append(json.dumps(record))
+    return "\n".join(lines) + "\n"
+
+
+def write_cache(poset, path):
+    """Write ``_cache_text`` of an enumerated poset to ``path``.  The
+    write is atomic (temp file + rename)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     import tempfile     # here, so that only a cache write pays for it
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            header = {
-                "schema_version": CACHE_SCHEMA_VERSION,
-                "ambient": str(poset.rs.typ),
-            }
-            handle.write(json.dumps(header) + "\n")
-            for level in poset.levels:
-                for el in level:
-                    record = {
-                        "mask": format(el.key, "x"),
-                        "rank": el.rank,
-                        "type": str(el.typ),
-                    }
-                    handle.write(json.dumps(record) + "\n")
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(_cache_text(poset).encode("ascii"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -646,48 +651,35 @@ def write_cache(poset, path):
 
 
 class CacheFormatError(ValueError):
-    """The cache file is missing, malformed, or has a wrong version."""
+    """The cache file is not the text of a fresh enumeration: damaged,
+    stale, of another version or for an unsupported ambient."""
 
 
 def read_cache(path, expected_ambient=None):
-    """Rebuild a typed poset from a cache file written by write_cache.
+    """The poset NC whose cache file write_cache wrote at ``path``.
 
-    The masks must be exactly the masks of a fresh walk of NC, and every
-    record's rank and type must equal those of its mask in the walk,
-    typed afresh.  Any damaged, stale or inconsistent content raises
-    ``CacheFormatError``.
+    The file must hold, byte for byte, the text of a fresh enumeration
+    of its ambient: ``expected_ambient`` when given, else the ambient
+    its header names.  Returns ``enumerate_nc``'s poset; any damaged,
+    stale or differently spelt content raises ``CacheFormatError``.
     """
-    try:
-        return _read_cache(path, expected_ambient)
-    except CacheFormatError:
-        raise
-    # what damaged content raises while it is parsed and revalidated
-    except (ValueError, KeyError, TypeError, IndexError, AttributeError,
-            AssertionError) as err:
-        raise CacheFormatError("damaged cache record (%s: %s)"
-                               % (type(err).__name__, err)) from None
-
-
-def _read_cache(path, expected_ambient):
-    with open(path) as handle:
-        header = json.loads(handle.readline())
-        if header.get("schema_version") != CACHE_SCHEMA_VERSION:
-            raise CacheFormatError("unsupported cache schema %r"
-                                   % header.get("schema_version"))
-        name = header.get("ambient")
-        if expected_ambient is not None and name != str(expected_ambient):
-            raise CacheFormatError("cache is for ambient %r, expected %r"
-                                   % (name, str(expected_ambient)))
-        records = [json.loads(line) for line in handle]
-    walked = {el.key: el for el in _typed_walk(name)}
-    masks = [int(record["mask"], 16) for record in records]
-    if len(masks) != len(walked) or set(masks) != walked.keys():
-        raise CacheFormatError("cache masks are not the elements of NC")
-    elements = [walked[mask] for mask in masks]
-    for el, record in zip(elements, records):
-        if str(el.typ) != record["type"] or el.rank != record["rank"]:
-            raise CacheFormatError("cache record does not revalidate")
-    return _poset(build_root_system(name), elements)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    name = expected_ambient
+    if name is None:
+        try:
+            name = json.loads(data.partition(b"\n")[0])["ambient"]
+        except (ValueError, TypeError, KeyError) as err:
+            raise CacheFormatError("bad cache header (%s: %s)"
+                                   % (type(err).__name__, err)) from None
+    name = str(name)
+    if name not in SUPPORTED_AMBIENTS:
+        raise CacheFormatError("cache for unsupported ambient %r" % name)
+    poset = enumerate_nc(name)
+    if data != _cache_text(poset).encode("ascii"):
+        raise CacheFormatError("cache is not the enumeration of NC(%s)"
+                               % name)
+    return poset
 
 
 def load_or_enumerate(name, cache_dir=None):

@@ -68,10 +68,9 @@ class MTriangle:
         return cls(ambient=ambient, n=n, dual=dual,
                    primal=dual_to_primal(dual, n))
 
-    def at(self, m, dual=False):
-        """The (dual) triangle at a numeric m, as a polynomial in x, y."""
-        source = self.dual if dual else self.primal
-        return source.substitute(m=poly(m))
+    def at(self, m):
+        """The primal triangle at a numeric m, as a polynomial in x, y."""
+        return self.primal.substitute(m=poly(m))
 
 
 @lru_cache(maxsize=None)

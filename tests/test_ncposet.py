@@ -1,19 +1,26 @@
 """Non-crossing partition posets: enumeration, order, Moebius, zeta, cache."""
 
+import json
+import os
+import subprocess
+import sys
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 import sympy
 
 from matrix_oracle import (GroupElement, coxeter_element, le_absolute,
                            moved_positive_roots)
-from noncross.ncposet import (ResourceGuardError, _descent_masks, _walk,
+from noncross import ncposet
+from noncross.ncposet import (CacheFormatError, ResourceGuardError,
+                              _descent_masks, _mobius_number, _walk,
                               build_ncm,
                               characteristic_direct, characteristic_polynomial,
                               enumerate_nc, load_or_enumerate, mobius,
                               mobius_from_top, ncm_cardinality, read_cache,
                               write_cache, zeta_closed, zeta_direct)
-from noncross.refdata import chi_star_reference
+from noncross.refdata import CHI_STAR_COEFFS, chi_star_reference
 from noncross.rootsystem import (SUPPORTED_AMBIENTS, DynkinDiagram,
                                  build_root_system, classify_diagram)
 from noncross.typelabel import label
@@ -255,6 +262,40 @@ def test_characteristic_polynomial_multiplicative():
         characteristic_polynomial(label("A2"))
 
 
+# a cold chi* in a fresh process, reporting the posets it enumerated
+ONE_WALK = r"""
+from noncross.ncposet import characteristic_polynomial, enumerate_nc
+from noncross.typelabel import label
+characteristic_polynomial(label("D6"))
+print(enumerate_nc.cache_info().misses)
+"""
+
+
+def test_chi_star_enumerates_only_its_ambient():
+    # the Moebius numbers of the intervals above the identity come from
+    # the closed form, not from enumerating NC(D5), NC(A5), ...
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ncposet.__file__)))
+    child = subprocess.run([sys.executable, "-c", ONE_WALK],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == "1\n"
+
+
+@pytest.mark.parametrize("name", sorted(CHI_STAR_COEFFS))
+def test_mobius_number_is_published_constant_term(name):
+    published = chi_star_reference(name).coefficient(y=0).evaluate()
+    assert _mobius_number(label(name)) == published
+
+
+def test_chi_star_checks_its_value_at_one(monkeypatch):
+    census = enumerate_nc("D4").pair_census()
+    census[next(iter(census))] += 1
+    monkeypatch.setattr(ncposet, "enumerate_nc", lambda name: SimpleNamespace(
+        pair_census=lambda: dict(census)))
+    with pytest.raises(AssertionError, match=r"chi\*\(1\) = .* NC\(D4\)"):
+        ncposet._chi_star_irreducible.__wrapped__("D4")
+
+
 def test_zeta_closed_counts_elements():
     # zeta at z=2 is the number of elements
     for name in ("A3", "D4", "E6"):
@@ -298,6 +339,42 @@ def test_cache_roundtrip(tmp_path):
     census_a = poset.pair_census()
     census_b = loaded.pair_census()
     assert census_a == census_b
+
+
+def test_read_cache_returns_the_enumerated_poset(tmp_path):
+    poset = enumerate_nc("D4")
+    path = str(tmp_path / "nc_D4.jsonl")
+    write_cache(poset, path)
+    with open(path) as handle:
+        assert handle.readline() == \
+            '{"schema_version": 2, "ambient": "D4"}\n'
+        assert handle.readline() == '{"mask": "0", "rank": 0, "type": "0"}\n'
+    assert read_cache(path, expected_ambient="D4") is poset
+    assert read_cache(path) is poset
+
+
+@pytest.mark.parametrize("header", ["", "[", "null", "[]", "{}",
+                                    '{"ambient": "B3"}',
+                                    '{"ambient": ["D4"]}'])
+def test_read_cache_without_ambient_rejects_bad_header(tmp_path, header):
+    path = tmp_path / "nc.jsonl"
+    path.write_text(header + "\n")
+    with pytest.raises(CacheFormatError):
+        read_cache(str(path))
+
+
+def test_respelt_cache_is_a_miss_and_rewritten(tmp_path):
+    # the same records with their keys in another order
+    load_or_enumerate("D4", str(tmp_path))
+    path = tmp_path / "nc_D4.jsonl"
+    canonical = path.read_text()
+    path.write_text("".join(
+        json.dumps(dict(reversed(json.loads(line).items()))) + "\n"
+        for line in canonical.splitlines()))
+    with pytest.raises(CacheFormatError):
+        read_cache(str(path), expected_ambient="D4")
+    assert load_or_enumerate("D4", str(tmp_path)) is enumerate_nc("D4")
+    assert path.read_text() == canonical
 
 
 def test_load_or_enumerate_uses_cache_dir(tmp_path):

@@ -12,8 +12,10 @@ the median is printed as one JSON object:
   built, product-count memos emptied first (null on a tree without the
   census route);
 * ``census_table_E8_cold_s``: ``census_table("E8")`` with every cache
-  of the route emptied first, so that it enumerates NC(E8) and the
-  lower ambients too (null on a tree without the census route);
+  of the route emptied first, the kept posets and censuses included, so
+  that it enumerates NC(E8), and the lower ambients too on a tree that
+  does not read their censuses off its intervals (null on a tree
+  without the census route);
 * ``descent_D7_s``: every full-rank D7 value of a sub-diagram type by
   ``count_bruteforce`` with one shared memo, NC(D7) enumerated (the
   body of ``full_table("D7")`` before the census route);
@@ -21,7 +23,10 @@ the median is printed as one JSON object:
   with the posets and the lower tables warm, memos emptied first;
 * ``cold_<command>_s``: the wall time of a fresh
   ``python -m noncross.cli`` process for ``decomp count E7 A4,A3``,
-  ``decomp count E8 D4,A4`` and ``verify e8``.
+  ``decomp count E8 D4,A4``, ``verify e8``, ``mtriangle E6 --m 2`` and
+  ``linsys replay E8``;
+* ``walks_<command>``: the posets the same command enumerates in one
+  fresh process, as ``enumerate_nc.cache_info().misses``.
 """
 
 import argparse
@@ -38,13 +43,30 @@ from noncross import decomp, linsys, ncposet
 
 COLD_COMMANDS = (("decomp", "count", "E7", "A4,A3"),
                  ("decomp", "count", "E8", "D4,A4"),
-                 ("verify", "e8"))
+                 ("verify", "e8"),
+                 ("mtriangle", "E6", "--m", "2"),
+                 ("linsys", "replay", "E8"))
+
+# Runs one CLI command, its stdout swallowed, and prints the posets it
+# enumerated.
+COUNT_WALKS = r"""
+import contextlib, io, sys
+import noncross.cli
+from noncross import ncposet
+with contextlib.redirect_stdout(io.StringIO()):
+    code = noncross.cli.main(sys.argv[1:])
+assert code == 0, code
+print(ncposet.enumerate_nc.cache_info().misses)
+"""
 
 
 def clear_all():
     for cached in (ncposet.enumerate_nc, decomp.census_table,
-                   decomp.production_table, decomp._component_tables):
-        cached.cache_clear()
+                   decomp.production_table, decomp._component_tables,
+                   getattr(ncposet, "_census", None)):
+        if cached is not None:
+            cached.cache_clear()
+    getattr(ncposet, "_WALKED", {}).clear()
     clear_memos()
 
 
@@ -58,14 +80,23 @@ def timed(fn, repeats, before=clear_memos):
     return round(statistics.median(times), 4)
 
 
-def cold(argv, repeats):
-    env = dict(os.environ, PYTHONPATH=os.path.abspath("src"))
+def child_env():
+    return dict(os.environ, PYTHONPATH=os.path.abspath("src"))
 
+
+def cold(argv, repeats):
     def run():
         subprocess.run([sys.executable, "-m", "noncross.cli", *argv],
-                       env=env, check=True, stdout=subprocess.DEVNULL)
+                       env=child_env(), check=True, stdout=subprocess.DEVNULL)
 
     return timed(run, repeats, before=lambda: None)
+
+
+def walks(argv):
+    child = subprocess.run([sys.executable, "-c", COUNT_WALKS, *argv],
+                           env=child_env(), check=True, capture_output=True,
+                           text=True)
+    return int(child.stdout)
 
 
 def stages(repeats):
@@ -87,8 +118,9 @@ def stages(repeats):
         out["replay_%s_s" % name] = timed(
             lambda: linsys.replay.__wrapped__(name), repeats)
     for argv in COLD_COMMANDS:
-        out["cold_%s_s" % "_".join(argv).replace(",", "_")] = cold(argv,
-                                                                  repeats)
+        name = "_".join(argv).replace(",", "_").replace("--", "")
+        out["cold_%s_s" % name] = cold(argv, repeats)
+        out["walks_%s" % name] = walks(argv)
     return out
 
 

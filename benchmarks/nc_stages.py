@@ -10,8 +10,11 @@ the median is printed as one JSON object:
 * ``walk_classify_E8_s``, ``walk_classify_E7_s``, ``walk_classify_D8_s``:
   one uncached ``enumerate_nc`` of E8, E7 and D8, the walk with every
   element typed;
-* ``pair_census_E8_s``: ``pair_census`` of the enumerated NC(E8), the
-  census it keeps emptied before each run;
+* ``pair_census_E8_s``: ``pair_census`` of the enumerated NC(E8),
+  counted afresh on each run;
+* ``interval_census_E8_s``: the censuses of the 13 irreducible types
+  below E8, each by ``interval_census`` below the first element of its
+  type in NC(E8) (null on a tree without ``interval_census``);
 * ``full_table_D7_s``: every full-rank D7 value of a sub-diagram type
   by ``count_bruteforce`` with one shared memo, NC(D7) already
   enumerated (what ``full_table("D7")`` ran before the census route);
@@ -126,10 +129,16 @@ def stages(repeats):
     poset = ncposet.enumerate_nc("E8")
 
     def census():
-        poset._census = None              # count afresh, not the kept census
+        if hasattr(poset, "_census"):
+            poset._census = None          # a tree that kept the census
         return poset.pair_census()
 
     out["pair_census_E8_s"] = timed(census, repeats)
+    lower = [below[0] for t, below in poset.by_type.items()
+             if t.is_irreducible and t.rank < 8]
+    out["interval_census_E8_s"] = timed(
+        lambda: [poset.interval_census(q) for q in lower], repeats) \
+        if hasattr(poset, "interval_census") else None
     ncposet.enumerate_nc("D7")
     out["full_table_D7_s"] = timed(lambda: descent("D7"), repeats)
     ncposet.enumerate_nc("D4")
@@ -147,8 +156,11 @@ def stages(repeats):
 
     def cold_chi():
         for cached in (ncposet.enumerate_nc, ncposet._chi_star_irreducible,
-                       ncposet._mobius_number):
-            cached.cache_clear()
+                       ncposet._mobius_number,
+                       getattr(ncposet, "_census", None)):
+            if cached is not None:
+                cached.cache_clear()
+        getattr(ncposet, "_WALKED", {}).clear()
         return ncposet.characteristic_polynomial(label("D6"))
 
     out["chi_D6_s"] = timed(cold_chi, repeats)

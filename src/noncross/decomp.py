@@ -385,12 +385,14 @@ def census_table(name):
     N_S(T_1, ..., T_{d-1}), with T_d the last (highest-rank) entry of
     the canonical key.  The element types of NC are the sub-diagram
     types (a subword of the bipartite Coxeter element has each), so
-    tuples holding a type outside the census vanish and are skipped."""
-    from .ncposet import enumerate_nc
+    tuples holding a type outside the census vanish and are skipped.
+    ``ncposet.census`` reads the census off an interval of a poset
+    already walked, so the lower tables share the highest ambient's
+    walk."""
+    from .ncposet import census
     ambient = label(name)
     by_last = {}                          # type(q^-1 c) -> [(type q, count)]
-    for (prefix_type, last), count in \
-            enumerate_nc(name).pair_census().items():
+    for (prefix_type, last), count in census(ambient).items():
         by_last.setdefault(last, []).append((prefix_type, count))
     allowed = by_last.keys()
     entries = {}

@@ -31,7 +31,7 @@ from .decomp import (DecompositionTable, all_labels_of_rank,
                      lower_count, orderings, special_values, tuple_rank)
 from .exact import LinearSystem, binomial_poly, echelon, poly, solve
 from .ncposet import (_integer_coefficients, _tuple_zeta_vector,
-                      zeta_closed)
+                      enumerate_nc, zeta_closed)
 from .rootsystem import subdiagram_types
 from .typelabel import label
 
@@ -238,10 +238,15 @@ def check_system_against_table(system, table):
 def replay(name):
     """Solve the equation system for one ambient, pin the remaining
     freedom with brute-force oracle values, and assert the classical
-    arithmetic consistency relations on the result."""
+    arithmetic consistency relations on the result.  An ambient with
+    pins is enumerated first: the pins need NC(name), and the lower
+    tables of the split rows then read their censuses off its
+    intervals."""
     ambient = label(name)
     n = ambient.rank
     flags = []
+    if name in PIN_TUPLES:
+        enumerate_nc(name)
     system = generate_equations(name)
     ech = echelon(system)
     dimension = ech.dimension

@@ -69,6 +69,12 @@ checks that no image leaves the level.  On the reflections the orbits
 are the cycles of pi, and ``reflection_orbits`` types each orbit's t c,
 the complement of t, from one row of the descent table.
 
+Censuses from intervals.  For q in NC of type S, the interval [1, q] is
+NC(W_S) with types kept (Brady-Watt), and the complement of u <= q in
+it has the mask comp(u) & moved(q), by the identity above.  So the pair
+census of every type below an enumerated ambient is read off one of its
+intervals (``census``), and a process walks only its highest ambient.
+
 The m-divisible poset NC^m consists of minimal-length factorizations
 c = w0 * w1 * ... * wm ordered componentwise (opposite order in the
 coordinates 1..m); it is graded by the length of w0.
@@ -78,6 +84,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -120,7 +127,6 @@ class NcPoset:
         self.by_type = by_type       # TypeLabel -> list of NcElements
         self.identity = identity
         self.top = top
-        self._census = None
 
     def __len__(self):
         return len(self.elements)
@@ -138,20 +144,23 @@ class NcPoset:
     def rank_sizes(self):
         return [len(level) for level in self.levels]
 
-    def pair_census(self):
-        """Counts of (type(w), type(w^{-1} c)) over all elements.
+    def interval_census(self, q):
+        """A ``Counter`` of (type(u), type(u^{-1} q)) over the u <= q.
 
-        These are exactly the full-rank two-factor decomposition counts.
-        They are counted on the first call and kept; each call returns a
-        copy.
+        The interval [1, q] is NC of the type of q with types kept
+        (Brady-Watt), so these are the full-rank two-factor decomposition
+        counts of that type.  The levels up to the rank of q are scanned,
+        highest first.
         """
-        if self._census is None:
-            census = {}
-            for el in self.elements.values():
-                key = (el.typ, self.complement(el).typ)
-                census[key] = census.get(key, 0) + 1
-            self._census = census
-        return dict(self._census)
+        elements, qkey = self.elements, q.key
+        return Counter((u.typ, elements[u.comp & qkey].typ)
+                       for level in reversed(self.levels[:q.rank + 1])
+                       for u in level if u.key & qkey == u.key)
+
+    def pair_census(self):
+        """Counts of (type(w), type(w^{-1} c)) over all elements: the
+        full-rank two-factor decomposition counts of the ambient."""
+        return self.interval_census(self.top)
 
 
 @lru_cache(maxsize=None)
@@ -312,8 +321,35 @@ def enumerate_nc(name):
     if len(elements) != expected:
         raise AssertionError("NC(%s) has %d elements, expected %d"
                              % (name, len(elements), expected))
-    return NcPoset(rs=rs, elements=elements, levels=levels, by_type=by_type,
-                   identity=levels[0][0], top=levels[rs.n][0])
+    poset = NcPoset(rs=rs, elements=elements, levels=levels,
+                    by_type=by_type, identity=levels[0][0],
+                    top=levels[rs.n][0])
+    _WALKED[name] = poset
+    return poset
+
+
+# the posets enumerate_nc has built in this process, by ambient name
+_WALKED = {}
+
+
+def census(t):
+    """The pair census of NC of an irreducible type (a label or its
+    text): counts of (type(u), type(u^{-1} c)) over its elements.  Each
+    call returns a copy of the one census kept per type."""
+    return dict(_census(label(t) if isinstance(t, str) else t))
+
+
+@lru_cache(maxsize=None)
+def _census(t):
+    """The census of type t, read off the interval [1, q] below the first
+    element q of type t in the smallest poset enumerated so far that has
+    one: [1, q] is NC(W_t) with types kept (Brady-Watt).  NC(t) is
+    enumerated only when no enumerated poset has an element of type t."""
+    walked = [poset for poset in _WALKED.values() if t in poset.by_type]
+    if not walked:
+        return enumerate_nc(str(t)).pair_census()
+    poset = min(walked, key=len)
+    return poset.interval_census(poset.by_type[t][0])
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +415,7 @@ def characteristic_direct(poset):
 
 @lru_cache(maxsize=None)
 def _chi_star_irreducible(name):
-    """chi* of NC for an irreducible ambient, from its pair census.
+    """chi* of NC for an irreducible ambient, from its pair ``census``.
 
     The interval [u, c] of NC is NC of the type of u^{-1} c, so
     chi*(y) = sum over factorizations c = u (u^{-1} c) of
@@ -388,7 +424,7 @@ def _chi_star_irreducible(name):
     ``AssertionError`` unless chi*(1) = 0.
     """
     result = exact.ZERO
-    for (t_low, t_comp), count in enumerate_nc(name).pair_census().items():
+    for (t_low, t_comp), count in census(name).items():
         term = count * _mobius_number(t_comp)
         result = result + SparsePolynomial.variable("y", t_low.rank) * term
     at_one = result.evaluate(y=1)

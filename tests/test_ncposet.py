@@ -1,11 +1,11 @@
 """Non-crossing partition posets: enumeration, order, Moebius, zeta, cache."""
 
+import functools
 import json
 import os
 import subprocess
 import sys
 from math import comb
-from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -281,6 +281,61 @@ def test_chi_star_enumerates_only_its_ambient():
     assert child.stdout == "1\n"
 
 
+# a snippet run in a fresh process, its stdout swallowed; prints the
+# number of posets enumerated and the ambients walked
+WALKS = r"""
+import contextlib, io, sys
+from noncross import ncposet
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(sys.argv[1])
+print(ncposet.enumerate_nc.cache_info().misses, *sorted(ncposet._WALKED))
+"""
+
+
+@pytest.mark.parametrize("snippet, walked", [
+    ("from noncross.decomp import production_table\n"
+     "production_table('E7')", "1 E7"),
+    ("from noncross import linsys, triangles\n"
+     "triangles.assemble_dual('E8', linsys.replay('E8').final_table)",
+     "1 E8"),
+    ("from noncross.cli import main\n"
+     "assert main(['verify', 'e8']) == 0", "1 E8"),
+])
+def test_lower_censuses_come_from_one_walk(snippet, walked):
+    # the lower tables and chi* read the intervals of the one poset walked
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ncposet.__file__)))
+    child = subprocess.run([sys.executable, "-c", WALKS, snippet],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == walked + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def own_census(name):
+    """The pair census of a fresh enumeration of NC(name)."""
+    return enumerate_nc.__wrapped__(name).pair_census()
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8",
+                                  "E6", "E7", "E8"])
+def test_interval_census_is_the_census_of_its_type(name):
+    # [1, q] is NC of the type of q with types kept (Brady-Watt)
+    poset = enumerate_nc(name)
+    for t, below in poset.by_type.items():
+        if t.is_irreducible:
+            expected = own_census(str(t))
+            assert poset.interval_census(below[0]) == expected
+            assert poset.interval_census(below[-1]) == expected
+
+
+def test_census_is_kept_once_per_label():
+    first = ncposet.census("D5")
+    first[next(iter(first))] += 1             # a copy: the kept one is intact
+    kept = ncposet._census.cache_info().currsize
+    assert ncposet.census(label("D5")) == own_census("D5")
+    assert ncposet._census.cache_info().currsize == kept
+
+
 @pytest.mark.parametrize("name", sorted(CHI_STAR_COEFFS))
 def test_mobius_number_is_published_constant_term(name):
     published = chi_star_reference(name).coefficient(y=0).evaluate()
@@ -288,10 +343,9 @@ def test_mobius_number_is_published_constant_term(name):
 
 
 def test_chi_star_checks_its_value_at_one(monkeypatch):
-    census = enumerate_nc("D4").pair_census()
+    census = ncposet.census("D4")
     census[next(iter(census))] += 1
-    monkeypatch.setattr(ncposet, "enumerate_nc", lambda name: SimpleNamespace(
-        pair_census=lambda: dict(census)))
+    monkeypatch.setattr(ncposet, "census", lambda t: dict(census))
     with pytest.raises(AssertionError, match=r"chi\*\(1\) = .* NC\(D4\)"):
         ncposet._chi_star_irreducible.__wrapped__("D4")
 

@@ -23,6 +23,10 @@ as one JSON object, in seconds:
   100 type labels of rank 1 to 8 (``verify e8`` builds these);
 * ``count_product:E7*A1`` (and D4*D4, E6*A2, D5*A3): ``count_product``
   without a memo over the pair's whole full-rank key universe;
+* ``count_product:A1*A2*D5``: the same over three factors, so the
+  product over the factors after the first is timed too, and
+  ``count_product:A1*A2*D5:memo`` with one fresh memo per repeat
+  shared over the batch, as ``lower_count`` shares one;
 * ``lookup:E8|E7|A7``: a batch of 4000 lookups, half full-rank keys
   and half made rank-deficient by dropping one factor (seeded), on a
   fresh table per repeat, so any lazily built index is timed too.
@@ -36,7 +40,8 @@ import time
 
 from noncross import decomp, exact, ncposet, refdata, triangles
 
-PRODUCTS = (("E7", "A1"), ("D4", "D4"), ("E6", "A2"), ("D5", "A3"))
+PRODUCTS = (("E7", "A1"), ("D4", "D4"), ("E6", "A2"), ("D5", "A3"),
+            ("A1", "A2", "D5"))
 LOOKUP_BATCH = 4000
 
 
@@ -60,6 +65,11 @@ def lookup_keys(name, seed=0):
             key = key[:drop] + key[drop + 1:]
         keys.append(key)
     return keys
+
+
+def products_with_memo(factors, keys):
+    memo = {}
+    return [decomp.count_product(factors, k, _memo=memo) for k in keys]
 
 
 def ops():
@@ -96,6 +106,9 @@ def ops():
         out.append(("count_product:" + "*".join(pair),
                     lambda f=factors, keys=keys: [decomp.count_product(f, k)
                                                   for k in keys]))
+        if len(pair) > 2:
+            out.append(("count_product:%s:memo" % "*".join(pair),
+                        lambda f=factors, keys=keys: products_with_memo(f, keys)))
     for name in ("E8", "E7", "A7"):
         entries, keys = refdata.reference_table(name), lookup_keys(name)
 

@@ -11,7 +11,12 @@ Four routes are implemented:
 * ``count_bruteforce`` -- recursive descent over the enumerated poset
   (the oracle the other routes are checked against);
 * ``count_typeA`` -- closed product formula for type A;
-* ``count_product`` -- reduction of a reducible ambient to its factors;
+* ``count_product`` -- reduction of a reducible ambient to its factors:
+  each entry splits its components between the first factor and the
+  rest, and the m copies of one label in a key are spread over its
+  distinct splits at once, each spread counted once with the
+  multinomial weight m! / (k_1! ... k_J!) of the positions it stands
+  for;
 * ``census_table`` -- every full-rank value of one ambient from its pair
   census.  The prefix q = c_1 ... c_{d-1} of a factorization is a
   parabolic Coxeter element of some type S, and [1, q] is isomorphic to
@@ -35,30 +40,40 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import comb, factorial, prod
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .rootsystem import build_root_system, single_node_deletions
 from .typelabel import TypeLabel, label, EMPTY_TYPE, ResourceGuardError
 
 # the order of TypeLabel.__lt__, compared without calling it
 _SORT_KEY = attrgetter("_key")
+_RANK = attrgetter("rank")
+_AMBIENT = attrgetter("ambient")
 
 
 def canonical_tuple(types):
-    """Canonical (sorted) key for an unordered tuple of type labels."""
-    out = []
-    for t in types:
-        if isinstance(t, str):
-            t = label(t)
-        if t is not EMPTY_TYPE:           # empty factors are dropped
-            out.append(t)
-    out.sort(key=_SORT_KEY)
+    """Canonical (sorted) key for an unordered tuple of type labels:
+    text labels are parsed and empty factors dropped.  The empty type
+    has rank 0, so it sorts first and the empties are a prefix of the
+    sorted list."""
+    out = list(types)
+    try:
+        out.sort(key=_SORT_KEY)
+    except AttributeError:                # text labels
+        out = [label(t) if isinstance(t, str) else t for t in out]
+        out.sort(key=_SORT_KEY)
+    if out and out[0] is EMPTY_TYPE:
+        start = 1
+        while start < len(out) and out[start] is EMPTY_TYPE:
+            start += 1
+        del out[:start]
     return tuple(out)
 
 
 def tuple_rank(types):
-    return sum(t.rank for t in types)
+    return sum(map(_RANK, types))
 
 
 def orderings(types):
@@ -168,53 +183,119 @@ def count_product(factors, types, _memo=None):
     ``factors`` is a sequence of DecompositionTable objects, one per
     irreducible factor of the ambient.  Each entry type T_i is split as
     a disjoint union T_i = U_i * V_i over the first factor and the rest;
-    only splittings that are full-rank in each part contribute (the
-    others vanish), and the two parts are counted independently.
+    only splittings that are full-rank in the first factor contribute
+    (the others vanish), and the two parts are counted independently.
 
-    ``_memo`` optionally shares the values of the recursive calls,
-    keyed by (ambients of the factors left, canonical tuple); share one
-    memo only between calls with the same ``factors``.
+    The sum runs over the positions of the key, but its terms depend
+    only on the multisets of parts, so it walks the distinct labels of
+    the canonical key instead: the m copies of a label spread over its
+    distinct splits k_1 + ... + k_J = m in m! / (k_1! ... k_J!) ways
+    (``_label_spreads``), and each such spread is counted once with that
+    multinomial weight.  A spread that puts more rank in the first
+    factor than it holds is pruned; at a leaf the first part has exactly
+    its rank and is read from its entries, and the rest is looked up
+    directly when one factor is left.
+
+    ``_memo`` optionally shares the values of the product over two or
+    more factors, keyed by (ambients of the factors, canonical tuple);
+    share one memo only between calls with the same ``factors``.
     """
-    factors = list(factors)
-    if not factors:
-        return 1 if not canonical_tuple(types) else 0
-    if len(factors) == 1:
-        return factors[0].lookup(types)
-    if _memo is not None:
-        state = (tuple(f.ambient for f in factors), canonical_tuple(types))
-        cached = _memo.get(state)
+    factors = tuple(factors)
+    key = canonical_tuple(types)
+    if len(factors) > 1:
+        return _product(factors, key, _memo)
+    if factors:
+        return factors[0]._lookup_canonical(key)
+    return 0 if key else 1
+
+
+def _product(factors, key, memo):
+    """``count_product`` over two or more factors, of a canonical key."""
+    if memo is not None:
+        state = (tuple(map(_AMBIENT, factors)), key)
+        cached = memo.get(state)
         if cached is not None:
             return cached
     head, rest = factors[0], factors[1:]
-    splits = [_entry_splits(t if isinstance(t, TypeLabel) else label(t))
-              for t in types]
+    entries = head.entries
+    last = rest[0] if len(rest) == 1 else None
+    groups = [(t, len(tuple(copies))) for t, copies in groupby(key)]
+    spreads = [_label_spreads(t, m) for t, m in groups]
+    leaf = len(groups)
+    reach = [0] * (leaf + 1)              # rank of the labels from g on
+    for g in range(leaf - 1, -1, -1):
+        t, m = groups[g]
+        reach[g] = reach[g + 1] + t.rank * m
 
-    def walk(i, room, left, right):
-        # room: rank still to be placed in the head factor
-        if i == len(splits):
-            if room:
+    def walk(g, room, left, right):
+        # room: rank still to be placed in the head factor, at most
+        # reach[g]; it is 0 at the leaf
+        if g == leaf:
+            # the head part has the head's rank: a full-rank entry, or
+            # the empty key of a rank-0 head
+            left_key = tuple(sorted(left, key=_SORT_KEY))
+            value = entries.get(left_key, 0) if left_key else 1
+            if not value:
                 return 0
-            value = head.lookup(left)
-            return value and value * count_product(rest, right, _memo=_memo)
+            right_key = tuple(sorted(right, key=_SORT_KEY))
+            if last is not None:
+                return value * last._lookup_canonical(right_key)
+            return value * _product(rest, right_key, memo)
         total = 0
-        for left_part, right_part, left_rank in splits[i]:
-            if left_rank <= room:
-                total += walk(i + 1, room - left_rank,
-                              left + left_part, right + right_part)
+        later = reach[g + 1]
+        for left_rank, left_part, right_part, weight in spreads[g]:
+            if left_rank > room:
+                break
+            if room - left_rank <= later:
+                value = walk(g + 1, room - left_rank,
+                             left + left_part, right + right_part)
+                if value:
+                    total += weight * value
         return total
 
-    total = walk(0, head.ambient.rank, (), ())
-    if _memo is not None:
-        _memo[state] = total
+    room = head.ambient.rank
+    total = walk(0, room, (), ()) if room <= reach[0] else 0
+    if memo is not None:
+        memo[state] = total
     return total
 
 
 @lru_cache(maxsize=None)
+def _label_spreads(t, m):
+    """The ways to spread m copies of the label t over its distinct
+    splits (``_entry_splits``): k_j copies take split j, k_1 + ... + k_J
+    = m.  Each is ``(left rank, left parts, right parts, weight)`` with
+    the weight m! / (k_1! ... k_J!), the number of ways to choose which
+    copies take which split; sorted by left rank."""
+    splits = _entry_splits(t)
+    spreads = []
+
+    def place(j, copies, left_rank, left, right, weight):
+        # copies: the copies not yet given a split
+        left_part, right_part, part_rank = splits[j]
+        if j == len(splits) - 1:            # the last split takes them all
+            spreads.append((left_rank + copies * part_rank,
+                            left + left_part * copies,
+                            right + right_part * copies, weight))
+            return
+        for k in range(copies + 1):
+            place(j + 1, copies - k, left_rank + k * part_rank,
+                  left + left_part * k, right + right_part * k,
+                  weight * comb(copies, k))
+
+    place(0, m, 0, (), (), 1)
+    spreads.sort(key=itemgetter(0))
+    return tuple(spreads)
+
+
+@lru_cache(maxsize=None)
 def _entry_splits(t):
-    """The distinct ways to split one entry's components into two parts,
+    """The distinct ways to split one label's components into two parts,
     as ``(left part, right part, left rank)`` in the order of the first
     subset mask giving each left part; a part is a 1-tuple holding its
-    label, or empty when it has no components."""
+    label, or empty when it has no components.  ``count_product`` gives
+    each copy of a label in its key one of these splits
+    (``_label_spreads``)."""
     comps = t.components
     seen = set()
     splits = []
@@ -254,7 +335,10 @@ class DecompositionTable:
         self._deficient = None
 
     def lookup(self, types):
-        key = canonical_tuple(types)
+        return self._lookup_canonical(canonical_tuple(types))
+
+    def _lookup_canonical(self, key):
+        """``lookup`` of a key that is already canonical."""
         s = tuple_rank(key)
         n = self.ambient.rank
         if s > n:
@@ -422,9 +506,8 @@ def lower_count(t, types):
     """N_T(types) for an ambient type T of lower rank, reducible allowed:
     the full table of an irreducible T, the product rule over the
     component tables otherwise."""
-    types = canonical_tuple(types)
     if t.is_empty:
-        return 1 if not types else 0
+        return 0 if canonical_tuple(types) else 1
     if t.is_irreducible:
         return _component_tables(t)[0].lookup(types)
     return count_product(_component_tables(t), types, _memo=_LOWER_MEMO)

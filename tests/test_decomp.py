@@ -1,8 +1,12 @@
 """Decomposition numbers: brute force, closed forms, product rule, tables."""
 
+import random
+from math import comb
+
 import pytest
 
-from noncross.decomp import (DecompositionTable, all_labels_of_rank,
+from noncross.decomp import (DecompositionTable, _entry_splits,
+                             _label_spreads, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple,
                              census_table, count_bruteforce, count_product,
                              count_typeA, full_table, lower_count, orderings,
@@ -10,7 +14,7 @@ from noncross.decomp import (DecompositionTable, all_labels_of_rank,
 from noncross.ncposet import ResourceGuardError
 from noncross.refdata import REFERENCE_TABLE_NAMES, reference_table
 from noncross.rootsystem import build_root_system
-from noncross.typelabel import TypeLabel, label
+from noncross.typelabel import EMPTY_TYPE, TypeLabel, label
 
 
 def L(*names):
@@ -225,6 +229,83 @@ def test_product_rule_matches_resplitting_reference(ambient):
             expected = _reference_count_product(factors, key)
             assert count_product(factors, key) == expected, key
             assert count_product(factors, key, _memo=memo) == expected, key
+
+
+def _scrambled(key, rng):
+    """The key's labels in a seeded order, some written as text, with
+    empty types (the label object and its text ``0``) put in."""
+    types = [str(t) if rng.random() < 0.5 else t for t in key]
+    for _ in range(rng.randrange(3)):
+        types.insert(rng.randrange(len(types) + 1),
+                     rng.choice((EMPTY_TYPE, "0")))
+    rng.shuffle(types)
+    return tuple(types)
+
+
+@pytest.mark.parametrize("ambient", [("A2", "A1"), ("A1", "D4"),
+                                     ("A2", "A1", "A3"),
+                                     ("A1", "A1", "A2", "A3")],
+                         ids="*".join)
+def test_product_rule_on_unsorted_text_and_empty_keys(ambient):
+    # the multiplicity walk groups the canonical key, so every spelling
+    # of a key must give the re-splitting reference's value
+    factors = [_published(name) for name in ambient]
+    n = sum(t.ambient.rank for t in factors)
+    rng = random.Random(7)
+    for s in range(n + 1):
+        for key in all_tuples_of_rank(s):
+            types = _scrambled(key, rng)
+            expected = _reference_count_product(factors, types)
+            assert expected == _reference_count_product(factors, key), key
+            assert count_product(factors, types) == expected, types
+
+
+@pytest.mark.parametrize("ambient", [("D4", "A2"), ("A2", "A1", "A3"),
+                                     ("A1", "A1", "A2", "A3")],
+                         ids="*".join)
+def test_product_rule_memo_shared_over_orderings(ambient):
+    # one memo, filled by one spelling of each key and read by others
+    factors = [_published(name) for name in ambient]
+    n = sum(t.ambient.rank for t in factors)
+    rng = random.Random(11)
+    memo = {}
+    for s in range(n + 1):
+        for key in all_tuples_of_rank(s):
+            expected = _reference_count_product(factors, key)
+            for _ in range(3):
+                types = _scrambled(key, rng)
+                assert count_product(factors, types, _memo=memo) == \
+                    expected, types
+    assert all(state[1] == canonical_tuple(state[1]) for state in memo)
+
+
+def test_canonical_tuple_parses_text_and_drops_empties():
+    assert canonical_tuple(("A2", EMPTY_TYPE, label("A1"), "0", "A1")) == \
+        L("A1", "A1", "A2")
+    assert canonical_tuple(("0", EMPTY_TYPE)) == ()
+    assert canonical_tuple(iter(L("D4", "A1"))) == L("A1", "D4")
+    rng = random.Random(3)
+    for key in all_tuples_of_rank(6):
+        assert canonical_tuple(_scrambled(key, rng)) == key
+
+
+@pytest.mark.parametrize("name,m", [("A1", 5), ("A1^2", 4), ("A1*A2", 3),
+                                    ("A1^2*A2", 3), ("D4", 2)])
+def test_label_spreads_weights_count_every_position_choice(name, m):
+    # the multinomial weights of one label's spreads add up to the J^m
+    # per-position choices of J splits, and each spread's parts hold m
+    # copies of the label's components
+    t = label(name)
+    splits = _entry_splits(t)
+    spreads = _label_spreads(t, m)
+    assert sum(weight for *_, weight in spreads) == len(splits) ** m
+    assert len(spreads) == comb(m + len(splits) - 1, m)
+    for left_rank, left, right, _ in spreads:
+        assert left_rank == tuple_rank(left)
+        assert sorted(c for part in left + right for c in part.components) \
+            == sorted(t.components * m)
+    assert [spread[0] for spread in spreads] == \
+        sorted(spread[0] for spread in spreads)
 
 
 @pytest.mark.parametrize("name", REFERENCE_TABLE_NAMES)

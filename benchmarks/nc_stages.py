@@ -29,6 +29,9 @@ the median is printed as one JSON object:
 * ``descent_table_s``: per D and E ambient, one uncached
   ``ncposet._descent_masks`` (the root system already built), and
   ``descent_tables_DE_s``, the sum of those medians;
+* ``root_tables_s``: per D and E ambient, one uncached
+  ``weyl._root_tables`` (the root system already built), and
+  ``root_tables_DE_s``, the sum of those medians;
 * ``length_suite_s``: the checks of ``noncross verify length``
   (``enumerate_group`` and ``absolute_length`` on A3 and D4).
 
@@ -52,7 +55,7 @@ import tempfile
 import time
 import tracemalloc
 
-from noncross import decomp, ncposet, verify
+from noncross import decomp, ncposet, verify, weyl
 from noncross.rootsystem import build_root_system, subdiagram_types
 from noncross.typelabel import label
 
@@ -171,6 +174,11 @@ def stages(repeats):
             lambda: ncposet._descent_masks.__wrapped__(name), repeats)
     out["descent_table_s"] = tables
     out["descent_tables_DE_s"] = round(sum(tables.values()), 4)
+    tables = {name: timed(lambda: weyl._root_tables.__wrapped__(name),
+                          repeats)
+              for name in DESCENT_AMBIENTS}
+    out["root_tables_s"] = tables
+    out["root_tables_DE_s"] = round(sum(tables.values()), 4)
     length = verify.SUITES["length"][0]
     out["length_suite_s"] = timed(lambda: all(ok for _, ok in length()),
                                   repeats)

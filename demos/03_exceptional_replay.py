@@ -25,5 +25,7 @@ for desc, ok in report.congruence_assertions:
     print("  [%s] %s" % ("ok" if ok else "FAIL", desc))
 print()
 print("full-rank table (%d nonzero entries):" % len(report.final_table.entries))
-for key, value in report.final_table.full_rank_items():
+entries = report.final_table.entries
+for key, value in sorted(entries.items(),
+                         key=lambda kv: (len(kv[0]), tuple(map(str, kv[0])))):
     print("  N_E7(%s) = %d" % (", ".join(map(str, key)), value))

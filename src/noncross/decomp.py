@@ -193,8 +193,13 @@ def count_product(factors, types, _memo=None):
     (``_label_spreads``), and each such spread is counted once with that
     multinomial weight.  A spread that puts more rank in the first
     factor than it holds is pruned; at a leaf the first part has exactly
-    its rank and is read from its entries, and the rest is looked up
-    directly when one factor is left.
+    its rank and is read from its entries, and so is the rest when one
+    factor is left.
+
+    A rank-deficient key is counted through the one-extra-factor
+    identity, as ``DecompositionTable.lookup`` counts it: the sum of the
+    full-rank values of the key with one more factor of every type of
+    the complementary rank; the empty key counts 1.
 
     ``_memo`` optionally shares the values of the product over two or
     more factors, keyed by (ambients of the factors, canonical tuple);
@@ -202,15 +207,26 @@ def count_product(factors, types, _memo=None):
     """
     factors = tuple(factors)
     key = canonical_tuple(types)
-    if len(factors) > 1:
+    if len(factors) < 2:
+        if factors:
+            return factors[0]._lookup_canonical(key)
+        return 0 if key else 1
+    s = sum(map(_RANK, key))
+    n = 0
+    for f in factors:
+        n += f.ambient.rank
+    if s >= n:
         return _product(factors, key, _memo)
-    if factors:
-        return factors[0]._lookup_canonical(key)
-    return 0 if key else 1
+    if not key:
+        return 1
+    # one extra factor of every type of the complementary rank
+    return sum(_product(factors, canonical_tuple(key + (extra,)), _memo)
+               for extra in all_labels_of_rank(n - s))
 
 
 def _product(factors, key, memo):
-    """``count_product`` over two or more factors, of a canonical key."""
+    """``count_product`` over two or more factors, of a canonical key of
+    at least their total rank."""
     if memo is not None:
         state = (tuple(map(_AMBIENT, factors)), key)
         cached = memo.get(state)
@@ -218,7 +234,7 @@ def _product(factors, key, memo):
             return cached
     head, rest = factors[0], factors[1:]
     entries = head.entries
-    last = rest[0] if len(rest) == 1 else None
+    last = rest[0].entries if len(rest) == 1 else None
     groups = [(t, len(tuple(copies))) for t, copies in groupby(key)]
     spreads = [_label_spreads(t, m) for t, m in groups]
     leaf = len(groups)
@@ -232,14 +248,16 @@ def _product(factors, key, memo):
         # reach[g]; it is 0 at the leaf
         if g == leaf:
             # the head part has the head's rank: a full-rank entry, or
-            # the empty key of a rank-0 head
+            # the empty key of a rank-0 head; a last part of more than
+            # its factor's rank (the key's rank is at least the total)
+            # has no entry
             left_key = tuple(sorted(left, key=_SORT_KEY))
             value = entries.get(left_key, 0) if left_key else 1
             if not value:
                 return 0
             right_key = tuple(sorted(right, key=_SORT_KEY))
             if last is not None:
-                return value * last._lookup_canonical(right_key)
+                return value * (last.get(right_key, 0) if right_key else 1)
             return value * _product(rest, right_key, memo)
         total = 0
         later = reach[g + 1]
@@ -367,10 +385,6 @@ class DecompositionTable:
                 rest = key[:i] + key[i + 1:]
                 index[rest] = index.get(rest, 0) + value
         return index
-
-    def full_rank_items(self):
-        return sorted(self.entries.items(),
-                      key=lambda kv: (len(kv[0]), tuple(map(str, kv[0]))))
 
 
 @lru_cache(maxsize=None)

@@ -30,8 +30,10 @@ so a root b is moved by u exactly when Z[a_i, b] = 0 for every i, with
 ``Z[a, b] = <b, (c - I)^{-1} a> = b^T C (c - I)^{-1} a``.  Its zero
 pattern is one K x K table per ambient (K positive roots), found in
 integers from one kernel: as c - I is invertible, the kernel of the
-n x (n + K) matrix [c - I | -a_1 ... -a_K] has one basis vector per root
-column a, a positive multiple of ((c - I)^{-1} a, e_a).  The moved set
+n x 2n matrix [c - I | -I] has one basis vector per simple root alpha_i,
+a positive multiple of ((c - I)^{-1} alpha_i, e_i).  Z is linear in a,
+so over a common scale the row of a non-simple root r is the row of
+the positive root r - alpha_i plus the row of alpha_i.  The moved set
 of the child t_a w is the moved set of w intersected with the zero
 pattern of row a of Z: one AND of two masks per element.
 
@@ -53,21 +55,28 @@ Mov(v^{-1} c), has y = b - x in Mov(v), so y = 0 and
 
     moved(u^{-1} v) = moved(u^{-1} c) & moved(v).
 
-Types once per orbit of conjugation by c.  The map u -> c u c^{-1}
+One orbit of conjugation by c at a time.  The map u -> c u c^{-1}
 sends NC onto itself: it keeps the absolute order and fixes c.  It
-moves the space c Mov(u), so on masks it is the permutation pi of the
-positive roots with pi(b) = the index of +-c b
-(``weyl.coxeter_root_permutation``), applied bit by bit.  It keeps
-reflection length, so each orbit lies inside one BFS level.  The
-parabolic subgroup of c u c^{-1} is that of u conjugated by c, so types
-are constant on an orbit, and the complement of c u c^{-1} is
-c (u^{-1} c) c^{-1}, so complements are carried along it too.  Orbit
-sizes divide the Coxeter number h, as c^h = 1; this is the cyclic
-action behind the cyclic sieving of NC(W).  Enumeration therefore
-classifies one mask per orbit, copies its type along the orbit, and
-checks that no image leaves the level.  On the reflections the orbits
-are the cycles of pi, and ``reflection_orbits`` types each orbit's t c,
-the complement of t, from one row of the descent table.
+moves the space c Mov(u), so on moved sets it is the permutation pi of
+the positive roots with pi(b) = the index of +-c b
+(``weyl.coxeter_root_permutation``), applied root by root.  The mask
+bits are laid out along the cycles of pi (``mask_layout``): bit i stands
+for the positive root order[i], and the roots of each cycle take
+consecutive bits in the cycle's order, so conjugation by c rotates each
+cycle's block of bits by one place, a few shifts of the whole mask.  It
+keeps reflection length, so each orbit lies inside one level, and
+orbit sizes divide the Coxeter number h, as c^h = 1; this is the cyclic
+action behind the cyclic sieving of NC(W).  The descent table is
+equivariant, rotate(zero[i]) = zero[pos[pi(order[i])]] (checked once
+per ambient), so the children of c u c^{-1} are the rotations of the
+children of u, and the complement of c u c^{-1} is c (u^{-1} c) c^{-1},
+the rotation of the complement of u.  Types are constant on an orbit,
+as the parabolic subgroup of c u c^{-1} is that of u conjugated by c.
+Enumeration therefore steps down, ANDs out the complement and
+classifies only from one head per orbit, and makes the other elements
+of the orbit, with their complements, by rotation.  On the reflections
+the orbits are the cycles of pi, and ``reflection_orbits`` types each
+orbit's t c, the complement of t, from one row of the descent table.
 
 Censuses from intervals.  For q in NC of type S, the interval [1, q] is
 NC(W_S) with types kept (Brady-Watt), and the complement of u <= q in
@@ -96,13 +105,14 @@ from .typelabel import ResourceGuardError, label
 from .weyl import (_matmul, _minus_eye, bipartite_coxeter,
                    classify_moved_roots, coxeter_root_permutation)
 
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 
 class NcElement:
     """One element u of NC: its moved-root mask ``key`` (bit i set when
-    positive root i is moved), rank, type, and ``comp``, the mask of its
-    right complement u^{-1} c.  Compared by identity."""
+    positive root ``mask_layout(ambient).order[i]`` is moved), rank,
+    type, and ``comp``, the mask of its right complement u^{-1} c.
+    Compared by identity."""
 
     __slots__ = ("key", "rank", "typ", "comp")
 
@@ -163,160 +173,192 @@ class NcPoset:
         return self.interval_census(self.top)
 
 
+class MaskLayout:
+    """The layout of the moved-root masks of one ambient: bit i stands for
+    the positive root ``order[i]``, and the roots of each cycle of pi
+    (``weyl.coxeter_root_permutation``) take consecutive bits in the
+    cycle's order, starting from its lowest root.  ``blocks`` holds the
+    (first bit, size) of each cycle, in the order of their lowest roots,
+    and ``pos`` inverts ``order``."""
+
+    __slots__ = ("order", "pos", "blocks", "_keep", "_wraps")
+
+    def __init__(self, pi):
+        order, blocks = [], []
+        seen = [False] * len(pi)
+        for start in range(len(pi)):
+            first = len(order)
+            cur = start
+            while not seen[cur]:
+                seen[cur] = True
+                order.append(cur)
+                cur = pi[cur]
+            if len(order) > first:
+                blocks.append((first, len(order) - first))
+        self.order = tuple(order)
+        self.pos = tuple(sorted(range(len(order)), key=order.__getitem__))
+        self.blocks = tuple(blocks)
+        lasts = {}                        # block size -> its last bits
+        for first, size in blocks:
+            lasts[size] = lasts.get(size, 0) | 1 << (first + size - 1)
+        self._keep = ((1 << len(order)) - 1) ^ sum(lasts.values())
+        self._wraps = tuple((last, size - 1) for size, last in lasts.items())
+
+    def conjugate(self, mask):
+        """The mask of c u c^{-1} from the mask of u: each block rotated
+        by one place, its last bit wrapping to its first."""
+        image = (mask & self._keep) << 1
+        for last, shift in self._wraps:
+            image |= (mask & last) >> shift
+        return image
+
+    def roots(self, mask):
+        """The ascending positive-root indices of the set bits of a mask."""
+        order = self.order
+        return sorted(order[i] for i in range(mask.bit_length())
+                      if mask >> i & 1)
+
+
+@lru_cache(maxsize=None)
+def mask_layout(name):
+    """The ``MaskLayout`` of the named ambient."""
+    return MaskLayout(coxeter_root_permutation(name))
+
+
 @lru_cache(maxsize=None)
 def _descent_masks(name):
-    """The rows zero[a] of the zero pattern of Z[a, b] = b^T C (c - I)^{-1} a,
-    in exact integers, each a mask over b.  The kernel of [c - I | -a_1
-    ... -a_K] gives y_a, a positive multiple of (c - I)^{-1} a, as its
-    vector for the root column a (see the module docstring)."""
+    """The rows zero[i] of the zero pattern of Z[a, b] = b^T C (c - I)^{-1} a,
+    in exact integers, for a = the root of bit i, each a mask over the
+    bits of b (``mask_layout``).  The kernel of [c - I | -I] gives
+    (c - I)^{-1} alpha_i up to a positive factor; over their lcm, the
+    value rows of the simple roots add up to those of the others (see
+    the module docstring)."""
     rs = build_root_system(name)
+    n = rs.n
     c_minus_eye = _minus_eye(bipartite_coxeter(rs))
     if int_kernel(c_minus_eye):
         raise ValueError("c - I is singular")
-    roots = rs.positive_roots
-    kernel = int_kernel([row + [-r[i] for r in roots]
+    kernel = int_kernel([row + [-(i == j) for j in range(n)]
                          for i, row in enumerate(c_minus_eye)])
-    # v_a = C y_a, one n-vector per root, so Z[a, b] = b . v_a up to a
-    # positive factor
-    vectors = _matmul([y[:rs.n] for y in kernel], tuple(zip(*rs.cartan)))
-    return tuple(sum(1 << b for b, r in enumerate(roots)
-                     if not sum(x * y for x, y in zip(r, v)))
-                 for v in vectors)
-
-
-def _bits(mask):
-    """The ascending indices of the set bits of a mask."""
-    return [a for a in range(mask.bit_length()) if mask >> a & 1]
+    scale = lcm(*(y[n + i] for i, y in enumerate(kernel)))
+    # v_i = C (c - I)^{-1} alpha_i times scale, so Z[alpha_i, b] = b . v_i
+    # times a positive factor common to all rows
+    vectors = _matmul([[x * (scale // y[n + i]) for x in y[:n]]
+                       for i, y in enumerate(kernel)],
+                      tuple(zip(*rs.cartan)))
+    roots = rs.positive_roots
+    order = mask_layout(name).order
+    columns = [roots[b] for b in order]
+    values = [[sum(x * y for x, y in zip(r, v)) for r in columns]
+              for v in vectors]
+    index = {r: a for a, r in enumerate(roots)}
+    for r in roots[n:]:                 # by height: r - alpha_i comes first
+        for i, coeff in enumerate(r):
+            lower = index.get(r[:i] + (coeff - 1,) + r[i + 1:])
+            if lower is not None:
+                break
+        values.append([x + y for x, y in zip(values[lower], values[i])])
+    return tuple(sum(1 << j for j, x in enumerate(values[a]) if not x)
+                 for a in order)
 
 
 def reflection_orbits(rs):
     """Orbits of the reflections under conjugation by the bipartite
-    Coxeter element: the cycles of ``coxeter_root_permutation``.
+    Coxeter element: the cycles of ``coxeter_root_permutation``, the
+    blocks of ``mask_layout``.
 
     Returns a list of dicts with keys ``size``, ``representative`` (a
-    positive-root index b), and ``product_type``, the type of t_b c.  As
-    t_b is an involution, t_b c is its right complement in NC; t_b moves
-    no positive root but b, so t_b c moves the roots of the row zero[b]
-    of the descent table.  Orbit sizes are checked to be h or h/2.
+    positive-root index b, the lowest of its cycle), and
+    ``product_type``, the type of t_b c.  As t_b is an involution, t_b c
+    is its right complement in NC; t_b moves no positive root but b, so
+    t_b c moves the roots of the row of b in the descent table.  Orbit
+    sizes are checked to be h or h/2.
     """
     name = str(rs.typ)
     zero = _descent_masks(name)
-    pi = coxeter_root_permutation(name)
+    layout = mask_layout(name)
     h = rs.coxeter_number
-    seen = set()
     orbits = []
-    for start in range(len(pi)):
-        if start in seen:
-            continue
-        orbit = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            orbit.append(cur)
-            cur = pi[cur]
-        if len(orbit) not in (h, h // 2):
-            raise AssertionError("orbit size %d not in {h, h/2}" % len(orbit))
-        typ = classify_moved_roots(rs, _bits(zero[start]))
+    for first, size in layout.blocks:
+        if size not in (h, h // 2):
+            raise AssertionError("orbit size %d not in {h, h/2}" % size)
+        typ = classify_moved_roots(rs, layout.roots(zero[first]))
         if typ.rank != rs.n - 1:
             raise AssertionError("type rank %d of t*c != n - 1" % typ.rank)
         orbits.append({
-            "size": len(orbit),
-            "representative": start,
+            "size": size,
+            "representative": layout.order[first],
             "product_type": typ,
         })
     return orbits
-
-
-def _walk(name):
-    """NC by moved-root masks, one level at a time from the top.  Each
-    level maps the masks of one rank, in discovery order (parents in
-    order, each stepping down by its moved roots in ascending order), to
-    the mask of the right complement."""
-    zero = _descent_masks(name)
-    top = (1 << len(zero)) - 1
-    level = {top: None}
-    while level:
-        below = {}
-        for mask in level:
-            comp, rest = top, mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                row = zero[low.bit_length() - 1]
-                comp &= row
-                below[mask & row] = None
-            level[mask] = comp
-        yield level
-        level = below
-
-
-def _byte_tables(name):
-    """The mask map of conjugation by c, one table per byte of a mask:
-    entry x of table k is the image under pi of the roots 8k + i for
-    the bits i of x."""
-    pi = coxeter_root_permutation(name)
-    tables = []
-    for start in range(0, len(pi), 8):
-        table = [0] * (1 << min(8, len(pi) - start))
-        for x in range(1, len(table)):
-            low = (x & -x).bit_length() - 1
-            table[x] = table[x & (x - 1)] | 1 << pi[start + low]
-        tables.append(table)
-    return tables
-
-
-def _typed_walk(name):
-    """The elements of NC, in order of discovery, typed once per orbit of
-    conjugation by c.  A mask not yet typed is classified, and its type
-    is copied along its orbit, which must stay inside the level."""
-    rs = build_root_system(name)
-    tables = _byte_tables(name)
-    width = len(tables)
-
-    def conjugate(mask):
-        image = 0
-        for table, byte in zip(tables, mask.to_bytes(width, "little")):
-            image |= table[byte]
-        return image
-
-    for depth, level in enumerate(_walk(name)):
-        rank = rs.n - depth
-        types = {}
-        for mask, comp in level.items():
-            typ = types.pop(mask, None)
-            if typ is None:
-                typ = classify_moved_roots(rs, _bits(mask))
-                if typ.rank != rank:
-                    raise AssertionError("type rank %d != BFS level %d"
-                                         % (typ.rank, rank))
-                image = conjugate(mask)
-                while image != mask:
-                    if image not in level:
-                        raise AssertionError("orbit leaves the level")
-                    types[image] = typ
-                    image = conjugate(image)
-            yield NcElement(mask, rank, typ, comp)
 
 
 @lru_cache(maxsize=None)
 def enumerate_nc(name):
     """Enumerate and type the poset NC for the named ambient.
 
-    Walks down from the bipartite Coxeter element by moved-root masks;
-    each element stores its mask, rank, type and complement mask.  One
-    element per c-conjugation orbit is classified; its type's rank is
-    checked against the BFS level, every orbit against the level it
-    starts in, and the element count against the closed form (two
-    elements sharing a mask would collapse into one).
+    Walks down from the bipartite Coxeter element by moved-root masks,
+    one orbit of conjugation by c at a time: only the orbit's head steps
+    down, ANDs out its complement and is classified, and the rest of
+    the orbit, with complements and type, comes by rotation
+    (``MaskLayout.conjugate``).  Each element stores its mask, rank,
+    type and complement mask; levels list the orbits in order of
+    discovery.  The descent table is checked to be c-equivariant, each
+    head's type rank against its level, each orbit size to divide h,
+    and the element count against the closed form (two elements
+    sharing a mask would collapse into one).
     """
     rs = build_root_system(name)
+    zero = _descent_masks(name)
+    layout = mask_layout(name)
+    conjugate, order, pos = layout.conjugate, layout.order, layout.pos
+    pi = coxeter_root_permutation(name)
+    for i, row in enumerate(zero):
+        if conjugate(row) != zero[pos[pi[order[i]]]]:
+            raise AssertionError("descent row %d is not c-equivariant" % i)
+    h = rs.coxeter_number
+    top = (1 << len(zero)) - 1
     levels = [[] for _ in range(rs.n + 1)]
     by_type = {}
     elements = {}
-    for el in _typed_walk(name):
-        levels[el.rank].append(el)
-        by_type.setdefault(el.typ, []).append(el)
-        elements[el.key] = el
+    orbits = [[top]]
+    for rank in range(rs.n, -1, -1):
+        seen, below = set(), []         # the orbits one level down
+        for orbit in orbits:
+            head = orbit[0]
+            comp, rest, moved = top, head, []
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                bit = low.bit_length() - 1
+                row = zero[bit]
+                comp &= row
+                moved.append(order[bit])
+                child = head & row
+                if child not in seen:
+                    found = [child]
+                    image = conjugate(child)
+                    while image != child:
+                        found.append(image)
+                        image = conjugate(image)
+                    if h % len(found):
+                        raise AssertionError("orbit size %d does not divide "
+                                             "h = %d" % (len(found), h))
+                    seen.update(found)
+                    below.append(found)
+            moved.sort()
+            typ = classify_moved_roots(rs, moved)
+            if typ.rank != rank:
+                raise AssertionError("type rank %d != level %d"
+                                     % (typ.rank, rank))
+            typed = []
+            for mask in orbit:
+                el = elements[mask] = NcElement(mask, rank, typ, comp)
+                typed.append(el)
+                comp = conjugate(comp)
+            levels[rank] += typed
+            by_type.setdefault(typ, []).extend(typed)
+        orbits = below
     expected = ncm_cardinality(label(name), 1)
     if len(elements) != expected:
         raise AssertionError("NC(%s) has %d elements, expected %d"

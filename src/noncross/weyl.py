@@ -89,23 +89,29 @@ def coxeter_root_permutation(name):
 
 @lru_cache(maxsize=None)
 def _root_tables(name):
-    """Root partners and root pairings of an ambient.
+    """Root partners and linked roots of an ambient.
 
     ``partners[k]`` is the mask of the positive roots a for which
-    root_k - root_a is a positive root too; ``gram[i][j]`` is the Cartan
-    pairing of root_i and root_j.
+    root_k - root_a is a positive root too; ``linked[a]`` is the mask of
+    the other positive roots with a nonzero Cartan pairing with root_a.
+    In a simply-laced system two distinct positive roots pair to -1 when
+    their sum is a root, to +1 when their difference is, and to 0
+    otherwise; every such sum or difference is a triple root_a + root_b
+    = root_k, so one pass over the pairs with a root sum fills both.
     """
-    rs = build_root_system(name)
-    roots = rs.positive_roots
+    roots = build_root_system(name).positive_roots
     index = {r: i for i, r in enumerate(roots)}
     partners = [0] * len(roots)
+    linked = [0] * len(roots)
     for a, r in enumerate(roots):
         for b in range(a + 1, len(roots)):
             k = index.get(tuple(x + y for x, y in zip(r, roots[b])))
             if k is not None:
                 partners[k] |= 1 << a | 1 << b
-    gram = _matmul(_matmul(roots, rs.cartan), tuple(zip(*roots)))
-    return tuple(partners), gram
+                linked[a] |= 1 << b | 1 << k
+                linked[b] |= 1 << a | 1 << k
+                linked[k] |= 1 << a | 1 << b
+    return tuple(partners), tuple(linked)
 
 
 @lru_cache(maxsize=None)
@@ -123,11 +129,12 @@ def classify_moved_roots(rs, moved):
     root_k and root_a lie in the subspace, so does root_k - root_a, so
     root_k is such a sum exactly when one of its partners is a member.
     """
-    partners, gram = _root_tables(str(rs.typ))
+    partners, linked = _root_tables(str(rs.typ))
     inside = sum(1 << a for a in moved)
     simples = [k for k in moved if not partners[k] & inside]
     edges = tuple((i, j) for i, a in enumerate(simples)
-                  for j in range(i + 1, len(simples)) if gram[a][simples[j]])
+                  for j in range(i + 1, len(simples))
+                  if linked[a] >> simples[j] & 1)
     return _classify_edges(len(simples), edges)
 
 

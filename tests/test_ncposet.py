@@ -14,12 +14,12 @@ from matrix_oracle import (GroupElement, coxeter_element, le_absolute,
                            moved_positive_roots)
 from noncross import ncposet
 from noncross.ncposet import (CacheFormatError, ResourceGuardError,
-                              _descent_masks, _mobius_number, _walk,
-                              build_ncm,
+                              _descent_masks, _mobius_number, build_ncm,
                               characteristic_direct, characteristic_polynomial,
                               enumerate_nc, load_or_enumerate, mobius,
-                              mobius_from_top, ncm_cardinality, read_cache,
-                              write_cache, zeta_closed, zeta_direct)
+                              mask_layout, mobius_from_top, ncm_cardinality,
+                              read_cache, write_cache, zeta_closed,
+                              zeta_direct)
 from noncross.refdata import CHI_STAR_COEFFS, chi_star_reference
 from noncross.rootsystem import (SUPPORTED_AMBIENTS, DynkinDiagram,
                                  build_root_system, classify_diagram)
@@ -52,10 +52,20 @@ def test_rank_sizes_symmetric_D5():
     assert sizes == sizes[::-1]
 
 
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _roots(layout, mask):
+    """The positive-root indices of the set bits of a mask."""
+    return frozenset(layout.order[i] for i in _bits(mask))
+
+
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
 def test_descent_masks_match_sympy_adjugate(name):
-    # zero[a] is the zero pattern over b of Z[a, b] = b^T C adj(c - I) a,
-    # here with the adjugate from sympy instead of the package's kernel
+    # the row of root a is the zero pattern over b of
+    # Z[a, b] = b^T C adj(c - I) a, here with the adjugate from sympy
+    # instead of the package's kernel, and bit b standing for root b
     rs = build_root_system(name)
     c = sympy.Matrix(bipartite_coxeter(rs))
     adj = (c - sympy.eye(rs.n)).adjugate()
@@ -64,7 +74,10 @@ def test_descent_masks_match_sympy_adjugate(name):
     expected = tuple(sum(1 << b for b, r in enumerate(rs.positive_roots)
                          if not sum(x * y for x, y in zip(r, v)))
                      for v in vectors)
-    assert _descent_masks(name) == expected
+    layout = mask_layout(name)
+    zero = _descent_masks(name)
+    assert tuple(sum(1 << b for b in _roots(layout, zero[layout.pos[a]]))
+                 for a in range(rs.num_positive_roots)) == expected
 
 
 def matmul(a, b):
@@ -75,12 +88,14 @@ def matmul(a, b):
 
 def _matrix_walk(name):
     """The walk of NC by group elements: children t_a w as matrix
-    products, their moved sets from the descent table.  Returns the map
-    moved-root mask -> matrix in discovery order, and checks that no two
-    elements share a moved set."""
+    products, their moved sets from the descent table (bit i of a mask
+    stands for the root ``order[i]`` of the layout).  Returns the map
+    moved-root mask -> matrix, and checks that no two elements share a
+    moved set."""
     rs = build_root_system(name)
     _, mats = _reflection_data(name)
     zero = _descent_masks(name)
+    order = mask_layout(name).order
     top = bipartite_coxeter(rs)
     found = {top: (1 << len(zero)) - 1}     # matrix -> mask
     frontier = [top]
@@ -88,20 +103,35 @@ def _matrix_walk(name):
         below = []
         for mat in frontier:
             mask = found[mat]
-            for a in range(len(zero)):
-                if mask >> a & 1:
-                    child = matmul(mats[a], mat)
-                    if child not in found:
-                        found[child] = mask & zero[a]
-                        below.append(child)
+            for i in _bits(mask):
+                child = matmul(mats[order[i]], mat)
+                if child not in found:
+                    found[child] = mask & zero[i]
+                    below.append(child)
         frontier = below
     matrices = {mask: mat for mat, mask in found.items()}
     assert len(matrices) == len(found), "moved sets are not injective"
     return matrices
 
 
-def _roots(mask):
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+def _and_walk(name):
+    """NC by moved-root masks, one level at a time from the top, each
+    element stepping down by every moved root: the levels, as maps from
+    mask to the mask of the right complement (AND of the descent rows of
+    its moved roots)."""
+    zero = _descent_masks(name)
+    top = (1 << len(zero)) - 1
+    level = {top: None}
+    while level:
+        below = {}
+        for mask in level:
+            comp = top
+            for i in _bits(mask):
+                comp &= zero[i]
+                below[mask & zero[i]] = None
+            level[mask] = comp
+        yield level
+        level = below
 
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
@@ -111,7 +141,7 @@ def test_subset_order_equals_absolute_order(name):
     rs = build_root_system(name)
     poset = enumerate_nc(name)
     matrices = _matrix_walk(name)
-    assert list(matrices) == list(poset.elements)
+    assert matrices.keys() == poset.elements.keys()
     elements = list(poset.elements.values())
     for u in elements:
         gu = GroupElement(rs, matrices[u.key])
@@ -149,11 +179,12 @@ def test_walk_matches_kernel_and_classifier_oracles(name):
     """The moved sets from the descent walk equal the per-element kernel
     route, and the sum-table types equal the pairwise classifier."""
     rs = build_root_system(name)
+    layout = mask_layout(name)
     poset = enumerate_nc(name)
     matrices = _matrix_walk(name)
-    assert list(matrices) == list(poset.elements)
+    assert matrices.keys() == poset.elements.keys()
     for el in poset.elements.values():
-        moved = _roots(el.key)
+        moved = _roots(layout, el.key)
         assert moved == moved_positive_roots(
             rs, GroupElement(rs, matrices[el.key]))
         assert el.typ == _type_of_moved_set(rs, moved)
@@ -182,22 +213,31 @@ def test_complements_match_matrix_oracle(name):
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
 def test_orbit_typing_equals_per_element_classification(name):
-    """Typing one element per c-conjugation orbit gives the poset that
-    classifying every element of the walk gives: same masks in the same
-    order, same ranks, types and complements."""
+    """Walking one head per c-conjugation orbit and rotating the rest
+    gives the poset that the AND-walk of every element, classifying
+    each one, gives: same masks, ranks, types and complements, and each
+    level in one piece."""
     rs = build_root_system(name)
-    reference = [(mask, rs.n - depth,
-                  classify_moved_roots(rs, sorted(_roots(mask))), comp)
-                 for depth, level in enumerate(_walk(name))
-                 for mask, comp in level.items()]
+    layout = mask_layout(name)
+    reference = {mask: (rs.n - depth,
+                        classify_moved_roots(rs, sorted(_roots(layout,
+                                                               mask))),
+                        comp)
+                 for depth, level in enumerate(_and_walk(name))
+                 for mask, comp in level.items()}
     poset = enumerate_nc(name)
-    assert [(el.key, el.rank, el.typ, el.comp)
-            for el in poset.elements.values()] == reference
+    assert {el.key: (el.rank, el.typ, el.comp)
+            for el in poset.elements.values()} == reference
+    assert [el.rank for el in poset.elements.values()] == \
+        [el.rank for level in reversed(poset.levels) for el in level]
 
 
-def _conjugate(pi, mask):
-    """The mask of c u c^{-1} from the mask of u, root by root."""
-    return sum(1 << pi[a] for a in _roots(mask))
+def _conjugate(name, mask):
+    """The mask of c u c^{-1} from the mask of u, root by root through
+    pi and the layout."""
+    layout = mask_layout(name)
+    pi = coxeter_root_permutation(name)
+    return sum(1 << layout.pos[pi[a]] for a in _roots(layout, mask))
 
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
@@ -217,22 +257,62 @@ def test_conjugation_orbits_stay_in_levels(name):
     """pi maps each level of NC into itself, and every orbit of
     conjugation by c on NC has a size dividing h."""
     rs = build_root_system(name)
-    pi = coxeter_root_permutation(name)
     poset = enumerate_nc(name)
     for level in poset.levels:
         masks = {el.key for el in level}
-        assert {_conjugate(pi, mask) for mask in masks} == masks
+        assert {_conjugate(name, mask) for mask in masks} == masks
     seen = set()
     for mask in poset.elements:
         if mask in seen:
             continue
         orbit = [mask]
-        image = _conjugate(pi, mask)
+        image = _conjugate(name, mask)
         while image != mask:
             orbit.append(image)
-            image = _conjugate(pi, image)
+            image = _conjugate(name, image)
         seen.update(orbit)
         assert rs.coxeter_number % len(orbit) == 0
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_layout_rotation_is_conjugation_by_c(name):
+    """The layout lays each cycle of pi out on consecutive bits, so the
+    rotation of the blocks is pi root by root on every element of NC,
+    carries complements along, and its h-th power is the identity."""
+    rs = build_root_system(name)
+    layout = mask_layout(name)
+    pi = coxeter_root_permutation(name)
+    assert sorted(layout.order) == list(range(rs.num_positive_roots))
+    assert [layout.order[p] for p in layout.pos] == \
+        list(range(rs.num_positive_roots))
+    for first, size in layout.blocks:
+        for j in range(size):
+            succ = first + (j + 1) % size
+            assert pi[layout.order[first + j]] == layout.order[succ]
+    poset = enumerate_nc(name)
+    conjugate = layout.conjugate
+    for el in poset.elements.values():
+        image = conjugate(el.key)
+        assert image == _conjugate(name, el.key)
+        assert poset.elements[image].comp == conjugate(el.comp)
+        for _ in range(rs.coxeter_number - 1):
+            image = conjugate(image)
+        assert image == el.key
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_tampered_descent_row_fails_the_walk(name, monkeypatch):
+    """A descent table with one bit flipped is no longer c-equivariant,
+    and the walk refuses it before stepping down.  A1 has one root, a
+    cycle of size 1, so its one-row table is equivariant whatever it
+    holds; its tampered walk fails the type-rank check instead."""
+    zero = list(_descent_masks(name))
+    zero[0] ^= 1 << (len(zero) - 1)
+    monkeypatch.setattr(ncposet, "_descent_masks", lambda _: tuple(zero))
+    size = mask_layout(name).blocks[0][1]
+    with pytest.raises(AssertionError,
+                       match="c-equivariant" if size > 1 else "type rank"):
+        enumerate_nc.__wrapped__(name)
 
 
 def test_moebius_top_bottom_agree():
@@ -401,10 +481,28 @@ def test_read_cache_returns_the_enumerated_poset(tmp_path):
     write_cache(poset, path)
     with open(path) as handle:
         assert handle.readline() == \
-            '{"schema_version": 2, "ambient": "D4"}\n'
+            '{"schema_version": 3, "ambient": "D4"}\n'
         assert handle.readline() == '{"mask": "0", "rank": 0, "type": "0"}\n'
     assert read_cache(path, expected_ambient="D4") is poset
     assert read_cache(path) is poset
+
+
+def test_schema_2_cache_is_regenerated_once(tmp_path):
+    # a mask bit stood for positive root b in schema 2, and stands for
+    # the root order[b] of the c-orbit layout since schema 3
+    poset = enumerate_nc("D4")
+    path = str(tmp_path / "nc_D4.jsonl")
+    write_cache(poset, path)
+    with open(path) as handle:
+        fresh = handle.read()
+    with open(path, "w") as handle:
+        handle.write(fresh.replace('"schema_version": 3',
+                                   '"schema_version": 2', 1))
+    with pytest.raises(CacheFormatError):
+        read_cache(path)
+    assert load_or_enumerate("D4", str(tmp_path)) is poset
+    with open(path) as handle:
+        assert handle.read() == fresh
 
 
 @pytest.mark.parametrize("header", ["", "[", "null", "[]", "{}",

@@ -6,10 +6,12 @@ import matrix_oracle
 from matrix_oracle import (GroupElement, classify_parabolic_type,
                            coxeter_element, identity, le_absolute, reflection,
                            reflection_matrices)
-from noncross.ncposet import _descent_masks, enumerate_nc, reflection_orbits
+from noncross.ncposet import (_descent_masks, enumerate_nc, mask_layout,
+                              reflection_orbits)
 from noncross.rootsystem import SUPPORTED_AMBIENTS, build_root_system
 from noncross.typelabel import label
-from noncross.weyl import absolute_length, classify_moved_roots, enumerate_group
+from noncross.weyl import (_root_tables, absolute_length, classify_moved_roots,
+                           enumerate_group)
 
 
 def matmul(a, b):
@@ -152,16 +154,30 @@ def test_mask_typed_tc_matches_matrix_oracle(name):
     matrix t_b * c."""
     rs = build_root_system(name)
     zero = _descent_masks(name)
+    layout = mask_layout(name)
     poset = enumerate_nc(name)
     c = coxeter_element(rs)
     for b in range(rs.num_positive_roots):
-        assert poset.complement(poset.elements[1 << b]).key == zero[b]
-        moved = [a for a in range(zero[b].bit_length()) if zero[b] >> a & 1]
-        assert classify_moved_roots(rs, moved) == classify_parabolic_type(
-            rs, reflection(rs, b) * c)
+        row = zero[layout.pos[b]]
+        assert poset.complement(poset.elements[1 << layout.pos[b]]).key == row
+        assert classify_moved_roots(rs, layout.roots(row)) == \
+            classify_parabolic_type(rs, reflection(rs, b) * c)
 
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
 def test_reflection_orbits_match_matrix_oracle(name):
     rs = build_root_system(name)
     assert reflection_orbits(rs) == matrix_oracle.reflection_orbits(rs)
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_linked_roots_are_the_nonzero_cartan_pairings(name):
+    """``linked[a]`` holds the other positive roots whose Cartan pairing
+    with root a is nonzero, as the Gram matrix of the roots gives it."""
+    rs = build_root_system(name)
+    roots = rs.positive_roots
+    gram = matmul(matmul(roots, rs.cartan), tuple(zip(*roots)))
+    _, linked = _root_tables(name)
+    assert linked == tuple(sum(1 << b for b, x in enumerate(row)
+                               if x and b != a)
+                           for a, row in enumerate(gram))

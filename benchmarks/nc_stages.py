@@ -9,7 +9,14 @@ the median is printed as one JSON object:
 
 * ``walk_classify_E8_s``, ``walk_classify_E7_s``, ``walk_classify_D8_s``:
   one uncached ``enumerate_nc`` of E8, E7 and D8, the walk with every
-  element typed;
+  element typed (the diagram classifications are cached in
+  ``weyl._classify_edges`` after the first repeat, so these leave out
+  most of the classification cost that a cold process pays);
+* ``classify_cold_E8_s``: the classification of the distinct edge sets
+  (``classify_cold_E8_sets`` of them) that one E8 walk classifies, the
+  ``weyl._classify_edges`` cache cleared first, as in a cold process;
+* ``subdiagram_types_E8_s``: one uncached ``subdiagram_types("E8")``,
+  the types of all 256 induced subdiagrams;
 * ``pair_census_E8_s``: ``pair_census`` of the enumerated NC(E8),
   counted afresh on each run;
 * ``interval_census_E8_s``: the censuses of the 13 irreducible types
@@ -114,6 +121,24 @@ def timed(fn, repeats):
     return round(statistics.median(times), 4)
 
 
+def walk_edge_sets(name):
+    """The distinct ``(k, edges)`` arguments of ``weyl._classify_edges``
+    in one uncached walk of the ambient, recorded by rebinding it."""
+    original = weyl._classify_edges
+    seen = {}
+
+    def record(k, edges):
+        seen[k, edges] = None
+        return original(k, edges)
+
+    weyl._classify_edges = record
+    try:
+        ncposet.enumerate_nc.__wrapped__(name)
+    finally:
+        weyl._classify_edges = original
+    return list(seen)
+
+
 def descent(name):
     """The full-rank table of one ambient by brute force, as
     ``full_table`` built it before the census route."""
@@ -129,6 +154,17 @@ def stages(repeats):
     for name in ("E8", "E7", "D8"):
         out["walk_classify_%s_s" % name] = timed(
             lambda: ncposet.enumerate_nc.__wrapped__(name), repeats)
+    edge_sets = walk_edge_sets("E8")
+
+    def classify_cold():
+        weyl._classify_edges.cache_clear()
+        for k, edges in edge_sets:
+            weyl._classify_edges(k, edges)
+
+    out["classify_cold_E8_s"] = timed(classify_cold, repeats)
+    out["classify_cold_E8_sets"] = len(edge_sets)
+    out["subdiagram_types_E8_s"] = timed(
+        lambda: subdiagram_types.__wrapped__("E8"), repeats)
     poset = ncposet.enumerate_nc("E8")
 
     def census():

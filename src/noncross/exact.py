@@ -484,10 +484,15 @@ class Echelon:
     of the rows, and adding rows to an echelon gives exactly the echelon
     of the longer system.
 
-    An incoming row is scaled to integers and cleared, by ``a * p - f *
-    b``, at the pivot columns in its support; what is left lies on free
-    columns and the right-hand side.  If a free column is left, the
-    leading one becomes a new pivot and is cleared from every pivot row
+    An incoming row is scaled to integers and cleared at the pivot
+    columns in its support in one pass.  Each pivot row is zero at every
+    other pivot column, so subtracting it touches no other pivot entry:
+    the row is scaled once by the lcm L of the pivots it meets, and for
+    each such pivot column col (pivot p, row entry f before the scaling)
+    ``f * (L // p)`` times the pivot row is subtracted in place.  What
+    is left lies on free columns and the right-hand side, and is made
+    primitive.  If a free column is left, the leading one becomes a new
+    pivot and is cleared, by ``a * p - f * b``, from every pivot row
     that holds it, found through a free column -> pivot rows index.
     """
 
@@ -524,8 +529,20 @@ class Echelon:
                for col, c in row.items()}
         if rhs:
             vec[nvars] = rhs.numerator * (denom // rhs.denominator)
-        for col in [c for c in vec if c in pivots]:
-            vec = _combine(vec, pivots[col], col)
+        met = [(col, f, pivots[col]) for col, f in vec.items()
+               if col in pivots]
+        if met:
+            scale = lcm(*(prow[col] for col, _, prow in met))
+            if scale != 1:
+                vec = {c: v * scale for c, v in vec.items()}
+            for col, f, prow in met:
+                f *= scale // prow[col]
+                for c, v in prow.items():
+                    new = vec.get(c, 0) - f * v
+                    if new:
+                        vec[c] = new
+                    else:
+                        del vec[c]
         lead = min((c for c in vec if c < nvars), default=None)
         if lead is None:
             if vec:

@@ -130,11 +130,13 @@ class NcElement:
 class NcPoset:
     """The full typed poset NC for one ambient type."""
 
-    def __init__(self, rs, elements, levels, by_type, identity, top):
+    def __init__(self, rs, elements, levels, by_type, orbits, identity,
+                 top):
         self.rs = rs
         self.elements = elements     # moved-root mask -> NcElement
         self.levels = levels         # levels[k] = NcElements of rank k
         self.by_type = by_type       # TypeLabel -> list of NcElements
+        self.orbits = orbits         # (head NcElement, size) per c-orbit
         self.identity = identity
         self.top = top
 
@@ -169,8 +171,20 @@ class NcPoset:
 
     def pair_census(self):
         """Counts of (type(w), type(w^{-1} c)) over all elements: the
-        full-rank two-factor decomposition counts of the ambient."""
-        return self.interval_census(self.top)
+        full-rank two-factor decomposition counts of the ambient.
+
+        Conjugation by c keeps the type of w and, as it rotates the
+        complement with w, the type of w^{-1} c, so each c-orbit is
+        counted once, from its head, weighted by its size.  Orbits come
+        level by level, highest first, so the keys come in the order of
+        ``interval_census(top)``, which counts the same pairs element by
+        element.
+        """
+        elements = self.elements
+        counts = Counter()
+        for head, size in self.orbits:
+            counts[head.typ, elements[head.comp].typ] += size
+        return counts
 
 
 class MaskLayout:
@@ -211,6 +225,22 @@ class MaskLayout:
         for last, shift in self._wraps:
             image |= (mask & last) >> shift
         return image
+
+    def orbit(self, mask):
+        """The masks of the c-orbit of u from the mask of u: u, c u c^{-1},
+        c^2 u c^{-2} and so on, each the ``conjugate`` of the one before,
+        until it comes back to u; the rotation runs inline."""
+        keep, wraps = self._keep, self._wraps
+        found = [mask]
+        image = mask
+        while True:
+            rotated = (image & keep) << 1
+            for last, shift in wraps:
+                rotated |= (image & last) >> shift
+            if rotated == mask:
+                return found
+            found.append(rotated)
+            image = rotated
 
     def roots(self, mask):
         """The ascending positive-root indices of the set bits of a mask."""
@@ -301,17 +331,20 @@ def enumerate_nc(name):
     one orbit of conjugation by c at a time: only the orbit's head steps
     down, ANDs out its complement and is classified, and the rest of
     the orbit, with complements and type, comes by rotation
-    (``MaskLayout.conjugate``).  Each element stores its mask, rank,
-    type and complement mask; levels list the orbits in order of
-    discovery.  The descent table is checked to be c-equivariant, each
-    head's type rank against its level, each orbit size to divide h,
-    and the element count against the closed form (two elements
+    (``MaskLayout.orbit``; the complements of the orbit are the orbit of
+    the head's complement).  Each element stores its mask, rank, type
+    and complement mask; levels list the orbits in order of discovery,
+    and ``orbits`` holds each orbit's head and size, level by level
+    from the top.  The descent table is checked to be c-equivariant,
+    each head's type rank against its level, each orbit size to divide
+    h, and the element count against the closed form (two elements
     sharing a mask would collapse into one).
     """
     rs = build_root_system(name)
     zero = _descent_masks(name)
     layout = mask_layout(name)
-    conjugate, order, pos = layout.conjugate, layout.order, layout.pos
+    conjugate, orbit_of = layout.conjugate, layout.orbit
+    order, pos = layout.order, layout.pos
     pi = coxeter_root_permutation(name)
     for i, row in enumerate(zero):
         if conjugate(row) != zero[pos[pi[order[i]]]]:
@@ -321,6 +354,7 @@ def enumerate_nc(name):
     levels = [[] for _ in range(rs.n + 1)]
     by_type = {}
     elements = {}
+    heads = []
     orbits = [[top]]
     for rank in range(rs.n, -1, -1):
         seen, below = set(), []         # the orbits one level down
@@ -336,11 +370,7 @@ def enumerate_nc(name):
                 moved.append(order[bit])
                 child = head & row
                 if child not in seen:
-                    found = [child]
-                    image = conjugate(child)
-                    while image != child:
-                        found.append(image)
-                        image = conjugate(image)
+                    found = orbit_of(child)
                     if h % len(found):
                         raise AssertionError("orbit size %d does not divide "
                                              "h = %d" % (len(found), h))
@@ -352,10 +382,10 @@ def enumerate_nc(name):
                 raise AssertionError("type rank %d != level %d"
                                      % (typ.rank, rank))
             typed = []
-            for mask in orbit:
+            for mask, comp in zip(orbit, orbit_of(comp)):
                 el = elements[mask] = NcElement(mask, rank, typ, comp)
                 typed.append(el)
-                comp = conjugate(comp)
+            heads.append((typed[0], len(typed)))
             levels[rank] += typed
             by_type.setdefault(typ, []).extend(typed)
         orbits = below
@@ -364,7 +394,7 @@ def enumerate_nc(name):
         raise AssertionError("NC(%s) has %d elements, expected %d"
                              % (name, len(elements), expected))
     poset = NcPoset(rs=rs, elements=elements, levels=levels,
-                    by_type=by_type, identity=levels[0][0],
+                    by_type=by_type, orbits=heads, identity=levels[0][0],
                     top=levels[rs.n][0])
     _WALKED[name] = poset
     return poset
@@ -386,12 +416,17 @@ def _census(t):
     """The census of type t, read off the interval [1, q] below the first
     element q of type t in the smallest poset enumerated so far that has
     one: [1, q] is NC(W_t) with types kept (Brady-Watt).  NC(t) is
-    enumerated only when no enumerated poset has an element of type t."""
+    enumerated only when no enumerated poset has an element of type t.
+    When q is the top, the census is counted per c-orbit
+    (``pair_census``)."""
     walked = [poset for poset in _WALKED.values() if t in poset.by_type]
     if not walked:
         return enumerate_nc(str(t)).pair_census()
     poset = min(walked, key=len)
-    return poset.interval_census(poset.by_type[t][0])
+    q = poset.by_type[t][0]
+    if q is poset.top:
+        return poset.pair_census()
+    return poset.interval_census(q)
 
 
 # ---------------------------------------------------------------------------

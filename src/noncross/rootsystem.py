@@ -76,66 +76,71 @@ class DynkinDiagram:
     def neighbors(self, i):
         return [j for j in range(self.n) if j != i and self.adjacent(i, j)]
 
-    def components(self):
-        """Connected components as sorted node tuples."""
-        seen = set()
-        comps = []
-        for start in range(self.n):
-            if start in seen:
-                continue
-            stack, comp = [start], []
-            while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                comp.append(v)
-                stack.extend(w for w in self.neighbors(v) if w not in seen)
-            comps.append(tuple(sorted(comp)))
-        return comps
-
-    def induced(self, nodes):
-        nodes = sorted(nodes)
-        index = {v: i for i, v in enumerate(nodes)}
-        edges = [(index[a], index[b]) for a, b in
-                 ((min(e), max(e)) for e in map(sorted, self.edges))
-                 if a in index and b in index]
-        return DynkinDiagram.from_edges(len(nodes), edges)
-
 
 def classify_diagram(diagram):
-    """Cartan-Killing type of a simply-laced diagram.
+    """Cartan-Killing type of a simply-laced ``DynkinDiagram``.
 
     Raises ``ValueError`` when some component is not of A/D/E shape
     (a cycle, a vertex of degree >= 4, two branch vertices, or an
     exceptional-shape branch profile outside E6/E7/E8).
     """
+    return classify_edge_list(range(diagram.n), _edge_pairs(diagram))
+
+
+def classify_edge_list(nodes, edges):
+    """Cartan-Killing type of the diagram on the ascending ``nodes`` with
+    the given edges, pairs of nodes; ``ValueError`` as for
+    ``classify_diagram``.
+
+    Adjacency lists are built once from the edges.  Components are found
+    by a depth-first search from each unseen node in ascending order (a
+    component with a cycle or a bad shape raises in that order).  A
+    connected component of n nodes is a tree when its degrees sum to
+    2(n - 1); a tree with no branch vertex is a path (A); else it must
+    have one branch vertex of degree 3, whose three arms, walked out to
+    their ends, give D or E.
+    """
+    adj = {v: [] for v in nodes}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = set()
     components = []
-    for comp in diagram.components():
-        sub = diagram.induced(comp)
-        components.append(_classify_connected(sub))
+    for start in adj:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        components.append(_classify_connected(comp, adj))
     return TypeLabel(components)
 
 
-def _classify_connected(diagram):
-    n = diagram.n
-    degrees = [len(diagram.neighbors(i)) for i in range(n)]
-    if len(diagram.edges) != n - 1:
+def _classify_connected(comp, adj):
+    """The (family, rank) of one connected component, its nodes ``comp``
+    and ``adj`` the adjacency lists of the whole diagram."""
+    n = len(comp)
+    degrees = [len(adj[v]) for v in comp]
+    if sum(degrees) != 2 * (n - 1):
         raise ValueError("diagram component contains a cycle")
-    branch = [i for i in range(n) if degrees[i] >= 3]
-    if not branch:
+    if max(degrees) < 3:
         return ("A", n)
-    if len(branch) > 1 or degrees[branch[0]] > 3:
+    branch = [v for v, d in zip(comp, degrees) if d >= 3]
+    if len(branch) > 1 or len(adj[branch[0]]) > 3:
         raise ValueError("diagram component is not of ADE shape")
     b = branch[0]
     arms = []
-    for start in diagram.neighbors(b):
+    for start in adj[b]:
         length, prev, cur = 1, b, start
-        while True:
-            nxt = [v for v in diagram.neighbors(cur) if v != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
+        while len(adj[cur]) == 2:
+            left, right = adj[cur]
+            prev, cur = cur, right if left == prev else left
             length += 1
         arms.append(length)
     arms.sort()
@@ -272,14 +277,15 @@ def subdiagram_types(name):
     """All type labels realized by induced subdiagrams of the ambient.
 
     Includes the empty label and the full label; computed over all
-    2^n node subsets.
+    2^n node subsets, each classified on the ambient edges inside it.
     """
     rs = build_root_system(name)
+    edges = _edge_pairs(rs.diagram)
     found = set()
     nodes = range(rs.n)
     for size in range(rs.n + 1):
         for subset in combinations(nodes, size):
-            found.add(classify_diagram(rs.diagram.induced(subset)))
+            found.add(_classify_induced(subset, edges))
     return frozenset(found)
 
 
@@ -287,10 +293,21 @@ def single_node_deletions(name):
     """How many single-node deletions of the ambient diagram have each
     type, as a map type -> count."""
     rs = build_root_system(name)
+    edges = _edge_pairs(rs.diagram)
     counts = {}
     for drop in range(rs.n):
         nodes = [i for i in range(rs.n) if i != drop]
-        t = classify_diagram(rs.diagram.induced(nodes))
+        t = _classify_induced(nodes, edges)
         counts[t] = counts.get(t, 0) + 1
     return counts
 
+
+def _edge_pairs(diagram):
+    return [(min(e), max(e)) for e in diagram.edges]
+
+
+def _classify_induced(nodes, edges):
+    """Type of the subdiagram induced on the ascending ``nodes``."""
+    inside = set(nodes)
+    return classify_edge_list(nodes, [(a, b) for a, b in edges
+                                      if a in inside and b in inside])

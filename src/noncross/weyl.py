@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exact import int_kernel
-from .rootsystem import build_root_system, classify_diagram, DynkinDiagram
+from .rootsystem import build_root_system, classify_edge_list
 
 
 def _matmul(a, b):
@@ -116,7 +116,7 @@ def _root_tables(name):
 
 @lru_cache(maxsize=None)
 def _classify_edges(k, edges):
-    return classify_diagram(DynkinDiagram.from_edges(k, edges))
+    return classify_edge_list(range(k), edges)
 
 
 def classify_moved_roots(rs, moved):

@@ -81,12 +81,11 @@ class DenseEchelon:
         elif vec[nvars] != 0:
             raise InconsistentSystemError(provenance)
 
-    def space(self):
-        nvars = len(self.variables)
-        pivot_cols = sorted(self.pivots)
-        free_cols = self.free_columns
+    def reduced(self):
+        """The reduced pivot rows, back-substituted from the last pivot
+        up: each primitive and positive at its pivot, as a dense list."""
         reduced = {}
-        for col in reversed(pivot_cols):
+        for col in sorted(self.pivots, reverse=True):
             vec = self.pivots[col]
             for col2, done in reduced.items():
                 f = vec[col2]
@@ -97,7 +96,13 @@ class DenseEchelon:
             if vec[col] < 0:
                 vec = [-a for a in vec]
             reduced[col] = vec
+        return reduced
 
+    def space(self):
+        nvars = len(self.variables)
+        pivot_cols = sorted(self.pivots)
+        free_cols = self.free_columns
+        reduced = self.reduced()
         particular = [Fraction(0)] * nvars
         for col in pivot_cols:
             particular[col] = Fraction(reduced[col][nvars], reduced[col][col])

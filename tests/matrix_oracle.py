@@ -7,6 +7,10 @@ fixed space ker(w - I), and its parabolic type is the classification of
 that moved set.  The absolute order ``u <=_T w`` holds when reflection
 lengths add up along ``w = u * (u^{-1} w)``.  ``reflection_orbits`` types
 each orbit's t*c from the matrix of t*c.
+
+The diagram classifier that the adjacency-list one replaced is kept
+here too (``classify_diagram``, ``induced``): it asks the frozenset edge
+set of a ``DynkinDiagram`` about each node pair, in each call.
 """
 
 from functools import lru_cache
@@ -14,7 +18,8 @@ from functools import lru_cache
 import sympy
 
 from noncross.exact import int_kernel
-from noncross.rootsystem import build_root_system
+from noncross.rootsystem import DynkinDiagram, build_root_system
+from noncross.typelabel import TypeLabel
 from noncross.weyl import (_eye, _matmul, _minus_eye, _reflection_data,
                            absolute_length, bipartite_coxeter,
                            classify_moved_roots, coxeter_root_permutation)
@@ -180,3 +185,68 @@ def reflection_orbits(rs):
             "product_type": classify_parabolic_type(rs, tc, check=False),
         })
     return orbits
+
+
+def components(diagram):
+    """Connected components of a diagram as sorted node tuples."""
+    seen = set()
+    comps = []
+    for start in range(diagram.n):
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        while stack:
+            v = stack.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            comp.append(v)
+            stack.extend(w for w in diagram.neighbors(v) if w not in seen)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def induced(diagram, nodes):
+    """The subdiagram on the given nodes, relabelled 0..k-1 in order."""
+    nodes = sorted(nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    edges = [(index[a], index[b]) for a, b in
+             ((min(e), max(e)) for e in map(sorted, diagram.edges))
+             if a in index and b in index]
+    return DynkinDiagram.from_edges(len(nodes), edges)
+
+
+def classify_diagram(diagram):
+    """Cartan-Killing type of a simply-laced diagram, component by
+    component; ``ValueError`` as ``rootsystem.classify_diagram``."""
+    return TypeLabel([_classify_connected(induced(diagram, comp))
+                      for comp in components(diagram)])
+
+
+def _classify_connected(diagram):
+    n = diagram.n
+    degrees = [len(diagram.neighbors(i)) for i in range(n)]
+    if len(diagram.edges) != n - 1:
+        raise ValueError("diagram component contains a cycle")
+    branch = [i for i in range(n) if degrees[i] >= 3]
+    if not branch:
+        return ("A", n)
+    if len(branch) > 1 or degrees[branch[0]] > 3:
+        raise ValueError("diagram component is not of ADE shape")
+    b = branch[0]
+    arms = []
+    for start in diagram.neighbors(b):
+        length, prev, cur = 1, b, start
+        while True:
+            nxt = [v for v in diagram.neighbors(cur) if v != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[0] == 1 and arms[1] == 1:
+        return ("D", arms[2] + 3)
+    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
+        return ("E", arms[2] + 4)
+    raise ValueError("diagram component is not of ADE shape: arms %r" % (arms,))

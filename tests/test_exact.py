@@ -15,6 +15,7 @@ from noncross.exact import (InconsistentSystemError, LinearSystem,
                             SparsePolynomial, binomial_poly, echelon,
                             exact_divide, int_kernel, poly, solve,
                             substitute_rational)
+from noncross.linsys import generate_equations
 
 X = SparsePolynomial.variable("x")
 Y = SparsePolynomial.variable("y")
@@ -414,21 +415,22 @@ def test_solve_matches_sympy(data):
 
 
 @st.composite
-def sparse_systems(draw, max_vars=8):
-    """A few variables, sparse rows with int or Fraction entries and
-    rows added after elimination, each right-hand side either taken from
-    one rational point (consistent) or drawn freely (often not)."""
+def sparse_systems(draw, max_vars=8, max_support=3, bound=6):
+    """A few variables, rows of at most ``max_support`` nonzeros with int
+    or Fraction entries (numerators up to +-``bound``) and rows added
+    after elimination, each right-hand side either taken from one
+    rational point (consistent) or drawn freely (often not)."""
     n = draw(st.integers(1, max_vars))
     point = [Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
              for _ in range(n)]
-    entries = st.one_of(st.integers(-6, 6),
-                        st.builds(Fraction, st.integers(-6, 6),
+    entries = st.one_of(st.integers(-bound, bound),
+                        st.builds(Fraction, st.integers(-bound, bound),
                                   st.integers(1, 4)))
 
     def rows(count):
         out = []
         for _ in range(count):
-            cols = draw(st.sets(st.integers(0, n - 1), max_size=3))
+            cols = draw(st.sets(st.integers(0, n - 1), max_size=max_support))
             row = {c: draw(entries) for c in cols}
             if draw(st.integers(0, 5)):
                 rhs = sum(c * point[col] for col, c in row.items())
@@ -446,9 +448,23 @@ def _space_fields(ech):
             space.free_columns)
 
 
-@settings(max_examples=400, deadline=None)
-@given(sparse_systems())
-def test_sparse_echelon_matches_dense_oracle(data):
+def _dense_pivots(dense):
+    """The reduced rows of a ``DenseEchelon`` as sparse pivot rows."""
+    return {col: {c: v for c, v in enumerate(vec) if v}
+            for col, vec in dense.reduced().items()}
+
+
+def _holders_of(pivots, nvars):
+    """The free column -> pivot columns index that the pivot rows imply."""
+    holders = {}
+    for col, row in pivots.items():
+        for c in row:
+            if c != col and c != nvars:
+                holders.setdefault(c, set()).add(col)
+    return holders
+
+
+def _check_against_dense(data):
     n, rows, pins = data
     names = ["v%d" % i for i in range(n)]
     system = LinearSystem(variables=names)
@@ -464,7 +480,14 @@ def test_sparse_echelon_matches_dense_oracle(data):
     if isinstance(sparse, str) or isinstance(dense, str):
         assert sparse == dense
         return
-    assert _space_fields(sparse) == _space_fields(dense)
+
+    def same_as_dense():
+        assert _space_fields(sparse) == _space_fields(dense)
+        assert sparse.pivots == _dense_pivots(dense)
+        assert {c: held for c, held in sparse._holders.items() if held} \
+            == _holders_of(sparse.pivots, n)
+
+    same_as_dense()
     for i, (row, rhs) in enumerate(pins):
         coeffs = {names[c]: x for c, x in row.items()}
         before = {col: dict(r) for col, r in sparse.pivots.items()}
@@ -477,9 +500,42 @@ def test_sparse_echelon_matches_dense_oracle(data):
         assert failed in ([], ["pin%d" % i] * 2)
         if failed:
             assert sparse.pivots == before   # the failed row left no trace
-        assert _space_fields(sparse) == _space_fields(dense)
+        same_as_dense()
         for r in sparse.pivots.values():      # primitive, reduced, positive
             assert gcd(*r.values()) == 1 and 0 not in r.values()
         for col, r in sparse.pivots.items():
             assert min(r) == col and r[col] > 0
             assert not any(c in sparse.pivots for c in r if c != col)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_systems())
+def test_sparse_echelon_matches_dense_oracle(data):
+    _check_against_dense(data)
+
+
+# Pivots 2, 3 and 5 on the free column 3; the rows below meet all three
+# (scaled once by their lcm 30) and leave a new pivot, nothing, 0 = 1,
+# or a new pivot cleared back from the three.
+_THREE_PIVOTS = [({0: 2, 3: 1}, 1), ({1: 3, 3: -1}, 2), ({2: 5, 3: 1}, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems(max_support=8, bound=12))
+@example((4, _THREE_PIVOTS, [({0: 4, 1: 6, 2: 10, 3: 1}, 12)]))
+@example((4, _THREE_PIVOTS, [({0: 2, 1: 3, 2: 5, 3: 1}, 6)]))
+@example((4, _THREE_PIVOTS, [({0: 2, 1: 3, 2: 5, 3: 1}, 7)]))
+@example((4, _THREE_PIVOTS + [({0: 1, 1: 1, 2: 1, 3: 1}, 4)], []))
+def test_dense_rows_match_dense_oracle(data):
+    # rows on up to every column meet several pivots with distinct
+    # leading entries, each cleared in the one pass after the lcm scaling
+    _check_against_dense(data)
+
+
+@pytest.mark.parametrize("name", ["E6", "D6", "D7"])
+def test_equation_system_echelon_matches_dense_oracle(name):
+    system = generate_equations(name)
+    ech = echelon(system)
+    assert ech.pivots == _dense_pivots(DenseEchelon.of(system))
+    assert {c: held for c, held in ech._holders.items() if held} \
+        == _holders_of(ech.pivots, len(system.variables))

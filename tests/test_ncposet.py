@@ -301,6 +301,31 @@ def test_layout_rotation_is_conjugation_by_c(name):
 
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_orbits_are_conjugation_cycles_and_count_the_census(name):
+    """``MaskLayout.orbit`` is the cycle of ``conjugate``; the recorded
+    orbits partition the poset, each one listed from its head; and the
+    census counted per orbit is the element scan, key order included."""
+    layout = mask_layout(name)
+    poset = enumerate_nc(name)
+    members = []
+    for head, size in poset.orbits:
+        orbit = layout.orbit(head.key)
+        cycle = [head.key]
+        image = layout.conjugate(head.key)
+        while image != head.key:
+            cycle.append(image)
+            image = layout.conjugate(image)
+        assert orbit == cycle and len(orbit) == size
+        assert all(poset.elements[mask].typ is head.typ for mask in orbit)
+        members += orbit
+    assert sum(size for _, size in poset.orbits) == len(poset)
+    assert sorted(members) == sorted(poset.elements)
+    census = poset.pair_census()
+    scan = poset.interval_census(poset.top)
+    assert census == scan and list(census) == list(scan)
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
 def test_tampered_descent_row_fails_the_walk(name, monkeypatch):
     """A descent table with one bit flipped is no longer c-equivariant,
     and the walk refuses it before stepping down.  A1 has one root, a

@@ -1,9 +1,15 @@
 """Root systems: classical invariants and diagram classification."""
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
+import matrix_oracle
+from noncross.rootsystem import (SUPPORTED_AMBIENTS, DynkinDiagram,
+                                 build_root_system, classify_diagram,
                                  single_node_deletions, subdiagram_types)
 from noncross.typelabel import label
 
@@ -89,6 +95,81 @@ def test_single_node_deletion_counts_E7():
     assert counts.get(label("E6"), 0) == 1
     assert counts.get(label("D6"), 0) == 1
     assert counts.get(label("A1*D5"), 0) == 1
+
+
+def _outcome(classify, diagram):
+    """The type a classifier gives a diagram, or its refusal message."""
+    try:
+        return classify(diagram)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_classifier_matches_frozenset_oracle_on_subdiagrams(name):
+    diagram = build_root_system(name).diagram
+    found = set()
+    deletions = Counter()
+    for size in range(diagram.n + 1):
+        for subset in combinations(range(diagram.n), size):
+            sub = matrix_oracle.induced(diagram, subset)
+            expected = matrix_oracle.classify_diagram(sub)
+            assert classify_diagram(sub) is expected
+            found.add(expected)
+            if size == diagram.n - 1:
+                deletions[expected] += 1
+    assert subdiagram_types.__wrapped__(name) == found
+    assert single_node_deletions(name) == deletions
+
+
+# a triangle, a degree-4 star, two branch vertices, arms (2,2,2) and
+# (1,2,5), a star before a triangle and a good component before a bad one
+REFUSED = {
+    "triangle": (3, [(0, 1), (1, 2), (0, 2)],
+                 "diagram component contains a cycle"),
+    "degree-4 star": (5, [(0, 1), (0, 2), (0, 3), (0, 4)],
+                      "diagram component is not of ADE shape"),
+    "two branch vertices": (6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)],
+                            "diagram component is not of ADE shape"),
+    "arms 2,2,2": (7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)],
+                   "diagram component is not of ADE shape: arms [2, 2, 2]"),
+    "arms 1,2,5": (9, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6),
+                       (6, 7), (7, 8)],
+                   "diagram component is not of ADE shape: arms [1, 2, 5]"),
+    "star then triangle": (8, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6),
+                               (6, 7), (5, 7)],
+                           "diagram component is not of ADE shape"),
+    "path then triangle": (5, [(0, 1), (2, 3), (3, 4), (2, 4)],
+                           "diagram component contains a cycle"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_classifier_refuses_non_ade_shapes(case):
+    n, edges, message = REFUSED[case]
+    diagram = DynkinDiagram.from_edges(n, edges)
+    assert _outcome(matrix_oracle.classify_diagram, diagram) \
+        == "ValueError: " + message
+    with pytest.raises(ValueError) as exc:
+        classify_diagram(diagram)
+    assert str(exc.value) == message
+
+
+@st.composite
+def small_diagrams(draw):
+    """Graphs on up to 9 nodes, often forests, cycles and bad shapes."""
+    n = draw(st.integers(0, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=n + 1)) \
+        if pairs else []
+    return DynkinDiagram.from_edges(n, edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_diagrams())
+def test_classifier_matches_frozenset_oracle_on_small_graphs(diagram):
+    assert _outcome(classify_diagram, diagram) \
+        == _outcome(matrix_oracle.classify_diagram, diagram)
 
 
 def test_unsupported_ambient_rejected():

@@ -22,9 +22,9 @@ the median is printed as one JSON object:
 * ``replay_E7_s`` and ``replay_E8_s``: one uncached ``linsys.replay``
   with the posets and the lower tables warm, memos emptied first;
 * ``cold_<command>_s``: the wall time of a fresh
-  ``python -m noncross.cli`` process for ``decomp count E7 A4,A3``,
-  ``decomp count E8 D4,A4``, ``verify e8``, ``mtriangle E6 --m 2`` and
-  ``linsys replay E8``;
+  ``python -m noncross.cli`` process for ``decomp count D7 D4,A3``,
+  ``decomp count E7 A4,A3``, ``decomp count E8 D4,A4``, ``verify e8``,
+  ``mtriangle E6 --m 2`` and ``linsys replay E8``;
 * ``walks_<command>``: the posets the same command enumerates in one
   fresh process, as ``enumerate_nc.cache_info().misses``.
 """
@@ -41,7 +41,8 @@ from linsys_stages import clear_memos
 from nc_stages import descent
 from noncross import decomp, linsys, ncposet
 
-COLD_COMMANDS = (("decomp", "count", "E7", "A4,A3"),
+COLD_COMMANDS = (("decomp", "count", "D7", "D4,A3"),
+                 ("decomp", "count", "E7", "A4,A3"),
                  ("decomp", "count", "E8", "D4,A4"),
                  ("verify", "e8"),
                  ("mtriangle", "E6", "--m", "2"),
@@ -62,7 +63,8 @@ print(ncposet.enumerate_nc.cache_info().misses)
 
 def clear_all():
     for cached in (ncposet.enumerate_nc, decomp.census_table,
-                   decomp.production_table, decomp._component_tables,
+                   decomp.production_table,
+                   getattr(decomp, "_component_tables", None),
                    getattr(ncposet, "_census", None)):
         if cached is not None:
             cached.cache_clear()

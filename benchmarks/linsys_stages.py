@@ -3,6 +3,8 @@
 Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/linsys_stages.py [--repeats 5] [E7 E8 D8]
+    PYTHONPATH=src python3 benchmarks/linsys_stages.py --ab OTHER_SRC \
+        [--repeats 10] [E8]
 
 Each stage is timed ``--repeats`` times with ``time.perf_counter`` and
 the median is printed as JSON, one object per ambient:
@@ -19,20 +21,38 @@ the median is printed as JSON, one object per ambient:
 
 It also prints the rank of the pinned system and the largest bit size
 of a numerator or denominator in its solution.
+
+With ``--ab OTHER_SRC`` it compares this tree's ``src`` with another
+directory holding the ``noncross`` package instead.  It runs
+``--repeats`` rounds; each round starts one fresh process per tree,
+alternating which goes first, so that drift of a shared host falls on
+both alike, and each process times every stage once.  Per ambient it
+prints both medians of each stage and the number of rounds in which
+this tree was faster (``wins``); the rank and bit size come from one
+process of each tree.
 """
 
 import argparse
 import json
+import os
 import statistics
+import subprocess
+import sys
 import time
 
 from noncross import decomp, exact, linsys
 
 
 def clear_memos():
-    # one dict shared by every lower_count call since the shared memo;
-    # before it, one lru-cached memo per product type, in decomp since
-    # the census route and in linsys before that
+    # one table per reducible type since the product tables, with the
+    # matchings of pairs of their entries; before them, one dict shared
+    # by every lower_count call, and before that one lru-cached memo per
+    # product type, in decomp since the census route and in linsys
+    # before that
+    for name in ("lower_table", "_matchings", "_joined"):
+        cached = getattr(decomp, name, None)
+        if cached is not None:
+            cached.cache_clear()
     shared = getattr(decomp, "_LOWER_MEMO", None)
     if shared is not None:
         shared.clear()
@@ -77,14 +97,53 @@ def stages(name, repeats):
     return out
 
 
+def run_tree(src, name):
+    """``stages(name, 1)`` in a fresh process importing ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), name, "--repeats", "1"],
+        env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def ab(name, other, rounds):
+    trees = [("this", "src"), ("other", other)]
+    samples = {tree: [] for tree, _ in trees}
+    for round_ in range(rounds):
+        for tree, src in trees if round_ % 2 == 0 else trees[::-1]:
+            samples[tree].append(run_tree(src, name))
+    this, other_runs = samples["this"], samples["other"]
+    out = {"ambient": name, "rounds": rounds, "other": other}
+    for stage, value in this[0].items():
+        if stage == "ambient":
+            continue
+        if not stage.endswith("_s"):
+            out[stage] = {"this": value, "other": other_runs[0].get(stage)}
+            continue
+        mine = [run[stage] for run in this]
+        theirs = [run.get(stage) for run in other_runs]
+        out[stage] = {
+            "this": round(statistics.median(mine), 4),
+            "other": (None if None in theirs
+                      else round(statistics.median(theirs), 4)),
+            "wins": sum(b is not None and a < b
+                        for a, b in zip(mine, theirs))}
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ambients", nargs="*", default=["E7", "E8", "D8"])
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--ab", metavar="OTHER_SRC",
+                        help="compare with the noncross package in OTHER_SRC")
     args = parser.parse_args()
     for name in args.ambients:
-        print(json.dumps({"ambient": name, **stages(name, args.repeats)}),
-              flush=True)
+        if args.ab:
+            report = ab(name, args.ab, args.repeats)
+        else:
+            report = {"ambient": name, **stages(name, args.repeats)}
+        print(json.dumps(report), flush=True)
 
 
 if __name__ == "__main__":

@@ -6,17 +6,21 @@ lying below the Coxeter element c in absolute order, lengths adding up,
 and type(c_i) = T_i.  The count is invariant under permuting the T_i, so
 tables are keyed by the canonical sorted tuple.
 
-Four routes are implemented:
+Five routes are implemented:
 
 * ``count_bruteforce`` -- recursive descent over the enumerated poset
   (the oracle the other routes are checked against);
 * ``count_typeA`` -- closed product formula for type A;
-* ``count_product`` -- reduction of a reducible ambient to its factors:
-  each entry splits its components between the first factor and the
-  rest, and the m copies of one label in a key are spread over its
-  distinct splits at once, each spread counted once with the
+* ``count_product`` -- one value of a reducible ambient from its factor
+  tables: each entry splits its components between the first factor
+  and the rest, and the m copies of one label in a key are spread over
+  its distinct splits at once, each spread counted once with the
   multinomial weight m! / (k_1! ... k_J!) of the positions it stands
   for;
+* ``table_product`` -- the whole table of a product ambient from the
+  tables of its two factors, in one pass over pairs of entries, each
+  pair counted over the partial matchings of its labels;
+  ``count_product`` is its per-key oracle;
 * ``census_table`` -- every full-rank value of one ambient from its pair
   census.  The prefix q = c_1 ... c_{d-1} of a factorization is a
   parabolic Coxeter element of some type S, and [1, q] is isomorphic to
@@ -24,8 +28,10 @@ Four routes are implemented:
 
       N_W(T_1, ..., T_d) = sum_S N_W(S, T_d) * N_S(T_1, ..., T_{d-1}),
 
-  where N_W(S, T_d) is the pair census and N_S is a lower table
-  (``lower_count``).
+  where N_W(S, T_d) is the pair census and N_S is the lower table of S
+  (``lower_table``: the production table of an irreducible S, the
+  ``table_product`` of its first component and the rest otherwise,
+  built once per type).
 
 ``full_table`` builds the complete table for one ambient: the closed
 form for type A, the census for D and E; ``production_table`` is its
@@ -330,6 +336,113 @@ def _entry_splits(t):
     return tuple(splits)
 
 
+def table_product(head, rest):
+    """The full-rank table of the product ambient head x rest, built from
+    the full-rank tables of the two factors in one pass over pairs of
+    entries.
+
+    The nonidentity factors of a factorization of the product's Coxeter
+    element stand in d slots: a slot holds a factor from one side, or a
+    matched pair a x b of one from each.  For an entry (K1, v1) of the
+    head, one (K2, v2) of the rest and one partial matching of their
+    labels, the slot sequences number d! / prod(slot multiplicity)!, and
+    each stands for v1 * v2 factorizations; so the matching adds
+    v1 * v2 * d! / prod(slot multiplicity)! to the ordered count of the
+    key K of the slot types, and N(K) is that sum divided by
+    orderings(K).  The slot multiplicities refine those of K, so each
+    term divided by orderings(K) is an integer: v1 * v2 times the weight
+    of ``_matchings``.  ``count_product`` is the per-key oracle of these
+    tables.
+    """
+    acc = {}
+    rest_entries = [(key, value)
+                    for key, value in rest.entries.items() if value]
+    for head_key, value in head.entries.items():
+        if not value:
+            continue
+        for rest_key, other in rest_entries:
+            scale = value * other
+            for key, weight in _matchings(head_key, rest_key):
+                acc[key] = acc.get(key, 0) + scale * weight
+    return DecompositionTable(head.ambient * rest.ambient, acc,
+                              provenance="product")
+
+
+@lru_cache(maxsize=None)
+def _matchings(left_key, right_key):
+    """Every partial matching of the labels of two canonical keys, as
+    (key K of the slot types, weight prod(multiplicity in K)! /
+    prod(slot multiplicity)!).  A matching puts x_ij copies of the i-th
+    distinct left label with the j-th distinct right label; the copies
+    left over are slots of their own.  Cached: the tables of a process
+    meet few distinct pairs of keys (265 in the 1,002 pairs of entries
+    behind the 48 reducible tables of rank at most 7)."""
+    left = [(t, len(tuple(copies))) for t, copies in groupby(left_key)]
+    right = [(t, len(tuple(copies))) for t, copies in groupby(right_key)]
+    out = []
+    caps = [m for _, m in right]
+    slots = []
+
+    def leaf():
+        # (label, multiplicity), one per distinct slot; slots of one type
+        # weigh the multinomial of their multiplicities, a product of
+        # binomials along the run
+        final = slots + [(t, k) for (t, _), k in zip(right, caps) if k]
+        final.sort(key=_slot_order)
+        key = []
+        weight = 1
+        previous = run = None
+        for t, k in final:
+            key += [t] * k
+            if t is previous:
+                run += k
+                weight *= comb(run, k)
+            else:
+                previous, run = t, k
+        out.append((tuple(key), weight))
+
+    def match(i, j, free):
+        # free: the copies of left label i not matched to right labels
+        # before j
+        if j == len(right):
+            if free:
+                slots.append((left[i][0], free))
+            if i + 1 == len(left):
+                leaf()
+            else:
+                match(i + 1, 0, left[i + 1][1])
+            if free:
+                slots.pop()
+            return
+        cap = caps[j]
+        match(i, j + 1, free)
+        if free and cap:
+            joined = _joined(left[i][0], right[j][0])
+            for x in range(1, min(free, cap) + 1):
+                slots.append((joined, x))
+                caps[j] = cap - x
+                match(i, j + 1, free - x)
+                slots.pop()
+            caps[j] = cap
+
+    if left:
+        match(0, 0, left[0][1])
+    else:
+        leaf()
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _joined(a, b):
+    """The label a x b of a matched slot."""
+    return a * b
+
+
+def _slot_order(slot):
+    """A (label, multiplicity) slot sorts by its label."""
+    return slot[0]._key
+
+
 # ---------------------------------------------------------------------------
 # tables
 
@@ -480,51 +593,53 @@ def production_table(name):
 def census_table(name):
     """Complete full-rank table for one irreducible ambient, from its
     pair census: N(T_1, ..., T_d) = sum over S of census[S, T_d] times
-    N_S(T_1, ..., T_{d-1}), with T_d the last (highest-rank) entry of
-    the canonical key.  The element types of NC are the sub-diagram
-    types (a subword of the bipartite Coxeter element has each), so
-    tuples holding a type outside the census vanish and are skipped.
-    ``ncposet.census`` reads the census off an interval of a poset
-    already walked, so the lower tables share the highest ambient's
-    walk."""
+    N_S(T_1, ..., T_{d-1}), with T_d the last (highest-sorting) entry of
+    the canonical key.  Each census pair (S, T) walks the entries of
+    ``lower_table(S)`` whose last label sorts at or below T, so that T
+    ends the key they make; a key no pair reaches vanishes.  The entries
+    come out in ``all_tuples_of_rank`` order.  ``ncposet.census`` reads
+    the census off an interval of a poset already walked, so the lower
+    tables share the highest ambient's walk."""
     from .ncposet import census
     ambient = label(name)
-    by_last = {}                          # type(q^-1 c) -> [(type q, count)]
+    acc = {}
     for (prefix_type, last), count in census(ambient).items():
-        by_last.setdefault(last, []).append((prefix_type, count))
-    allowed = by_last.keys()
-    entries = {}
-    for key in all_tuples_of_rank(ambient.rank):
-        if any(t not in allowed for t in key):
+        if last.is_empty:
             continue
-        value = sum(count * lower_count(prefix_type, key[:-1])
-                    for prefix_type, count in by_last.get(key[-1], ()))
-        if value:
-            entries[key] = value
+        bound = last._key
+        for prefix, value in lower_table(prefix_type).entries.items():
+            if not prefix or prefix[-1]._key <= bound:
+                key = prefix + (last,)
+                acc[key] = acc.get(key, 0) + count * value
+    entries = {key: acc[key] for key in all_tuples_of_rank(ambient.rank)
+               if key in acc}
     return DecompositionTable(ambient, entries, provenance="census")
 
 
+# the table of the empty ambient: N() = 1
+_EMPTY_TABLE = DecompositionTable(EMPTY_TYPE, {(): 1}, provenance="empty")
+
+
 @lru_cache(maxsize=None)
-def _component_tables(t):
-    """The production tables of the irreducible components of a type."""
-    return tuple(production_table("%s%d" % comp) for comp in t.components)
-
-
-# the count_product memo of every lower_count call: its tables are the
-# production tables, one per ambient, so product types that share
-# trailing factors share their recursive counts
-_LOWER_MEMO = {}
+def lower_table(t):
+    """The full-rank table of an ambient type T of lower rank, reducible
+    allowed: the production table of an irreducible T, and otherwise the
+    ``table_product`` of its first component's table and the table of
+    the rest, so product types that share trailing factors share
+    tables."""
+    if t.is_empty:
+        return _EMPTY_TABLE
+    if t.is_irreducible:
+        return production_table(str(t))
+    return table_product(lower_table(TypeLabel(t.components[:1])),
+                         lower_table(TypeLabel(t.components[1:])))
 
 
 def lower_count(t, types):
     """N_T(types) for an ambient type T of lower rank, reducible allowed:
-    the full table of an irreducible T, the product rule over the
-    component tables otherwise."""
-    if t.is_empty:
-        return 0 if canonical_tuple(types) else 1
-    if t.is_irreducible:
-        return _component_tables(t)[0].lookup(types)
-    return count_product(_component_tables(t), types, _memo=_LOWER_MEMO)
+    a lookup in ``lower_table(T)``, so a rank-deficient key goes through
+    the one-extra-factor identity as in any table."""
+    return lower_table(t).lookup(types)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from math import factorial, lcm
 
 from .decomp import (DecompositionTable, all_labels_of_rank,
                      all_tuples_of_rank, canonical_tuple, count_bruteforce,
-                     lower_count, orderings, special_values, tuple_rank)
+                     lower_table, orderings, special_values, tuple_rank)
 from .exact import LinearSystem, binomial_poly, echelon, poly, solve
 from .ncposet import (_integer_coefficients, _tuple_zeta_vector,
                       enumerate_nc, zeta_closed)
@@ -193,16 +193,18 @@ def generate_equations(name):
                            "special-deficient:%s" % ",".join(map(str, key)))
 
     # splitting relations: a suffix of the tuple is contracted through
-    # the tables of all lower-rank ambients of matching rank
+    # the tables of all lower-rank ambients of matching rank; the primed
+    # tuple has the rank of each, so its counts are table entries
     for split_rank in range(1, n):
         labels = all_labels_of_rank(split_rank)
+        tables = [lower_table(t).entries for t in labels]
         unprimed_names = _names(all_tuples_of_rank(n - split_rank))
         # unprimed tuple -> the variable it makes with each label
         joined = {unprimed: [canonical_tuple(unprimed + (t,)) for t in labels]
                   for unprimed in unprimed_names}
         for primed, primed_name in _names(
                 all_tuples_of_rank(split_rank)).items():
-            counts = [lower_count(t, primed) for t in labels]
+            counts = [entries.get(primed, 0) for entries in tables]
             for unprimed, unprimed_name in unprimed_names.items():
                 coeffs = {canonical_tuple(unprimed + primed): 1}
                 for var, count in zip(joined[unprimed], counts):

@@ -1,6 +1,7 @@
 """Decomposition numbers: brute force, closed forms, product rule, tables."""
 
 import random
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -9,8 +10,9 @@ from noncross.decomp import (DecompositionTable, _entry_splits,
                              _label_spreads, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple,
                              census_table, count_bruteforce, count_product,
-                             count_typeA, full_table, lower_count, orderings,
-                             special_values, tuple_rank)
+                             count_typeA, full_table, lower_count,
+                             lower_table, orderings, production_table,
+                             special_values, table_product, tuple_rank)
 from noncross.ncposet import ResourceGuardError
 from noncross.refdata import REFERENCE_TABLE_NAMES, reference_table
 from noncross.rootsystem import build_root_system
@@ -392,6 +394,91 @@ def test_lower_count_of_reducible_type_matches_product_rule(ambient):
             expected = count_product(factors, key)
             assert lower_count(t, key) == expected, key
             assert count_product(factors, key, _memo=memo) == expected, key
+
+
+# ---------------------------------------------------------------------------
+# the product tables against the product rule
+
+
+def _folded(factors):
+    """The table of the product of the factors, the first factor's table
+    times the table of the rest, as ``lower_table`` builds it."""
+    factors = list(factors)
+    table = factors[-1]
+    for head in reversed(factors[:-1]):
+        table = table_product(head, table)
+    return table
+
+
+@pytest.mark.parametrize("t", [t for r in range(2, 9)
+                               for t in all_labels_of_rank(r)
+                               if not t.is_irreducible], ids=str)
+def test_lower_table_matches_product_rule(t):
+    # every key of rank up to the type's, rank-deficient ones included
+    table = lower_table(t)
+    assert table.ambient is t
+    assert all(tuple_rank(key) == t.rank and value
+               for key, value in table.entries.items())
+    factors = [production_table(str(c)) for c in t.irreducibles()]
+    for s in range(t.rank + 1):
+        for key in all_tuples_of_rank(s):
+            assert table.lookup(key) == \
+                count_product(factors, key), key
+
+
+@pytest.mark.parametrize("ambient", [("E7", "A1"), ("D4", "D4"),
+                                     ("E6", "A2"), ("D5", "A3"),
+                                     ("A3", "A2", "A1"), ("D4", "A3", "A1")],
+                         ids="*".join)
+def test_table_product_matches_resplitting_reference(ambient):
+    # the factors are the published tables, independent of the census
+    factors = [_published(name) for name in ambient]
+    table = _folded(factors)
+    assert table.ambient is label("*".join(ambient))
+    for s in range(table.ambient.rank + 1):
+        for key in all_tuples_of_rank(s):
+            assert table.lookup(key) == \
+                _reference_product_value(factors, key), key
+
+
+@pytest.mark.parametrize("ambient", [("A1", "A1"), ("A2", "A1", "A1"),
+                                     ("D4", "A2"), ("A2", "A1", "A3"),
+                                     ("A1", "A1", "A2", "A3")],
+                         ids="*".join)
+def test_table_product_does_not_depend_on_factor_order(ambient):
+    factors = [_published(name) for name in ambient]
+    tables = [_folded(order) for order in permutations(factors)]
+    for table in tables[1:]:
+        assert table.ambient is tables[0].ambient
+        assert table.entries == tables[0].entries
+    # the empty ambient is the unit of the product
+    empty = lower_table(EMPTY_TYPE)
+    for table in tables[:1] + factors:
+        for product in (table_product(empty, table),
+                        table_product(table, empty)):
+            assert product.ambient is table.ambient
+            assert product.entries == table.entries
+
+
+@pytest.mark.parametrize("ambient, key, value", [
+    (("A2", "A1"), ("A1",), 4),
+    (("A1", "A1"), ("A1",), 2),
+    (("A1", "A1"), (), 1),
+    (("A2", "A1", "A1"), ("A1",), 5),
+    (("A2", "A1"), ("A1", "A1"), 9),
+])
+def test_table_product_on_rank_deficient_keys(ambient, key, value):
+    # the values of test_product_rule_on_rank_deficient_keys, in every
+    # factor order
+    for order in permutations(full_table(name) for name in ambient):
+        assert _folded(order).lookup(L(*key)) == value, order
+
+
+@pytest.mark.parametrize("name", ["D4", "D7", "E6", "E7"])
+def test_census_table_keys_in_tuple_order(name):
+    entries = census_table(name).entries
+    assert list(entries) == [key for key in all_tuples_of_rank(
+        label(name).rank) if key in entries]
 
 
 def test_full_table_guard_message():

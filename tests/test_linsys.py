@@ -8,12 +8,12 @@ from dense_echelon import DenseEchelon
 from noncross import decomp
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple,
-                             count_product, full_table, orderings,
-                             production_table, tuple_rank)
+                             count_product, full_table, lower_count,
+                             orderings, production_table, tuple_rank)
 from noncross.exact import ZERO, LinearSystem, binomial_poly, echelon, poly
 from noncross.linsys import (EXPECTED_DIMENSION, ROW_FAMILIES, _coeffs_mz,
                              check_system_against_table, generate_equations,
-                             lower_count, replay, row_family)
+                             replay, row_family)
 from noncross.ncposet import zeta_closed, zeta_shifted
 from noncross.refdata import reference_table
 from noncross.typelabel import label
@@ -85,9 +85,10 @@ def test_lower_count_matches_bruteforce():
 
 def test_shared_lower_count_memo_matches_plain_product_rule():
     # every (reducible label, tuple) pair of rank 1-7 the E8 split rows
-    # read; the memo starts empty so that product types sharing trailing
-    # factors (A1*A3^2 and A2*A3^2) meet in it
-    decomp._LOWER_MEMO.clear()
+    # read; the table cache starts empty so that product types sharing
+    # trailing factors (A1*A3^2 and A2*A3^2) meet in it
+    decomp.lower_table.cache_clear()
+    assert decomp.lower_table.cache_info().currsize == 0
     pairs = 0
     for r in range(1, 8):
         for t in all_labels_of_rank(r):
@@ -99,7 +100,7 @@ def test_shared_lower_count_memo_matches_plain_product_rule():
                     (t, key)
                 pairs += 1
     assert pairs == 4046
-    assert decomp._LOWER_MEMO
+    assert decomp.lower_table.cache_info().currsize
 
 
 def test_production_table_routes():

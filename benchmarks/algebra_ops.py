@@ -22,11 +22,10 @@ as one JSON object, in seconds:
 * ``zeta_shifted:all``: ``zeta_shifted`` past its cache for each of the
   100 type labels of rank 1 to 8 (``verify e8`` builds these);
 * ``count_product:E7*A1`` (and D4*D4, E6*A2, D5*A3): ``count_product``
-  without a memo over the pair's whole full-rank key universe;
+  over the pair's whole full-rank key universe, with the product tables
+  emptied before each repeat, so the table build is timed too;
 * ``count_product:A1*A2*D5``: the same over three factors, so the
-  product over the factors after the first is timed too, and
-  ``count_product:A1*A2*D5:memo`` with one fresh memo per repeat
-  shared over the batch, as ``lower_count`` shares one;
+  product over the factors after the first is timed too;
 * ``lookup:E8|E7|A7``: a batch of 4000 lookups, half full-rank keys
   and half made rank-deficient by dropping one factor (seeded), on a
   fresh table per repeat, so any lazily built index is timed too.
@@ -67,9 +66,12 @@ def lookup_keys(name, seed=0):
     return keys
 
 
-def products_with_memo(factors, keys):
-    memo = {}
-    return [decomp.count_product(factors, k, _memo=memo) for k in keys]
+def products(factors, keys):
+    # an older tree has no product tables and counts each key on its own
+    cached = getattr(decomp, "product_table", None)
+    if cached is not None:
+        cached.cache_clear()
+    return [decomp.count_product(factors, k) for k in keys]
 
 
 def ops():
@@ -104,11 +106,7 @@ def ops():
         factors = [tables[name] for name in pair]
         keys = decomp.all_tuples_of_rank(sum(t.ambient.rank for t in factors))
         out.append(("count_product:" + "*".join(pair),
-                    lambda f=factors, keys=keys: [decomp.count_product(f, k)
-                                                  for k in keys]))
-        if len(pair) > 2:
-            out.append(("count_product:%s:memo" % "*".join(pair),
-                        lambda f=factors, keys=keys: products_with_memo(f, keys)))
+                    lambda f=factors, keys=keys: products(f, keys)))
     for name in ("E8", "E7", "A7"):
         entries, keys = refdata.reference_table(name), lookup_keys(name)
 

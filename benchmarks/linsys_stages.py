@@ -44,12 +44,12 @@ from noncross import decomp, exact, linsys
 
 
 def clear_memos():
-    # one table per reducible type since the product tables, with the
-    # matchings of pairs of their entries; before them, one dict shared
-    # by every lower_count call, and before that one lru-cached memo per
-    # product type, in decomp since the census route and in linsys
-    # before that
-    for name in ("lower_table", "_matchings", "_joined"):
+    # one table per reducible type since the product tables, each a
+    # product_table fold of its factor tables, with the matchings of
+    # pairs of their entries; before them, one dict shared by every
+    # lower_count call, and before that one lru-cached memo per product
+    # type, in decomp since the census route and in linsys before that
+    for name in ("lower_table", "product_table", "_matchings", "_joined"):
         cached = getattr(decomp, name, None)
         if cached is not None:
             cached.cache_clear()

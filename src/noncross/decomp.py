@@ -6,21 +6,16 @@ lying below the Coxeter element c in absolute order, lengths adding up,
 and type(c_i) = T_i.  The count is invariant under permuting the T_i, so
 tables are keyed by the canonical sorted tuple.
 
-Five routes are implemented:
+Four routes are implemented:
 
 * ``count_bruteforce`` -- recursive descent over the enumerated poset
   (the oracle the other routes are checked against);
 * ``count_typeA`` -- closed product formula for type A;
-* ``count_product`` -- one value of a reducible ambient from its factor
-  tables: each entry splits its components between the first factor
-  and the rest, and the m copies of one label in a key are spread over
-  its distinct splits at once, each spread counted once with the
-  multinomial weight m! / (k_1! ... k_J!) of the positions it stands
-  for;
 * ``table_product`` -- the whole table of a product ambient from the
   tables of its two factors, in one pass over pairs of entries, each
   pair counted over the partial matchings of its labels;
-  ``count_product`` is its per-key oracle;
+  ``product_table`` folds it over any number of factor tables, once per
+  tuple of tables, and ``count_product`` is a lookup in that fold;
 * ``census_table`` -- every full-rank value of one ambient from its pair
   census.  The prefix q = c_1 ... c_{d-1} of a factorization is a
   parabolic Coxeter element of some type S, and [1, q] is isomorphic to
@@ -29,9 +24,8 @@ Five routes are implemented:
       N_W(T_1, ..., T_d) = sum_S N_W(S, T_d) * N_S(T_1, ..., T_{d-1}),
 
   where N_W(S, T_d) is the pair census and N_S is the lower table of S
-  (``lower_table``: the production table of an irreducible S, the
-  ``table_product`` of its first component and the rest otherwise,
-  built once per type).
+  (``lower_table``: the ``product_table`` of the production tables of
+  the components of S, built once per type).
 
 ``full_table`` builds the complete table for one ambient: the closed
 form for type A, the census for D and E; ``production_table`` is its
@@ -48,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import comb, factorial, prod
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .rootsystem import build_root_system, single_node_deletions
 from .typelabel import TypeLabel, label, EMPTY_TYPE, ResourceGuardError
@@ -56,7 +50,6 @@ from .typelabel import TypeLabel, label, EMPTY_TYPE, ResourceGuardError
 # the order of TypeLabel.__lt__, compared without calling it
 _SORT_KEY = attrgetter("_key")
 _RANK = attrgetter("rank")
-_AMBIENT = attrgetter("ambient")
 
 
 def canonical_tuple(types):
@@ -183,157 +176,32 @@ def count_typeA(n, types):
 # products of ambients
 
 
-def count_product(factors, types, _memo=None):
+def count_product(factors, types):
     """Decomposition number for a reducible ambient from factor tables.
 
     ``factors`` is a sequence of DecompositionTable objects, one per
-    irreducible factor of the ambient.  Each entry type T_i is split as
-    a disjoint union T_i = U_i * V_i over the first factor and the rest;
-    only splittings that are full-rank in the first factor contribute
-    (the others vanish), and the two parts are counted independently.
-
-    The sum runs over the positions of the key, but its terms depend
-    only on the multisets of parts, so it walks the distinct labels of
-    the canonical key instead: the m copies of a label spread over its
-    distinct splits k_1 + ... + k_J = m in m! / (k_1! ... k_J!) ways
-    (``_label_spreads``), and each such spread is counted once with that
-    multinomial weight.  A spread that puts more rank in the first
-    factor than it holds is pruned; at a leaf the first part has exactly
-    its rank and is read from its entries, and so is the rest when one
-    factor is left.
-
-    A rank-deficient key is counted through the one-extra-factor
-    identity, as ``DecompositionTable.lookup`` counts it: the sum of the
-    full-rank values of the key with one more factor of every type of
-    the complementary rank; the empty key counts 1.
-
-    ``_memo`` optionally shares the values of the product over two or
-    more factors, keyed by (ambients of the factors, canonical tuple);
-    share one memo only between calls with the same ``factors``.
+    irreducible factor of the ambient; the value is a lookup of
+    ``types`` in their ``product_table``, so a rank-deficient key goes
+    through the one-extra-factor identity as in any table, and the empty
+    key counts 1.
     """
-    factors = tuple(factors)
-    key = canonical_tuple(types)
-    if len(factors) < 2:
-        if factors:
-            return factors[0]._lookup_canonical(key)
-        return 0 if key else 1
-    s = sum(map(_RANK, key))
-    n = 0
-    for f in factors:
-        n += f.ambient.rank
-    if s >= n:
-        return _product(factors, key, _memo)
-    if not key:
-        return 1
-    # one extra factor of every type of the complementary rank
-    return sum(_product(factors, canonical_tuple(key + (extra,)), _memo)
-               for extra in all_labels_of_rank(n - s))
-
-
-def _product(factors, key, memo):
-    """``count_product`` over two or more factors, of a canonical key of
-    at least their total rank."""
-    if memo is not None:
-        state = (tuple(map(_AMBIENT, factors)), key)
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-    head, rest = factors[0], factors[1:]
-    entries = head.entries
-    last = rest[0].entries if len(rest) == 1 else None
-    groups = [(t, len(tuple(copies))) for t, copies in groupby(key)]
-    spreads = [_label_spreads(t, m) for t, m in groups]
-    leaf = len(groups)
-    reach = [0] * (leaf + 1)              # rank of the labels from g on
-    for g in range(leaf - 1, -1, -1):
-        t, m = groups[g]
-        reach[g] = reach[g + 1] + t.rank * m
-
-    def walk(g, room, left, right):
-        # room: rank still to be placed in the head factor, at most
-        # reach[g]; it is 0 at the leaf
-        if g == leaf:
-            # the head part has the head's rank: a full-rank entry, or
-            # the empty key of a rank-0 head; a last part of more than
-            # its factor's rank (the key's rank is at least the total)
-            # has no entry
-            left_key = tuple(sorted(left, key=_SORT_KEY))
-            value = entries.get(left_key, 0) if left_key else 1
-            if not value:
-                return 0
-            right_key = tuple(sorted(right, key=_SORT_KEY))
-            if last is not None:
-                return value * (last.get(right_key, 0) if right_key else 1)
-            return value * _product(rest, right_key, memo)
-        total = 0
-        later = reach[g + 1]
-        for left_rank, left_part, right_part, weight in spreads[g]:
-            if left_rank > room:
-                break
-            if room - left_rank <= later:
-                value = walk(g + 1, room - left_rank,
-                             left + left_part, right + right_part)
-                if value:
-                    total += weight * value
-        return total
-
-    room = head.ambient.rank
-    total = walk(0, room, (), ()) if room <= reach[0] else 0
-    if memo is not None:
-        memo[state] = total
-    return total
+    return product_table(tuple(factors)).lookup(types)
 
 
 @lru_cache(maxsize=None)
-def _label_spreads(t, m):
-    """The ways to spread m copies of the label t over its distinct
-    splits (``_entry_splits``): k_j copies take split j, k_1 + ... + k_J
-    = m.  Each is ``(left rank, left parts, right parts, weight)`` with
-    the weight m! / (k_1! ... k_J!), the number of ways to choose which
-    copies take which split; sorted by left rank."""
-    splits = _entry_splits(t)
-    spreads = []
-
-    def place(j, copies, left_rank, left, right, weight):
-        # copies: the copies not yet given a split
-        left_part, right_part, part_rank = splits[j]
-        if j == len(splits) - 1:            # the last split takes them all
-            spreads.append((left_rank + copies * part_rank,
-                            left + left_part * copies,
-                            right + right_part * copies, weight))
-            return
-        for k in range(copies + 1):
-            place(j + 1, copies - k, left_rank + k * part_rank,
-                  left + left_part * k, right + right_part * k,
-                  weight * comb(copies, k))
-
-    place(0, m, 0, (), (), 1)
-    spreads.sort(key=itemgetter(0))
-    return tuple(spreads)
-
-
-@lru_cache(maxsize=None)
-def _entry_splits(t):
-    """The distinct ways to split one label's components into two parts,
-    as ``(left part, right part, left rank)`` in the order of the first
-    subset mask giving each left part; a part is a 1-tuple holding its
-    label, or empty when it has no components.  ``count_product`` gives
-    each copy of a label in its key one of these splits
-    (``_label_spreads``)."""
-    comps = t.components
-    seen = set()
-    splits = []
-    for mask in range(1 << len(comps)):
-        # comps is sorted, so equal sub-multisets give equal subsequences
-        left = tuple(c for j, c in enumerate(comps) if mask >> j & 1)
-        if left in seen:
-            continue
-        seen.add(left)
-        right = tuple(c for j, c in enumerate(comps) if not mask >> j & 1)
-        splits.append(((TypeLabel(left),) if left else (),
-                       (TypeLabel(right),) if right else (),
-                       sum(r for _, r in left)))
-    return tuple(splits)
+def product_table(factors):
+    """The full-rank table of the product of a tuple of factor tables:
+    the empty ambient's table for no factor, the factor itself for one,
+    and otherwise the ``table_product`` of the first factor and the
+    product of the rest, so products that share trailing factors share
+    tables.  Cached on the table objects, not on their ambients: two
+    tables of one ambient are different factors, and a table's entries
+    never change after construction."""
+    if not factors:
+        return _EMPTY_TABLE
+    if len(factors) == 1:
+        return factors[0]
+    return table_product(factors[0], product_table(factors[1:]))
 
 
 def table_product(head, rest):
@@ -351,8 +219,7 @@ def table_product(head, rest):
     key K of the slot types, and N(K) is that sum divided by
     orderings(K).  The slot multiplicities refine those of K, so each
     term divided by orderings(K) is an integer: v1 * v2 times the weight
-    of ``_matchings``.  ``count_product`` is the per-key oracle of these
-    tables.
+    of ``_matchings``.
     """
     acc = {}
     rest_entries = [(key, value)
@@ -466,10 +333,7 @@ class DecompositionTable:
         self._deficient = None
 
     def lookup(self, types):
-        return self._lookup_canonical(canonical_tuple(types))
-
-    def _lookup_canonical(self, key):
-        """``lookup`` of a key that is already canonical."""
+        key = canonical_tuple(types)
         s = tuple_rank(key)
         n = self.ambient.rank
         if s > n:
@@ -623,23 +487,11 @@ _EMPTY_TABLE = DecompositionTable(EMPTY_TYPE, {(): 1}, provenance="empty")
 @lru_cache(maxsize=None)
 def lower_table(t):
     """The full-rank table of an ambient type T of lower rank, reducible
-    allowed: the production table of an irreducible T, and otherwise the
-    ``table_product`` of its first component's table and the table of
-    the rest, so product types that share trailing factors share
-    tables."""
-    if t.is_empty:
-        return _EMPTY_TABLE
-    if t.is_irreducible:
-        return production_table(str(t))
-    return table_product(lower_table(TypeLabel(t.components[:1])),
-                         lower_table(TypeLabel(t.components[1:])))
-
-
-def lower_count(t, types):
-    """N_T(types) for an ambient type T of lower rank, reducible allowed:
-    a lookup in ``lower_table(T)``, so a rank-deficient key goes through
-    the one-extra-factor identity as in any table."""
-    return lower_table(t).lookup(types)
+    allowed: the ``product_table`` of the production tables of its
+    components, so the production table itself for an irreducible T and
+    the table of the empty type (N() = 1) for T = 0."""
+    return product_table(tuple(production_table(str(c))
+                               for c in t.irreducibles()))
 
 
 # ---------------------------------------------------------------------------

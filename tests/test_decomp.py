@@ -2,21 +2,20 @@
 
 import random
 from itertools import permutations
-from math import comb
 
 import pytest
 
-from noncross.decomp import (DecompositionTable, _entry_splits,
-                             _label_spreads, all_labels_of_rank,
+from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple,
                              census_table, count_bruteforce, count_product,
-                             count_typeA, full_table, lower_count,
-                             lower_table, orderings, production_table,
-                             special_values, table_product, tuple_rank)
+                             count_typeA, full_table, lower_table, orderings,
+                             product_table, production_table, special_values,
+                             table_product, tuple_rank)
 from noncross.ncposet import ResourceGuardError
+from product_oracle import _reference_lookup, _reference_product_value
 from noncross.refdata import REFERENCE_TABLE_NAMES, reference_table
 from noncross.rootsystem import build_root_system
-from noncross.typelabel import EMPTY_TYPE, TypeLabel, label
+from noncross.typelabel import EMPTY_TYPE, label
 
 
 def L(*names):
@@ -133,101 +132,8 @@ def test_table_rejects_overfull_rank():
     assert table.lookup(L("A2", "A1")) == 0
 
 
-def test_product_rule_memo_matches_plain():
-    # one memo shared over a reducible ambient's whole key universe
-    factors = [full_table(n) for n in ("A1", "A2", "D4")]
-    memo = {}
-    for key in all_tuples_of_rank(7):
-        assert count_product(factors, key, _memo=memo) == \
-            count_product(factors, key)
-    assert memo
-
-
 # ---------------------------------------------------------------------------
-# the product rule and deficient lookups against their earlier routes
-
-
-def _reference_lookup(table, types):
-    """A rank-deficient lookup as the sum over every type of the
-    complementary rank (the route before the deficient-key index)."""
-    key = canonical_tuple(types)
-    s, n = tuple_rank(key), table.ambient.rank
-    if s > n:
-        return 0
-    if not key:
-        return 1
-    if s == n:
-        return table.entries.get(key, 0)
-    return sum(table.entries.get(canonical_tuple(key + (extra,)), 0)
-               for extra in all_labels_of_rank(n - s))
-
-
-def _reference_count_product(factors, types):
-    """count_product re-splitting every entry's component multiset on
-    every call (the route before the per-entry split tables)."""
-    factors = list(factors)
-    if not factors:
-        return 1 if not canonical_tuple(types) else 0
-    if len(factors) == 1:
-        return _reference_lookup(factors[0], types)
-    head, rest = factors[0], factors[1:]
-    types = [t if isinstance(t, TypeLabel) else label(t) for t in types]
-    total = 0
-    for left, right in _reference_component_splits(
-            [t.components for t in types], head.ambient.rank):
-        left_tuple = [TypeLabel(c) for c in left if c]
-        right_tuple = [TypeLabel(c) for c in right if c]
-        total += (_reference_lookup(head, left_tuple)
-                  * _reference_count_product(rest, right_tuple))
-    return total
-
-
-def _reference_component_splits(component_lists, left_rank):
-    results = []
-
-    def recurse(i, left_acc, right_acc, left_sum):
-        if left_sum > left_rank:
-            return
-        if i == len(component_lists):
-            if left_sum == left_rank:
-                results.append((list(left_acc), list(right_acc)))
-            return
-        comps = component_lists[i]
-        seen = set()
-        for mask in range(1 << len(comps)):
-            left = tuple(sorted(comps[j] for j in range(len(comps))
-                                if mask >> j & 1))
-            if left in seen:
-                continue
-            seen.add(left)
-            right = list(comps)
-            for item in left:
-                right.remove(item)
-            left_acc.append(left)
-            right_acc.append(tuple(right))
-            recurse(i + 1, left_acc, right_acc,
-                    left_sum + sum(r for _, r in left))
-            left_acc.pop()
-            right_acc.pop()
-
-    recurse(0, [], [], 0)
-    return results
-
-
-def _reference_product_value(factors, types):
-    """N(types) on the product of the factors: the re-splitting
-    reference on a full-rank key, and on a rank-deficient key the sum of
-    the reference over one extra factor of every type of the
-    complementary rank (the empty key counts 1)."""
-    key = canonical_tuple(types)
-    s = tuple_rank(key)
-    n = sum(t.ambient.rank for t in factors)
-    if s >= n:
-        return _reference_count_product(factors, key)
-    if not key:
-        return 1
-    return sum(_reference_count_product(factors, key + (extra,))
-               for extra in all_labels_of_rank(n - s))
+# the product rule and deficient lookups against the key-by-key oracle
 
 
 def _published(name):
@@ -243,12 +149,10 @@ def test_product_rule_matches_resplitting_reference(ambient):
     # its one-extra-factor sum
     factors = [_published(name) for name in ambient]
     n = sum(t.ambient.rank for t in factors)
-    memo = {}
     for s in range(n + 1):
         for key in all_tuples_of_rank(s):
-            expected = _reference_product_value(factors, key)
-            assert count_product(factors, key) == expected, key
-            assert count_product(factors, key, _memo=memo) == expected, key
+            assert count_product(factors, key) == \
+                _reference_product_value(factors, key), key
 
 
 @pytest.mark.parametrize("ambient, key, value", [
@@ -268,7 +172,6 @@ def test_product_rule_on_rank_deficient_keys(ambient, key, value):
     factors = [full_table(name) for name in ambient]
     for order in (factors, factors[::-1], factors[1:] + factors[:1]):
         assert count_product(order, L(*key)) == value, order
-        assert count_product(order, L(*key), _memo={}) == value, order
 
 
 def _scrambled(key, rng):
@@ -287,8 +190,8 @@ def _scrambled(key, rng):
                                      ("A1", "A1", "A2", "A3")],
                          ids="*".join)
 def test_product_rule_on_unsorted_text_and_empty_keys(ambient):
-    # the multiplicity walk groups the canonical key, so every spelling
-    # of a key must give the re-splitting reference's value
+    # every spelling of a key must give the re-splitting reference's
+    # value
     factors = [_published(name) for name in ambient]
     n = sum(t.ambient.rank for t in factors)
     rng = random.Random(7)
@@ -300,25 +203,6 @@ def test_product_rule_on_unsorted_text_and_empty_keys(ambient):
             assert count_product(factors, types) == expected, types
 
 
-@pytest.mark.parametrize("ambient", [("D4", "A2"), ("A2", "A1", "A3"),
-                                     ("A1", "A1", "A2", "A3")],
-                         ids="*".join)
-def test_product_rule_memo_shared_over_orderings(ambient):
-    # one memo, filled by one spelling of each key and read by others
-    factors = [_published(name) for name in ambient]
-    n = sum(t.ambient.rank for t in factors)
-    rng = random.Random(11)
-    memo = {}
-    for s in range(n + 1):
-        for key in all_tuples_of_rank(s):
-            expected = _reference_product_value(factors, key)
-            for _ in range(3):
-                types = _scrambled(key, rng)
-                assert count_product(factors, types, _memo=memo) == \
-                    expected, types
-    assert all(state[1] == canonical_tuple(state[1]) for state in memo)
-
-
 def test_canonical_tuple_parses_text_and_drops_empties():
     assert canonical_tuple(("A2", EMPTY_TYPE, label("A1"), "0", "A1")) == \
         L("A1", "A1", "A2")
@@ -327,25 +211,6 @@ def test_canonical_tuple_parses_text_and_drops_empties():
     rng = random.Random(3)
     for key in all_tuples_of_rank(6):
         assert canonical_tuple(_scrambled(key, rng)) == key
-
-
-@pytest.mark.parametrize("name,m", [("A1", 5), ("A1^2", 4), ("A1*A2", 3),
-                                    ("A1^2*A2", 3), ("D4", 2)])
-def test_label_spreads_weights_count_every_position_choice(name, m):
-    # the multinomial weights of one label's spreads add up to the J^m
-    # per-position choices of J splits, and each spread's parts hold m
-    # copies of the label's components
-    t = label(name)
-    splits = _entry_splits(t)
-    spreads = _label_spreads(t, m)
-    assert sum(weight for *_, weight in spreads) == len(splits) ** m
-    assert len(spreads) == comb(m + len(splits) - 1, m)
-    for left_rank, left, right, _ in spreads:
-        assert left_rank == tuple_rank(left)
-        assert sorted(c for part in left + right for c in part.components) \
-            == sorted(t.components * m)
-    assert [spread[0] for spread in spreads] == \
-        sorted(spread[0] for spread in spreads)
 
 
 @pytest.mark.parametrize("name", REFERENCE_TABLE_NAMES)
@@ -388,26 +253,16 @@ def test_lower_count_of_reducible_type_matches_product_rule(ambient):
     t = label(ambient)
     factors = [DecompositionTable(c, reference_table(c))
                for c in map(str, t.irreducibles())]
-    memo = {}
+    table = lower_table(t)
     for s in range(t.rank + 1):
         for key in all_tuples_of_rank(s):
-            expected = count_product(factors, key)
-            assert lower_count(t, key) == expected, key
-            assert count_product(factors, key, _memo=memo) == expected, key
+            expected = _reference_product_value(factors, key)
+            assert table.lookup(key) == expected, key
+            assert count_product(factors, key) == expected, key
 
 
 # ---------------------------------------------------------------------------
-# the product tables against the product rule
-
-
-def _folded(factors):
-    """The table of the product of the factors, the first factor's table
-    times the table of the rest, as ``lower_table`` builds it."""
-    factors = list(factors)
-    table = factors[-1]
-    for head in reversed(factors[:-1]):
-        table = table_product(head, table)
-    return table
+# the product tables against the key-by-key oracle
 
 
 @pytest.mark.parametrize("t", [t for r in range(2, 9)
@@ -423,7 +278,7 @@ def test_lower_table_matches_product_rule(t):
     for s in range(t.rank + 1):
         for key in all_tuples_of_rank(s):
             assert table.lookup(key) == \
-                count_product(factors, key), key
+                _reference_product_value(factors, key), key
 
 
 @pytest.mark.parametrize("ambient", [("E7", "A1"), ("D4", "D4"),
@@ -433,7 +288,7 @@ def test_lower_table_matches_product_rule(t):
 def test_table_product_matches_resplitting_reference(ambient):
     # the factors are the published tables, independent of the census
     factors = [_published(name) for name in ambient]
-    table = _folded(factors)
+    table = product_table(tuple(factors))
     assert table.ambient is label("*".join(ambient))
     for s in range(table.ambient.rank + 1):
         for key in all_tuples_of_rank(s):
@@ -447,7 +302,7 @@ def test_table_product_matches_resplitting_reference(ambient):
                          ids="*".join)
 def test_table_product_does_not_depend_on_factor_order(ambient):
     factors = [_published(name) for name in ambient]
-    tables = [_folded(order) for order in permutations(factors)]
+    tables = [product_table(order) for order in permutations(factors)]
     for table in tables[1:]:
         assert table.ambient is tables[0].ambient
         assert table.entries == tables[0].entries
@@ -471,7 +326,25 @@ def test_table_product_on_rank_deficient_keys(ambient, key, value):
     # the values of test_product_rule_on_rank_deficient_keys, in every
     # factor order
     for order in permutations(full_table(name) for name in ambient):
-        assert _folded(order).lookup(L(*key)) == value, order
+        assert product_table(order).lookup(L(*key)) == value, order
+
+
+def test_product_table_is_keyed_by_tables_not_ambients():
+    # two A2 tables that differ in the entry (A1, A1), which the key
+    # (A1, A1, A1) of A2*A1 reads: each pair of factors gets its own table
+    a2, a1 = _published("A2"), _published("A1")
+    entries = dict(a2.entries)
+    entries[L("A1", "A1")] += 1
+    raised = DecompositionTable("A2", entries)
+    key = L("A1", "A1", "A1")
+    values = []
+    for factors in ((a2, a1), (raised, a1)):
+        values.append(count_product(factors, key))
+        assert values[-1] == _reference_product_value(factors, key), factors
+    assert values[0] != values[1]
+    assert product_table(()) is lower_table(EMPTY_TYPE)
+    assert product_table(()).entries == {(): 1}
+    assert product_table((a2,)) is a2
 
 
 @pytest.mark.parametrize("name", ["D4", "D7", "E6", "E7"])

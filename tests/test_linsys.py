@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from dense_echelon import DenseEchelon
+from product_oracle import _reference_product_value
 from noncross import decomp
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
-                             all_tuples_of_rank, canonical_tuple,
-                             count_product, full_table, lower_count,
-                             orderings, production_table, tuple_rank)
+                             all_tuples_of_rank, canonical_tuple, full_table,
+                             lower_table, orderings, production_table,
+                             tuple_rank)
 from noncross.exact import ZERO, LinearSystem, binomial_poly, echelon, poly
 from noncross.linsys import (EXPECTED_DIMENSION, ROW_FAMILIES, _coeffs_mz,
                              check_system_against_table, generate_equations,
@@ -77,17 +78,19 @@ def test_D7_replay_dimension_relaxation():
 
 def test_lower_count_matches_bruteforce():
     from noncross.decomp import count_bruteforce
-    assert lower_count(label("A2"), L("A1", "A1")) == \
+    assert lower_table(label("A2")).lookup(L("A1", "A1")) == \
         count_bruteforce("A2", L("A1", "A1"))
-    assert lower_count(label("A1*A2"), L("A1", "A2")) > 0
-    assert lower_count(label("0"), ()) == 1
+    assert lower_table(label("A1*A2")).lookup(L("A1", "A2")) > 0
+    assert lower_table(label("0")).lookup(()) == 1
 
 
 def test_shared_lower_count_memo_matches_plain_product_rule():
     # every (reducible label, tuple) pair of rank 1-7 the E8 split rows
-    # read; the table cache starts empty so that product types sharing
-    # trailing factors (A1*A3^2 and A2*A3^2) meet in it
+    # read, against the key-by-key oracle; the table caches start empty
+    # so that product types sharing trailing factors (A1*A3^2 and
+    # A2*A3^2) meet in them
     decomp.lower_table.cache_clear()
+    decomp.product_table.cache_clear()
     assert decomp.lower_table.cache_info().currsize == 0
     pairs = 0
     for r in range(1, 8):
@@ -96,8 +99,8 @@ def test_shared_lower_count_memo_matches_plain_product_rule():
                 continue
             factors = [full_table("%s%d" % comp) for comp in t.components]
             for key in all_tuples_of_rank(r):
-                assert lower_count(t, key) == count_product(factors, key), \
-                    (t, key)
+                assert lower_table(t).lookup(key) == \
+                    _reference_product_value(factors, key), (t, key)
                 pairs += 1
     assert pairs == 4046
     assert decomp.lower_table.cache_info().currsize

@@ -19,6 +19,9 @@ as one JSON object, in seconds:
   and the three reciprocity forms);
 * ``reciprocity_check:E7|E8``: the m -> -m check of the M-triangle;
 * ``zeta_identity_check:A7|D7|E7``: the zeta identity of the table;
+* ``zeta_forms:7``: ``ncposet.zeta_forms(7)`` past its cache, the
+  one-time cost the first zeta check of rank 7 in a session pays (an
+  older tree without ``zeta_forms`` reports none);
 * ``zeta_shifted:all``: ``zeta_shifted`` past its cache for each of the
   100 type labels of rank 1 to 8 (``verify e8`` builds these);
 * ``count_product:E7*A1`` (and D4*D4, E6*A2, D5*A3): ``count_product``
@@ -99,6 +102,9 @@ def ops():
         out.append(("zeta_identity_check:" + name,
                     lambda name=name: triangles.zeta_identity_check(
                         name, tables[name])))
+    forms = getattr(ncposet, "zeta_forms", None)
+    if forms is not None:
+        out.append(("zeta_forms:7", lambda: forms.__wrapped__(7)))
     labels = [t for rank in range(1, 9) for t in decomp.all_labels_of_rank(rank)]
     out.append(("zeta_shifted:all",
                 lambda: [ncposet.zeta_shifted.__wrapped__(t) for t in labels]))

@@ -13,9 +13,10 @@ on both alike.  The child builds the production tables of every lower
 irreducible ambient, then times
 
 * ``cold``: its first ``generate_equations`` call;
-* ``warm``: ``--repeats`` further calls, product-count memos emptied
-  before each (as ``generate_equations_s`` in ``linsys_stages.py``); the
-  child reports their median.
+* ``warm``: ``--repeats`` further calls, product-count memos and the
+  cached ``ncposet.zeta_forms`` emptied before each (as
+  ``generate_equations_s`` in ``linsys_stages.py``), so that ``zeta_s``
+  still times building the forms; the child reports their median.
 
 ``generate_equations`` adds its rows family by family (forbidden,
 special, split, zeta), so every ``add_row`` call is stamped and a stage

@@ -10,8 +10,9 @@ Each stage is timed ``--repeats`` times with ``time.perf_counter`` and
 the median is printed as JSON, one object per ambient:
 
 * ``generate_equations_s``: equation generation with the lower-rank
-  tables already built (warm), product-count memos emptied first (per
-  equation family, cold and warm: ``equation_families.py``);
+  tables already built (warm), product-count memos and the zeta forms
+  emptied first (per equation family, cold and warm:
+  ``equation_families.py``);
 * ``elimination_s`` and ``back_substitution_s``: ``exact.echelon`` and
   ``Echelon.space`` on the unpinned system (older trees without an
   echelon report one ``solve_s`` instead; since the echelon is reduced,
@@ -40,7 +41,7 @@ import subprocess
 import sys
 import time
 
-from noncross import decomp, exact, linsys
+from noncross import decomp, exact, linsys, ncposet
 
 
 def clear_memos():
@@ -60,6 +61,11 @@ def clear_memos():
         getattr(linsys, "_product_memo", None)
     if memo is not None:
         memo.cache_clear()
+    # the rank-keyed zeta forms the zeta rows read, so that a warm
+    # generate_equations still builds its zeta rows from the products
+    forms = getattr(ncposet, "zeta_forms", None)
+    if forms is not None:
+        forms.cache_clear()
 
 
 def timed(fn, repeats, before=clear_memos):

@@ -231,9 +231,13 @@ def cmd_linsys(args):
         "golden_diff": golden_diff or {"(none)": "table matches"},
     }
     if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(dict(payload, rows_by_family=report.rows_by_family),
-                      handle, indent=2, sort_keys=True, default=str)
+        try:
+            with open(args.report, "w") as handle:
+                json.dump(dict(payload, rows_by_family=report.rows_by_family),
+                          handle, indent=2, sort_keys=True, default=str)
+        except OSError as err:
+            return _fail_input("cannot write report %s: %s"
+                               % (args.report, err.strerror or err))
     _emit(payload, args.format)
     failed = golden_diff or not report.all_assertions_pass
     return 1 if failed else 0

@@ -24,14 +24,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
 
 from .decomp import (DecompositionTable, all_labels_of_rank,
                      all_tuples_of_rank, canonical_tuple, count_bruteforce,
-                     lower_table, orderings, special_values, tuple_rank)
-from .exact import LinearSystem, binomial_poly, echelon, poly, solve
-from .ncposet import (_integer_coefficients, _tuple_zeta_vector,
-                      enumerate_nc, zeta_closed)
+                     lower_table, special_values, tuple_rank)
+from .exact import LinearSystem, echelon, poly, solve
+from .ncposet import enumerate_nc, zeta_closed, zeta_forms
 from .rootsystem import subdiagram_types
 from .typelabel import label
 
@@ -92,63 +90,15 @@ def _coeffs_mz(p):
 
 def _zeta_rows(system, ambient):
     """Coefficient comparison in m and z between the closed-form zeta
-    polynomial of NC^m and its decomposition-number expansion
-
-        sum over tuples T of orderings(T) binom(m, len T) prod zeta_shifted(t),
-
-    where each rank-deficient tuple adds to every full-rank variable it
-    extends by one factor.  A tuple's product is a polynomial in z
-    alone, an integer vector over a denominator, and a canonical tuple's
-    prefix is a canonical tuple of lower rank, so each product is one
-    convolution from an earlier one (``ncposet._tuple_zeta_vector``, the
-    route ``triangles.zeta_identity_check`` takes too); each variable
-    sums its terms per tuple length k as one z-vector over a common
-    denominator, and binom(m, k) enters once per variable and length."""
+    polynomial of NC^m and its decomposition-number expansion,
+    ``ncposet.zeta_forms``: one row per power of m and z."""
     n = ambient.rank
-    products = {(): ([1], 1)}
-    for s in range(1, n + 1):
-        for tup in all_tuples_of_rank(s):
-            _tuple_zeta_vector(tup, products)
-    del products[()]
-    common = lcm(*(den for _, den in products.values()))
-    forms = {}                            # var -> {length k: z-vector}
-    for s in range(1, n + 1):
-        for tup in all_tuples_of_rank(s):
-            vec, den = products[tup]
-            scale = orderings(tup) * (common // den)
-            if s == n:
-                targets = (tup,)
-            else:
-                targets = tuple(canonical_tuple(tup + (extra,))
-                                for extra in all_labels_of_rank(n - s))
-            for var in targets:
-                by_length = forms.setdefault(var, {})
-                acc = by_length.setdefault(len(tup), [0] * (n + 1))
-                for j, c in enumerate(vec):
-                    acc[j] += scale * c
-    # n! binom(m, k) has integer coefficients for every k <= n
-    n_factorial = factorial(n)
-    binomials = []
-    for k in range(n + 1):
-        vec, den = _integer_coefficients(binomial_poly(k), "m")
-        binomials.append([c * n_factorial // den for c in vec])
-    den = n_factorial * common
-    buckets = {}                          # (i, j) -> {var: coefficient}
-    for var, by_length in forms.items():
-        totals = {}
-        for k, zvec in by_length.items():
-            for i, b in enumerate(binomials[k]):
-                if b:
-                    for j, c in enumerate(zvec):
-                        if c:
-                            totals[i, j] = totals.get((i, j), 0) + b * c
-        for mz, c in totals.items():
-            if c:
-                buckets.setdefault(mz, {})[var] = Fraction(c, den)
+    forms, den = zeta_forms(n)
     lhs = _coeffs_mz(zeta_closed(ambient, m="m") - poly(1))
     for i in range(n + 1):
         for j in range(n + 1):
-            coeffs = buckets.get((i, j), {})
+            coeffs = {var: Fraction(c, den)
+                      for var, c in forms.get((i, j), {}).items()}
             rhs = lhs.get((i, j), Fraction(0))
             if coeffs or rhs:
                 system.add_row(coeffs, rhs, "zeta:m^%d z^%d" % (i, j))

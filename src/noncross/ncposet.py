@@ -96,7 +96,7 @@ import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 
 from . import exact
 from .exact import VARS, SparsePolynomial, Z as _Z, M as _M, int_kernel
@@ -626,16 +626,69 @@ def _shifted_zeta_vector(t):
     return vec, den
 
 
-def _tuple_zeta_vector(tup, products):
-    """The product of ``zeta_shifted`` over a canonical tuple, as integer
-    z-coefficients over a denominator.  A canonical tuple's prefix is a
-    canonical tuple, so the product is one convolution from its prefix's,
-    memoised in ``products`` (which maps ``()`` to ``([1], 1)``)."""
-    if tup not in products:
-        vec, den = _tuple_zeta_vector(tup[:-1], products)
-        last_vec, last_den = _shifted_zeta_vector(tup[-1])
-        products[tup] = (_convolve(vec, last_vec), den * last_den)
-    return products[tup]
+@lru_cache(maxsize=None)
+def zeta_forms(n):
+    """The decomposition-number expansion of the zeta polynomial of NC^m
+    at rank n,
+
+        sum over tuples T of orderings(T) binom(m, len T) prod zeta_shifted(t),
+
+    in the full-rank decomposition numbers: a rank-deficient tuple's
+    number is the sum over the full-rank tuples it extends by one
+    factor, so its term adds to each of them.  Returns (forms, den):
+    ``forms`` maps (power of m, power of z) to {full-rank tuple: nonzero
+    int}, all over the one denominator ``den``; the cached maps are
+    shared and not to be changed.
+
+    A tuple's product is a polynomial in z alone, an integer z-vector
+    over a denominator, and a canonical tuple's prefix is a canonical
+    tuple of lower rank, so each product is one convolution from its
+    prefix's.  Each full-rank tuple sums its terms per tuple length k as
+    one z-vector over a common denominator, and n! binom(m, k), which
+    has integer coefficients for k <= n, enters once per tuple and
+    length."""
+    from .decomp import (all_labels_of_rank, all_tuples_of_rank,
+                         canonical_tuple, orderings)
+    products = {(): ([1], 1)}
+    for s in range(1, n + 1):
+        for tup in all_tuples_of_rank(s):
+            vec, den = products[tup[:-1]]
+            last_vec, last_den = _shifted_zeta_vector(tup[-1])
+            products[tup] = (_convolve(vec, last_vec), den * last_den)
+    common = lcm(*(den for _, den in products.values()))
+    by_tuple = {}                         # full-rank tuple -> {k: z-vector}
+    for s in range(1, n + 1):
+        for tup in all_tuples_of_rank(s):
+            vec, den = products[tup]
+            scale = orderings(tup) * (common // den)
+            if s == n:
+                targets = (tup,)
+            else:
+                targets = tuple(canonical_tuple(tup + (extra,))
+                                for extra in all_labels_of_rank(n - s))
+            for var in targets:
+                by_length = by_tuple.setdefault(var, {})
+                acc = by_length.setdefault(len(tup), [0] * (n + 1))
+                for j, c in enumerate(vec):
+                    acc[j] += scale * c
+    n_factorial = factorial(n)
+    binomials = []
+    for k in range(n + 1):
+        vec, den = _integer_coefficients(exact.binomial_poly(k), "m")
+        binomials.append([c * n_factorial // den for c in vec])
+    forms = {}
+    for var, by_length in by_tuple.items():
+        totals = {}
+        for k, zvec in by_length.items():
+            for i, b in enumerate(binomials[k]):
+                if b:
+                    for j, c in enumerate(zvec):
+                        if c:
+                            totals[i, j] = totals.get((i, j), 0) + b * c
+        for mz, c in totals.items():
+            if c:
+                forms.setdefault(mz, {})[var] = c
+    return forms, n_factorial * common
 
 
 def ncm_cardinality(t, m):
@@ -796,15 +849,20 @@ def read_cache(path, expected_ambient=None):
 
 
 def load_or_enumerate(name, cache_dir=None):
-    """Enumerate NC, using a cache directory when one is given."""
+    """Enumerate NC, using a cache directory when one is given.  A cache
+    file that cannot be read is a miss, and a directory that cannot be
+    written is skipped."""
     if cache_dir is None:
         return enumerate_nc(name)
     path = os.path.join(cache_dir, "nc_%s.jsonl" % name)
     if os.path.exists(path):
         try:
             return read_cache(path, expected_ambient=name)
-        except CacheFormatError:
+        except (CacheFormatError, OSError):
             pass  # fall through and regenerate
     poset = enumerate_nc(name)
-    write_cache(poset, path)
+    try:
+        write_cache(poset, path)
+    except OSError:
+        pass
     return poset

@@ -13,22 +13,21 @@ scales each group of terms by a power of the numeric m.  The F=M
 transform and the F-reciprocity substitute through
 ``exact.substitute_rational``, which groups terms so that each group
 takes one product per substituted variable but the last.  The zeta
-check sums integer z-vectors, the route of the zeta rows of ``linsys``,
-per tuple length and multiplies binom(m, d) in once per length.
+check dots the table's entries with ``ncposet.zeta_forms``, the forms
+the zeta rows of ``linsys`` are read from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import exact
 from .exact import (X, Y, SparsePolynomial, binomial_poly, exact_divide,
                     poly, substitute_rational)
 from .decomp import all_tuples_of_rank, orderings
-from .ncposet import (_tuple_zeta_vector, characteristic_polynomial, mobius,
-                      zeta_closed)
+from .ncposet import (characteristic_polynomial, mobius, zeta_closed,
+                      zeta_forms)
 from .typelabel import TypeLabel, label
 
 
@@ -123,41 +122,18 @@ def mtriangle_direct(ncm):
 
 
 def zeta_identity_check(name, table):
-    """Difference between the closed-form zeta polynomial of NC^m and
-    its decomposition-number expansion
-
-        1 + sum over tuples T of N(T) orderings(T) binom(m, len T)
-            prod zeta_shifted(t),
-
-    zero in z and m when the table is consistent.  A tuple's product is
-    a polynomial in z alone, an integer z-vector over a denominator,
-    built by one convolution from its prefix's; the tuples of each
-    length d sum to one z-vector over their common denominator, and
-    binom(m, d) is multiplied in once per length."""
+    """Difference between the closed-form zeta polynomial of NC^m and 1
+    plus its decomposition-number expansion, ``ncposet.zeta_forms``, at
+    the entries of ``table``; zero in z and m when the table is
+    consistent."""
     ambient = label(name) if not isinstance(name, TypeLabel) else name
-    n = ambient.rank
-    products = {(): ([1], 1)}
-    by_length = {}                        # d -> [(scale, z-vector, den)]
-    for s in range(1, n + 1):
-        for tup in all_tuples_of_rank(s):
-            count = table.lookup(tup)
-            if count == 0:
-                continue
-            vec, den = _tuple_zeta_vector(tup, products)
-            by_length.setdefault(len(tup), []).append(
-                (count * orderings(tup), vec, den))
-    rhs = poly(1)
-    for d in sorted(by_length):
-        common = lcm(*(den for _, _, den in by_length[d]))
-        zvec = [0] * (n + 1)
-        for scale, vec, den in by_length[d]:
-            scale *= common // den
-            for j, c in enumerate(vec):
-                zvec[j] += scale * c
-        form = SparsePolynomial({(0, 0, j, 0): Fraction(c, common)
-                                 for j, c in enumerate(zvec)})
-        rhs = rhs + form * binomial_poly(d)
-    return zeta_closed(ambient, m="m") - rhs
+    forms, den = zeta_forms(ambient.rank)
+    entries = table.entries
+    expansion = SparsePolynomial({
+        (0, 0, j, i): Fraction(sum(c * entries.get(var, 0)
+                                   for var, c in form.items()), den)
+        for (i, j), form in forms.items()})
+    return zeta_closed(ambient, m="m") - 1 - expansion
 
 
 class FTriangleCandidate:

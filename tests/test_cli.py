@@ -53,6 +53,31 @@ def test_nc_enumerate_cache_dir(capsys, tmp_path):
     assert (tmp_path / "nc_A3.jsonl").exists()
 
 
+def _unusable_cache_dir(tmp_path, case):
+    """A cache directory that is a regular file, lies under one, or holds
+    a directory where the cache file of A3 would go."""
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    if case == "file":
+        return blocker
+    if case == "under-file":
+        return blocker / "cache"
+    (tmp_path / "nc_A3.jsonl").mkdir()
+    return tmp_path
+
+
+@pytest.mark.parametrize("case", ["file", "under-file", "entry-is-dir"])
+def test_nc_enumerate_unusable_cache_dir_is_skipped(capsys, tmp_path, case):
+    _, plain, _ = run(capsys, "nc", "enumerate", "A3")
+    cache_dir = _unusable_cache_dir(tmp_path, case)
+    before = sorted(os.listdir(tmp_path))
+    code, out, err = run(capsys, "nc", "enumerate", "A3",
+                         "--cache-dir", str(cache_dir))
+    assert (code, out, err) == (0, plain, "")
+    assert sorted(os.listdir(tmp_path)) == before
+    assert (tmp_path / "file").read_text() == "not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # a damaged cache file regenerates; lines[0] is the header, lines[1] the
 # identity (records go level by level from rank 0)
@@ -251,6 +276,17 @@ def test_linsys_replay_report(capsys, tmp_path):
     assert code == 0
     payload = json.loads(path.read_text())
     assert payload["dimension"] == 0
+
+
+def test_linsys_replay_unwritable_report_exits_2(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = blocker / "report.json"
+    code, out, err = run(capsys, "linsys", "replay", "D4",
+                         "--report", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write report %s: " % path)
+    assert err.count("\n") == 1
 
 
 def test_linsys_replay_rows_by_family_in_report_only(capsys, tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from noncross import exact
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              canonical_tuple, full_table, production_table)
-from noncross.ncposet import build_ncm
+from noncross.linsys import generate_equations
+from noncross.ncposet import build_ncm, zeta_forms
 from noncross.refdata import reference_table
 from noncross.rootsystem import subdiagram_types
 from noncross.typelabel import label
@@ -72,7 +73,7 @@ def _tampered(name, kind):
 
 
 @pytest.mark.parametrize("kind", ["plus-one", "foreign-type"])
-@pytest.mark.parametrize("name", ["D5", "E6", "E7"])
+@pytest.mark.parametrize("name", ["D5", "E6", "E7", "A7", "D7"])
 def test_zeta_identity_difference_on_tampered_tables(name, kind):
     # the z-vector route and the Fraction expansion give the same nonzero
     # difference polynomial, not just the same verdict
@@ -86,6 +87,17 @@ def test_zeta_identity_zero_on_D8_census_table():
     table = production_table("D8")
     assert not zeta_identity_check("D8", table).terms
     assert not zeta_identity_expansion("D8", table).terms
+
+
+def test_rank_8_zeta_form_built_once():
+    # the E8 and D8 zeta rows and the D8 zeta identity share one form
+    table = production_table("D8")
+    zeta_forms.cache_clear()
+    generate_equations("E8")
+    generate_equations("D8")
+    assert not zeta_identity_check("D8", table).terms
+    info = zeta_forms.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4", "D5"])

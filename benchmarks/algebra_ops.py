@@ -3,6 +3,8 @@
 Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/algebra_ops.py [--repeats 5]
+    PYTHONPATH=src python3 benchmarks/algebra_ops.py --ab OTHER_SRC \
+        [--repeats 10]
 
 Decomposition tables come from the published reference data and the
 E7/E8 M-triangles from their published dual polynomials, built once
@@ -12,8 +14,6 @@ as one JSON object, in seconds:
 
 * ``at:E8``: ``MTriangle.at`` at m = 3, the primal triangle at a
   numeric m;
-* ``substitute_rational:E8``: the F=M substitution alone, x -> (1+y)/(y-x)
-  and y -> (y-x)/y cleared to power 8, on the primal triangle at m = 3;
 * ``fm_transform:E7|E8``: one ``fm_transform`` at m = 3;
 * ``f_reciprocity_checks:E7|E8``: one call at m = 2 (two transforms
   and the three reciprocity forms);
@@ -22,8 +22,9 @@ as one JSON object, in seconds:
 * ``zeta_forms:7``: ``ncposet.zeta_forms(7)`` past its cache, the
   one-time cost the first zeta check of rank 7 in a session pays (an
   older tree without ``zeta_forms`` reports none);
-* ``zeta_shifted:all``: ``zeta_shifted`` past its cache for each of the
-  100 type labels of rank 1 to 8 (``verify e8`` builds these);
+* ``zeta_shifted:all``: ``zeta_shifted`` past its cache, and past that
+  of ``zeta_closed``, for each of the 100 type labels of rank 1 to 8
+  (``verify e8`` builds these);
 * ``count_product:E7*A1`` (and D4*D4, E6*A2, D5*A3): ``count_product``
   over the pair's whole full-rank key universe, with the product tables
   emptied before each repeat, so the table build is timed too;
@@ -32,15 +33,26 @@ as one JSON object, in seconds:
 * ``lookup:E8|E7|A7``: a batch of 4000 lookups, half full-rank keys
   and half made rank-deficient by dropping one factor (seeded), on a
   fresh table per repeat, so any lazily built index is timed too.
+
+With ``--ab OTHER_SRC`` it compares this tree's ``src`` with another
+directory holding the ``noncross`` package instead.  It runs
+``--repeats`` rounds; each round starts one fresh process per tree,
+alternating which goes first, so that drift of a shared host falls on
+both alike, and each process prints its medians of 5 repeats.  Per op
+it prints both medians over the rounds and the number of rounds in
+which this tree was faster (``wins``).
 """
 
 import argparse
 import json
+import os
 import random
 import statistics
+import subprocess
+import sys
 import time
 
-from noncross import decomp, exact, ncposet, refdata, triangles
+from noncross import decomp, ncposet, refdata, triangles
 
 PRODUCTS = (("E7", "A1"), ("D4", "D4"), ("E6", "A2"), ("D5", "A3"),
             ("A1", "A2", "D5"))
@@ -83,14 +95,7 @@ def ops():
               for name in refdata.REFERENCE_TABLE_NAMES}
     mts = {name: triangles.MTriangle.from_dual(name, refdata.golden_dual(name))
            for name in ("E7", "E8")}
-    out = []
-    primal = mts["E8"].at(3)
-    fm_substitution = {"x": (1 + exact.Y, exact.Y - exact.X),
-                       "y": (exact.Y - exact.X, exact.Y)}
-    out.append(("at:E8", lambda: mts["E8"].at(3)))
-    out.append(("substitute_rational:E8",
-                lambda: exact.substitute_rational(primal, fm_substitution,
-                                                  {"x": 8, "y": 8})))
+    out = [("at:E8", lambda: mts["E8"].at(3))]
     for name, mt in mts.items():
         out.append(("fm_transform:" + name,
                     lambda mt=mt: triangles.fm_transform(mt, 3)))
@@ -106,8 +111,14 @@ def ops():
     if forms is not None:
         out.append(("zeta_forms:7", lambda: forms.__wrapped__(7)))
     labels = [t for rank in range(1, 9) for t in decomp.all_labels_of_rank(rank)]
-    out.append(("zeta_shifted:all",
-                lambda: [ncposet.zeta_shifted.__wrapped__(t) for t in labels]))
+
+    def shifted():
+        # since zeta_closed is cached too, empty it so that it is timed
+        closed = getattr(ncposet.zeta_closed, "cache_clear", None)
+        if closed is not None:
+            closed()
+        return [ncposet.zeta_shifted.__wrapped__(t) for t in labels]
+    out.append(("zeta_shifted:all", shifted))
     for pair in PRODUCTS:
         factors = [tables[name] for name in pair]
         keys = decomp.all_tuples_of_rank(sum(t.ambient.rank for t in factors))
@@ -123,12 +134,46 @@ def ops():
     return out
 
 
+def run_tree(src):
+    """The op medians of a fresh process importing ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, os.path.abspath(__file__)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    return json.loads(out)
+
+
+def ab(other, rounds):
+    trees = [("this", "src"), ("other", other)]
+    samples = {tree: [] for tree, _ in trees}
+    for round_ in range(rounds):
+        for tree, src in trees if round_ % 2 == 0 else trees[::-1]:
+            samples[tree].append(run_tree(src))
+    this, other_runs = samples["this"], samples["other"]
+    out = {"rounds": rounds, "other": other}
+    for name in this[0]:
+        mine = [run[name] for run in this]
+        theirs = [run.get(name) for run in other_runs]
+        out[name] = {
+            "this": round(statistics.median(mine), 4),
+            "other": (None if None in theirs
+                      else round(statistics.median(theirs), 4)),
+            "wins": sum(b is not None and a < b
+                        for a, b in zip(mine, theirs))}
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--ab", metavar="OTHER_SRC",
+                        help="compare with the noncross package in OTHER_SRC")
     args = parser.parse_args()
-    print(json.dumps({name: median_time(fn, args.repeats)
-                      for name, fn in ops()}, indent=1), flush=True)
+    if args.ab:
+        report = ab(args.ab, args.repeats)
+    else:
+        report = {name: median_time(fn, args.repeats) for name, fn in ops()}
+    print(json.dumps(report, indent=1), flush=True)
 
 
 if __name__ == "__main__":

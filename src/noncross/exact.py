@@ -8,7 +8,9 @@ coefficient raises ``TypeError``).  Most coefficients met in this
 package are integers, so most arithmetic stays in ``int``.  This is
 deliberately small and dependency-free: every identity checked in this
 package is an *exact* polynomial identity, so floating point is never
-used.
+used.  Variables are substituted by polynomials or numbers only; no
+polynomial is divided by another, since the F=M transform of
+``triangles`` is a direct binomial expansion.
 
 The linear solver works in integers throughout.  An ``Echelon`` holds
 the reduced row echelon form of the rows inserted so far, each row a
@@ -46,16 +48,6 @@ def _coeff(value):
         return _coeff(Fraction(value.numerator, value.denominator))
     raise TypeError("exact coefficient expected, got %s %r"
                     % (kind.__name__, value))
-
-
-def _quotient(a, b):
-    """The exact quotient a / b of two canonical coefficients, canonical."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _coeff(Fraction(a.numerator * b.denominator,
-                           a.denominator * b.numerator))
 
 
 class SparsePolynomial:
@@ -169,8 +161,7 @@ class SparsePolynomial:
         monomials, which takes no product, and is multiplied once by the
         product of the values' powers, each power built once from the
         one below it.  With numeric values that product is a constant,
-        so a group is only scaled: ``MTriangle.at(m)`` multiplies no two
-        non-constant polynomials.
+        so a group is only scaled.
         """
         subs = {_VAR_INDEX[var]: _coerce(value)
                 for var, value in assignments.items()}
@@ -282,97 +273,6 @@ def binomial_poly(d):
     for i in range(d):
         result = result * (M - i)
     return result
-
-
-def exact_divide(numerator, divisor):
-    """Exact multivariate division; raises ValueError on a remainder.
-
-    Division proceeds by cancelling the lexicographically leading term of
-    the running remainder against the leading term of the divisor, which
-    succeeds precisely when the divisor divides exactly.
-    """
-    if not divisor.terms:
-        raise ZeroDivisionError("division by the zero polynomial")
-    div_lead = max(divisor.terms)
-    div_coeff = divisor.terms[div_lead]
-    div_terms = list(divisor.terms.items())
-    remainder = dict(numerator.terms)
-    quotient = {}
-    while remainder:
-        lead = max(remainder)
-        exp = tuple(l - d for l, d in zip(lead, div_lead))
-        if any(e < 0 for e in exp):
-            raise ValueError("nonzero remainder in exact division")
-        coeff = _quotient(remainder[lead], div_coeff)
-        # the leading terms strictly decrease, so each exp comes once
-        quotient[exp] = coeff
-        a, b, c, d = exp
-        for (p, q, r, s), dc in div_terms:
-            key = (a + p, b + q, c + r, d + s)
-            new = remainder.get(key, 0) - coeff * dc
-            if new:
-                remainder[key] = _coeff(new)
-            else:
-                del remainder[key]
-    return SparsePolynomial(quotient)
-
-
-def substitute_rational(p, substitutions, clearing_power):
-    """Substitute rational functions for variables, returning the cleared
-    numerator.
-
-    ``substitutions`` maps a variable name to a pair ``(num, den)`` of
-    polynomials; ``clearing_power`` maps the same names to the power of
-    the corresponding denominator that is multiplied through (it must be
-    at least the degree of ``p`` in that variable).  The true value of
-    the substituted expression is the returned numerator divided by
-    ``prod(den_v ** clearing_power[v])``.
-
-    A term c * x^e of ``p`` becomes c times the product, over the
-    substituted variables v, of P(v, e_v) = num_v^e_v den_v^(k_v - e_v),
-    with k_v the clearing power, times the monomial of its other
-    variables.  Terms are grouped by their exponents in every substituted
-    variable but the last (in x, y, z, m order).  A group sums c P(last,
-    e_last) times the kept monomial over its terms, which is scaling and
-    shifting, not a product, and then takes one product with P(v, e_v)
-    per other substituted variable.  Each P(v, e) is built once, from
-    powers of num_v and den_v built one product at a time.
-    """
-    for var in substitutions:
-        if clearing_power[var] < p.degree(var):
-            raise ValueError("clearing power for %s below degree" % var)
-    order = sorted(_VAR_INDEX[var] for var in substitutions)
-    if not order:
-        return SparsePolynomial(p.terms)
-    *outer, last = order
-    powers = {i: ([ONE], [ONE]) for i in order}   # of num_v and of den_v
-    factors = {}                                  # (v, e) -> P(v, e)
-
-    def factor(i, e):
-        if (i, e) not in factors:
-            (num, den), (num_powers, den_powers) = (substitutions[VARS[i]],
-                                                    powers[i])
-            k = clearing_power[VARS[i]]
-            factors[i, e] = (_power(num_powers, num, e)
-                             * _power(den_powers, den, k - e))
-        return factors[i, e]
-
-    groups = {}
-    for exp, coeff in p.terms.items():
-        kept = tuple(0 if i in order else e for i, e in enumerate(exp))
-        key = tuple(exp[i] for i in outer)
-        groups.setdefault(key, []).append((exp[last], kept, coeff))
-    result = {}
-    for key, terms in groups.items():
-        group = {}
-        for e, kept, coeff in terms:
-            _add_product(group, {kept: coeff}, factor(last, e).terms)
-        group = _canonical(group)
-        for i, e in zip(outer, key):
-            group = group * factor(i, e)
-        for exp, coeff in group.terms.items():
-            result[exp] = result.get(exp, 0) + coeff
-    return _canonical(result)
 
 
 # ---------------------------------------------------------------------------

@@ -562,13 +562,15 @@ def zeta_direct(poset, z):
     return sum(counts)
 
 
+@lru_cache(maxsize=None)
 def zeta_closed(t, m=1):
     """Closed-form zeta polynomial of NC^m of the given type, in z.
 
     ``m`` may be an integer or the symbol ``"m"`` for the fully symbolic
     two-variable version.  For each irreducible component with Coxeter
     number h and degrees d_i the factor is prod_i ((z-1) m h + d_i)/d_i;
-    components multiply.
+    components multiply.  The cached polynomials are shared and not to
+    be changed.
     """
     if isinstance(t, str):
         t = label(t)

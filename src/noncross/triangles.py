@@ -8,23 +8,26 @@ computation for small posets, the zeta-polynomial consistency check,
 the transform producing F-triangle candidates, and the m -> -m
 reciprocity checks.
 
-The checks multiply few whole polynomials.  ``MTriangle.at`` only
-scales each group of terms by a power of the numeric m.  The F=M
-transform and the F-reciprocity substitute through
-``exact.substitute_rational``, which groups terms so that each group
-takes one product per substituted variable but the last.  The zeta
-check dots the table's entries with ``ncposet.zeta_forms``, the forms
-the zeta rows of ``linsys`` are read from.
+The checks multiply few whole polynomials.  ``MTriangle.at`` sums
+each term's integer numerator over one common denominator.  The F=M
+transform and the right side of the two-variable F-reciprocity are
+binomial expansions: on an M-triangle (k <= l <= n) the term
+m_kl x^k y^l of y^n M((1+y)/(y-x), (y-x)/y) is the polynomial
+m_kl (1+y)^k (y-x)^(l-k) y^(n-l) on its own, so nothing is substituted
+as a rational function and nothing is divided.  The zeta check dots the
+table's entries with ``ncposet.zeta_forms``, the forms the zeta rows of
+``linsys`` are read from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, lcm
+from numbers import Rational
 
 from . import exact
-from .exact import (X, Y, SparsePolynomial, binomial_poly, exact_divide,
-                    poly, substitute_rational)
+from .exact import X, SparsePolynomial, binomial_poly, poly
 from .decomp import all_tuples_of_rank, orderings
 from .ncposet import (characteristic_polynomial, mobius, zeta_closed,
                       zeta_forms)
@@ -69,7 +72,55 @@ class MTriangle:
 
     def at(self, m):
         """The primal triangle at a numeric m, as a polynomial in x, y."""
-        return self.primal.substitute(m=poly(m))
+        numerators, den = _numerators(self.primal, m)
+        return SparsePolynomial({(k, l, z, 0): _ratio(c, den)
+                                 for (k, l, z), c in numerators.items()})
+
+
+def _numerators(p, m):
+    """A polynomial at a numeric (int or Fraction) m, as a map (x, y, z
+    degrees) -> nonzero int numerator over one denominator; returns
+    (numerators, denominator)."""
+    if not isinstance(m, Rational):
+        raise TypeError("exact coefficient expected, got %s %r"
+                        % (type(m).__name__, m))
+    top = max((exp[3] for exp in p.terms), default=0)
+    num, den = int(m.numerator), int(m.denominator)
+    num_powers, den_powers = [1], [1]
+    for _ in range(top):
+        num_powers.append(num_powers[-1] * num)
+        den_powers.append(den_powers[-1] * den)
+    common = lcm(*(c.denominator for c in p.terms.values()))
+    numerators = {}
+    for (k, l, z, e), c in p.terms.items():
+        key = (k, l, z)
+        numerators[key] = (numerators.get(key, 0)
+                           + c.numerator * (common // c.denominator)
+                           * num_powers[e] * den_powers[top - e])
+    return ({key: c for key, c in numerators.items() if c},
+            common * den_powers[top])
+
+
+def _ratio(num, den):
+    """num / den for ints, an int when it divides exactly."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def _expand(terms, n):
+    """The sum of c x^p y^q (1+y)^a (y-x)^b (1+x)^e over ``terms``, an
+    iterable of (c, p, q, a, b, e) with a, b, e <= n, by the binomial
+    theorem; a map (x-degree, y-degree) -> coefficient, zeros kept."""
+    rows = [[comb(a, i) for i in range(a + 1)] for a in range(n + 1)]
+    out = {}
+    for c, p, q, a, b, e in terms:
+        for i, ci in enumerate(rows[a]):
+            for j, cj in enumerate(rows[b]):
+                cij = c * ci * cj if j % 2 == 0 else -c * ci * cj
+                for h, ch in enumerate(rows[e]):
+                    key = (p + j + h, q + i + b - j)
+                    out[key] = out.get(key, 0) + cij * ch
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -171,34 +222,39 @@ class FTriangleCandidate:
 
 
 class TransformFailure(ValueError):
-    """The rational substitution did not divide exactly."""
+    """The input is not an M-triangle, so its F=M transform is not a
+    polynomial."""
 
 
 def fm_transform(mt, m):
     """F(x, y) = y^n M^m((1+y)/(y-x), (y-x)/y) at a numeric m.
 
-    An inexact division means the input cannot be an M-triangle of the
-    expected shape and raises TransformFailure.
+    Each term m_kl x^k y^l of M^m with k <= l <= n gives
+    m_kl (1+y)^k (y-x)^(l-k) y^(n-l).  A degree above n raises
+    ValueError.  A term with k > l raises TransformFailure: F is the
+    numerator y^n (y-x)^n M^m((1+y)/(y-x), (y-x)/y) divided by (y-x)^n,
+    and with t = y - x the terms with k > l add sum_e t^(n-e) P_e(y),
+    e = k - l, to that numerator, where P_e = sum_l m_(l+e),l
+    (1+y)^(l+e) y^(n-l) is nonzero because its terms have different
+    lowest powers of y; so the division leaves a remainder.  A z degree
+    raises TransformFailure too.
     """
     n = mt.n
-    primal = mt.at(m)
-    numerator = substitute_rational(
-        primal,
-        {"x": (poly(1) + Y, Y - X), "y": (Y - X, Y)},
-        {"x": n, "y": n})
-    # true value = numerator / ((y-x)^n y^n); multiplying by y^n leaves
-    # a single exact division by (y-x)^n
-    try:
-        result = exact_divide(numerator, (Y - X) ** n)
-    except ValueError as err:
-        raise TransformFailure("transform of %s at m=%d: %s"
-                               % (mt.ambient, m, err)) from err
-    coefficients = {}
-    for exp, coeff in result.terms.items():
-        xdeg, ydeg, zdeg, mdeg = exp
-        if zdeg or mdeg:
-            raise TransformFailure("transform left z or m degrees behind")
-        coefficients[(xdeg, ydeg)] = coeff
+    numerators, den = _numerators(mt.primal, m)
+    for var, index in (("x", 0), ("y", 1)):
+        if any(key[index] > n for key in numerators):
+            raise ValueError("clearing power for %s below degree" % var)
+    if any(k > l for k, l, _ in numerators):
+        raise TransformFailure("transform of %s at m=%d: nonzero remainder "
+                               "in exact division" % (mt.ambient, m))
+    if any(z for _, _, z in numerators):
+        raise TransformFailure("transform left z or m degrees behind")
+    expanded = _expand(((c, 0, n - l, k, l - k, 0)
+                        for (k, l, _), c in numerators.items()), n)
+    coefficients = {kl: _ratio(c, den)
+                    for kl, c in sorted(expanded.items(), reverse=True) if c}
+    result = SparsePolynomial({(k, l, 0, 0): c
+                               for (k, l), c in coefficients.items()})
     return FTriangleCandidate(ambient=mt.ambient, m=m, poly=result,
                               coefficients=coefficients)
 
@@ -223,26 +279,23 @@ def f_reciprocity_checks(mt, m):
     """The F-triangle forms of reciprocity at a numeric m >= 1.
 
     Checks, for the pair (F at m, F at -m): the two-variable identity
-    relating them through x -> -x/(1+x), y -> (y-x)/(1+x); the alternating
+    F^m(x, y) = (1+x)^n F^(-m)(-x/(1+x), (y-x)/(1+x)); the alternating
     total-face-count identity for the top coefficient; and the full
     coefficientwise expansion of the two-variable identity.  Returns a
     list of failure messages (empty when all three hold).
+
+    A transform has support r + s <= n, so the right side of the
+    identity is the polynomial sum f_rs (-x)^r (y-x)^s (1+x)^(n-r-s),
+    expanded term by term.
     """
     n = mt.n
     f_pos = fm_transform(mt, m)
     f_neg = fm_transform(mt, -m)
     failures = []
 
-    one_plus_x = poly(1) + X
-    cx, cy = f_neg.poly.degree("x"), f_neg.poly.degree("y")
-    numerator = substitute_rational(
-        f_neg.poly,
-        {"x": (-X, one_plus_x), "y": (Y - X, one_plus_x)},
-        {"x": cx, "y": cy})
-    # identity: F^m = (1+x)^n F^(-m)(...); compare after clearing
-    lhs = f_pos.poly * one_plus_x ** max(0, cx + cy - n)
-    rhs = numerator * one_plus_x ** max(0, n - cx - cy)
-    if lhs != rhs:
+    rhs = _expand(((-c if r % 2 else c, r, 0, 0, s, n - r - s)
+                   for (r, s), c in f_neg.coefficients.items()), n)
+    if f_pos.coefficients != {kl: c for kl, c in rhs.items() if c}:
         failures.append("two-variable reciprocity identity fails")
 
     def f_total(cand, k):
@@ -255,7 +308,6 @@ def f_reciprocity_checks(mt, m):
         failures.append("alternating face-count identity fails: %s != %s"
                         % (top, alternating))
 
-    from math import comb
     for k in range(n + 1):
         for l in range(n + 1 - k):
             expected = 0

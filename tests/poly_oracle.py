@@ -8,13 +8,26 @@ multiplies a term by the cached power of each substituted value,
 denominator, and ``zeta_identity_expansion`` multiplies the
 ``zeta_shifted`` polynomials of every tuple's factors as Fraction
 polynomials.
+
+``fm_transform_by_division`` and ``f_reciprocity_checks_by_substitution``
+are the F=M transform and the F-reciprocity checks as the package first
+computed them: the triangle at m by ``substitute``, the rational
+substitution cleared of its denominators by ``substitute_rational``,
+and for the transform a long division by (y-x)^n, ``exact_divide``.
 """
+
+from fractions import Fraction
+from math import comb
 
 from noncross.decomp import all_tuples_of_rank, orderings
 from noncross.exact import (VARS, ZERO, SparsePolynomial, _VAR_INDEX,
-                            _coerce, binomial_poly, poly)
+                            _coeff, _coerce, binomial_poly, poly)
 from noncross.ncposet import zeta_closed, zeta_shifted
+from noncross.triangles import FTriangleCandidate, TransformFailure
 from noncross.typelabel import TypeLabel, label
+
+X = SparsePolynomial.variable("x")
+Y = SparsePolynomial.variable("y")
 
 
 def substitute(p, **assignments):
@@ -94,3 +107,116 @@ def zeta_identity_expansion(name, table):
     for d in sorted(by_length):
         rhs = rhs + by_length[d] * binomial_poly(d)
     return lhs - rhs
+
+
+def _quotient(a, b):
+    """The exact quotient a / b of two canonical coefficients, canonical."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coeff(Fraction(a.numerator * b.denominator,
+                           a.denominator * b.numerator))
+
+
+def exact_divide(numerator, divisor):
+    """Exact multivariate division; raises ValueError on a remainder.
+
+    Division proceeds by cancelling the lexicographically leading term of
+    the running remainder against the leading term of the divisor, which
+    succeeds precisely when the divisor divides exactly.
+    """
+    if not divisor.terms:
+        raise ZeroDivisionError("division by the zero polynomial")
+    div_lead = max(divisor.terms)
+    div_coeff = divisor.terms[div_lead]
+    div_terms = list(divisor.terms.items())
+    remainder = dict(numerator.terms)
+    quotient = {}
+    while remainder:
+        lead = max(remainder)
+        exp = tuple(l - d for l, d in zip(lead, div_lead))
+        if any(e < 0 for e in exp):
+            raise ValueError("nonzero remainder in exact division")
+        coeff = _quotient(remainder[lead], div_coeff)
+        # the leading terms strictly decrease, so each exp comes once
+        quotient[exp] = coeff
+        a, b, c, d = exp
+        for (p, q, r, s), dc in div_terms:
+            key = (a + p, b + q, c + r, d + s)
+            new = remainder.get(key, 0) - coeff * dc
+            if new:
+                remainder[key] = _coeff(new)
+            else:
+                del remainder[key]
+    return SparsePolynomial(quotient)
+
+
+def fm_transform_by_division(mt, m):
+    """``triangles.fm_transform``: y^n M^m((1+y)/(y-x), (y-x)/y), cleared
+    to y^n (y-x)^n times it and divided by (y-x)^n."""
+    n = mt.n
+    primal = substitute(mt.primal, m=poly(m))
+    numerator = substitute_rational(
+        primal,
+        {"x": (poly(1) + Y, Y - X), "y": (Y - X, Y)},
+        {"x": n, "y": n})
+    try:
+        result = exact_divide(numerator, (Y - X) ** n)
+    except ValueError as err:
+        raise TransformFailure("transform of %s at m=%d: %s"
+                               % (mt.ambient, m, err)) from err
+    coefficients = {}
+    for exp, coeff in result.terms.items():
+        xdeg, ydeg, zdeg, mdeg = exp
+        if zdeg or mdeg:
+            raise TransformFailure("transform left z or m degrees behind")
+        coefficients[(xdeg, ydeg)] = coeff
+    return FTriangleCandidate(ambient=mt.ambient, m=m, poly=result,
+                              coefficients=coefficients)
+
+
+def f_reciprocity_checks_by_substitution(mt, m):
+    """``triangles.f_reciprocity_checks``, the two-variable identity
+    cleared of (1+x) by ``substitute_rational``."""
+    n = mt.n
+    f_pos = fm_transform_by_division(mt, m)
+    f_neg = fm_transform_by_division(mt, -m)
+    failures = []
+
+    one_plus_x = poly(1) + X
+    cx, cy = f_neg.poly.degree("x"), f_neg.poly.degree("y")
+    numerator = substitute_rational(
+        f_neg.poly,
+        {"x": (-X, one_plus_x), "y": (Y - X, one_plus_x)},
+        {"x": cx, "y": cy})
+    lhs = f_pos.poly * one_plus_x ** max(0, cx + cy - n)
+    rhs = numerator * one_plus_x ** max(0, n - cx - cy)
+    if lhs != rhs:
+        failures.append("two-variable reciprocity identity fails")
+
+    def f_total(cand, k):
+        return sum(cand.coefficients.get((l, k - l), 0)
+                   for l in range(k + 1))
+
+    top = f_pos.coefficients.get((n, 0), 0)
+    alternating = sum((-1) ** k * f_total(f_neg, k) for k in range(n + 1))
+    if top != alternating:
+        failures.append("alternating face-count identity fails: %s != %s"
+                        % (top, alternating))
+
+    for k in range(n + 1):
+        for l in range(n + 1 - k):
+            expected = 0
+            for r in range(n + 1):
+                for s in range(n + 1 - r):
+                    if k + l - r - s < 0 or n - r - s < 0:
+                        continue
+                    expected += ((-1) ** (r + s + l)
+                                 * comb(n - r - s, k + l - r - s)
+                                 * comb(s, l)
+                                 * f_neg.coefficients.get((r, s), 0))
+            if f_pos.coefficients.get((k, l), 0) != expected:
+                failures.append("coefficientwise reciprocity fails at "
+                                "x^%d y^%d" % (k, l))
+    return failures

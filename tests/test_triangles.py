@@ -1,24 +1,32 @@
 """M-triangles, F=M transform, zeta identity, reciprocities."""
 
+from fractions import Fraction
+from functools import lru_cache
+from math import comb, prod
+
 import pytest
 
 from noncross import exact
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              canonical_tuple, full_table, production_table)
 from noncross.linsys import generate_equations
-from noncross.ncposet import build_ncm, zeta_forms
-from noncross.refdata import reference_table
-from noncross.rootsystem import subdiagram_types
+from noncross.ncposet import build_ncm, zeta_closed, zeta_forms
+from noncross.refdata import golden_dual, reference_table
+from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
+                                 subdiagram_types)
 from noncross.typelabel import label
 from noncross.triangles import (FTriangleCandidate, MTriangle,
                                 TransformFailure, assemble_dual,
                                 dual_to_primal, f_reciprocity_checks,
                                 fm_transform, mtriangle_direct,
                                 reciprocity_check, zeta_identity_check)
-from poly_oracle import zeta_identity_expansion
+from poly_oracle import (f_reciprocity_checks_by_substitution,
+                         fm_transform_by_division, substitute,
+                         zeta_identity_expansion)
 
 X = exact.SparsePolynomial.variable("x")
 Y = exact.SparsePolynomial.variable("y")
+Z = exact.SparsePolynomial.variable("z")
 M = exact.SparsePolynomial.variable("m")
 
 
@@ -87,6 +95,22 @@ def test_zeta_identity_zero_on_D8_census_table():
     table = production_table("D8")
     assert not zeta_identity_check("D8", table).terms
     assert not zeta_identity_expansion("D8", table).terms
+
+
+def test_symbolic_zeta_closed_form_built_once():
+    # the zeta check reads the cached symbolic closed form; the second
+    # check of an ambient builds nothing and leaves the shared form as
+    # it was
+    table = full_table("E7")
+    assert not zeta_identity_check("E7", table).terms
+    zeta_closed.cache_clear()
+    assert not zeta_identity_check("E7", table).terms
+    form = zeta_closed(label("E7"), m="m")
+    before = dict(form.terms)
+    assert not zeta_identity_check("E7", table).terms
+    info = zeta_closed.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert form.terms == before
 
 
 def test_rank_8_zeta_form_built_once():
@@ -162,3 +186,114 @@ def test_D8_census_table_passes_reciprocity_and_fm():
     assert not reciprocity_check(mt).terms
     for m in (1, 2, 3):
         assert not fm_transform(mt, m).problems(), m
+
+
+# ---------------------------------------------------------------------------
+# the direct F=M expansion against the substitution-and-division oracle
+
+
+@lru_cache(maxsize=None)
+def _parity_triangle(name):
+    """An assembled triangle (by ambient), a golden one ("golden E7"), or
+    the A3 triangle with one term added ("A3 + TERM")."""
+    if name.startswith("golden "):
+        ambient = name.split()[1]
+        return MTriangle.from_dual(ambient, golden_dual(ambient))
+    if name.startswith("A3 + "):
+        mt = _parity_triangle("A3")
+        extra = _TAMPERINGS[name[len("A3 + "):]]
+        return MTriangle(ambient=mt.ambient, n=mt.n, dual=mt.dual,
+                         primal=mt.primal + extra)
+    return assemble_dual(name, production_table(name))
+
+
+_TAMPERINGS = {
+    "2x^2y": 2 * X ** 2 * Y,                       # k > l
+    "(m-1)x^3": (M - 1) * X ** 3,                  # k > l except at m = 1
+    "x^4y^4": X ** 4 * Y ** 4,                     # degree above n in x
+    "y^4": Y ** 4,                                 # degree above n in y
+    "zxy^2": Z * X * Y ** 2,                       # a z degree
+    "x^2y^2": X ** 2 * Y ** 2,                     # a coefficient + 1
+    "xy^3/3": Fraction(1, 3) * X * Y ** 3,         # a Fraction coefficient
+}
+_PARITY_TRIANGLES = (SUPPORTED_AMBIENTS + ("golden E7", "golden E8")
+                     + tuple("A3 + " + key for key in _TAMPERINGS))
+
+
+def _canonical_terms(terms):
+    return sorted((key, type(c).__name__, c) for key, c in terms.items())
+
+
+def _outcome(fn, *args):
+    """What a call gives: its value, with each coefficient's type, or
+    the type and message of what it raises."""
+    try:
+        result = fn(*args)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+    if isinstance(result, FTriangleCandidate):
+        return (result.ambient, result.m,
+                _canonical_terms(result.poly.terms),
+                _canonical_terms(result.coefficients))
+    if isinstance(result, list):
+        return result
+    return _canonical_terms(result.terms)
+
+
+@pytest.mark.parametrize("name", _PARITY_TRIANGLES)
+def test_direct_expansion_matches_division_oracle(name):
+    mt = _parity_triangle(name)
+    for m in range(-4, 7):
+        assert (_outcome(mt.at, m)
+                == _outcome(lambda: substitute(mt.primal, m=m))), m
+        assert (_outcome(fm_transform, mt, m)
+                == _outcome(fm_transform_by_division, mt, m)), m
+        assert (_outcome(f_reciprocity_checks, mt, m)
+                == _outcome(f_reciprocity_checks_by_substitution, mt, m)), m
+    for m in (Fraction(1, 2), Fraction(-7, 3)):
+        assert (_outcome(mt.at, m)
+                == _outcome(lambda: substitute(mt.primal, m=m))), m
+
+
+def test_tampered_triangles_raise_in_order():
+    # a degree above n is found before a term below the diagonal, and
+    # that before a z degree
+    def failure(*extras):
+        mt = _parity_triangle("A3")
+        broken = MTriangle(ambient=mt.ambient, n=mt.n, dual=mt.dual,
+                           primal=mt.primal + sum(extras))
+        with pytest.raises(ValueError) as info:
+            fm_transform(broken, 2)
+        return type(info.value), str(info.value)
+
+    below = (TransformFailure,
+             "transform of A3 at m=2: nonzero remainder in exact division")
+    assert failure(Y ** 4, X ** 4) == (
+        ValueError, "clearing power for x below degree")
+    assert failure(Y ** 4, X ** 2 * Y) == (
+        ValueError, "clearing power for y below degree")
+    assert failure(X ** 2 * Y, Z * X * Y) == below
+    assert failure(Z * X * Y) == (
+        TransformFailure, "transform left z or m degrees behind")
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the F-triangle (Chapoton; Krattenthaler)
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_f_triangle_closed_forms(name):
+    # F(0, y) = (1+y)^n (the negative simple roots span a simplex), the
+    # facets number prod (mh + d_i)/d_i and the positive facets
+    # prod (mh + d_i - 2)/d_i; the first fails when x and y are swapped
+    rs = build_root_system(name)
+    n, h = len(rs.degrees), rs.coxeter_number
+    mt = _parity_triangle(name)
+    for m in (1, 2, 3):
+        f = fm_transform(mt, m).coefficients
+        assert {l: f.get((0, l), 0) for l in range(n + 1)} == {
+            l: comb(n, l) for l in range(n + 1)}, m
+        assert sum(f.get((k, n - k), 0) for k in range(n + 1)) == prod(
+            Fraction(m * h + d, d) for d in rs.degrees), m
+        assert f.get((n, 0), 0) == prod(
+            Fraction(m * h + d - 2, d) for d in rs.degrees), m

@@ -22,9 +22,11 @@ as one JSON object, in seconds:
 * ``zeta_forms:7``: ``ncposet.zeta_forms(7)`` past its cache, the
   one-time cost the first zeta check of rank 7 in a session pays (an
   older tree without ``zeta_forms`` reports none);
-* ``zeta_shifted:all``: ``zeta_shifted`` past its cache, and past that
-  of ``zeta_closed``, for each of the 100 type labels of rank 1 to 8
-  (``verify e8`` builds these);
+* ``shifted_zeta_vectors:all``: ``ncposet._shifted_zeta_vector`` past
+  its cache for each of the 100 type labels of rank 1 to 8 (the factors
+  of ``zeta_forms``), with every cache it reads emptied first, so that
+  an older tree that built them from symbolic closed forms and root
+  systems pays for those too;
 * ``count_product:E7*A1`` (and D4*D4, E6*A2, D5*A3): ``count_product``
   over the pair's whole full-rank key universe, with the product tables
   emptied before each repeat, so the table build is timed too;
@@ -52,7 +54,7 @@ import subprocess
 import sys
 import time
 
-from noncross import decomp, ncposet, refdata, triangles
+from noncross import decomp, ncposet, refdata, rootsystem, triangles
 
 PRODUCTS = (("E7", "A1"), ("D4", "D4"), ("E6", "A2"), ("D5", "A3"),
             ("A1", "A2", "D5"))
@@ -112,13 +114,20 @@ def ops():
         out.append(("zeta_forms:7", lambda: forms.__wrapped__(7)))
     labels = [t for rank in range(1, 9) for t in decomp.all_labels_of_rank(rank)]
 
+    # the caches the vectors read: the components' vectors and the
+    # degree table here; the shifted and the symbolic closed forms and
+    # the root systems in an older tree
+    read = [getattr(module, name, None) for module, name in (
+        (ncposet, "_shifted_zeta_vector"), (ncposet, "zeta_shifted"),
+        (ncposet, "zeta_closed"), (rootsystem, "degrees"),
+        (rootsystem, "build_root_system"))]
+
     def shifted():
-        # since zeta_closed is cached too, empty it so that it is timed
-        closed = getattr(ncposet.zeta_closed, "cache_clear", None)
-        if closed is not None:
-            closed()
-        return [ncposet.zeta_shifted.__wrapped__(t) for t in labels]
-    out.append(("zeta_shifted:all", shifted))
+        for cached in read:
+            if cached is not None:
+                cached.cache_clear()
+        return [ncposet._shifted_zeta_vector.__wrapped__(t) for t in labels]
+    out.append(("shifted_zeta_vectors:all", shifted))
     for pair in PRODUCTS:
         factors = [tables[name] for name in pair]
         keys = decomp.all_tuples_of_rank(sum(t.ambient.rank for t in factors))

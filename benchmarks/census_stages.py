@@ -9,13 +9,10 @@ the median is printed as one JSON object:
 
 * ``census_table_<X>_s`` for D7, E7, E8 and D8: one uncached
   ``decomp.census_table``, with NC(X) enumerated and the lower tables
-  built, product-count memos emptied first (null on a tree without the
-  census route);
+  built, product-count memos emptied first;
 * ``census_table_E8_cold_s``: ``census_table("E8")`` with every cache
   of the route emptied first, the kept posets and censuses included, so
-  that it enumerates NC(E8), and the lower ambients too on a tree that
-  does not read their censuses off its intervals (null on a tree
-  without the census route);
+  that it enumerates NC(E8);
 * ``descent_D7_s``: every full-rank D7 value of a sub-diagram type by
   ``count_bruteforce`` with one shared memo, NC(D7) enumerated (the
   body of ``full_table("D7")`` before the census route);
@@ -25,8 +22,10 @@ the median is printed as one JSON object:
   ``python -m noncross.cli`` process for ``decomp count D7 D4,A3``,
   ``decomp count E7 A4,A3``, ``decomp count E8 D4,A4``, ``verify e8``,
   ``mtriangle E6 --m 2`` and ``linsys replay E8``;
-* ``walks_<command>``: the posets the same command enumerates in one
-  fresh process, as ``enumerate_nc.cache_info().misses``.
+* ``walks_<command>`` and ``root_systems_<command>``: the posets the
+  same command enumerates and the root systems it builds in one fresh
+  process, as the misses of ``enumerate_nc`` and of
+  ``build_root_system``.
 """
 
 import argparse
@@ -49,26 +48,24 @@ COLD_COMMANDS = (("decomp", "count", "D7", "D4,A3"),
                  ("linsys", "replay", "E8"))
 
 # Runs one CLI command, its stdout swallowed, and prints the posets it
-# enumerated.
+# enumerated and the root systems it built.
 COUNT_WALKS = r"""
 import contextlib, io, sys
 import noncross.cli
-from noncross import ncposet
+from noncross import ncposet, rootsystem
 with contextlib.redirect_stdout(io.StringIO()):
     code = noncross.cli.main(sys.argv[1:])
 assert code == 0, code
-print(ncposet.enumerate_nc.cache_info().misses)
+print(ncposet.enumerate_nc.cache_info().misses,
+      rootsystem.build_root_system.cache_info().misses)
 """
 
 
 def clear_all():
     for cached in (ncposet.enumerate_nc, decomp.census_table,
-                   decomp.production_table,
-                   getattr(decomp, "_component_tables", None),
-                   getattr(ncposet, "_census", None)):
-        if cached is not None:
-            cached.cache_clear()
-    getattr(ncposet, "_WALKED", {}).clear()
+                   decomp.production_table, ncposet._census):
+        cached.cache_clear()
+    ncposet._WALKED.clear()
     clear_memos()
 
 
@@ -95,24 +92,22 @@ def cold(argv, repeats):
 
 
 def walks(argv):
+    """(posets enumerated, root systems built) by one fresh process."""
     child = subprocess.run([sys.executable, "-c", COUNT_WALKS, *argv],
                            env=child_env(), check=True, capture_output=True,
                            text=True)
-    return int(child.stdout)
+    return tuple(map(int, child.stdout.split()))
 
 
 def stages(repeats):
     out = {}
-    census = getattr(decomp, "census_table", None)
+    census = decomp.census_table
     for name in ("D7", "E7", "E8", "D8"):
-        key = "census_table_%s_s" % name
-        if census is None:
-            out[key] = None
-            continue
         census(name)                      # posets and lower tables warm
-        out[key] = timed(lambda: census.__wrapped__(name), repeats)
-    out["census_table_E8_cold_s"] = None if census is None else timed(
-        lambda: census("E8"), repeats, before=clear_all)
+        out["census_table_%s_s" % name] = timed(
+            lambda: census.__wrapped__(name), repeats)
+    out["census_table_E8_cold_s"] = timed(lambda: census("E8"), repeats,
+                                          before=clear_all)
     ncposet.enumerate_nc("D7")
     out["descent_D7_s"] = timed(lambda: descent("D7"), repeats)
     for name in ("E7", "E8"):
@@ -122,7 +117,7 @@ def stages(repeats):
     for argv in COLD_COMMANDS:
         name = "_".join(argv).replace(",", "_").replace("--", "")
         out["cold_%s_s" % name] = cold(argv, repeats)
-        out["walks_%s" % name] = walks(argv)
+        out["walks_%s" % name], out["root_systems_%s" % name] = walks(argv)
     return out
 
 

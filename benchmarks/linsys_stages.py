@@ -14,9 +14,8 @@ the median is printed as JSON, one object per ambient:
   emptied first (per equation family, cold and warm:
   ``equation_families.py``);
 * ``elimination_s`` and ``back_substitution_s``: ``exact.echelon`` and
-  ``Echelon.space`` on the unpinned system (older trees without an
-  echelon report one ``solve_s`` instead; since the echelon is reduced,
-  ``Echelon.space`` only reads the space off its rows);
+  ``Echelon.space`` on the unpinned system (since the echelon is
+  reduced, ``Echelon.space`` only reads the space off its rows);
 * ``replay_s``: one uncached ``linsys.replay`` with the poset and the
   lower tables warm, memos emptied first.
 
@@ -45,27 +44,13 @@ from noncross import decomp, exact, linsys, ncposet
 
 
 def clear_memos():
-    # one table per reducible type since the product tables, each a
-    # product_table fold of its factor tables, with the matchings of
-    # pairs of their entries; before them, one dict shared by every
-    # lower_count call, and before that one lru-cached memo per product
-    # type, in decomp since the census route and in linsys before that
-    for name in ("lower_table", "product_table", "_matchings", "_joined"):
-        cached = getattr(decomp, name, None)
-        if cached is not None:
-            cached.cache_clear()
-    shared = getattr(decomp, "_LOWER_MEMO", None)
-    if shared is not None:
-        shared.clear()
-    memo = getattr(decomp, "_product_memo", None) or \
-        getattr(linsys, "_product_memo", None)
-    if memo is not None:
-        memo.cache_clear()
+    # one table per reducible type, each a product_table fold of its
+    # factor tables, with the matchings of pairs of their entries, and
     # the rank-keyed zeta forms the zeta rows read, so that a warm
     # generate_equations still builds its zeta rows from the products
-    forms = getattr(ncposet, "zeta_forms", None)
-    if forms is not None:
-        forms.cache_clear()
+    for cached in (decomp.lower_table, decomp.product_table,
+                   decomp._matchings, decomp._joined, ncposet.zeta_forms):
+        cached.cache_clear()
 
 
 def timed(fn, repeats, before=clear_memos):
@@ -83,12 +68,8 @@ def stages(name, repeats):
     out = {}
     out["generate_equations_s"], system = timed(
         lambda: linsys.generate_equations(name), repeats)
-    if hasattr(exact, "echelon"):
-        out["elimination_s"], ech = timed(
-            lambda: exact.echelon(system), repeats)
-        out["back_substitution_s"], _ = timed(ech.space, repeats)
-    else:
-        out["solve_s"], _ = timed(lambda: exact.solve(system), repeats)
+    out["elimination_s"], ech = timed(lambda: exact.echelon(system), repeats)
+    out["back_substitution_s"], _ = timed(ech.space, repeats)
     out["replay_s"], _ = timed(lambda: linsys.replay.__wrapped__(name),
                                repeats)
     pinned = exact.LinearSystem(variables=system.variables,

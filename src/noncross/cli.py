@@ -97,7 +97,7 @@ def _require_ambient(name):
 
 
 def cmd_rootsys(args):
-    from .rootsystem import build_root_system
+    from .rootsystem import build_root_system, degrees
     name = _require_ambient(args.label)
     rs = build_root_system(name)
     _emit({
@@ -106,7 +106,7 @@ def cmd_rootsys(args):
         "coxeter_number": rs.coxeter_number,
         "group_order": rs.group_order,
         "positive_roots": rs.num_positive_roots,
-        "degrees": list(rs.degrees),
+        "degrees": list(degrees(name)),
     }, args.format)
     return 0
 

@@ -96,11 +96,11 @@ import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from . import exact
-from .exact import VARS, SparsePolynomial, Z as _Z, M as _M, int_kernel
-from .rootsystem import SUPPORTED_AMBIENTS, build_root_system
+from .exact import SparsePolynomial, Z as _Z, M as _M, int_kernel
+from .rootsystem import SUPPORTED_AMBIENTS, build_root_system, degree_pairs
 from .typelabel import ResourceGuardError, label
 from .weyl import (_matmul, _minus_eye, bipartite_coxeter,
                    classify_moved_roots, coxeter_root_permutation)
@@ -491,26 +491,6 @@ def characteristic_direct(poset):
 
 
 @lru_cache(maxsize=None)
-def _chi_star_irreducible(name):
-    """chi* of NC for an irreducible ambient, from its pair ``census``.
-
-    The interval [u, c] of NC is NC of the type of u^{-1} c, so
-    chi*(y) = sum over factorizations c = u (u^{-1} c) of
-    N(type u, type u^{-1}c) * mu(type of complement) * y^{rank u};
-    the identity term is the ambient's own Moebius number.  Raises
-    ``AssertionError`` unless chi*(1) = 0.
-    """
-    result = exact.ZERO
-    for (t_low, t_comp), count in census(name).items():
-        term = count * _mobius_number(t_comp)
-        result = result + SparsePolynomial.variable("y", t_low.rank) * term
-    at_one = result.evaluate(y=1)
-    if at_one:
-        raise AssertionError("chi*(1) = %s != 0 for NC(%s)" % (at_one, name))
-    return result
-
-
-@lru_cache(maxsize=None)
 def _mobius_number(t):
     """mu(0,1) of NC of the given type, multiplicative over components.
 
@@ -519,22 +499,37 @@ def _mobius_number(t):
     -(h + d_i - 2)/d_i per degree.
     """
     value = Fraction(1)
-    for comp in t.irreducibles():
-        rs = build_root_system(str(comp))
-        h = rs.coxeter_number
-        for d in rs.degrees:
-            value *= Fraction(2 - h - d, d)
+    for h, d in degree_pairs(t):
+        value *= Fraction(2 - h - d, d)
     return value
 
 
+@lru_cache(maxsize=None)
 def characteristic_polynomial(t):
-    """chi* of NC of any (possibly reducible) type: the product of its
-    components' chi*, each from the component's pair census."""
+    """chi* of NC of any type (a label or its text).  The cached
+    polynomials are shared and not to be changed.
+
+    A reducible type takes the product of its components' chi*.  For an
+    irreducible type, the interval [u, c] of NC is NC of the type of
+    u^{-1} c, so chi*(y) = sum over factorizations c = u (u^{-1} c) of
+    N(type u, type u^{-1}c) * mu(type of complement) * y^{rank u}, from
+    the pair ``census``; the identity term is the type's own Moebius
+    number.  Raises ``AssertionError`` unless chi*(1) = 0.
+    """
     if isinstance(t, str):
         t = label(t)
-    result = exact.ONE
-    for comp in t.irreducibles():
-        result = result * _chi_star_irreducible(str(comp))
+    if not t.is_irreducible:
+        result = exact.ONE
+        for comp in t.irreducibles():
+            result = result * characteristic_polynomial(comp)
+        return result
+    result = exact.ZERO
+    for (t_low, t_comp), count in census(t).items():
+        term = count * _mobius_number(t_comp)
+        result = result + SparsePolynomial.variable("y", t_low.rank) * term
+    at_one = result.evaluate(y=1)
+    if at_one:
+        raise AssertionError("chi*(1) = %s != 0 for NC(%s)" % (at_one, t))
     return result
 
 
@@ -576,31 +571,9 @@ def zeta_closed(t, m=1):
         t = label(t)
     m_poly = _M if m == "m" else exact.poly(m)
     result = exact.ONE
-    for comp in t.irreducibles():
-        rs = build_root_system(str(comp))
-        h = rs.coxeter_number
-        for d in rs.degrees:
-            result = result * ((_Z - 1) * m_poly * h + d) * Fraction(1, d)
+    for h, d in degree_pairs(t):
+        result = result * ((_Z - 1) * m_poly * h + d) * Fraction(1, d)
     return result
-
-
-@lru_cache(maxsize=None)
-def zeta_shifted(t):
-    """The closed-form zeta polynomial of NC(t) at z - 1: the factor a
-    type contributes to the decomposition-number expansion of the zeta
-    polynomial of NC^m."""
-    return zeta_closed(t, m=1).substitute(z=_Z - 1)
-
-
-def _integer_coefficients(p, var):
-    """A polynomial in one variable as (integer coefficients, lowest
-    power first; their common denominator)."""
-    index = VARS.index(var)
-    den = lcm(*(Fraction(c).denominator for c in p.terms.values()))
-    vec = [0] * (p.degree(var) + 1)
-    for exp, c in p.terms.items():
-        vec[exp[index]] = int(c * den)
-    return vec, den
 
 
 def _convolve(a, b):
@@ -616,12 +589,23 @@ def _convolve(a, b):
 
 @lru_cache(maxsize=None)
 def _shifted_zeta_vector(t):
-    """``zeta_shifted(t)`` as integer z-coefficients over a denominator;
-    the closed form multiplies over components, so a reducible type
-    takes the product of its components' vectors."""
-    if t.is_irreducible:
-        return _integer_coefficients(zeta_shifted(t), "z")
+    """The closed-form zeta polynomial of NC(t) at z - 1, the factor a
+    type contributes to the decomposition-number expansion of the zeta
+    polynomial of NC^m, as integer z-coefficients (lowest power first)
+    over a denominator, in lowest terms.
+
+    An irreducible type of Coxeter number h has prod_i ((z-2) h + d_i)/d_i,
+    the product of the vectors (d_i - 2h, h) over prod_i d_i; a reducible
+    type takes the product of its components' vectors.  Each gcd(h, d_i)
+    divides d_i, so an irreducible vector is primitive once reduced, and
+    by Gauss's lemma so is a product of them: the reducible products are
+    in lowest terms too."""
     vec, den = [1], 1
+    if t.is_irreducible:
+        for h, d in degree_pairs(t):
+            vec, den = _convolve(vec, [d - 2 * h, h]), den * d
+        common = gcd(den, *vec)
+        return [c // common for c in vec], den // common
     for comp in t.irreducibles():
         comp_vec, comp_den = _shifted_zeta_vector(comp)
         vec, den = _convolve(vec, comp_vec), den * comp_den
@@ -633,11 +617,12 @@ def zeta_forms(n):
     """The decomposition-number expansion of the zeta polynomial of NC^m
     at rank n,
 
-        sum over tuples T of orderings(T) binom(m, len T) prod zeta_shifted(t),
+        sum over tuples T of orderings(T) binom(m, len T) prod Z_t(z - 1),
 
-    in the full-rank decomposition numbers: a rank-deficient tuple's
-    number is the sum over the full-rank tuples it extends by one
-    factor, so its term adds to each of them.  Returns (forms, den):
+    with Z_t the closed-form zeta polynomial of NC(t)
+    (``_shifted_zeta_vector``), in the full-rank decomposition numbers:
+    a rank-deficient tuple's number is the sum over the full-rank tuples
+    it extends by one factor, so its term adds to each of them.  Returns (forms, den):
     ``forms`` maps (power of m, power of z) to {full-rank tuple: nonzero
     int}, all over the one denominator ``den``; the cached maps are
     shared and not to be changed.
@@ -648,7 +633,8 @@ def zeta_forms(n):
     prefix's.  Each full-rank tuple sums its terms per tuple length k as
     one z-vector over a common denominator, and n! binom(m, k), which
     has integer coefficients for k <= n, enters once per tuple and
-    length."""
+    length: it is n!/k! times the falling factorial m (m-1) ... (m-k+1),
+    whose coefficients are built in integers one factor at a time."""
     from .decomp import (all_labels_of_rank, all_tuples_of_rank,
                          canonical_tuple, orderings)
     products = {(): ([1], 1)}
@@ -674,10 +660,11 @@ def zeta_forms(n):
                 for j, c in enumerate(vec):
                     acc[j] += scale * c
     n_factorial = factorial(n)
-    binomials = []
+    binomials, falling = [], [1]
     for k in range(n + 1):
-        vec, den = _integer_coefficients(exact.binomial_poly(k), "m")
-        binomials.append([c * n_factorial // den for c in vec])
+        binomials.append([c * (n_factorial // factorial(k))
+                          for c in falling])
+        falling = _convolve(falling, [-k, 1])
     forms = {}
     for var, by_length in by_tuple.items():
         totals = {}
@@ -694,8 +681,12 @@ def zeta_forms(n):
 
 
 def ncm_cardinality(t, m):
-    """|NC^m| for the given type: the closed-form zeta at z = 2."""
-    value = zeta_closed(t, m).evaluate(z=2)
+    """|NC^m| for the given type (a label or its text): the Fuss-Catalan
+    number prod_i (mh + d_i)/d_i over the degrees d_i of each component
+    of Coxeter number h, the closed-form zeta at z = 2."""
+    value = Fraction(1)
+    for h, d in degree_pairs(label(t) if isinstance(t, str) else t):
+        value *= Fraction(m * h + d, d)
     if value.denominator != 1:
         raise AssertionError("non-integral NC^m cardinality")
     return int(value)

@@ -6,6 +6,12 @@ Cartan matrix (all roots have squared length 2), and Weyl group elements
 are integer matrices acting on these coordinates.
 
 Supported ambient types: A_n (1 <= n <= 8), D_n (4 <= n <= 8), E6, E7, E8.
+
+The closed forms of the package are products over the fundamental
+degrees d_i, with the Coxeter number h the largest of them: the
+Fuss-Catalan number prod (mh + d_i)/d_i, the zeta polynomial and the
+Moebius number.  They read the degree table (``degrees``,
+``degree_pairs``) and build no root system.
 """
 
 from __future__ import annotations
@@ -48,49 +54,13 @@ def _edges(family, n):
     raise ValueError(family)
 
 
-class DynkinDiagram:
-    """A simply-laced diagram on nodes 0..n-1 given by its edge set;
-    equal and hashed by both."""
-
-    __slots__ = ("n", "edges")
-
-    def __init__(self, n, edges):
-        self.n = n
-        self.edges = edges
-
-    def __eq__(self, other):
-        if type(other) is not DynkinDiagram:
-            return NotImplemented
-        return (self.n, self.edges) == (other.n, other.edges)
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
-    @classmethod
-    def from_edges(cls, n, edges):
-        return cls(n, frozenset(frozenset(e) for e in edges))
-
-    def adjacent(self, i, j):
-        return frozenset((i, j)) in self.edges
-
-    def neighbors(self, i):
-        return [j for j in range(self.n) if j != i and self.adjacent(i, j)]
-
-
-def classify_diagram(diagram):
-    """Cartan-Killing type of a simply-laced ``DynkinDiagram``.
+def classify_edge_list(nodes, edges):
+    """Cartan-Killing type of the simply-laced diagram on the ascending
+    ``nodes`` with the given edges, distinct pairs of nodes.
 
     Raises ``ValueError`` when some component is not of A/D/E shape
     (a cycle, a vertex of degree >= 4, two branch vertices, or an
     exceptional-shape branch profile outside E6/E7/E8).
-    """
-    return classify_edge_list(range(diagram.n), _edge_pairs(diagram))
-
-
-def classify_edge_list(nodes, edges):
-    """Cartan-Killing type of the diagram on the ascending ``nodes`` with
-    the given edges, pairs of nodes; ``ValueError`` as for
-    ``classify_diagram``.
 
     Adjacency lists are built once from the edges.  Components are found
     by a depth-first search from each unseen node in ascending order (a
@@ -161,23 +131,23 @@ class RootSystem:
     cartan : tuple             n x n Cartan matrix (= Gram matrix of simples),
                                a tuple of row tuples of ints
     positive_roots : tuple     coordinate tuples, simple roots first
-    diagram : DynkinDiagram
+    edges : tuple              (a, b) node pairs of the Dynkin diagram
     bipartition : tuple        (block_a, block_b) node 2-coloring
     degrees : tuple            fundamental degrees, ascending
 
     Equal and hashed by ``typ``.
     """
 
-    __slots__ = ("typ", "n", "cartan", "positive_roots", "diagram",
+    __slots__ = ("typ", "n", "cartan", "positive_roots", "edges",
                  "bipartition", "degrees")
 
-    def __init__(self, typ, n, cartan, positive_roots, diagram, bipartition,
+    def __init__(self, typ, n, cartan, positive_roots, edges, bipartition,
                  degrees):
         self.typ = typ
         self.n = n
         self.cartan = cartan
         self.positive_roots = positive_roots
-        self.diagram = diagram
+        self.edges = edges
         self.bipartition = bipartition
         self.degrees = degrees
 
@@ -225,23 +195,53 @@ def _positive_roots(cartan, n):
     return tuple(simples + rest)
 
 
-def _bipartition(diagram):
-    """2-color the diagram by BFS from node 0 (ties by ascending index)."""
+def _bipartition(n, edges):
+    """2-color the diagram on nodes 0..n-1 by BFS from node 0 (ties by
+    ascending index)."""
+    neighbors = [[] for _ in range(n)]
+    for a, b in edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
     color = {}
-    for start in range(diagram.n):
+    for start in range(n):
         if start in color:
             continue
         color[start] = 0
         queue = [start]
         while queue:
             v = queue.pop(0)
-            for w in sorted(diagram.neighbors(v)):
+            for w in sorted(neighbors[v]):
                 if w not in color:
                     color[w] = 1 - color[v]
                     queue.append(w)
-    block_a = tuple(i for i in range(diagram.n) if color[i] == 0)
-    block_b = tuple(i for i in range(diagram.n) if color[i] == 1)
+    block_a = tuple(i for i in range(n) if color[i] == 0)
+    block_b = tuple(i for i in range(n) if color[i] == 1)
     return (block_a, block_b)
+
+
+@lru_cache(maxsize=None)
+def degrees(name):
+    """The fundamental degrees of an ambient such as ``"E8"`` (a label or
+    its text), ascending; the largest is the Coxeter number h.
+
+    Raises ``ValueError`` for labels outside the supported ambient set.
+    """
+    if isinstance(name, TypeLabel):
+        name = str(name)
+    if name not in SUPPORTED_AMBIENTS:
+        raise ValueError("unsupported ambient type %r (supported: %s)"
+                         % (name, ", ".join(SUPPORTED_AMBIENTS)))
+    return tuple(sorted(_DEGREES[name[0]](int(name[1:]))))
+
+
+def degree_pairs(t):
+    """(h, d) for each degree d of each irreducible component of the
+    label t, h the component's Coxeter number: the factors of the
+    closed-form products over degrees."""
+    for comp in t.irreducibles():
+        degs = degrees(str(comp))
+        for d in degs:
+            yield degs[-1], d
 
 
 @lru_cache(maxsize=None)
@@ -252,18 +252,17 @@ def build_root_system(name):
     """
     if isinstance(name, TypeLabel):
         name = str(name)
-    if name not in SUPPORTED_AMBIENTS:
-        raise ValueError("unsupported ambient type %r (supported: %s)"
-                         % (name, ", ".join(SUPPORTED_AMBIENTS)))
+    degs = degrees(name)
     family, n = name[0], int(name[1:])
-    diagram = DynkinDiagram.from_edges(n, _edges(family, n))
-    cartan = tuple(tuple(2 if i == j else -int(diagram.adjacent(i, j))
-                         for j in range(n)) for i in range(n))
+    edges = tuple(_edges(family, n))
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        cartan[a][b] = cartan[b][a] = -1
+    cartan = tuple(map(tuple, cartan))
     positives = _positive_roots(cartan, n)
-    degrees = tuple(sorted(_DEGREES[family](n)))
     rs = RootSystem(
         typ=label(name), n=n, cartan=cartan, positive_roots=positives,
-        diagram=diagram, bipartition=_bipartition(diagram), degrees=degrees,
+        edges=edges, bipartition=_bipartition(n, edges), degrees=degs,
     )
     h = rs.coxeter_number
     if len(positives) != n * h // 2:
@@ -280,12 +279,11 @@ def subdiagram_types(name):
     2^n node subsets, each classified on the ambient edges inside it.
     """
     rs = build_root_system(name)
-    edges = _edge_pairs(rs.diagram)
     found = set()
     nodes = range(rs.n)
     for size in range(rs.n + 1):
         for subset in combinations(nodes, size):
-            found.add(_classify_induced(subset, edges))
+            found.add(_classify_induced(subset, rs.edges))
     return frozenset(found)
 
 
@@ -293,17 +291,12 @@ def single_node_deletions(name):
     """How many single-node deletions of the ambient diagram have each
     type, as a map type -> count."""
     rs = build_root_system(name)
-    edges = _edge_pairs(rs.diagram)
     counts = {}
     for drop in range(rs.n):
         nodes = [i for i in range(rs.n) if i != drop]
-        t = _classify_induced(nodes, edges)
+        t = _classify_induced(nodes, rs.edges)
         counts[t] = counts.get(t, 0) + 1
     return counts
-
-
-def _edge_pairs(diagram):
-    return [(min(e), max(e)) for e in diagram.edges]
 
 
 def _classify_induced(nodes, edges):

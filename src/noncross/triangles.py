@@ -22,7 +22,6 @@ table's entries with ``ncposet.zeta_forms``, the forms the zeta rows of
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, lcm
 from numbers import Rational
 
@@ -123,11 +122,6 @@ def _expand(terms, n):
     return out
 
 
-@lru_cache(maxsize=None)
-def _chi_star(t):
-    return characteristic_polynomial(t)
-
-
 def assemble_dual(name, table):
     """Assemble the dual M-triangle from a decomposition-number table.
 
@@ -148,7 +142,7 @@ def assemble_dual(name, table):
                 continue
             term = poly(count * orderings(tup))
             for t in tup:
-                term = term * _chi_star(t)
+                term = term * characteristic_polynomial(t)
             d = len(tup)
             by_length[d] = by_length.get(d, exact.ZERO) + term
         x_power = X ** s
@@ -245,7 +239,7 @@ def fm_transform(mt, m):
         if any(key[index] > n for key in numerators):
             raise ValueError("clearing power for %s below degree" % var)
     if any(k > l for k, l, _ in numerators):
-        raise TransformFailure("transform of %s at m=%d: nonzero remainder "
+        raise TransformFailure("transform of %s at m=%s: nonzero remainder "
                                "in exact division" % (mt.ambient, m))
     if any(z for _, _, z in numerators):
         raise TransformFailure("transform left z or m degrees behind")
@@ -276,7 +270,7 @@ def reciprocity_check(mt):
 
 
 def f_reciprocity_checks(mt, m):
-    """The F-triangle forms of reciprocity at a numeric m >= 1.
+    """The F-triangle forms of reciprocity at a numeric m.
 
     Checks, for the pair (F at m, F at -m): the two-variable identity
     F^m(x, y) = (1+x)^n F^(-m)(-x/(1+x), (y-x)/(1+x)); the alternating

@@ -11,6 +11,8 @@ each orbit's t*c from the matrix of t*c.
 The diagram classifier that the adjacency-list one replaced is kept
 here too (``classify_diagram``, ``induced``): it asks the frozenset edge
 set of a ``DynkinDiagram`` about each node pair, in each call.
+``DynkinDiagram.pairs`` gives the same diagram as the edge list that
+``rootsystem.classify_edge_list`` takes.
 """
 
 from functools import lru_cache
@@ -18,7 +20,7 @@ from functools import lru_cache
 import sympy
 
 from noncross.exact import int_kernel
-from noncross.rootsystem import DynkinDiagram, build_root_system
+from noncross.rootsystem import build_root_system
 from noncross.typelabel import TypeLabel
 from noncross.weyl import (_eye, _matmul, _minus_eye, _reflection_data,
                            absolute_length, bipartite_coxeter,
@@ -187,6 +189,39 @@ def reflection_orbits(rs):
     return orbits
 
 
+class DynkinDiagram:
+    """A simply-laced diagram on nodes 0..n-1 given by its edge set;
+    equal and hashed by both."""
+
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n, edges):
+        self.n = n
+        self.edges = edges
+
+    def __eq__(self, other):
+        if type(other) is not DynkinDiagram:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    @classmethod
+    def from_edges(cls, n, edges):
+        return cls(n, frozenset(frozenset(e) for e in edges))
+
+    def adjacent(self, i, j):
+        return frozenset((i, j)) in self.edges
+
+    def neighbors(self, i):
+        return [j for j in range(self.n) if j != i and self.adjacent(i, j)]
+
+    def pairs(self):
+        """The edges as ascending (a, b) pairs, in ascending order."""
+        return sorted(tuple(sorted(e)) for e in self.edges)
+
+
 def components(diagram):
     """Connected components of a diagram as sorted node tuples."""
     seen = set()
@@ -218,7 +253,7 @@ def induced(diagram, nodes):
 
 def classify_diagram(diagram):
     """Cartan-Killing type of a simply-laced diagram, component by
-    component; ``ValueError`` as ``rootsystem.classify_diagram``."""
+    component; ``ValueError`` as ``rootsystem.classify_edge_list``."""
     return TypeLabel([_classify_connected(induced(diagram, comp))
                       for comp in components(diagram)])
 

@@ -7,7 +7,8 @@ multiplies a term by the cached power of each substituted value,
 ``substitute_rational`` by the cached powers of each numerator and
 denominator, and ``zeta_identity_expansion`` multiplies the
 ``zeta_shifted`` polynomials of every tuple's factors as Fraction
-polynomials.
+polynomials.  ``zeta_shifted`` is the closed-form zeta polynomial at
+z - 1 by substitution, the reference for ``ncposet._shifted_zeta_vector``.
 
 ``fm_transform_by_division`` and ``f_reciprocity_checks_by_substitution``
 are the F=M transform and the F-reciprocity checks as the package first
@@ -17,12 +18,13 @@ and for the transform a long division by (y-x)^n, ``exact_divide``.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from noncross.decomp import all_tuples_of_rank, orderings
-from noncross.exact import (VARS, ZERO, SparsePolynomial, _VAR_INDEX,
+from noncross.exact import (VARS, ZERO, SparsePolynomial, Z, _VAR_INDEX,
                             _coeff, _coerce, binomial_poly, poly)
-from noncross.ncposet import zeta_closed, zeta_shifted
+from noncross.ncposet import zeta_closed
 from noncross.triangles import FTriangleCandidate, TransformFailure
 from noncross.typelabel import TypeLabel, label
 
@@ -84,6 +86,14 @@ def substitute_rational(p, substitutions, clearing_power):
                 term = term * SparsePolynomial({tuple(keep): 1})
         result = result + term
     return result
+
+
+@lru_cache(maxsize=None)
+def zeta_shifted(t):
+    """The closed-form zeta polynomial of NC(t) at z - 1: the factor a
+    type contributes to the decomposition-number expansion of the zeta
+    polynomial of NC^m."""
+    return zeta_closed(t, m=1).substitute(z=Z - 1)
 
 
 def zeta_identity_expansion(name, table):
@@ -164,7 +174,7 @@ def fm_transform_by_division(mt, m):
     try:
         result = exact_divide(numerator, (Y - X) ** n)
     except ValueError as err:
-        raise TransformFailure("transform of %s at m=%d: %s"
+        raise TransformFailure("transform of %s at m=%s: %s"
                                % (mt.ambient, m, err)) from err
     coefficients = {}
     for exp, coeff in result.terms.items():

@@ -14,7 +14,7 @@ from noncross import decomp, exact, linsys, ncposet
 from noncross.cli import main
 from noncross.ncposet import (CacheFormatError, ResourceGuardError,
                               enumerate_nc, read_cache)
-from noncross.rootsystem import build_root_system
+from noncross.rootsystem import SUPPORTED_AMBIENTS, build_root_system
 from noncross.verify import SUITES
 from noncross.weyl import enumerate_group
 
@@ -318,6 +318,15 @@ def test_bad_label_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "chi", "Q7")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, ambient", [("zeta A9", "A9"),
+                                           ("chi A1*D9", "D9")])
+def test_unsupported_component_exits_2(capsys, argv, ambient):
+    # a valid label with a component outside the degree table
+    assert run(capsys, *argv.split()) == (
+        2, "", "error: unsupported ambient type %r (supported: %s)\n"
+        % (ambient, ", ".join(SUPPORTED_AMBIENTS)))
 
 
 def test_internal_key_error_is_not_bad_input(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dense_echelon import DenseEchelon
+from poly_oracle import zeta_shifted
 from product_oracle import _reference_product_value
 from noncross import decomp
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
@@ -15,7 +16,7 @@ from noncross.exact import ZERO, LinearSystem, binomial_poly, echelon, poly
 from noncross.linsys import (EXPECTED_DIMENSION, ROW_FAMILIES, _coeffs_mz,
                              check_system_against_table, generate_equations,
                              replay, row_family)
-from noncross.ncposet import zeta_closed, zeta_shifted
+from noncross.ncposet import zeta_closed
 from noncross.refdata import reference_table
 from noncross.typelabel import label
 

@@ -5,14 +5,17 @@ import json
 import os
 import subprocess
 import sys
-from math import comb
+from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 import sympy
 
 from matrix_oracle import (GroupElement, coxeter_element, le_absolute,
                            moved_positive_roots)
+from poly_oracle import zeta_shifted
 from noncross import ncposet
+from noncross.decomp import all_labels_of_rank
 from noncross.ncposet import (CacheFormatError, ResourceGuardError,
                               _descent_masks, _mobius_number, build_ncm,
                               characteristic_direct, characteristic_polynomial,
@@ -21,8 +24,8 @@ from noncross.ncposet import (CacheFormatError, ResourceGuardError,
                               read_cache, write_cache, zeta_closed,
                               zeta_direct)
 from noncross.refdata import CHI_STAR_COEFFS, chi_star_reference
-from noncross.rootsystem import (SUPPORTED_AMBIENTS, DynkinDiagram,
-                                 build_root_system, classify_diagram)
+from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
+                                 classify_edge_list)
 from noncross.typelabel import label
 from noncross.weyl import (_reflection_data, bipartite_coxeter,
                            classify_moved_roots, coxeter_root_permutation)
@@ -171,7 +174,7 @@ def _type_of_moved_set(rs, moved):
              if sum(x * cartan * y
                     for x, row in zip(simples[i], rs.cartan)
                     for cartan, y in zip(row, simples[j])) != 0]
-    return classify_diagram(DynkinDiagram.from_edges(len(simples), edges))
+    return classify_edge_list(range(len(simples)), edges)
 
 
 @pytest.mark.parametrize("name", ["A5", "D5", "D6", "E6", "E7"])
@@ -452,7 +455,7 @@ def test_chi_star_checks_its_value_at_one(monkeypatch):
     census[next(iter(census))] += 1
     monkeypatch.setattr(ncposet, "census", lambda t: dict(census))
     with pytest.raises(AssertionError, match=r"chi\*\(1\) = .* NC\(D4\)"):
-        ncposet._chi_star_irreducible.__wrapped__("D4")
+        characteristic_polynomial.__wrapped__("D4")
 
 
 def test_zeta_closed_counts_elements():
@@ -474,6 +477,49 @@ def test_ncm_cardinality_fuss_catalan():
         for m in (1, 2, 3):
             expected = comb((m + 1) * (n + 1), n) // (n + 1)
             assert ncm_cardinality(label("A%d" % n), m) == expected
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_degree_products_match_the_symbolic_closed_form(rank):
+    # the shifted zeta vectors and |NC^m| multiply over the degree table;
+    # the oracle substitutes z - 1 into the symbolic closed form
+    for t in all_labels_of_rank(rank):
+        vec, den = ncposet._shifted_zeta_vector(t)
+        assert len(vec) == rank + 1 and den > 0 and gcd(den, *vec) == 1
+        assert zeta_shifted(t).terms == {
+            (0, 0, j, 0): Fraction(c, den) for j, c in enumerate(vec) if c}
+        for m in range(5):
+            assert ncm_cardinality(t, m) == zeta_closed(t, m).evaluate(z=2)
+        assert ncm_cardinality(str(t), 2) == ncm_cardinality(t, 2)
+
+
+# a CLI command run in a fresh process, its stdout swallowed; prints the
+# number of root systems it built
+ROOT_SYSTEMS = r"""
+import contextlib, io, sys
+from noncross import rootsystem
+from noncross.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+print(rootsystem.build_root_system.cache_info().misses)
+"""
+
+
+@pytest.mark.parametrize("argv, built", [
+    ("verify e8", 1),
+    ("decomp count E8 D4,A4", 1),
+    ("chi D6", 1),
+    ("mtriangle E6 --m 2", 1),
+    ("zeta E8 --m 2", 0),
+])
+def test_closed_forms_build_no_root_system(argv, built):
+    # products over degrees read the degree table: only the walked
+    # ambient's root system is built
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ncposet.__file__)))
+    child = subprocess.run([sys.executable, "-c", ROOT_SYSTEMS, *argv.split()],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == "%d\n" % built
 
 
 def test_build_ncm_size_and_rank():

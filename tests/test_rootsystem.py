@@ -8,8 +8,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import matrix_oracle
-from noncross.rootsystem import (SUPPORTED_AMBIENTS, DynkinDiagram,
-                                 build_root_system, classify_diagram,
+from matrix_oracle import DynkinDiagram
+from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
+                                 classify_edge_list, degrees,
                                  single_node_deletions, subdiagram_types)
 from noncross.typelabel import label
 
@@ -41,6 +42,23 @@ def test_degrees_and_group_order(name):
     assert tuple(sorted(rs.degrees)) == degrees
     assert rs.group_order == order
     assert rs.coxeter_number == degrees[-1]
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_degree_table_is_the_root_system_degrees(name):
+    assert degrees(name) == build_root_system(name).degrees
+    assert degrees(label(name)) == degrees(name)
+
+
+@pytest.mark.parametrize("name", ["A9", "D9", "E9"])
+def test_degree_table_refuses_what_build_refuses(name):
+    with pytest.raises(ValueError) as from_table:
+        degrees(name)
+    with pytest.raises(ValueError) as from_build:
+        build_root_system(name)
+    assert str(from_table.value) == str(from_build.value) == (
+        "unsupported ambient type %r (supported: %s)"
+        % (name, ", ".join(SUPPORTED_AMBIENTS)))
 
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
@@ -97,6 +115,11 @@ def test_single_node_deletion_counts_E7():
     assert counts.get(label("A1*D5"), 0) == 1
 
 
+def classify_diagram(diagram):
+    """``classify_edge_list`` on the nodes and edges of a diagram."""
+    return classify_edge_list(range(diagram.n), diagram.pairs())
+
+
 def _outcome(classify, diagram):
     """The type a classifier gives a diagram, or its refusal message."""
     try:
@@ -107,7 +130,8 @@ def _outcome(classify, diagram):
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
 def test_classifier_matches_frozenset_oracle_on_subdiagrams(name):
-    diagram = build_root_system(name).diagram
+    rs = build_root_system(name)
+    diagram = DynkinDiagram.from_edges(rs.n, rs.edges)
     found = set()
     deletions = Counter()
     for size in range(diagram.n + 1):

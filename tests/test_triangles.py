@@ -277,6 +277,16 @@ def test_tampered_triangles_raise_in_order():
         TransformFailure, "transform left z or m degrees behind")
 
 
+def test_transform_failure_names_a_fraction_m():
+    mt = _parity_triangle("A3 + 2x^2y")
+    for m, shown in ((Fraction(1, 2), "1/2"), (Fraction(-7, 3), "-7/3"),
+                     (2, "2")):
+        with pytest.raises(TransformFailure) as info:
+            fm_transform(mt, m)
+        assert str(info.value) == ("transform of A3 at m=%s: nonzero "
+                                   "remainder in exact division" % shown)
+
+
 # ---------------------------------------------------------------------------
 # closed forms of the F-triangle (Chapoton; Krattenthaler)
 

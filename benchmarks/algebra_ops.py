@@ -14,19 +14,19 @@ as one JSON object, in seconds:
 
 * ``at:E8``: ``MTriangle.at`` at m = 3, the primal triangle at a
   numeric m;
+* ``substitute:E8``: ``substitute(m=3)`` on the E8 primal triangle;
+* ``from_dual:E8``: ``MTriangle.from_dual`` of the published E8 dual
+  (its constant-term check and the degree flip);
 * ``fm_transform:E7|E8``: one ``fm_transform`` at m = 3;
 * ``f_reciprocity_checks:E7|E8``: one call at m = 2 (two transforms
   and the three reciprocity forms);
 * ``reciprocity_check:E7|E8``: the m -> -m check of the M-triangle;
 * ``zeta_identity_check:A7|D7|E7``: the zeta identity of the table;
 * ``zeta_forms:7``: ``ncposet.zeta_forms(7)`` past its cache, the
-  one-time cost the first zeta check of rank 7 in a session pays (an
-  older tree without ``zeta_forms`` reports none);
+  one-time cost the first zeta check of rank 7 in a session pays;
 * ``shifted_zeta_vectors:all``: ``ncposet._shifted_zeta_vector`` past
   its cache for each of the 100 type labels of rank 1 to 8 (the factors
-  of ``zeta_forms``), with every cache it reads emptied first, so that
-  an older tree that built them from symbolic closed forms and root
-  systems pays for those too;
+  of ``zeta_forms``), with the caches it reads emptied first;
 * ``count_product:E7*A1`` (and D4*D4, E6*A2, D5*A3): ``count_product``
   over the pair's whole full-rank key universe, with the product tables
   emptied before each repeat, so the table build is timed too;
@@ -67,7 +67,7 @@ def median_time(fn, repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return round(statistics.median(times), 4)
+    return round(statistics.median(times), 6)
 
 
 def lookup_keys(name, seed=0):
@@ -84,10 +84,7 @@ def lookup_keys(name, seed=0):
 
 
 def products(factors, keys):
-    # an older tree has no product tables and counts each key on its own
-    cached = getattr(decomp, "product_table", None)
-    if cached is not None:
-        cached.cache_clear()
+    decomp.product_table.cache_clear()
     return [decomp.count_product(factors, k) for k in keys]
 
 
@@ -97,7 +94,11 @@ def ops():
               for name in refdata.REFERENCE_TABLE_NAMES}
     mts = {name: triangles.MTriangle.from_dual(name, refdata.golden_dual(name))
            for name in ("E7", "E8")}
-    out = [("at:E8", lambda: mts["E8"].at(3))]
+    dual_e8 = refdata.golden_dual("E8")
+    out = [("at:E8", lambda: mts["E8"].at(3)),
+           ("substitute:E8", lambda: mts["E8"].primal.substitute(m=3)),
+           ("from_dual:E8",
+            lambda: triangles.MTriangle.from_dual("E8", dual_e8))]
     for name, mt in mts.items():
         out.append(("fm_transform:" + name,
                     lambda mt=mt: triangles.fm_transform(mt, 3)))
@@ -109,23 +110,14 @@ def ops():
         out.append(("zeta_identity_check:" + name,
                     lambda name=name: triangles.zeta_identity_check(
                         name, tables[name])))
-    forms = getattr(ncposet, "zeta_forms", None)
-    if forms is not None:
-        out.append(("zeta_forms:7", lambda: forms.__wrapped__(7)))
+    out.append(("zeta_forms:7", lambda: ncposet.zeta_forms.__wrapped__(7)))
     labels = [t for rank in range(1, 9) for t in decomp.all_labels_of_rank(rank)]
 
-    # the caches the vectors read: the components' vectors and the
-    # degree table here; the shifted and the symbolic closed forms and
-    # the root systems in an older tree
-    read = [getattr(module, name, None) for module, name in (
-        (ncposet, "_shifted_zeta_vector"), (ncposet, "zeta_shifted"),
-        (ncposet, "zeta_closed"), (rootsystem, "degrees"),
-        (rootsystem, "build_root_system"))]
-
     def shifted():
-        for cached in read:
-            if cached is not None:
-                cached.cache_clear()
+        # the caches the vectors read: the components' vectors and the
+        # degree table
+        ncposet._shifted_zeta_vector.cache_clear()
+        rootsystem.degrees.cache_clear()
         return [ncposet._shifted_zeta_vector.__wrapped__(t) for t in labels]
     out.append(("shifted_zeta_vectors:all", shifted))
     for pair in PRODUCTS:
@@ -164,9 +156,9 @@ def ab(other, rounds):
         mine = [run[name] for run in this]
         theirs = [run.get(name) for run in other_runs]
         out[name] = {
-            "this": round(statistics.median(mine), 4),
+            "this": round(statistics.median(mine), 6),
             "other": (None if None in theirs
-                      else round(statistics.median(theirs), 4)),
+                      else round(statistics.median(theirs), 6)),
             "wins": sum(b is not None and a < b
                         for a, b in zip(mine, theirs))}
     return out

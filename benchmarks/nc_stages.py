@@ -171,8 +171,7 @@ def stages(repeats):
     lower = [below[0] for t, below in poset.by_type.items()
              if t.is_irreducible and t.rank < 8]
     out["interval_census_E8_s"] = timed(
-        lambda: [poset.interval_census(q) for q in lower], repeats) \
-        if hasattr(poset, "interval_census") else None
+        lambda: [poset.interval_census(q) for q in lower], repeats)
     ncposet.enumerate_nc("D7")
     out["full_table_D7_s"] = timed(lambda: descent("D7"), repeats)
     ncposet.enumerate_nc("D4")

@@ -45,7 +45,7 @@ from math import comb, factorial, prod
 from operator import attrgetter
 
 from .rootsystem import build_root_system, single_node_deletions
-from .typelabel import TypeLabel, label, EMPTY_TYPE, ResourceGuardError
+from .typelabel import TypeLabel, label, EMPTY_TYPE
 
 # the order of TypeLabel.__lt__, compared without calling it
 _SORT_KEY = attrgetter("_key")
@@ -417,12 +417,11 @@ def all_tuples_of_rank(total):
     return tuple(canonical_tuple(t) for t in results)
 
 
-def full_table(name, max_elements=30_000):
+def full_table(name):
     """Complete full-rank table for one irreducible ambient.
 
     Type A takes the closed formula, D and E the census (both are
-    checked against brute force in the tests).  Guarded by the poset
-    size, which is known in closed form before anything is enumerated.
+    checked against brute force in the tests).
     """
     ambient = label(name)
     n = ambient.rank
@@ -435,12 +434,6 @@ def full_table(name, max_elements=30_000):
             if value:
                 entries[key] = value
         return DecompositionTable(ambient, entries, provenance="typeA-closed-form")
-    from .ncposet import ncm_cardinality
-    size = ncm_cardinality(ambient, 1)
-    if size > max_elements:
-        raise ResourceGuardError(
-            "table for %s needs a %d-element poset (guard %d)"
-            % (name, size, max_elements))
     return census_table(name)
 
 

@@ -8,9 +8,12 @@ coefficient raises ``TypeError``).  Most coefficients met in this
 package are integers, so most arithmetic stays in ``int``.  This is
 deliberately small and dependency-free: every identity checked in this
 package is an *exact* polynomial identity, so floating point is never
-used.  Variables are substituted by polynomials or numbers only; no
-polynomial is divided by another, since the F=M transform of
-``triangles`` is a direct binomial expansion.
+used.  Only exact numbers are put in for variables, all by one method,
+``numerators``: integer numerators over one common denominator, which
+``substitute`` and ``evaluate`` turn into coefficients and ``triangles``
+reads directly.  No polynomial is substituted into another or divided
+by another, since the F=M transform of ``triangles`` is a direct
+binomial expansion.
 
 The linear solver works in integers throughout.  An ``Echelon`` holds
 the reduced row echelon form of the rows inserted so far, each row a
@@ -139,61 +142,71 @@ class SparsePolynomial:
         idx = _VAR_INDEX[var]
         return max((e[idx] for e in self.terms), default=0)
 
-    def coefficient(self, **powers):
-        """Coefficient polynomial of a monomial in the named variables.
+    def numerators(self, **values):
+        """The polynomial with numbers put in for the named variables, as
+        integer numerators over one common denominator.
 
-        ``p.coefficient(x=2, y=1)`` collects all terms with x^2 y^1 and
-        returns the remaining polynomial in the other variables.
+        Returns ``(numerators, den)``: ``numerators`` maps each exponent
+        tuple, the substituted exponents set to 0, to a nonzero int, and
+        the polynomial at the values is the sum of ``numerators[e] / den``
+        times the monomial of e.  Every coefficient is put over the lcm of
+        the coefficient denominators, and a value num/d of a variable of
+        top degree D scales a term of exponent e in it by
+        num^e * d^(D-e), so ``den`` is that lcm times the product of the
+        d^D.  A value that is not an exact number (a float, a polynomial)
+        raises ``TypeError``.
         """
-        idxs = {(_VAR_INDEX[v]): k for v, k in powers.items()}
-        result = {}
-        for exp, coeff in self.terms.items():
-            if all(exp[i] == k for i, k in idxs.items()):
-                new = tuple(0 if i in idxs else exp[i] for i in range(4))
-                result[new] = result.get(new, 0) + coeff
-        return SparsePolynomial(result)
+        terms = self.terms
+        common = lcm(*(c.denominator for c in terms.values()))
+        den = common
+        scales = [None] * 4      # per variable: the scale of each exponent
+        for var, value in values.items():
+            i = _VAR_INDEX[var]
+            value = _coeff(value)
+            top = max((exp[i] for exp in terms), default=0)
+            num, d = value.numerator, value.denominator
+            powers = [d ** top]
+            for _ in range(top):
+                powers.append(powers[-1] // d * num)
+            scales[i] = powers
+            den *= powers[0]
+        sx, sy, sz, sm = scales
+        out = {}
+        for (a, b, c, e), coeff in terms.items():
+            n = coeff.numerator * (common // coeff.denominator)
+            if sx is not None:
+                n *= sx[a]
+                a = 0
+            if sy is not None:
+                n *= sy[b]
+                b = 0
+            if sz is not None:
+                n *= sz[c]
+                c = 0
+            if sm is not None:
+                n *= sm[e]
+                e = 0
+            key = (a, b, c, e)
+            out[key] = out.get(key, 0) + n
+        return {key: n for key, n in out.items() if n}, den
 
-    def substitute(self, **assignments):
-        """Substitute polynomials or numbers for variables, exactly.
+    def substitute(self, **values):
+        """The polynomial with exact numbers put in for the named
+        variables, read off ``numerators``."""
+        numerators, den = self.numerators(**values)
+        out = SparsePolynomial.__new__(SparsePolynomial)
+        out.terms = {exp: _ratio(c, den) for exp, c in numerators.items()}
+        return out
 
-        Terms that share their exponents in the substituted variables
-        form one group.  A group sums its coefficients times its kept
-        monomials, which takes no product, and is multiplied once by the
-        product of the values' powers, each power built once from the
-        one below it.  With numeric values that product is a constant,
-        so a group is only scaled.
-        """
-        subs = {_VAR_INDEX[var]: _coerce(value)
-                for var, value in assignments.items()}
-        groups = {}
-        for exp, coeff in self.terms.items():
-            key = tuple(exp[i] for i in subs)
-            kept = tuple(0 if i in subs else e for i, e in enumerate(exp))
-            groups.setdefault(key, {})[kept] = coeff
-        powers = {i: [ONE] for i in subs}
-        result = {}
-        for key, kept in groups.items():
-            factor = ONE
-            for i, e in zip(subs, key):
-                if e:
-                    factor = factor * _power(powers[i], subs[i], e)
-            _add_product(result, kept, factor.terms)
-        return _canonical(result)
-
-    def evaluate(self, **assignments):
-        """Fully evaluate; all variables present in the polynomial must
-        be assigned.  Returns a Fraction."""
-        total = Fraction(0)
-        vals = {_VAR_INDEX[v]: _coeff(k) for v, k in assignments.items()}
-        for exp, coeff in self.terms.items():
-            term = coeff
-            for i in range(4):
-                if exp[i]:
-                    if i not in vals:
-                        raise ValueError("unassigned variable %s" % VARS[i])
-                    term *= vals[i] ** exp[i]
-            total += term
-        return total
+    def evaluate(self, **values):
+        """The value, as a Fraction, at exact numbers for every variable
+        of the polynomial; an unassigned one raises ``ValueError``, naming
+        the first in x, y, z, m order."""
+        numerators, den = self.numerators(**values)
+        for var in VARS:
+            if var not in values and self.degree(var):
+                raise ValueError("unassigned variable %s" % var)
+        return Fraction(numerators.get(_ZERO_EXP, 0), den)
 
     def __str__(self):
         if not self.terms:
@@ -246,12 +259,10 @@ def _canonical(terms):
     return out
 
 
-def _power(powers, base, k):
-    """``base ** k`` from the list ``powers`` of its powers found so
-    far (``[ONE]`` at first), extended one product at a time."""
-    while len(powers) <= k:
-        powers.append(powers[-1] * base)
-    return powers[k]
+def _ratio(num, den):
+    """num / den for ints, an int when it divides exactly."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 ZERO = SparsePolynomial.constant(0)

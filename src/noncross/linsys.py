@@ -339,8 +339,7 @@ def _consistency_assertions(name, table):
         rel("N(A1^3*A2,A1^3) = (112X+226Y-86625)/15",
             v("A1^3*A2", "A1^3"),
             Fraction(112 * x + 226 * y - 86625, 15))
-        total_d4 = sum(table.lookup((label("D4"), extra))
-                       for extra in all_labels_of_rank(4))
+        total_d4 = v("D4")
         rel("N(D4) = 27263/168 - A/40 + B/40 + 283X/1500 + 7957Y/15750",
             total_d4,
             Fraction(27263, 168) - Fraction(a, 40) + Fraction(b, 40)

@@ -8,25 +8,26 @@ computation for small posets, the zeta-polynomial consistency check,
 the transform producing F-triangle candidates, and the m -> -m
 reciprocity checks.
 
-The checks multiply few whole polynomials.  ``MTriangle.at`` sums
-each term's integer numerator over one common denominator.  The F=M
-transform and the right side of the two-variable F-reciprocity are
-binomial expansions: on an M-triangle (k <= l <= n) the term
-m_kl x^k y^l of y^n M((1+y)/(y-x), (y-x)/y) is the polynomial
-m_kl (1+y)^k (y-x)^(l-k) y^(n-l) on its own, so nothing is substituted
-as a rational function and nothing is divided.  The zeta check dots the
-table's entries with ``ncposet.zeta_forms``, the forms the zeta rows of
-``linsys`` are read from.
+The checks multiply few whole polynomials.  A triangle is put at a
+numeric m by ``exact``'s one evaluator: ``MTriangle.at`` is
+``substitute(m=m)``, and the F=M transform expands the same integer
+numerators (``numerators``) and divides each result only by their
+common denominator.  The F=M transform and the right side of the
+two-variable F-reciprocity are binomial expansions: on an M-triangle
+(k <= l <= n) the term m_kl x^k y^l of y^n M((1+y)/(y-x), (y-x)/y) is
+the polynomial m_kl (1+y)^k (y-x)^(l-k) y^(n-l) on its own, so nothing
+is substituted as a rational function and no polynomial is divided.
+The zeta check dots the table's entries with ``ncposet.zeta_forms``,
+the forms the zeta rows of ``linsys`` are read from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
-from numbers import Rational
+from math import comb
 
 from . import exact
-from .exact import X, SparsePolynomial, binomial_poly, poly
+from .exact import X, SparsePolynomial, _ratio, binomial_poly, poly
 from .decomp import all_tuples_of_rank, orderings
 from .ncposet import (characteristic_polynomial, mobius, zeta_closed,
                       zeta_forms)
@@ -64,46 +65,15 @@ class MTriangle:
     def from_dual(cls, ambient, dual):
         ambient = ambient if isinstance(ambient, TypeLabel) else label(ambient)
         n = ambient.rank
-        if dual.coefficient(x=0, y=0) != poly(1):
+        if dual.substitute(x=0, y=0) != 1:
             raise ValueError("dual constant term is not 1")
         return cls(ambient=ambient, n=n, dual=dual,
                    primal=dual_to_primal(dual, n))
 
     def at(self, m):
-        """The primal triangle at a numeric m, as a polynomial in x, y."""
-        numerators, den = _numerators(self.primal, m)
-        return SparsePolynomial({(k, l, z, 0): _ratio(c, den)
-                                 for (k, l, z), c in numerators.items()})
-
-
-def _numerators(p, m):
-    """A polynomial at a numeric (int or Fraction) m, as a map (x, y, z
-    degrees) -> nonzero int numerator over one denominator; returns
-    (numerators, denominator)."""
-    if not isinstance(m, Rational):
-        raise TypeError("exact coefficient expected, got %s %r"
-                        % (type(m).__name__, m))
-    top = max((exp[3] for exp in p.terms), default=0)
-    num, den = int(m.numerator), int(m.denominator)
-    num_powers, den_powers = [1], [1]
-    for _ in range(top):
-        num_powers.append(num_powers[-1] * num)
-        den_powers.append(den_powers[-1] * den)
-    common = lcm(*(c.denominator for c in p.terms.values()))
-    numerators = {}
-    for (k, l, z, e), c in p.terms.items():
-        key = (k, l, z)
-        numerators[key] = (numerators.get(key, 0)
-                           + c.numerator * (common // c.denominator)
-                           * num_powers[e] * den_powers[top - e])
-    return ({key: c for key, c in numerators.items() if c},
-            common * den_powers[top])
-
-
-def _ratio(num, den):
-    """num / den for ints, an int when it divides exactly."""
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
+        """The primal triangle at an exact number m (an int or a
+        Fraction), as a polynomial in x and y: ``primal.substitute``."""
+        return self.primal.substitute(m=m)
 
 
 def _expand(terms, n):
@@ -183,13 +153,13 @@ def zeta_identity_check(name, table):
 
 class FTriangleCandidate:
     """Candidate F-triangle obtained by transforming an M-triangle;
-    equal when all four fields are.  ``coefficients`` maps (k, l) to an
-    int, or to a Fraction where the transform is not integral."""
+    equal when all three fields are.  ``coefficients`` maps (k, l), the
+    x and y degrees of the F-triangle's terms, to an int, or to a
+    Fraction where the transform is not integral."""
 
-    def __init__(self, ambient, m, poly, coefficients):
+    def __init__(self, ambient, m, coefficients):
         self.ambient = ambient
         self.m = m
-        self.poly = poly
         self.coefficients = coefficients
 
     def __eq__(self, other):
@@ -234,22 +204,20 @@ def fm_transform(mt, m):
     raises TransformFailure too.
     """
     n = mt.n
-    numerators, den = _numerators(mt.primal, m)
+    numerators, den = mt.primal.numerators(m=m)
     for var, index in (("x", 0), ("y", 1)):
         if any(key[index] > n for key in numerators):
             raise ValueError("clearing power for %s below degree" % var)
-    if any(k > l for k, l, _ in numerators):
+    if any(k > l for k, l, _, _ in numerators):
         raise TransformFailure("transform of %s at m=%s: nonzero remainder "
                                "in exact division" % (mt.ambient, m))
-    if any(z for _, _, z in numerators):
+    if any(z for _, _, z, _ in numerators):
         raise TransformFailure("transform left z or m degrees behind")
     expanded = _expand(((c, 0, n - l, k, l - k, 0)
-                        for (k, l, _), c in numerators.items()), n)
+                        for (k, l, _, _), c in numerators.items()), n)
     coefficients = {kl: _ratio(c, den)
                     for kl, c in sorted(expanded.items(), reverse=True) if c}
-    result = SparsePolynomial({(k, l, 0, 0): c
-                               for (k, l), c in coefficients.items()})
-    return FTriangleCandidate(ambient=mt.ambient, m=m, poly=result,
+    return FTriangleCandidate(ambient=mt.ambient, m=m,
                               coefficients=coefficients)
 
 

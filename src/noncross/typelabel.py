@@ -9,9 +9,9 @@ Rank-2 and rank-3 "D" components are synonyms for A1^2 and A3 and are
 collapsed on construction, so every abstract type has exactly one
 canonical label and one canonical string.
 
-``ResourceGuardError`` lives here too, though ``ncposet`` and ``decomp``
-raise it: the CLI loads this module anyway, so it can map the error to
-its exit code without importing the layers.
+``ResourceGuardError`` lives here too, though ``ncposet`` raises it:
+the CLI loads this module anyway, so it can map the error to its exit
+code without importing the layers.
 """
 
 from __future__ import annotations

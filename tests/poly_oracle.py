@@ -3,7 +3,8 @@
 
 Each term of a polynomial is built as a product of polynomials on its
 own, one factor at a time, and the terms are summed: ``substitute``
-multiplies a term by the cached power of each substituted value,
+multiplies a term by the cached power of each substituted value (a
+number, or a polynomial, which ``SparsePolynomial.substitute`` refuses),
 ``substitute_rational`` by the cached powers of each numerator and
 denominator, and ``zeta_identity_expansion`` multiplies the
 ``zeta_shifted`` polynomials of every tuple's factors as Fraction
@@ -93,7 +94,7 @@ def zeta_shifted(t):
     """The closed-form zeta polynomial of NC(t) at z - 1: the factor a
     type contributes to the decomposition-number expansion of the zeta
     polynomial of NC^m."""
-    return zeta_closed(t, m=1).substitute(z=Z - 1)
+    return substitute(zeta_closed(t, m=1), z=Z - 1)
 
 
 def zeta_identity_expansion(name, table):
@@ -182,8 +183,14 @@ def fm_transform_by_division(mt, m):
         if zdeg or mdeg:
             raise TransformFailure("transform left z or m degrees behind")
         coefficients[(xdeg, ydeg)] = coeff
-    return FTriangleCandidate(ambient=mt.ambient, m=m, poly=result,
+    return FTriangleCandidate(ambient=mt.ambient, m=m,
                               coefficients=coefficients)
+
+
+def _f_polynomial(cand):
+    """The F-triangle candidate's polynomial in x and y."""
+    return SparsePolynomial({(k, l, 0, 0): c
+                             for (k, l), c in cand.coefficients.items()})
 
 
 def f_reciprocity_checks_by_substitution(mt, m):
@@ -195,12 +202,13 @@ def f_reciprocity_checks_by_substitution(mt, m):
     failures = []
 
     one_plus_x = poly(1) + X
-    cx, cy = f_neg.poly.degree("x"), f_neg.poly.degree("y")
+    f_neg_poly, f_pos_poly = _f_polynomial(f_neg), _f_polynomial(f_pos)
+    cx, cy = f_neg_poly.degree("x"), f_neg_poly.degree("y")
     numerator = substitute_rational(
-        f_neg.poly,
+        f_neg_poly,
         {"x": (-X, one_plus_x), "y": (Y - X, one_plus_x)},
         {"x": cx, "y": cy})
-    lhs = f_pos.poly * one_plus_x ** max(0, cx + cy - n)
+    lhs = f_pos_poly * one_plus_x ** max(0, cx + cy - n)
     rhs = numerator * one_plus_x ** max(0, n - cx - cy)
     if lhs != rhs:
         failures.append("two-variable reciprocity identity fails")

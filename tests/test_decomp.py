@@ -11,7 +11,6 @@ from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              count_typeA, full_table, lower_table, orderings,
                              product_table, production_table, special_values,
                              table_product, tuple_rank)
-from noncross.ncposet import ResourceGuardError
 from product_oracle import _reference_lookup, _reference_product_value
 from noncross.refdata import REFERENCE_TABLE_NAMES, reference_table
 from noncross.rootsystem import build_root_system
@@ -352,10 +351,3 @@ def test_census_table_keys_in_tuple_order(name):
     entries = census_table(name).entries
     assert list(entries) == [key for key in all_tuples_of_rank(
         label(name).rank) if key in entries]
-
-
-def test_full_table_guard_message():
-    with pytest.raises(ResourceGuardError,
-                       match=r"^table for E8 needs a 25080-element poset "
-                             r"\(guard 1000\)$"):
-        full_table("E8", max_elements=1000)

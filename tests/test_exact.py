@@ -34,19 +34,13 @@ def test_coefficient_and_degree():
     p = 3 * X ** 2 * Y - 5 * X + 7
     assert p.degree("x") == 2
     assert p.degree("y") == 1
-    assert p.coefficient(x=2).evaluate(y=1) == 3
-    assert p.coefficient(x=0, y=0).evaluate() == 7
+    assert p.substitute(y=1) == 3 * X ** 2 - 5 * X + 7
+    assert p.substitute(x=0, y=0).evaluate() == 7
 
 
 def test_evaluate_exact_fractions():
     p = X ** 2 * Fraction(1, 2) + Fraction(1, 3)
     assert p.evaluate(x=Fraction(1, 2)) == Fraction(1, 8) + Fraction(1, 3)
-
-
-def test_substitute_polynomial():
-    p = X ** 2 + M * X
-    q = p.substitute(x=Y + 1)
-    assert q == (Y + 1) ** 2 + M * (Y + 1)
 
 
 def test_binomial_poly():
@@ -129,8 +123,8 @@ def test_exact_divide_inverts_multiplication(p, q):
        st.integers(0, 3))
 def test_results_have_canonical_coefficients(p, q, r, k):
     results = [p + q, p - q, p * q, q ** k, -p,
-               p.substitute(x=q), p.substitute(m=Fraction(1, 3)),
-               p.coefficient(y=1), poly_oracle.exact_divide(p * r, r)]
+               p.substitute(m=Fraction(1, 3)),
+               poly_oracle.exact_divide(p * r, r)]
     for result in results:
         _assert_canonical(result)
     assert type(p.evaluate(x=1, y=2, m=3)) is Fraction
@@ -154,11 +148,8 @@ _SUBSTITUTED = st.lists(st.sampled_from(exact.VARS), min_size=1, max_size=3,
 @settings(max_examples=200, deadline=None)
 @given(polynomials_xyzm(), _SUBSTITUTED, st.data())
 def test_substitute_matches_term_by_term_oracle(p, names, data):
-    # the values are numbers or polynomials in every variable, the
-    # substituted ones included (the substitution is simultaneous)
-    values = {v: data.draw(st.one_of(_COEFFS, polynomials_xyzm(max_terms=3)),
-                           label=v)
-              for v in names}
+    # the values are ints and Fractions, integral ones included
+    values = {v: data.draw(_COEFFS, label=v) for v in names}
     got = p.substitute(**values)
     assert got.terms == poly_oracle.substitute(p, **values).terms
     _assert_canonical(got)
@@ -166,9 +157,22 @@ def test_substitute_matches_term_by_term_oracle(p, names, data):
 
 def test_substitution_examples_match_the_oracle():
     p = X ** 3 * Y ** 2 * M - 2 * X * Y * Z + Fraction(1, 3)
-    for values in ({"m": Fraction(-2, 3)}, {"x": Y - X, "y": X * M + 1},
-                   {"x": Z, "z": X, "m": 4}):
+    for values in ({"m": Fraction(-2, 3)}, {"x": -1, "y": Fraction(5, 2)},
+                   {"x": 0, "z": 3, "m": 4}):
         assert p.substitute(**values) == poly_oracle.substitute(p, **values)
+
+
+def test_substitute_refuses_a_polynomial():
+    with pytest.raises(TypeError, match=r"^exact coefficient expected, "
+                                        r"got SparsePolynomial "):
+        (X ** 2 + M * X).substitute(x=Y + 1)
+
+
+def test_evaluate_names_the_first_unassigned_variable():
+    with pytest.raises(ValueError, match=r"^unassigned variable y$"):
+        (X + Y).evaluate(x=1)
+    with pytest.raises(ValueError, match=r"^unassigned variable x$"):
+        (X * M + Z).evaluate(z=1)
 
 
 def test_substitute_rational_refuses_clearing_power_below_degree():
@@ -196,6 +200,9 @@ def test_float_coefficients_are_refused():
         X * 2.0
     with pytest.raises(TypeError):
         X.evaluate(x=0.5)
+    with pytest.raises(TypeError, match=r"^exact coefficient expected, "
+                                        r"got float 0\.5$"):
+        (X + M).substitute(m=0.5)
 
 
 def test_numpy_integers_do_not_overflow():
@@ -204,6 +211,10 @@ def test_numpy_integers_do_not_overflow():
     assert p.terms == {(1, 0, 0, 0): (2 ** 62 - 1) * 2 ** 62}
     assert type(p.terms[(1, 0, 0, 0)]) is int
     assert (poly(big) ** 2).terms[(0, 0, 0, 0)] == (2 ** 62 - 1) ** 2
+    got = (3 * X ** 2 * M - Fraction(1, 2) * X).substitute(x=big)
+    assert got.terms == {(0, 0, 0, 1): 3 * (2 ** 62 - 1) ** 2,
+                         (0, 0, 0, 0): Fraction(-(2 ** 62 - 1), 2)}
+    assert type(got.terms[(0, 0, 0, 1)]) is int
 
 
 def test_linear_solve_unique():

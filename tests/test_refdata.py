@@ -40,5 +40,5 @@ def test_reference_table_anchor_values():
 def test_golden_duals_constant_term():
     for name in ("E7", "E8"):
         dual = golden_dual(name)
-        assert dual.coefficient(x=0, y=0).evaluate(m=1) == 1
+        assert dual.substitute(x=0, y=0).evaluate(m=1) == 1
         assert dual.degree("x") == label(name).rank

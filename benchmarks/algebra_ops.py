@@ -35,6 +35,8 @@ as one JSON object, in seconds:
 * ``lookup:E8|E7|A7``: a batch of 4000 lookups, half full-rank keys
   and half made rank-deficient by dropping one factor (seeded), on a
   fresh table per repeat, so any lazily built index is timed too.
+* ``lookup_text:E8``: the keys of ``lookup:E8`` with every label
+  spelt as text, so each lookup takes the canonicalizing path.
 
 With ``--ab OTHER_SRC`` it compares this tree's ``src`` with another
 directory holding the ``noncross`` package instead.  It runs
@@ -132,6 +134,10 @@ def ops():
             table = decomp.DecompositionTable(name, entries)
             return [table.lookup(k) for k in keys]
         out.append(("lookup:" + name, batch))
+        if name == "E8":
+            text = [tuple(map(str, key)) for key in keys]
+            out.append(("lookup_text:E8",
+                        lambda batch=batch, text=text: batch(keys=text)))
     return out
 
 

@@ -188,7 +188,7 @@ def count_product(factors, types):
     return product_table(tuple(factors)).lookup(types)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def product_table(factors):
     """The full-rank table of the product of a tuple of factor tables:
     the empty ambient's table for no factor, the factor itself for one,
@@ -196,7 +196,9 @@ def product_table(factors):
     product of the rest, so products that share trailing factors share
     tables.  Cached on the table objects, not on their ambients: two
     tables of one ambient are different factors, and a table's entries
-    never change after construction."""
+    never change after construction.  The cache keeps the 128 tuples
+    used last, so a caller passing fresh tables on every call does not
+    grow it without bound; all the verify suites together use 62."""
     if not factors:
         return _EMPTY_TABLE
     if len(factors) == 1:
@@ -317,13 +319,23 @@ def _slot_order(slot):
 class DecompositionTable:
     """Full-rank decomposition numbers for one ambient type.
 
-    ``entries`` maps canonical full-rank tuples to integers; lookups of
-    tuples with rank sum above the ambient rank return 0, and
-    rank-deficient lookups are resolved through the one-extra-factor
-    identity (sum over all types of the complementary rank).  Those
-    sums are read from an index built on the first such lookup, in one
-    pass over ``entries``; ``entries`` is not to be changed after
+    ``entries`` maps canonical full-rank tuples to integers: every key
+    is the ``canonical_tuple`` of itself (sorted nonempty labels) and
+    has rank sum equal to the ambient rank.  Every table the package
+    builds keeps to that, and ``entries`` is not to be changed after
     construction (no caller does).
+
+    ``lookup`` takes any tuple of labels.  It first probes ``entries``,
+    then the rank-deficient index if that is already built, with the key
+    exactly as given: labels are interned, so a tuple equal to a key
+    held is that key, and a nonzero hit is the answer.  Anything else
+    (text labels, a list, an unsorted tuple, empty factors, a key of the
+    wrong rank, a key held with value 0, the empty key) is canonicalized
+    and looked up as a canonical key: 0 above the ambient rank, 1 for
+    the empty key, the entry at full rank, and otherwise the
+    one-extra-factor identity (sum over all types of the complementary
+    rank).  Those sums are read from an index built on the first such
+    lookup, in one pass over ``entries``; it holds no empty key.
     """
 
     def __init__(self, ambient, entries, provenance="bruteforce"):
@@ -333,6 +345,14 @@ class DecompositionTable:
         self._deficient = None
 
     def lookup(self, types):
+        try:
+            value = self.entries.get(types)
+            if not value and self._deficient is not None:
+                value = self._deficient.get(types)
+        except TypeError:                     # unhashable, such as a list
+            value = None
+        if value:
+            return value
         key = canonical_tuple(types)
         s = tuple_rank(key)
         n = self.ambient.rank
@@ -347,14 +367,15 @@ class DecompositionTable:
         return self._deficient.get(key, 0)
 
     def _deficient_index(self):
-        """N(key) for every rank-deficient key one factor short of an
-        entry: each full-rank entry adds its value to the key left by
-        removing one copy of any one of its distinct factors (the factor
-        removed is the one extra factor of the identity)."""
-        n = self.ambient.rank
+        """N(key) for every nonempty rank-deficient key one factor short
+        of an entry: each full-rank entry adds its value to the key left
+        by removing one copy of any one of its distinct factors (the
+        factor removed is the one extra factor of the identity).  An
+        entry of one factor leaves the empty key, which counts 1 by
+        convention and is not indexed."""
         index = {}
         for key, value in self.entries.items():
-            if tuple_rank(key) != n:
+            if len(key) < 2:
                 continue
             for i, t in enumerate(key):
                 if i and key[i - 1] == t:
@@ -421,9 +442,14 @@ def full_table(name):
     """Complete full-rank table for one irreducible ambient.
 
     Type A takes the closed formula, D and E the census (both are
-    checked against brute force in the tests).
+    checked against brute force in the tests).  A reducible or empty
+    label is refused with ``ValueError``: its table is the
+    ``product_table`` of its components' tables.
     """
     ambient = label(name)
+    if not ambient.is_irreducible:
+        raise ValueError("full_table needs an irreducible ambient, got %s"
+                         % ambient)
     n = ambient.rank
     if ambient.components[0][0] == "A":
         entries = {}

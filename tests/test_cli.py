@@ -329,6 +329,18 @@ def test_unsupported_component_exits_2(capsys, argv, ambient):
         % (ambient, ", ".join(SUPPORTED_AMBIENTS)))
 
 
+@pytest.mark.parametrize("command", ["table", "count"])
+def test_decomp_of_reducible_ambient_exits_2(capsys, command):
+    # A1*D4 is not a supported ambient: refused before any table is built
+    argv = ["decomp", command, "A1*D4"] + (["A1"] if command == "count" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unsupported ambient 'A1*D4'" in captured.err
+
+
 def test_internal_key_error_is_not_bad_input(capsys, monkeypatch):
     # a lookup bug inside a command is not reported as bad input (exit 2):
     # main lets it through, and the interpreter exits 1 with a traceback

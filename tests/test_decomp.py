@@ -1,6 +1,7 @@
 """Decomposition numbers: brute force, closed forms, product rule, tables."""
 
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -11,9 +12,11 @@ from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              count_typeA, full_table, lower_table, orderings,
                              product_table, production_table, special_values,
                              table_product, tuple_rank)
+from lookup_oracle import CanonicalLookup
 from product_oracle import _reference_lookup, _reference_product_value
+from noncross.linsys import replay
 from noncross.refdata import REFERENCE_TABLE_NAMES, reference_table
-from noncross.rootsystem import build_root_system
+from noncross.rootsystem import SUPPORTED_AMBIENTS, build_root_system
 from noncross.typelabel import EMPTY_TYPE, label
 
 
@@ -351,3 +354,102 @@ def test_census_table_keys_in_tuple_order(name):
     entries = census_table(name).entries
     assert list(entries) == [key for key in all_tuples_of_rank(
         label(name).rank) if key in entries]
+
+
+@pytest.mark.parametrize("name", ["A1*D4", "A2*A3"])
+def test_full_table_refuses_reducible_ambient(name):
+    # A1*D4 used to take the type-A branch and return the A5 table
+    for build in (full_table, production_table):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            build(name)
+
+
+def test_product_table_cache_is_bounded():
+    # a caller passing fresh tables on every call: the cache keeps at
+    # most 128 tuples of them instead of every tuple
+    e7, a1 = reference_table("E7"), reference_table("A1")
+    key = L("E7", "A1")
+    for _ in range(50):
+        factors = (DecompositionTable("E7", e7), DecompositionTable("A1", a1))
+        assert count_product(factors, key) == 1
+    info = product_table.cache_info()
+    assert info.maxsize == 128
+    assert info.currsize <= 128
+
+
+# ---------------------------------------------------------------------------
+# the probing lookup against the canonicalizing oracle
+
+
+def _assert_key_contract(table):
+    # the class docstring: entries holds canonical full-rank keys
+    n = table.ambient.rank
+    for key in table.entries:
+        assert type(key) is tuple and canonical_tuple(key) == key, key
+        assert tuple_rank(key) == n, (table.ambient, key)
+
+
+def _spellings(key):
+    """A canonical key as held, and spelt in the ways only the
+    canonicalizing path reads: reversed, as text labels, as a list and
+    with an empty factor."""
+    return (key, key[::-1], tuple(map(str, key)), list(key),
+            key[:1] + (EMPTY_TYPE,) + key[1:])
+
+
+def _assert_lookup_matches_oracle(table):
+    """Every canonical key of rank 0 to n + 1 in every spelling: on a
+    fresh table per lookup (no deficient index), then twice on one table
+    (the index built during the first pass)."""
+    oracle = CanonicalLookup(table)
+    keys = [key for rank in range(table.ambient.rank + 2)
+            for key in all_tuples_of_rank(rank)]
+    queries = [spelt for key in keys for spelt in _spellings(key)]
+    for query in queries:
+        fresh = DecompositionTable(table.ambient, table.entries)
+        assert fresh.lookup(query) == oracle.lookup(query), query
+    indexed = DecompositionTable(table.ambient, table.entries)
+    for _ in range(2):
+        for query in queries:
+            assert indexed.lookup(query) == oracle.lookup(query), query
+    assert (indexed._deficient is None) == (table.ambient.rank == 1)
+
+
+@pytest.mark.parametrize("name", REFERENCE_TABLE_NAMES)
+def test_lookup_matches_canonicalizing_oracle(name):
+    table = _published(name)
+    _assert_key_contract(table)
+    _assert_lookup_matches_oracle(table)
+
+
+@pytest.mark.parametrize("ambient", [("E7", "A1"), ("D4", "D4"),
+                                     ("A1", "A2", "D5"), ("A3", "A2", "A1")],
+                         ids="*".join)
+def test_product_lookup_matches_canonicalizing_oracle(ambient):
+    table = product_table(tuple(_published(name) for name in ambient))
+    _assert_key_contract(table)
+    _assert_lookup_matches_oracle(table)
+
+
+@pytest.mark.parametrize("name", ["A1", "A4", "D5", "E6"])
+def test_empty_key_without_ambient_entry(name):
+    # N() = 1 by convention, not by the (ambient,) entry, which this
+    # table lacks: the empty key is never read from the deficient index
+    entries = dict(reference_table(name))
+    del entries[L(name)]
+    table = DecompositionTable(name, entries)
+    assert table.lookup(()) == 1
+    _assert_lookup_matches_oracle(table)
+
+
+def test_tables_the_package_builds_keep_the_key_contract():
+    # refdata is covered above; type A, census, product and replay here
+    for name in SUPPORTED_AMBIENTS:
+        table = production_table(name)
+        assert table.provenance in ("typeA-closed-form", "census"), name
+        _assert_key_contract(table)
+    for rank in range(8):
+        for t in all_labels_of_rank(rank):
+            _assert_key_contract(lower_table(t))
+    for name in ("A4", "D4", "D5", "E6"):
+        _assert_key_contract(replay(name).final_table)

@@ -25,7 +25,8 @@ ends at the last row of its family:
 * ``forbidden_special_s``: from the call to the last special row
   (sub-diagram types, special values);
 * ``split_s``: to the last split row (the lower counts included);
-* ``zeta_s``: to the return (the zeta forms and rows);
+* ``zeta_s``: to the return (the sort of the sparse rows by leading
+  column, the zeta forms and rows);
 * ``total_s``: the whole call.
 
 Prints one JSON object: per label and mode, the median and the samples

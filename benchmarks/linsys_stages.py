@@ -14,10 +14,16 @@ the median is printed as JSON, one object per ambient:
   emptied first (per equation family, cold and warm:
   ``equation_families.py``);
 * ``elimination_s`` and ``back_substitution_s``: ``exact.echelon`` and
-  ``Echelon.space`` on the unpinned system (since the echelon is
-  reduced, ``Echelon.space`` only reads the space off its rows);
+  ``Echelon.space`` on the unpinned system, its rows in the order
+  ``generate_equations`` emits them (the sparse rows by descending
+  leading column, then the zeta rows; since the echelon is reduced,
+  ``Echelon.space`` only reads the space off its rows);
 * ``replay_s``: one uncached ``linsys.replay`` with the poset and the
-  lower tables warm, memos emptied first.
+  lower tables warm, memos emptied first;
+* ``assemble_dual_s`` and ``assemble_dual_chi_warm_s``:
+  ``triangles.assemble_dual`` of the replayed table, with the cached
+  chi* (``ncposet.characteristic_polynomial``) emptied first and kept
+  warm; the pair censuses stay warm.
 
 It also prints the rank of the pinned system and the largest bit size
 of a numerator or denominator in its solution.
@@ -40,7 +46,7 @@ import subprocess
 import sys
 import time
 
-from noncross import decomp, exact, linsys, ncposet
+from noncross import decomp, exact, linsys, ncposet, triangles
 
 
 def clear_memos():
@@ -72,6 +78,10 @@ def stages(name, repeats):
     out["back_substitution_s"], _ = timed(ech.space, repeats)
     out["replay_s"], _ = timed(lambda: linsys.replay.__wrapped__(name),
                                repeats)
+    assemble = lambda: triangles.assemble_dual(name, report.final_table)
+    out["assemble_dual_s"], _ = timed(
+        assemble, repeats, ncposet.characteristic_polynomial.cache_clear)
+    out["assemble_dual_chi_warm_s"], _ = timed(assemble, repeats, assemble)
     pinned = exact.LinearSystem(variables=system.variables,
                                 rows=list(system.rows))
     for key, value in report.pinned_values.items():

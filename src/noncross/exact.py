@@ -18,7 +18,11 @@ binomial expansion.
 The linear solver works in integers throughout.  An ``Echelon`` holds
 the reduced row echelon form of the rows inserted so far, each row a
 sparse map to primitive integers (the equation systems here have a
-handful of nonzeros per row), and takes further rows at any time.  The
+handful of nonzeros per row), and takes further rows at any time, in
+the order given: a row with Fraction entries is scaled to integers
+first, and a caller that orders its rows well (as
+``linsys.generate_equations`` does, sparse rows by descending leading
+column, then the dense ones) saves work but gets the same echelon.  The
 affine solution space (a particular solution plus a nullspace basis) is
 read straight off its rows; only those final entries become fractions.
 Integer kernels of small integer matrices (``int_kernel``) are read off

@@ -13,6 +13,17 @@ equation families:
 * zero equations for tuples containing a type that is not realizable as
   a sub-diagram of the ambient's Dynkin diagram.
 
+Every row has integer coefficients: the zeta rows are cleared of the
+common denominator of the zeta forms.  The sparse rows (forbidden,
+special, split) come first, sorted by descending leading column (the
+lowest column of the row, where ``exact.Echelon`` puts its pivot), and
+the dense zeta rows last.  In that order a row's leading column is at
+or left of every pivot placed before it, and a pivot row holds no
+column left of its pivot; so when the leading column is not a pivot
+yet, it becomes one that no earlier row holds, and no pivot row has to
+be cleared again.  The reduced row echelon form is unique, so the order
+changes neither the pivots nor the solution space, only the work.
+
 The resulting system is eliminated exactly, once.  For the large
 ambients it is underdetermined by a small dimension; the remaining
 freedom is pinned with a handful of brute-force counts, added as rows to
@@ -91,15 +102,16 @@ def _coeffs_mz(p):
 def _zeta_rows(system, ambient):
     """Coefficient comparison in m and z between the closed-form zeta
     polynomial of NC^m and its decomposition-number expansion,
-    ``ncposet.zeta_forms``: one row per power of m and z."""
+    ``ncposet.zeta_forms``: one row per power of m and z, cleared of the
+    forms' common denominator (integer coefficients, the right side
+    times it)."""
     n = ambient.rank
     forms, den = zeta_forms(n)
     lhs = _coeffs_mz(zeta_closed(ambient, m="m") - poly(1))
     for i in range(n + 1):
         for j in range(n + 1):
-            coeffs = {var: Fraction(c, den)
-                      for var, c in forms.get((i, j), {}).items()}
-            rhs = lhs.get((i, j), Fraction(0))
+            coeffs = forms.get((i, j), {})
+            rhs = lhs.get((i, j), 0) * den
             if coeffs or rhs:
                 system.add_row(coeffs, rhs, "zeta:m^%d z^%d" % (i, j))
 
@@ -165,8 +177,15 @@ def generate_equations(name):
                 system.add_row(coeffs, 0, "split:%s|%s"
                                % (unprimed_name, primed_name))
 
+    # sparse rows by descending leading column, the dense zeta rows last
+    system.rows.sort(key=_leading_column, reverse=True)
     _zeta_rows(system, ambient)
     return system
+
+
+def _leading_column(row):
+    """The lowest column of a system row, where its pivot would fall."""
+    return min(row[0])
 
 
 def row_family(provenance):

@@ -514,7 +514,8 @@ def characteristic_polynomial(t):
     u^{-1} c, so chi*(y) = sum over factorizations c = u (u^{-1} c) of
     N(type u, type u^{-1}c) * mu(type of complement) * y^{rank u}, from
     the pair ``census``; the identity term is the type's own Moebius
-    number.  Raises ``AssertionError`` unless chi*(1) = 0.
+    number.  The coefficients are summed in a list indexed by the power
+    of y.  Raises ``AssertionError`` unless chi*(1) = 0.
     """
     if isinstance(t, str):
         t = label(t)
@@ -523,14 +524,13 @@ def characteristic_polynomial(t):
         for comp in t.irreducibles():
             result = result * characteristic_polynomial(comp)
         return result
-    result = exact.ZERO
+    coeffs = [0] * (t.rank + 1)
     for (t_low, t_comp), count in census(t).items():
-        term = count * _mobius_number(t_comp)
-        result = result + SparsePolynomial.variable("y", t_low.rank) * term
-    at_one = result.evaluate(y=1)
+        coeffs[t_low.rank] += count * _mobius_number(t_comp)
+    at_one = sum(coeffs)
     if at_one:
         raise AssertionError("chi*(1) = %s != 0 for NC(%s)" % (at_one, t))
-    return result
+    return SparsePolynomial({(0, j, 0, 0): c for j, c in enumerate(coeffs)})
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +587,49 @@ def _convolve(a, b):
     return out
 
 
+def _prefix_product(products, tup, factor):
+    """The product over the labels t of a tuple of the integer vectors
+    over denominators ``factor(t)``, as (vector, denominator).
+    ``products`` memoizes it per tuple and starts as {(): ([1], 1)}: the
+    product of a tuple is one convolution from its prefix's."""
+    got = products.get(tup)
+    if got is None:
+        vec, den = _prefix_product(products, tup[:-1], factor)
+        last_vec, last_den = factor(tup[-1])
+        got = products[tup] = (_convolve(vec, last_vec), den * last_den)
+    return got
+
+
+@lru_cache(maxsize=None)
+def _scaled_binomials(n):
+    """The coefficients of n! binom(m, k) in m, lowest power first, for
+    k = 0..n: integers, n!/k! times the falling factorial m (m-1) ...
+    (m-k+1), built one factor at a time.  The cached lists are shared
+    and not to be changed."""
+    n_factorial = factorial(n)
+    binomials, falling = [], [1]
+    for k in range(n + 1):
+        binomials.append([c * (n_factorial // factorial(k))
+                          for c in falling])
+        falling = _convolve(falling, [-k, 1])
+    return binomials
+
+
+def _binomial_sum(by_length, n):
+    """The sum over k of n! binom(m, k) times ``by_length[k]``, an integer
+    vector in a second variable (k <= n), as a map (power of m, power of
+    the second variable) -> nonzero int."""
+    binomials = _scaled_binomials(n)
+    totals = {}
+    for k, vec in by_length.items():
+        for i, b in enumerate(binomials[k]):
+            if b:
+                for j, c in enumerate(vec):
+                    if c:
+                        totals[i, j] = totals.get((i, j), 0) + b * c
+    return {ij: c for ij, c in totals.items() if c}
+
+
 @lru_cache(maxsize=None)
 def _shifted_zeta_vector(t):
     """The closed-form zeta polynomial of NC(t) at z - 1, the factor a
@@ -628,21 +671,17 @@ def zeta_forms(n):
     shared and not to be changed.
 
     A tuple's product is a polynomial in z alone, an integer z-vector
-    over a denominator, and a canonical tuple's prefix is a canonical
-    tuple of lower rank, so each product is one convolution from its
-    prefix's.  Each full-rank tuple sums its terms per tuple length k as
-    one z-vector over a common denominator, and n! binom(m, k), which
-    has integer coefficients for k <= n, enters once per tuple and
-    length: it is n!/k! times the falling factorial m (m-1) ... (m-k+1),
-    whose coefficients are built in integers one factor at a time."""
+    over a denominator, one convolution from its prefix's
+    (``_prefix_product``).  Each full-rank tuple sums its terms per
+    tuple length k as one z-vector over a common denominator, and
+    n! binom(m, k), which has integer coefficients for k <= n, enters
+    once per tuple and length (``_binomial_sum``)."""
     from .decomp import (all_labels_of_rank, all_tuples_of_rank,
                          canonical_tuple, orderings)
     products = {(): ([1], 1)}
     for s in range(1, n + 1):
         for tup in all_tuples_of_rank(s):
-            vec, den = products[tup[:-1]]
-            last_vec, last_den = _shifted_zeta_vector(tup[-1])
-            products[tup] = (_convolve(vec, last_vec), den * last_den)
+            _prefix_product(products, tup, _shifted_zeta_vector)
     common = lcm(*(den for _, den in products.values()))
     by_tuple = {}                         # full-rank tuple -> {k: z-vector}
     for s in range(1, n + 1):
@@ -659,25 +698,11 @@ def zeta_forms(n):
                 acc = by_length.setdefault(len(tup), [0] * (n + 1))
                 for j, c in enumerate(vec):
                     acc[j] += scale * c
-    n_factorial = factorial(n)
-    binomials, falling = [], [1]
-    for k in range(n + 1):
-        binomials.append([c * (n_factorial // factorial(k))
-                          for c in falling])
-        falling = _convolve(falling, [-k, 1])
     forms = {}
     for var, by_length in by_tuple.items():
-        totals = {}
-        for k, zvec in by_length.items():
-            for i, b in enumerate(binomials[k]):
-                if b:
-                    for j, c in enumerate(zvec):
-                        if c:
-                            totals[i, j] = totals.get((i, j), 0) + b * c
-        for mz, c in totals.items():
-            if c:
-                forms.setdefault(mz, {})[var] = c
-    return forms, n_factorial * common
+        for mz, c in _binomial_sum(by_length, n).items():
+            forms.setdefault(mz, {})[var] = c
+    return forms, factorial(n) * common
 
 
 def ncm_cardinality(t, m):

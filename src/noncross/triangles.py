@@ -8,6 +8,11 @@ computation for small posets, the zeta-polynomial consistency check,
 the transform producing F-triangle candidates, and the m -> -m
 reciprocity checks.
 
+The dual triangle is assembled in integers, the way
+``ncposet.zeta_forms`` builds its forms: integer y-vectors of chi*
+multiplied along each tuple's prefixes, summed per rank and length,
+times n! binom(m, d) once per rank and length (``assemble_dual``).
+
 The checks multiply few whole polynomials.  A triangle is put at a
 numeric m by ``exact``'s one evaluator: ``MTriangle.at`` is
 ``substitute(m=m)``, and the F=M transform expands the same integer
@@ -24,12 +29,13 @@ the forms the zeta rows of ``linsys`` are read from.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from . import exact
-from .exact import X, SparsePolynomial, _ratio, binomial_poly, poly
+from .exact import SparsePolynomial, _ratio
 from .decomp import all_tuples_of_rank, orderings
-from .ncposet import (characteristic_polynomial, mobius, zeta_closed,
+from .ncposet import (_binomial_sum, _prefix_product,
+                      characteristic_polynomial, mobius, zeta_closed,
                       zeta_forms)
 from .typelabel import TypeLabel, label
 
@@ -95,30 +101,45 @@ def _expand(terms, n):
 def assemble_dual(name, table):
     """Assemble the dual M-triangle from a decomposition-number table.
 
-    Sums, over all multisets of nonempty types with rank sum at most n,
-    the number of orderings times the decomposition number times
-    x^(rank sum) * prod chi*(T_i)(y) * binom(m, d); the empty multiset
-    contributes the constant 1.  Terms are summed per (s, d) before
-    the common factor x^s * binom(m, d) is multiplied in.
+    Sums, over all multisets of nonempty types with rank sum s at most
+    n, the number of orderings times the decomposition number times
+    x^s * prod chi*(T_i)(y) * binom(m, d), d the number of types; the
+    empty multiset contributes the constant 1.  The sum is taken in
+    integers: chi* has integer coefficients, so each tuple's product is
+    an integer y-vector, one convolution from its prefix's; the vectors
+    are summed per (s, d), multiplied by n! binom(m, d) once per (s, d),
+    and each coefficient is divided by n! at the end.  chi* is computed
+    once per label, and only for labels of tuples with a nonzero number.
     """
     ambient = label(name) if not isinstance(name, TypeLabel) else name
     n = ambient.rank
-    total = poly(1)
+    chi = {}                              # label -> (y-vector, 1)
+
+    def chi_vector(t):
+        if t not in chi:
+            vec = [0] * (t.rank + 1)
+            for (_, j, _, _), c in characteristic_polynomial(t).terms.items():
+                vec[j] = c
+            chi[t] = (vec, 1)
+        return chi[t]
+
+    products = {(): ([1], 1)}
+    n_factorial = factorial(n)
+    terms = {(0, 0, 0, 0): 1}
     for s in range(1, n + 1):
         by_length = {}
         for tup in all_tuples_of_rank(s):
             count = table.lookup(tup)
             if count == 0:
                 continue
-            term = poly(count * orderings(tup))
-            for t in tup:
-                term = term * characteristic_polynomial(t)
-            d = len(tup)
-            by_length[d] = by_length.get(d, exact.ZERO) + term
-        x_power = X ** s
-        for d in sorted(by_length):
-            total = total + by_length[d] * x_power * binomial_poly(d)
-    return MTriangle.from_dual(ambient, total)
+            vec, _ = _prefix_product(products, tup, chi_vector)
+            scale = count * orderings(tup)
+            acc = by_length.setdefault(len(tup), [0] * (s + 1))
+            for j, c in enumerate(vec):
+                acc[j] += scale * c
+        for (i, j), c in _binomial_sum(by_length, n).items():
+            terms[s, j, 0, i] = _ratio(c, n_factorial)
+    return MTriangle.from_dual(ambient, SparsePolynomial(terms))
 
 
 def mtriangle_direct(ncm):

@@ -17,7 +17,7 @@ code without importing the layers.
 from __future__ import annotations
 
 import re
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 _COMPONENT_RE = re.compile(r"^([ADE])(\d+)(?:\^(\d+))?$")
 
@@ -157,6 +157,9 @@ class ResourceGuardError(RuntimeError):
     """A computation was refused because it exceeds a size guard."""
 
 
+@lru_cache(maxsize=4096)
 def label(text):
-    """Shorthand for :meth:`TypeLabel.parse`."""
+    """Shorthand for :meth:`TypeLabel.parse`.  Successful parses are
+    memoized (labels are interned and immutable); text that does not
+    parse raises ``ValueError`` on every call."""
     return TypeLabel.parse(text)

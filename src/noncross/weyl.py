@@ -98,14 +98,22 @@ def _root_tables(name):
     their sum is a root, to +1 when their difference is, and to 0
     otherwise; every such sum or difference is a triple root_a + root_b
     = root_k, so one pass over the pairs with a root sum fills both.
+
+    Each root is packed into one int, a field per simple-root
+    coefficient, each field wide enough for twice the largest
+    coefficient.  Positive roots have nonnegative coefficients, so the
+    sum of two packed roots carries between no fields and is the packed
+    root sum.
     """
     roots = build_root_system(name).positive_roots
-    index = {r: i for i, r in enumerate(roots)}
+    width = (2 * max(map(max, roots))).bit_length()
+    packed = [sum(c << width * i for i, c in enumerate(r)) for r in roots]
+    index = {p: i for i, p in enumerate(packed)}
     partners = [0] * len(roots)
     linked = [0] * len(roots)
-    for a, r in enumerate(roots):
+    for a, p in enumerate(packed):
         for b in range(a + 1, len(roots)):
-            k = index.get(tuple(x + y for x, y in zip(r, roots[b])))
+            k = index.get(p + packed[b])
             if k is not None:
                 partners[k] |= 1 << a | 1 << b
                 linked[a] |= 1 << b | 1 << k

@@ -13,6 +13,9 @@ here too (``classify_diagram``, ``induced``): it asks the frozenset edge
 set of a ``DynkinDiagram`` about each node pair, in each call.
 ``DynkinDiagram.pairs`` gives the same diagram as the edge list that
 ``rootsystem.classify_edge_list`` takes.
+
+``root_tables`` is ``weyl._root_tables`` with each root sum built as a
+tuple of coefficients and looked up among the roots.
 """
 
 from functools import lru_cache
@@ -285,3 +288,20 @@ def _classify_connected(diagram):
     if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
         return ("E", arms[2] + 4)
     raise ValueError("diagram component is not of ADE shape: arms %r" % (arms,))
+
+
+def root_tables(name):
+    """``weyl._root_tables``, one coefficient tuple per pair of roots."""
+    roots = build_root_system(name).positive_roots
+    index = {r: i for i, r in enumerate(roots)}
+    partners = [0] * len(roots)
+    linked = [0] * len(roots)
+    for a, r in enumerate(roots):
+        for b in range(a + 1, len(roots)):
+            k = index.get(tuple(x + y for x, y in zip(r, roots[b])))
+            if k is not None:
+                partners[k] |= 1 << a | 1 << b
+                linked[a] |= 1 << b | 1 << k
+                linked[b] |= 1 << a | 1 << k
+                linked[k] |= 1 << a | 1 << b
+    return tuple(partners), tuple(linked)

@@ -11,6 +11,11 @@ denominator, and ``zeta_identity_expansion`` multiplies the
 polynomials.  ``zeta_shifted`` is the closed-form zeta polynomial at
 z - 1 by substitution, the reference for ``ncposet._shifted_zeta_vector``.
 
+``assemble_dual_by_products`` is the dual M-triangle as the package
+first assembled it: each tuple's term a product of ``chi*``
+polynomials, summed per length and multiplied by binom(m, d) as a
+polynomial with Fraction coefficients.
+
 ``fm_transform_by_division`` and ``f_reciprocity_checks_by_substitution``
 are the F=M transform and the F-reciprocity checks as the package first
 computed them: the triangle at m by ``substitute``, the rational
@@ -25,8 +30,8 @@ from math import comb
 from noncross.decomp import all_tuples_of_rank, orderings
 from noncross.exact import (VARS, ZERO, SparsePolynomial, Z, _VAR_INDEX,
                             _coeff, _coerce, binomial_poly, poly)
-from noncross.ncposet import zeta_closed
-from noncross.triangles import FTriangleCandidate, TransformFailure
+from noncross.ncposet import characteristic_polynomial, zeta_closed
+from noncross.triangles import FTriangleCandidate, MTriangle, TransformFailure
 from noncross.typelabel import TypeLabel, label
 
 X = SparsePolynomial.variable("x")
@@ -118,6 +123,29 @@ def zeta_identity_expansion(name, table):
     for d in sorted(by_length):
         rhs = rhs + by_length[d] * binomial_poly(d)
     return lhs - rhs
+
+
+def assemble_dual_by_products(name, table):
+    """``triangles.assemble_dual``, one polynomial product per factor of
+    every tuple with a nonzero number."""
+    ambient = label(name) if not isinstance(name, TypeLabel) else name
+    n = ambient.rank
+    total = poly(1)
+    for s in range(1, n + 1):
+        by_length = {}
+        for tup in all_tuples_of_rank(s):
+            count = table.lookup(tup)
+            if count == 0:
+                continue
+            term = poly(count * orderings(tup))
+            for t in tup:
+                term = term * characteristic_polynomial(t)
+            d = len(tup)
+            by_length[d] = by_length.get(d, ZERO) + term
+        x_power = X ** s
+        for d in sorted(by_length):
+            total = total + by_length[d] * x_power * binomial_poly(d)
+    return MTriangle.from_dual(ambient, total)
 
 
 def _quotient(a, b):

@@ -7,16 +7,17 @@ import pytest
 from dense_echelon import DenseEchelon
 from poly_oracle import zeta_shifted
 from product_oracle import _reference_product_value
-from noncross import decomp
+from noncross import decomp, linsys
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple, full_table,
                              lower_table, orderings, production_table,
                              tuple_rank)
-from noncross.exact import ZERO, LinearSystem, binomial_poly, echelon, poly
+from noncross.exact import (ZERO, LinearSystem, _coeff, binomial_poly,
+                            echelon, poly)
 from noncross.linsys import (EXPECTED_DIMENSION, ROW_FAMILIES, _coeffs_mz,
                              check_system_against_table, generate_equations,
                              replay, row_family)
-from noncross.ncposet import zeta_closed
+from noncross.ncposet import zeta_closed, zeta_forms
 from noncross.refdata import reference_table
 from noncross.typelabel import label
 
@@ -224,9 +225,46 @@ def _zeta_rows_per_tuple(name):
 
 @pytest.mark.parametrize("name", ["D5", "E6", "E7", "E8", "D8"])
 def test_zeta_rows_match_per_tuple_products(name):
+    # the rows are the oracle's cleared of the forms' denominator
+    _, den = zeta_forms(label(name).rank)
     rows = [row for row in generate_equations(name).rows
             if row_family(row[2]) == "zeta"]
-    assert rows == _zeta_rows_per_tuple(name)
+    assert rows == [({col: c * den for col, c in row.items()}, rhs * den,
+                     provenance)
+                    for row, rhs, provenance in _zeta_rows_per_tuple(name)]
+    assert all(type(c) is int
+               for row, rhs, _ in rows for c in (*row.values(), rhs))
+
+
+def _family_order(name, monkeypatch):
+    """The system in the order its families were generated (forbidden,
+    special, split, zeta), with the zeta rows as Fractions, not cleared
+    of their denominator."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linsys, "_leading_column", lambda row: 0)
+        system = generate_equations(name)
+    _, den = zeta_forms(label(name).rank)
+    rows = [(row, rhs, provenance) if row_family(provenance) != "zeta"
+            else ({col: _coeff(Fraction(c, den)) for col, c in row.items()},
+                  _coeff(Fraction(rhs, den)), provenance)
+            for row, rhs, provenance in system.rows]
+    return LinearSystem(variables=system.variables, rows=rows)
+
+
+@pytest.mark.parametrize("name", ["E6", "D6", "D7", "E7", "E8", "D8"])
+def test_sparse_first_order_gives_the_family_order_echelon(name,
+                                                           monkeypatch):
+    system = generate_equations(name)
+    old = _family_order(name, monkeypatch)
+    provenances = [p for _, _, p in system.rows]
+    assert provenances != [p for _, _, p in old.rows]
+    assert sorted(provenances) == sorted(p for _, _, p in old.rows)
+    leads = [min(row) for row, _, p in system.rows
+             if row_family(p) != "zeta"]
+    assert leads == sorted(leads, reverse=True)
+    mine, theirs = echelon(system), echelon(old)
+    assert mine.pivots == theirs.pivots
+    assert mine.space() == theirs.space()
 
 
 @pytest.mark.parametrize("name", ["D5", "E6", "D6"])

@@ -14,8 +14,9 @@ import sympy
 from matrix_oracle import (GroupElement, coxeter_element, le_absolute,
                            moved_positive_roots)
 from poly_oracle import zeta_shifted
-from noncross import ncposet
-from noncross.decomp import all_labels_of_rank
+from noncross import exact, ncposet
+from noncross.decomp import all_labels_of_rank, production_table
+from noncross.exact import SparsePolynomial
 from noncross.ncposet import (CacheFormatError, ResourceGuardError,
                               _descent_masks, _mobius_number, build_ncm,
                               characteristic_direct, characteristic_polynomial,
@@ -26,6 +27,7 @@ from noncross.ncposet import (CacheFormatError, ResourceGuardError,
 from noncross.refdata import CHI_STAR_COEFFS, chi_star_reference
 from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
                                  classify_edge_list)
+from noncross.triangles import assemble_dual
 from noncross.typelabel import label
 from noncross.weyl import (_reflection_data, bipartite_coxeter,
                            classify_moved_roots, coxeter_root_permutation)
@@ -456,6 +458,34 @@ def test_chi_star_checks_its_value_at_one(monkeypatch):
     monkeypatch.setattr(ncposet, "census", lambda t: dict(census))
     with pytest.raises(AssertionError, match=r"chi\*\(1\) = .* NC\(D4\)"):
         characteristic_polynomial.__wrapped__("D4")
+
+
+def test_doctored_census_raises_the_polynomial_sum_message(monkeypatch):
+    # chi*(1) of the doctored census as the sum of y-power polynomials
+    # evaluated at y = 1, the message before the coefficients were summed
+    # in a list; reached through the assembly too
+    d4 = label("D4")
+    doctored = ncposet.census(d4)
+    doctored[next(iter(doctored))] += 1
+    chi = exact.ZERO
+    for (t_low, t_comp), count in doctored.items():
+        chi = chi + (SparsePolynomial.variable("y", t_low.rank)
+                     * (count * _mobius_number(t_comp)))
+    message = "chi*(1) = %s != 0 for NC(D4)" % chi.evaluate(y=1)
+    table = production_table("D4")
+    real = ncposet.census
+    monkeypatch.setattr(ncposet, "census",
+                        lambda t: dict(doctored) if t is d4 else real(t))
+    with pytest.raises(AssertionError) as raised:
+        characteristic_polynomial.__wrapped__("D4")
+    assert str(raised.value) == message
+    characteristic_polynomial.cache_clear()
+    try:
+        with pytest.raises(AssertionError) as raised:
+            assemble_dual("D4", table)
+        assert str(raised.value) == message
+    finally:
+        characteristic_polynomial.cache_clear()
 
 
 def test_zeta_closed_counts_elements():

@@ -11,7 +11,8 @@ from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              canonical_tuple, full_table, production_table)
 from noncross.linsys import generate_equations
 from noncross.ncposet import build_ncm, zeta_closed, zeta_forms
-from noncross.refdata import golden_dual, reference_table
+from noncross.refdata import (REFERENCE_TABLE_NAMES, golden_dual,
+                              reference_table)
 from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
                                  subdiagram_types)
 from noncross.typelabel import label
@@ -20,7 +21,8 @@ from noncross.triangles import (FTriangleCandidate, MTriangle,
                                 dual_to_primal, f_reciprocity_checks,
                                 fm_transform, mtriangle_direct,
                                 reciprocity_check, zeta_identity_check)
-from poly_oracle import (f_reciprocity_checks_by_substitution,
+from poly_oracle import (assemble_dual_by_products,
+                         f_reciprocity_checks_by_substitution,
                          fm_transform_by_division, substitute,
                          zeta_identity_expansion)
 
@@ -186,6 +188,30 @@ def test_D8_census_table_passes_reciprocity_and_fm():
     assert not reciprocity_check(mt).terms
     for m in (1, 2, 3):
         assert not fm_transform(mt, m).problems(), m
+
+
+# ---------------------------------------------------------------------------
+# the integer assembly against the polynomial-product oracle
+
+
+def _typed_terms(p):
+    return {exp: (type(c), c) for exp, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("source, name", [
+    *(("production", name) for name in SUPPORTED_AMBIENTS),
+    *(("refdata", name) for name in REFERENCE_TABLE_NAMES)])
+def test_integer_assembly_matches_polynomial_products(source, name):
+    if source == "production":
+        table = production_table(name)
+    else:
+        table = DecompositionTable(label(name), reference_table(name),
+                                   provenance="published")
+    mine, oracle = assemble_dual(name, table), assemble_dual_by_products(
+        name, table)
+    assert _typed_terms(mine.dual) == _typed_terms(oracle.dual)
+    assert _typed_terms(mine.primal) == _typed_terms(oracle.primal)
+    assert mine == oracle
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,19 @@ def test_bad_labels_rejected():
             label(bad)
 
 
+def test_parses_are_memoized():
+    assert label("A1^2*A3") is label("A1^2*A3")
+    label("A1^2*A3")
+    assert label.cache_info().hits
+
+
+@pytest.mark.parametrize("bad", ["X9", "A1**2", "E9", " "])
+def test_bad_text_raises_on_every_call(bad):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            label(bad)
+
+
 def test_hashable_and_dict_key():
     d = {label("A1*A2"): 5}
     assert d[label("A2*A1")] == 5

@@ -181,3 +181,8 @@ def test_linked_roots_are_the_nonzero_cartan_pairings(name):
     assert linked == tuple(sum(1 << b for b, x in enumerate(row)
                                if x and b != a)
                            for a, row in enumerate(gram))
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_packed_root_sums_match_tuple_sums(name):
+    assert _root_tables(name) == matrix_oracle.root_tables(name)

@@ -20,6 +20,8 @@ as one JSON object, in seconds:
 * ``fm_transform:E7|E8``: one ``fm_transform`` at m = 3;
 * ``f_reciprocity_checks:E7|E8``: one call at m = 2 (two transforms
   and the three reciprocity forms);
+* ``f_reciprocity_checks:E8@1/2``: the same at m = 1/2, where the
+  transforms have Fraction coefficients;
 * ``reciprocity_check:E7|E8``: the m -> -m check of the M-triangle;
 * ``zeta_identity_check:A7|D7|E7``: the zeta identity of the table;
 * ``zeta_forms:7``: ``ncposet.zeta_forms(7)`` past its cache, the
@@ -55,6 +57,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 from noncross import decomp, ncposet, refdata, rootsystem, triangles
 
@@ -108,6 +111,9 @@ def ops():
                     lambda mt=mt: triangles.f_reciprocity_checks(mt, 2)))
         out.append(("reciprocity_check:" + name,
                     lambda mt=mt: triangles.reciprocity_check(mt)))
+    out.append(("f_reciprocity_checks:E8@1/2",
+                lambda: triangles.f_reciprocity_checks(mts["E8"],
+                                                       Fraction(1, 2))))
     for name in ("A7", "D7", "E7"):
         out.append(("zeta_identity_check:" + name,
                     lambda name=name: triangles.zeta_identity_check(

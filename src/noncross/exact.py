@@ -11,9 +11,10 @@ package is an *exact* polynomial identity, so floating point is never
 used.  Only exact numbers are put in for variables, all by one method,
 ``numerators``: integer numerators over one common denominator, which
 ``substitute`` and ``evaluate`` turn into coefficients and ``triangles``
-reads directly.  No polynomial is substituted into another or divided
-by another, since the F=M transform of ``triangles`` is a direct
-binomial expansion.
+reads directly.  Each polynomial keeps its coefficients' integer form
+(numerators over their lcm) from its first ``numerators`` call on.  No
+polynomial is substituted into another or divided by another, since the
+F=M transform of ``triangles`` is a direct binomial expansion.
 
 The linear solver works in integers throughout.  An ``Echelon`` holds
 the reduced row echelon form of the rows inserted so far, each row a
@@ -58,9 +59,11 @@ def _coeff(value):
 
 
 class SparsePolynomial:
-    """Sparse exact polynomial in the variables x, y, z, m."""
+    """Sparse exact polynomial in the variables x, y, z, m.  Its terms
+    are not changed after it is built, so ``numerators`` keeps their
+    integer form once computed."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_integers")
 
     def __init__(self, terms=None):
         cleaned = {}
@@ -160,14 +163,13 @@ class SparsePolynomial:
         d^D.  A value that is not an exact number (a float, a polynomial)
         raises ``TypeError``.
         """
-        terms = self.terms
-        common = lcm(*(c.denominator for c in terms.values()))
+        common, items, tops = self._integer_form()
         den = common
         scales = [None] * 4      # per variable: the scale of each exponent
         for var, value in values.items():
             i = _VAR_INDEX[var]
             value = _coeff(value)
-            top = max((exp[i] for exp in terms), default=0)
+            top = tops[i]
             num, d = value.numerator, value.denominator
             powers = [d ** top]
             for _ in range(top):
@@ -176,8 +178,7 @@ class SparsePolynomial:
             den *= powers[0]
         sx, sy, sz, sm = scales
         out = {}
-        for (a, b, c, e), coeff in terms.items():
-            n = coeff.numerator * (common // coeff.denominator)
+        for (a, b, c, e), n in items:
             if sx is not None:
                 n *= sx[a]
                 a = 0
@@ -193,6 +194,24 @@ class SparsePolynomial:
             key = (a, b, c, e)
             out[key] = out.get(key, 0) + n
         return {key: n for key, n in out.items() if n}, den
+
+    def _integer_form(self):
+        """(common, items, tops): the lcm of the coefficient denominators,
+        the (exponent, numerator over it) pairs and the top degree of each
+        variable.  Computed on the first call and kept, since the terms of
+        a polynomial are not changed after it is built."""
+        try:
+            return self._integers
+        except AttributeError:
+            terms = self.terms
+            common = lcm(*(c.denominator for c in terms.values()))
+            self._integers = (
+                common,
+                [(exp, c.numerator * (common // c.denominator))
+                 for exp, c in terms.items()],
+                tuple(max((exp[i] for exp in terms), default=0)
+                      for i in range(4)))
+            return self._integers
 
     def substitute(self, **values):
         """The polynomial with exact numbers put in for the named

@@ -496,11 +496,16 @@ def _mobius_number(t):
 
     An irreducible component of rank n, Coxeter number h and degrees d_i
     has mu = (-1)^n prod_i (h + d_i - 2)/d_i (Chapoton 2004), one factor
-    -(h + d_i - 2)/d_i per degree.
+    -(h + d_i - 2)/d_i per degree.  An int: the numerators and the
+    denominators are multiplied apart and the quotient is exact.
     """
-    value = Fraction(1)
+    num = den = 1
     for h, d in degree_pairs(t):
-        value *= Fraction(2 - h - d, d)
+        num *= 2 - h - d
+        den *= d
+    value, rest = divmod(num, den)
+    if rest:
+        raise AssertionError("non-integral Moebius number of NC(%s)" % t)
     return value
 
 
@@ -509,8 +514,9 @@ def characteristic_polynomial(t):
     """chi* of NC of any type (a label or its text).  The cached
     polynomials are shared and not to be changed.
 
-    A reducible type takes the product of its components' chi*.  For an
-    irreducible type, the interval [u, c] of NC is NC of the type of
+    A reducible type takes the product of its components' chi*, their
+    integer y-vectors convolved (``_chi_vector``).  For an irreducible
+    type, the interval [u, c] of NC is NC of the type of
     u^{-1} c, so chi*(y) = sum over factorizations c = u (u^{-1} c) of
     N(type u, type u^{-1}c) * mu(type of complement) * y^{rank u}, from
     the pair ``census``; the identity term is the type's own Moebius
@@ -519,18 +525,27 @@ def characteristic_polynomial(t):
     """
     if isinstance(t, str):
         t = label(t)
-    if not t.is_irreducible:
-        result = exact.ONE
+    if t.is_irreducible:
+        coeffs = [0] * (t.rank + 1)
+        for (t_low, t_comp), count in census(t).items():
+            coeffs[t_low.rank] += count * _mobius_number(t_comp)
+        at_one = sum(coeffs)
+        if at_one:
+            raise AssertionError("chi*(1) = %s != 0 for NC(%s)"
+                                 % (at_one, t))
+    else:
+        coeffs = [1]
         for comp in t.irreducibles():
-            result = result * characteristic_polynomial(comp)
-        return result
-    coeffs = [0] * (t.rank + 1)
-    for (t_low, t_comp), count in census(t).items():
-        coeffs[t_low.rank] += count * _mobius_number(t_comp)
-    at_one = sum(coeffs)
-    if at_one:
-        raise AssertionError("chi*(1) = %s != 0 for NC(%s)" % (at_one, t))
+            coeffs = _convolve(coeffs, _chi_vector(comp))
     return SparsePolynomial({(0, j, 0, 0): c for j, c in enumerate(coeffs)})
+
+
+def _chi_vector(t):
+    """The integer coefficients of chi*(t), lowest power of y first."""
+    vec = [0] * (t.rank + 1)
+    for (_, j, _, _), c in characteristic_polynomial(t).terms.items():
+        vec[j] = c
+    return vec
 
 
 # ---------------------------------------------------------------------------

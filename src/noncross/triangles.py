@@ -22,6 +22,12 @@ two-variable F-reciprocity are binomial expansions: on an M-triangle
 (k <= l <= n) the term m_kl x^k y^l of y^n M((1+y)/(y-x), (y-x)/y) is
 the polynomial m_kl (1+y)^k (y-x)^(l-k) y^(n-l) on its own, so nothing
 is substituted as a rational function and no polynomial is divided.
+Both reciprocity checks stay in integers over one denominator.  The
+M-triangle check reads the primal's numerators with no value put in
+and sums the flipped terms y^n M^(-m)(xy, 1/y) against them as one
+integer map.  The coefficientwise F-reciprocity is read off the same
+expansion as the two-variable one, one scatter pass over the nonzero
+coefficients of F^(-m), with no sum over every (k, l, r, s).
 The zeta check dots the table's entries with ``ncposet.zeta_forms``,
 the forms the zeta rows of ``linsys`` are read from.
 """
@@ -29,14 +35,14 @@ the forms the zeta rows of ``linsys`` are read from.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, lcm
 
 from . import exact
 from .exact import SparsePolynomial, _ratio
 from .decomp import all_tuples_of_rank, orderings
-from .ncposet import (_binomial_sum, _prefix_product,
-                      characteristic_polynomial, mobius, zeta_closed,
-                      zeta_forms)
+from .ncposet import (_binomial_sum, _chi_vector, _prefix_product, mobius,
+                      zeta_closed, zeta_forms)
 from .typelabel import TypeLabel, label
 
 
@@ -82,20 +88,37 @@ class MTriangle:
         return self.primal.substitute(m=m)
 
 
+@lru_cache(maxsize=None)
+def _pattern(a, b, e, n):
+    """(1+y)^a (y-x)^b (1+x)^e by the binomial theorem, as a tuple of
+    (offset, nonzero coefficient) pairs, the offset of x^i y^j being
+    i (n+1) + j.  The cached tuples are shared."""
+    stride = n + 1
+    out = {}
+    for i in range(a + 1):
+        for j in range(b + 1):
+            cij = comb(a, i) * comb(b, j) * (-1) ** j
+            for h in range(e + 1):
+                offset = (j + h) * stride + i + b - j
+                out[offset] = out.get(offset, 0) + cij * comb(e, h)
+    return tuple((offset, c) for offset, c in out.items() if c)
+
+
 def _expand(terms, n):
     """The sum of c x^p y^q (1+y)^a (y-x)^b (1+x)^e over ``terms``, an
-    iterable of (c, p, q, a, b, e) with a, b, e <= n, by the binomial
-    theorem; a map (x-degree, y-degree) -> coefficient, zeros kept."""
-    rows = [[comb(a, i) for i in range(a + 1)] for a in range(n + 1)]
-    out = {}
+    iterable of (c, p, q, a, b, e) of degree p + b + e <= n in x and
+    q + a + b <= n in y, in one scatter pass: each term adds c times
+    the cached ``_pattern`` of (a, b, e) into a flat list indexed by
+    x-degree (n+1) + y-degree.  Returns a map (x-degree, y-degree) ->
+    nonzero coefficient, highest x-degree first, then highest y-degree."""
+    stride = n + 1
+    out = [0] * (stride * stride)
     for c, p, q, a, b, e in terms:
-        for i, ci in enumerate(rows[a]):
-            for j, cj in enumerate(rows[b]):
-                cij = c * ci * cj if j % 2 == 0 else -c * ci * cj
-                for h, ch in enumerate(rows[e]):
-                    key = (p + j + h, q + i + b - j)
-                    out[key] = out.get(key, 0) + cij * ch
-    return out
+        base = p * stride + q
+        for offset, v in _pattern(a, b, e, n):
+            out[base + offset] += c * v
+    return {divmod(i, stride): out[i]
+            for i in range(len(out) - 1, -1, -1) if out[i]}
 
 
 def assemble_dual(name, table):
@@ -117,10 +140,7 @@ def assemble_dual(name, table):
 
     def chi_vector(t):
         if t not in chi:
-            vec = [0] * (t.rank + 1)
-            for (_, j, _, _), c in characteristic_polynomial(t).terms.items():
-                vec[j] = c
-            chi[t] = (vec, 1)
+            chi[t] = (_chi_vector(t), 1)
         return chi[t]
 
     products = {(): ([1], 1)}
@@ -236,26 +256,32 @@ def fm_transform(mt, m):
         raise TransformFailure("transform left z or m degrees behind")
     expanded = _expand(((c, 0, n - l, k, l - k, 0)
                         for (k, l, _, _), c in numerators.items()), n)
-    coefficients = {kl: _ratio(c, den)
-                    for kl, c in sorted(expanded.items(), reverse=True) if c}
+    coefficients = {kl: _ratio(c, den) for kl, c in expanded.items()}
     return FTriangleCandidate(ambient=mt.ambient, m=m,
                               coefficients=coefficients)
 
 
 def reciprocity_check(mt):
     """Difference y^n M^(-m)(x y, 1/y) - M^m(x, y); zero for every
-    triangle satisfying the m -> -m reciprocity."""
+    triangle satisfying the m -> -m reciprocity.
+
+    The term c x^k y^l z^j m^e of M^m gives (-1)^e c x^k y^(n+k-l) z^j
+    m^e; both sides are summed as the primal's integer numerators
+    (``numerators``) and divided by their common denominator once per
+    term of the difference.  A term with l > n + k raises ValueError.
+    """
     n = mt.n
-    transformed = {}
-    for exp, coeff in mt.primal.terms.items():
-        xdeg, ydeg, zdeg, mdeg = exp
-        new_ydeg = n + xdeg - ydeg
-        if new_ydeg < 0:
+    numerators, den = mt.primal.numerators()
+    diff = {}
+    for key, c in numerators.items():
+        k, l, j, e = key
+        if l > n + k:
             raise ValueError("triangle support violates k <= l <= n")
-        sign = -1 if mdeg % 2 else 1
-        key = (xdeg, new_ydeg, zdeg, mdeg)
-        transformed[key] = transformed.get(key, 0) + sign * coeff
-    return SparsePolynomial(transformed) - mt.primal
+        flipped = (k, n + k - l, j, e)
+        diff[flipped] = diff.get(flipped, 0) + (-c if e % 2 else c)
+        diff[key] = diff.get(key, 0) - c
+    return SparsePolynomial({key: _ratio(c, den)
+                             for key, c in diff.items() if c})
 
 
 def f_reciprocity_checks(mt, m):
@@ -269,16 +295,24 @@ def f_reciprocity_checks(mt, m):
 
     A transform has support r + s <= n, so the right side of the
     identity is the polynomial sum f_rs (-x)^r (y-x)^s (1+x)^(n-r-s),
-    expanded term by term.
+    expanded in integers (the f_rs over their common denominator) in one
+    pass over the nonzero f_rs.  Its coefficient of x^k y^l is the
+    coefficientwise expectation sum_rs (-1)^(r+s+l) binom(n-r-s,
+    k+l-r-s) binom(s, l) f_rs, which is compared with f_kl at every
+    k + l <= n, in order of k, then l.
     """
     n = mt.n
     f_pos = fm_transform(mt, m)
     f_neg = fm_transform(mt, -m)
     failures = []
 
-    rhs = _expand(((-c if r % 2 else c, r, 0, 0, s, n - r - s)
-                   for (r, s), c in f_neg.coefficients.items()), n)
-    if f_pos.coefficients != {kl: c for kl, c in rhs.items() if c}:
+    den = lcm(*(c.denominator for c in f_neg.coefficients.values()))
+    neg = {rs: c.numerator * (den // c.denominator)
+           for rs, c in f_neg.coefficients.items()}
+    expanded = _expand(((-c if r % 2 else c, r, 0, 0, s, n - r - s)
+                        for (r, s), c in neg.items()), n)
+    rhs = {kl: _ratio(c, den) for kl, c in expanded.items()}
+    if f_pos.coefficients != rhs:
         failures.append("two-variable reciprocity identity fails")
 
     def f_total(cand, k):
@@ -293,16 +327,7 @@ def f_reciprocity_checks(mt, m):
 
     for k in range(n + 1):
         for l in range(n + 1 - k):
-            expected = 0
-            for r in range(n + 1):
-                for s in range(n + 1 - r):
-                    if k + l - r - s < 0 or n - r - s < 0:
-                        continue
-                    expected += ((-1) ** (r + s + l)
-                                 * comb(n - r - s, k + l - r - s)
-                                 * comb(s, l)
-                                 * f_neg.coefficients.get((r, s), 0))
-            if f_pos.coefficients.get((k, l), 0) != expected:
+            if f_pos.coefficients.get((k, l), 0) != rhs.get((k, l), 0):
                 failures.append("coefficientwise reciprocity fails at "
                                 "x^%d y^%d" % (k, l))
     return failures

@@ -249,6 +249,18 @@ def _fm():
             yield ("F=M transform %s m=%d" % (name, m), ok)
 
 
+def _fm_reciprocity():
+    """The F-triangle forms of the m -> -m reciprocity for m = 1, 2, 3."""
+    for name in _RECIPROCITY_AMBIENTS:
+        mt = _assembled(name)
+        for m in (1, 2, 3):
+            try:
+                ok = not triangles.f_reciprocity_checks(mt, m)
+            except triangles.TransformFailure:
+                ok = False
+            yield ("F-reciprocity %s m=%d" % (name, m), ok)
+
+
 def _length():
     """Absolute length equals the distance in the reflection Cayley graph."""
     for name in ("A3", "D4"):
@@ -279,5 +291,6 @@ SUITES = {
     "orbits": (_orbits, None),
     "reciprocity": (_reciprocity, None),
     "fm": (_fm, None),
+    "fm-reciprocity": (_fm_reciprocity, 30),
     "length": (_length, 60),
 }

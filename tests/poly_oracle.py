@@ -20,7 +20,13 @@ polynomial with Fraction coefficients.
 are the F=M transform and the F-reciprocity checks as the package first
 computed them: the triangle at m by ``substitute``, the rational
 substitution cleared of its denominators by ``substitute_rational``,
-and for the transform a long division by (y-x)^n, ``exact_divide``.
+and for the transform a long division by (y-x)^n, ``exact_divide``;
+the coefficientwise F-reciprocity sums its expectation over every
+(k, l, r, s).  ``reciprocity_check_by_polynomials`` is the M-triangle
+reciprocity as a difference of two Fraction polynomials.
+
+``characteristic_polynomial_by_products`` is chi* of a reducible type
+as the product of its components' chi* polynomials.
 """
 
 from fractions import Fraction
@@ -146,6 +152,35 @@ def assemble_dual_by_products(name, table):
         for d in sorted(by_length):
             total = total + by_length[d] * x_power * binomial_poly(d)
     return MTriangle.from_dual(ambient, total)
+
+
+def characteristic_polynomial_by_products(t):
+    """``ncposet.characteristic_polynomial``, a reducible type's chi* the
+    polynomial product of its components'."""
+    if isinstance(t, str):
+        t = label(t)
+    if t.is_irreducible:
+        return characteristic_polynomial(t)
+    result = poly(1)
+    for comp in t.irreducibles():
+        result = result * characteristic_polynomial(comp)
+    return result
+
+
+def reciprocity_check_by_polynomials(mt):
+    """``triangles.reciprocity_check``: the flipped primal built as a
+    polynomial, its coefficients summed as they come, minus the primal."""
+    n = mt.n
+    transformed = {}
+    for exp, coeff in mt.primal.terms.items():
+        xdeg, ydeg, zdeg, mdeg = exp
+        new_ydeg = n + xdeg - ydeg
+        if new_ydeg < 0:
+            raise ValueError("triangle support violates k <= l <= n")
+        sign = -1 if mdeg % 2 else 1
+        key = (xdeg, new_ydeg, zdeg, mdeg)
+        transformed[key] = transformed.get(key, 0) + sign * coeff
+    return SparsePolynomial(transformed) - mt.primal
 
 
 def _quotient(a, b):

@@ -148,11 +148,13 @@ _SUBSTITUTED = st.lists(st.sampled_from(exact.VARS), min_size=1, max_size=3,
 @settings(max_examples=200, deadline=None)
 @given(polynomials_xyzm(), _SUBSTITUTED, st.data())
 def test_substitute_matches_term_by_term_oracle(p, names, data):
-    # the values are ints and Fractions, integral ones included
-    values = {v: data.draw(_COEFFS, label=v) for v in names}
-    got = p.substitute(**values)
-    assert got.terms == poly_oracle.substitute(p, **values).terms
-    _assert_canonical(got)
+    # the values are ints and Fractions, integral ones included; the
+    # second substitution reads the integer form the first one kept
+    for _ in range(2):
+        values = {v: data.draw(_COEFFS, label=v) for v in names}
+        got = p.substitute(**values)
+        assert got.terms == poly_oracle.substitute(p, **values).terms
+        _assert_canonical(got)
 
 
 def test_substitution_examples_match_the_oracle():

@@ -13,7 +13,7 @@ import sympy
 
 from matrix_oracle import (GroupElement, coxeter_element, le_absolute,
                            moved_positive_roots)
-from poly_oracle import zeta_shifted
+from poly_oracle import characteristic_polynomial_by_products, zeta_shifted
 from noncross import exact, ncposet
 from noncross.decomp import all_labels_of_rank, production_table
 from noncross.exact import SparsePolynomial
@@ -450,6 +450,27 @@ def test_census_is_kept_once_per_label():
 def test_mobius_number_is_published_constant_term(name):
     published = chi_star_reference(name).substitute(y=0).evaluate()
     assert _mobius_number(label(name)) == published
+    assert type(_mobius_number(label(name))) is int
+
+
+@pytest.mark.parametrize("rank", range(2, 9))
+def test_reducible_chi_star_is_the_product_of_its_components(rank):
+    # the convolved integer y-vectors against the polynomial product of
+    # the package's component chi* and of the published ones: the same
+    # terms with int coefficients
+    def typed(p):
+        return {exp: (type(c), c) for exp, c in p.terms.items()}
+
+    for t in all_labels_of_rank(rank):
+        if t.is_irreducible:
+            continue
+        published = exact.ONE
+        for comp in t.irreducibles():
+            published = published * chi_star_reference(str(comp))
+        chi = typed(characteristic_polynomial(t))
+        assert chi == typed(characteristic_polynomial_by_products(t)), t
+        assert chi == typed(published), t
+        assert all(kind is int for kind, _ in chi.values()), t
 
 
 def test_chi_star_checks_its_value_at_one(monkeypatch):

@@ -23,7 +23,8 @@ from noncross.triangles import (FTriangleCandidate, MTriangle,
                                 reciprocity_check, zeta_identity_check)
 from poly_oracle import (assemble_dual_by_products,
                          f_reciprocity_checks_by_substitution,
-                         fm_transform_by_division, substitute,
+                         fm_transform_by_division,
+                         reciprocity_check_by_polynomials, substitute,
                          zeta_identity_expansion)
 
 X = exact.SparsePolynomial.variable("x")
@@ -221,15 +222,16 @@ def test_integer_assembly_matches_polynomial_products(source, name):
 @lru_cache(maxsize=None)
 def _parity_triangle(name):
     """An assembled triangle (by ambient), a golden one ("golden E7"), or
-    the A3 triangle with one term added ("A3 + TERM")."""
+    one of them with one term added to its primal ("A3 + TERM")."""
+    if " + " in name:
+        base, key = name.split(" + ")
+        mt = _parity_triangle(base)
+        extra = {**_TAMPERINGS, **_E8_TAMPERINGS}[key]
+        return MTriangle(ambient=mt.ambient, n=mt.n, dual=mt.dual,
+                         primal=mt.primal + extra)
     if name.startswith("golden "):
         ambient = name.split()[1]
         return MTriangle.from_dual(ambient, golden_dual(ambient))
-    if name.startswith("A3 + "):
-        mt = _parity_triangle("A3")
-        extra = _TAMPERINGS[name[len("A3 + "):]]
-        return MTriangle(ambient=mt.ambient, n=mt.n, dual=mt.dual,
-                         primal=mt.primal + extra)
     return assemble_dual(name, production_table(name))
 
 
@@ -244,6 +246,11 @@ _TAMPERINGS = {
 }
 _PARITY_TRIANGLES = (SUPPORTED_AMBIENTS + ("golden E7", "golden E8")
                      + tuple("A3 + " + key for key in _TAMPERINGS))
+_E8_TAMPERINGS = {
+    "x^4y^6": X ** 4 * Y ** 6,                     # a coefficient + 1
+    "3mx^2y^5": 3 * M * X ** 2 * Y ** 5,           # an odd power of m
+    "xy^10": X * Y ** 10,                          # y-degree above n + 1
+}
 
 
 def _canonical_terms(terms):
@@ -284,6 +291,19 @@ def test_direct_expansion_matches_division_oracle(name):
                 == _outcome(f_reciprocity_checks_by_substitution, mt, m)), m
     for m in (Fraction(1, 2), Fraction(-7, 3)):
         at_m(m)
+        assert (_outcome(f_reciprocity_checks, mt, m)
+                == _outcome(f_reciprocity_checks_by_substitution, mt, m)), m
+
+
+@pytest.mark.parametrize("name", _PARITY_TRIANGLES + tuple(
+    "golden E8 + " + key for key in _E8_TAMPERINGS))
+def test_reciprocity_check_matches_polynomial_oracle(name):
+    # the same difference, term by term with each coefficient's type, or
+    # the same ValueError and message; the parity triangles hold every
+    # triangle of the reciprocity suite and the D8 census triangle
+    mt = _parity_triangle(name)
+    assert (_outcome(reciprocity_check, mt)
+            == _outcome(reciprocity_check_by_polynomials, mt))
 
 
 def test_tampered_triangles_raise_in_order():

@@ -26,6 +26,9 @@ as one JSON object, in seconds:
 * ``zeta_identity_check:A7|D7|E7``: the zeta identity of the table;
 * ``zeta_forms:7``: ``ncposet.zeta_forms(7)`` past its cache, the
   one-time cost the first zeta check of rank 7 in a session pays;
+* ``zeta_rows:E7``: ``ncposet.zeta_rows`` of E7 past its cache (the
+  forms warm), the one-time cost the first zeta check of E7 pays on
+  top (left out on a tree without it);
 * ``shifted_zeta_vectors:all``: ``ncposet._shifted_zeta_vector`` past
   its cache for each of the 100 type labels of rank 1 to 8 (the factors
   of ``zeta_forms``), with the caches it reads emptied first;
@@ -119,6 +122,9 @@ def ops():
                     lambda name=name: triangles.zeta_identity_check(
                         name, tables[name])))
     out.append(("zeta_forms:7", lambda: ncposet.zeta_forms.__wrapped__(7)))
+    if hasattr(ncposet, "zeta_rows"):
+        out.append(("zeta_rows:E7",
+                    lambda: ncposet.zeta_rows.__wrapped__("E7")))
     labels = [t for rank in range(1, 9) for t in decomp.all_labels_of_rank(rank)]
 
     def shifted():

@@ -14,9 +14,10 @@ irreducible ambient, then times
 
 * ``cold``: its first ``generate_equations`` call;
 * ``warm``: ``--repeats`` further calls, product-count memos and the
-  cached ``ncposet.zeta_forms`` emptied before each (as
-  ``generate_equations_s`` in ``linsys_stages.py``), so that ``zeta_s``
-  still times building the forms; the child reports their median.
+  cached ``ncposet.zeta_forms`` and ``ncposet.zeta_rows`` emptied
+  before each (as ``generate_equations_s`` in ``linsys_stages.py``), so
+  that ``zeta_s`` still times building the forms and rows; the child
+  reports their median.
 
 ``generate_equations`` adds its rows family by family (forbidden,
 special, split, zeta), so every ``add_row`` call is stamped and a stage

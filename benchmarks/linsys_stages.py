@@ -10,9 +10,9 @@ Each stage is timed ``--repeats`` times with ``time.perf_counter`` and
 the median is printed as JSON, one object per ambient:
 
 * ``generate_equations_s``: equation generation with the lower-rank
-  tables already built (warm), product-count memos and the zeta forms
-  emptied first (per equation family, cold and warm:
-  ``equation_families.py``);
+  tables already built (warm), product-count memos, the zeta forms and
+  the zeta rows (``ncposet.zeta_rows``) emptied first (per equation
+  family, cold and warm: ``equation_families.py``);
 * ``elimination_s`` and ``back_substitution_s``: ``exact.echelon`` and
   ``Echelon.space`` on the unpinned system, its rows in the order
   ``generate_equations`` emits them (the sparse rows by descending
@@ -52,10 +52,12 @@ from noncross import decomp, exact, linsys, ncposet, triangles
 def clear_memos():
     # one table per reducible type, each a product_table fold of its
     # factor tables, with the matchings of pairs of their entries, and
-    # the rank-keyed zeta forms the zeta rows read, so that a warm
-    # generate_equations still builds its zeta rows from the products
+    # the rank-keyed zeta forms with the per-type zeta rows read off
+    # them, so that a warm generate_equations still builds its zeta rows
+    # from the products (a tree without ncposet.zeta_rows keeps none)
     for cached in (decomp.lower_table, decomp.product_table,
-                   decomp._matchings, decomp._joined, ncposet.zeta_forms):
+                   decomp._matchings, decomp._joined, ncposet.zeta_forms,
+                   getattr(ncposet, "zeta_rows", ncposet.zeta_forms)):
         cached.cache_clear()
 
 

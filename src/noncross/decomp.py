@@ -61,7 +61,7 @@ def canonical_tuple(types):
     try:
         out.sort(key=_SORT_KEY)
     except AttributeError:                # text labels
-        out = [label(t) if isinstance(t, str) else t for t in out]
+        out = [label(t) for t in out]
         out.sort(key=_SORT_KEY)
     if out and out[0] is EMPTY_TYPE:
         start = 1
@@ -98,7 +98,7 @@ def count_bruteforce(name, types, _memo=None):
     """
     from .ncposet import enumerate_nc
     poset = enumerate_nc(name)
-    types = tuple(label(t) if isinstance(t, str) else t for t in types)
+    types = tuple(label(t) for t in types)
     if any(t.is_empty for t in types):
         types = tuple(t for t in types if not t.is_empty)
     if tuple_rank(types) > poset.rs.n:
@@ -339,7 +339,7 @@ class DecompositionTable:
     """
 
     def __init__(self, ambient, entries, provenance="bruteforce"):
-        self.ambient = ambient if isinstance(ambient, TypeLabel) else label(ambient)
+        self.ambient = label(ambient)
         self.entries = dict(entries)
         self.provenance = provenance
         self._deficient = None

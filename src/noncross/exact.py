@@ -363,13 +363,10 @@ class SolutionSpace:
     def dimension(self):
         return len(self.nullspace)
 
-    def as_dict(self, coeffs=()):
-        """The solution with the given nullspace coefficients, as a map
+    def as_dict(self):
+        """The particular solution (free variables 0), as a map
         variable -> value."""
-        vec = list(self.particular)
-        for c, basis in zip(coeffs, self.nullspace):
-            vec = [v + _coeff(c) * b for v, b in zip(vec, basis)]
-        return dict(zip(self.variables, vec))
+        return dict(zip(self.variables, self.particular))
 
 
 class InconsistentSystemError(ValueError):

@@ -13,8 +13,8 @@ equation families:
 * zero equations for tuples containing a type that is not realizable as
   a sub-diagram of the ambient's Dynkin diagram.
 
-Every row has integer coefficients: the zeta rows are cleared of the
-common denominator of the zeta forms.  The sparse rows (forbidden,
+Every row has integer coefficients: the zeta rows, ``ncposet.zeta_rows``,
+are cleared of the forms' denominator.  The sparse rows (forbidden,
 special, split) come first, sorted by descending leading column (the
 lowest column of the row, where ``exact.Echelon`` puts its pivot), and
 the dense zeta rows last.  In that order a row's leading column is at
@@ -39,8 +39,8 @@ from functools import lru_cache
 from .decomp import (DecompositionTable, all_labels_of_rank,
                      all_tuples_of_rank, canonical_tuple, count_bruteforce,
                      lower_table, special_values, tuple_rank)
-from .exact import LinearSystem, echelon, poly, solve
-from .ncposet import enumerate_nc, zeta_closed, zeta_forms
+from .exact import LinearSystem, echelon, solve
+from .ncposet import enumerate_nc, zeta_rows
 from .rootsystem import subdiagram_types
 from .typelabel import label
 
@@ -86,34 +86,6 @@ class ReplayReport:
     @property
     def all_assertions_pass(self):
         return all(ok for _, ok in self.congruence_assertions)
-
-
-def _coeffs_mz(p):
-    """The rational coefficients of a polynomial in m, z, as a map
-    (power of m, power of z) -> coefficient."""
-    coeffs = {}
-    for (ex, ey, ez, em), value in p.terms.items():
-        if ex or ey:
-            raise ValueError("coefficient is not constant")
-        coeffs[em, ez] = value
-    return coeffs
-
-
-def _zeta_rows(system, ambient):
-    """Coefficient comparison in m and z between the closed-form zeta
-    polynomial of NC^m and its decomposition-number expansion,
-    ``ncposet.zeta_forms``: one row per power of m and z, cleared of the
-    forms' common denominator (integer coefficients, the right side
-    times it)."""
-    n = ambient.rank
-    forms, den = zeta_forms(n)
-    lhs = _coeffs_mz(zeta_closed(ambient, m="m") - poly(1))
-    for i in range(n + 1):
-        for j in range(n + 1):
-            coeffs = forms.get((i, j), {})
-            rhs = lhs.get((i, j), 0) * den
-            if coeffs or rhs:
-                system.add_row(coeffs, rhs, "zeta:m^%d z^%d" % (i, j))
 
 
 def _names(tuples):
@@ -177,9 +149,12 @@ def generate_equations(name):
                 system.add_row(coeffs, 0, "split:%s|%s"
                                % (unprimed_name, primed_name))
 
-    # sparse rows by descending leading column, the dense zeta rows last
+    # sparse rows by descending leading column, then the dense zeta rows:
+    # coefficient comparison in m and z between the closed-form zeta
+    # polynomial of NC^m and its decomposition-number expansion
     system.rows.sort(key=_leading_column, reverse=True)
-    _zeta_rows(system, ambient)
+    for (i, j), form, rhs in zeta_rows(ambient)[0]:
+        system.add_row(form, rhs, "zeta:m^%d z^%d" % (i, j))
     return system
 
 

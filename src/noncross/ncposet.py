@@ -84,6 +84,10 @@ it has the mask comp(u) & moved(q), by the identity above.  So the pair
 census of every type below an enumerated ambient is read off one of its
 intervals (``census``), and a process walks only its highest ambient.
 
+One zeta identity.  ``zeta_rows`` compares the closed-form zeta
+polynomial of NC^m with its decomposition-number expansion in integers,
+for the zeta rows of ``linsys`` and ``triangles.zeta_identity_check``.
+
 The m-divisible poset NC^m consists of minimal-length factorizations
 c = w0 * w1 * ... * wm ordered componentwise (opposite order in the
 coordinates 1..m); it is graded by the length of w0.
@@ -408,7 +412,7 @@ def census(t):
     """The pair census of NC of an irreducible type (a label or its
     text): counts of (type(u), type(u^{-1} c)) over its elements.  Each
     call returns a copy of the one census kept per type."""
-    return dict(_census(label(t) if isinstance(t, str) else t))
+    return dict(_census(label(t)))
 
 
 @lru_cache(maxsize=None)
@@ -492,18 +496,12 @@ def characteristic_direct(poset):
 
 @lru_cache(maxsize=None)
 def _mobius_number(t):
-    """mu(0,1) of NC of the given type, multiplicative over components.
-
-    An irreducible component of rank n, Coxeter number h and degrees d_i
-    has mu = (-1)^n prod_i (h + d_i - 2)/d_i (Chapoton 2004), one factor
-    -(h + d_i - 2)/d_i per degree.  An int: the numerators and the
-    denominators are multiplied apart and the quotient is exact.
-    """
-    num = den = 1
-    for h, d in degree_pairs(t):
-        num *= 2 - h - d
-        den *= d
-    value, rest = divmod(num, den)
+    """mu(0,1) of NC of the given type, an int: the value Z_t(-1) of
+    its zeta polynomial, the constant term of ``_shifted_zeta_vector``
+    over its denominator, prod_i (d_i - 2h)/d_i over the degrees of each
+    component (= (-1)^n prod_i (h + d_i - 2)/d_i, Chapoton 2004)."""
+    vec, den = _shifted_zeta_vector(t)
+    value, rest = divmod(vec[0], den)
     if rest:
         raise AssertionError("non-integral Moebius number of NC(%s)" % t)
     return value
@@ -523,8 +521,7 @@ def characteristic_polynomial(t):
     number.  The coefficients are summed in a list indexed by the power
     of y.  Raises ``AssertionError`` unless chi*(1) = 0.
     """
-    if isinstance(t, str):
-        t = label(t)
+    t = label(t)
     if t.is_irreducible:
         coeffs = [0] * (t.rank + 1)
         for (t_low, t_comp), count in census(t).items():
@@ -582,8 +579,7 @@ def zeta_closed(t, m=1):
     components multiply.  The cached polynomials are shared and not to
     be changed.
     """
-    if isinstance(t, str):
-        t = label(t)
+    t = label(t)
     m_poly = _M if m == "m" else exact.poly(m)
     result = exact.ONE
     for h, d in degree_pairs(t):
@@ -720,12 +716,35 @@ def zeta_forms(n):
     return forms, factorial(n) * common
 
 
+@lru_cache(maxsize=None)
+def zeta_rows(t):
+    """The closed-form zeta polynomial of NC^m of type t (a label or its
+    text) less 1 against its expansion, ``zeta_forms``, in m and z.
+
+    Returns (rows, den): one ((i, j), form, rhs) per power m^i z^j where
+    either side is nonzero, in order of i, then j; ``form`` is the map of
+    ``zeta_forms`` ({} if none) and ``rhs`` the closed form's coefficient
+    times ``den``, the forms' denominator, an int (else AssertionError).
+    The cached rows are shared and not to be changed."""
+    t = label(t)
+    forms, den = zeta_forms(t.rank)
+    closed, closed_den = (zeta_closed(t, m="m") - 1).numerators()
+    rows = []
+    for i, j in sorted(forms.keys() | {(i, j) for _, _, j, i in closed}):
+        rhs, rest = divmod(closed.get((0, 0, j, i), 0) * den, closed_den)
+        if rest:
+            raise AssertionError("non-integral zeta row m^%d z^%d of %s"
+                                 % (i, j, t))
+        rows.append(((i, j), forms.get((i, j), {}), rhs))
+    return rows, den
+
+
 def ncm_cardinality(t, m):
     """|NC^m| for the given type (a label or its text): the Fuss-Catalan
     number prod_i (mh + d_i)/d_i over the degrees d_i of each component
     of Coxeter number h, the closed-form zeta at z = 2."""
     value = Fraction(1)
-    for h, d in degree_pairs(label(t) if isinstance(t, str) else t):
+    for h, d in degree_pairs(label(t)):
         value *= Fraction(m * h + d, d)
     if value.denominator != 1:
         raise AssertionError("non-integral NC^m cardinality")

@@ -226,8 +226,7 @@ def degrees(name):
 
     Raises ``ValueError`` for labels outside the supported ambient set.
     """
-    if isinstance(name, TypeLabel):
-        name = str(name)
+    name = str(name)
     if name not in SUPPORTED_AMBIENTS:
         raise ValueError("unsupported ambient type %r (supported: %s)"
                          % (name, ", ".join(SUPPORTED_AMBIENTS)))
@@ -250,8 +249,7 @@ def build_root_system(name):
 
     Raises ``ValueError`` for labels outside the supported ambient set.
     """
-    if isinstance(name, TypeLabel):
-        name = str(name)
+    name = str(name)
     degs = degrees(name)
     family, n = name[0], int(name[1:])
     edges = tuple(_edges(family, n))

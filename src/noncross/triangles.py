@@ -8,8 +8,8 @@ computation for small posets, the zeta-polynomial consistency check,
 the transform producing F-triangle candidates, and the m -> -m
 reciprocity checks.
 
-The dual triangle is assembled in integers, the way
-``ncposet.zeta_forms`` builds its forms: integer y-vectors of chi*
+The dual triangle is assembled in integers, the way ``ncposet``
+builds the zeta forms, with the same helpers: integer y-vectors of chi*
 multiplied along each tuple's prefixes, summed per rank and length,
 times n! binom(m, d) once per rank and length (``assemble_dual``).
 
@@ -28,13 +28,13 @@ and sums the flipped terms y^n M^(-m)(xy, 1/y) against them as one
 integer map.  The coefficientwise F-reciprocity is read off the same
 expansion as the two-variable one, one scatter pass over the nonzero
 coefficients of F^(-m), with no sum over every (k, l, r, s).
-The zeta check dots the table's entries with ``ncposet.zeta_forms``,
-the forms the zeta rows of ``linsys`` are read from.
+The zeta check dots the table's entries with the integer rows of
+``ncposet.zeta_rows``, the rows ``linsys`` puts in its system, and builds
+no Fraction and no polynomial difference.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
@@ -42,8 +42,8 @@ from . import exact
 from .exact import SparsePolynomial, _ratio
 from .decomp import all_tuples_of_rank, orderings
 from .ncposet import (_binomial_sum, _chi_vector, _prefix_product, mobius,
-                      zeta_closed, zeta_forms)
-from .typelabel import TypeLabel, label
+                      zeta_rows)
+from .typelabel import label
 
 
 def dual_to_primal(dual, n):
@@ -75,7 +75,7 @@ class MTriangle:
 
     @classmethod
     def from_dual(cls, ambient, dual):
-        ambient = ambient if isinstance(ambient, TypeLabel) else label(ambient)
+        ambient = label(ambient)
         n = ambient.rank
         if dual.substitute(x=0, y=0) != 1:
             raise ValueError("dual constant term is not 1")
@@ -134,7 +134,7 @@ def assemble_dual(name, table):
     and each coefficient is divided by n! at the end.  chi* is computed
     once per label, and only for labels of tuples with a nonzero number.
     """
-    ambient = label(name) if not isinstance(name, TypeLabel) else name
+    ambient = label(name)
     n = ambient.rank
     chi = {}                              # label -> (y-vector, 1)
 
@@ -179,17 +179,16 @@ def mtriangle_direct(ncm):
 
 def zeta_identity_check(name, table):
     """Difference between the closed-form zeta polynomial of NC^m and 1
-    plus its decomposition-number expansion, ``ncposet.zeta_forms``, at
-    the entries of ``table``; zero in z and m when the table is
-    consistent."""
-    ambient = label(name) if not isinstance(name, TypeLabel) else name
-    forms, den = zeta_forms(ambient.rank)
+    plus its decomposition-number expansion at the entries of ``table``,
+    read off the integer rows of ``ncposet.zeta_rows``: right side less
+    the form at the entries, over the forms' denominator, per power of m
+    and z.  Zero when the table is consistent."""
+    rows, den = zeta_rows(label(name))
     entries = table.entries
-    expansion = SparsePolynomial({
-        (0, 0, j, i): Fraction(sum(c * entries.get(var, 0)
-                                   for var, c in form.items()), den)
-        for (i, j), form in forms.items()})
-    return zeta_closed(ambient, m="m") - 1 - expansion
+    return SparsePolynomial({
+        (0, 0, j, i): _ratio(rhs - sum(c * entries.get(var, 0)
+                                       for var, c in form.items()), den)
+        for (i, j), form, rhs in rows})
 
 
 class FTriangleCandidate:

@@ -159,7 +159,8 @@ class ResourceGuardError(RuntimeError):
 
 @lru_cache(maxsize=4096)
 def label(text):
-    """Shorthand for :meth:`TypeLabel.parse`.  Successful parses are
+    """Shorthand for :meth:`TypeLabel.parse`, the one coercion to a
+    label: a ``TypeLabel`` is returned unchanged.  Successful parses are
     memoized (labels are interned and immutable); text that does not
     parse raises ``ValueError`` on every call."""
-    return TypeLabel.parse(text)
+    return text if isinstance(text, TypeLabel) else TypeLabel.parse(text)

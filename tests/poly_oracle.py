@@ -27,6 +27,11 @@ reciprocity as a difference of two Fraction polynomials.
 
 ``characteristic_polynomial_by_products`` is chi* of a reducible type
 as the product of its components' chi* polynomials.
+
+``zeta_rows_by_polynomials`` is ``ncposet.zeta_rows`` as ``linsys``
+first built it: the coefficients in m and z of the closed-form zeta
+polynomial less 1, a Fraction polynomial difference, times the forms'
+denominator.
 """
 
 from fractions import Fraction
@@ -36,7 +41,8 @@ from math import comb
 from noncross.decomp import all_tuples_of_rank, orderings
 from noncross.exact import (VARS, ZERO, SparsePolynomial, Z, _VAR_INDEX,
                             _coeff, _coerce, binomial_poly, poly)
-from noncross.ncposet import characteristic_polynomial, zeta_closed
+from noncross.ncposet import (characteristic_polynomial, zeta_closed,
+                              zeta_forms)
 from noncross.triangles import FTriangleCandidate, MTriangle, TransformFailure
 from noncross.typelabel import TypeLabel, label
 
@@ -129,6 +135,34 @@ def zeta_identity_expansion(name, table):
     for d in sorted(by_length):
         rhs = rhs + by_length[d] * binomial_poly(d)
     return lhs - rhs
+
+
+def _coeffs_mz(p):
+    """The rational coefficients of a polynomial in m, z, as a map
+    (power of m, power of z) -> coefficient."""
+    coeffs = {}
+    for (ex, ey, ez, em), value in p.terms.items():
+        if ex or ey:
+            raise ValueError("coefficient is not constant")
+        coeffs[em, ez] = value
+    return coeffs
+
+
+def zeta_rows_by_polynomials(t):
+    """``ncposet.zeta_rows``, the right sides read off the polynomial
+    closed form less 1 and multiplied by the forms' denominator."""
+    ambient = label(t)
+    n = ambient.rank
+    forms, den = zeta_forms(n)
+    lhs = _coeffs_mz(zeta_closed(ambient, m="m") - poly(1))
+    rows = []
+    for i in range(n + 1):
+        for j in range(n + 1):
+            form = forms.get((i, j), {})
+            rhs = lhs.get((i, j), 0) * den
+            if form or rhs:
+                rows.append(((i, j), form, rhs))
+    return rows, den
 
 
 def assemble_dual_by_products(name, table):

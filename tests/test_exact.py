@@ -233,7 +233,7 @@ def test_linear_solve_underdetermined():
     system.add_row({"a": 1, "b": 1}, 3, "r1")
     space = solve(system)
     assert space.dimension == 2
-    values = space.as_dict(coeffs=(0,) * space.dimension)
+    values = space.as_dict()
     assert values["a"] + values["b"] == 3
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dense_echelon import DenseEchelon
-from poly_oracle import zeta_shifted
+from poly_oracle import _coeffs_mz, zeta_shifted
 from product_oracle import _reference_product_value
 from noncross import decomp, linsys
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
@@ -14,7 +14,7 @@ from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              tuple_rank)
 from noncross.exact import (ZERO, LinearSystem, _coeff, binomial_poly,
                             echelon, poly)
-from noncross.linsys import (EXPECTED_DIMENSION, ROW_FAMILIES, _coeffs_mz,
+from noncross.linsys import (EXPECTED_DIMENSION, ROW_FAMILIES,
                              check_system_against_table, generate_equations,
                              replay, row_family)
 from noncross.ncposet import zeta_closed, zeta_forms

@@ -13,7 +13,8 @@ import sympy
 
 from matrix_oracle import (GroupElement, coxeter_element, le_absolute,
                            moved_positive_roots)
-from poly_oracle import characteristic_polynomial_by_products, zeta_shifted
+from poly_oracle import (characteristic_polynomial_by_products,
+                         zeta_rows_by_polynomials, zeta_shifted)
 from noncross import exact, ncposet
 from noncross.decomp import all_labels_of_rank, production_table
 from noncross.exact import SparsePolynomial
@@ -23,10 +24,10 @@ from noncross.ncposet import (CacheFormatError, ResourceGuardError,
                               enumerate_nc, load_or_enumerate, mobius,
                               mask_layout, mobius_from_top, ncm_cardinality,
                               read_cache, write_cache, zeta_closed,
-                              zeta_direct)
+                              zeta_direct, zeta_rows)
 from noncross.refdata import CHI_STAR_COEFFS, chi_star_reference
 from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
-                                 classify_edge_list)
+                                 classify_edge_list, degree_pairs)
 from noncross.triangles import assemble_dual
 from noncross.typelabel import label
 from noncross.weyl import (_reflection_data, bipartite_coxeter,
@@ -451,6 +452,36 @@ def test_mobius_number_is_published_constant_term(name):
     published = chi_star_reference(name).substitute(y=0).evaluate()
     assert _mobius_number(label(name)) == published
     assert type(_mobius_number(label(name))) is int
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_mobius_number_is_the_degree_product(rank):
+    # Z_t(-1) against prod (2 - h - d)/d over the degrees of each
+    # component (Chapoton 2004), on every label of the rank
+    for t in all_labels_of_rank(rank):
+        value = Fraction(1)
+        for h, d in degree_pairs(t):
+            value *= Fraction(2 - h - d, d)
+        assert _mobius_number(t) == value, t
+        assert type(_mobius_number(t)) is int, t
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_zeta_rows_match_polynomial_oracle(rank):
+    # the integer rows against the closed form less 1 as a Fraction
+    # polynomial, times the forms' denominator: same rows, same order,
+    # int right sides
+    for t in all_labels_of_rank(rank):
+        rows, den = zeta_rows(t)
+        assert (rows, den) == zeta_rows_by_polynomials(t), t
+        assert all(type(rhs) is int for _, _, rhs in rows), t
+
+
+def test_zeta_rows_refuse_a_non_integral_right_side(monkeypatch):
+    # over denominator 1 the A2 closed form has Fraction coefficients
+    monkeypatch.setattr(ncposet, "zeta_forms", lambda n: ({}, 1))
+    with pytest.raises(AssertionError, match="non-integral zeta row"):
+        zeta_rows.__wrapped__(label("A2"))
 
 
 @pytest.mark.parametrize("rank", range(2, 9))

@@ -10,7 +10,7 @@ from noncross import exact
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              canonical_tuple, full_table, production_table)
 from noncross.linsys import generate_equations
-from noncross.ncposet import build_ncm, zeta_closed, zeta_forms
+from noncross.ncposet import build_ncm, zeta_closed, zeta_forms, zeta_rows
 from noncross.refdata import (REFERENCE_TABLE_NAMES, golden_dual,
                               reference_table)
 from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
@@ -101,30 +101,38 @@ def test_zeta_identity_zero_on_D8_census_table():
 
 
 def test_symbolic_zeta_closed_form_built_once():
-    # the zeta check reads the cached symbolic closed form; the second
-    # check of an ambient builds nothing and leaves the shared form as
-    # it was
+    # the zeta rows of a type are built once, from one symbolic closed
+    # form; later checks and the system's zeta rows read the cached rows
+    # and leave them as they were
     table = full_table("E7")
-    assert not zeta_identity_check("E7", table).terms
+    e7 = label("E7")
+    zeta_rows.cache_clear()
     zeta_closed.cache_clear()
     assert not zeta_identity_check("E7", table).terms
-    form = zeta_closed(label("E7"), m="m")
-    before = dict(form.terms)
-    assert not zeta_identity_check("E7", table).terms
+    rows, den = zeta_rows(e7)
+    before = [(mz, dict(form), rhs) for mz, form, rhs in rows]
+    assert not zeta_identity_check(e7, table).terms
+    generate_equations("E7")
+    info = zeta_rows.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
     info = zeta_closed.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-    assert form.terms == before
+    assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+    assert rows == before
 
 
 def test_rank_8_zeta_form_built_once():
-    # the E8 and D8 zeta rows and the D8 zeta identity share one form
+    # the E8 and D8 zeta rows share one rank-8 form, and the D8 zeta
+    # identity reads the rows of the D8 system
     table = production_table("D8")
     zeta_forms.cache_clear()
+    zeta_rows.cache_clear()
     generate_equations("E8")
     generate_equations("D8")
     assert not zeta_identity_check("D8", table).terms
     info = zeta_forms.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    info = zeta_rows.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4", "D5"])

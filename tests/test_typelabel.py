@@ -63,6 +63,13 @@ def test_bad_labels_rejected():
             label(bad)
 
 
+def test_label_of_a_label_is_itself():
+    for rank in range(9):
+        for t in all_labels_of_rank(rank):
+            assert label(t) is t
+            assert label(str(t)) is t
+
+
 def test_parses_are_memoized():
     assert label("A1^2*A3") is label("A1^2*A3")
     label("A1^2*A3")

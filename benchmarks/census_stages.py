@@ -63,7 +63,7 @@ print(ncposet.enumerate_nc.cache_info().misses,
 
 def clear_all():
     for cached in (ncposet.enumerate_nc, decomp.census_table,
-                   decomp.production_table, ncposet._census):
+                   decomp.full_table, ncposet._census):
         cached.cache_clear()
     ncposet._WALKED.clear()
     clear_memos()

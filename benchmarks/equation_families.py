@@ -9,7 +9,7 @@ Run from the repository root:
 Each SRC is a directory holding the ``noncross`` package (default
 ``change=src``).  Each round runs one fresh child process per tree,
 alternating which tree goes first, so that drift of a shared host falls
-on both alike.  The child builds the production tables of every lower
+on both alike.  The child builds the full tables of every lower
 irreducible ambient, then times
 
 * ``cold``: its first ``generate_equations`` call;
@@ -81,7 +81,7 @@ def child(name, repeats):
     for r in range(1, rank):
         for t in decomp.all_labels_of_rank(r):
             if t.is_irreducible:
-                decomp.production_table(str(t))
+                decomp.full_table(str(t))
     cold = timed_call(linsys, name)
     warm = []
     for _ in range(repeats):

@@ -28,8 +28,9 @@ the median is printed as one JSON object:
 * ``build_ncm_D4_2_s``: ``build_ncm("D4", 2)``, NC(D4) already
   enumerated;
 * ``read_cache_D5_s``: ``read_cache`` of a D5 cache file written once
-  before the runs, the kept posets emptied before each run, as in a
-  fresh ``nc enumerate D5 --cache-dir`` process;
+  before the runs, the kept posets emptied before each run, as a fresh
+  ``nc enumerate D5 --cache-dir`` process read it while the CLI kept a
+  poset cache;
 * ``chi_D6_s``: ``characteristic_polynomial`` of D6 with the kept
   posets, censuses, Moebius numbers and chi* values emptied before each
   run (the root systems and descent tables stay built);

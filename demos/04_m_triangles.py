@@ -6,10 +6,10 @@ computed Moebius-function M-triangle, applies the F=M transform, and
 verifies the reciprocity identity.
 """
 
-from noncross import (assemble_dual, build_ncm, fm_transform,
-                      mtriangle_direct, production_table, reciprocity_check)
+from noncross import (assemble_dual, build_ncm, fm_transform, full_table,
+                      mtriangle_direct, reciprocity_check)
 
-mt = assemble_dual("D4", production_table("D4"))
+mt = assemble_dual("D4", full_table("D4"))
 print("dual M-triangle of D4 (symbolic in m):")
 print(" ", mt.dual)
 print()

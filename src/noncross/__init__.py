@@ -22,18 +22,16 @@ _EXPORTS = {
     "decomp": ("DecompositionTable", "all_labels_of_rank",
                "all_tuples_of_rank", "canonical_tuple", "census_table",
                "count_bruteforce", "count_product", "count_typeA",
-               "full_table", "orderings", "production_table",
-               "special_values", "tuple_rank"),
+               "full_table", "orderings", "special_values", "tuple_rank"),
     "exact": ("Echelon", "InconsistentSystemError", "LinearSystem",
               "SolutionSpace", "SparsePolynomial", "echelon", "solve"),
     "linsys": ("EXPECTED_DIMENSION", "ReplayError", "ReplayReport",
                "generate_equations", "replay"),
     "ncposet": ("NcPoset", "ResourceGuardError", "build_ncm",
                 "characteristic_direct", "characteristic_polynomial",
-                "enumerate_nc", "load_or_enumerate", "mobius",
-                "mobius_from_top", "ncm_cardinality", "read_cache",
-                "reflection_orbits", "write_cache", "zeta_closed",
-                "zeta_direct"),
+                "enumerate_nc", "mobius", "mobius_from_top",
+                "ncm_cardinality", "read_cache", "reflection_orbits",
+                "write_cache", "zeta_closed", "zeta_direct"),
     "refdata": ("CHI_STAR_COEFFS", "REFERENCE_TABLE_NAMES",
                 "chi_star_reference", "golden_dual", "reference_table"),
     "rootsystem": ("SUPPORTED_AMBIENTS", "RootSystem", "build_root_system"),

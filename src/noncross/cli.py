@@ -15,12 +15,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 
 from .typelabel import ResourceGuardError, label
-
-CACHE_ENV_VAR = "NONCROSS_CACHE_DIR"
 
 
 def _parse_label(text):
@@ -112,11 +109,9 @@ def cmd_rootsys(args):
 
 
 def cmd_nc(args):
-    from .ncposet import load_or_enumerate
+    from .ncposet import enumerate_nc
     name = _require_ambient(args.label)
-    # an empty flag or variable means no cache
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
-    poset = load_or_enumerate(name, cache_dir)
+    poset = enumerate_nc(name)
     by_type = {str(t): len(els) for t, els in poset.by_type.items()}
     _emit({
         "ambient": name,
@@ -128,18 +123,18 @@ def cmd_nc(args):
 
 
 def cmd_decomp_count(args):
-    from .decomp import production_table
+    from .decomp import full_table
     name = _require_ambient(args.ambient)
     key = _parse_tuple(args.tuple)
-    table = production_table(name)
+    table = full_table(name)
     print(table.lookup(key))
     return 0
 
 
 def cmd_decomp_table(args):
-    from .decomp import all_tuples_of_rank, production_table
+    from .decomp import all_tuples_of_rank, full_table
     name = _require_ambient(args.ambient)
-    table = production_table(name)
+    table = full_table(name)
     n = label(name).rank
     entries = {}
     ranks = (n,) if args.full_rank_only else tuple(range(1, n + 1))
@@ -169,10 +164,10 @@ def cmd_zeta(args):
 
 
 def _assembled(name):
-    from .decomp import production_table
+    from .decomp import full_table
     from .triangles import assemble_dual
     name = _require_ambient(name)
-    return assemble_dual(name, production_table(name))
+    return assemble_dual(name, full_table(name))
 
 
 def cmd_mtriangle(args):
@@ -276,8 +271,9 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
+    # accepted for old scripts, like $NONCROSS_CACHE_DIR; nothing reads it
     common.add_argument("--cache-dir", default=None,
-                        help="poset cache directory (or $%s)" % CACHE_ENV_VAR)
+                        help="ignored (NC(W) is enumerated on every call)")
     parents = [common]
 
     parser = argparse.ArgumentParser(

@@ -24,12 +24,12 @@ Four routes are implemented:
       N_W(T_1, ..., T_d) = sum_S N_W(S, T_d) * N_S(T_1, ..., T_{d-1}),
 
   where N_W(S, T_d) is the pair census and N_S is the lower table of S
-  (``lower_table``: the ``product_table`` of the production tables of
-  the components of S, built once per type).
+  (``lower_table``: the ``product_table`` of the full tables of the
+  components of S, built once per type).
 
-``full_table`` builds the complete table for one ambient: the closed
-form for type A, the census for D and E; ``production_table`` is its
-per-ambient cache, which the CLI and the verify suites read.
+``full_table`` builds the complete table for one ambient, once per
+process: the closed form for type A, the census for D and E; the CLI
+and the verify suites read it.
 Rank-deficient tuples are looked up by summing one extra factor over all
 types of the complementary rank.  The functions that walk NC import
 ``ncposet`` when called, so a type-A lookup loads none of ``ncposet``,
@@ -438,13 +438,16 @@ def all_tuples_of_rank(total):
     return tuple(canonical_tuple(t) for t in results)
 
 
+@lru_cache(maxsize=None)
 def full_table(name):
-    """Complete full-rank table for one irreducible ambient.
+    """Complete full-rank table for one irreducible ambient, built once
+    per process and shared (not to be changed).
 
     Type A takes the closed formula, D and E the census (both are
-    checked against brute force in the tests).  A reducible or empty
-    label is refused with ``ValueError``: its table is the
-    ``product_table`` of its components' tables.
+    checked against brute force in the tests).  The linear system is
+    the paper's route, checked against this table by the replay suites.
+    A reducible or empty label is refused with ``ValueError``: its table
+    is the ``product_table`` of its components' tables.
     """
     ambient = label(name)
     if not ambient.is_irreducible:
@@ -461,15 +464,6 @@ def full_table(name):
                 entries[key] = value
         return DecompositionTable(ambient, entries, provenance="typeA-closed-form")
     return census_table(name)
-
-
-@lru_cache(maxsize=None)
-def production_table(name):
-    """The full-rank table of an irreducible ambient by its cheapest
-    exact route, ``full_table``: closed form for type A, the census for
-    D and E.  The linear system is the paper's route, checked against
-    it by the replay suites."""
-    return full_table(name)
 
 
 @lru_cache(maxsize=None)
@@ -506,10 +500,10 @@ _EMPTY_TABLE = DecompositionTable(EMPTY_TYPE, {(): 1}, provenance="empty")
 @lru_cache(maxsize=None)
 def lower_table(t):
     """The full-rank table of an ambient type T of lower rank, reducible
-    allowed: the ``product_table`` of the production tables of its
-    components, so the production table itself for an irreducible T and
-    the table of the empty type (N() = 1) for T = 0."""
-    return product_table(tuple(production_table(str(c))
+    allowed: the ``product_table`` of the full tables of its
+    components, so the full table itself for an irreducible T and the
+    table of the empty type (N() = 1) for T = 0."""
+    return product_table(tuple(full_table(str(c))
                                for c in t.irreducibles()))
 
 

@@ -33,7 +33,7 @@ an ``Echelon`` too, so it is the package's one elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from numbers import Integral, Rational
 
 VARS = ("x", "y", "z", "m")
@@ -299,14 +299,6 @@ M = SparsePolynomial.variable("m")
 def poly(value):
     """Coerce a number to a SparsePolynomial."""
     return _coerce(value)
-
-
-def binomial_poly(d):
-    """The polynomial binom(m, d) = m(m-1)...(m-d+1)/d! in m."""
-    result = SparsePolynomial.constant(Fraction(1, factorial(d)))
-    for i in range(d):
-        result = result * (M - i)
-    return result
 
 
 # ---------------------------------------------------------------------------

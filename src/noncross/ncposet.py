@@ -826,6 +826,10 @@ def build_ncm(name, m, guard=100_000):
 
 # ---------------------------------------------------------------------------
 # poset cache files
+#
+# No command reads or writes these files: a walk of NC(E8) costs less
+# than checking a cache hit, which walks it again.  The functions stay
+# for the span names perfbench/tracer.py wraps.
 
 
 def _cache_text(poset):
@@ -897,24 +901,4 @@ def read_cache(path, expected_ambient=None):
     if data != _cache_text(poset).encode("ascii"):
         raise CacheFormatError("cache is not the enumeration of NC(%s)"
                                % name)
-    return poset
-
-
-def load_or_enumerate(name, cache_dir=None):
-    """Enumerate NC, using a cache directory when one is given.  A cache
-    file that cannot be read is a miss, and a directory that cannot be
-    written is skipped."""
-    if cache_dir is None:
-        return enumerate_nc(name)
-    path = os.path.join(cache_dir, "nc_%s.jsonl" % name)
-    if os.path.exists(path):
-        try:
-            return read_cache(path, expected_ambient=name)
-        except (CacheFormatError, OSError):
-            pass  # fall through and regenerate
-    poset = enumerate_nc(name)
-    try:
-        write_cache(poset, path)
-    except OSError:
-        pass
     return poset

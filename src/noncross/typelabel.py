@@ -21,6 +21,11 @@ from functools import lru_cache, total_ordering
 
 _COMPONENT_RE = re.compile(r"^([ADE])(\d+)(?:\^(\d+))?$")
 
+# the largest rank a parsed label may have: far above any ambient, and
+# chi* of A1^3000 still takes seconds, but a power such as A1^99999999999
+# is refused before its list of components is built
+MAX_LABEL_RANK = 10_000
+
 # component ordering: by rank first, then family letter
 def _component_key(comp):
     family, rank = comp
@@ -98,14 +103,18 @@ class TypeLabel:
             return cls(())
         if not text:
             raise ValueError("blank type label; write 0 for the empty type")
-        components = []
+        parts = []
         for token in text.split("*"):
             match = _COMPONENT_RE.match(token.strip())
             if match is None:
                 raise ValueError("bad type component %r in %r" % (token, text))
             family, rank, power = match.groups()
-            components.extend([(family, int(rank))] * int(power or 1))
-        return cls(components)
+            parts.append((family, int(rank), int(power or 1)))
+        total = sum(rank * power for _, rank, power in parts)
+        if total > MAX_LABEL_RANK:
+            raise ValueError("rank %d exceeds %d" % (total, MAX_LABEL_RANK))
+        return cls([(family, rank) for family, rank, power in parts
+                    for _ in range(power)])
 
     def _render(self):
         if not self.components:

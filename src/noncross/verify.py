@@ -38,7 +38,7 @@ def _table_check(name, computed):
 
 
 def _assembled(name):
-    return triangles.assemble_dual(name, decomp.production_table(name))
+    return triangles.assemble_dual(name, decomp.full_table(name))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +155,8 @@ def _replay(name):
 
 
 def _lookups():
-    """Spot values of the E8 production table."""
-    table = decomp.production_table("E8")
+    """Spot values of the E8 table."""
+    table = decomp.full_table("E8")
     for key, value in (("D4", 325), ("D4,A4", 15), ("A4,A1*A3", 390),
                        ("A5,A1*A2", 390), ("D5,A1*A2", 195)):
         yield ("E8 lookup %s = %d" % (key, value),

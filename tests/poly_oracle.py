@@ -25,6 +25,9 @@ the coefficientwise F-reciprocity sums its expectation over every
 (k, l, r, s).  ``reciprocity_check_by_polynomials`` is the M-triangle
 reciprocity as a difference of two Fraction polynomials.
 
+``binomial_poly(d)`` is binom(m, d) as a polynomial in m with Fraction
+coefficients, the weight of a d-tuple in the Fraction expansions.
+
 ``characteristic_polynomial_by_products`` is chi* of a reducible type
 as the product of its components' chi* polynomials.
 
@@ -36,11 +39,11 @@ denominator.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from noncross.decomp import all_tuples_of_rank, orderings
 from noncross.exact import (VARS, ZERO, SparsePolynomial, Z, _VAR_INDEX,
-                            _coeff, _coerce, binomial_poly, poly)
+                            _coeff, _coerce, poly)
 from noncross.ncposet import (characteristic_polynomial, zeta_closed,
                               zeta_forms)
 from noncross.triangles import FTriangleCandidate, MTriangle, TransformFailure
@@ -48,6 +51,15 @@ from noncross.typelabel import TypeLabel, label
 
 X = SparsePolynomial.variable("x")
 Y = SparsePolynomial.variable("y")
+M = SparsePolynomial.variable("m")
+
+
+def binomial_poly(d):
+    """The polynomial binom(m, d) = m(m-1)...(m-d+1)/d! in m."""
+    result = SparsePolynomial.constant(Fraction(1, factorial(d)))
+    for i in range(d):
+        result = result * (M - i)
+    return result
 
 
 def substitute(p, **assignments):

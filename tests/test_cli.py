@@ -8,15 +8,11 @@ import sys
 import pytest
 
 import noncross
-from matrix_oracle import (GroupElement, classify_parabolic_type,
-                           moved_positive_roots)
 from noncross import decomp, exact, linsys, ncposet
 from noncross.cli import main
-from noncross.ncposet import (CacheFormatError, ResourceGuardError,
-                              enumerate_nc, read_cache)
-from noncross.rootsystem import SUPPORTED_AMBIENTS, build_root_system
+from noncross.ncposet import ResourceGuardError
+from noncross.rootsystem import SUPPORTED_AMBIENTS
 from noncross.verify import SUITES
-from noncross.weyl import enumerate_group
 
 
 def run(capsys, *argv):
@@ -46,11 +42,16 @@ def test_nc_enumerate(capsys):
     assert "elements: 14" in out
 
 
-def test_nc_enumerate_cache_dir(capsys, tmp_path):
-    code, _, _ = run(capsys, "nc", "enumerate", "A3",
-                     "--cache-dir", str(tmp_path))
-    assert code == 0
-    assert (tmp_path / "nc_A3.jsonl").exists()
+def test_nc_enumerate_cache_dir(capsys, monkeypatch, tmp_path):
+    # the flag and the variable are accepted and ignored: nothing is
+    # written and the output is the plain one
+    plain = run(capsys, "nc", "enumerate", "A3")
+    assert run(capsys, "nc", "enumerate", "A3",
+               "--cache-dir", str(tmp_path)) == plain
+    monkeypatch.setenv("NONCROSS_CACHE_DIR", str(tmp_path))
+    assert run(capsys, "nc", "enumerate", "A3") == plain
+    assert plain[0] == 0
+    assert os.listdir(tmp_path) == []
 
 
 def _unusable_cache_dir(tmp_path, case):
@@ -78,88 +79,6 @@ def test_nc_enumerate_unusable_cache_dir_is_skipped(capsys, tmp_path, case):
     assert (tmp_path / "file").read_text() == "not a directory\n"
 
 
-# ---------------------------------------------------------------------------
-# a damaged cache file regenerates; lines[0] is the header, lines[1] the
-# identity (records go level by level from rank 0)
-
-
-def _edit(lines, index, change):
-    record = json.loads(lines[index])
-    change(record)
-    lines[index] = json.dumps(record)
-
-
-def _truncated_line(lines):
-    lines[-1] = lines[-1][:-20]
-
-
-def _wrong_shape(lines):
-    """Set a mask bit past the 12 positive roots of D4."""
-    _edit(lines, 3, lambda r: r.update(
-        mask=format(int(r["mask"], 16) | 1 << 12, "x")))
-
-
-def _missing_key(lines):
-    _edit(lines, 3, lambda r: r.pop("type"))
-
-
-def _wrong_ambient(lines):
-    _edit(lines, 0, lambda r: r.update(ambient="D5"))
-
-
-def _wrong_schema(lines):
-    _edit(lines, 0, lambda r: r.update(schema_version=r["schema_version"] + 1))
-
-
-def _tampered_type(lines):
-    _edit(lines, 1, lambda r: r.update(type="A4"))
-
-
-def _tampered_matrix(lines):
-    """Swap a rank-2 element for the moved-root mask of a length-2 group
-    element outside NC(D4) with the same type, so that only the check
-    against the walk can notice."""
-    rs = build_root_system("D4")
-    poset = enumerate_nc("D4")
-    index = next(i for i, line in enumerate(lines[1:], 1)
-                 if json.loads(line)["rank"] == 2)
-    typ = json.loads(lines[index])["type"]
-    for key, length in enumerate_group(rs).items():
-        g = GroupElement(rs, key)
-        mask = sum(1 << i for i in moved_positive_roots(rs, g))
-        if length == 2 and mask not in poset.elements:
-            try:
-                found = str(classify_parabolic_type(rs, g, check=False))
-            except AssertionError:
-                continue
-            if found == typ:
-                _edit(lines, index, lambda r: r.update(mask=format(mask, "x")))
-                return
-    raise AssertionError("no element outside NC(D4) of type %s" % typ)
-
-
-@pytest.mark.parametrize("damage", [
-    _truncated_line, _wrong_shape, _missing_key, _wrong_ambient,
-    _wrong_schema, _tampered_type, _tampered_matrix,
-], ids=lambda f: f.__name__.lstrip("_"))
-def test_nc_enumerate_damaged_cache_regenerates(capsys, tmp_path, damage):
-    argv = ("nc", "enumerate", "D4", "--format", "json",
-            "--cache-dir", str(tmp_path))
-    code, clean, _ = run(capsys, *argv)
-    assert code == 0
-    path = tmp_path / "nc_D4.jsonl"
-    lines = path.read_text().splitlines()
-    damage(lines)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CacheFormatError):
-        read_cache(str(path), expected_ambient="D4")
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert out == clean
-    assert read_cache(str(path), expected_ambient="D4").rank_sizes() == \
-        json.loads(clean)["rank_sizes"]
-
-
 def test_decomp_count(capsys):
     code, out, _ = run(capsys, "decomp", "count", "A3", "A1,A1,A1")
     assert code == 0
@@ -178,6 +97,18 @@ def test_decomp_count_empty_factor_exits_2(capsys, key):
     token = " " if key == " " else ""
     assert captured.err == ("error: bad type label %r: empty factor in %r\n"
                             % (token, key))
+
+
+def test_huge_label_power_exits_2_with_one_line(capsys):
+    # the label used to be built before any check: a MemoryError
+    # traceback and exit 1
+    with pytest.raises(SystemExit) as exc:
+        main(["decomp", "count", "E8", "A1^99999999999"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: bad type label 'A1^99999999999': "
+                            "rank 99999999999 exceeds 10000\n")
 
 
 @pytest.mark.parametrize("argv", [["chi", ""], ["chi", " "], ["zeta", ""],
@@ -220,7 +151,7 @@ def test_D8_commands_exit_0(capsys, argv):
 def test_resource_guard_exits_3_with_one_line(capsys, monkeypatch):
     def refused(name):
         raise ResourceGuardError("table for %s refused" % name)
-    monkeypatch.setattr(decomp, "production_table", refused)
+    monkeypatch.setattr(decomp, "full_table", refused)
     code, out, err = run(capsys, "decomp", "count", "E6", "A3,A3")
     assert (code, out) == (3, "")
     assert err == "resource guard: table for E6 refused\n"
@@ -346,7 +277,7 @@ def test_internal_key_error_is_not_bad_input(capsys, monkeypatch):
     # main lets it through, and the interpreter exits 1 with a traceback
     def broken(name):
         raise KeyError(name)
-    monkeypatch.setattr(decomp, "production_table", broken)
+    monkeypatch.setattr(decomp, "full_table", broken)
     with pytest.raises(KeyError):
         run(capsys, "decomp", "count", "A3", "A1")
 

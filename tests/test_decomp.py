@@ -10,8 +10,8 @@ from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple,
                              census_table, count_bruteforce, count_product,
                              count_typeA, full_table, lower_table, orderings,
-                             product_table, production_table, special_values,
-                             table_product, tuple_rank)
+                             product_table, special_values, table_product,
+                             tuple_rank)
 from lookup_oracle import CanonicalLookup
 from product_oracle import _reference_lookup, _reference_product_value
 from noncross.linsys import replay
@@ -276,7 +276,7 @@ def test_lower_table_matches_product_rule(t):
     assert table.ambient is t
     assert all(tuple_rank(key) == t.rank and value
                for key, value in table.entries.items())
-    factors = [production_table(str(c)) for c in t.irreducibles()]
+    factors = [full_table(str(c)) for c in t.irreducibles()]
     for s in range(t.rank + 1):
         for key in all_tuples_of_rank(s):
             assert table.lookup(key) == \
@@ -359,9 +359,8 @@ def test_census_table_keys_in_tuple_order(name):
 @pytest.mark.parametrize("name", ["A1*D4", "A2*A3"])
 def test_full_table_refuses_reducible_ambient(name):
     # A1*D4 used to take the type-A branch and return the A5 table
-    for build in (full_table, production_table):
-        with pytest.raises(ValueError, match=re.escape(name)):
-            build(name)
+    with pytest.raises(ValueError, match=re.escape(name)):
+        full_table(name)
 
 
 def test_product_table_cache_is_bounded():
@@ -445,7 +444,7 @@ def test_empty_key_without_ambient_entry(name):
 def test_tables_the_package_builds_keep_the_key_contract():
     # refdata is covered above; type A, census, product and replay here
     for name in SUPPORTED_AMBIENTS:
-        table = production_table(name)
+        table = full_table(name)
         assert table.provenance in ("typeA-closed-form", "census"), name
         _assert_key_contract(table)
     for rank in range(8):

@@ -1,7 +1,7 @@
 """Exact polynomial arithmetic and fraction-free linear algebra."""
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -12,8 +12,8 @@ import poly_oracle
 from dense_echelon import DenseEchelon
 from noncross import exact
 from noncross.exact import (InconsistentSystemError, LinearSystem,
-                            SparsePolynomial, binomial_poly, echelon,
-                            int_kernel, poly, solve)
+                            SparsePolynomial, echelon, int_kernel, poly,
+                            solve)
 from noncross.linsys import generate_equations
 
 X = SparsePolynomial.variable("x")
@@ -43,18 +43,18 @@ def test_evaluate_exact_fractions():
     assert p.evaluate(x=Fraction(1, 2)) == Fraction(1, 8) + Fraction(1, 3)
 
 
+# the long division and the rational substitution are the oracle of the
+# F=M transform, and binom(m, d) weighs the Fraction expansions
+# (tests/poly_oracle.py); these tests keep the oracle honest
+
+
 def test_binomial_poly():
-    b3 = binomial_poly(3)
+    b3 = poly_oracle.binomial_poly(3)
     # binom(m,3) at integer points
     for m in range(-2, 8):
-        from math import comb
         expected = comb(m, 3) if m >= 0 else Fraction((m)*(m-1)*(m-2), 6)
         assert b3.evaluate(m=m) == expected
-    assert binomial_poly(0) == exact.ONE
-
-
-# the long division and the rational substitution are the oracle of the
-# F=M transform (tests/poly_oracle.py); these tests keep the oracle honest
+    assert poly_oracle.binomial_poly(0) == exact.ONE
 
 
 def test_exact_divide_roundtrip():

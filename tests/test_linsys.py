@@ -5,15 +5,13 @@ from fractions import Fraction
 import pytest
 
 from dense_echelon import DenseEchelon
-from poly_oracle import _coeffs_mz, zeta_shifted
+from poly_oracle import _coeffs_mz, binomial_poly, zeta_shifted
 from product_oracle import _reference_product_value
 from noncross import decomp, linsys
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple, full_table,
-                             lower_table, orderings, production_table,
-                             tuple_rank)
-from noncross.exact import (ZERO, LinearSystem, _coeff, binomial_poly,
-                            echelon, poly)
+                             lower_table, orderings, tuple_rank)
+from noncross.exact import ZERO, LinearSystem, _coeff, echelon, poly
 from noncross.linsys import (EXPECTED_DIMENSION, ROW_FAMILIES,
                              check_system_against_table, generate_equations,
                              replay, row_family)
@@ -108,11 +106,11 @@ def test_shared_lower_count_memo_matches_plain_product_rule():
     assert decomp.lower_table.cache_info().currsize
 
 
-def test_production_table_routes():
+def test_full_table_routes():
     for name in ("A1", "A3", "A5", "A8"):
-        assert production_table(name).provenance == "typeA-closed-form"
+        assert full_table(name).provenance == "typeA-closed-form"
     for name in ("D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8"):
-        assert production_table(name).provenance == "census"
+        assert full_table(name).provenance == "census"
 
 
 def test_variables_are_full_rank_tuples():

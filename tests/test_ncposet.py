@@ -11,27 +11,28 @@ from math import comb, gcd
 import pytest
 import sympy
 
-from matrix_oracle import (GroupElement, coxeter_element, le_absolute,
-                           moved_positive_roots)
+from matrix_oracle import (GroupElement, classify_parabolic_type,
+                           coxeter_element, le_absolute, moved_positive_roots)
 from poly_oracle import (characteristic_polynomial_by_products,
                          zeta_rows_by_polynomials, zeta_shifted)
 from noncross import exact, ncposet
-from noncross.decomp import all_labels_of_rank, production_table
+from noncross.decomp import all_labels_of_rank, full_table
 from noncross.exact import SparsePolynomial
 from noncross.ncposet import (CacheFormatError, ResourceGuardError,
                               _descent_masks, _mobius_number, build_ncm,
                               characteristic_direct, characteristic_polynomial,
-                              enumerate_nc, load_or_enumerate, mobius,
-                              mask_layout, mobius_from_top, ncm_cardinality,
-                              read_cache, write_cache, zeta_closed,
-                              zeta_direct, zeta_rows)
+                              enumerate_nc, mobius, mask_layout,
+                              mobius_from_top, ncm_cardinality, read_cache,
+                              write_cache, zeta_closed, zeta_direct,
+                              zeta_rows)
 from noncross.refdata import CHI_STAR_COEFFS, chi_star_reference
 from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
                                  classify_edge_list, degree_pairs)
 from noncross.triangles import assemble_dual
 from noncross.typelabel import label
 from noncross.weyl import (_reflection_data, bipartite_coxeter,
-                           classify_moved_roots, coxeter_root_permutation)
+                           classify_moved_roots, coxeter_root_permutation,
+                           enumerate_group)
 
 # total element counts: Cat(n+1) for A_n, known values for D and E
 SIZES = {
@@ -404,8 +405,8 @@ print(ncposet.enumerate_nc.cache_info().misses, *sorted(ncposet._WALKED))
 
 
 @pytest.mark.parametrize("snippet, walked", [
-    ("from noncross.decomp import production_table\n"
-     "production_table('E7')", "1 E7"),
+    ("from noncross.decomp import full_table\n"
+     "full_table('E7')", "1 E7"),
     ("from noncross import linsys, triangles\n"
      "triangles.assemble_dual('E8', linsys.replay('E8').final_table)",
      "1 E8"),
@@ -524,7 +525,7 @@ def test_doctored_census_raises_the_polynomial_sum_message(monkeypatch):
         chi = chi + (SparsePolynomial.variable("y", t_low.rank)
                      * (count * _mobius_number(t_comp)))
     message = "chi*(1) = %s != 0 for NC(D4)" % chi.evaluate(y=1)
-    table = production_table("D4")
+    table = full_table("D4")
     real = ncposet.census
     monkeypatch.setattr(ncposet, "census",
                         lambda t: dict(doctored) if t is d4 else real(t))
@@ -653,9 +654,6 @@ def test_schema_2_cache_is_regenerated_once(tmp_path):
                                    '"schema_version": 2', 1))
     with pytest.raises(CacheFormatError):
         read_cache(path)
-    assert load_or_enumerate("D4", str(tmp_path)) is poset
-    with open(path) as handle:
-        assert handle.read() == fresh
 
 
 @pytest.mark.parametrize("header", ["", "[", "null", "[]", "{}",
@@ -668,22 +666,89 @@ def test_read_cache_without_ambient_rejects_bad_header(tmp_path, header):
         read_cache(str(path))
 
 
+# ---------------------------------------------------------------------------
+# a damaged cache file is refused; lines[0] is the header, lines[1] the
+# identity (records go level by level from rank 0)
+
+
+def _edit(lines, index, change):
+    record = json.loads(lines[index])
+    change(record)
+    lines[index] = json.dumps(record)
+
+
+def _truncated_line(lines):
+    lines[-1] = lines[-1][:-20]
+
+
+def _wrong_shape(lines):
+    """Set a mask bit past the 12 positive roots of D4."""
+    _edit(lines, 3, lambda r: r.update(
+        mask=format(int(r["mask"], 16) | 1 << 12, "x")))
+
+
+def _missing_key(lines):
+    _edit(lines, 3, lambda r: r.pop("type"))
+
+
+def _wrong_ambient(lines):
+    _edit(lines, 0, lambda r: r.update(ambient="D5"))
+
+
+def _wrong_schema(lines):
+    _edit(lines, 0, lambda r: r.update(schema_version=r["schema_version"] + 1))
+
+
+def _tampered_type(lines):
+    _edit(lines, 1, lambda r: r.update(type="A4"))
+
+
+def _tampered_matrix(lines):
+    """Swap a rank-2 element for the moved-root mask of a length-2 group
+    element outside NC(D4) with the same type, so that only the check
+    against the walk can notice."""
+    rs = build_root_system("D4")
+    poset = enumerate_nc("D4")
+    index = next(i for i, line in enumerate(lines[1:], 1)
+                 if json.loads(line)["rank"] == 2)
+    typ = json.loads(lines[index])["type"]
+    for key, length in enumerate_group(rs).items():
+        g = GroupElement(rs, key)
+        mask = sum(1 << i for i in moved_positive_roots(rs, g))
+        if length == 2 and mask not in poset.elements:
+            try:
+                found = str(classify_parabolic_type(rs, g, check=False))
+            except AssertionError:
+                continue
+            if found == typ:
+                _edit(lines, index, lambda r: r.update(mask=format(mask, "x")))
+                return
+    raise AssertionError("no element outside NC(D4) of type %s" % typ)
+
+
+@pytest.mark.parametrize("damage", [
+    _truncated_line, _wrong_shape, _missing_key, _wrong_ambient,
+    _wrong_schema, _tampered_type, _tampered_matrix,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_read_cache_refuses_damaged_file(tmp_path, damage):
+    path = tmp_path / "nc_D4.jsonl"
+    write_cache(enumerate_nc("D4"), str(path))
+    lines = path.read_text().splitlines()
+    damage(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheFormatError):
+        read_cache(str(path), expected_ambient="D4")
+    with pytest.raises(CacheFormatError):
+        read_cache(str(path))
+
+
 def test_respelt_cache_is_a_miss_and_rewritten(tmp_path):
     # the same records with their keys in another order
-    load_or_enumerate("D4", str(tmp_path))
     path = tmp_path / "nc_D4.jsonl"
+    write_cache(enumerate_nc("D4"), str(path))
     canonical = path.read_text()
     path.write_text("".join(
         json.dumps(dict(reversed(json.loads(line).items()))) + "\n"
         for line in canonical.splitlines()))
     with pytest.raises(CacheFormatError):
         read_cache(str(path), expected_ambient="D4")
-    assert load_or_enumerate("D4", str(tmp_path)) is enumerate_nc("D4")
-    assert path.read_text() == canonical
-
-
-def test_load_or_enumerate_uses_cache_dir(tmp_path):
-    first = load_or_enumerate("A3", str(tmp_path))
-    assert (tmp_path / "nc_A3.jsonl").exists()
-    second = load_or_enumerate("A3", str(tmp_path))
-    assert len(first) == len(second) == 14

@@ -8,7 +8,7 @@ import pytest
 
 from noncross import exact
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
-                             canonical_tuple, full_table, production_table)
+                             canonical_tuple, full_table)
 from noncross.linsys import generate_equations
 from noncross.ncposet import build_ncm, zeta_closed, zeta_forms, zeta_rows
 from noncross.refdata import (REFERENCE_TABLE_NAMES, golden_dual,
@@ -95,7 +95,7 @@ def test_zeta_identity_difference_on_tampered_tables(name, kind):
 
 
 def test_zeta_identity_zero_on_D8_census_table():
-    table = production_table("D8")
+    table = full_table("D8")
     assert not zeta_identity_check("D8", table).terms
     assert not zeta_identity_expansion("D8", table).terms
 
@@ -123,7 +123,7 @@ def test_symbolic_zeta_closed_form_built_once():
 def test_rank_8_zeta_form_built_once():
     # the E8 and D8 zeta rows share one rank-8 form, and the D8 zeta
     # identity reads the rows of the D8 system
-    table = production_table("D8")
+    table = full_table("D8")
     zeta_forms.cache_clear()
     zeta_rows.cache_clear()
     generate_equations("E8")
@@ -193,7 +193,7 @@ def test_f_reciprocity_small(name, m):
 
 def test_D8_census_table_passes_reciprocity_and_fm():
     # D8 has no published table: its census table is checked by identities
-    mt = assemble_dual("D8", production_table("D8"))
+    mt = assemble_dual("D8", full_table("D8"))
     assert not reciprocity_check(mt).terms
     for m in (1, 2, 3):
         assert not fm_transform(mt, m).problems(), m
@@ -212,7 +212,7 @@ def _typed_terms(p):
     *(("refdata", name) for name in REFERENCE_TABLE_NAMES)])
 def test_integer_assembly_matches_polynomial_products(source, name):
     if source == "production":
-        table = production_table(name)
+        table = full_table(name)
     else:
         table = DecompositionTable(label(name), reference_table(name),
                                    provenance="published")
@@ -240,7 +240,7 @@ def _parity_triangle(name):
     if name.startswith("golden "):
         ambient = name.split()[1]
         return MTriangle.from_dual(ambient, golden_dual(ambient))
-    return assemble_dual(name, production_table(name))
+    return assemble_dual(name, full_table(name))
 
 
 _TAMPERINGS = {

@@ -32,6 +32,8 @@ def test_empty_label():
 
 def test_rank_additive():
     assert label("A1^3*D4").rank == 7
+    # far above any ambient, and still below the parse bound
+    assert label("A1^3000*E8").rank == 3008
 
 
 def test_components_roundtrip():
@@ -58,7 +60,9 @@ def test_low_rank_d_synonyms_collapse():
 
 
 def test_bad_labels_rejected():
-    for bad in ("X9", "A", "A0", "E9", "A1**2", "", " ", "\t"):
+    # A1^99999999999 is refused before its components are built
+    for bad in ("X9", "A", "A0", "E9", "A1**2", "", " ", "\t",
+                "A1^99999999999"):
         with pytest.raises((ValueError, KeyError)):
             label(bad)
 

@@ -18,6 +18,10 @@ the median is printed as JSON, one object per ambient:
   ``generate_equations`` emits them (the sparse rows by descending
   leading column, then the zeta rows; since the echelon is reduced,
   ``Echelon.space`` only reads the space off its rows);
+* ``relations_<ambient>_s``: checking the paper's published relations
+  (``linsys.relation_rows``) with ``Echelon.implies`` on the unpinned
+  echelon, as ``replay`` does before the pins (absent for a tree
+  without ``relation_rows``);
 * ``replay_s``: one uncached ``linsys.replay`` with the poset and the
   lower tables warm, memos emptied first;
 * ``assemble_dual_s`` and ``assemble_dual_chi_warm_s``:
@@ -78,6 +82,11 @@ def stages(name, repeats):
         lambda: linsys.generate_equations(name), repeats)
     out["elimination_s"], ech = timed(lambda: exact.echelon(system), repeats)
     out["back_substitution_s"], _ = timed(ech.space, repeats)
+    if hasattr(linsys, "relation_rows"):
+        out["relations_%s_s" % name], _ = timed(
+            lambda: [ech.implies(coeffs, rhs)
+                     for _, coeffs, rhs in linsys.relation_rows(name)],
+            repeats, before=lambda: None)
     out["replay_s"], _ = timed(lambda: linsys.replay.__wrapped__(name),
                                repeats)
     assemble = lambda: triangles.assemble_dual(name, report.final_table)

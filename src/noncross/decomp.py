@@ -415,6 +415,14 @@ def all_labels_of_rank(r):
     return tuple(sorted(found))
 
 
+def one_extra_factor(key, n):
+    """The rank-n tuples that add one factor to a canonical key, one per
+    type of the complementary rank and all distinct: N(key) is the sum
+    of their entries (a full-rank key is its own only tuple)."""
+    return tuple(canonical_tuple(key + (extra,))
+                 for extra in all_labels_of_rank(n - tuple_rank(key)))
+
+
 @lru_cache(maxsize=None)
 def all_tuples_of_rank(total):
     """All canonical tuples (multisets of nonempty labels) with the given

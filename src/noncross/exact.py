@@ -439,10 +439,15 @@ class Echelon:
                       for v, c in coeffs.items() if c},
                      _coeff(rhs), provenance)
 
-    def _insert(self, row, rhs, provenance):
-        """Insert a row keyed by column; raises InconsistentSystemError
-        (naming ``provenance``) and leaves the echelon unchanged when the
-        row reduces to 0 = nonzero."""
+    def implies(self, coeffs, rhs):
+        """Whether the row sum(coeffs[v] * v) = rhs follows from the rows
+        so far: it clears to 0 = 0.  The echelon is left unchanged."""
+        return not self._clear({self._index[v]: _coeff(c)
+                                for v, c in coeffs.items() if c}, _coeff(rhs))
+
+    def _clear(self, row, rhs):
+        """A row keyed by column, scaled to integers (the right-hand side
+        keyed ``len(variables)``) and cleared at the pivots it meets."""
         nvars = len(self.variables)
         pivots = self.pivots
         denom = rhs.denominator
@@ -466,6 +471,15 @@ class Echelon:
                         vec[c] = new
                     else:
                         del vec[c]
+        return vec
+
+    def _insert(self, row, rhs, provenance):
+        """Insert a row keyed by column; raises InconsistentSystemError
+        (naming ``provenance``) and leaves the echelon unchanged when the
+        row reduces to 0 = nonzero."""
+        nvars = len(self.variables)
+        pivots = self.pivots
+        vec = self._clear(row, rhs)
         lead = min((c for c in vec if c < nvars), default=None)
         if lead is None:
             if vec:

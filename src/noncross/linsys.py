@@ -27,18 +27,21 @@ changes neither the pivots nor the solution space, only the work.
 The resulting system is eliminated exactly, once.  For the large
 ambients it is underdetermined by a small dimension; the remaining
 freedom is pinned with a handful of brute-force counts, added as rows to
-the same echelon, and classical arithmetic consistency relations are
-then asserted on the pinned solution.
+the same echelon.  The paper's published relations between table
+entries and its free parameters (``RELATIONS``) are checked before the
+pins, each as a consequence of the unpinned system: its row clears to
+0 = 0 against the echelon.  Only the congruences and values that hold
+at the pinned point alone are checked on the pinned solution.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .decomp import (DecompositionTable, all_labels_of_rank,
                      all_tuples_of_rank, canonical_tuple, count_bruteforce,
-                     lower_table, special_values, tuple_rank)
+                     lower_table, one_extra_factor, special_values,
+                     tuple_rank)
 from .exact import LinearSystem, echelon, solve
 from .ncposet import enumerate_nc, zeta_rows
 from .rootsystem import subdiagram_types
@@ -56,6 +59,62 @@ PIN_TUPLES = {
     "E8": (("A5", "A1*A2"), ("D5", "A1*A2"), ("A4", "A1*A3"), ("D4", "A4")),
     "D8": (("A3", "D5"), ("A2^2", "D4"), ("A4", "A4"), ("A4", "D4"),
            ("D4", "D4")),
+}
+
+# the paper's relations between table entries and its free parameters,
+# each as printed and as the integer row sum(c * N(key)) = rhs; a key is
+# label text, and X, Y, A and B are the entries of PIN_TUPLES[name] in order
+RELATIONS = {
+    "E6": (
+        ("100 N(A3,A3) = 2592 + 9X", {"A3,A3": 100, "X": -9}, 2592),
+        ("5 N(A1*A2,A1^3) = 192 - 6X", {"A1*A2,A1^3": 5, "X": 6}, 192),
+    ),
+    "D6": (
+        ("N(A1^2*A2,A1^2) = 25 - 27X/40 - 3Y",
+         {"A1^2*A2,A1^2": 40, "X": 27, "Y": 120}, 1000),
+        ("N(A3,A3) = 20 + 9X/100", {"A3,A3": 100, "X": -9}, 2000),
+    ),
+    "D7": (
+        ("N(A1^4,A1*A2) = 6(36-X)/5", {"A1^4,A1*A2": 5, "X": 6}, 216),
+        ("N(A1^2*A2,A3) = 3(Y+162)/10", {"A1^2*A2,A3": 10, "Y": -3}, 486),
+        ("N(A1*A3,A1^3) = 84 - Y/3", {"A1*A3,A1^3": 3, "Y": 1}, 252),
+        ("N(A1*A2^2,A2) = 14(36-3X-Y)/15",
+         {"A1*A2^2,A2": 15, "X": 42, "Y": 14}, 504),
+        ("N(A1*A2^2,A1^2) = 7(3X+Y-36)/5",
+         {"A1*A2^2,A1^2": 5, "X": -21, "Y": -7}, -252),
+    ),
+    "E7": (
+        ("N(A5,A2) = 1272/25 - 58X/75 - 58Y/225",
+         {"A5,A2": 225, "X": 174, "Y": 58}, 11448),
+        ("N(A4,A3) = 594/25 + 18X/25 + 11Y/25",
+         {"A4,A3": 25, "X": -18, "Y": -11}, 594),
+        ("N(D4,A3) = 126/5 - 2X/5 - 7Y/30",
+         {"D4,A3": 30, "X": 12, "Y": 7}, 756),
+        ("N(A1^3*A2,A1^2) = 423/5 - 14X/5 - 14Y/15",
+         {"A1^3*A2,A1^2": 15, "X": 42, "Y": 14}, 1269),
+        ("N(A1^3*A2,A2) = -192/5 + 28X/15 + 28Y/45",
+         {"A1^3*A2,A2": 45, "X": -84, "Y": -28}, -1728),
+    ),
+    "E8": (
+        ("N(A5,A3) = (750-X)/4", {"A5,A3": 4, "X": 1}, 750),
+        ("N(D5,A3) = (375-Y)/4", {"D5,A3": 4, "Y": 1}, 375),
+        ("N(A5,A1^3) = 5(750-X)/6", {"A5,A1^3": 6, "X": 5}, 3750),
+        ("N(D5,A1^3) = 5(375-Y)/6", {"D5,A1^3": 6, "Y": 5}, 1875),
+        ("N(A2*A3,A1*A2) = 3(4125-8X+16Y)/25",
+         {"A2*A3,A1*A2": 25, "X": 24, "Y": -48}, 12375),
+        ("N(A2*A3,A1^3) = (1125+4X-8Y)/5",
+         {"A2*A3,A1^3": 5, "X": -4, "Y": 8}, 1125),
+        ("N(A1*D4,A3) = Y - 150", {"A1*D4,A3": 1, "Y": -1}, -150),
+        ("N(A1^2*A3,A1^3) = (49875-56X-138Y)/5",
+         {"A1^2*A3,A1^3": 5, "X": 56, "Y": 138}, 49875),
+        ("N(A1*A4,A1*A2) = 2(2295-3X-4Y)",
+         {"A1*A4,A1*A2": 1, "X": 6, "Y": 8}, 4590),
+        ("N(A1^3*A2,A1^3) = (112X+226Y-86625)/15",
+         {"A1^3*A2,A1^3": 15, "X": -112, "Y": -226}, -86625),
+        ("N(D4) = 27263/168 - A/40 + B/40 + 283X/1500 + 7957Y/15750",
+         {"D4": 63000, "A": 1575, "B": -1575, "X": -11886, "Y": -31828},
+         10223625),
+    ),
 }
 
 # equation families, named by the prefix of each row's provenance
@@ -113,18 +172,11 @@ def generate_equations(name):
 
     # special values; rank-deficient ones are expanded by one extra factor
     for key, value in special_values(name).items():
-        s = tuple_rank(key)
         if not key:
             continue
-        if s == n:
-            system.add_row({key: 1}, value, "special:%s" % ",".join(map(str, key)))
-        else:
-            coeffs = {}
-            for extra in all_labels_of_rank(n - s):
-                var = canonical_tuple(key + (extra,))
-                coeffs[var] = coeffs.get(var, 0) + 1
-            system.add_row(coeffs, value,
-                           "special-deficient:%s" % ",".join(map(str, key)))
+        family = "special" if tuple_rank(key) == n else "special-deficient"
+        system.add_row(dict.fromkeys(one_extra_factor(key, n), 1), value,
+                       "%s:%s" % (family, ",".join(map(str, key))))
 
     # splitting relations: a suffix of the tuple is contracted through
     # the tables of all lower-rank ambients of matching rank; the primed
@@ -158,6 +210,20 @@ def generate_equations(name):
     return system
 
 
+def relation_rows(name):
+    """The published relations of one ambient as rows over its variables:
+    (description, coeffs, rhs) per entry of ``RELATIONS[name]``."""
+    n = label(name).rank
+    params = dict(zip("XYAB", PIN_TUPLES.get(name, ())))
+    for desc, terms, rhs in RELATIONS.get(name, ()):
+        coeffs = {}
+        for term, c in terms.items():
+            key = canonical_tuple(params.get(term) or term.split(","))
+            for var in one_extra_factor(key, n):
+                coeffs[var] = coeffs.get(var, 0) + c
+        yield desc, coeffs, rhs
+
+
 def _leading_column(row):
     """The lowest column of a system row, where its pivot would fall."""
     return min(row[0])
@@ -171,31 +237,29 @@ def row_family(provenance):
 def check_system_against_table(system, table):
     """Provenances of all equations violated by a complete table; the
     exact-oracle table must satisfy every generated equation."""
-    failures = []
-    for row, rhs, provenance in system.rows:
-        total = sum(c * table.entries.get(system.variables[i], 0)
-                    for i, c in row.items())
-        if total != rhs:
-            failures.append(provenance)
-    return failures
+    entries, variables = table.entries, system.variables
+    return [provenance for row, rhs, provenance in system.rows
+            if rhs != sum(c * entries.get(variables[i], 0)
+                          for i, c in row.items())]
 
 
 @lru_cache(maxsize=None)
 def replay(name):
-    """Solve the equation system for one ambient, pin the remaining
-    freedom with brute-force oracle values, and assert the classical
-    arithmetic consistency relations on the result.  An ambient with
-    pins is enumerated first: the pins need NC(name), and the lower
-    tables of the split rows then read their censuses off its
-    intervals."""
+    """Solve the equation system for one ambient, check the published
+    relations as consequences of it, pin the remaining freedom with
+    brute-force oracle values, and check the published congruences on
+    the result.  An ambient with pins is enumerated first: the pins need
+    NC(name), and the lower tables of the split rows then read their
+    censuses off its intervals."""
     ambient = label(name)
-    n = ambient.rank
     flags = []
     if name in PIN_TUPLES:
         enumerate_nc(name)
     system = generate_equations(name)
     ech = echelon(system)
     dimension = ech.dimension
+    relations = [(desc, ech.implies(coeffs, rhs))
+                 for desc, coeffs, rhs in relation_rows(name)]
 
     expected = EXPECTED_DIMENSION.get(name, 0)
     if dimension > expected:
@@ -209,11 +273,8 @@ def replay(name):
         flags.append("dimension %d below the reported %d "
                      "(extra independent relations)" % (dimension, expected))
 
-    pins = {}
-    pin_keys = [canonical_tuple(tuple(label(x) for x in tup))
-                for tup in PIN_TUPLES.get(name, ())]
-    for key in pin_keys[:dimension]:
-        pins[key] = count_bruteforce(name, key)
+    pins = {key: count_bruteforce(name, key) for key in map(
+        canonical_tuple, PIN_TUPLES.get(name, ())[:dimension])}
     for key, value in pins.items():        # inconsistency -> pins outside
         ech.add_row({key: 1}, value, "oracle-pin:%s" % ",".join(map(str, key)))
     if pins and ech.dimension != 0:
@@ -231,7 +292,7 @@ def replay(name):
         if value:
             entries[key] = int(value)
     table = DecompositionTable(ambient, entries, provenance="linear-system")
-    assertions = _consistency_assertions(name, table)
+    assertions = relations + _point_checks(name, table)
     rows_by_family = dict.fromkeys(ROW_FAMILIES, 0)
     for _, _, provenance in system.rows:
         rows_by_family[row_family(provenance)] += 1
@@ -249,100 +310,26 @@ def replay(name):
     )
 
 
-def _consistency_assertions(name, table):
-    """The published arithmetic cross-checks on a solved table."""
-
-    def v(*labels):
-        return table.lookup(tuple(label(x) for x in labels))
-
-    checks = []
-
-    def rel(desc, lhs, rhs):
-        checks.append((desc, Fraction(lhs) == Fraction(rhs)))
-
-    if name == "E6":
-        x = v("A1^3", "A1^3")
-        rel("100 N(A3,A3) = 2592 + 9X", 100 * v("A3", "A3"), 2592 + 9 * x)
-        rel("5 N(A1*A2,A1^3) = 192 - 6X",
-            5 * v("A1*A2", "A1^3"), 192 - 6 * x)
-    elif name == "D6":
-        x = v("A1^3", "A1^3")
-        y = v("A1^4", "A1^2")
-        rel("N(A1^2*A2,A1^2) = 25 - 27X/40 - 3Y",
-            v("A1^2*A2", "A1^2"), 25 - Fraction(27, 40) * x - 3 * y)
-        rel("N(A3,A3) = 20 + 9X/100",
-            v("A3", "A3"), 20 + Fraction(9, 100) * x)
-        checks.append(("5 divides N(A1^4,A1^2)", y % 5 == 0))
-    elif name == "D7":
-        x = v("A1^4", "A1^3")
-        y = v("A1^2*A2", "A1^3")
-        rel("N(A1^4,A1*A2) = 6(36-X)/5",
-            v("A1^4", "A1*A2"), Fraction(6, 5) * (36 - x))
-        rel("N(A1^2*A2,A3) = 3(Y+162)/10",
-            v("A1^2*A2", "A3"), Fraction(3, 10) * (y + 162))
-        rel("N(A1*A3,A1^3) = 84 - Y/3",
-            v("A1*A3", "A1^3"), 84 - Fraction(y, 3))
-        rel("N(A1*A2^2,A2) = 14(36-3X-Y)/15",
-            v("A1*A2^2", "A2"), Fraction(14, 15) * (36 - 3 * x - y))
-        rel("N(A1*A2^2,A1^2) = 7(3X+Y-36)/5",
-            v("A1*A2^2", "A1^2"), Fraction(7, 5) * (3 * x + y - 36))
-    elif name == "E7":
-        x = v("A1^4", "A1^3")
-        y = v("A1^2*A2", "A1^3")
-        rel("N(A5,A2) = 1272/25 - 58X/75 - 58Y/225",
-            v("A5", "A2"),
-            Fraction(1272, 25) - Fraction(58, 75) * x - Fraction(58, 225) * y)
-        rel("N(A4,A3) = 594/25 + 18X/25 + 11Y/25",
-            v("A4", "A3"),
-            Fraction(594, 25) + Fraction(18, 25) * x + Fraction(11, 25) * y)
-        rel("N(D4,A3) = 126/5 - 2X/5 - 7Y/30",
-            v("D4", "A3"),
-            Fraction(126, 5) - Fraction(2, 5) * x - Fraction(7, 30) * y)
-        rel("N(A1^3*A2,A1^2) = 423/5 - 14X/5 - 14Y/15",
-            v("A1^3*A2", "A1^2"),
-            Fraction(423, 5) - Fraction(14, 5) * x - Fraction(14, 15) * y)
-        rel("N(A1^3*A2,A2) = -192/5 + 28X/15 + 28Y/45",
-            v("A1^3*A2", "A2"),
-            Fraction(-192, 5) + Fraction(28, 15) * x + Fraction(28, 45) * y)
-        checks.append(("X - 8Y = 2 (mod 25)", (x - 8 * y) % 25 == 2))
-        checks.append(("18X + 11Y = 6 (mod 25)", (18 * x + 11 * y) % 25 == 6))
-        checks.append(("Y = 0 (mod 6)", y % 6 == 0))
-        checks.append(("3 divides X", x % 3 == 0))
-        checks.append(("X = 29 - 10k, Y = 30k - 6 with k = 2",
-                       x == 29 - 10 * 2 and y == 30 * 2 - 6))
-    elif name == "E8":
-        x = v("A5", "A1*A2")
-        y = v("D5", "A1*A2")
-        a = v("A4", "A1*A3")
-        b = v("D4", "A4")
-        rel("N(A5,A3) = (750-X)/4", v("A5", "A3"), Fraction(750 - x, 4))
-        rel("N(D5,A3) = (375-Y)/4", v("D5", "A3"), Fraction(375 - y, 4))
-        rel("N(A5,A1^3) = 5(750-X)/6",
-            v("A5", "A1^3"), Fraction(5, 6) * (750 - x))
-        rel("N(D5,A1^3) = 5(375-Y)/6",
-            v("D5", "A1^3"), Fraction(5, 6) * (375 - y))
-        rel("N(A2*A3,A1*A2) = 3(4125-8X+16Y)/25",
-            v("A2*A3", "A1*A2"), Fraction(3, 25) * (4125 - 8 * x + 16 * y))
-        rel("N(A2*A3,A1^3) = (1125+4X-8Y)/5",
-            v("A2*A3", "A1^3"), Fraction(1125 + 4 * x - 8 * y, 5))
-        rel("N(A1*D4,A3) = Y - 150", v("A1*D4", "A3"), y - 150)
-        rel("N(A1^2*A3,A1^3) = (49875-56X-138Y)/5",
-            v("A1^2*A3", "A1^3"), Fraction(49875 - 56 * x - 138 * y, 5))
-        rel("N(A1*A4,A1*A2) = 2(2295-3X-4Y)",
-            v("A1*A4", "A1*A2"), 2 * (2295 - 3 * x - 4 * y))
-        rel("N(A1^3*A2,A1^3) = (112X+226Y-86625)/15",
-            v("A1^3*A2", "A1^3"),
-            Fraction(112 * x + 226 * y - 86625, 15))
-        total_d4 = v("D4")
-        rel("N(D4) = 27263/168 - A/40 + B/40 + 283X/1500 + 7957Y/15750",
-            total_d4,
-            Fraction(27263, 168) - Fraction(a, 40) + Fraction(b, 40)
-            + Fraction(283, 1500) * x + Fraction(7957, 15750) * y)
-        rel("N(D4) = 325", total_d4, 325)
-        checks.append(("X = 6 (mod 12)", x % 12 == 6))
-        checks.append(("Y = 3 (mod 12)", y % 12 == 3))
-        checks.append(("X = 2Y (mod 25)", (x - 2 * y) % 25 == 0))
-        k = (y - 3) // 12
-        checks.append(("Y = 12k + 3, X = 300j + 24k + 6 with j = 0, k = 16",
-                       y == 12 * k + 3 and k == 16 and x == 24 * k + 6))
-    return checks
+def _point_checks(name, table):
+    """The published checks that hold at the pinned point only: the
+    congruences and values of the parameters X and Y (the first two
+    entries of ``PIN_TUPLES[name]``) and, for E8, N(D4) = 325."""
+    if name not in ("D6", "E7", "E8"):
+        return []
+    x, y = (table.lookup(tup) for tup in PIN_TUPLES[name][:2])
+    if name == "D6":
+        return [("5 divides N(A1^4,A1^2)", y % 5 == 0)]
+    if name == "E7":
+        return [("X - 8Y = 2 (mod 25)", (x - 8 * y) % 25 == 2),
+                ("18X + 11Y = 6 (mod 25)", (18 * x + 11 * y) % 25 == 6),
+                ("Y = 0 (mod 6)", y % 6 == 0),
+                ("3 divides X", x % 3 == 0),
+                ("X = 29 - 10k, Y = 30k - 6 with k = 2",
+                 x == 29 - 10 * 2 and y == 30 * 2 - 6)]
+    k = (y - 3) // 12
+    return [("N(D4) = 325", table.lookup(("D4",)) == 325),
+            ("X = 6 (mod 12)", x % 12 == 6),
+            ("Y = 3 (mod 12)", y % 12 == 3),
+            ("X = 2Y (mod 25)", (x - 2 * y) % 25 == 0),
+            ("Y = 12k + 3, X = 300j + 24k + 6 with j = 0, k = 16",
+             y == 12 * k + 3 and k == 16 and x == 24 * k + 6)]

@@ -687,8 +687,7 @@ def zeta_forms(n):
     tuple length k as one z-vector over a common denominator, and
     n! binom(m, k), which has integer coefficients for k <= n, enters
     once per tuple and length (``_binomial_sum``)."""
-    from .decomp import (all_labels_of_rank, all_tuples_of_rank,
-                         canonical_tuple, orderings)
+    from .decomp import all_tuples_of_rank, one_extra_factor, orderings
     products = {(): ([1], 1)}
     for s in range(1, n + 1):
         for tup in all_tuples_of_rank(s):
@@ -699,12 +698,7 @@ def zeta_forms(n):
         for tup in all_tuples_of_rank(s):
             vec, den = products[tup]
             scale = orderings(tup) * (common // den)
-            if s == n:
-                targets = (tup,)
-            else:
-                targets = tuple(canonical_tuple(tup + (extra,))
-                                for extra in all_labels_of_rank(n - s))
-            for var in targets:
+            for var in one_extra_factor(tup, n):
                 by_length = by_tuple.setdefault(var, {})
                 acc = by_length.setdefault(len(tup), [0] * (n + 1))
                 for j, c in enumerate(vec):

@@ -23,10 +23,6 @@ from .rootsystem import SUPPORTED_AMBIENTS, build_root_system
 from .typelabel import label
 
 
-def _key(text):
-    return tuple(label(tok) for tok in text.split(","))
-
-
 def _nonzero(values):
     return {k: v for k, v in values.items() if v}
 
@@ -160,7 +156,7 @@ def _lookups():
     for key, value in (("D4", 325), ("D4,A4", 15), ("A4,A1*A3", 390),
                        ("A5,A1*A2", 390), ("D5,A1*A2", 195)):
         yield ("E8 lookup %s = %d" % (key, value),
-               table.lookup(_key(key)) == value)
+               table.lookup(key.split(",")) == value)
 
 
 def _census():
@@ -190,7 +186,7 @@ def _pins():
     """The E7 pin values by brute force."""
     memo = {}
     for key, value in (("A1^4,A1^3", 9), ("A1^2*A2,A1^3", 54)):
-        count = decomp.count_bruteforce("E7", _key(key), _memo=memo)
+        count = decomp.count_bruteforce("E7", key.split(","), _memo=memo)
         yield ("E7 pin %s = %d by brute force" % (key, value), count == value)
 
 

@@ -525,6 +525,44 @@ def test_dense_rows_match_dense_oracle(data):
     _check_against_dense(data)
 
 
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems(max_support=5))
+@example((4, _THREE_PIVOTS, [({0: 4, 1: 6, 2: 10, 3: 1}, 12)]))
+@example((4, _THREE_PIVOTS, [({0: 2, 1: 3, 2: 5, 3: 1}, 7)]))
+def test_implies_matches_rank_oracle(data):
+    # a row is implied exactly when appending it to the system leaves the
+    # rank unchanged and the system consistent; the system's own rows and
+    # their sum always are, and asking leaves the echelon as it was
+    n, rows, extra = data
+    names = ["v%d" % i for i in range(n)]
+    system = LinearSystem(variables=names)
+    for i, (row, rhs) in enumerate(rows):
+        system.add_row({names[c]: x for c, x in row.items()}, rhs, "row%d" % i)
+    try:
+        ech = echelon(system)
+    except InconsistentSystemError:
+        return
+    total = {}
+    for row, _ in rows:
+        for c, x in row.items():
+            total[c] = total.get(c, 0) + x
+    candidates = extra + rows + [(total, sum(rhs for _, rhs in rows))]
+    for row, rhs in candidates:
+        coeffs = {names[c]: x for c, x in row.items()}
+        dense = DenseEchelon.of(system)
+        try:
+            dense.add_row(coeffs, rhs)
+            expected = dense.dimension == ech.dimension
+        except InconsistentSystemError:
+            expected = False
+        pivots = {col: dict(r) for col, r in ech.pivots.items()}
+        holders = {c: set(held) for c, held in ech._holders.items()}
+        assert ech.implies(coeffs, rhs) == expected
+        assert ech.pivots == pivots and ech._holders == holders
+    for row, rhs in candidates[len(extra):]:
+        assert ech.implies({names[c]: x for c, x in row.items()}, rhs)
+
+
 @pytest.mark.parametrize("name", ["E6", "D6", "D7"])
 def test_equation_system_echelon_matches_dense_oracle(name):
     system = generate_equations(name)

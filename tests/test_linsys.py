@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dense_echelon import DenseEchelon
+from relation_reader import read_relation
 from poly_oracle import _coeffs_mz, binomial_poly, zeta_shifted
 from product_oracle import _reference_product_value
 from noncross import decomp, linsys
@@ -12,9 +13,11 @@ from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple, full_table,
                              lower_table, orderings, tuple_rank)
 from noncross.exact import ZERO, LinearSystem, _coeff, echelon, poly
-from noncross.linsys import (EXPECTED_DIMENSION, ROW_FAMILIES,
-                             check_system_against_table, generate_equations,
-                             replay, row_family)
+from noncross.cli import main
+from noncross.linsys import (EXPECTED_DIMENSION, PIN_TUPLES, RELATIONS,
+                             ROW_FAMILIES, check_system_against_table,
+                             generate_equations, relation_rows, replay,
+                             row_family)
 from noncross.ncposet import zeta_closed, zeta_forms
 from noncross.refdata import reference_table
 from noncross.typelabel import label
@@ -66,7 +69,10 @@ def test_D6_replay():
 
 def test_D7_replay_dimension_relaxation():
     # the equation families here determine one more unknown than the
-    # published account kept free; anything <= the reported freedom is fine
+    # published account kept free: they imply 3X + Y = 36 for the
+    # parameters X = N(A1^4,A1^3) and Y = N(A1^2*A2,A1^3) (see
+    # test_D7_equations_imply_3X_plus_Y); anything <= the reported
+    # freedom is fine
     report = replay("D7")
     assert report.dimension <= EXPECTED_DIMENSION["D7"]
     if report.dimension < EXPECTED_DIMENSION["D7"]:
@@ -276,3 +282,115 @@ def test_rows_by_family(name):
     families = [row_family(p) for _, _, p in generate_equations(name).rows]
     for family in ROW_FAMILIES[:-1]:
         assert counts[family] == families.count(family) > 0
+
+
+# ---------------------------------------------------------------------------
+# the paper's relations, as rows implied by the unpinned system
+
+
+def test_relation_reader_reads_printed_forms():
+    assert read_relation("N(A1*A2^2,A2) = 14(36-3X-Y)/15") == {
+        "A1*A2^2,A2": 1, 1: Fraction(-504, 15), "X": Fraction(42, 15),
+        "Y": Fraction(14, 15)}
+    assert read_relation("100 N(A3,A3) = 2592 + 9X") == {
+        "A3,A3": 100, 1: -2592, "X": -9}
+    assert read_relation("N(D4) = 27263/168 - A/40 + B/40") == {
+        "D4": 1, 1: Fraction(-27263, 168), "A": Fraction(1, 40),
+        "B": Fraction(-1, 40)}
+    assert read_relation("-2(3 - (X - Y))/4 = 0") == {
+        1: Fraction(-3, 2), "X": Fraction(1, 2), "Y": Fraction(-1, 2)}
+    for bad in ("X Y = 1", "N(A2) / X = 1", "X = ", "X = 1)"):
+        with pytest.raises(ValueError):
+            read_relation(bad)
+
+
+@pytest.mark.parametrize("name", sorted(RELATIONS))
+def test_relation_rows_are_multiples_of_their_printed_forms(name):
+    for desc, terms, rhs in RELATIONS[name]:
+        printed = read_relation(desc)
+        row = dict(terms)
+        if rhs:
+            row[1] = -rhs
+        assert row.keys() == printed.keys(), desc
+        assert len({c / printed[t] for t, c in row.items()}) == 1, desc
+
+
+def test_relation_count():
+    assert [len(RELATIONS[n]) for n in ("E6", "D6", "D7", "E7", "E8")] \
+        == [2, 2, 5, 5, 11]
+
+
+@pytest.mark.parametrize("name", sorted(RELATIONS))
+def test_relations_follow_from_the_unpinned_system(name):
+    ech = echelon(generate_equations(name))
+    rows = list(relation_rows(name))
+    assert len(rows) == len(RELATIONS[name])
+    for desc, coeffs, rhs in rows:
+        assert ech.implies(coeffs, rhs), desc
+        assert not ech.implies(coeffs, rhs + 1), desc
+        assert all(c for c in coeffs.values())
+    checks = dict(replay(name).congruence_assertions)
+    assert all(checks[desc] is True for desc, _, _ in rows)
+
+
+def test_rank_deficient_keys_expand_by_one_factor():
+    # the special-deficient rows and a relation's N(D4) share this sum
+    table = replay("E8").final_table
+    for key in (L("D4"), L("A1"), L("A2", "A3"), L("A4", "A4")):
+        row = decomp.one_extra_factor(key, 8)
+        assert len(set(row)) == len(row)
+        assert all(tuple_rank(var) == 8 for var in row)
+        assert sum(map(table.lookup, row)) == table.lookup(key) > 0
+    assert decomp.one_extra_factor(L("A4", "A4"), 8) == (L("A4", "A4"),)
+
+
+def test_relations_are_checked_before_the_pins(monkeypatch):
+    # N(D4) = 325 holds at the pinned point only: as a relation row it is
+    # no consequence of the unpinned system, so it stays a point check
+    monkeypatch.setitem(RELATIONS, "E8", (("N(D4) = 325", {"D4": 1}, 325),))
+    monkeypatch.setattr(linsys, "replay", linsys.replay.__wrapped__)
+    checks = linsys.replay("E8").congruence_assertions
+    assert checks[0] == ("N(D4) = 325", False)
+    assert checks[1] == ("N(D4) = 325", True)
+
+
+def test_D7_equations_imply_3X_plus_Y():
+    # why D7 replays to dimension 1, below the paper's 2
+    x, y = (canonical_tuple(t) for t in PIN_TUPLES["D7"])
+    ech = echelon(generate_equations("D7"))
+    assert ech.implies({x: 3, y: 1}, 36)
+    assert not ech.implies({x: 3, y: 1}, 37)
+    assert not ech.implies({x: 1}, 6) and not ech.implies({y: 1}, 18)
+    assert ech.dimension == 1
+
+
+def _break_relation(monkeypatch, name="E8"):
+    """Shift the right side of ``name``'s first relation by one, and
+    replay uncached; returns the relation's description."""
+    (desc, terms, rhs), *rest = RELATIONS[name]
+    monkeypatch.setitem(RELATIONS, name, ((desc, terms, rhs + 1), *rest))
+    monkeypatch.setattr(linsys, "replay", linsys.replay.__wrapped__)
+    return desc
+
+
+def test_broken_relation_fails_its_check(monkeypatch):
+    desc = _break_relation(monkeypatch)
+    report = linsys.replay("E8")
+    checks = dict(report.congruence_assertions)
+    assert checks[desc] is False
+    assert [d for d, ok in checks.items() if not ok] == [desc]
+    assert not report.all_assertions_pass
+    # the table does not move: the relations are never rows of the system
+    assert report.final_table.entries == replay("E8").final_table.entries
+
+
+def test_broken_relation_fails_the_cli(monkeypatch, capsys):
+    desc = _break_relation(monkeypatch)
+    assert main(["linsys", "replay", "E8"]) == 1
+    out = capsys.readouterr().out
+    assert "  %s = FAIL\n" % desc in out
+    assert out.count("FAIL") == 1
+    assert main(["verify", "e8"]) == 1
+    out = capsys.readouterr().out
+    assert "  E8: %s = FAIL\n" % desc in out
+    assert "passed: 18\n" in out and "failed: 1\n" in out

@@ -33,12 +33,12 @@ and the verify suites read it.
 Rank-deficient tuples are looked up by summing one extra factor over all
 types of the complementary rank.  The functions that walk NC import
 ``ncposet`` when called, so a type-A lookup loads none of ``ncposet``,
-``weyl`` and ``exact``.
+``weyl`` and ``exact``; its closed form divides once in integers, so it
+loads no ``fractions`` either.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import comb, factorial, prod
@@ -153,7 +153,7 @@ def count_typeA(n, types):
     d = len(types)
     if d == 0:
         return 1
-    value = Fraction((n + 1) ** (d - 1)) * comb(n + 1, s + 1)
+    num, den = (n + 1) ** (d - 1) * comb(n + 1, s + 1), 1
     for t in types:
         m_total = len(t.components)
         slots = n - t.rank + 1
@@ -163,13 +163,13 @@ def count_typeA(n, types):
         counts = {}
         for comp in t.components:
             counts[comp] = counts.get(comp, 0) + 1
-        mult = Fraction(factorial(slots),
-                        factorial(slots - m_total)
-                        * prod(factorial(k) for k in counts.values()))
-        value *= mult / slots
-    if value.denominator != 1:
+        num *= factorial(slots)
+        den *= (factorial(slots - m_total) * slots
+                * prod(factorial(k) for k in counts.values()))
+    value, rest = divmod(num, den)
+    if rest:
         raise AssertionError("non-integral type-A count")
-    return int(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +538,10 @@ def special_values(name):
         canonical_tuple(("A1",)): rs.num_positive_roots,
     }
     all_a1 = canonical_tuple(("A1",) * n)
-    chains = Fraction(factorial(n) * h ** n, rs.group_order)
-    if chains.denominator != 1:
+    chains, rest = divmod(factorial(n) * h ** n, rs.group_order)
+    if rest:
         raise AssertionError("non-integral reflection factorization count")
-    values[all_a1] = int(chains)
+    values[all_a1] = chains
     deletions = single_node_deletions(name)
     a1 = label("A1")
     for t in all_labels_of_rank(n - 1):

@@ -737,9 +737,7 @@ def ncm_cardinality(t, m):
     """|NC^m| for the given type (a label or its text): the Fuss-Catalan
     number prod_i (mh + d_i)/d_i over the degrees d_i of each component
     of Coxeter number h, the closed-form zeta at z = 2."""
-    value = Fraction(1)
-    for h, d in degree_pairs(label(t)):
-        value *= Fraction(m * h + d, d)
+    value = zeta_closed(label(t), m).evaluate(z=2)
     if value.denominator != 1:
         raise AssertionError("non-integral NC^m cardinality")
     return int(value)

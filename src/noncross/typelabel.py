@@ -109,6 +109,9 @@ class TypeLabel:
             if match is None:
                 raise ValueError("bad type component %r in %r" % (token, text))
             family, rank, power = match.groups()
+            # validated before the power applies, so that E5^0 is refused
+            # like E5 instead of vanishing into the empty type
+            cls._normalize_component(family, int(rank))
             parts.append((family, int(rank), int(power or 1)))
         total = sum(rank * power for _, rank, power in parts)
         if total > MAX_LABEL_RANK:

@@ -111,6 +111,25 @@ def test_huge_label_power_exits_2_with_one_line(capsys):
                             "rank 99999999999 exceeds 10000\n")
 
 
+NOT_E = "E components exist only in ranks 6,7,8"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["decomp", "count", "E8", "E5^0"], NOT_E),
+    (["chi", "E5^0"], NOT_E),
+    (["chi", "D1^0"], "D components need rank >= 2, got 1")])
+def test_zero_power_of_a_bad_component_exits_2(capsys, argv, reason):
+    # the power used to apply first: E5^0 read as the empty type, printed 1
+    # and exited 0, while E5 exited 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: bad type label %r: %s\n"
+                            % (argv[-1], reason))
+
+
 @pytest.mark.parametrize("argv", [["chi", ""], ["chi", " "], ["zeta", ""],
                                   ["zeta", " "]])
 def test_blank_label_exits_2(capsys, argv):

@@ -129,6 +129,13 @@ def test_rootsys_info_loads_only_the_root_system():
     assert package_modules(modules) == {"cli", "typelabel", "rootsystem"}
 
 
+@pytest.mark.parametrize("argv", [["decomp", "count", "A5", "A2,A3"],
+                                  ["decomp", "table", "A6"]])
+def test_type_a_lookups_load_no_fractions(argv):
+    # the closed form and the special values divide once in integers
+    assert not loaded_by(argv) & {"fractions", "decimal"}
+
+
 @pytest.mark.parametrize("argv", [["decomp", "table", "D4"],
                                   ["mtriangle", "A3", "--dual"],
                                   ["ftriangle", "D4", "--format", "json"]])

@@ -1,0 +1,56 @@
+"""The stage harness ``benchmarks/stages.py`` runs and prints the keys its
+docstring documents.  Nothing here checks a timing."""
+
+import ast
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+HARNESS = ROOT / "benchmarks" / "stages.py"
+DOC = ast.get_docstring(ast.parse(HARNESS.read_text()))
+
+
+def documented_keys(group=None):
+    """The keys at the head of each bullet of the docstring, of one
+    group's section or of all, in order."""
+    text = DOC
+    if group is not None:
+        text = re.search(r"^The ``%s`` group(.*?)(?=^The ``|\Z)" % group,
+                         DOC, re.M | re.S).group(1)
+    heads = re.findall(r"^\* ((?:``[^`]+``[,\s]*(?:and\s+)?)+)", text, re.M)
+    return [key for head in heads for key in re.findall(r"``([^`]+)``", head)]
+
+
+def stage_keys(node):
+    """The keys of a group's report above the values of each tree."""
+    if "this" in node:
+        return set()
+    return set(node).union(*(stage_keys(value) for value in node.values()))
+
+
+def test_every_key_is_documented_once():
+    keys = documented_keys()
+    assert len(keys) == len(set(keys))
+    assert {"at:E8", "cold_verify_e8_s", "rank", "total_s",
+            "peak_rss_mb"} <= set(keys)
+
+
+def test_algebra_and_families_print_their_documented_keys():
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run([sys.executable, str(HARNESS), "algebra",
+                           "families", "--repeats", "1"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert list(report["trees"]) == ["this"]
+    for group in ("algebra", "families"):
+        assert stage_keys(report[group]) == set(documented_keys(group))
+    assert all(isinstance(value["this"], float)
+               for value in report["algebra"].values())
+    assert set(report["families"]["warm"]["total_s"]) == {"this"}

@@ -67,6 +67,16 @@ def test_bad_labels_rejected():
             label(bad)
 
 
+def test_zero_power_of_a_bad_component_rejected():
+    # the power used to apply before the component was checked, so E5^0
+    # and D1^0 parsed as the empty type; A1^0 still is the empty type
+    for bad in ("E5^0", "D1^0", "A0^0", "A1*E9^0"):
+        with pytest.raises(ValueError):
+            TypeLabel.parse(bad)
+    assert TypeLabel.parse("A1^0") is TypeLabel(())
+    assert TypeLabel.parse("A1^0*D4") is label("D4")
+
+
 def test_label_of_a_label_is_itself():
     for rank in range(9):
         for t in all_labels_of_rank(rank):

@@ -33,7 +33,8 @@ snippet in a fresh ``python -S`` and reads the JSON line it prints.
 ``product_table``, ``_matchings``, ``_joined``) and the zeta forms and
 rows (``ncposet.zeta_forms``, ``zeta_rows``); *walks* are the walked
 posets (``enumerate_nc``, ``ncposet._WALKED``), censuses, Moebius
-numbers, chi* values and census and full tables, with the memos.
+numbers, chi* values (with their cached y-vectors) and census and full
+tables, with the memos.
 
 The ``nc`` group: NC(W) enumeration and what reads it.
 
@@ -104,7 +105,8 @@ walked and the lower tables built:
   ``Echelon.implies`` on the unpinned echelon;
 * ``replay_s``: one uncached ``linsys.replay``; cleared: memos;
 * ``assemble_dual_s``: ``triangles.assemble_dual`` of the replayed
-  table; cleared: chi* (``ncposet.characteristic_polynomial``);
+  table; cleared: chi* (``ncposet.characteristic_polynomial`` and, in a
+  tree that has it, the cache of its y-vectors ``ncposet.chi_vector``);
 * ``assemble_dual_chi_warm_s``: the same with chi* warm;
 * ``rank``: the rank of the pinned system;
 * ``max_bits``: the largest bit size of a numerator or denominator of
@@ -323,13 +325,23 @@ def clear_memos():
         cached.cache_clear()
 
 
+def forget_chi():
+    """Empty chi*: ``characteristic_polynomial`` and, in a tree that has
+    it, the cache of its y-vectors (``ncposet.chi_vector``)."""
+    from noncross import ncposet
+    ncposet.characteristic_polynomial.cache_clear()
+    if hasattr(ncposet, "chi_vector"):
+        ncposet.chi_vector.cache_clear()
+
+
 def forget_walks():
     from noncross import decomp, ncposet
     for cached in (ncposet.enumerate_nc, ncposet._census,
-                   ncposet._mobius_number, ncposet.characteristic_polynomial,
-                   decomp.census_table, decomp.full_table):
+                   ncposet._mobius_number, decomp.census_table,
+                   decomp.full_table):
         cached.cache_clear()
     ncposet._WALKED.clear()
+    forget_chi()
     clear_memos()
 
 
@@ -439,7 +451,7 @@ def census_stages(rec):
 
 
 def linsys_stages(rec):
-    from noncross import exact, linsys, ncposet, triangles
+    from noncross import exact, linsys, triangles
 
     for name in LINSYS:
         rec.section = (name,)
@@ -459,8 +471,7 @@ def linsys_stages(rec):
         def assemble():
             triangles.assemble_dual(name, report.final_table)
 
-        rec.time("assemble_dual_s", assemble,
-                 before=ncposet.characteristic_polynomial.cache_clear)
+        rec.time("assemble_dual_s", assemble, before=forget_chi)
         rec.time("assemble_dual_chi_warm_s", assemble, before=assemble)
         pinned = exact.LinearSystem(variables=system.variables,
                                     rows=list(system.rows))

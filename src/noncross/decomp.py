@@ -75,6 +75,7 @@ def tuple_rank(types):
     return sum(map(_RANK, types))
 
 
+@lru_cache(maxsize=4096)
 def orderings(types):
     """Number of distinct orderings of a canonical tuple (multinomial)."""
     counts = {}
@@ -385,34 +386,39 @@ class DecompositionTable:
         return index
 
 
-@lru_cache(maxsize=None)
-def all_labels_of_rank(r):
-    """Every ADE type label of the given rank (any component mix)."""
-    if r == 0:
-        return (EMPTY_TYPE,)
-    irreducibles = []
-    for k in range(1, r + 1):
-        irreducibles.append(("A", k))
-        if 4 <= k:
-            irreducibles.append(("D", k))
-        if k in (6, 7, 8):
-            irreducibles.append(("E", k))
-    irreducibles = [c for c in irreducibles if c[1] <= r]
-    found = set()
+def _multisets(pool, total):
+    """Every multiset of the items of ``pool``, a list of (rank, item)
+    pairs, whose ranks sum to ``total``: a tuple of items in pool order
+    per multiset, the multisets in lexicographic order of pool
+    positions."""
+    found = []
 
     def build(start, remaining, acc):
         if remaining == 0:
-            found.add(TypeLabel(list(acc)))
+            found.append(tuple(acc))
             return
-        for i in range(start, len(irreducibles)):
-            fam, k = irreducibles[i]
-            if k <= remaining:
-                acc.append((fam, k))
-                build(i, remaining - k, acc)
+        for i in range(start, len(pool)):
+            rank, item = pool[i]
+            if rank <= remaining:
+                acc.append(item)
+                build(i, remaining - rank, acc)
                 acc.pop()
 
-    build(0, r, [])
-    return tuple(sorted(found))
+    build(0, total, [])
+    return found
+
+
+@lru_cache(maxsize=None)
+def all_labels_of_rank(r):
+    """Every ADE type label of the given rank (any component mix)."""
+    irreducibles = []
+    for k in range(1, r + 1):
+        irreducibles.append((k, ("A", k)))
+        if 4 <= k:
+            irreducibles.append((k, ("D", k)))
+        if k in (6, 7, 8):
+            irreducibles.append((k, ("E", k)))
+    return tuple(sorted(map(TypeLabel, _multisets(irreducibles, r))))
 
 
 def one_extra_factor(key, n):
@@ -429,21 +435,8 @@ def all_tuples_of_rank(total):
     rank sum, as a tuple."""
     pool = sorted(t for r in range(1, total + 1)
                   for t in all_labels_of_rank(r))
-    results = []
-
-    def build(start, remaining, acc):
-        if remaining == 0:
-            results.append(tuple(acc))
-            return
-        for i in range(start, len(pool)):
-            t = pool[i]
-            if t.rank <= remaining:
-                acc.append(t)
-                build(i, remaining - t.rank, acc)
-                acc.pop()
-
-    build(0, total, [])
-    return tuple(canonical_tuple(t) for t in results)
+    return tuple(canonical_tuple(t) for t in
+                 _multisets([(t.rank, t) for t in pool], total))
 
 
 @lru_cache(maxsize=None)

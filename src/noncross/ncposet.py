@@ -97,7 +97,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
@@ -110,6 +110,17 @@ from .weyl import (_matmul, _minus_eye, bipartite_coxeter,
                    classify_moved_roots, coxeter_root_permutation)
 
 CACHE_SCHEMA_VERSION = 3
+
+# The largest ranks whose chi* and closed-form zeta polynomial are
+# computed; a larger type raises ResourceGuardError.  The coefficients
+# grow with the rank, so the cost grows about as rank^2.3 for chi* and
+# numeric m and as rank^3 for symbolic m.  At the bounds the costliest
+# types measured take 2-4 s on a 2-core host: chi* of A1^4000 4 s, the
+# zeta polynomial of E8^75 1.6 s (2.8 s at m = 1000) and, with m
+# symbolic, of E8^12 1.8 s.
+MAX_CHI_RANK = 4000
+MAX_ZETA_RANK = 600
+MAX_SYMBOLIC_ZETA_RANK = 100
 
 
 class NcElement:
@@ -494,6 +505,12 @@ def characteristic_direct(poset):
     return result
 
 
+def _guard_rank(t, bound, what):
+    if t.rank > bound:
+        raise ResourceGuardError("%s of %s: rank %d exceeds guard %d"
+                                 % (what, t, t.rank, bound))
+
+
 @lru_cache(maxsize=None)
 def _mobius_number(t):
     """mu(0,1) of NC of the given type, an int: the value Z_t(-1) of
@@ -513,15 +530,17 @@ def characteristic_polynomial(t):
     polynomials are shared and not to be changed.
 
     A reducible type takes the product of its components' chi*, their
-    integer y-vectors convolved (``_chi_vector``).  For an irreducible
+    integer y-vectors convolved (``chi_vector``).  For an irreducible
     type, the interval [u, c] of NC is NC of the type of
     u^{-1} c, so chi*(y) = sum over factorizations c = u (u^{-1} c) of
     N(type u, type u^{-1}c) * mu(type of complement) * y^{rank u}, from
     the pair ``census``; the identity term is the type's own Moebius
     number.  The coefficients are summed in a list indexed by the power
-    of y.  Raises ``AssertionError`` unless chi*(1) = 0.
+    of y.  Raises ``AssertionError`` unless chi*(1) = 0, and
+    ``ResourceGuardError`` above rank ``MAX_CHI_RANK``.
     """
     t = label(t)
+    _guard_rank(t, MAX_CHI_RANK, "chi*")
     if t.is_irreducible:
         coeffs = [0] * (t.rank + 1)
         for (t_low, t_comp), count in census(t).items():
@@ -533,16 +552,18 @@ def characteristic_polynomial(t):
     else:
         coeffs = [1]
         for comp in t.irreducibles():
-            coeffs = _convolve(coeffs, _chi_vector(comp))
+            coeffs = _convolve(coeffs, chi_vector(comp)[0])
     return SparsePolynomial({(0, j, 0, 0): c for j, c in enumerate(coeffs)})
 
 
-def _chi_vector(t):
-    """The integer coefficients of chi*(t), lowest power of y first."""
-    vec = [0] * (t.rank + 1)
-    for (_, j, _, _), c in characteristic_polynomial(t).terms.items():
-        vec[j] = c
-    return vec
+@lru_cache(maxsize=None)
+def chi_vector(t):
+    """chi*(t) (a label) as integer y-coefficients, lowest power first,
+    over the denominator 1: the factor of ``tuple_sums`` for the dual
+    M-triangle, read off ``characteristic_polynomial`` once per type.
+    The cached lists are shared and not to be changed."""
+    terms = characteristic_polynomial(t).terms
+    return [terms.get((0, j, 0, 0), 0) for j in range(t.rank + 1)], 1
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +598,14 @@ def zeta_closed(t, m=1):
     two-variable version.  For each irreducible component with Coxeter
     number h and degrees d_i the factor is prod_i ((z-1) m h + d_i)/d_i;
     components multiply.  The cached polynomials are shared and not to
-    be changed.
+    be changed.  Raises ``ResourceGuardError`` above rank
+    ``MAX_ZETA_RANK``, or ``MAX_SYMBOLIC_ZETA_RANK`` for symbolic m.
     """
     t = label(t)
+    if m == "m":
+        _guard_rank(t, MAX_SYMBOLIC_ZETA_RANK, "symbolic zeta polynomial")
+    else:
+        _guard_rank(t, MAX_ZETA_RANK, "zeta polynomial")
     m_poly = _M if m == "m" else exact.poly(m)
     result = exact.ONE
     for h, d in degree_pairs(t):
@@ -589,26 +615,15 @@ def zeta_closed(t, m=1):
 
 def _convolve(a, b):
     """The coefficients of the product of two polynomials in one
-    variable."""
+    variable.  The inner loop steps the output index (faster than
+    adding two indices per term; the sums over tuples run it most)."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            for y in b:
+                out[i] += x * y
+                i += 1
     return out
-
-
-def _prefix_product(products, tup, factor):
-    """The product over the labels t of a tuple of the integer vectors
-    over denominators ``factor(t)``, as (vector, denominator).
-    ``products`` memoizes it per tuple and starts as {(): ([1], 1)}: the
-    product of a tuple is one convolution from its prefix's."""
-    got = products.get(tup)
-    if got is None:
-        vec, den = _prefix_product(products, tup[:-1], factor)
-        last_vec, last_den = factor(tup[-1])
-        got = products[tup] = (_convolve(vec, last_vec), den * last_den)
-    return got
 
 
 @lru_cache(maxsize=None)
@@ -626,19 +641,59 @@ def _scaled_binomials(n):
     return binomials
 
 
-def _binomial_sum(by_length, n):
-    """The sum over k of n! binom(m, k) times ``by_length[k]``, an integer
-    vector in a second variable (k <= n), as a map (power of m, power of
-    the second variable) -> nonzero int."""
+def tuple_sums(n, factor, weigh):
+    """The one sum over decomposition tuples, behind ``zeta_forms`` and
+    ``triangles.assemble_dual``: over the nonempty canonical tuples T of
+    rank s <= n, w orderings(T) binom(m, len T) prod_{t in T} factor(t),
+    with (w, keys) = ``weigh(T, s)``, added to each key.  ``factor(t)``
+    is an integer vector in one variable v, lowest power first, over a
+    denominator; none is asked for on account of a tuple of weight 0.
+    In integers: a tuple's product is one convolution from its prefix's,
+    the products are summed per key and length k, and n! binom(m, k)
+    enters once per key and length.  Returns (sums, den): ``sums`` maps
+    (power of m, power of v) to {key: nonzero int}, all over ``den``, n!
+    times the lcm of the products' denominators."""
+    from .decomp import all_tuples_of_rank, orderings
+    products, dens = {(): [1]}, {(): 1}   # per tuple, memoized
+    weights, spread = {}, {}
+    for s in range(1, n + 1):
+        for tup in all_tuples_of_rank(s):
+            w, keys = weigh(tup, s)
+            if w:
+                # a convolution per prefix not yet memoized, usually the
+                # tuple alone; a loop, as a recursive closure is a cycle
+                start = len(tup)
+                while tup[:start - 1] not in products:
+                    start -= 1
+                for i in range(start, len(tup) + 1):
+                    vec, den = factor(tup[i - 1])
+                    products[tup[:i]] = _convolve(products[tup[:i - 1]], vec)
+                    dens[tup[:i]] = dens[tup[:i - 1]] * den
+                weights[tup], spread[tup] = w * orderings(tup), keys
+    common = lcm(*dens.values())
+    zero = [0] * (n + 1)
+    by_key = defaultdict(lambda: defaultdict(zero.copy))  # key, k -> vector
+    for tup, scale in weights.items():
+        vec, scale = products[tup], scale * (common // dens[tup])
+        for key in spread[tup]:
+            acc = by_key[key][len(tup)]
+            for j, c in enumerate(vec):
+                acc[j] += scale * c
     binomials = _scaled_binomials(n)
-    totals = {}
-    for k, vec in by_length.items():
-        for i, b in enumerate(binomials[k]):
-            if b:
-                for j, c in enumerate(vec):
-                    if c:
-                        totals[i, j] = totals.get((i, j), 0) + b * c
-    return {ij: c for ij, c in totals.items() if c}
+    sums = defaultdict(dict)
+    for key, by_length in by_key.items():
+        rows = defaultdict(zero.copy)     # power of m -> vector
+        for k, acc in by_length.items():
+            for i, b in enumerate(binomials[k]):
+                if b:
+                    row = rows[i]
+                    for j, c in enumerate(acc):
+                        row[j] += b * c
+        for i, row in rows.items():
+            for j, c in enumerate(row):
+                if c:
+                    sums[i, j][key] = c
+    return dict(sums), factorial(n) * common
 
 
 @lru_cache(maxsize=None)
@@ -669,45 +724,17 @@ def _shifted_zeta_vector(t):
 @lru_cache(maxsize=None)
 def zeta_forms(n):
     """The decomposition-number expansion of the zeta polynomial of NC^m
-    at rank n,
-
-        sum over tuples T of orderings(T) binom(m, len T) prod Z_t(z - 1),
-
-    with Z_t the closed-form zeta polynomial of NC(t)
+    at rank n, the sum over tuples T of orderings(T) binom(m, len T)
+    prod Z_t(z - 1), Z_t the closed-form zeta polynomial of NC(t)
     (``_shifted_zeta_vector``), in the full-rank decomposition numbers:
     a rank-deficient tuple's number is the sum over the full-rank tuples
-    it extends by one factor, so its term adds to each of them.  Returns (forms, den):
-    ``forms`` maps (power of m, power of z) to {full-rank tuple: nonzero
-    int}, all over the one denominator ``den``; the cached maps are
-    shared and not to be changed.
-
-    A tuple's product is a polynomial in z alone, an integer z-vector
-    over a denominator, one convolution from its prefix's
-    (``_prefix_product``).  Each full-rank tuple sums its terms per
-    tuple length k as one z-vector over a common denominator, and
-    n! binom(m, k), which has integer coefficients for k <= n, enters
-    once per tuple and length (``_binomial_sum``)."""
-    from .decomp import all_tuples_of_rank, one_extra_factor, orderings
-    products = {(): ([1], 1)}
-    for s in range(1, n + 1):
-        for tup in all_tuples_of_rank(s):
-            _prefix_product(products, tup, _shifted_zeta_vector)
-    common = lcm(*(den for _, den in products.values()))
-    by_tuple = {}                         # full-rank tuple -> {k: z-vector}
-    for s in range(1, n + 1):
-        for tup in all_tuples_of_rank(s):
-            vec, den = products[tup]
-            scale = orderings(tup) * (common // den)
-            for var in one_extra_factor(tup, n):
-                by_length = by_tuple.setdefault(var, {})
-                acc = by_length.setdefault(len(tup), [0] * (n + 1))
-                for j, c in enumerate(vec):
-                    acc[j] += scale * c
-    forms = {}
-    for var, by_length in by_tuple.items():
-        for mz, c in _binomial_sum(by_length, n).items():
-            forms.setdefault(mz, {})[var] = c
-    return forms, factorial(n) * common
+    it extends by one factor (``one_extra_factor``), so its term adds
+    to each of them.  Returns (forms, den), the ``tuple_sums``: ``forms``
+    maps (power of m, power of z) to {full-rank tuple: nonzero int}, all
+    over ``den``; the cached maps are shared and not to be changed."""
+    from .decomp import one_extra_factor
+    return tuple_sums(n, _shifted_zeta_vector,
+                      lambda tup, s: (1, one_extra_factor(tup, n)))
 
 
 @lru_cache(maxsize=None)

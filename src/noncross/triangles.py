@@ -8,10 +8,8 @@ computation for small posets, the zeta-polynomial consistency check,
 the transform producing F-triangle candidates, and the m -> -m
 reciprocity checks.
 
-The dual triangle is assembled in integers, the way ``ncposet``
-builds the zeta forms, with the same helpers: integer y-vectors of chi*
-multiplied along each tuple's prefixes, summed per rank and length,
-times n! binom(m, d) once per rank and length (``assemble_dual``).
+The dual triangle is assembled in integers by ``ncposet.tuple_sums``,
+the one sum over decomposition tuples that also builds the zeta forms.
 
 The checks multiply few whole polynomials.  A triangle is put at a
 numeric m by ``exact``'s one evaluator: ``MTriangle.at`` is
@@ -36,13 +34,11 @@ no Fraction and no polynomial difference.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, lcm
 
 from . import exact
 from .exact import SparsePolynomial, _ratio
-from .decomp import all_tuples_of_rank, orderings
-from .ncposet import (_binomial_sum, _chi_vector, _prefix_product, mobius,
-                      zeta_rows)
+from .ncposet import chi_vector, mobius, tuple_sums, zeta_rows
 from .typelabel import label
 
 
@@ -122,43 +118,22 @@ def _expand(terms, n):
 
 
 def assemble_dual(name, table):
-    """Assemble the dual M-triangle from a decomposition-number table.
-
-    Sums, over all multisets of nonempty types with rank sum s at most
-    n, the number of orderings times the decomposition number times
-    x^s * prod chi*(T_i)(y) * binom(m, d), d the number of types; the
-    empty multiset contributes the constant 1.  The sum is taken in
-    integers: chi* has integer coefficients, so each tuple's product is
-    an integer y-vector, one convolution from its prefix's; the vectors
-    are summed per (s, d), multiplied by n! binom(m, d) once per (s, d),
-    and each coefficient is divided by n! at the end.  chi* is computed
-    once per label, and only for labels of tuples with a nonzero number.
+    """Assemble the dual M-triangle from a decomposition-number table:
+    over the multisets T of nonempty types of rank s <= n, the sum of
+    orderings(T) N(T) x^s binom(m, len T) prod chi*(T_i)(y), and 1 for
+    the empty multiset.  It is ``ncposet.tuple_sums`` over the y-vectors
+    of chi*, weighted by ``table.lookup`` and keyed by s: chi* is
+    computed once per label, and only for labels of tuples with a
+    nonzero number.
     """
     ambient = label(name)
-    n = ambient.rank
-    chi = {}                              # label -> (y-vector, 1)
-
-    def chi_vector(t):
-        if t not in chi:
-            chi[t] = (_chi_vector(t), 1)
-        return chi[t]
-
-    products = {(): ([1], 1)}
-    n_factorial = factorial(n)
+    ranks = [(s,) for s in range(ambient.rank + 1)]    # keys, shared
+    sums, den = tuple_sums(ambient.rank, chi_vector,
+                           lambda tup, s: (table.lookup(tup), ranks[s]))
     terms = {(0, 0, 0, 0): 1}
-    for s in range(1, n + 1):
-        by_length = {}
-        for tup in all_tuples_of_rank(s):
-            count = table.lookup(tup)
-            if count == 0:
-                continue
-            vec, _ = _prefix_product(products, tup, chi_vector)
-            scale = count * orderings(tup)
-            acc = by_length.setdefault(len(tup), [0] * (s + 1))
-            for j, c in enumerate(vec):
-                acc[j] += scale * c
-        for (i, j), c in _binomial_sum(by_length, n).items():
-            terms[s, j, 0, i] = _ratio(c, n_factorial)
+    for (i, j), by_rank in sums.items():
+        for s, c in by_rank.items():
+            terms[s, j, 0, i] = _ratio(c, den)
     return MTriangle.from_dual(ambient, SparsePolynomial(terms))
 
 

@@ -39,18 +39,35 @@ def test_every_key_is_documented_once():
             "peak_rss_mb"} <= set(keys)
 
 
-def test_algebra_and_families_print_their_documented_keys():
+def run_harness(*groups):
+    """The report of a fresh harness run of ``groups``, one repeat."""
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
-    proc = subprocess.run([sys.executable, str(HARNESS), "algebra",
-                           "families", "--repeats", "1"], env=env,
+    proc = subprocess.run([sys.executable, str(HARNESS), *groups,
+                           "--repeats", "1"], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_algebra_and_families_print_their_documented_keys():
+    report = run_harness("algebra", "families")
     assert list(report["trees"]) == ["this"]
     for group in ("algebra", "families"):
         assert stage_keys(report[group]) == set(documented_keys(group))
     assert all(isinstance(value["this"], float)
                for value in report["algebra"].values())
     assert set(report["families"]["warm"]["total_s"]) == {"this"}
+
+
+def test_linsys_prints_its_documented_keys_per_ambient():
+    report = run_harness("linsys")["linsys"]
+    assert list(report) == ["E7", "E8", "D8"]
+    documented = set(documented_keys("linsys"))
+    for name, stages in report.items():
+        # each ambient times its own published relations only
+        assert set(stages) == documented - {
+            "relations_%s_s" % other for other in report if other != name}
+        assert all(isinstance(value["this"], (int, float))
+                   for value in stages.values())

@@ -1,5 +1,8 @@
 """M-triangles, F=M transform, zeta identity, reciprocities."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
@@ -8,7 +11,7 @@ import pytest
 
 from noncross import exact
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
-                             canonical_tuple, full_table)
+                             all_tuples_of_rank, canonical_tuple, full_table)
 from noncross.linsys import generate_equations
 from noncross.ncposet import build_ncm, zeta_closed, zeta_forms, zeta_rows
 from noncross.refdata import (REFERENCE_TABLE_NAMES, golden_dual,
@@ -221,6 +224,35 @@ def test_integer_assembly_matches_polynomial_products(source, name):
     assert _typed_terms(mine.dual) == _typed_terms(oracle.dual)
     assert _typed_terms(mine.primal) == _typed_terms(oracle.primal)
     assert mine == oracle
+
+
+# one assembly in a fresh process: the chi* it computes
+CHI_MISSES = r"""
+import sys
+from noncross import decomp, ncposet, triangles
+table = decomp.full_table(sys.argv[1])
+before = ncposet.characteristic_polynomial.cache_info().misses
+triangles.assemble_dual(sys.argv[1], table)
+print(ncposet.characteristic_polynomial.cache_info().misses - before)
+"""
+
+
+@pytest.mark.parametrize("name, misses", [("E6", 16), ("D5", 11)])
+def test_assembly_computes_chi_only_for_labels_of_nonzero_tuples(name,
+                                                                  misses):
+    # chi* once per label of a tuple with a nonzero number and per
+    # irreducible component of such a label, none for a zero tuple's
+    table = full_table(name)
+    labels = {t for s in range(1, label(name).rank + 1)
+              for key in all_tuples_of_rank(s) if table.lookup(key)
+              for t in key}
+    labels |= {c for t in labels for c in t.irreducibles()}
+    assert len(labels) == misses
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exact.__file__)))
+    child = subprocess.run([sys.executable, "-c", CHI_MISSES, name],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == "%d\n" % misses
 
 
 # ---------------------------------------------------------------------------

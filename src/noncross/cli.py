@@ -347,6 +347,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # an exact answer may have more digits than Python's limit for
+    # converting an int to text (3.10.7 and later); the limit holds while
+    # the arguments parse, so an --m of more digits is still bad input
+    limit = (sys.get_int_max_str_digits()
+             if hasattr(sys, "get_int_max_str_digits") else 0)
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ResourceGuardError as err:
@@ -354,6 +361,9 @@ def main(argv=None):
         return 3
     except ValueError as err:
         return _fail_input(str(err))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -30,8 +30,10 @@ Four routes are implemented:
 ``full_table`` builds the complete table for one ambient, once per
 process: the closed form for type A, the census for D and E; the CLI
 and the verify suites read it.
-Rank-deficient tuples are looked up by summing one extra factor over all
-types of the complementary rank.  The functions that walk NC import
+A table answers every lookup from one map: a canonical key it has
+answered before (0 included) is one ``dict.get``, and a rank-deficient
+key sums one extra factor over all types of the complementary rank.
+The functions that walk NC import
 ``ncposet`` when called, so a type-A lookup loads none of ``ncposet``,
 ``weyl`` and ``exact``; its closed form divides once in integers, so it
 loads no ``fractions`` either.
@@ -93,9 +95,12 @@ def count_bruteforce(name, types, _memo=None):
 
     Works for any rank sum up to the ambient rank (rank-deficient tuples
     simply leave part of the Coxeter element unused).  Tuples with rank
-    sum above the ambient rank return 0.  Memoized on (complement
-    element, remaining suffix); ``_memo`` may share one dict between
-    calls for the same ambient.
+    sum above the ambient rank return 0.  At the top, the first factor
+    runs over the heads of the c-orbits of its type, each weighted by
+    its orbit size (as in ``NcPoset.pair_census``); below, over every
+    element of its type.  Memoized on (complement element, remaining
+    suffix); ``_memo`` may share one dict between calls for the same
+    ambient.
     """
     from .ncposet import enumerate_nc
     poset = enumerate_nc(name)
@@ -118,6 +123,12 @@ def count_bruteforce(name, types, _memo=None):
         if not rest and head.rank == el.rank:
             # full-rank last factor is forced
             total = 1 if el.typ == head else 0
+        elif el is poset.top:
+            # conjugation by c keeps factorizations and their types, so
+            # each c-orbit of the first factor is descended from its head
+            for u, size in poset.orbits:
+                if u.typ == head:
+                    total += size * descend(poset.complement(u), rest)
         else:
             for u in poset.by_type.get(head, ()):
                 if poset.le(u, el):
@@ -326,33 +337,36 @@ class DecompositionTable:
     builds keeps to that, and ``entries`` is not to be changed after
     construction (no caller does).
 
-    ``lookup`` takes any tuple of labels.  It first probes ``entries``,
-    then the rank-deficient index if that is already built, with the key
-    exactly as given: labels are interned, so a tuple equal to a key
-    held is that key, and a nonzero hit is the answer.  Anything else
-    (text labels, a list, an unsorted tuple, empty factors, a key of the
-    wrong rank, a key held with value 0, the empty key) is canonicalized
-    and looked up as a canonical key: 0 above the ambient rank, 1 for
-    the empty key, the entry at full rank, and otherwise the
-    one-extra-factor identity (sum over all types of the complementary
-    rank).  Those sums are read from an index built on the first such
-    lookup, in one pass over ``entries``; it holds no empty key.
+    ``lookup`` takes any tuple of labels and answers from one map,
+    ``_answers``, probed first with the key exactly as given: labels are
+    interned, so a tuple equal to a key held is that key, and a hit is
+    the answer, 0 included.  On a miss the key is canonicalized: 0 above
+    the ambient rank, 1 for the empty key, the entry at full rank (0 if
+    none), and otherwise the one-extra-factor identity (sum over all
+    types of the complementary rank).  The map starts as a copy of
+    ``entries``; the first rank-deficient miss adds those sums for every
+    nonempty key one factor short of an entry, in one pass over
+    ``entries``; and the answer to a key passed in already canonical
+    with rank at most the ambient rank is kept.  Other spellings (text
+    labels, a list, an unsorted tuple, empty factors) are answered the
+    same way and not kept, so the map holds at most one item per
+    canonical key of rank at most the ambient rank: the entries, the
+    sums and the keys callers asked for.
     """
 
     def __init__(self, ambient, entries, provenance="bruteforce"):
         self.ambient = label(ambient)
         self.entries = dict(entries)
         self.provenance = provenance
-        self._deficient = None
+        self._answers = dict(self.entries)
+        self._summed = False
 
     def lookup(self, types):
         try:
-            value = self.entries.get(types)
-            if not value and self._deficient is not None:
-                value = self._deficient.get(types)
+            value = self._answers.get(types)
         except TypeError:                     # unhashable, such as a list
             value = None
-        if value:
+        if value is not None:
             return value
         key = canonical_tuple(types)
         s = tuple_rank(key)
@@ -360,21 +374,28 @@ class DecompositionTable:
         if s > n:
             return 0
         if not key:
-            return 1
-        if s == n:
-            return self.entries.get(key, 0)
-        if self._deficient is None:
-            self._deficient = self._deficient_index()
-        return self._deficient.get(key, 0)
+            value = 1
+        elif s == n:
+            value = self.entries.get(key, 0)
+        else:
+            if not self._summed:
+                self._add_deficient_sums()
+            value = self._answers.get(key, 0)
+        if key == types:
+            self._answers[key] = value
+        return value
 
-    def _deficient_index(self):
-        """N(key) for every nonempty rank-deficient key one factor short
-        of an entry: each full-rank entry adds its value to the key left
-        by removing one copy of any one of its distinct factors (the
-        factor removed is the one extra factor of the identity).  An
-        entry of one factor leaves the empty key, which counts 1 by
-        convention and is not indexed."""
-        index = {}
+    def _add_deficient_sums(self):
+        """Add to the answers N(key) for every nonempty rank-deficient key
+        one factor short of an entry: each full-rank entry adds its value
+        to the key left by removing one copy of any one of its distinct
+        factors (the factor removed is the one extra factor of the
+        identity).  An entry of one factor leaves the empty key, which
+        counts 1 by convention and is not summed.  Until now the answers
+        held no rank-deficient key but the empty one, so nothing kept is
+        overwritten; the sums are made apart and merged in one update, so
+        that two threads summing at once both merge the same values."""
+        sums = {}
         for key, value in self.entries.items():
             if len(key) < 2:
                 continue
@@ -382,8 +403,9 @@ class DecompositionTable:
                 if i and key[i - 1] == t:
                     continue                  # one copy per distinct factor
                 rest = key[:i] + key[i + 1:]
-                index[rest] = index.get(rest, 0) + value
-        return index
+                sums[rest] = sums.get(rest, 0) + value
+        self._answers.update(sums)
+        self._summed = True
 
 
 def _multisets(pool, total):

@@ -12,7 +12,9 @@ computes for long.
 import contextlib
 import io
 import json
+import sys
 
+import pytest
 from hypothesis import (HealthCheck, event, example, given, settings,
                         strategies as st)
 
@@ -148,3 +150,25 @@ def test_cli_keeps_its_input_contract(argv, fmt):
         payload = json.loads(out)
         assert payload["coefficients" if argv[0] == "ftriangle"
                        else "degrees"] == result
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on converting an int to text")
+def test_answers_above_the_int_text_limit_print():
+    # the largest coefficient of zeta(A1^60) at m = 10^80 has 4,818
+    # digits; an --m of more digits than the limit is still bad input
+    limit = sys.get_int_max_str_digits()
+    m = 10 ** 80
+    code, out, err = run(["zeta", "A1^60", "--m", str(m)])
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        zeta = ncposet.zeta_closed(label("A1^60"), m=m)
+        assert max(len(str(abs(c))) for c in zeta.terms.values()) == 4818
+        assert out == "%s\n" % zeta
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, _ = run(["zeta", "A1", "--m", "1" * 4301])
+    assert (code, out) == (2, "")
+    assert sys.get_int_max_str_digits() == limit

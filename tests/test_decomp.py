@@ -6,15 +6,17 @@ from itertools import permutations
 
 import pytest
 
+from noncross import decomp
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple,
                              census_table, count_bruteforce, count_product,
                              count_typeA, full_table, lower_table, orderings,
                              product_table, special_values, table_product,
                              tuple_rank)
+from bruteforce_oracle import count_by_elements
 from lookup_oracle import CanonicalLookup
 from product_oracle import _reference_lookup, _reference_product_value
-from noncross.linsys import replay
+from noncross.linsys import PIN_TUPLES, replay
 from noncross.refdata import REFERENCE_TABLE_NAMES, reference_table
 from noncross.rootsystem import SUPPORTED_AMBIENTS, build_root_system
 from noncross.typelabel import EMPTY_TYPE, label
@@ -225,6 +227,34 @@ def test_deficient_lookup_matches_sum_over_extra_types(name):
 
 
 # ---------------------------------------------------------------------------
+# the descent per c-orbit at the top against the element-by-element one
+
+
+def _bruteforce_keys(name):
+    """Every canonical key of rank at most 4 (rank n + 1 at most: keys
+    above the ambient rank, rank-deficient keys, three-factor keys among
+    them), the E7 and E8 pin tuples as text, and three seeded full-rank
+    keys of three factors."""
+    n = label(name).rank
+    keys = [key for rank in range(min(4, n + 1) + 1)
+            for key in all_tuples_of_rank(rank)]
+    if name in ("E7", "E8"):
+        keys += PIN_TUPLES[name]
+    three = [key for key in all_tuples_of_rank(n) if len(key) == 3]
+    return keys + random.Random(name).sample(three, min(3, len(three)))
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_bruteforce_per_orbit_matches_element_descent(name):
+    keys = _bruteforce_keys(name)
+    expected = [count_by_elements(name, key) for key in keys]
+    memo = {}
+    assert [count_bruteforce(name, key, _memo=memo) for key in keys] == \
+        expected
+    assert [count_bruteforce(name, key) for key in keys] == expected
+
+
+# ---------------------------------------------------------------------------
 # the census route against the descent, the closed form and the product rule
 
 
@@ -411,7 +441,8 @@ def _assert_lookup_matches_oracle(table):
     for _ in range(2):
         for query in queries:
             assert indexed.lookup(query) == oracle.lookup(query), query
-    assert (indexed._deficient is None) == (table.ambient.rank == 1)
+    # a rank-1 table meets no nonempty rank-deficient key
+    assert indexed._summed == (table.ambient.rank > 1)
 
 
 @pytest.mark.parametrize("name", REFERENCE_TABLE_NAMES)
@@ -439,6 +470,61 @@ def test_empty_key_without_ambient_entry(name):
     table = DecompositionTable(name, entries)
     assert table.lookup(()) == 1
     _assert_lookup_matches_oracle(table)
+
+
+def _assert_answer_map(table, monkeypatch):
+    """On a table not looked up before, against the oracle: first every
+    canonical key of rank at most n in its other spellings, which leave
+    the answer map holding the entries and the one-extra-factor sums
+    only; then those keys as they are, twice, the second time without
+    canonicalizing, after which the map holds them and nothing else;
+    then every key of rank n + 1, which the map does not keep.
+    ``entries`` never changes."""
+    oracle = CanonicalLookup(table)
+    entries = dict(table.entries)
+    n = table.ambient.rank
+    keys = [key for rank in range(n + 1) for key in all_tuples_of_rank(rank)]
+    expected = [oracle.lookup(key) for key in keys]
+    for key, value in zip(keys, expected):
+        for spelt in _spellings(key)[1:]:
+            if spelt != key:
+                assert table.lookup(spelt) == value, spelt
+    # the oracle's index holds the empty key too, which counts 1 apart
+    summed = set(oracle._deficient or ()) - {()}
+    assert set(table._answers) == set(entries) | summed
+    assert [table.lookup(key) for key in keys] == expected
+    with monkeypatch.context() as patched:
+        patched.setattr(decomp, "canonical_tuple", None)
+        assert [table.lookup(key) for key in keys] == expected
+    assert set(table._answers) == set(keys)
+    for key in all_tuples_of_rank(n + 1):
+        assert table.lookup(key) == 0
+        assert key not in table._answers
+    assert len(table._answers) == len(keys)
+    assert table.entries == entries
+
+
+@pytest.mark.parametrize("name", REFERENCE_TABLE_NAMES)
+def test_answer_map_keeps_canonical_answers_only(name, monkeypatch):
+    _assert_answer_map(_published(name), monkeypatch)
+
+
+def test_product_answer_map_keeps_canonical_answers_only(monkeypatch):
+    # fresh factor tables make a product table of its own, not looked up
+    _assert_answer_map(product_table((_published("D4"), _published("A3"))),
+                       monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_held_zero_entry_answers_zero(name):
+    # the published E7 and E8 tables hold keys of value 0
+    table = _published(name)
+    zeros = [key for key, value in table.entries.items() if value == 0]
+    assert zeros
+    for key in zeros:
+        assert table.lookup(key) == 0
+        assert table.lookup(tuple(map(str, key))) == 0
+    assert len(table._answers) == len(table.entries)
 
 
 def test_tables_the_package_builds_keep_the_key_contract():

@@ -55,7 +55,8 @@ The ``nc`` group: NC(W) enumeration and what reads it.
   below E8, each by ``interval_census`` below the first element of its
   type in NC(E8);
 * ``full_table_D7_s``: every full-rank D7 value of a sub-diagram type by
-  ``count_bruteforce`` with one shared memo, NC(D7) walked;
+  ``count_bruteforce``, NC(D7) walked; cleared: the memo it keeps on
+  NC(D7);
 * ``build_ncm_D4_2_s``: ``build_ncm("D4", 2)``, NC(D4) walked;
 * ``chi_D6_s``: ``characteristic_polynomial`` of D6; cleared: walks;
 * ``descent_table_s``: per D and E ambient, one uncached
@@ -391,13 +392,14 @@ def nc_stages(rec):
              lambda: [poset.interval_census(q) for q in lower])
 
     def brute_force_table(name):
-        allowed, memo = subdiagram_types(name), {}
-        return {key: decomp.count_bruteforce(name, key, _memo=memo)
+        allowed = subdiagram_types(name)
+        return {key: decomp.count_bruteforce(name, key)
                 for key in decomp.all_tuples_of_rank(label(name).rank)
                 if all(typ in allowed for typ in key)}
 
-    ncposet.enumerate_nc("D7")
-    rec.time("full_table_D7_s", lambda: brute_force_table("D7"))
+    d7 = ncposet.enumerate_nc("D7")
+    rec.time("full_table_D7_s", lambda: brute_force_table("D7"),
+             before=lambda: d7.counts.clear())
     ncposet.enumerate_nc("D4")
     rec.time("build_ncm_D4_2_s", lambda: ncposet.build_ncm("D4", 2))
     rec.time("chi_D6_s",

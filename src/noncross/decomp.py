@@ -90,7 +90,7 @@ def orderings(types):
 # brute force over the enumerated poset
 
 
-def count_bruteforce(name, types, _memo=None):
+def count_bruteforce(name, types):
     """Count factorizations by recursive descent over NC.
 
     Works for any rank sum up to the ambient rank (rank-deficient tuples
@@ -98,18 +98,16 @@ def count_bruteforce(name, types, _memo=None):
     sum above the ambient rank return 0.  At the top, the first factor
     runs over the heads of the c-orbits of its type, each weighted by
     its orbit size (as in ``NcPoset.pair_census``); below, over every
-    element of its type.  Memoized on (complement element, remaining
-    suffix); ``_memo`` may share one dict between calls for the same
-    ambient.
+    element of its type.  The key is canonicalized, and the descent is
+    memoized on (complement element, remaining suffix) in the walked
+    poset's ``counts``, which every call on one ambient shares.
     """
     from .ncposet import enumerate_nc
     poset = enumerate_nc(name)
-    types = tuple(label(t) for t in types)
-    if any(t.is_empty for t in types):
-        types = tuple(t for t in types if not t.is_empty)
+    types = canonical_tuple(types)
     if tuple_rank(types) > poset.rs.n:
         return 0
-    memo = {} if _memo is None else _memo
+    memo = poset.counts
 
     def descend(el, suffix):
         if not suffix:

@@ -130,7 +130,7 @@ class ReplayReport:
 
     def __init__(self, ambient, equation_count, variable_count, dimension,
                  pinned_values, congruence_assertions, final_table,
-                 flags=None, rows_by_family=None):
+                 flags, rows_by_family):
         self.ambient = ambient
         self.equation_count = equation_count
         self.variable_count = variable_count
@@ -138,9 +138,8 @@ class ReplayReport:
         self.pinned_values = pinned_values      # canonical tuple -> int
         self.congruence_assertions = congruence_assertions  # (desc, ok)
         self.final_table = final_table
-        self.flags = [] if flags is None else flags
-        # family -> rows
-        self.rows_by_family = {} if rows_by_family is None else rows_by_family
+        self.flags = flags
+        self.rows_by_family = rows_by_family    # family -> rows
 
     @property
     def all_assertions_pass(self):

@@ -121,6 +121,9 @@ CACHE_SCHEMA_VERSION = 3
 MAX_CHI_RANK = 4000
 MAX_ZETA_RANK = 600
 MAX_SYMBOLIC_ZETA_RANK = 100
+# the largest posets ``mobius`` and ``build_ncm`` build
+MAX_MOBIUS_SIZE = 10_000
+MAX_NCM_SIZE = 100_000
 
 
 class NcElement:
@@ -154,6 +157,7 @@ class NcPoset:
         self.orbits = orbits         # (head NcElement, size) per c-orbit
         self.identity = identity
         self.top = top
+        self.counts = {}             # the memo of decomp.count_bruteforce
 
     def __len__(self):
         return len(self.elements)
@@ -431,13 +435,11 @@ def _census(t):
     """The census of type t, read off the interval [1, q] below the first
     element q of type t in the smallest poset enumerated so far that has
     one: [1, q] is NC(W_t) with types kept (Brady-Watt).  NC(t) is
-    enumerated only when no enumerated poset has an element of type t.
-    When q is the top, the census is counted per c-orbit
+    enumerated, with q its top, only when no enumerated poset has an
+    element of type t; at the top the census is counted per c-orbit
     (``pair_census``)."""
     walked = [poset for poset in _WALKED.values() if t in poset.by_type]
-    if not walked:
-        return enumerate_nc(str(t)).pair_census()
-    poset = min(walked, key=len)
+    poset = min(walked, key=len) if walked else enumerate_nc(str(t))
     q = poset.by_type[t][0]
     if q is poset.top:
         return poset.pair_census()
@@ -448,16 +450,16 @@ def _census(t):
 # Moebius functions and characteristic polynomials
 
 
-def mobius(poset, max_size=10_000):
+def mobius(poset):
     """Full Moebius function of a small poset: map (u_key, w_key) -> int.
 
     Works for any object exposing ``elements`` (iterable of items with a
-    ``key`` and ``rank``) and ``le``.  Guarded by ``max_size``.
+    ``key`` and ``rank``) and ``le``.  Guarded by ``MAX_MOBIUS_SIZE``.
     """
     items = _sorted_items(poset)
-    if len(items) > max_size:
+    if len(items) > MAX_MOBIUS_SIZE:
         raise ResourceGuardError("poset size %d exceeds mobius guard %d"
-                                 % (len(items), max_size))
+                                 % (len(items), MAX_MOBIUS_SIZE))
     result = {}
     for i, u in enumerate(items):
         above = [w for w in items[i:] if poset.le(u, w)]
@@ -805,22 +807,22 @@ class NcmPoset:
                    for up, wp in zip(u.parts, w.parts))
 
 
-def build_ncm(name, m, guard=100_000):
+def build_ncm(name, m):
     """Enumerate NC^m: minimal factorizations c = w0 w1 ... wm.
 
     A tuple is produced by choosing w1 below c, then w2 below the
     complement w1^{-1} c, and so on; minimality of the total length is
     automatic.  The rank of a tuple is the length of w0.  Refuses
     (ResourceGuardError) when the closed-form cardinality exceeds
-    ``guard``.
+    ``MAX_NCM_SIZE``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     poset = enumerate_nc(name)
     expected = ncm_cardinality(label(name), m)
-    if expected > guard:
+    if expected > MAX_NCM_SIZE:
         raise ResourceGuardError("|NC^m| = %d exceeds guard %d"
-                                 % (expected, guard))
+                                 % (expected, MAX_NCM_SIZE))
     n = poset.rs.n
     elements = []
     prefix = []

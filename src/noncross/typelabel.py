@@ -26,6 +26,12 @@ _COMPONENT_RE = re.compile(r"^([ADE])(\d+)(?:\^(\d+))?$")
 # is refused before its list of components is built
 MAX_LABEL_RANK = 10_000
 
+# a rank or power of more significant digits is refused before ``int``
+# reads it, as reading and printing an int take time quadratic in its
+# length: Python's default bound on int-text conversion, which an --m
+# argument meets as well
+_MAX_DIGITS = 4300
+
 # component ordering: by rank first, then family letter
 def _component_key(comp):
     family, rank = comp
@@ -109,6 +115,10 @@ class TypeLabel:
             if match is None:
                 raise ValueError("bad type component %r in %r" % (token, text))
             family, rank, power = match.groups()
+            if any(len(digits.lstrip("0")) > _MAX_DIGITS
+                   for digits in (rank, power or "")):
+                raise ValueError("a rank or power has more than %d digits"
+                                 % _MAX_DIGITS)
             # validated before the power applies, so that E5^0 is refused
             # like E5 instead of vanishing into the empty type
             cls._normalize_component(family, int(rank))

@@ -49,10 +49,9 @@ def _appendix():
 
 def _bruteforce_table(name):
     """Every full-rank value of one ambient by ``count_bruteforce``, key
-    by key with one shared memo (``full_table`` takes the closed form or
-    the census, which this checks)."""
-    memo = {}
-    return {key: decomp.count_bruteforce(name, key, _memo=memo)
+    by key (``full_table`` takes the closed form or the census, which
+    this checks)."""
+    return {key: decomp.count_bruteforce(name, key)
             for key in all_tuples_of_rank(label(name).rank)}
 
 
@@ -74,9 +73,8 @@ def _typeA():
     """The type-A closed form equals brute force on every tuple."""
     for n in range(1, 7):
         name = "A%d" % n
-        memo = {}
         ok = all(decomp.count_typeA(n, key)
-                 == decomp.count_bruteforce(name, key, _memo=memo)
+                 == decomp.count_bruteforce(name, key)
                  for s in range(n + 1) for key in all_tuples_of_rank(s)
                  if all(f == "A" for t in key for f, _ in t.components))
         yield ("closed form vs brute force on A%d" % n, ok)
@@ -184,9 +182,8 @@ def _census():
 
 def _pins():
     """The E7 pin values by brute force."""
-    memo = {}
     for key, value in (("A1^4,A1^3", 9), ("A1^2*A2,A1^3", 54)):
-        count = decomp.count_bruteforce("E7", key.split(","), _memo=memo)
+        count = decomp.count_bruteforce("E7", key.split(","))
         yield ("E7 pin %s = %d by brute force" % (key, value), count == value)
 
 

@@ -23,6 +23,8 @@ from functools import lru_cache
 from .exact import int_kernel
 from .rootsystem import build_root_system, classify_edge_list
 
+MAX_GROUP_ORDER = 200_000          # the guard of enumerate_group
+
 
 def _matmul(a, b):
     """Product of two integer matrices held as tuples of row tuples."""
@@ -146,16 +148,16 @@ def classify_moved_roots(rs, moved):
     return _classify_edges(len(simples), edges)
 
 
-def enumerate_group(rs, max_order=200_000):
+def enumerate_group(rs):
     """BFS enumeration of the whole Weyl group by all reflections.
 
     Returns ``{matrix: distance}``, keyed by each element's matrix, where
     distance is the reflection length in the Cayley graph (the oracle for
-    ``absolute_length``).  Guarded by ``max_order``.
+    ``absolute_length``).  Guarded by ``MAX_GROUP_ORDER``.
     """
-    if rs.group_order > max_order:
+    if rs.group_order > MAX_GROUP_ORDER:
         raise ValueError("group order %d exceeds guard %d"
-                         % (rs.group_order, max_order))
+                         % (rs.group_order, MAX_GROUP_ORDER))
     _, mats = _reflection_data(str(rs.typ))
     eye = _eye(rs.n)
     dist = {eye: 0}

@@ -111,6 +111,21 @@ def test_huge_label_power_exits_2_with_one_line(capsys):
                             "rank 99999999999 exceeds 10000\n")
 
 
+def test_power_of_100000_digits_is_refused_before_it_is_read(capsys):
+    # refused before int() reads it: reading the power and printing the
+    # rank took 0.3 s
+    text = "A1^" + "1" * 100_000
+    with pytest.raises(SystemExit) as exc:
+        main(["chi", text])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: bad type label %r: a rank or power has "
+                            "more than 4300 digits\n" % text)
+    # leading zeros do not count
+    assert run(capsys, "chi", "A%s1" % ("0" * 5000)) == (0, "y - 1\n", "")
+
+
 NOT_E = "E components exist only in ranks 6,7,8"
 
 

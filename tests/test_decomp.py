@@ -17,6 +17,7 @@ from bruteforce_oracle import count_by_elements
 from lookup_oracle import CanonicalLookup
 from product_oracle import _reference_lookup, _reference_product_value
 from noncross.linsys import PIN_TUPLES, replay
+from noncross.ncposet import enumerate_nc
 from noncross.refdata import REFERENCE_TABLE_NAMES, reference_table
 from noncross.rootsystem import SUPPORTED_AMBIENTS, build_root_system
 from noncross.typelabel import EMPTY_TYPE, label
@@ -38,9 +39,24 @@ def test_orderings_multinomial():
 
 
 def test_permutation_invariance():
-    a = count_bruteforce("D4", L("A1", "A1", "A2"))
-    b = count_bruteforce("D4", L("A2", "A1", "A1"))
-    assert a == b
+    # the descent in the given order does not depend on it, which
+    # count_bruteforce relies on when it sorts the key
+    a = count_by_elements("D4", L("A1", "A1", "A2"))
+    b = count_by_elements("D4", L("A2", "A1", "A1"))
+    assert a == b == count_bruteforce("D4", L("A2", "A1", "A1"))
+
+
+def test_bruteforce_memo_is_kept_on_the_walked_poset():
+    counts = enumerate_nc("E7").counts
+    assert count_bruteforce("E7", "A1^3,A1^4".split(",")) == 9
+    held = len(counts)
+    assert held
+    # another spelling of the key is the same canonical key
+    spellings = ("A1^4,A1^3".split(","), L("A1^4", "A1^3"),
+                 ("A1^4", "0", "A1^3"))
+    for key in spellings:
+        assert count_bruteforce("E7", key) == 9
+    assert len(counts) == held
 
 
 def test_single_factor_counts_elements_of_type():
@@ -65,13 +81,11 @@ def test_typeA_closed_form_small():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_typeA_closed_form_vs_bruteforce(n):
     name = "A%d" % n
-    memo = {}
     for s in range(0, n + 1):
         for key in all_tuples_of_rank(s):
             if any(f != "A" for t in key for f, _ in t.components):
                 continue
-            assert count_typeA(n, key) == count_bruteforce(name, key,
-                                                           _memo=memo)
+            assert count_typeA(n, key) == count_bruteforce(name, key)
 
 
 def test_product_rule_reducible_ambient():
@@ -248,9 +262,8 @@ def _bruteforce_keys(name):
 def test_bruteforce_per_orbit_matches_element_descent(name):
     keys = _bruteforce_keys(name)
     expected = [count_by_elements(name, key) for key in keys]
-    memo = {}
-    assert [count_bruteforce(name, key, _memo=memo) for key in keys] == \
-        expected
+    assert [count_bruteforce(name, key) for key in keys] == expected
+    # the second pass answers from the memo kept on the walked poset
     assert [count_bruteforce(name, key) for key in keys] == expected
 
 
@@ -262,10 +275,8 @@ def test_bruteforce_per_orbit_matches_element_descent(name):
 def test_census_table_matches_bruteforce(name):
     table = census_table(name)
     assert table.provenance == "census"
-    memo = {}
     for key in all_tuples_of_rank(label(name).rank):
-        assert table.entries.get(key, 0) == \
-            count_bruteforce(name, key, _memo=memo), key
+        assert table.entries.get(key, 0) == count_bruteforce(name, key), key
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])

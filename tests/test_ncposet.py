@@ -43,8 +43,6 @@ SIZES = {
 
 @pytest.mark.parametrize("name", sorted(SIZES))
 def test_poset_sizes(name):
-    if name == "E8":
-        pytest.skip("covered by the acceptance suite")
     assert len(enumerate_nc(name)) == SIZES[name]
 
 
@@ -357,9 +355,10 @@ def test_moebius_top_bottom_agree():
 
 
 def test_moebius_guard():
-    poset = enumerate_nc("A4")
-    with pytest.raises(ResourceGuardError):
-        mobius(poset, max_size=10)
+    poset = enumerate_nc("E8")
+    assert len(poset) == 25_080 > ncposet.MAX_MOBIUS_SIZE == 10_000
+    with pytest.raises(ResourceGuardError, match="exceeds mobius guard 10000"):
+        mobius(poset)
 
 
 def test_characteristic_direct_matches_reference():
@@ -616,8 +615,11 @@ def test_build_ncm_size_and_rank():
 
 
 def test_build_ncm_guard():
-    with pytest.raises(ResourceGuardError):
-        build_ncm("E6", 3, guard=100)
+    assert ncm_cardinality(label("E6"), 3) == 119_966 \
+        > ncposet.MAX_NCM_SIZE == 100_000
+    with pytest.raises(ResourceGuardError,
+                       match=r"\|NC\^m\| = 119966 exceeds guard 100000"):
+        build_ncm("E6", 3)
 
 
 def test_cache_roundtrip(tmp_path):

@@ -67,6 +67,14 @@ def test_bad_labels_rejected():
             label(bad)
 
 
+def test_rank_or_power_of_more_than_4300_digits_refused():
+    # refused before int() reads it; leading zeros do not count
+    assert TypeLabel.parse("A01^03") is label("A1^3")
+    for bad in ("A" + "1" * 4301, "A1^" + "1" * 4301):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            TypeLabel.parse(bad)
+
+
 def test_zero_power_of_a_bad_component_rejected():
     # the power used to apply before the component was checked, so E5^0
     # and D1^0 parsed as the empty type; A1^0 still is the empty type

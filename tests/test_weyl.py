@@ -3,6 +3,7 @@
 import pytest
 
 import matrix_oracle
+from noncross import weyl
 from matrix_oracle import (GroupElement, classify_parabolic_type,
                            coxeter_element, identity, le_absolute, reflection,
                            reflection_matrices)
@@ -52,6 +53,14 @@ def test_absolute_length_equals_cayley_distance(name):
 def test_enumerate_group_matches_group_order():
     rs = build_root_system("A3")
     assert len(enumerate_group(rs)) == 24
+
+
+def test_enumerate_group_guard_refuses_A8():
+    rs = build_root_system("A8")
+    assert rs.group_order == 362_880 > weyl.MAX_GROUP_ORDER == 200_000
+    with pytest.raises(ValueError,
+                       match="group order 362880 exceeds guard 200000"):
+        enumerate_group(rs)
 
 
 def test_reflections_are_involutions():

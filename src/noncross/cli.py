@@ -112,12 +112,12 @@ def cmd_nc(args):
     from .ncposet import enumerate_nc
     name = _require_ambient(args.label)
     poset = enumerate_nc(name)
-    by_type = {str(t): len(els) for t, els in poset.by_type.items()}
     _emit({
         "ambient": name,
         "elements": len(poset),
         "rank_sizes": poset.rank_sizes(),
-        "type_counts": by_type,
+        "type_counts": {str(t): count
+                        for t, count in poset.type_counts().items()},
     }, args.format)
     return 0
 

@@ -73,8 +73,10 @@ children of u, and the complement of c u c^{-1} is c (u^{-1} c) c^{-1},
 the rotation of the complement of u.  Types are constant on an orbit,
 as the parabolic subgroup of c u c^{-1} is that of u conjugated by c.
 Enumeration therefore steps down, ANDs out the complement and
-classifies only from one head per orbit, and makes the other elements
-of the orbit, with their complements, by rotation.  On the reflections
+classifies only from one head per orbit, and keeps each orbit as one
+record: its head, size, rank and type and the head's complement (the
+other members and their complements are rotations of these), with the
+type of every member's mask.  On the reflections
 the orbits are the cycles of pi, and ``reflection_orbits`` types each
 orbit's t c, the complement of t, from one row of the descent table.
 
@@ -83,6 +85,12 @@ NC(W_S) with types kept (Brady-Watt), and the complement of u <= q in
 it has the mask comp(u) & moved(q), by the identity above.  So the pair
 census of every type below an enumerated ambient is read off one of its
 intervals (``census``), and a process walks only its highest ambient.
+The orbit records serve it by conjugation: u = c^j x c^{-j}, x the head
+of its orbit, lies below q exactly when x lies below q_j = c^{-j} q c^j,
+and then comp(u) & moved(q) is the rotation of comp(x) & moved(q_j), of
+the same type.  Each orbit is scanned from its head against the
+rotations of q, and so is the brute-force descent below the top
+(``decomp.count_bruteforce``).
 
 One zeta identity.  ``zeta_rows`` compares the closed-form zeta
 polynomial of NC^m with its decomposition-number expansion in integers,
@@ -146,21 +154,60 @@ class NcElement:
 
 
 class NcPoset:
-    """The full typed poset NC for one ambient type."""
+    """The full typed poset NC for one ambient, kept per c-orbit.
 
-    def __init__(self, rs, elements, levels, by_type, orbits, identity,
-                 top):
+    The walk stores ``records``, one (head mask, orbit size, rank, type,
+    complement mask of the head) per orbit of conjugation by c, level by
+    level from the top in order of discovery, and ``types``, the type of
+    every element by its moved-root mask.  ``records_of`` lists the
+    records of one type.  The element objects (``elements``: mask ->
+    ``NcElement``; ``levels``, ``by_type``, ``orbits``: (head, size) per
+    orbit; ``identity``; ``top``) are a view built on first access, in
+    the order of the records with each orbit listed from its head; the
+    oracles and the cache text read it.
+    """
+
+    _VIEW = ("elements", "levels", "by_type", "orbits", "identity", "top")
+
+    def __init__(self, rs, layout, records, types):
         self.rs = rs
-        self.elements = elements     # moved-root mask -> NcElement
-        self.levels = levels         # levels[k] = NcElements of rank k
-        self.by_type = by_type       # TypeLabel -> list of NcElements
-        self.orbits = orbits         # (head NcElement, size) per c-orbit
-        self.identity = identity
-        self.top = top
+        self.layout = layout
+        self.records = records
+        self.types = types
+        self._by_type = {}           # TypeLabel -> its records
+        for record in records:
+            self._by_type.setdefault(record[3], []).append(record)
         self.counts = {}             # the memo of decomp.count_bruteforce
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.types)
+
+    def __getattr__(self, name):
+        if name not in NcPoset._VIEW:
+            raise AttributeError(name)
+        self._build_view()
+        return self.__dict__[name]
+
+    def _build_view(self):
+        orbit = self.layout.orbit
+        elements, levels = {}, [[] for _ in range(self.rs.n + 1)]
+        by_type, orbits = {}, []
+        for head, size, rank, typ, comp in self.records:
+            typed = []
+            for mask, image in zip(orbit(head), orbit(comp)):
+                el = elements[mask] = NcElement(mask, rank, typ, image)
+                typed.append(el)
+            orbits.append((typed[0], size))
+            levels[rank] += typed
+            by_type.setdefault(typ, []).extend(typed)
+        self.__dict__.update(elements=elements, levels=levels,
+                             by_type=by_type, orbits=orbits,
+                             identity=levels[0][0], top=levels[-1][0])
+
+    def records_of(self, t):
+        """The records of the c-orbits of type t, in order of discovery
+        (empty when NC has no element of type t)."""
+        return self._by_type.get(t, ())
 
     def le(self, u, w):
         """u <=_T w via moved-root containment."""
@@ -173,20 +220,44 @@ class NcPoset:
         return self.elements[mask]
 
     def rank_sizes(self):
-        return [len(level) for level in self.levels]
+        sizes = [0] * (self.rs.n + 1)
+        for _, size, rank, _, _ in self.records:
+            sizes[rank] += size
+        return sizes
+
+    def type_counts(self):
+        """The number of elements of each type, types in order of
+        discovery."""
+        return {t: sum(record[1] for record in records)
+                for t, records in self._by_type.items()}
+
+    def rotations(self, q):
+        """The masks of c^{-j} q c^j for j = 0, ..., h - 1, from the mask
+        of q: u = c^j x c^{-j} lies below q exactly when x lies below the
+        j-th of them."""
+        found = self.layout.orbit(q)
+        back = found[:1] + found[:0:-1]
+        return back * (self.rs.coxeter_number // len(back))
 
     def interval_census(self, q):
-        """A ``Counter`` of (type(u), type(u^{-1} q)) over the u <= q.
+        """A ``Counter`` of (type(u), type(u^{-1} q)) over the u <= q, from
+        the mask of q.
 
         The interval [1, q] is NC of the type of q with types kept
         (Brady-Watt), so these are the full-rank two-factor decomposition
-        counts of that type.  The levels up to the rank of q are scanned,
-        highest first.
+        counts of that type.  The member u = c^j x c^{-j} of the orbit of
+        a head x lies below q when x lies below q_j = c^{-j} q c^j, and
+        then u^{-1} q is conjugate to comp(x) & q_j, of the same type.
+        So the orbits of the levels up to the rank of q are scanned from
+        their heads against the ``rotations`` of q, highest level first,
+        each orbit's members in order.
         """
-        elements, qkey = self.elements, q.key
-        return Counter((u.typ, elements[u.comp & qkey].typ)
-                       for level in reversed(self.levels[:q.rank + 1])
-                       for u in level if u.key & qkey == u.key)
+        types, qrank = self.types, self.types[q].rank
+        rotations = self.rotations(q)
+        return Counter((typ, types[comp & qj])
+                       for head, size, rank, typ, comp in self.records
+                       if rank <= qrank
+                       for qj in rotations[:size] if head & qj == head)
 
     def pair_census(self):
         """Counts of (type(w), type(w^{-1} c)) over all elements: the
@@ -194,15 +265,14 @@ class NcPoset:
 
         Conjugation by c keeps the type of w and, as it rotates the
         complement with w, the type of w^{-1} c, so each c-orbit is
-        counted once, from its head, weighted by its size.  Orbits come
-        level by level, highest first, so the keys come in the order of
-        ``interval_census(top)``, which counts the same pairs element by
-        element.
+        counted once, from its head, weighted by its size.  The keys come
+        in the order of ``interval_census`` of the top, which counts the
+        same pairs element by element.
         """
-        elements = self.elements
+        types = self.types
         counts = Counter()
-        for head, size in self.orbits:
-            counts[head.typ, elements[head.comp].typ] += size
+        for _, size, _, typ, comp in self.records:
+            counts[typ, types[comp]] += size
         return counts
 
 
@@ -349,15 +419,12 @@ def enumerate_nc(name):
     Walks down from the bipartite Coxeter element by moved-root masks,
     one orbit of conjugation by c at a time: only the orbit's head steps
     down, ANDs out its complement and is classified, and the rest of
-    the orbit, with complements and type, comes by rotation
-    (``MaskLayout.orbit``; the complements of the orbit are the orbit of
-    the head's complement).  Each element stores its mask, rank, type
-    and complement mask; levels list the orbits in order of discovery,
-    and ``orbits`` holds each orbit's head and size, level by level
-    from the top.  The descent table is checked to be c-equivariant,
-    each head's type rank against its level, each orbit size to divide
-    h, and the element count against the closed form (two elements
-    sharing a mask would collapse into one).
+    the orbit comes by rotation (``MaskLayout.orbit``) and takes the
+    head's type.  The poset keeps one record per orbit and the type of
+    every mask (``NcPoset``).  The descent table is checked to be
+    c-equivariant, each head's type rank against its level, each orbit
+    size to divide h, and the element count against the closed form
+    (two elements sharing a mask would collapse into one).
     """
     rs = build_root_system(name)
     zero = _descent_masks(name)
@@ -370,10 +437,7 @@ def enumerate_nc(name):
             raise AssertionError("descent row %d is not c-equivariant" % i)
     h = rs.coxeter_number
     top = (1 << len(zero)) - 1
-    levels = [[] for _ in range(rs.n + 1)]
-    by_type = {}
-    elements = {}
-    heads = []
+    records, types = [], {}
     orbits = [[top]]
     for rank in range(rs.n, -1, -1):
         seen, below = set(), []         # the orbits one level down
@@ -400,21 +464,14 @@ def enumerate_nc(name):
             if typ.rank != rank:
                 raise AssertionError("type rank %d != level %d"
                                      % (typ.rank, rank))
-            typed = []
-            for mask, comp in zip(orbit, orbit_of(comp)):
-                el = elements[mask] = NcElement(mask, rank, typ, comp)
-                typed.append(el)
-            heads.append((typed[0], len(typed)))
-            levels[rank] += typed
-            by_type.setdefault(typ, []).extend(typed)
+            records.append((head, len(orbit), rank, typ, comp))
+            types.update(dict.fromkeys(orbit, typ))
         orbits = below
     expected = ncm_cardinality(label(name), 1)
-    if len(elements) != expected:
+    if len(types) != expected:
         raise AssertionError("NC(%s) has %d elements, expected %d"
-                             % (name, len(elements), expected))
-    poset = NcPoset(rs=rs, elements=elements, levels=levels,
-                    by_type=by_type, orbits=heads, identity=levels[0][0],
-                    top=levels[rs.n][0])
+                             % (name, len(types), expected))
+    poset = NcPoset(rs, layout, records, types)
     _WALKED[name] = poset
     return poset
 
@@ -432,16 +489,16 @@ def census(t):
 
 @lru_cache(maxsize=None)
 def _census(t):
-    """The census of type t, read off the interval [1, q] below the first
-    element q of type t in the smallest poset enumerated so far that has
-    one: [1, q] is NC(W_t) with types kept (Brady-Watt).  NC(t) is
-    enumerated, with q its top, only when no enumerated poset has an
-    element of type t; at the top the census is counted per c-orbit
-    (``pair_census``)."""
-    walked = [poset for poset in _WALKED.values() if t in poset.by_type]
+    """The census of type t, read off the interval [1, q] below the head
+    q of the first c-orbit of type t in the smallest poset enumerated so
+    far that has one: [1, q] is NC(W_t) with types kept (Brady-Watt).
+    NC(t) is enumerated, with q its top, only when no enumerated poset
+    has an element of type t; at the top the census is counted per
+    c-orbit (``pair_census``)."""
+    walked = [poset for poset in _WALKED.values() if poset.records_of(t)]
     poset = min(walked, key=len) if walked else enumerate_nc(str(t))
-    q = poset.by_type[t][0]
-    if q is poset.top:
+    q = poset.records_of(t)[0][0]
+    if q == poset.records[0][0]:
         return poset.pair_census()
     return poset.interval_census(q)
 
@@ -454,12 +511,13 @@ def mobius(poset):
     """Full Moebius function of a small poset: map (u_key, w_key) -> int.
 
     Works for any object exposing ``elements`` (iterable of items with a
-    ``key`` and ``rank``) and ``le``.  Guarded by ``MAX_MOBIUS_SIZE``.
+    ``key`` and ``rank``), ``le`` and a length.  Guarded by
+    ``MAX_MOBIUS_SIZE``, checked before any element is listed.
     """
-    items = _sorted_items(poset)
-    if len(items) > MAX_MOBIUS_SIZE:
+    if len(poset) > MAX_MOBIUS_SIZE:
         raise ResourceGuardError("poset size %d exceeds mobius guard %d"
-                                 % (len(items), MAX_MOBIUS_SIZE))
+                                 % (len(poset), MAX_MOBIUS_SIZE))
+    items = _sorted_items(poset)
     result = {}
     for i, u in enumerate(items):
         above = [w for w in items[i:] if poset.le(u, w)]

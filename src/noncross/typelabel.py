@@ -115,14 +115,17 @@ class TypeLabel:
             if match is None:
                 raise ValueError("bad type component %r in %r" % (token, text))
             family, rank, power = match.groups()
-            if any(len(digits.lstrip("0")) > _MAX_DIGITS
-                   for digits in (rank, power or "")):
+            # leading zeros dropped, so that int() reads the same digits
+            # whatever the process's limit on int-text conversion
+            rank, power = (digits.lstrip("0") or "0"
+                           for digits in (rank, power or "1"))
+            if max(len(rank), len(power)) > _MAX_DIGITS:
                 raise ValueError("a rank or power has more than %d digits"
                                  % _MAX_DIGITS)
             # validated before the power applies, so that E5^0 is refused
             # like E5 instead of vanishing into the empty type
             cls._normalize_component(family, int(rank))
-            parts.append((family, int(rank), int(power or 1)))
+            parts.append((family, int(rank), int(power)))
         total = sum(rank * power for _, rank, power in parts)
         if total > MAX_LABEL_RANK:
             raise ValueError("rank %d exceeds %d" % (total, MAX_LABEL_RANK))

@@ -63,12 +63,13 @@ def absolute_length(rs, w):
 def bipartite_coxeter(rs):
     """The bipartite Coxeter element: all simple reflections of the first
     color block, then all of the second, ascending node index in each.
-    Returns its matrix."""
-    result = _eye(rs.n)
-    _, mats = _reflection_data(str(rs.typ))
+    Returns its matrix, the product of the simple reflections
+    t_i = I - e_i C_i, C_i the row i of the Cartan matrix."""
+    eye = result = _eye(rs.n)
     for block in rs.bipartition:
         for i in block:
-            result = _matmul(result, mats[i])
+            row = tuple(x - y for x, y in zip(eye[i], rs.cartan[i]))
+            result = _matmul(result, eye[:i] + (row,) + eye[i + 1:])
     return result
 
 

@@ -11,8 +11,10 @@ import noncross
 from noncross import decomp, exact, linsys, ncposet
 from noncross.cli import main
 from noncross.ncposet import ResourceGuardError
+from noncross.typelabel import TypeLabel
 from noncross.rootsystem import SUPPORTED_AMBIENTS
 from noncross.verify import SUITES
+from walk_oracle import EagerWalk
 
 
 def run(capsys, *argv):
@@ -40,6 +42,21 @@ def test_nc_enumerate(capsys):
     code, out, _ = run(capsys, "nc", "enumerate", "A3")
     assert code == 0
     assert "elements: 14" in out
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_nc_enumerate_json_is_the_eager_walk(capsys, name):
+    # the sizes come from the orbit records; the text is that of the
+    # eager walk's elements, byte for byte
+    eager = EagerWalk(name)
+    expected = json.dumps({
+        "ambient": name,
+        "elements": len(eager.elements),
+        "rank_sizes": eager.rank_sizes(),
+        "type_counts": {str(t): len(els) for t, els in eager.by_type.items()},
+    }, indent=2, sort_keys=True) + "\n"
+    assert run(capsys, "nc", "enumerate", name, "--format", "json") == \
+        (0, expected, "")
 
 
 def test_nc_enumerate_cache_dir(capsys, monkeypatch, tmp_path):
@@ -124,6 +141,24 @@ def test_power_of_100000_digits_is_refused_before_it_is_read(capsys):
                             "more than 4300 digits\n" % text)
     # leading zeros do not count
     assert run(capsys, "chi", "A%s1" % ("0" * 5000)) == (0, "y - 1\n", "")
+
+
+@pytest.mark.parametrize("text", ["A%s1" % ("0" * 5000),
+                                  "A1^%s2" % ("0" * 5000),
+                                  "D%s4*A1^%s" % ("0" * 4400, "0" * 4400)],
+                         ids=["rank", "power", "both"])
+def test_leading_zeros_parse_alike_in_the_library_and_the_cli(capsys, text):
+    # the library reads the digits after the leading zeros, so under
+    # Python's default int-text limit it parses what the CLI, which lifts
+    # the limit, parses
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        parsed = TypeLabel.parse(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    expected = ncposet.characteristic_polynomial(parsed)
+    assert run(capsys, "chi", text) == (0, "%s\n" % expected, "")
 
 
 NOT_E = "E components exist only in ranks 6,7,8"

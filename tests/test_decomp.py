@@ -267,6 +267,16 @@ def test_bruteforce_per_orbit_matches_element_descent(name):
     assert [count_bruteforce(name, key) for key in keys] == expected
 
 
+@pytest.mark.parametrize("name", ["D4", "D5", "E6", "D6", "D7", "A6", "A7"])
+def test_bruteforce_matches_element_descent_on_appendix_keys(name):
+    # every full-rank key that ``verify appendix`` brute-forces: below
+    # the top, the descent runs each orbit from its head against the
+    # rotations of the element, and conjugates share one memo entry
+    keys = list(all_tuples_of_rank(label(name).rank))
+    assert [count_bruteforce(name, key) for key in keys] == \
+        [count_by_elements(name, key) for key in keys]
+
+
 # ---------------------------------------------------------------------------
 # the census route against the descent, the closed form and the product rule
 

@@ -15,6 +15,7 @@ from matrix_oracle import (GroupElement, classify_parabolic_type,
                            coxeter_element, le_absolute, moved_positive_roots)
 from poly_oracle import (characteristic_polynomial_by_products,
                          zeta_rows_by_polynomials, zeta_shifted)
+from walk_oracle import EagerWalk
 from noncross import exact, ncposet
 from noncross.decomp import all_labels_of_rank, full_table
 from noncross.exact import SparsePolynomial
@@ -326,7 +327,7 @@ def test_orbits_are_conjugation_cycles_and_count_the_census(name):
     assert sum(size for _, size in poset.orbits) == len(poset)
     assert sorted(members) == sorted(poset.elements)
     census = poset.pair_census()
-    scan = poset.interval_census(poset.top)
+    scan = poset.interval_census(poset.top.key)
     assert census == scan and list(census) == list(scan)
 
 
@@ -357,8 +358,12 @@ def test_moebius_top_bottom_agree():
 def test_moebius_guard():
     poset = enumerate_nc("E8")
     assert len(poset) == 25_080 > ncposet.MAX_MOBIUS_SIZE == 10_000
+    # refused from its size, before its element view is built
+    unviewed = ncposet.NcPoset(poset.rs, poset.layout, poset.records,
+                               poset.types)
     with pytest.raises(ResourceGuardError, match="exceeds mobius guard 10000"):
-        mobius(poset)
+        mobius(unviewed)
+    assert "elements" not in vars(unviewed)
 
 
 def test_characteristic_direct_matches_reference():
@@ -435,8 +440,83 @@ def test_interval_census_is_the_census_of_its_type(name):
     for t, below in poset.by_type.items():
         if t.is_irreducible:
             expected = own_census(str(t))
-            assert poset.interval_census(below[0]) == expected
-            assert poset.interval_census(below[-1]) == expected
+            assert poset.interval_census(below[0].key) == expected
+            assert poset.interval_census(below[-1].key) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def eager_walk(name):
+    return EagerWalk(name)
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_element_view_is_the_eager_walk(name):
+    """The elements built from the orbit records are those of the eager
+    walk, in its order, with its ranks, types and complements."""
+    poset, eager = enumerate_nc(name), eager_walk(name)
+
+    def fields(elements):
+        return [(el.key, el.rank, el.typ, el.comp) for el in elements]
+
+    assert list(poset.elements) == list(eager.elements)
+    assert fields(poset.elements.values()) == fields(eager.elements.values())
+    assert [fields(level) for level in poset.levels] == \
+        [fields(level) for level in eager.levels]
+    assert list(poset.by_type) == list(eager.by_type)
+    assert all(fields(poset.by_type[t]) == fields(eager.by_type[t])
+               for t in eager.by_type)
+    assert [(head.key, size) for head, size in poset.orbits] == \
+        [(head.key, size) for head, size in eager.orbits]
+    assert (poset.identity.key, poset.top.key) == \
+        (eager.identity.key, eager.top.key)
+    assert poset.rank_sizes() == eager.rank_sizes()
+    assert poset.type_counts() == {t: len(els)
+                                   for t, els in eager.by_type.items()}
+    assert list(poset.type_counts()) == list(eager.by_type)
+    assert len(poset) == len(eager.elements) == len(poset.types)
+    assert poset.types == {el.key: el.typ for el in eager.elements.values()}
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8",
+                                  "E6", "E7", "E8"])
+def test_censuses_from_records_are_the_element_scan(name):
+    """The pair census and the census below the first element of every
+    irreducible type of lower rank, read from the orbit records, count
+    what the eager walk's element scan counts, keys in its order."""
+    poset, eager = enumerate_nc(name), eager_walk(name)
+    census, scan = poset.pair_census(), eager.interval_scan(eager.top)
+    assert census == scan and list(census) == list(scan)
+    for t, below in eager.by_type.items():
+        if t.is_irreducible and t.rank < poset.rs.n:
+            q = below[0]
+            assert poset.records_of(t)[0][0] == q.key
+            census, scan = poset.interval_census(q.key), eager.interval_scan(q)
+            assert census == scan and list(census) == list(scan), t
+
+
+# a cold ``verify e8`` in a fresh process, counting the NcElements built
+NO_ELEMENTS = r"""
+import contextlib, io
+from noncross import ncposet
+from noncross.cli import main
+built = []
+init = ncposet.NcElement.__init__
+def counted(self, *args):
+    built.append(1)
+    init(self, *args)
+ncposet.NcElement.__init__ = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "e8"]) == 0
+print(len(ncposet.enumerate_nc("E8")), len(built))
+"""
+
+
+def test_verify_e8_builds_no_element_object():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ncposet.__file__)))
+    child = subprocess.run([sys.executable, "-c", NO_ELEMENTS],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == "25080 0\n"
 
 
 def test_census_is_kept_once_per_label():

@@ -75,6 +75,17 @@ def test_rank_or_power_of_more_than_4300_digits_refused():
             TypeLabel.parse(bad)
 
 
+def test_leading_zeros_are_not_read():
+    # int() is given the digits after the leading zeros, so 5,000 zeros
+    # stay within Python's int-text limit (the CLI agrees, test_cli)
+    zeros = "0" * 5000
+    assert TypeLabel.parse("A%s1" % zeros) is label("A1")
+    assert TypeLabel.parse("A1^%s3" % zeros) is label("A1^3")
+    assert TypeLabel.parse("A1^%s" % zeros) is TypeLabel(())
+    with pytest.raises(ValueError, match="rank >= 1, got 0"):
+        TypeLabel.parse("A%s" % zeros)
+
+
 def test_zero_power_of_a_bad_component_rejected():
     # the power used to apply before the component was checked, so E5^0
     # and D1^0 parsed as the empty type; A1^0 still is the empty type

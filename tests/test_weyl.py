@@ -86,6 +86,21 @@ def test_bipartite_coxeter_order_and_length():
         assert order == rs.coxeter_number
 
 
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_bipartite_coxeter_is_the_product_of_the_reflection_matrices(name):
+    # c is multiplied from the simple reflections built off the Cartan
+    # matrix; it equals the product of the first n of all the reflection
+    # matrices, in the bipartite order
+    rs = build_root_system(name)
+    mats = weyl._reflection_data(name)[1]
+    product = tuple(tuple(int(i == j) for j in range(rs.n))
+                    for i in range(rs.n))
+    for block in rs.bipartition:
+        for i in block:
+            product = matmul(product, mats[i])
+    assert weyl.bipartite_coxeter(rs) == product
+
+
 def test_classify_identity_and_coxeter():
     rs = build_root_system("D5")
     c = coxeter_element(rs)

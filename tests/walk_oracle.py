@@ -1,0 +1,67 @@
+"""The eager walk of NC, kept as the reference for the per-orbit store of
+``ncposet.enumerate_nc``.
+
+It walks down from the Coxeter element one c-orbit at a time, as the
+package does, but builds one ``NcElement`` per element, with its
+complement mask rotated along its orbit, and fills ``elements``,
+``levels``, ``by_type`` and ``orbits`` as it goes.  It registers nothing
+in the package's caches.  ``interval_scan`` is the element-by-element
+interval census.
+"""
+
+from collections import Counter
+
+from noncross.ncposet import NcElement, _descent_masks, mask_layout
+from noncross.rootsystem import build_root_system
+from noncross.weyl import classify_moved_roots
+
+
+class EagerWalk:
+    """The element objects of NC, built during the walk."""
+
+    def __init__(self, name):
+        rs = build_root_system(name)
+        zero = _descent_masks(name)
+        layout = mask_layout(name)
+        orbit_of, order = layout.orbit, layout.order
+        top = (1 << len(zero)) - 1
+        self.elements, self.by_type, self.orbits = {}, {}, []
+        self.levels = [[] for _ in range(rs.n + 1)]
+        orbits = [[top]]
+        for rank in range(rs.n, -1, -1):
+            seen, below = set(), []
+            for orbit in orbits:
+                head = orbit[0]
+                comp, rest, moved = top, head, []
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    bit = low.bit_length() - 1
+                    comp &= zero[bit]
+                    moved.append(order[bit])
+                    child = head & zero[bit]
+                    if child not in seen:
+                        found = orbit_of(child)
+                        seen.update(found)
+                        below.append(found)
+                typ = classify_moved_roots(rs, sorted(moved))
+                typed = []
+                for mask, image in zip(orbit, orbit_of(comp)):
+                    el = self.elements[mask] = NcElement(mask, rank, typ,
+                                                         image)
+                    typed.append(el)
+                self.orbits.append((typed[0], len(typed)))
+                self.levels[rank] += typed
+                self.by_type.setdefault(typ, []).extend(typed)
+            orbits = below
+        self.identity, self.top = self.levels[0][0], self.levels[rs.n][0]
+
+    def rank_sizes(self):
+        return [len(level) for level in self.levels]
+
+    def interval_scan(self, q):
+        """A ``Counter`` of (type(u), type(u^{-1} q)) over the elements
+        u <= q, levels up to the rank of q, highest first."""
+        return Counter((u.typ, self.elements[u.comp & q.key].typ)
+                       for level in reversed(self.levels[:q.rank + 1])
+                       for u in level if u.key & q.key == u.key)

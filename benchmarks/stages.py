@@ -53,8 +53,7 @@ The ``nc`` group: NC(W) enumeration and what reads it.
 * ``pair_census_E8_s``: ``pair_census`` of NC(E8);
 * ``interval_census_E8_s``: the censuses of the 13 irreducible types
   below E8, each by ``interval_census`` below the head of the first
-  c-orbit of its type in NC(E8) (``NcPoset.records_of``; in a tree
-  without orbit records, its first element);
+  c-orbit of its type in NC(E8) (``NcPoset.records_of``);
 * ``full_table_D7_s``: every full-rank D7 value of a sub-diagram type by
   ``count_bruteforce``, NC(D7) walked; cleared: the memo it keeps on
   NC(D7);
@@ -68,8 +67,7 @@ The ``nc`` group: NC(W) enumeration and what reads it.
 * ``root_tables_DE_s``: the sum of those medians;
 * ``length_suite_s``: the checks of ``noncross verify length``;
 * ``poset_E8_mb``: the memory one walked NC(E8) holds (its orbit
-  records and the type of each mask; the element view is not built), as
-  ``tracemalloc`` counts it;
+  records and the type of each mask), as ``tracemalloc`` counts it;
 * ``classify_calls_verify_e8``: the calls of ``classify_moved_roots`` in
   a probe of ``verify e8``, in ``total`` and inside ``enumerate_nc``;
 * ``chi_walks_D6``, ``chi_walks_E7``: the posets a probe of ``chi D6``
@@ -364,10 +362,8 @@ def nc_stages(rec):
         rec.time("walk_classify_%s_s" % name,
                  lambda: ncposet.enumerate_nc.__wrapped__(name))
     rs, poset = build_root_system("E8"), ncposet.enumerate_nc("E8")
-    # the orbit records, or in a tree without them the element objects
-    records = hasattr(poset, "records")
     moved = [[a for a in range(mask.bit_length()) if mask >> a & 1]
-             for mask in (poset.types if records else poset.elements)]
+             for mask in poset.types]
     rec.time("classify_NC_E8_s",
              lambda: [weyl.classify_moved_roots(rs, roots) for roots in moved])
 
@@ -390,12 +386,8 @@ def nc_stages(rec):
     rec.time("subdiagram_types_E8_s",
              lambda: subdiagram_types.__wrapped__("E8"))
     rec.time("pair_census_E8_s", poset.pair_census)
-    if records:
-        lower = [poset.records_of(typ)[0][0] for typ in poset.type_counts()
-                 if typ.is_irreducible and typ.rank < 8]
-    else:
-        lower = [below[0] for typ, below in poset.by_type.items()
-                 if typ.is_irreducible and typ.rank < 8]
+    lower = [poset.records_of(typ)[0][0] for typ in poset.type_counts()
+             if typ.is_irreducible and typ.rank < 8]
     rec.time("interval_census_E8_s",
              lambda: [poset.interval_census(q) for q in lower])
 

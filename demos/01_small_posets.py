@@ -12,7 +12,8 @@ for name in ("A2", "A3", "D4", "D5", "E6"):
     poset = enumerate_nc(name)
     print("NC(%s): %d elements, rank sizes %s"
           % (name, len(poset), poset.rank_sizes()))
-    census = sorted((str(t), len(els)) for t, els in poset.by_type.items())
+    census = sorted((str(t), count)
+                    for t, count in poset.type_counts().items())
     print("  types:", ", ".join("%s:%d" % tc for tc in census))
     print("  chi* =", characteristic_polynomial(label(name)))
     closed = zeta_closed(label(name))

@@ -76,7 +76,10 @@ Enumeration therefore steps down, ANDs out the complement and
 classifies only from one head per orbit, and keeps each orbit as one
 record: its head, size, rank and type and the head's complement (the
 other members and their complements are rotations of these), with the
-type of every member's mask.  On the reflections
+type of every member's mask.  That is the only store of the poset: an
+element is its mask, and the direct oracles (Moebius function,
+multichains, NC^m, the cache text) expand the records into masks
+(``NcPoset.members``).  On the reflections
 the orbits are the cycles of pi, and ``reflection_orbits`` types each
 orbit's t c, the complement of t, from one row of the descent table.
 
@@ -98,7 +101,8 @@ for the zeta rows of ``linsys`` and ``triangles.zeta_identity_check``.
 
 The m-divisible poset NC^m consists of minimal-length factorizations
 c = w0 * w1 * ... * wm ordered componentwise (opposite order in the
-coordinates 1..m); it is graded by the length of w0.
+coordinates 1..m); it is graded by the length of w0, and a tuple is kept
+as the masks of w1, ..., wm.
 """
 
 from __future__ import annotations
@@ -109,6 +113,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from operator import itemgetter
 
 from . import exact
 from .exact import SparsePolynomial, Z as _Z, M as _M, int_kernel
@@ -134,25 +139,6 @@ MAX_MOBIUS_SIZE = 10_000
 MAX_NCM_SIZE = 100_000
 
 
-class NcElement:
-    """One element u of NC: its moved-root mask ``key`` (bit i set when
-    positive root ``mask_layout(ambient).order[i]`` is moved), rank,
-    type, and ``comp``, the mask of its right complement u^{-1} c.
-    Compared by identity."""
-
-    __slots__ = ("key", "rank", "typ", "comp")
-
-    def __init__(self, key, rank, typ, comp):
-        self.key = key
-        self.rank = rank
-        self.typ = typ
-        self.comp = comp
-
-    def __repr__(self):
-        return "<NcElement %x rank=%d type=%s>" % (self.key, self.rank,
-                                                   self.typ)
-
-
 class NcPoset:
     """The full typed poset NC for one ambient, kept per c-orbit.
 
@@ -160,14 +146,10 @@ class NcPoset:
     complement mask of the head) per orbit of conjugation by c, level by
     level from the top in order of discovery, and ``types``, the type of
     every element by its moved-root mask.  ``records_of`` lists the
-    records of one type.  The element objects (``elements``: mask ->
-    ``NcElement``; ``levels``, ``by_type``, ``orbits``: (head, size) per
-    orbit; ``identity``; ``top``) are a view built on first access, in
-    the order of the records with each orbit listed from its head; the
-    oracles and the cache text read it.
+    records of one type.  An element is its mask: ``members`` expands
+    the records, ``ranked`` lists the masks by rank for the direct
+    oracles, and ``le`` is the order on masks.
     """
-
-    _VIEW = ("elements", "levels", "by_type", "orbits", "identity", "top")
 
     def __init__(self, rs, layout, records, types):
         self.rs = rs
@@ -182,42 +164,31 @@ class NcPoset:
     def __len__(self):
         return len(self.types)
 
-    def __getattr__(self, name):
-        if name not in NcPoset._VIEW:
-            raise AttributeError(name)
-        self._build_view()
-        return self.__dict__[name]
-
-    def _build_view(self):
+    def members(self):
+        """Every element as (mask, rank, type, complement mask), orbit by
+        orbit in the order of the records, each orbit from its head: the
+        other members and their complements are the rotations of the
+        head's (``MaskLayout.orbit``)."""
         orbit = self.layout.orbit
-        elements, levels = {}, [[] for _ in range(self.rs.n + 1)]
-        by_type, orbits = {}, []
-        for head, size, rank, typ, comp in self.records:
-            typed = []
+        for head, _, rank, typ, comp in self.records:
             for mask, image in zip(orbit(head), orbit(comp)):
-                el = elements[mask] = NcElement(mask, rank, typ, image)
-                typed.append(el)
-            orbits.append((typed[0], size))
-            levels[rank] += typed
-            by_type.setdefault(typ, []).extend(typed)
-        self.__dict__.update(elements=elements, levels=levels,
-                             by_type=by_type, orbits=orbits,
-                             identity=levels[0][0], top=levels[-1][0])
+                yield mask, rank, typ, image
+
+    def ranked(self):
+        """The (mask, rank) of every element by ascending rank, each rank
+        in the order of ``members``."""
+        return sorted([(mask, rank) for mask, rank, _, _ in self.members()],
+                      key=itemgetter(1))
+
+    @staticmethod
+    def le(u, w):
+        """u <=_T w via moved-root containment, on masks."""
+        return u & w == u
 
     def records_of(self, t):
         """The records of the c-orbits of type t, in order of discovery
         (empty when NC has no element of type t)."""
         return self._by_type.get(t, ())
-
-    def le(self, u, w):
-        """u <=_T w via moved-root containment."""
-        return u.key & w.key == u.key
-
-    def complement(self, u, w=None):
-        """The complement u^{-1} w of u <= w (default w = top), as a poset
-        element."""
-        mask = u.comp if w is None else u.comp & w.key
-        return self.elements[mask]
 
     def rank_sizes(self):
         sizes = [0] * (self.rs.n + 1)
@@ -507,62 +478,61 @@ def _census(t):
 # Moebius functions and characteristic polynomials
 
 
-def mobius(poset):
-    """Full Moebius function of a small poset: map (u_key, w_key) -> int.
-
-    Works for any object exposing ``elements`` (iterable of items with a
-    ``key`` and ``rank``), ``le`` and a length.  Guarded by
-    ``MAX_MOBIUS_SIZE``, checked before any element is listed.
-    """
+def _ranked(poset):
+    """``poset.ranked()``, the (key, rank) pairs of its elements by
+    ascending rank, once the size of the poset is within
+    ``MAX_MOBIUS_SIZE``: the one guard of the direct oracles, checked
+    before any element is listed."""
     if len(poset) > MAX_MOBIUS_SIZE:
         raise ResourceGuardError("poset size %d exceeds mobius guard %d"
                                  % (len(poset), MAX_MOBIUS_SIZE))
-    items = _sorted_items(poset)
+    return poset.ranked()
+
+
+def mobius(poset):
+    """Full Moebius function of a small poset: map (u_key, w_key) -> int.
+
+    Works for any object with a length, ``ranked()`` (its (key, rank)
+    pairs by ascending rank) and ``le`` on keys, as ``NcPoset`` and
+    ``NcmPoset``.  Guarded by ``MAX_MOBIUS_SIZE`` (``_ranked``).
+    """
+    keys = [key for key, _ in _ranked(poset)]
+    le = poset.le
     result = {}
-    for i, u in enumerate(items):
-        above = [w for w in items[i:] if poset.le(u, w)]
-        mu = {u.key: 1}
+    for i, u in enumerate(keys):
+        above = [w for w in keys[i:] if le(u, w)]
+        mu = {u: 1}
         for w in above[1:]:
             total = 0
             for v in above:
-                if v.key == w.key:
+                if v == w:
                     break
-                if poset.le(v, w):
-                    total += mu[v.key]
-            mu[w.key] = -total
-        for w_key, value in mu.items():
-            result[(u.key, w_key)] = value
+                if le(v, w):
+                    total += mu[v]
+            mu[w] = -total
+        for w, value in mu.items():
+            result[u, w] = value
     return result
 
 
-def _sorted_items(poset):
-    items = list(poset.elements.values()) if isinstance(poset.elements, dict) \
-        else list(poset.elements)
-    items.sort(key=lambda e: e.rank)
-    return items
-
-
 def mobius_from_top(poset):
-    """mu(u, top) for every u, by downward recursion."""
-    items = _sorted_items(poset)
-    items.reverse()                       # descending rank
-    mu = {items[0].key: 1}
-    for i, u in enumerate(items[1:], start=1):
-        total = 0
-        for v in items[:i]:
-            if poset.le(u, v):
-                total += mu[v.key]
-        mu[u.key] = -total
+    """mu(u, top) for every key u, by downward recursion."""
+    keys = [key for key, _ in _ranked(poset)]
+    keys.reverse()                        # descending rank
+    le = poset.le
+    mu = {keys[0]: 1}
+    for i, u in enumerate(keys[1:], start=1):
+        mu[u] = -sum(mu[v] for v in keys[:i] if le(u, v))
     return mu
 
 
 def characteristic_direct(poset):
     """chi*(y) = sum_u mu(u, c) y^{rank u}, by direct Moebius values."""
     mu = mobius_from_top(poset)
-    result = exact.ZERO
-    for el in poset.elements.values():
-        result = result + SparsePolynomial.variable("y", el.rank) * mu[el.key]
-    return result
+    coeffs = Counter()
+    for key, rank in _ranked(poset):
+        coeffs[rank] += mu[key]
+    return SparsePolynomial({(0, j, 0, 0): c for j, c in coeffs.items()})
 
 
 def _guard_rank(t, bound, what):
@@ -631,22 +601,19 @@ def chi_vector(t):
 
 
 def zeta_direct(poset, z):
-    """Number of multichains x_1 <= ... <= x_{z-1}, counted exactly."""
+    """Number of multichains x_1 <= ... <= x_{z-1}, counted exactly, in
+    any poset that ``mobius`` takes, under the same guard."""
     if z < 1:
         raise ValueError("z must be >= 1")
     if z == 1:
         return 1
-    items = _sorted_items(poset)
-    counts = [1] * len(items)
+    keys = [key for key, _ in _ranked(poset)]
+    le = poset.le
+    counts = [1] * len(keys)
     for _ in range(z - 2):
-        new = []
-        for i, w in enumerate(items):
-            total = 0
-            for j, u in enumerate(items[:i + 1]):
-                if poset.le(u, w):
-                    total += counts[j]
-            new.append(total)
-        counts = new
+        counts = [sum(count for u, count in zip(keys[:i + 1], counts)
+                      if le(u, w))
+                  for i, w in enumerate(keys)]
     return sum(counts)
 
 
@@ -834,35 +801,27 @@ def ncm_cardinality(t, m):
 # m-divisible non-crossing partitions
 
 
-class NcmElement:
-    """Element of NC^m: the tuple (w1,...,wm); w0 is implied."""
-
-    __slots__ = ("key", "parts", "rank")
-
-    def __init__(self, parts, rank):
-        self.parts = parts
-        self.rank = rank
-        self.key = tuple(p.key for p in parts)
-
-    def __repr__(self):
-        return "<NcmElement rank=%d>" % self.rank
-
-
 class NcmPoset:
-    """NC^m with componentwise-opposite order in coordinates 1..m."""
+    """NC^m as ``elements``, (key, rank) pairs: the key is the tuple of
+    the masks of w1, ..., wm (w0 is implied), ordered componentwise
+    opposite in the coordinates 1..m."""
 
-    def __init__(self, nc, m, elements):
-        self.nc = nc
+    def __init__(self, m, elements):
         self.m = m
         self.elements = elements
 
     def __len__(self):
         return len(self.elements)
 
-    def le(self, u, w):
+    def ranked(self):
+        """The (key, rank) pairs by ascending rank, each rank in the
+        order of ``elements``."""
+        return sorted(self.elements, key=itemgetter(1))
+
+    @staticmethod
+    def le(u, w):
         """u <= w  iff  w_i <=_T u_i for every coordinate i >= 1."""
-        return all(up.key & wp.key == wp.key
-                   for up, wp in zip(u.parts, w.parts))
+        return all(b & a == b for a, b in zip(u, w))
 
 
 def build_ncm(name, m):
@@ -870,9 +829,10 @@ def build_ncm(name, m):
 
     A tuple is produced by choosing w1 below c, then w2 below the
     complement w1^{-1} c, and so on; minimality of the total length is
-    automatic.  The rank of a tuple is the length of w0.  Refuses
-    (ResourceGuardError) when the closed-form cardinality exceeds
-    ``MAX_NCM_SIZE``.
+    automatic.  Each choice runs over ``NcPoset.members``: the complement
+    of u below the rest r has the mask comp(u) & r.  The rank of a tuple
+    is the length of w0.  Refuses (ResourceGuardError) when the
+    closed-form cardinality exceeds ``MAX_NCM_SIZE``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -881,26 +841,26 @@ def build_ncm(name, m):
     if expected > MAX_NCM_SIZE:
         raise ResourceGuardError("|NC^m| = %d exceeds guard %d"
                                  % (expected, MAX_NCM_SIZE))
+    members = [(mask, rank, comp) for mask, rank, _, comp in poset.members()]
     n = poset.rs.n
     elements = []
     prefix = []
 
-    def descend(rest, depth):
+    def descend(rest, depth, length):
         if depth == m:
-            rank = n - sum(p.rank for p in prefix)
-            elements.append(NcmElement(tuple(prefix), rank))
+            elements.append((tuple(prefix), n - length))
             return
-        for u in poset.elements.values():
-            if u.key & rest.key == u.key:
-                prefix.append(u)
-                descend(poset.complement(u, rest), depth + 1)
+        for mask, rank, comp in members:
+            if mask & rest == mask:
+                prefix.append(mask)
+                descend(comp & rest, depth + 1, length + rank)
                 prefix.pop()
 
-    descend(poset.top, 0)
+    descend(poset.records[0][0], 0, 0)
     if len(elements) != expected:
         raise AssertionError("NC^m size %d != closed form %d"
                              % (len(elements), expected))
-    return NcmPoset(nc=poset, m=m, elements=elements)
+    return NcmPoset(m, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -923,14 +883,9 @@ def _cache_text(poset):
         "ambient": str(poset.rs.typ),
     }
     lines = [json.dumps(header)]
-    for level in poset.levels:
-        for el in level:
-            record = {
-                "mask": format(el.key, "x"),
-                "rank": el.rank,
-                "type": str(el.typ),
-            }
-            lines.append(json.dumps(record))
+    for mask, rank, typ, _ in sorted(poset.members(), key=itemgetter(1)):
+        lines.append(json.dumps({"mask": format(mask, "x"), "rank": rank,
+                                 "type": str(typ)}))
     return "\n".join(lines) + "\n"
 
 

@@ -141,7 +141,7 @@ def mtriangle_direct(ncm):
     """Primal M-triangle of an explicitly built NC^m poset, by full
     Moebius computation.  Returns a polynomial in x, y."""
     mu = mobius(ncm)
-    rank_of = {el.key: el.rank for el in ncm.elements}
+    rank_of = dict(ncm.elements)
     result = exact.ZERO
     for (u_key, w_key), value in mu.items():
         if value == 0:

@@ -14,7 +14,7 @@ from noncross.ncposet import ResourceGuardError
 from noncross.typelabel import TypeLabel
 from noncross.rootsystem import SUPPORTED_AMBIENTS
 from noncross.verify import SUITES
-from walk_oracle import EagerWalk
+from walk_oracle import eager_walk
 
 
 def run(capsys, *argv):
@@ -48,7 +48,7 @@ def test_nc_enumerate(capsys):
 def test_nc_enumerate_json_is_the_eager_walk(capsys, name):
     # the sizes come from the orbit records; the text is that of the
     # eager walk's elements, byte for byte
-    eager = EagerWalk(name)
+    eager = eager_walk(name)
     expected = json.dumps({
         "ambient": name,
         "elements": len(eager.elements),

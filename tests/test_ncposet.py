@@ -15,7 +15,7 @@ from matrix_oracle import (GroupElement, classify_parabolic_type,
                            coxeter_element, le_absolute, moved_positive_roots)
 from poly_oracle import (characteristic_polynomial_by_products,
                          zeta_rows_by_polynomials, zeta_shifted)
-from walk_oracle import EagerWalk
+from walk_oracle import eager_walk
 from noncross import exact, ncposet
 from noncross.decomp import all_labels_of_rank, full_table
 from noncross.exact import SparsePolynomial
@@ -147,13 +147,19 @@ def test_subset_order_equals_absolute_order(name):
     rs = build_root_system(name)
     poset = enumerate_nc(name)
     matrices = _matrix_walk(name)
-    assert matrices.keys() == poset.elements.keys()
-    elements = list(poset.elements.values())
-    for u in elements:
-        gu = GroupElement(rs, matrices[u.key])
-        for w in elements:
-            gw = GroupElement(rs, matrices[w.key])
+    masks = _members(poset)
+    assert matrices.keys() == masks.keys()
+    for u in masks:
+        gu = GroupElement(rs, matrices[u])
+        for w in masks:
+            gw = GroupElement(rs, matrices[w])
             assert poset.le(u, w) == le_absolute(rs, gu, gw)
+
+
+def _members(poset):
+    """The map mask -> (rank, type, complement mask) of ``members``."""
+    return {mask: (rank, typ, comp)
+            for mask, rank, typ, comp in poset.members()}
 
 
 def _simple_system(rs, root_indices):
@@ -188,33 +194,35 @@ def test_walk_matches_kernel_and_classifier_oracles(name):
     layout = mask_layout(name)
     poset = enumerate_nc(name)
     matrices = _matrix_walk(name)
-    assert matrices.keys() == poset.elements.keys()
-    for el in poset.elements.values():
-        moved = _roots(layout, el.key)
+    members = _members(poset)
+    assert matrices.keys() == members.keys()
+    for mask, (_, typ, _) in members.items():
+        moved = _roots(layout, mask)
         assert moved == moved_positive_roots(
-            rs, GroupElement(rs, matrices[el.key]))
-        assert el.typ == _type_of_moved_set(rs, moved)
+            rs, GroupElement(rs, matrices[mask]))
+        assert typ == _type_of_moved_set(rs, moved)
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "A5", "D5", "E6", "D6"])
 def test_complements_match_matrix_oracle(name):
-    """complement(u) and complement(u, v), bit ANDs of masks, are the
-    elements whose matrices are u^{-1} c and u^{-1} v, for every u and
-    every comparable pair u <= v."""
+    """The complement mask comp(u) of ``members`` and comp(u) & v, bit
+    ANDs of masks, are the masks of the elements whose matrices are
+    u^{-1} c and u^{-1} v, for every u and every comparable pair u <= v."""
     rs = build_root_system(name)
     poset = enumerate_nc(name)
     matrices = _matrix_walk(name)
     mask_of = {mat: mask for mask, mat in matrices.items()}
     inverses = {mask: GroupElement(rs, mat).inverse().mat
                 for mask, mat in matrices.items()}
-    top = matrices[poset.top.key]
-    for u in poset.elements.values():
-        product = matmul(inverses[u.key], top)
-        assert poset.complement(u).key == mask_of[product]
-        for v in poset.elements.values():
+    top = matrices[poset.records[0][0]]
+    comps = {mask: comp for mask, _, _, comp in poset.members()}
+    for u, comp in comps.items():
+        product = matmul(inverses[u], top)
+        assert comp == mask_of[product]
+        for v in comps:
             if poset.le(u, v):
-                product = matmul(inverses[u.key], matrices[v.key])
-                assert poset.complement(u, v).key == mask_of[product]
+                product = matmul(inverses[u], matrices[v])
+                assert comp & v == mask_of[product]
 
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
@@ -232,10 +240,11 @@ def test_orbit_typing_equals_per_element_classification(name):
                  for depth, level in enumerate(_and_walk(name))
                  for mask, comp in level.items()}
     poset = enumerate_nc(name)
-    assert {el.key: (el.rank, el.typ, el.comp)
-            for el in poset.elements.values()} == reference
-    assert [el.rank for el in poset.elements.values()] == \
-        [el.rank for level in reversed(poset.levels) for el in level]
+    members = list(poset.members())
+    assert len(members) == len(reference)
+    assert _members(poset) == reference
+    ranks = [rank for _, rank, _, _ in members]
+    assert ranks == sorted(ranks, reverse=True)
 
 
 def _conjugate(name, mask):
@@ -264,11 +273,13 @@ def test_conjugation_orbits_stay_in_levels(name):
     conjugation by c on NC has a size dividing h."""
     rs = build_root_system(name)
     poset = enumerate_nc(name)
-    for level in poset.levels:
-        masks = {el.key for el in level}
+    levels = {}
+    for mask, rank, _, _ in poset.members():
+        levels.setdefault(rank, set()).add(mask)
+    for masks in levels.values():
         assert {_conjugate(name, mask) for mask in masks} == masks
     seen = set()
-    for mask in poset.elements:
+    for mask in poset.types:
         if mask in seen:
             continue
         orbit = [mask]
@@ -297,37 +308,40 @@ def test_layout_rotation_is_conjugation_by_c(name):
             assert pi[layout.order[first + j]] == layout.order[succ]
     poset = enumerate_nc(name)
     conjugate = layout.conjugate
-    for el in poset.elements.values():
-        image = conjugate(el.key)
-        assert image == _conjugate(name, el.key)
-        assert poset.elements[image].comp == conjugate(el.comp)
+    comps = {mask: comp for mask, _, _, comp in poset.members()}
+    for mask, comp in comps.items():
+        image = conjugate(mask)
+        assert image == _conjugate(name, mask)
+        assert comps[image] == conjugate(comp)
         for _ in range(rs.coxeter_number - 1):
             image = conjugate(image)
-        assert image == el.key
+        assert image == mask
 
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
 def test_orbits_are_conjugation_cycles_and_count_the_census(name):
     """``MaskLayout.orbit`` is the cycle of ``conjugate``; the recorded
-    orbits partition the poset, each one listed from its head; and the
-    census counted per orbit is the element scan, key order included."""
+    orbits partition the poset, ``members`` lists each one from its
+    head; and the census counted per orbit is the element scan, key
+    order included."""
     layout = mask_layout(name)
     poset = enumerate_nc(name)
     members = []
-    for head, size in poset.orbits:
-        orbit = layout.orbit(head.key)
-        cycle = [head.key]
-        image = layout.conjugate(head.key)
-        while image != head.key:
+    for head, size, _, typ, _ in poset.records:
+        orbit = layout.orbit(head)
+        cycle = [head]
+        image = layout.conjugate(head)
+        while image != head:
             cycle.append(image)
             image = layout.conjugate(image)
         assert orbit == cycle and len(orbit) == size
-        assert all(poset.elements[mask].typ is head.typ for mask in orbit)
+        assert all(poset.types[mask] is typ for mask in orbit)
         members += orbit
-    assert sum(size for _, size in poset.orbits) == len(poset)
-    assert sorted(members) == sorted(poset.elements)
+    assert sum(record[1] for record in poset.records) == len(poset)
+    assert sorted(members) == sorted(poset.types)
+    assert members == [mask for mask, _, _, _ in poset.members()]
     census = poset.pair_census()
-    scan = poset.interval_census(poset.top.key)
+    scan = poset.interval_census(poset.records[0][0])
     assert census == scan and list(census) == list(scan)
 
 
@@ -350,20 +364,36 @@ def test_moebius_top_bottom_agree():
     poset = enumerate_nc("D4")
     mu_up = mobius(poset)
     mu_down = mobius_from_top(poset)
-    bottom = poset.identity
-    top = poset.top
-    assert mu_up[(bottom.key, top.key)] == mu_down[bottom.key]
+    ranked = poset.ranked()
+    bottom, top = ranked[0][0], ranked[-1][0]
+    assert (bottom, top) == (0, poset.records[0][0])
+    assert mu_up[(bottom, top)] == mu_down[bottom]
 
 
-def test_moebius_guard():
+def _refused_unlisted(oracle, monkeypatch):
+    """Call an oracle on NC(E8) with ``NcPoset.members`` counting its
+    calls; it must refuse from the size alone, listing no element."""
     poset = enumerate_nc("E8")
     assert len(poset) == 25_080 > ncposet.MAX_MOBIUS_SIZE == 10_000
-    # refused from its size, before its element view is built
-    unviewed = ncposet.NcPoset(poset.rs, poset.layout, poset.records,
-                               poset.types)
+    listed = []
+    members = ncposet.NcPoset.members
+    monkeypatch.setattr(ncposet.NcPoset, "members",
+                        lambda self: listed.append(1) or members(self))
     with pytest.raises(ResourceGuardError, match="exceeds mobius guard 10000"):
-        mobius(unviewed)
-    assert "elements" not in vars(unviewed)
+        oracle(poset)
+    assert not listed
+
+
+def test_moebius_guard(monkeypatch):
+    _refused_unlisted(mobius, monkeypatch)
+
+
+@pytest.mark.parametrize("oracle", [
+    mobius_from_top, characteristic_direct,
+    functools.partial(zeta_direct, z=3),
+], ids=["mobius_from_top", "characteristic_direct", "zeta_direct"])
+def test_direct_oracles_share_the_moebius_guard(oracle, monkeypatch):
+    _refused_unlisted(oracle, monkeypatch)
 
 
 def test_characteristic_direct_matches_reference():
@@ -437,38 +467,34 @@ def own_census(name):
 def test_interval_census_is_the_census_of_its_type(name):
     # [1, q] is NC of the type of q with types kept (Brady-Watt)
     poset = enumerate_nc(name)
-    for t, below in poset.by_type.items():
+    by_type = {}
+    for mask, _, typ, _ in poset.members():
+        by_type.setdefault(typ, []).append(mask)
+    for t, below in by_type.items():
         if t.is_irreducible:
             expected = own_census(str(t))
-            assert poset.interval_census(below[0].key) == expected
-            assert poset.interval_census(below[-1].key) == expected
-
-
-@functools.lru_cache(maxsize=None)
-def eager_walk(name):
-    return EagerWalk(name)
+            assert poset.interval_census(below[0]) == expected
+            assert poset.interval_census(below[-1]) == expected
 
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
 def test_element_view_is_the_eager_walk(name):
-    """The elements built from the orbit records are those of the eager
-    walk, in its order, with its ranks, types and complements."""
+    """The elements expanded from the orbit records (``members``) are
+    those of the eager walk, in its order, with its ranks, types and
+    complements; ``ranked`` lists them level by level from the bottom,
+    and the records of each type are the eager walk's orbits."""
     poset, eager = enumerate_nc(name), eager_walk(name)
-
-    def fields(elements):
-        return [(el.key, el.rank, el.typ, el.comp) for el in elements]
-
-    assert list(poset.elements) == list(eager.elements)
-    assert fields(poset.elements.values()) == fields(eager.elements.values())
-    assert [fields(level) for level in poset.levels] == \
-        [fields(level) for level in eager.levels]
-    assert list(poset.by_type) == list(eager.by_type)
-    assert all(fields(poset.by_type[t]) == fields(eager.by_type[t])
-               for t in eager.by_type)
-    assert [(head.key, size) for head, size in poset.orbits] == \
+    assert list(poset.members()) == \
+        [tuple(el) for el in eager.elements.values()]
+    assert poset.ranked() == [(el.key, el.rank)
+                              for level in eager.levels for el in level]
+    assert [record[:2] for record in poset.records] == \
         [(head.key, size) for head, size in eager.orbits]
-    assert (poset.identity.key, poset.top.key) == \
-        (eager.identity.key, eager.top.key)
+    heads = {}
+    for head, _ in eager.orbits:
+        heads.setdefault(head.typ, []).append(head.key)
+    assert {t: [record[0] for record in poset.records_of(t)]
+            for t in heads} == heads
     assert poset.rank_sizes() == eager.rank_sizes()
     assert poset.type_counts() == {t: len(els)
                                    for t, els in eager.by_type.items()}
@@ -494,24 +520,26 @@ def test_censuses_from_records_are_the_element_scan(name):
             assert census == scan and list(census) == list(scan), t
 
 
-# a cold ``verify e8`` in a fresh process, counting the NcElements built
+# a cold ``verify e8`` in a fresh process, counting the calls that list
+# the elements of a walked poset
 NO_ELEMENTS = r"""
 import contextlib, io
 from noncross import ncposet
 from noncross.cli import main
-built = []
-init = ncposet.NcElement.__init__
-def counted(self, *args):
-    built.append(1)
-    init(self, *args)
-ncposet.NcElement.__init__ = counted
+listed = []
+members = ncposet.NcPoset.members
+def counted(self):
+    listed.append(1)
+    return members(self)
+ncposet.NcPoset.members = counted
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["verify", "e8"]) == 0
-print(len(ncposet.enumerate_nc("E8")), len(built))
+print(len(ncposet.enumerate_nc("E8")), len(listed))
 """
 
 
 def test_verify_e8_builds_no_element_object():
+    # the pipeline reads the orbit records and never expands them
     src = os.path.dirname(os.path.dirname(os.path.abspath(ncposet.__file__)))
     child = subprocess.run([sys.executable, "-c", NO_ELEMENTS],
                            env=dict(os.environ, PYTHONPATH=src),
@@ -690,8 +718,36 @@ def test_closed_forms_build_no_root_system(argv, built):
 def test_build_ncm_size_and_rank():
     ncm = build_ncm("A3", 2)
     assert len(ncm.elements) == ncm_cardinality(label("A3"), 2)
-    top_rank = max(el.rank for el in ncm.elements)
+    top_rank = max(rank for _, rank in ncm.elements)
     assert top_rank == 3
+
+
+def _ncm_by_elements(name, m):
+    """NC^m by descent over the eager walk's elements: each w_i runs
+    over the elements below the complement of the ones chosen before
+    it.  Returns the (key, rank) pairs in the order found."""
+    eager = eager_walk(name)
+    found = []
+
+    def descend(rest, prefix):
+        if len(prefix) == m:
+            found.append((tuple(el.key for el in prefix),
+                          eager.top.rank - sum(el.rank for el in prefix)))
+            return
+        for u in eager.elements.values():
+            if u.key & rest.key == u.key:
+                descend(eager.elements[u.comp & rest.key], prefix + [u])
+
+    descend(eager.top, [])
+    return found
+
+
+@pytest.mark.parametrize("name, m", [("A2", 3), ("A3", 2), ("A3", 3),
+                                     ("D4", 2)])
+def test_build_ncm_is_the_descent_over_the_eager_walk(name, m):
+    ncm = build_ncm(name, m)
+    assert ncm.m == m
+    assert ncm.elements == _ncm_by_elements(name, m)
 
 
 def test_build_ncm_guard():
@@ -700,6 +756,19 @@ def test_build_ncm_guard():
     with pytest.raises(ResourceGuardError,
                        match=r"\|NC\^m\| = 119966 exceeds guard 100000"):
         build_ncm("E6", 3)
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_cache_text_is_the_eager_walk_by_levels(name):
+    # the header, then every element of the eager walk, level by level
+    # from the identity, each level in the order of the walk
+    eager = eager_walk(name)
+    lines = [json.dumps({"schema_version": ncposet.CACHE_SCHEMA_VERSION,
+                         "ambient": name})]
+    lines += [json.dumps({"mask": format(el.key, "x"), "rank": el.rank,
+                          "type": str(el.typ)})
+              for level in eager.levels for el in level]
+    assert ncposet._cache_text(enumerate_nc(name)) == "\n".join(lines) + "\n"
 
 
 def test_cache_roundtrip(tmp_path):
@@ -800,7 +869,7 @@ def _tampered_matrix(lines):
     for key, length in enumerate_group(rs).items():
         g = GroupElement(rs, key)
         mask = sum(1 << i for i in moved_positive_roots(rs, g))
-        if length == 2 and mask not in poset.elements:
+        if length == 2 and mask not in poset.types:
             try:
                 found = str(classify_parabolic_type(rs, g, check=False))
             except AssertionError:

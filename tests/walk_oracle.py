@@ -2,18 +2,23 @@
 ``ncposet.enumerate_nc``.
 
 It walks down from the Coxeter element one c-orbit at a time, as the
-package does, but builds one ``NcElement`` per element, with its
+package does, but builds one ``Element`` per element, with its
 complement mask rotated along its orbit, and fills ``elements``,
 ``levels``, ``by_type`` and ``orbits`` as it goes.  It registers nothing
 in the package's caches.  ``interval_scan`` is the element-by-element
-interval census.
+interval census; ``eager_walk`` keeps one walk per ambient.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
+from functools import lru_cache
 
-from noncross.ncposet import NcElement, _descent_masks, mask_layout
+from noncross.ncposet import _descent_masks, mask_layout
 from noncross.rootsystem import build_root_system
 from noncross.weyl import classify_moved_roots
+
+# one element u of NC: its moved-root mask, rank, type and the mask of
+# its right complement u^{-1} c
+Element = namedtuple("Element", "key rank typ comp")
 
 
 class EagerWalk:
@@ -47,8 +52,7 @@ class EagerWalk:
                 typ = classify_moved_roots(rs, sorted(moved))
                 typed = []
                 for mask, image in zip(orbit, orbit_of(comp)):
-                    el = self.elements[mask] = NcElement(mask, rank, typ,
-                                                         image)
+                    el = self.elements[mask] = Element(mask, rank, typ, image)
                     typed.append(el)
                 self.orbits.append((typed[0], len(typed)))
                 self.levels[rank] += typed
@@ -65,3 +69,9 @@ class EagerWalk:
         return Counter((u.typ, self.elements[u.comp & q.key].typ)
                        for level in reversed(self.levels[:q.rank + 1])
                        for u in level if u.key & q.key == u.key)
+
+
+@lru_cache(maxsize=None)
+def eager_walk(name):
+    """The ``EagerWalk`` of the named ambient, built once per process."""
+    return EagerWalk(name)

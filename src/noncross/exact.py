@@ -450,13 +450,18 @@ class Echelon:
         keyed ``len(variables)``) and cleared at the pivots it meets."""
         nvars = len(self.variables)
         pivots = self.pivots
-        denom = rhs.denominator
-        for c in row.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        vec = {col: c.numerator * (denom // c.denominator)
-               for col, c in row.items()}
-        if rhs:
-            vec[nvars] = rhs.numerator * (denom // rhs.denominator)
+        if type(rhs) is int and all(type(c) is int for c in row.values()):
+            vec = dict(row)                 # in integers already
+            if rhs:
+                vec[nvars] = rhs
+        else:
+            denom = rhs.denominator
+            for c in row.values():
+                denom = denom * c.denominator // gcd(denom, c.denominator)
+            vec = {col: c.numerator * (denom // c.denominator)
+                   for col, c in row.items()}
+            if rhs:
+                vec[nvars] = rhs.numerator * (denom // rhs.denominator)
         met = [(col, f, pivots[col]) for col, f in vec.items()
                if col in pivots]
         if met:

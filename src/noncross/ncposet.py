@@ -93,7 +93,16 @@ of its orbit, lies below q exactly when x lies below q_j = c^{-j} q c^j,
 and then comp(u) & moved(q) is the rotation of comp(x) & moved(q_j), of
 the same type.  Each orbit is scanned from its head against the
 rotations of q, and so is the brute-force descent below the top
-(``decomp.count_bruteforce``).
+(``decomp.count_bruteforce``).  The scan keeps the members it finds,
+per orbit, as the pool of [1, q]; an interval [1, q'] with q' <= q
+lies inside it, so its census is read off the pool alone.  The D and E
+types below the top are read together, largest first, each off the
+smallest interval already scanned that holds its type
+(``NcPoset.lower_censuses``): in NC(E8) only the E7 and D7 intervals
+scan the records, E6 is read inside [1, q_E7] and D6, D5 and D4 each
+inside the interval before.  chi* needs no census of type A: it counts
+elements by type (``characteristic_polynomial``), and type A has a
+closed form for that.
 
 One zeta identity.  ``zeta_rows`` compares the closed-form zeta
 polynomial of NC^m with its decomposition-number expansion in integers,
@@ -113,11 +122,12 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from . import exact
 from .exact import SparsePolynomial, Z as _Z, M as _M, int_kernel
-from .rootsystem import SUPPORTED_AMBIENTS, build_root_system, degree_pairs
+from .rootsystem import (SUPPORTED_AMBIENTS, build_root_system, degree_pairs,
+                         degrees)
 from .typelabel import ResourceGuardError, label
 from .weyl import (_matmul, _minus_eye, bipartite_coxeter,
                    classify_moved_roots, coxeter_root_permutation)
@@ -137,6 +147,9 @@ MAX_SYMBOLIC_ZETA_RANK = 100
 # the largest posets ``mobius`` and ``build_ncm`` build
 MAX_MOBIUS_SIZE = 10_000
 MAX_NCM_SIZE = 100_000
+
+_RANK = attrgetter("rank")
+_SIZE = itemgetter(1)
 
 
 class NcPoset:
@@ -160,6 +173,7 @@ class NcPoset:
         for record in records:
             self._by_type.setdefault(record[3], []).append(record)
         self.counts = {}             # the memo of decomp.count_bruteforce
+        self._lower = None           # the memo of lower_censuses
 
     def __len__(self):
         return len(self.types)
@@ -221,14 +235,83 @@ class NcPoset:
         then u^{-1} q is conjugate to comp(x) & q_j, of the same type.
         So the orbits of the levels up to the rank of q are scanned from
         their heads against the ``rotations`` of q, highest level first,
-        each orbit's members in order.
+        each orbit's members in order (``_scan``).
         """
+        return self._scan(q)[0]
+
+    def _scan(self, q, pool=None):
+        """The census of [1, q] (``interval_census``) and the pool of
+        [1, q]: the orbits with a member u = c^j x c^{-j} below q, as two
+        parallel lists, their records and, per orbit, the powers j of
+        those members as a ``bytes`` (j < h <= 30), in the order of the
+        scan.
+
+        Without a pool every orbit of the records is scanned; given the
+        pool of an interval above q, only its members are, as every
+        u <= q lies in it.  The census and its key order are the same
+        either way: the pool keeps the records in order and each orbit's
+        powers ascending."""
         types, qrank = self.types, self.types[q].rank
         rotations = self.rotations(q)
-        return Counter((typ, types[comp & qj])
-                       for head, size, rank, typ, comp in self.records
-                       if rank <= qrank
-                       for qj in rotations[:size] if head & qj == head)
+        if pool is None:
+            pool = self.records, map(range, map(_SIZE, self.records))
+        records, powers = pool
+        kept, kept_powers = [], []
+
+        def members():
+            for record, candidates in zip(records, powers):
+                head, _, rank, typ, comp = record
+                if rank <= qrank:
+                    found = None
+                    for j in candidates:
+                        qj = rotations[j]
+                        if head & qj == head:
+                            yield typ, types[comp & qj]
+                            if found is None:
+                                found = [j]
+                            else:
+                                found.append(j)
+                    if found is not None:
+                        kept.append(record)
+                        kept_powers.append(bytes(found))
+
+        return Counter(members()), (kept, kept_powers)
+
+    def lower_censuses(self):
+        """The census of each D and E type below the top, by type, kept
+        on the poset after the first call.
+
+        The types are done largest first.  Each is read off the smallest
+        interval already scanned that holds its type: inside NC(E8), E6
+        inside [1, q] for the first E7 head q, D6 inside the D7 interval,
+        D5 inside D6's and D4 inside D5's (``_scan`` of the first member
+        of that type in the interval's pool).  A type that no interval
+        holds, the largest ones, scans the records below its first head.
+        A pool is dropped once every type it holds is done."""
+        if self._lower is None:
+            todo = sorted((t for t in self._by_type
+                           if t.is_irreducible and t.rank < self.rs.n
+                           and t.components[0][0] != "A"),
+                          key=_RANK, reverse=True)
+            censuses, scanned = {}, []    # scanned: (size, types, pool)
+            for i, t in enumerate(todo):
+                holder = min((held for held in scanned if t in held[1]),
+                             key=itemgetter(0), default=None)
+                if holder is None:
+                    counts, pool = self._scan(self.records_of(t)[0][0])
+                else:
+                    records, powers = pool = holder[2]
+                    k = next(k for k, record in enumerate(records)
+                             if record[3] == t)
+                    q = self.layout.orbit(records[k][0])[powers[k][0]]
+                    counts, pool = self._scan(q, pool)
+                censuses[t] = counts
+                scanned.append((sum(counts.values()),
+                                {typ for typ, _ in counts}, pool))
+                scanned = [held for held in scanned
+                           if held[1].intersection(todo[i + 1:])]
+            self._lower = censuses
+        return self._lower
 
     def pair_census(self):
         """Counts of (type(w), type(w^{-1} c)) over all elements: the
@@ -460,17 +543,22 @@ def census(t):
 
 @lru_cache(maxsize=None)
 def _census(t):
-    """The census of type t, read off the interval [1, q] below the head
-    q of the first c-orbit of type t in the smallest poset enumerated so
-    far that has one: [1, q] is NC(W_t) with types kept (Brady-Watt).
-    NC(t) is enumerated, with q its top, only when no enumerated poset
-    has an element of type t; at the top the census is counted per
-    c-orbit (``pair_census``)."""
+    """The census of type t, read off the smallest poset enumerated so
+    far that has an element of type t: [1, q] is NC(W_t) with types kept
+    (Brady-Watt) for every q of type t.  NC(t) is enumerated, with q its
+    top, only when no enumerated poset has an element of type t.  At the
+    top the census is counted per c-orbit (``pair_census``); below it, a
+    D or E type takes its census from ``NcPoset.lower_censuses``, which
+    reads every D and E type of the poset off its smallest interval
+    holding the type, and an A type scans the records below the head of
+    its first c-orbit (``interval_census``)."""
     walked = [poset for poset in _WALKED.values() if poset.records_of(t)]
     poset = min(walked, key=len) if walked else enumerate_nc(str(t))
     q = poset.records_of(t)[0][0]
     if q == poset.records[0][0]:
         return poset.pair_census()
+    if t.components[0][0] != "A":
+        return poset.lower_censuses()[t]
     return poset.interval_census(q)
 
 
@@ -561,20 +649,22 @@ def characteristic_polynomial(t):
 
     A reducible type takes the product of its components' chi*, their
     integer y-vectors convolved (``chi_vector``).  For an irreducible
-    type, the interval [u, c] of NC is NC of the type of
-    u^{-1} c, so chi*(y) = sum over factorizations c = u (u^{-1} c) of
-    N(type u, type u^{-1}c) * mu(type of complement) * y^{rank u}, from
-    the pair ``census``; the identity term is the type's own Moebius
-    number.  The coefficients are summed in a list indexed by the power
-    of y.  Raises ``AssertionError`` unless chi*(1) = 0, and
-    ``ResourceGuardError`` above rank ``MAX_CHI_RANK``.
+    type of rank n, the interval [u, c] of NC is NC of the type of
+    u^{-1} c (Armstrong), and u -> u^{-1} c is a bijection of NC that
+    takes rank r to rank n - r, so chi*(y) = sum over the elements v of
+    mu(type of v) * y^{n - rank v}: the number of elements of each type
+    (``_type_counts``) times its closed-form Moebius number.  The
+    coefficients are summed in a list indexed by the power of y.  Raises
+    ``AssertionError`` unless chi*(1) = 0, and ``ResourceGuardError``
+    above rank ``MAX_CHI_RANK``.
     """
     t = label(t)
     _guard_rank(t, MAX_CHI_RANK, "chi*")
     if t.is_irreducible:
-        coeffs = [0] * (t.rank + 1)
-        for (t_low, t_comp), count in census(t).items():
-            coeffs[t_low.rank] += count * _mobius_number(t_comp)
+        n = t.rank
+        coeffs = [0] * (n + 1)
+        for s, count in _type_counts(t).items():
+            coeffs[n - s.rank] += count * _mobius_number(s)
         at_one = sum(coeffs)
         if at_one:
             raise AssertionError("chi*(1) = %s != 0 for NC(%s)"
@@ -584,6 +674,28 @@ def characteristic_polynomial(t):
         for comp in t.irreducibles():
             coeffs = _convolve(coeffs, chi_vector(comp)[0])
     return SparsePolynomial({(0, j, 0, 0): c for j, c in enumerate(coeffs)})
+
+
+def _type_counts(t):
+    """The number of elements of each type in NC of an irreducible type
+    t, by type.  Type A takes the closed form: the one-factor
+    decomposition number ``decomp.count_typeA(n, (S,))`` of every type S
+    with A components only, so no A poset or interval is scanned.  D and
+    E sum the pair ``census`` over its first factor, the counts of each
+    complement type u^{-1} c, as u -> u^{-1} c is a bijection.  An
+    unsupported A ambient is refused (``rootsystem.degrees``) before any
+    count, with the error its walk raised."""
+    if t.components[0][0] == "A":
+        from .decomp import all_labels_of_rank, count_typeA
+        degrees(t)
+        n = t.rank
+        return {s: count_typeA(n, (s,)) for r in range(n + 1)
+                for s in all_labels_of_rank(r)
+                if all(family == "A" for family, _ in s.components)}
+    counts = Counter()
+    for (_, s), count in census(t).items():
+        counts[s] += count
+    return counts
 
 
 @lru_cache(maxsize=None)

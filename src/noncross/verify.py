@@ -81,8 +81,8 @@ def _typeA():
 
 
 def _chi():
-    """chi* from the pair census and the closed-form Moebius numbers, and
-    by the Moebius function up to rank 6."""
+    """chi* from the number of elements of each type and the closed-form
+    Moebius numbers, and by the Moebius function up to rank 6."""
     for name in refdata.CHI_STAR_COEFFS:
         published = refdata.chi_star_reference(name)
         from_census = ncposet.characteristic_polynomial(label(name))

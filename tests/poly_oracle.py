@@ -31,6 +31,11 @@ coefficients, the weight of a d-tuple in the Fraction expansions.
 ``characteristic_polynomial_by_products`` is chi* of a reducible type
 as the product of its components' chi* polynomials.
 
+``characteristic_polynomial_by_census`` is chi* as the package first
+summed it from the pair census: sum over census(S, T) of
+N(S, T) mu(T) y^{rank S}, a reducible type's the product of its
+components'.
+
 ``zeta_rows_by_polynomials`` is ``ncposet.zeta_rows`` as ``linsys``
 first built it: the coefficients in m and z of the closed-form zeta
 polynomial less 1, a Fraction polynomial difference, times the forms'
@@ -44,6 +49,7 @@ from math import comb, factorial
 from noncross.decomp import all_tuples_of_rank, orderings
 from noncross.exact import (VARS, ZERO, SparsePolynomial, Z, _VAR_INDEX,
                             _coeff, _coerce, poly)
+from noncross import ncposet
 from noncross.ncposet import (characteristic_polynomial, zeta_closed,
                               zeta_forms)
 from noncross.triangles import FTriangleCandidate, MTriangle, TransformFailure
@@ -210,6 +216,25 @@ def characteristic_polynomial_by_products(t):
     result = poly(1)
     for comp in t.irreducibles():
         result = result * characteristic_polynomial(comp)
+    return result
+
+
+def characteristic_polynomial_by_census(t):
+    """chi* from the pair census: the interval [u, c] is NC of the type
+    of u^{-1} c, so an irreducible type's chi*(y) is the sum over its
+    census of N(type u, type u^{-1} c) mu(type u^{-1} c) y^{rank u};
+    a reducible type's is the product of its components'."""
+    if isinstance(t, str):
+        t = label(t)
+    if not t.is_irreducible:
+        result = poly(1)
+        for comp in t.irreducibles():
+            result = result * characteristic_polynomial_by_census(comp)
+        return result
+    result = ZERO
+    for (t_low, t_comp), count in ncposet.census(t).items():
+        result = result + Y ** t_low.rank * (
+            count * ncposet._mobius_number(t_comp))
     return result
 
 

@@ -276,6 +276,27 @@ def test_echelon_extended_equals_echelon_of_longer_system():
     assert solve(ech) == solve(longer)
 
 
+def test_integer_rows_reduce_as_their_fraction_multiples():
+    # a row of ints skips the denominator pass; the same rows divided by
+    # a denominator take it, and the echelon is the same, the rows of
+    # the system left as they were
+    rows = [({"a": 2, "b": 4, "c": -6}, 8), ({"b": 3, "c": 1}, 0),
+            ({"a": 1, "c": 5}, -3)]
+    system = LinearSystem(variables=("a", "b", "c", "d"))
+    halves = LinearSystem(variables=system.variables)
+    for coeffs, rhs in rows:
+        system.add_row(coeffs, rhs)
+        halves.add_row({v: Fraction(c, 6) for v, c in coeffs.items()},
+                       Fraction(rhs, 6))
+    kept = [dict(row) for row, _, _ in system.rows]
+    assert echelon(system).pivots == echelon(halves).pivots
+    assert [row for row, _, _ in system.rows] == kept
+    system.add_row({"a": 3, "b": 7}, 6, "clash")    # the sum of the rows, = 5
+    with pytest.raises(InconsistentSystemError) as exc:
+        solve(system)
+    assert exc.value.provenance == "clash"
+
+
 def test_linear_solve_big_integer_coefficients():
     # fraction-free elimination must stay exact far beyond float precision
     big = 10 ** 30

@@ -13,7 +13,8 @@ import sympy
 
 from matrix_oracle import (GroupElement, classify_parabolic_type,
                            coxeter_element, le_absolute, moved_positive_roots)
-from poly_oracle import (characteristic_polynomial_by_products,
+from poly_oracle import (characteristic_polynomial_by_census,
+                         characteristic_polynomial_by_products,
                          zeta_rows_by_polynomials, zeta_shifted)
 from walk_oracle import eager_walk
 from noncross import exact, ncposet
@@ -520,6 +521,75 @@ def test_censuses_from_records_are_the_element_scan(name):
             assert census == scan and list(census) == list(scan), t
 
 
+@pytest.mark.parametrize("name", ["D5", "D6", "D7", "D8", "E6", "E7", "E8"])
+def test_lower_censuses_are_the_interval_censuses(name):
+    """Every D and E type below the top has a census read off the
+    smallest interval holding it, equal to the census scanned below the
+    head of the first c-orbit of its type."""
+    poset = enumerate_nc(name)
+    lower = poset.lower_censuses()
+    expected = [t for t in poset.type_counts() if t.is_irreducible
+                and t.rank < poset.rs.n and t.components[0][0] != "A"]
+    assert sorted(lower) == sorted(expected)
+    for t, census in lower.items():
+        assert census == poset.interval_census(poset.records_of(t)[0][0]), t
+    assert poset.lower_censuses() is lower
+
+
+def test_a_pool_scan_is_the_scan_of_the_records():
+    # below an element of the E7 interval of NC(E8), the census read off
+    # the interval's pool is the records' scan, keys in its order, and
+    # so is the pool it keeps
+    poset = enumerate_nc("E8")
+    _, pool = poset._scan(poset.records_of(label("E7"))[0][0])
+    records, powers = pool
+    assert sum(map(len, powers)) == 4160
+    for t in ("E6", "D6", "A6", "D5", "A1"):
+        k = next(k for k, record in enumerate(records)
+                 if record[3] == label(t))
+        orbit = poset.layout.orbit(records[k][0])
+        for j in (powers[k][0], powers[k][-1]):
+            census, below = poset._scan(orbit[j], pool)
+            scanned, whole = poset._scan(orbit[j])
+            assert census == scanned and list(census) == list(scanned), t
+            assert below == whole, t
+
+
+# a cold ``verify e8`` in a fresh process: the types of the intervals
+# whose census scans the orbit records in full, and of the censuses of
+# type A
+SCANS = r"""
+import contextlib, io
+from noncross import ncposet
+from noncross.cli import main
+full, typeA = [], []
+scan, census = ncposet.NcPoset._scan, ncposet._census
+def counted_scan(self, q, pool=None):
+    if pool is None:
+        full.append(str(self.types[q]))
+    return scan(self, q, pool)
+def counted_census(t):
+    if t.components[0][0] == "A":
+        typeA.append(str(t))
+    return census(t)
+ncposet.NcPoset._scan = counted_scan
+ncposet._census = counted_census
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "e8"]) == 0
+print(*sorted(full), "|", *typeA)
+"""
+
+
+def test_verify_e8_scans_two_intervals_and_no_type_A_census():
+    # chi* counts type-A elements by the closed form, and every lower D
+    # and E census but E7's and D7's is read inside a smaller interval
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ncposet.__file__)))
+    child = subprocess.run([sys.executable, "-c", SCANS],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == "D7 E7 |\n"
+
+
 # a cold ``verify e8`` in a fresh process, counting the calls that list
 # the elements of a walked poset
 NO_ELEMENTS = r"""
@@ -610,6 +680,24 @@ def test_reducible_chi_star_is_the_product_of_its_components(rank):
         assert chi == typed(characteristic_polynomial_by_products(t)), t
         assert chi == typed(published), t
         assert all(kind is int for kind, _ in chi.values()), t
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_chi_star_is_the_census_sum(name):
+    # chi* from the counts of each type equals the sum over the pair
+    # census, the formula it replaced, with int terms
+    chi = characteristic_polynomial(label(name))
+    assert chi == characteristic_polynomial_by_census(name)
+    assert all(type(c) is int for c in chi.terms.values())
+
+
+@pytest.mark.parametrize("rank", range(2, 5))
+def test_reducible_chi_star_is_the_census_sum(rank):
+    for t in all_labels_of_rank(rank):
+        if not t.is_irreducible:
+            chi = characteristic_polynomial(t)
+            assert chi == characteristic_polynomial_by_census(t), t
+            assert all(type(c) is int for c in chi.terms.values()), t
 
 
 def test_chi_star_checks_its_value_at_one(monkeypatch):

@@ -31,10 +31,12 @@ discarded, its peak RSS read through ``wait4``; a *probe* runs one
 snippet in a fresh ``python -S`` and reads the JSON line it prints.
 *Memos* are the reducible-type tables (``decomp.lower_table``,
 ``product_table``, ``_matchings``, ``_joined``) and the zeta forms and
-rows (``ncposet.zeta_forms``, ``zeta_rows``); *walks* are the walked
+rows (``closedform.zeta_forms``, ``zeta_rows``); *walks* are the walked
 posets (``enumerate_nc``, ``ncposet._WALKED``), censuses, Moebius
-numbers, chi* values (with their cached y-vectors) and census and full
-tables, with the memos.
+numbers (``closedform._mobius_number``), chi* values (with their cached
+y-vectors) and census and full tables, with the memos.  A tree from
+before the closed forms and the direct oracles left ``ncposet`` has
+them there (``layer``).
 
 The ``nc`` group: NC(W) enumeration and what reads it.
 
@@ -67,7 +69,7 @@ The ``nc`` group: NC(W) enumeration and what reads it.
 * ``full_table_D7_s``: every full-rank D7 value of a sub-diagram type by
   ``count_bruteforce``, NC(D7) walked; cleared: the memo it keeps on
   NC(D7);
-* ``build_ncm_D4_2_s``: ``build_ncm("D4", 2)``, NC(D4) walked;
+* ``build_ncm_D4_2_s``: ``direct.build_ncm("D4", 2)``, NC(D4) walked;
 * ``chi_D6_s``: ``characteristic_polynomial`` of D6; cleared: walks;
 * ``descent_table_s``: per D and E ambient, one uncached
   ``ncposet._descent_masks``, the root system built;
@@ -150,10 +152,10 @@ duals.
 * ``reciprocity_check:E7``, ``reciprocity_check:E8``: the m -> -m check;
 * ``zeta_identity_check:A7``, ``zeta_identity_check:D7``,
   ``zeta_identity_check:E7``: the zeta identity of the table;
-* ``zeta_forms:7``: ``ncposet.zeta_forms(7)`` past its cache;
-* ``zeta_rows:E7``: ``ncposet.zeta_rows("E7")`` past its cache, the
+* ``zeta_forms:7``: ``closedform.zeta_forms(7)`` past its cache;
+* ``zeta_rows:E7``: ``closedform.zeta_rows("E7")`` past its cache, the
   forms warm;
-* ``shifted_zeta_vectors:all``: ``ncposet._shifted_zeta_vector`` of the
+* ``shifted_zeta_vectors:all``: ``closedform._shifted_zeta_vector`` of the
   100 type labels of rank 1 to 8; cleared: those vectors and
   ``rootsystem.degrees``;
 * ``count_product:E7*A1``, ``count_product:D4*D4``,
@@ -174,7 +176,9 @@ duals.
 The ``startup`` group: cold processes.
 
 * ``import_cli_s``: a cold process that only imports ``noncross.cli``;
-* ``light_s``: per light command (``LIGHT``), one cold process;
+* ``light_s``: per light command (``LIGHT``, among them the spellings
+  of ``nc enumerate`` and ``zeta`` that ``query_mix`` runs), one cold
+  process;
 * ``loads``: per light command, the ``noncross`` submodules and the
   ``HEAVY`` stdlib modules that a probe of it loads;
 * ``bytecode_writing_off``: whether ``PYTHONDONTWRITEBYTECODE`` is set,
@@ -185,6 +189,7 @@ The ``startup`` group: cold processes.
 """
 
 import argparse
+import importlib
 import json
 import os
 import random
@@ -217,7 +222,9 @@ LOOKUP_BATCH = 4000
 LIGHT = (("rootsys", "info", "A1"),
          ("decomp", "count", "A5", "A2,A3"),
          ("nc", "enumerate", "D5"),
+         ("nc", "enumerate", "D5", "--format", "json"),
          ("zeta", "E7"),
+         ("zeta", "D4", "--m", "1"),
          ("mtriangle", "A4", "--dual"),
          ("chi", "A3*D4"),
          ("decomp", "table", "A6"))
@@ -334,11 +341,22 @@ def probe(code, *argv):
     return json.loads(child.stdout.splitlines()[-1])
 
 
+def layer(name):
+    """The package module ``name``, or ``ncposet`` in a tree from before
+    the closed forms (``closedform``) and the direct oracles (``direct``)
+    left it."""
+    try:
+        return importlib.import_module("noncross." + name)
+    except ImportError:
+        return importlib.import_module("noncross.ncposet")
+
+
 def clear_memos():
-    from noncross import decomp, ncposet
+    from noncross import decomp
+    closedform = layer("closedform")
     for cached in (decomp.lower_table, decomp.product_table,
-                   decomp._matchings, decomp._joined, ncposet.zeta_forms,
-                   ncposet.zeta_rows):
+                   decomp._matchings, decomp._joined, closedform.zeta_forms,
+                   closedform.zeta_rows):
         cached.cache_clear()
 
 
@@ -353,7 +371,7 @@ def forget_chi():
 def forget_walks():
     from noncross import decomp, ncposet
     for cached in (ncposet.enumerate_nc, ncposet._census,
-                   ncposet._mobius_number, decomp.census_table,
+                   layer("closedform")._mobius_number, decomp.census_table,
                    decomp.full_table):
         cached.cache_clear()
     ncposet._WALKED.clear()
@@ -433,7 +451,8 @@ def nc_stages(rec):
     rec.time("full_table_D7_s", lambda: brute_force_table("D7"),
              before=lambda: d7.counts.clear())
     ncposet.enumerate_nc("D4")
-    rec.time("build_ncm_D4_2_s", lambda: ncposet.build_ncm("D4", 2))
+    build_ncm = layer("direct").build_ncm
+    rec.time("build_ncm_D4_2_s", lambda: build_ncm("D4", 2))
     rec.time("chi_D6_s",
              lambda: ncposet.characteristic_polynomial(label("D6")),
              before=forget_walks)
@@ -567,7 +586,8 @@ def family_stages(rec):
 
 def algebra_stages(rec):
     from fractions import Fraction
-    from noncross import decomp, ncposet, refdata, rootsystem, triangles
+    from noncross import decomp, refdata, rootsystem, triangles
+    closedform = layer("closedform")
 
     tables = {name: decomp.DecompositionTable(name,
                                               refdata.reference_table(name))
@@ -590,17 +610,17 @@ def algebra_stages(rec):
     for name in ("A7", "D7", "E7"):
         rec.time("zeta_identity_check:" + name,
                  lambda: triangles.zeta_identity_check(name, tables[name]))
-    rec.time("zeta_forms:7", lambda: ncposet.zeta_forms.__wrapped__(7))
-    rec.time("zeta_rows:E7", lambda: ncposet.zeta_rows.__wrapped__("E7"))
+    rec.time("zeta_forms:7", lambda: closedform.zeta_forms.__wrapped__(7))
+    rec.time("zeta_rows:E7", lambda: closedform.zeta_rows.__wrapped__("E7"))
     labels = [typ for rank in range(1, 9)
               for typ in decomp.all_labels_of_rank(rank)]
 
     def forget_vectors():
-        ncposet._shifted_zeta_vector.cache_clear()
+        closedform._shifted_zeta_vector.cache_clear()
         rootsystem.degrees.cache_clear()
 
     rec.time("shifted_zeta_vectors:all",
-             lambda: [ncposet._shifted_zeta_vector.__wrapped__(typ)
+             lambda: [closedform._shifted_zeta_vector.__wrapped__(typ)
                       for typ in labels], before=forget_vectors)
     for names in PRODUCTS:
         factors = [tables[name] for name in names]
@@ -706,7 +726,7 @@ def main():
     parser.add_argument("names", nargs="*", metavar="GROUP|LABEL=SRC")
     parser.add_argument("--rounds", type=int, default=1)
     parser.add_argument("--repeats", type=int, default=5)
-    args = parser.parse_args()
+    args = parser.parse_intermixed_args()
     trees = dict(name.split("=", 1) for name in args.names if "=" in name)
     groups = [name for name in args.names if "=" not in name] or list(GROUPS)
     for group in groups:

@@ -19,19 +19,21 @@ __version__ = "1.0.0"
 
 # defining submodule -> the names the package exports from it
 _EXPORTS = {
+    "closedform": ("zeta_closed",),
     "decomp": ("DecompositionTable", "all_labels_of_rank",
                "all_tuples_of_rank", "canonical_tuple", "census_table",
                "count_bruteforce", "count_product", "count_typeA",
                "full_table", "orderings", "special_values", "tuple_rank"),
+    "direct": ("build_ncm", "characteristic_direct", "mobius",
+               "mobius_from_top", "zeta_direct"),
     "exact": ("Echelon", "InconsistentSystemError", "LinearSystem",
-              "SolutionSpace", "SparsePolynomial", "echelon", "solve"),
+              "SolutionSpace", "echelon", "solve"),
     "linsys": ("EXPECTED_DIMENSION", "ReplayError", "ReplayReport",
                "generate_equations", "replay"),
-    "ncposet": ("NcPoset", "ResourceGuardError", "build_ncm",
-                "characteristic_direct", "characteristic_polynomial",
-                "enumerate_nc", "mobius", "mobius_from_top",
+    "ncposet": ("NcPoset", "characteristic_polynomial", "enumerate_nc",
                 "ncm_cardinality", "read_cache", "reflection_orbits",
-                "write_cache", "zeta_closed", "zeta_direct"),
+                "write_cache"),
+    "polynomial": ("SparsePolynomial",),
     "refdata": ("CHI_STAR_COEFFS", "REFERENCE_TABLE_NAMES",
                 "chi_star_reference", "golden_dual", "reference_table"),
     "rootsystem": ("SUPPORTED_AMBIENTS", "RootSystem", "build_root_system"),
@@ -39,7 +41,7 @@ _EXPORTS = {
                   "assemble_dual", "dual_to_primal", "f_reciprocity_checks",
                   "fm_transform", "mtriangle_direct", "reciprocity_check",
                   "zeta_identity_check"),
-    "typelabel": ("TypeLabel", "label"),
+    "typelabel": ("ResourceGuardError", "TypeLabel", "label"),
     "weyl": ("absolute_length", "bipartite_coxeter", "enumerate_group"),
 }
 

@@ -156,7 +156,7 @@ def cmd_chi(args):
 
 
 def cmd_zeta(args):
-    from .ncposet import zeta_closed
+    from .closedform import zeta_closed
     t = _parse_label(args.label)
     m = "m" if args.symbolic else args.m
     print(zeta_closed(t, m=m))

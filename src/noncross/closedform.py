@@ -1,0 +1,217 @@
+"""Closed forms read off the degree table: the zeta polynomial of NC^m
+(``zeta_closed``), the Moebius number of NC (``_mobius_number``) and the
+one sum over decomposition tuples that expands them (``tuple_sums``).
+None walks NC, so this module loads no ``ncposet`` and no ``weyl``.
+
+One zeta identity.  ``zeta_rows`` compares the closed-form zeta
+polynomial of NC^m with its decomposition-number expansion in integers,
+for the zeta rows of ``linsys`` and ``triangles.zeta_identity_check``.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial, gcd, lcm
+
+from . import polynomial
+from .polynomial import Z as _Z, M as _M
+from .rootsystem import degree_pairs
+from .typelabel import ResourceGuardError, label
+
+# The largest ranks whose zeta polynomial is computed (a larger type
+# raises ResourceGuardError); the cost grows about as rank^2.3, rank^3
+# for symbolic m.  At the bounds, on a 2-core host: E8^75 1.6 s (2.8 s
+# at m = 1000), with m symbolic E8^12 1.8 s.
+MAX_ZETA_RANK = 600
+MAX_SYMBOLIC_ZETA_RANK = 100
+
+
+def _guard_rank(t, bound, what):
+    if t.rank > bound:
+        raise ResourceGuardError("%s of %s: rank %d exceeds guard %d"
+                                 % (what, t, t.rank, bound))
+
+
+@lru_cache(maxsize=None)
+def _mobius_number(t):
+    """mu(0,1) of NC of the given type, an int: the value Z_t(-1) of
+    its zeta polynomial, the constant term of ``_shifted_zeta_vector``
+    over its denominator, prod_i (d_i - 2h)/d_i over the degrees of each
+    component (= (-1)^n prod_i (h + d_i - 2)/d_i, Chapoton 2004)."""
+    vec, den = _shifted_zeta_vector(t)
+    value, rest = divmod(vec[0], den)
+    if rest:
+        raise AssertionError("non-integral Moebius number of NC(%s)" % t)
+    return value
+
+
+@lru_cache(maxsize=None)
+def zeta_closed(t, m=1):
+    """Closed-form zeta polynomial of NC^m of the given type, in z.
+
+    ``m`` may be an integer or the symbol ``"m"`` for the fully symbolic
+    two-variable version.  For each irreducible component with Coxeter
+    number h and degrees d_i the factor is prod_i ((z-1) m h + d_i)/d_i;
+    components multiply.  The cached polynomials are shared and not to
+    be changed.  Raises ``ResourceGuardError`` above rank
+    ``MAX_ZETA_RANK``, or ``MAX_SYMBOLIC_ZETA_RANK`` for symbolic m.
+    """
+    t = label(t)
+    if m == "m":
+        _guard_rank(t, MAX_SYMBOLIC_ZETA_RANK, "symbolic zeta polynomial")
+    else:
+        _guard_rank(t, MAX_ZETA_RANK, "zeta polynomial")
+    m_poly = _M if m == "m" else polynomial.poly(m)
+    result = polynomial.ONE
+    for h, d in degree_pairs(t):
+        result = result * ((_Z - 1) * m_poly * h + d) * Fraction(1, d)
+    return result
+
+
+def _convolve(a, b):
+    """The coefficients of the product of two polynomials in one
+    variable.  The inner loop steps the output index (faster than
+    adding two indices per term; the sums over tuples run it most)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for y in b:
+                out[i] += x * y
+                i += 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def _scaled_binomials(n):
+    """The coefficients of n! binom(m, k) in m, lowest power first, for
+    k = 0..n: integers, n!/k! times the falling factorial m (m-1) ...
+    (m-k+1), built one factor at a time.  The cached lists are shared
+    and not to be changed."""
+    n_factorial = factorial(n)
+    binomials, falling = [], [1]
+    for k in range(n + 1):
+        binomials.append([c * (n_factorial // factorial(k))
+                          for c in falling])
+        falling = _convolve(falling, [-k, 1])
+    return binomials
+
+
+def tuple_sums(n, factor, weigh):
+    """The one sum over decomposition tuples, behind ``zeta_forms`` and
+    ``triangles.assemble_dual``: over the nonempty canonical tuples T of
+    rank s <= n, w orderings(T) binom(m, len T) prod_{t in T} factor(t),
+    with (w, keys) = ``weigh(T, s)``, added to each key.  ``factor(t)``
+    is an integer vector in one variable v, lowest power first, over a
+    denominator; none is asked for on account of a tuple of weight 0.
+    In integers: a tuple's product is one convolution from its prefix's,
+    the products are summed per key and length k, and n! binom(m, k)
+    enters once per key and length.  Returns (sums, den): ``sums`` maps
+    (power of m, power of v) to {key: nonzero int}, all over ``den``, n!
+    times the lcm of the products' denominators."""
+    from .decomp import all_tuples_of_rank, orderings
+    products, dens = {(): [1]}, {(): 1}   # per tuple, memoized
+    weights, spread = {}, {}
+    for s in range(1, n + 1):
+        for tup in all_tuples_of_rank(s):
+            w, keys = weigh(tup, s)
+            if w:
+                # a convolution per prefix not yet memoized, usually the
+                # tuple alone; a loop, as a recursive closure is a cycle
+                start = len(tup)
+                while tup[:start - 1] not in products:
+                    start -= 1
+                for i in range(start, len(tup) + 1):
+                    vec, den = factor(tup[i - 1])
+                    products[tup[:i]] = _convolve(products[tup[:i - 1]], vec)
+                    dens[tup[:i]] = dens[tup[:i - 1]] * den
+                weights[tup], spread[tup] = w * orderings(tup), keys
+    common = lcm(*dens.values())
+    zero = [0] * (n + 1)
+    by_key = defaultdict(lambda: defaultdict(zero.copy))  # key, k -> vector
+    for tup, scale in weights.items():
+        vec, scale = products[tup], scale * (common // dens[tup])
+        for key in spread[tup]:
+            acc = by_key[key][len(tup)]
+            for j, c in enumerate(vec):
+                acc[j] += scale * c
+    binomials = _scaled_binomials(n)
+    sums = defaultdict(dict)
+    for key, by_length in by_key.items():
+        rows = defaultdict(zero.copy)     # power of m -> vector
+        for k, acc in by_length.items():
+            for i, b in enumerate(binomials[k]):
+                if b:
+                    row = rows[i]
+                    for j, c in enumerate(acc):
+                        row[j] += b * c
+        for i, row in rows.items():
+            for j, c in enumerate(row):
+                if c:
+                    sums[i, j][key] = c
+    return dict(sums), factorial(n) * common
+
+
+@lru_cache(maxsize=None)
+def _shifted_zeta_vector(t):
+    """The closed-form zeta polynomial of NC(t) at z - 1, the factor a
+    type contributes to the decomposition-number expansion of the zeta
+    polynomial of NC^m, as integer z-coefficients (lowest power first)
+    over a denominator, in lowest terms.
+
+    An irreducible type of Coxeter number h has prod_i ((z-2) h + d_i)/d_i,
+    the product of the vectors (d_i - 2h, h) over prod_i d_i; a reducible
+    type takes the product of its components' vectors.  Each gcd(h, d_i)
+    divides d_i, so an irreducible vector is primitive once reduced, and
+    by Gauss's lemma so is a product of them: the reducible products are
+    in lowest terms too."""
+    vec, den = [1], 1
+    if t.is_irreducible:
+        for h, d in degree_pairs(t):
+            vec, den = _convolve(vec, [d - 2 * h, h]), den * d
+        common = gcd(den, *vec)
+        return [c // common for c in vec], den // common
+    for comp in t.irreducibles():
+        comp_vec, comp_den = _shifted_zeta_vector(comp)
+        vec, den = _convolve(vec, comp_vec), den * comp_den
+    return vec, den
+
+
+@lru_cache(maxsize=None)
+def zeta_forms(n):
+    """The decomposition-number expansion of the zeta polynomial of NC^m
+    at rank n, the sum over tuples T of orderings(T) binom(m, len T)
+    prod Z_t(z - 1), Z_t the closed-form zeta polynomial of NC(t)
+    (``_shifted_zeta_vector``), in the full-rank decomposition numbers:
+    a rank-deficient tuple's number is the sum over the full-rank tuples
+    it extends by one factor (``one_extra_factor``), so its term adds
+    to each of them.  Returns (forms, den), the ``tuple_sums``: ``forms``
+    maps (power of m, power of z) to {full-rank tuple: nonzero int}, all
+    over ``den``; the cached maps are shared and not to be changed."""
+    from .decomp import one_extra_factor
+    return tuple_sums(n, _shifted_zeta_vector,
+                      lambda tup, s: (1, one_extra_factor(tup, n)))
+
+
+@lru_cache(maxsize=None)
+def zeta_rows(t):
+    """The closed-form zeta polynomial of NC^m of type t (a label or its
+    text) less 1 against its expansion, ``zeta_forms``, in m and z.
+
+    Returns (rows, den): one ((i, j), form, rhs) per power m^i z^j where
+    either side is nonzero, in order of i, then j; ``form`` is the map of
+    ``zeta_forms`` ({} if none) and ``rhs`` the closed form's coefficient
+    times ``den``, the forms' denominator, an int (else AssertionError).
+    The cached rows are shared and not to be changed."""
+    t = label(t)
+    forms, den = zeta_forms(t.rank)
+    closed, closed_den = (zeta_closed(t, m="m") - 1).numerators()
+    rows = []
+    for i, j in sorted(forms.keys() | {(i, j) for _, _, j, i in closed}):
+        rhs, rest = divmod(closed.get((0, 0, j, i), 0) * den, closed_den)
+        if rest:
+            raise AssertionError("non-integral zeta row m^%d z^%d of %s"
+                                 % (i, j, t))
+        rows.append(((i, j), forms.get((i, j), {}), rhs))
+    return rows, den

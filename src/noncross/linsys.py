@@ -13,7 +13,7 @@ equation families:
 * zero equations for tuples containing a type that is not realizable as
   a sub-diagram of the ambient's Dynkin diagram.
 
-Every row has integer coefficients: the zeta rows, ``ncposet.zeta_rows``,
+Every row has integer coefficients: the zeta rows, ``closedform.zeta_rows``,
 are cleared of the forms' denominator.  The sparse rows (forbidden,
 special, split) come first, sorted by descending leading column (the
 lowest column of the row, where ``exact.Echelon`` puts its pivot), and
@@ -38,12 +38,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .closedform import zeta_rows
 from .decomp import (DecompositionTable, all_labels_of_rank,
                      all_tuples_of_rank, canonical_tuple, count_bruteforce,
                      lower_table, one_extra_factor, special_values,
                      tuple_rank)
 from .exact import LinearSystem, echelon, solve
-from .ncposet import enumerate_nc, zeta_rows
+from .ncposet import enumerate_nc
 from .rootsystem import subdiagram_types
 from .typelabel import label
 

@@ -77,11 +77,11 @@ classifies only from one head per orbit, and keeps each orbit as one
 record: its head, size, rank and type and the head's complement (the
 other members and their complements are rotations of these), with the
 type of every member's mask.  That is the only store of the poset: an
-element is its mask, and the direct oracles (Moebius function,
-multichains, NC^m, the cache text) expand the records into masks
-(``NcPoset.members``).  On the reflections
-the orbits are the cycles of pi, and ``reflection_orbits`` types each
-orbit's t c, the complement of t, from one row of the descent table.
+element is its mask, and the direct oracles (``direct``: Moebius
+function, multichains, NC^m) and the cache text expand the records into
+masks (``NcPoset.members``).  On the reflections the orbits are the
+cycles of pi, and ``reflection_orbits`` types each orbit's t c, the
+complement of t, from one row of the descent table.
 
 Censuses from intervals.  For q in NC of type S, the interval [1, q] is
 NC(W_S) with types kept (Brady-Watt), and the complement of u <= q in
@@ -103,53 +103,32 @@ scan the records, E6 is read inside [1, q_E7] and D6, D5 and D4 each
 inside the interval before.  chi* needs no census of type A: it counts
 elements by type (``characteristic_polynomial``), and type A has a
 closed form for that.
-
-One zeta identity.  ``zeta_rows`` compares the closed-form zeta
-polynomial of NC^m with its decomposition-number expansion in integers,
-for the zeta rows of ``linsys`` and ``triangles.zeta_identity_check``.
-
-The m-divisible poset NC^m consists of minimal-length factorizations
-c = w0 * w1 * ... * wm ordered componentwise (opposite order in the
-coordinates 1..m); it is graded by the length of w0, and a tuple is kept
-as the masks of w1, ..., wm.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import Counter, defaultdict
-from fractions import Fraction
+from collections import Counter
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import lcm
 from operator import attrgetter, itemgetter
 
-from . import exact
-from .exact import SparsePolynomial, Z as _Z, M as _M, int_kernel
+from .exact import int_kernel
 from .rootsystem import (SUPPORTED_AMBIENTS, build_root_system, degree_pairs,
                          degrees)
-from .typelabel import ResourceGuardError, label
+from .typelabel import label
 from .weyl import (_matmul, _minus_eye, bipartite_coxeter,
                    classify_moved_roots, coxeter_root_permutation)
 
 CACHE_SCHEMA_VERSION = 3
 
-# The largest ranks whose chi* and closed-form zeta polynomial are
-# computed; a larger type raises ResourceGuardError.  The coefficients
-# grow with the rank, so the cost grows about as rank^2.3 for chi* and
-# numeric m and as rank^3 for symbolic m.  At the bounds the costliest
-# types measured take 2-4 s on a 2-core host: chi* of A1^4000 4 s, the
-# zeta polynomial of E8^75 1.6 s (2.8 s at m = 1000) and, with m
-# symbolic, of E8^12 1.8 s.
+# The largest rank whose chi* is computed; a larger type raises
+# ResourceGuardError.  The cost grows about as rank^2.3: at the bound,
+# chi* of A1^4000 takes 4 s on a 2-core host.
 MAX_CHI_RANK = 4000
-MAX_ZETA_RANK = 600
-MAX_SYMBOLIC_ZETA_RANK = 100
-# the largest posets ``mobius`` and ``build_ncm`` build
-MAX_MOBIUS_SIZE = 10_000
-MAX_NCM_SIZE = 100_000
 
 _RANK = attrgetter("rank")
-_SIZE = itemgetter(1)
 
 
 class NcPoset:
@@ -172,6 +151,8 @@ class NcPoset:
         self._by_type = {}           # TypeLabel -> its records
         for record in records:
             self._by_type.setdefault(record[3], []).append(record)
+        # the pool of [1, c] (``_scan``): every record, all its powers
+        self._whole = records, [range(record[1]) for record in records]
         self.counts = {}             # the memo of decomp.count_bruteforce
         self._lower = None           # the memo of lower_censuses
 
@@ -235,9 +216,10 @@ class NcPoset:
         then u^{-1} q is conjugate to comp(x) & q_j, of the same type.
         So the orbits of the levels up to the rank of q are scanned from
         their heads against the ``rotations`` of q, highest level first,
-        each orbit's members in order (``_scan``).
+        each orbit's members in order (``_below``).
         """
-        return self._scan(q)[0]
+        rotations = self.rotations(q)
+        return self._count(rotations, self._below(q, rotations, None))
 
     def _scan(self, q, pool=None):
         """The census of [1, q] (``interval_census``) and the pool of
@@ -251,31 +233,37 @@ class NcPoset:
         u <= q lies in it.  The census and its key order are the same
         either way: the pool keeps the records in order and each orbit's
         powers ascending."""
-        types, qrank = self.types, self.types[q].rank
         rotations = self.rotations(q)
-        if pool is None:
-            pool = self.records, map(range, map(_SIZE, self.records))
-        records, powers = pool
-        kept, kept_powers = [], []
+        found = list(self._below(q, rotations, pool))
+        return (self._count(rotations, found),
+                ([record for record, _ in found],
+                 [bytes(powers) for _, powers in found]))
 
-        def members():
-            for record, candidates in zip(records, powers):
-                head, _, rank, typ, comp = record
-                if rank <= qrank:
-                    found = None
-                    for j in candidates:
-                        qj = rotations[j]
-                        if head & qj == head:
-                            yield typ, types[comp & qj]
-                            if found is None:
-                                found = [j]
-                            else:
-                                found.append(j)
-                    if found is not None:
-                        kept.append(record)
-                        kept_powers.append(bytes(found))
+    def _below(self, q, rotations, pool):
+        """The one member-finding loop: per orbit of the pool (every
+        record for None) with a member c^j x c^{-j} below q, its record
+        and the ascending powers j of those members, x below q_j, the
+        j-th of the ``rotations`` of q."""
+        qrank = self.types[q].rank
+        for record, candidates in zip(*(pool or self._whole)):
+            if record[2] <= qrank:
+                head, powers = record[0], None
+                for j in candidates:
+                    if head & rotations[j] == head:
+                        if powers is None:
+                            powers = [j]
+                        else:
+                            powers.append(j)
+                if powers is not None:
+                    yield record, powers
 
-        return Counter(members()), (kept, kept_powers)
+    def _count(self, rotations, found):
+        """The census of the members that ``_below`` found: the complement
+        of c^j x c^{-j} below q is conjugate to comp(x) & q_j."""
+        types = self.types
+        return Counter((typ, types[comp & rotations[j]])
+                       for (_, _, _, typ, comp), powers in found
+                       for j in powers)
 
     def lower_censuses(self):
         """The census of each D and E type below the top, by type, kept
@@ -562,84 +550,21 @@ def _census(t):
     return poset.interval_census(q)
 
 
-# ---------------------------------------------------------------------------
-# Moebius functions and characteristic polynomials
-
-
-def _ranked(poset):
-    """``poset.ranked()``, the (key, rank) pairs of its elements by
-    ascending rank, once the size of the poset is within
-    ``MAX_MOBIUS_SIZE``: the one guard of the direct oracles, checked
-    before any element is listed."""
-    if len(poset) > MAX_MOBIUS_SIZE:
-        raise ResourceGuardError("poset size %d exceeds mobius guard %d"
-                                 % (len(poset), MAX_MOBIUS_SIZE))
-    return poset.ranked()
-
-
-def mobius(poset):
-    """Full Moebius function of a small poset: map (u_key, w_key) -> int.
-
-    Works for any object with a length, ``ranked()`` (its (key, rank)
-    pairs by ascending rank) and ``le`` on keys, as ``NcPoset`` and
-    ``NcmPoset``.  Guarded by ``MAX_MOBIUS_SIZE`` (``_ranked``).
-    """
-    keys = [key for key, _ in _ranked(poset)]
-    le = poset.le
-    result = {}
-    for i, u in enumerate(keys):
-        above = [w for w in keys[i:] if le(u, w)]
-        mu = {u: 1}
-        for w in above[1:]:
-            total = 0
-            for v in above:
-                if v == w:
-                    break
-                if le(v, w):
-                    total += mu[v]
-            mu[w] = -total
-        for w, value in mu.items():
-            result[u, w] = value
-    return result
-
-
-def mobius_from_top(poset):
-    """mu(u, top) for every key u, by downward recursion."""
-    keys = [key for key, _ in _ranked(poset)]
-    keys.reverse()                        # descending rank
-    le = poset.le
-    mu = {keys[0]: 1}
-    for i, u in enumerate(keys[1:], start=1):
-        mu[u] = -sum(mu[v] for v in keys[:i] if le(u, v))
-    return mu
-
-
-def characteristic_direct(poset):
-    """chi*(y) = sum_u mu(u, c) y^{rank u}, by direct Moebius values."""
-    mu = mobius_from_top(poset)
-    coeffs = Counter()
-    for key, rank in _ranked(poset):
-        coeffs[rank] += mu[key]
-    return SparsePolynomial({(0, j, 0, 0): c for j, c in coeffs.items()})
-
-
-def _guard_rank(t, bound, what):
-    if t.rank > bound:
-        raise ResourceGuardError("%s of %s: rank %d exceeds guard %d"
-                                 % (what, t, t.rank, bound))
-
-
-@lru_cache(maxsize=None)
-def _mobius_number(t):
-    """mu(0,1) of NC of the given type, an int: the value Z_t(-1) of
-    its zeta polynomial, the constant term of ``_shifted_zeta_vector``
-    over its denominator, prod_i (d_i - 2h)/d_i over the degrees of each
-    component (= (-1)^n prod_i (h + d_i - 2)/d_i, Chapoton 2004)."""
-    vec, den = _shifted_zeta_vector(t)
-    value, rest = divmod(vec[0], den)
+def ncm_cardinality(t, m):
+    """|NC^m| for the given type (a label or its text): the Fuss-Catalan
+    number prod_i (mh + d_i)/d_i over the degrees d_i of each component
+    of Coxeter number h, one integer division, checked exact."""
+    num = den = 1
+    for h, d in degree_pairs(label(t)):
+        num, den = num * (m * h + d), den * d
+    value, rest = divmod(num, den)
     if rest:
-        raise AssertionError("non-integral Moebius number of NC(%s)" % t)
+        raise AssertionError("non-integral NC^m cardinality")
     return value
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomials
 
 
 @lru_cache(maxsize=None)
@@ -658,6 +583,8 @@ def characteristic_polynomial(t):
     ``AssertionError`` unless chi*(1) = 0, and ``ResourceGuardError``
     above rank ``MAX_CHI_RANK``.
     """
+    from .closedform import _convolve, _guard_rank, _mobius_number
+    from .polynomial import SparsePolynomial
     t = label(t)
     _guard_rank(t, MAX_CHI_RANK, "chi*")
     if t.is_irreducible:
@@ -706,273 +633,6 @@ def chi_vector(t):
     The cached lists are shared and not to be changed."""
     terms = characteristic_polynomial(t).terms
     return [terms.get((0, j, 0, 0), 0) for j in range(t.rank + 1)], 1
-
-
-# ---------------------------------------------------------------------------
-# zeta polynomials
-
-
-def zeta_direct(poset, z):
-    """Number of multichains x_1 <= ... <= x_{z-1}, counted exactly, in
-    any poset that ``mobius`` takes, under the same guard."""
-    if z < 1:
-        raise ValueError("z must be >= 1")
-    if z == 1:
-        return 1
-    keys = [key for key, _ in _ranked(poset)]
-    le = poset.le
-    counts = [1] * len(keys)
-    for _ in range(z - 2):
-        counts = [sum(count for u, count in zip(keys[:i + 1], counts)
-                      if le(u, w))
-                  for i, w in enumerate(keys)]
-    return sum(counts)
-
-
-@lru_cache(maxsize=None)
-def zeta_closed(t, m=1):
-    """Closed-form zeta polynomial of NC^m of the given type, in z.
-
-    ``m`` may be an integer or the symbol ``"m"`` for the fully symbolic
-    two-variable version.  For each irreducible component with Coxeter
-    number h and degrees d_i the factor is prod_i ((z-1) m h + d_i)/d_i;
-    components multiply.  The cached polynomials are shared and not to
-    be changed.  Raises ``ResourceGuardError`` above rank
-    ``MAX_ZETA_RANK``, or ``MAX_SYMBOLIC_ZETA_RANK`` for symbolic m.
-    """
-    t = label(t)
-    if m == "m":
-        _guard_rank(t, MAX_SYMBOLIC_ZETA_RANK, "symbolic zeta polynomial")
-    else:
-        _guard_rank(t, MAX_ZETA_RANK, "zeta polynomial")
-    m_poly = _M if m == "m" else exact.poly(m)
-    result = exact.ONE
-    for h, d in degree_pairs(t):
-        result = result * ((_Z - 1) * m_poly * h + d) * Fraction(1, d)
-    return result
-
-
-def _convolve(a, b):
-    """The coefficients of the product of two polynomials in one
-    variable.  The inner loop steps the output index (faster than
-    adding two indices per term; the sums over tuples run it most)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for y in b:
-                out[i] += x * y
-                i += 1
-    return out
-
-
-@lru_cache(maxsize=None)
-def _scaled_binomials(n):
-    """The coefficients of n! binom(m, k) in m, lowest power first, for
-    k = 0..n: integers, n!/k! times the falling factorial m (m-1) ...
-    (m-k+1), built one factor at a time.  The cached lists are shared
-    and not to be changed."""
-    n_factorial = factorial(n)
-    binomials, falling = [], [1]
-    for k in range(n + 1):
-        binomials.append([c * (n_factorial // factorial(k))
-                          for c in falling])
-        falling = _convolve(falling, [-k, 1])
-    return binomials
-
-
-def tuple_sums(n, factor, weigh):
-    """The one sum over decomposition tuples, behind ``zeta_forms`` and
-    ``triangles.assemble_dual``: over the nonempty canonical tuples T of
-    rank s <= n, w orderings(T) binom(m, len T) prod_{t in T} factor(t),
-    with (w, keys) = ``weigh(T, s)``, added to each key.  ``factor(t)``
-    is an integer vector in one variable v, lowest power first, over a
-    denominator; none is asked for on account of a tuple of weight 0.
-    In integers: a tuple's product is one convolution from its prefix's,
-    the products are summed per key and length k, and n! binom(m, k)
-    enters once per key and length.  Returns (sums, den): ``sums`` maps
-    (power of m, power of v) to {key: nonzero int}, all over ``den``, n!
-    times the lcm of the products' denominators."""
-    from .decomp import all_tuples_of_rank, orderings
-    products, dens = {(): [1]}, {(): 1}   # per tuple, memoized
-    weights, spread = {}, {}
-    for s in range(1, n + 1):
-        for tup in all_tuples_of_rank(s):
-            w, keys = weigh(tup, s)
-            if w:
-                # a convolution per prefix not yet memoized, usually the
-                # tuple alone; a loop, as a recursive closure is a cycle
-                start = len(tup)
-                while tup[:start - 1] not in products:
-                    start -= 1
-                for i in range(start, len(tup) + 1):
-                    vec, den = factor(tup[i - 1])
-                    products[tup[:i]] = _convolve(products[tup[:i - 1]], vec)
-                    dens[tup[:i]] = dens[tup[:i - 1]] * den
-                weights[tup], spread[tup] = w * orderings(tup), keys
-    common = lcm(*dens.values())
-    zero = [0] * (n + 1)
-    by_key = defaultdict(lambda: defaultdict(zero.copy))  # key, k -> vector
-    for tup, scale in weights.items():
-        vec, scale = products[tup], scale * (common // dens[tup])
-        for key in spread[tup]:
-            acc = by_key[key][len(tup)]
-            for j, c in enumerate(vec):
-                acc[j] += scale * c
-    binomials = _scaled_binomials(n)
-    sums = defaultdict(dict)
-    for key, by_length in by_key.items():
-        rows = defaultdict(zero.copy)     # power of m -> vector
-        for k, acc in by_length.items():
-            for i, b in enumerate(binomials[k]):
-                if b:
-                    row = rows[i]
-                    for j, c in enumerate(acc):
-                        row[j] += b * c
-        for i, row in rows.items():
-            for j, c in enumerate(row):
-                if c:
-                    sums[i, j][key] = c
-    return dict(sums), factorial(n) * common
-
-
-@lru_cache(maxsize=None)
-def _shifted_zeta_vector(t):
-    """The closed-form zeta polynomial of NC(t) at z - 1, the factor a
-    type contributes to the decomposition-number expansion of the zeta
-    polynomial of NC^m, as integer z-coefficients (lowest power first)
-    over a denominator, in lowest terms.
-
-    An irreducible type of Coxeter number h has prod_i ((z-2) h + d_i)/d_i,
-    the product of the vectors (d_i - 2h, h) over prod_i d_i; a reducible
-    type takes the product of its components' vectors.  Each gcd(h, d_i)
-    divides d_i, so an irreducible vector is primitive once reduced, and
-    by Gauss's lemma so is a product of them: the reducible products are
-    in lowest terms too."""
-    vec, den = [1], 1
-    if t.is_irreducible:
-        for h, d in degree_pairs(t):
-            vec, den = _convolve(vec, [d - 2 * h, h]), den * d
-        common = gcd(den, *vec)
-        return [c // common for c in vec], den // common
-    for comp in t.irreducibles():
-        comp_vec, comp_den = _shifted_zeta_vector(comp)
-        vec, den = _convolve(vec, comp_vec), den * comp_den
-    return vec, den
-
-
-@lru_cache(maxsize=None)
-def zeta_forms(n):
-    """The decomposition-number expansion of the zeta polynomial of NC^m
-    at rank n, the sum over tuples T of orderings(T) binom(m, len T)
-    prod Z_t(z - 1), Z_t the closed-form zeta polynomial of NC(t)
-    (``_shifted_zeta_vector``), in the full-rank decomposition numbers:
-    a rank-deficient tuple's number is the sum over the full-rank tuples
-    it extends by one factor (``one_extra_factor``), so its term adds
-    to each of them.  Returns (forms, den), the ``tuple_sums``: ``forms``
-    maps (power of m, power of z) to {full-rank tuple: nonzero int}, all
-    over ``den``; the cached maps are shared and not to be changed."""
-    from .decomp import one_extra_factor
-    return tuple_sums(n, _shifted_zeta_vector,
-                      lambda tup, s: (1, one_extra_factor(tup, n)))
-
-
-@lru_cache(maxsize=None)
-def zeta_rows(t):
-    """The closed-form zeta polynomial of NC^m of type t (a label or its
-    text) less 1 against its expansion, ``zeta_forms``, in m and z.
-
-    Returns (rows, den): one ((i, j), form, rhs) per power m^i z^j where
-    either side is nonzero, in order of i, then j; ``form`` is the map of
-    ``zeta_forms`` ({} if none) and ``rhs`` the closed form's coefficient
-    times ``den``, the forms' denominator, an int (else AssertionError).
-    The cached rows are shared and not to be changed."""
-    t = label(t)
-    forms, den = zeta_forms(t.rank)
-    closed, closed_den = (zeta_closed(t, m="m") - 1).numerators()
-    rows = []
-    for i, j in sorted(forms.keys() | {(i, j) for _, _, j, i in closed}):
-        rhs, rest = divmod(closed.get((0, 0, j, i), 0) * den, closed_den)
-        if rest:
-            raise AssertionError("non-integral zeta row m^%d z^%d of %s"
-                                 % (i, j, t))
-        rows.append(((i, j), forms.get((i, j), {}), rhs))
-    return rows, den
-
-
-def ncm_cardinality(t, m):
-    """|NC^m| for the given type (a label or its text): the Fuss-Catalan
-    number prod_i (mh + d_i)/d_i over the degrees d_i of each component
-    of Coxeter number h, the closed-form zeta at z = 2."""
-    value = zeta_closed(label(t), m).evaluate(z=2)
-    if value.denominator != 1:
-        raise AssertionError("non-integral NC^m cardinality")
-    return int(value)
-
-
-# ---------------------------------------------------------------------------
-# m-divisible non-crossing partitions
-
-
-class NcmPoset:
-    """NC^m as ``elements``, (key, rank) pairs: the key is the tuple of
-    the masks of w1, ..., wm (w0 is implied), ordered componentwise
-    opposite in the coordinates 1..m."""
-
-    def __init__(self, m, elements):
-        self.m = m
-        self.elements = elements
-
-    def __len__(self):
-        return len(self.elements)
-
-    def ranked(self):
-        """The (key, rank) pairs by ascending rank, each rank in the
-        order of ``elements``."""
-        return sorted(self.elements, key=itemgetter(1))
-
-    @staticmethod
-    def le(u, w):
-        """u <= w  iff  w_i <=_T u_i for every coordinate i >= 1."""
-        return all(b & a == b for a, b in zip(u, w))
-
-
-def build_ncm(name, m):
-    """Enumerate NC^m: minimal factorizations c = w0 w1 ... wm.
-
-    A tuple is produced by choosing w1 below c, then w2 below the
-    complement w1^{-1} c, and so on; minimality of the total length is
-    automatic.  Each choice runs over ``NcPoset.members``: the complement
-    of u below the rest r has the mask comp(u) & r.  The rank of a tuple
-    is the length of w0.  Refuses (ResourceGuardError) when the
-    closed-form cardinality exceeds ``MAX_NCM_SIZE``.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    poset = enumerate_nc(name)
-    expected = ncm_cardinality(label(name), m)
-    if expected > MAX_NCM_SIZE:
-        raise ResourceGuardError("|NC^m| = %d exceeds guard %d"
-                                 % (expected, MAX_NCM_SIZE))
-    members = [(mask, rank, comp) for mask, rank, _, comp in poset.members()]
-    n = poset.rs.n
-    elements = []
-    prefix = []
-
-    def descend(rest, depth, length):
-        if depth == m:
-            elements.append((tuple(prefix), n - length))
-            return
-        for mask, rank, comp in members:
-            if mask & rest == mask:
-                prefix.append(mask)
-                descend(comp & rest, depth + 1, length + rank)
-                prefix.pop()
-
-    descend(poset.records[0][0], 0, 0)
-    if len(elements) != expected:
-        raise AssertionError("NC^m size %d != closed form %d"
-                             % (len(elements), expected))
-    return NcmPoset(m, elements)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ computation for small posets, the zeta-polynomial consistency check,
 the transform producing F-triangle candidates, and the m -> -m
 reciprocity checks.
 
-The dual triangle is assembled in integers by ``ncposet.tuple_sums``,
+The dual triangle is assembled in integers by ``closedform.tuple_sums``,
 the one sum over decomposition tuples that also builds the zeta forms.
 
 The checks multiply few whole polynomials.  A triangle is put at a
-numeric m by ``exact``'s one evaluator: ``MTriangle.at`` is
+numeric m by ``polynomial``'s one evaluator: ``MTriangle.at`` is
 ``substitute(m=m)``, and the F=M transform expands the same integer
 numerators (``numerators``) and divides each result only by their
 common denominator.  The F=M transform and the right side of the
@@ -27,7 +27,7 @@ integer map.  The coefficientwise F-reciprocity is read off the same
 expansion as the two-variable one, one scatter pass over the nonzero
 coefficients of F^(-m), with no sum over every (k, l, r, s).
 The zeta check dots the table's entries with the integer rows of
-``ncposet.zeta_rows``, the rows ``linsys`` puts in its system, and builds
+``closedform.zeta_rows``, the rows ``linsys`` puts in its system, and builds
 no Fraction and no polynomial difference.
 """
 
@@ -36,9 +36,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, lcm
 
-from . import exact
-from .exact import SparsePolynomial, _ratio
-from .ncposet import chi_vector, mobius, tuple_sums, zeta_rows
+from . import polynomial
+from .closedform import tuple_sums, zeta_rows
+from .polynomial import SparsePolynomial, _ratio
 from .typelabel import label
 
 
@@ -121,11 +121,12 @@ def assemble_dual(name, table):
     """Assemble the dual M-triangle from a decomposition-number table:
     over the multisets T of nonempty types of rank s <= n, the sum of
     orderings(T) N(T) x^s binom(m, len T) prod chi*(T_i)(y), and 1 for
-    the empty multiset.  It is ``ncposet.tuple_sums`` over the y-vectors
-    of chi*, weighted by ``table.lookup`` and keyed by s: chi* is
-    computed once per label, and only for labels of tuples with a
+    the empty multiset.  It is ``closedform.tuple_sums`` over the
+    y-vectors of chi*, weighted by ``table.lookup`` and keyed by s: chi*
+    is computed once per label, and only for labels of tuples with a
     nonzero number.
     """
+    from .ncposet import chi_vector
     ambient = label(name)
     ranks = [(s,) for s in range(ambient.rank + 1)]    # keys, shared
     sums, den = tuple_sums(ambient.rank, chi_vector,
@@ -140,9 +141,10 @@ def assemble_dual(name, table):
 def mtriangle_direct(ncm):
     """Primal M-triangle of an explicitly built NC^m poset, by full
     Moebius computation.  Returns a polynomial in x, y."""
+    from .direct import mobius
     mu = mobius(ncm)
     rank_of = dict(ncm.elements)
-    result = exact.ZERO
+    result = polynomial.ZERO
     for (u_key, w_key), value in mu.items():
         if value == 0:
             continue
@@ -155,7 +157,7 @@ def mtriangle_direct(ncm):
 def zeta_identity_check(name, table):
     """Difference between the closed-form zeta polynomial of NC^m and 1
     plus its decomposition-number expansion at the entries of ``table``,
-    read off the integer rows of ``ncposet.zeta_rows``: right side less
+    read off the integer rows of ``closedform.zeta_rows``: right side less
     the form at the entries, over the forms' denominator, per power of m
     and z.  Zero when the table is consistent."""
     rows, den = zeta_rows(label(name))

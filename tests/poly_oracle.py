@@ -1,5 +1,5 @@
 """The term-by-term polynomial routines that the grouped ones in
-``exact`` and ``triangles`` replaced, kept as the reference for them.
+``polynomial`` and ``triangles`` replaced, kept as the reference for them.
 
 Each term of a polynomial is built as a product of polynomials on its
 own, one factor at a time, and the terms are summed: ``substitute``
@@ -9,7 +9,7 @@ number, or a polynomial, which ``SparsePolynomial.substitute`` refuses),
 denominator, and ``zeta_identity_expansion`` multiplies the
 ``zeta_shifted`` polynomials of every tuple's factors as Fraction
 polynomials.  ``zeta_shifted`` is the closed-form zeta polynomial at
-z - 1 by substitution, the reference for ``ncposet._shifted_zeta_vector``.
+z - 1 by substitution, the reference for ``closedform._shifted_zeta_vector``.
 
 ``assemble_dual_by_products`` is the dual M-triangle as the package
 first assembled it: each tuple's term a product of ``chi*``
@@ -36,7 +36,10 @@ summed it from the pair census: sum over census(S, T) of
 N(S, T) mu(T) y^{rank S}, a reducible type's the product of its
 components'.
 
-``zeta_rows_by_polynomials`` is ``ncposet.zeta_rows`` as ``linsys``
+``ncm_cardinality_by_zeta`` is |NC^m| as the package first computed it,
+the closed-form zeta polynomial at z = 2.
+
+``zeta_rows_by_polynomials`` is ``closedform.zeta_rows`` as ``linsys``
 first built it: the coefficients in m and z of the closed-form zeta
 polynomial less 1, a Fraction polynomial difference, times the forms'
 denominator.
@@ -47,11 +50,12 @@ from functools import lru_cache
 from math import comb, factorial
 
 from noncross.decomp import all_tuples_of_rank, orderings
-from noncross.exact import (VARS, ZERO, SparsePolynomial, Z, _VAR_INDEX,
-                            _coeff, _coerce, poly)
-from noncross import ncposet
-from noncross.ncposet import (characteristic_polynomial, zeta_closed,
-                              zeta_forms)
+from noncross import closedform, ncposet
+from noncross.closedform import zeta_closed, zeta_forms
+from noncross.exact import _coeff
+from noncross.ncposet import characteristic_polynomial
+from noncross.polynomial import (VARS, ZERO, SparsePolynomial, Z, _VAR_INDEX,
+                                 _coerce, poly)
 from noncross.triangles import FTriangleCandidate, MTriangle, TransformFailure
 from noncross.typelabel import TypeLabel, label
 
@@ -166,8 +170,17 @@ def _coeffs_mz(p):
     return coeffs
 
 
+def ncm_cardinality_by_zeta(t, m):
+    """``ncposet.ncm_cardinality``: the closed-form zeta polynomial of
+    NC^m at z = 2, a Fraction, checked integral."""
+    value = zeta_closed(label(t), m).evaluate(z=2)
+    if value.denominator != 1:
+        raise AssertionError("non-integral NC^m cardinality")
+    return int(value)
+
+
 def zeta_rows_by_polynomials(t):
-    """``ncposet.zeta_rows``, the right sides read off the polynomial
+    """``closedform.zeta_rows``, the right sides read off the polynomial
     closed form less 1 and multiplied by the forms' denominator."""
     ambient = label(t)
     n = ambient.rank
@@ -234,7 +247,7 @@ def characteristic_polynomial_by_census(t):
     result = ZERO
     for (t_low, t_comp), count in ncposet.census(t).items():
         result = result + Y ** t_low.rank * (
-            count * ncposet._mobius_number(t_comp))
+            count * closedform._mobius_number(t_comp))
     return result
 
 

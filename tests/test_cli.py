@@ -10,8 +10,7 @@ import pytest
 import noncross
 from noncross import decomp, exact, linsys, ncposet
 from noncross.cli import main
-from noncross.ncposet import ResourceGuardError
-from noncross.typelabel import TypeLabel
+from noncross.typelabel import ResourceGuardError, TypeLabel
 from noncross.rootsystem import SUPPORTED_AMBIENTS
 from noncross.verify import SUITES
 from walk_oracle import eager_walk

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import (HealthCheck, event, example, given, settings,
                         strategies as st)
 
-from noncross import decomp, ncposet, triangles
+from noncross import closedform, decomp, ncposet, triangles
 from noncross.cli import main
 from noncross.rootsystem import SUPPORTED_AMBIENTS, degrees
 from noncross.typelabel import ResourceGuardError, label
@@ -93,7 +93,7 @@ def answer(argv):
         return "%s\n" % ncposet.characteristic_polynomial(label(argv[1]))
     if command == "zeta":
         m = "m" if "--symbolic" in argv else m
-        return "%s\n" % ncposet.zeta_closed(label(argv[1]), m=m)
+        return "%s\n" % closedform.zeta_closed(label(argv[1]), m=m)
     if command == "decomp":
         table = decomp.full_table(ambient(argv[2]))
         return "%s\n" % table.lookup(tuple_key(argv[3]))
@@ -164,7 +164,7 @@ def test_answers_above_the_int_text_limit_print():
     assert sys.get_int_max_str_digits() == limit
     sys.set_int_max_str_digits(0)
     try:
-        zeta = ncposet.zeta_closed(label("A1^60"), m=m)
+        zeta = closedform.zeta_closed(label("A1^60"), m=m)
         assert max(len(str(abs(c))) for c in zeta.terms.values()) == 4818
         assert out == "%s\n" % zeta
     finally:

@@ -1,4 +1,5 @@
-"""Exact polynomial arithmetic and fraction-free linear algebra."""
+"""Exact polynomial arithmetic (``polynomial``) and fraction-free linear
+algebra (``exact``)."""
 
 from fractions import Fraction
 from math import comb, gcd
@@ -10,10 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import poly_oracle
 from dense_echelon import DenseEchelon
-from noncross import exact
-from noncross.exact import (InconsistentSystemError, LinearSystem,
-                            SparsePolynomial, echelon, int_kernel, poly,
-                            solve)
+from noncross import polynomial
+from noncross.exact import (InconsistentSystemError, LinearSystem, echelon,
+                            int_kernel, solve)
+from noncross.polynomial import SparsePolynomial, poly
 from noncross.linsys import generate_equations
 
 X = SparsePolynomial.variable("x")
@@ -26,8 +27,8 @@ def test_ring_axioms_small():
     p = (X + Y) * (X - Y)
     assert p == X * X - Y * Y
     assert (X + 1) ** 3 == X ** 3 + 3 * X ** 2 + 3 * X + 1
-    assert p - p == exact.ZERO
-    assert poly(1) == exact.ONE
+    assert p - p == polynomial.ZERO
+    assert poly(1) == polynomial.ONE
 
 
 def test_coefficient_and_degree():
@@ -54,7 +55,7 @@ def test_binomial_poly():
     for m in range(-2, 8):
         expected = comb(m, 3) if m >= 0 else Fraction((m)*(m-1)*(m-2), 6)
         assert b3.evaluate(m=m) == expected
-    assert poly_oracle.binomial_poly(0) == exact.ONE
+    assert poly_oracle.binomial_poly(0) == polynomial.ONE
 
 
 def test_exact_divide_roundtrip():
@@ -141,8 +142,8 @@ def polynomials_xyzm(min_terms=0, max_terms=5):
                            max_size=max_terms).map(SparsePolynomial)
 
 
-_SUBSTITUTED = st.lists(st.sampled_from(exact.VARS), min_size=1, max_size=3,
-                        unique=True)
+_SUBSTITUTED = st.lists(st.sampled_from(polynomial.VARS), min_size=1,
+                        max_size=3, unique=True)
 
 
 @settings(max_examples=200, deadline=None)

@@ -21,22 +21,25 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(noncross.__file__)))
 
 # the names ``noncross`` exported when it imported every submodule
 # eagerly, by defining submodule, less ``classify_parabolic_type`` (now a
-# test oracle) and with ``reflection_orbits`` moved to ``ncposet``; the
-# submodules are exported too
+# test oracle), with ``reflection_orbits`` moved to ``ncposet``, and with
+# the closed forms, the direct oracles and the polynomials split off
+# ``ncposet`` and ``exact``; the submodules are exported too
 EXPORTS = {
+    "closedform": ("zeta_closed",),
     "decomp": ("DecompositionTable", "all_labels_of_rank",
                "all_tuples_of_rank", "canonical_tuple", "census_table",
                "count_bruteforce", "count_product", "count_typeA",
                "full_table", "orderings", "special_values", "tuple_rank"),
+    "direct": ("build_ncm", "characteristic_direct", "mobius",
+               "mobius_from_top", "zeta_direct"),
     "exact": ("Echelon", "InconsistentSystemError", "LinearSystem",
-              "SolutionSpace", "SparsePolynomial", "echelon", "solve"),
+              "SolutionSpace", "echelon", "solve"),
     "linsys": ("EXPECTED_DIMENSION", "ReplayError", "ReplayReport",
                "generate_equations", "replay"),
-    "ncposet": ("NcPoset", "ResourceGuardError", "build_ncm",
-                "characteristic_direct", "characteristic_polynomial",
-                "enumerate_nc", "mobius", "mobius_from_top",
+    "ncposet": ("NcPoset", "characteristic_polynomial", "enumerate_nc",
                 "ncm_cardinality", "read_cache", "reflection_orbits",
-                "write_cache", "zeta_closed", "zeta_direct"),
+                "write_cache"),
+    "polynomial": ("SparsePolynomial",),
     "refdata": ("CHI_STAR_COEFFS", "REFERENCE_TABLE_NAMES",
                 "chi_star_reference", "golden_dual", "reference_table"),
     "rootsystem": ("SUPPORTED_AMBIENTS", "RootSystem", "build_root_system"),
@@ -44,15 +47,16 @@ EXPORTS = {
                   "assemble_dual", "dual_to_primal", "f_reciprocity_checks",
                   "fm_transform", "mtriangle_direct", "reciprocity_check",
                   "zeta_identity_check"),
-    "typelabel": ("TypeLabel", "label"),
+    "typelabel": ("ResourceGuardError", "TypeLabel", "label"),
     "weyl": ("absolute_length", "bipartite_coxeter", "enumerate_group"),
 }
 
 HEAVY_STDLIB = {"dataclasses", "tempfile"}
 
 # run by a fresh ``python -S``: argv[1] is the command as a JSON list
-# ("import" only imports the CLI); the last line of stdout is the JSON
-# list of modules loaded since the script started
+# ("import" only imports the CLI, "triangles" only ``noncross.triangles``);
+# the last line of stdout is the JSON list of modules loaded since the
+# script started
 FOOTPRINT = """
 import sys
 before = set(sys.modules)
@@ -60,6 +64,8 @@ import json
 argv = json.loads(sys.argv[1])
 if argv == "import":
     import noncross.cli
+elif argv == "triangles":
+    import noncross.triangles
 elif argv == "all":
     from noncross import *
     import noncross.cli, noncross.verify
@@ -124,6 +130,30 @@ def test_nc_enumerate_with_cache_dir_loads_no_tempfile(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+# the modules of the closed forms, the direct oracles and the polynomials
+NOT_WALKED = {"closedform", "direct", "polynomial"}
+
+
+def test_nc_enumerate_loads_only_the_walk():
+    # the walk checks its size against an integer Fuss-Catalan product
+    modules = loaded_by(["nc", "enumerate", "D5", "--format", "json"])
+    assert package_modules(modules) == {"cli", "typelabel", "rootsystem",
+                                        "weyl", "ncposet", "exact"}
+
+
+def test_decomp_count_of_a_census_loads_no_closed_form():
+    modules = package_modules(loaded_by(["decomp", "count", "E7", "A4,A3"]))
+    assert "ncposet" in modules and not modules & NOT_WALKED
+
+
+@pytest.mark.parametrize("argv", [["zeta", "D4", "--m", "1"], "triangles"])
+def test_closed_forms_load_no_walk(argv):
+    # ``zeta`` and the triangles reach the walk only at call time
+    modules = package_modules(loaded_by(argv))
+    assert "closedform" in modules
+    assert not modules & {"ncposet", "weyl"}
+
+
 def test_rootsys_info_loads_only_the_root_system():
     modules = loaded_by(["rootsys", "info", "A1"])
     assert package_modules(modules) == {"cli", "typelabel", "rootsystem"}
@@ -154,7 +184,7 @@ def test_no_module_of_the_package_imports_dataclasses():
 def test_all_keeps_every_exported_name():
     names = {name for names in EXPORTS.values() for name in names}
     assert set(noncross.__all__) == names | set(EXPORTS)
-    assert len(noncross.__all__) == 70
+    assert len(noncross.__all__) == 73
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))

@@ -12,13 +12,14 @@ from noncross import decomp, linsys
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple, full_table,
                              lower_table, orderings, tuple_rank)
-from noncross.exact import ZERO, LinearSystem, _coeff, echelon, poly
+from noncross.exact import LinearSystem, _coeff, echelon
 from noncross.cli import main
+from noncross.closedform import zeta_closed, zeta_forms
 from noncross.linsys import (EXPECTED_DIMENSION, PIN_TUPLES, RELATIONS,
                              ROW_FAMILIES, check_system_against_table,
                              generate_equations, relation_rows, replay,
                              row_family)
-from noncross.ncposet import zeta_closed, zeta_forms
+from noncross.polynomial import ZERO, poly
 from noncross.refdata import reference_table
 from noncross.typelabel import label
 

@@ -1,6 +1,8 @@
 """Non-crossing partition posets: enumeration, order, Moebius, zeta, cache."""
 
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
@@ -15,23 +17,25 @@ from matrix_oracle import (GroupElement, classify_parabolic_type,
                            coxeter_element, le_absolute, moved_positive_roots)
 from poly_oracle import (characteristic_polynomial_by_census,
                          characteristic_polynomial_by_products,
-                         zeta_rows_by_polynomials, zeta_shifted)
+                         ncm_cardinality_by_zeta, zeta_rows_by_polynomials,
+                         zeta_shifted)
 from walk_oracle import eager_walk
-from noncross import exact, ncposet
+from noncross import closedform, direct, ncposet, polynomial
+from noncross.cli import main
+from noncross.closedform import _mobius_number, zeta_closed, zeta_rows
 from noncross.decomp import all_labels_of_rank, full_table
-from noncross.exact import SparsePolynomial
-from noncross.ncposet import (CacheFormatError, ResourceGuardError,
-                              _descent_masks, _mobius_number, build_ncm,
-                              characteristic_direct, characteristic_polynomial,
-                              enumerate_nc, mobius, mask_layout,
-                              mobius_from_top, ncm_cardinality, read_cache,
-                              write_cache, zeta_closed, zeta_direct,
-                              zeta_rows)
+from noncross.direct import (build_ncm, characteristic_direct, mobius,
+                             mobius_from_top, zeta_direct)
+from noncross.ncposet import (CacheFormatError, _descent_masks,
+                              characteristic_polynomial, enumerate_nc,
+                              mask_layout, ncm_cardinality, read_cache,
+                              write_cache)
+from noncross.polynomial import SparsePolynomial
 from noncross.refdata import CHI_STAR_COEFFS, chi_star_reference
 from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
                                  classify_edge_list, degree_pairs)
 from noncross.triangles import assemble_dual
-from noncross.typelabel import label
+from noncross.typelabel import ResourceGuardError, label
 from noncross.weyl import (_reflection_data, bipartite_coxeter,
                            classify_moved_roots, coxeter_root_permutation,
                            enumerate_group)
@@ -375,7 +379,7 @@ def _refused_unlisted(oracle, monkeypatch):
     """Call an oracle on NC(E8) with ``NcPoset.members`` counting its
     calls; it must refuse from the size alone, listing no element."""
     poset = enumerate_nc("E8")
-    assert len(poset) == 25_080 > ncposet.MAX_MOBIUS_SIZE == 10_000
+    assert len(poset) == 25_080 > direct.MAX_MOBIUS_SIZE == 10_000
     listed = []
     members = ncposet.NcPoset.members
     monkeypatch.setattr(ncposet.NcPoset, "members",
@@ -563,16 +567,16 @@ import contextlib, io
 from noncross import ncposet
 from noncross.cli import main
 full, typeA = [], []
-scan, census = ncposet.NcPoset._scan, ncposet._census
-def counted_scan(self, q, pool=None):
+below, census = ncposet.NcPoset._below, ncposet._census
+def counted_below(self, q, rotations, pool):
     if pool is None:
         full.append(str(self.types[q]))
-    return scan(self, q, pool)
+    return below(self, q, rotations, pool)
 def counted_census(t):
     if t.components[0][0] == "A":
         typeA.append(str(t))
     return census(t)
-ncposet.NcPoset._scan = counted_scan
+ncposet.NcPoset._below = counted_below
 ncposet._census = counted_census
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["verify", "e8"]) == 0
@@ -657,7 +661,7 @@ def test_zeta_rows_match_polynomial_oracle(rank):
 
 def test_zeta_rows_refuse_a_non_integral_right_side(monkeypatch):
     # over denominator 1 the A2 closed form has Fraction coefficients
-    monkeypatch.setattr(ncposet, "zeta_forms", lambda n: ({}, 1))
+    monkeypatch.setattr(closedform, "zeta_forms", lambda n: ({}, 1))
     with pytest.raises(AssertionError, match="non-integral zeta row"):
         zeta_rows.__wrapped__(label("A2"))
 
@@ -673,7 +677,7 @@ def test_reducible_chi_star_is_the_product_of_its_components(rank):
     for t in all_labels_of_rank(rank):
         if t.is_irreducible:
             continue
-        published = exact.ONE
+        published = polynomial.ONE
         for comp in t.irreducibles():
             published = published * chi_star_reference(str(comp))
         chi = typed(characteristic_polynomial(t))
@@ -715,7 +719,7 @@ def test_doctored_census_raises_the_polynomial_sum_message(monkeypatch):
     d4 = label("D4")
     doctored = ncposet.census(d4)
     doctored[next(iter(doctored))] += 1
-    chi = exact.ZERO
+    chi = polynomial.ZERO
     for (t_low, t_comp), count in doctored.items():
         chi = chi + (SparsePolynomial.variable("y", t_low.rank)
                      * (count * _mobius_number(t_comp)))
@@ -760,17 +764,47 @@ def test_ncm_cardinality_fuss_catalan():
             assert ncm_cardinality(label("A%d" % n), m) == expected
 
 
+def test_a_doctored_element_count_fails_the_walk(monkeypatch):
+    real = ncposet.ncm_cardinality
+    monkeypatch.setattr(ncposet, "ncm_cardinality",
+                        lambda t, m: real(t, m) + 1)
+    with pytest.raises(AssertionError,
+                       match=r"NC\(D5\) has 182 elements, expected 183"):
+        enumerate_nc.__wrapped__("D5")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi", "E8*A1^600"], ["chi", "D601"], ["zeta", "E8^76"],
+    ["nc", "enumerate", "A601"], ["mtriangle", "E8^76"],
+    ["decomp", "count", "A601", "A1"],
+])
+def test_no_command_counts_a_label_above_the_zeta_guard(argv, monkeypatch):
+    # |NC^m| in integers has no rank guard, which only ever saw labels of
+    # the walked ambients: no command reaches it with any other label
+    seen, real = [], ncposet.ncm_cardinality
+    monkeypatch.setattr(ncposet, "ncm_cardinality",
+                        lambda t, m: seen.append(str(t)) or real(t, m))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()), \
+            contextlib.suppress(SystemExit):
+        main(argv)
+    assert set(seen) <= set(SUPPORTED_AMBIENTS)
+
+
 @pytest.mark.parametrize("rank", range(1, 9))
 def test_degree_products_match_the_symbolic_closed_form(rank):
-    # the shifted zeta vectors and |NC^m| multiply over the degree table;
-    # the oracle substitutes z - 1 into the symbolic closed form
+    # the shifted zeta vectors and |NC^m| multiply over the degree table,
+    # every ambient among the labels; the oracles substitute z - 1 and
+    # z = 2 into the closed form
     for t in all_labels_of_rank(rank):
-        vec, den = ncposet._shifted_zeta_vector(t)
+        vec, den = closedform._shifted_zeta_vector(t)
         assert len(vec) == rank + 1 and den > 0 and gcd(den, *vec) == 1
         assert zeta_shifted(t).terms == {
             (0, 0, j, 0): Fraction(c, den) for j, c in enumerate(vec) if c}
         for m in range(5):
-            assert ncm_cardinality(t, m) == zeta_closed(t, m).evaluate(z=2)
+            count = ncm_cardinality(t, m)
+            assert count == ncm_cardinality_by_zeta(t, m), t
+            assert type(count) is int, t
         assert ncm_cardinality(str(t), 2) == ncm_cardinality(t, 2)
 
 
@@ -840,7 +874,7 @@ def test_build_ncm_is_the_descent_over_the_eager_walk(name, m):
 
 def test_build_ncm_guard():
     assert ncm_cardinality(label("E6"), 3) == 119_966 \
-        > ncposet.MAX_NCM_SIZE == 100_000
+        > direct.MAX_NCM_SIZE == 100_000
     with pytest.raises(ResourceGuardError,
                        match=r"\|NC\^m\| = 119966 exceeds guard 100000"):
         build_ncm("E6", 3)

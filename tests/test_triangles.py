@@ -9,11 +9,12 @@ from math import comb, prod
 
 import pytest
 
-from noncross import exact
+from noncross import polynomial
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple, full_table)
 from noncross.linsys import generate_equations
-from noncross.ncposet import build_ncm, zeta_closed, zeta_forms, zeta_rows
+from noncross.closedform import zeta_closed, zeta_forms, zeta_rows
+from noncross.direct import build_ncm
 from noncross.refdata import (REFERENCE_TABLE_NAMES, golden_dual,
                               reference_table)
 from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
@@ -30,10 +31,10 @@ from poly_oracle import (assemble_dual_by_products,
                          reciprocity_check_by_polynomials, substitute,
                          zeta_identity_expansion)
 
-X = exact.SparsePolynomial.variable("x")
-Y = exact.SparsePolynomial.variable("y")
-Z = exact.SparsePolynomial.variable("z")
-M = exact.SparsePolynomial.variable("m")
+X = polynomial.SparsePolynomial.variable("x")
+Y = polynomial.SparsePolynomial.variable("y")
+Z = polynomial.SparsePolynomial.variable("z")
+M = polynomial.SparsePolynomial.variable("m")
 
 
 def assembled(name):
@@ -248,7 +249,8 @@ def test_assembly_computes_chi_only_for_labels_of_nonzero_tuples(name,
               for t in key}
     labels |= {c for t in labels for c in t.irreducibles()}
     assert len(labels) == misses
-    src = os.path.dirname(os.path.dirname(os.path.abspath(exact.__file__)))
+    src = os.path.dirname(os.path.dirname(
+        os.path.abspath(polynomial.__file__)))
     child = subprocess.run([sys.executable, "-c", CHI_MISSES, name],
                            env=dict(os.environ, PYTHONPATH=src),
                            capture_output=True, text=True, check=True)

@@ -32,11 +32,10 @@ snippet in a fresh ``python -S`` and reads the JSON line it prints.
 *Memos* are the reducible-type tables (``decomp.lower_table``,
 ``product_table``, ``_matchings``, ``_joined``) and the zeta forms and
 rows (``closedform.zeta_forms``, ``zeta_rows``); *walks* are the walked
-posets (``enumerate_nc``, ``ncposet._WALKED``), censuses, Moebius
-numbers (``closedform._mobius_number``), chi* values (with their cached
-y-vectors) and census and full tables, with the memos.  A tree from
-before the closed forms and the direct oracles left ``ncposet`` has
-them there (``layer``).
+posets (``enumerate_nc``, ``ncposet._WALKED``) and the censuses kept on
+them (``NcPoset.census``), Moebius numbers
+(``closedform._mobius_number``), chi* values (with their cached
+y-vectors) and census and full tables, with the memos.
 
 The ``nc`` group: NC(W) enumeration and what reads it.
 
@@ -54,14 +53,14 @@ The ``nc`` group: NC(W) enumeration and what reads it.
 * ``subdiagram_types_E8_s``: one uncached ``subdiagram_types("E8")``;
 * ``pair_census_E8_s``: ``pair_census`` of NC(E8);
 * ``interval_census_E8_s``: the censuses of the 13 irreducible types
-  below E8, each by ``interval_census`` below the head of the first
+  below E8, each by ``NcPoset._scan`` below the head of the first
   c-orbit of its type in NC(E8) (``NcPoset.records_of``), so each scans
   the records in full: the cost of reading every lower census off its
   own interval, which the pipeline no longer pays;
 * ``lower_censuses_E8_s``: the censuses of the 6 D and E types below
-  E8 as the pipeline reads them, ``NcPoset.lower_censuses`` of NC(E8),
-  each off the smallest interval already scanned that holds its type;
-  cleared: its memo on the poset;
+  E8 as the pipeline reads them, ``NcPoset.census`` of NC(E8), each off
+  the smallest interval already read that holds its type; cleared: the
+  censuses kept on the poset;
 * ``chi_star_below_E8_s``: ``characteristic_polynomial`` of the 13
   irreducible types below E8, NC(E8) the only poset walked; cleared:
   chi* and the censuses, the D and E censuses then read again untimed,
@@ -189,7 +188,6 @@ The ``startup`` group: cold processes.
 """
 
 import argparse
-import importlib
 import json
 import os
 import random
@@ -341,19 +339,8 @@ def probe(code, *argv):
     return json.loads(child.stdout.splitlines()[-1])
 
 
-def layer(name):
-    """The package module ``name``, or ``ncposet`` in a tree from before
-    the closed forms (``closedform``) and the direct oracles (``direct``)
-    left it."""
-    try:
-        return importlib.import_module("noncross." + name)
-    except ImportError:
-        return importlib.import_module("noncross.ncposet")
-
-
 def clear_memos():
-    from noncross import decomp
-    closedform = layer("closedform")
+    from noncross import closedform, decomp
     for cached in (decomp.lower_table, decomp.product_table,
                    decomp._matchings, decomp._joined, closedform.zeta_forms,
                    closedform.zeta_rows):
@@ -369,11 +356,12 @@ def forget_chi():
 
 
 def forget_walks():
-    from noncross import decomp, ncposet
-    for cached in (ncposet.enumerate_nc, ncposet._census,
-                   layer("closedform")._mobius_number, decomp.census_table,
-                   decomp.full_table):
+    from noncross import closedform, decomp, ncposet
+    for cached in (ncposet.enumerate_nc, closedform._mobius_number,
+                   decomp.census_table, decomp.full_table):
         cached.cache_clear()
+    for poset in ncposet._WALKED.values():
+        poset._censuses.clear()
     ncposet._WALKED.clear()
     forget_chi()
     clear_memos()
@@ -381,7 +369,7 @@ def forget_walks():
 
 def nc_stages(rec):
     import tracemalloc
-    from noncross import decomp, ncposet, verify, weyl
+    from noncross import decomp, direct, ncposet, verify, weyl
     from noncross.rootsystem import build_root_system, subdiagram_types
     from noncross.typelabel import label
 
@@ -413,25 +401,21 @@ def nc_stages(rec):
     rec.time("subdiagram_types_E8_s",
              lambda: subdiagram_types.__wrapped__("E8"))
     rec.time("pair_census_E8_s", poset.pair_census)
-    lower = [poset.records_of(typ)[0][0] for typ in poset.type_counts()
-             if typ.is_irreducible and typ.rank < 8]
-    rec.time("interval_census_E8_s",
-             lambda: [poset.interval_census(q) for q in lower])
-
-    def forget_lower():
-        poset._lower = None
-
-    rec.time("lower_censuses_E8_s", lambda: poset.lower_censuses(),
-             before=forget_lower)
     below = [typ for typ in poset.type_counts()
              if typ.is_irreducible and typ.rank < 8]
+    rec.time("interval_census_E8_s",
+             lambda: [poset._scan(poset.records_of(typ)[0][0])
+                      for typ in below])
+    lower_de = [typ for typ in below if typ.components[0][0] != "A"]
+    rec.time("lower_censuses_E8_s",
+             lambda: [poset.census(typ) for typ in lower_de],
+             before=lambda: poset._censuses.clear())
 
     def forget_censuses():
         forget_chi()
-        ncposet._census.cache_clear()
-        for typ in below:
-            if typ.components[0][0] != "A":
-                ncposet.census(typ)
+        poset._censuses.clear()
+        for typ in lower_de:
+            ncposet.census(typ)
 
     # as in ``verify e8``, NC(E8) is the only poset walked
     ncposet._WALKED.clear()
@@ -451,8 +435,7 @@ def nc_stages(rec):
     rec.time("full_table_D7_s", lambda: brute_force_table("D7"),
              before=lambda: d7.counts.clear())
     ncposet.enumerate_nc("D4")
-    build_ncm = layer("direct").build_ncm
-    rec.time("build_ncm_D4_2_s", lambda: build_ncm("D4", 2))
+    rec.time("build_ncm_D4_2_s", lambda: direct.build_ncm("D4", 2))
     rec.time("chi_D6_s",
              lambda: ncposet.characteristic_polynomial(label("D6")),
              before=forget_walks)
@@ -586,8 +569,7 @@ def family_stages(rec):
 
 def algebra_stages(rec):
     from fractions import Fraction
-    from noncross import decomp, refdata, rootsystem, triangles
-    closedform = layer("closedform")
+    from noncross import closedform, decomp, refdata, rootsystem, triangles
 
     tables = {name: decomp.DecompositionTable(name,
                                               refdata.reference_table(name))

@@ -48,10 +48,8 @@ from .ncposet import enumerate_nc
 from .rootsystem import subdiagram_types
 from .typelabel import label
 
-# solution-space dimensions expected for the under-determined ambients,
-# and the tuples whose brute-force values pin the remaining freedom
-EXPECTED_DIMENSION = {"E6": 1, "D6": 2, "D7": 2, "E7": 2, "E8": 4, "D8": 5}
-
+# the tuples whose brute-force values pin the freedom of the
+# under-determined ambients, one count per free parameter
 PIN_TUPLES = {
     "E6": (("A1^3", "A1^3"),),
     "D6": (("A1^3", "A1^3"), ("A1^4", "A1^2")),
@@ -61,6 +59,9 @@ PIN_TUPLES = {
     "D8": (("A3", "D5"), ("A2^2", "D4"), ("A4", "A4"), ("A4", "D4"),
            ("D4", "D4")),
 }
+
+# the solution-space dimension expected of each under-determined ambient
+EXPECTED_DIMENSION = {name: len(pins) for name, pins in PIN_TUPLES.items()}
 
 # the paper's relations between table entries and its free parameters,
 # each as printed and as the integer row sum(c * N(key)) = rhs; a key is

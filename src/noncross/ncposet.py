@@ -87,22 +87,23 @@ Censuses from intervals.  For q in NC of type S, the interval [1, q] is
 NC(W_S) with types kept (Brady-Watt), and the complement of u <= q in
 it has the mask comp(u) & moved(q), by the identity above.  So the pair
 census of every type below an enumerated ambient is read off one of its
-intervals (``census``), and a process walks only its highest ambient.
-The orbit records serve it by conjugation: u = c^j x c^{-j}, x the head
-of its orbit, lies below q exactly when x lies below q_j = c^{-j} q c^j,
-and then comp(u) & moved(q) is the rotation of comp(x) & moved(q_j), of
+intervals, and a process walks only its highest ambient.  The orbit
+records serve it by conjugation: u = c^j x c^{-j}, x the head of its
+orbit, lies below q exactly when x lies below q_j = c^{-j} q c^j, and
+then comp(u) & moved(q) is the rotation of comp(x) & moved(q_j), of
 the same type.  Each orbit is scanned from its head against the
 rotations of q, and so is the brute-force descent below the top
 (``decomp.count_bruteforce``).  The scan keeps the members it finds,
 per orbit, as the pool of [1, q]; an interval [1, q'] with q' <= q
-lies inside it, so its census is read off the pool alone.  The D and E
-types below the top are read together, largest first, each off the
-smallest interval already scanned that holds its type
-(``NcPoset.lower_censuses``): in NC(E8) only the E7 and D7 intervals
-scan the records, E6 is read inside [1, q_E7] and D6, D5 and D4 each
-inside the interval before.  chi* needs no census of type A: it counts
-elements by type (``characteristic_polynomial``), and type A has a
-closed form for that.
+lies inside it, so its census is read off the pool alone.  One method
+reads every census, ``NcPoset.census(t)``, and keeps each on the poset
+with its pool.  At the top it counts per c-orbit (``pair_census``).
+Below it, the first call reads the D and E types largest first, and
+every type, A included, is read off the smallest interval already read
+that holds it: in NC(E8) only the E7 and D7 intervals scan the records,
+E6 is read inside [1, q_E7] and D6, D5 and D4 each inside the interval
+before.  chi* needs no census of type A: it counts elements by type
+(``characteristic_polynomial``), and type A has a closed form for that.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class NcPoset:
         # the pool of [1, c] (``_scan``): every record, all its powers
         self._whole = records, [range(record[1]) for record in records]
         self.counts = {}             # the memo of decomp.count_bruteforce
-        self._lower = None           # the memo of lower_censuses
+        self._censuses = {}          # the memo of census: (census, pool)
 
     def __len__(self):
         return len(self.types)
@@ -205,37 +206,66 @@ class NcPoset:
         back = found[:1] + found[:0:-1]
         return back * (self.rs.coxeter_number // len(back))
 
-    def interval_census(self, q):
-        """A ``Counter`` of (type(u), type(u^{-1} q)) over the u <= q, from
-        the mask of q.
+    def census(self, t):
+        """The pair census of NC(t), for t the type of an element of the
+        poset (a label): a ``Counter`` of (type(u), type(u^{-1} q)) over
+        the u <= q for one q of type t, as [1, q] is NC(t) with types kept
+        (Brady-Watt).  Each census is kept on the poset with the pool of
+        its interval (``_scan``).
 
-        The interval [1, q] is NC of the type of q with types kept
-        (Brady-Watt), so these are the full-rank two-factor decomposition
-        counts of that type.  The member u = c^j x c^{-j} of the orbit of
-        a head x lies below q when x lies below q_j = c^{-j} q c^j, and
-        then u^{-1} q is conjugate to comp(x) & q_j, of the same type.
-        So the orbits of the levels up to the rank of q are scanned from
-        their heads against the ``rotations`` of q, highest level first,
-        each orbit's members in order (``_below``).
+        At the top it is ``pair_census``.  Below it, the first call reads
+        the D and E types of the poset largest first, then t: each off the
+        smallest interval already read that holds it, below its first
+        member in that interval's pool, or off every record below its
+        first head when no interval below the top holds it.  A type with
+        no element in the poset raises ``KeyError``.
         """
-        rotations = self.rotations(q)
-        return self._count(rotations, self._below(q, rotations, None))
+        memo = self._censuses
+        if t not in self._by_type:
+            raise KeyError("NC(%s) has no element of type %s"
+                           % (self.rs.typ, t))
+        if t not in memo and t == self.records[0][3]:
+            memo[t] = self.pair_census(), None
+        elif t not in memo:
+            for s in sorted((s for s in self._by_type
+                             if s.is_irreducible and s.rank < self.rs.n
+                             and s.components[0][0] != "A"),
+                            key=_RANK, reverse=True) + [t]:
+                if s not in memo:
+                    # the pool of the smallest interval read that holds
+                    # s; None, every record, for the top or when none does
+                    pool = min(((sum(counts.values()), held)
+                                for counts, held in memo.values()
+                                if any(u == s for u, _ in counts)),
+                               key=itemgetter(0), default=(0, None))[1]
+                    records, powers = pool or self._whole
+                    k = next(k for k, record in enumerate(records)
+                             if record[3] == s)
+                    q = self.layout.orbit(records[k][0])[powers[k][0]]
+                    memo[s] = self._scan(q, pool)
+        return memo[t][0]
 
     def _scan(self, q, pool=None):
-        """The census of [1, q] (``interval_census``) and the pool of
-        [1, q]: the orbits with a member u = c^j x c^{-j} below q, as two
-        parallel lists, their records and, per orbit, the powers j of
-        those members as a ``bytes`` (j < h <= 30), in the order of the
-        scan.
+        """The census of [1, q] and the pool of [1, q]: the orbits with a
+        member u = c^j x c^{-j} below q, as two parallel lists, their
+        records and, per orbit, the powers j of those members as a
+        ``bytes`` (j < h <= 30), in the order of the scan.
 
-        Without a pool every orbit of the records is scanned; given the
-        pool of an interval above q, only its members are, as every
-        u <= q lies in it.  The census and its key order are the same
-        either way: the pool keeps the records in order and each orbit's
-        powers ascending."""
-        rotations = self.rotations(q)
+        The member u of the orbit of a head x lies below q when x lies
+        below q_j = c^{-j} q c^j, and then u^{-1} q is conjugate to
+        comp(x) & q_j, of the same type.  So the orbits of the levels up
+        to the rank of q are scanned from their heads against the
+        ``rotations`` of q, highest level first, each orbit's members in
+        order (``_below``).  Without a pool every orbit of the records is
+        scanned; given the pool of an interval above q, only its members
+        are, as every u <= q lies in it.  The census and its key order are
+        the same either way: the pool keeps the records in order and each
+        orbit's powers ascending."""
+        rotations, types = self.rotations(q), self.types
         found = list(self._below(q, rotations, pool))
-        return (self._count(rotations, found),
+        return (Counter((typ, types[comp & rotations[j]])
+                        for (_, _, _, typ, comp), powers in found
+                        for j in powers),
                 ([record for record, _ in found],
                  [bytes(powers) for _, powers in found]))
 
@@ -257,50 +287,6 @@ class NcPoset:
                 if powers is not None:
                     yield record, powers
 
-    def _count(self, rotations, found):
-        """The census of the members that ``_below`` found: the complement
-        of c^j x c^{-j} below q is conjugate to comp(x) & q_j."""
-        types = self.types
-        return Counter((typ, types[comp & rotations[j]])
-                       for (_, _, _, typ, comp), powers in found
-                       for j in powers)
-
-    def lower_censuses(self):
-        """The census of each D and E type below the top, by type, kept
-        on the poset after the first call.
-
-        The types are done largest first.  Each is read off the smallest
-        interval already scanned that holds its type: inside NC(E8), E6
-        inside [1, q] for the first E7 head q, D6 inside the D7 interval,
-        D5 inside D6's and D4 inside D5's (``_scan`` of the first member
-        of that type in the interval's pool).  A type that no interval
-        holds, the largest ones, scans the records below its first head.
-        A pool is dropped once every type it holds is done."""
-        if self._lower is None:
-            todo = sorted((t for t in self._by_type
-                           if t.is_irreducible and t.rank < self.rs.n
-                           and t.components[0][0] != "A"),
-                          key=_RANK, reverse=True)
-            censuses, scanned = {}, []    # scanned: (size, types, pool)
-            for i, t in enumerate(todo):
-                holder = min((held for held in scanned if t in held[1]),
-                             key=itemgetter(0), default=None)
-                if holder is None:
-                    counts, pool = self._scan(self.records_of(t)[0][0])
-                else:
-                    records, powers = pool = holder[2]
-                    k = next(k for k, record in enumerate(records)
-                             if record[3] == t)
-                    q = self.layout.orbit(records[k][0])[powers[k][0]]
-                    counts, pool = self._scan(q, pool)
-                censuses[t] = counts
-                scanned.append((sum(counts.values()),
-                                {typ for typ, _ in counts}, pool))
-                scanned = [held for held in scanned
-                           if held[1].intersection(todo[i + 1:])]
-            self._lower = censuses
-        return self._lower
-
     def pair_census(self):
         """Counts of (type(w), type(w^{-1} c)) over all elements: the
         full-rank two-factor decomposition counts of the ambient.
@@ -308,8 +294,8 @@ class NcPoset:
         Conjugation by c keeps the type of w and, as it rotates the
         complement with w, the type of w^{-1} c, so each c-orbit is
         counted once, from its head, weighted by its size.  The keys come
-        in the order of ``interval_census`` of the top, which counts the
-        same pairs element by element.
+        in the order of ``_scan`` of the top, which counts the same pairs
+        element by element.
         """
         types = self.types
         counts = Counter()
@@ -524,30 +510,17 @@ _WALKED = {}
 
 def census(t):
     """The pair census of NC of an irreducible type (a label or its
-    text): counts of (type(u), type(u^{-1} c)) over its elements.  Each
-    call returns a copy of the one census kept per type."""
-    return dict(_census(label(t)))
-
-
-@lru_cache(maxsize=None)
-def _census(t):
-    """The census of type t, read off the smallest poset enumerated so
-    far that has an element of type t: [1, q] is NC(W_t) with types kept
-    (Brady-Watt) for every q of type t.  NC(t) is enumerated, with q its
-    top, only when no enumerated poset has an element of type t.  At the
-    top the census is counted per c-orbit (``pair_census``); below it, a
-    D or E type takes its census from ``NcPoset.lower_censuses``, which
-    reads every D and E type of the poset off its smallest interval
-    holding the type, and an A type scans the records below the head of
-    its first c-orbit (``interval_census``)."""
+    text): counts of (type(u), type(u^{-1} c)) over its elements, a copy
+    of ``NcPoset.census`` of the smallest poset walked so far that has
+    an element of type t.  NC(t) is walked only when none has.  A
+    reducible or empty type is refused with ``ValueError``."""
+    t = label(t)
+    if not t.is_irreducible:
+        raise ValueError("a census needs an irreducible type, not %r"
+                         % str(t))
     walked = [poset for poset in _WALKED.values() if poset.records_of(t)]
     poset = min(walked, key=len) if walked else enumerate_nc(str(t))
-    q = poset.records_of(t)[0][0]
-    if q == poset.records[0][0]:
-        return poset.pair_census()
-    if t.components[0][0] != "A":
-        return poset.lower_censuses()[t]
-    return poset.interval_census(q)
+    return dict(poset.census(t))
 
 
 def ncm_cardinality(t, m):

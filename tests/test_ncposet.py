@@ -346,7 +346,7 @@ def test_orbits_are_conjugation_cycles_and_count_the_census(name):
     assert sorted(members) == sorted(poset.types)
     assert members == [mask for mask, _, _, _ in poset.members()]
     census = poset.pair_census()
-    scan = poset.interval_census(poset.records[0][0])
+    scan, _ = poset._scan(poset.records[0][0])
     assert census == scan and list(census) == list(scan)
 
 
@@ -478,8 +478,8 @@ def test_interval_census_is_the_census_of_its_type(name):
     for t, below in by_type.items():
         if t.is_irreducible:
             expected = own_census(str(t))
-            assert poset.interval_census(below[0]) == expected
-            assert poset.interval_census(below[-1]) == expected
+            assert poset._scan(below[0])[0] == expected
+            assert poset._scan(below[-1])[0] == expected
 
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
@@ -508,36 +508,52 @@ def test_element_view_is_the_eager_walk(name):
     assert poset.types == {el.key: el.typ for el in eager.elements.values()}
 
 
-@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8",
-                                  "E6", "E7", "E8"])
-def test_censuses_from_records_are_the_element_scan(name):
-    """The pair census and the census below the first element of every
-    irreducible type of lower rank, read from the orbit records, count
-    what the eager walk's element scan counts, keys in its order."""
-    poset, eager = enumerate_nc(name), eager_walk(name)
-    census, scan = poset.pair_census(), eager.interval_scan(eager.top)
-    assert census == scan and list(census) == list(scan)
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_censuses_from_records_are_the_element_scan(name, monkeypatch):
+    """``NcPoset.census`` of every irreducible type of a fresh poset,
+    asked for in order of discovery, counts what the eager walk's element
+    scan counts below the first element of that type, A types read
+    inside the pool of a larger interval included; where the census
+    scanned the records in full, and at the top, keys in the scan's
+    order."""
+    poset, eager = enumerate_nc.__wrapped__(name), eager_walk(name)
+    inside = []
+    scan = ncposet.NcPoset._scan
+
+    def recorded(self, q, pool=None):
+        if pool is not None:
+            inside.append(self.types[q])
+        return scan(self, q, pool)
+
+    monkeypatch.setattr(ncposet.NcPoset, "_scan", recorded)
     for t, below in eager.by_type.items():
-        if t.is_irreducible and t.rank < poset.rs.n:
-            q = below[0]
-            assert poset.records_of(t)[0][0] == q.key
-            census, scan = poset.interval_census(q.key), eager.interval_scan(q)
-            assert census == scan and list(census) == list(scan), t
+        if t.is_irreducible:
+            census, scanned = poset.census(t), eager.interval_scan(below[0])
+            assert census == scanned, t
+            if t not in inside:
+                assert list(census) == list(scanned), t
+    if poset.rs.n > 2:             # A1 is read inside an interval below c
+        assert label("A1") in inside
 
 
 @pytest.mark.parametrize("name", ["D5", "D6", "D7", "D8", "E6", "E7", "E8"])
 def test_lower_censuses_are_the_interval_censuses(name):
-    """Every D and E type below the top has a census read off the
-    smallest interval holding it, equal to the census scanned below the
-    head of the first c-orbit of its type."""
-    poset = enumerate_nc(name)
-    lower = poset.lower_censuses()
-    expected = [t for t in poset.type_counts() if t.is_irreducible
-                and t.rank < poset.rs.n and t.components[0][0] != "A"]
-    assert sorted(lower) == sorted(expected)
-    for t, census in lower.items():
-        assert census == poset.interval_census(poset.records_of(t)[0][0]), t
-    assert poset.lower_censuses() is lower
+    """The first census below the top reads every D and E type below
+    it, largest first, then its own type, and keeps each once on the
+    poset; each equals the census scanned below the head of the first
+    c-orbit of its type.  A type with no element is refused."""
+    poset = enumerate_nc.__wrapped__(name)
+    first = poset.census(label("A1"))
+    lower = sorted((t for t in poset.type_counts() if t.is_irreducible
+                    and t.rank < poset.rs.n and t.components[0][0] != "A"),
+                   key=lambda t: t.rank, reverse=True)
+    assert list(poset._censuses) == lower + [label("A1")]
+    assert poset.census(label("A1")) is first
+    for t in lower:
+        assert poset.census(t) == poset._scan(poset.records_of(t)[0][0])[0]
+    assert len(poset._censuses) == len(lower) + 1
+    with pytest.raises(KeyError, match="no element of type A9"):
+        poset.census(label("A9"))
 
 
 def test_a_pool_scan_is_the_scan_of_the_records():
@@ -567,17 +583,17 @@ import contextlib, io
 from noncross import ncposet
 from noncross.cli import main
 full, typeA = [], []
-below, census = ncposet.NcPoset._below, ncposet._census
+below, census = ncposet.NcPoset._below, ncposet.NcPoset.census
 def counted_below(self, q, rotations, pool):
     if pool is None:
         full.append(str(self.types[q]))
     return below(self, q, rotations, pool)
-def counted_census(t):
+def counted_census(self, t):
     if t.components[0][0] == "A":
         typeA.append(str(t))
-    return census(t)
+    return census(self, t)
 ncposet.NcPoset._below = counted_below
-ncposet._census = counted_census
+ncposet.NcPoset.census = counted_census
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["verify", "e8"]) == 0
 print(*sorted(full), "|", *typeA)
@@ -622,11 +638,41 @@ def test_verify_e8_builds_no_element_object():
 
 
 def test_census_is_kept_once_per_label():
+    # the module census copies the census kept on the poset it reads
     first = ncposet.census("D5")
     first[next(iter(first))] += 1             # a copy: the kept one is intact
-    kept = ncposet._census.cache_info().currsize
+    poset = min((poset for poset in ncposet._WALKED.values()
+                 if poset.records_of(label("D5"))), key=len)
+    kept = dict(poset._censuses)
     assert ncposet.census(label("D5")) == own_census("D5")
-    assert ncposet._census.cache_info().currsize == kept
+    assert poset._censuses == kept and poset.census(label("D5")) is \
+        kept[label("D5")][0]
+
+
+# a census of a label that is not irreducible in a fresh process, before
+# and after a walk: the refusal does not depend on what was walked
+NOT_IRREDUCIBLE = r"""
+import sys
+from noncross import ncposet
+if sys.argv[2] == "after":
+    ncposet.enumerate_nc("A5")
+try:
+    ncposet.census(sys.argv[1])
+except ValueError as err:
+    print(err, *sorted(ncposet._WALKED))
+"""
+
+
+@pytest.mark.parametrize("order", ["before", "after"])
+@pytest.mark.parametrize("text", ["A1*A2", "0", "A1^2"])
+def test_census_refuses_a_label_that_is_not_irreducible(text, order):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ncposet.__file__)))
+    child = subprocess.run([sys.executable, "-c", NOT_IRREDUCIBLE, text,
+                            order], env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True)
+    walked = " A5" if order == "after" else ""
+    assert child.stdout == "a census needs an irreducible type, not %r%s\n" \
+        % (str(label(text)), walked)
 
 
 @pytest.mark.parametrize("name", sorted(CHI_STAR_COEFFS))

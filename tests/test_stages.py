@@ -71,3 +71,19 @@ def test_linsys_prints_its_documented_keys_per_ambient():
             "relations_%s_s" % other for other in report if other != name}
         assert all(isinstance(value["this"], (int, float))
                    for value in stages.values())
+
+
+def test_nc_prints_its_documented_keys_and_no_null():
+    # a stage whose name a tree lacks reads null; none may in this tree
+    report = run_harness("nc")["nc"]
+    ambients = ["D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8"]
+    assert stage_keys(report) == set(documented_keys("nc")) | set(ambients)
+    for per_ambient in ("descent_table_s", "root_tables_s"):
+        assert list(report[per_ambient]) == ambients
+
+    def values(node):
+        if "this" in node:
+            return [node["this"]]
+        return [value for child in node.values() for value in values(child)]
+
+    assert None not in values(report)

@@ -1,45 +1,39 @@
-"""Exact linear solving, in integers throughout.
+"""Exact linear solving: integer rows in, Fraction solutions out.
 
-An ``Echelon`` holds the reduced row echelon form of the rows inserted
-so far, each a sparse map to primitive integers, and takes further rows
-at any time: a row with Fraction entries is scaled to integers first,
-and a caller that orders its rows well (as ``linsys.generate_equations``
-does, sparse rows by descending leading column, then the dense ones)
-saves work but gets the same echelon.  The affine solution space is
-read straight off its rows; only those final entries become fractions.
-Integer kernels (``int_kernel``) are read off an ``Echelon`` too, so it
-is the package's one elimination.
+Every coefficient and right-hand side is read with ``operator.index``:
+a float or a ``Fraction`` raises ``TypeError``.  An ``Echelon`` holds
+the reduced row echelon form of the rows inserted so far, each a sparse
+map to primitive integers, and takes further rows at any time; a caller
+that orders its rows well (as ``linsys.generate_equations`` does, sparse
+rows by descending leading column, then the dense ones) saves work but
+gets the same echelon.  The affine solution space is read straight off
+its rows; only those final entries become fractions.  Integer kernels
+(``int_kernel``) are read off an ``Echelon`` too: one elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Integral, Rational
+from operator import index
 
 
-def _coeff(value):
-    """The canonical form of an exact number: an ``int`` when it is
-    integral (numpy integers included), otherwise a ``Fraction`` in
-    lowest terms.  Floats are refused with ``TypeError``."""
-    kind = type(value)
-    if kind is int:
-        return value
-    if kind is Fraction:
-        return value.numerator if value.denominator == 1 else value
-    if isinstance(value, Integral):
-        return int(value)
-    if isinstance(value, Rational):
-        return _coeff(Fraction(value.numerator, value.denominator))
-    raise TypeError("exact coefficient expected, got %s %r"
-                    % (kind.__name__, value))
+def _sparse(columns, coeffs):
+    """The row sum(coeffs[v] * v) keyed by column (``columns[v]``), each
+    coefficient read with ``operator.index``, zeros dropped."""
+    row = {}
+    for var, c in coeffs.items():
+        c = index(c)
+        if c:
+            row[columns[var]] = c
+    return row
 
 
 class LinearSystem:
-    """A linear system over the rationals with named variables.
+    """A linear system over the integers with named variables.
 
-    Rows are (coefficient dict column->coefficient, rhs, provenance
-    string), each number an int or a Fraction as in a polynomial.
+    Rows are (coefficient dict column->nonzero int, int rhs, provenance
+    string); ``add_row`` refuses any other number, the rows unchanged.
     """
 
     def __init__(self, variables, rows=None):
@@ -48,12 +42,8 @@ class LinearSystem:
         self._index = {v: i for i, v in enumerate(variables)}
 
     def add_row(self, coeffs, rhs, provenance=""):
-        row = {}
-        for var, c in coeffs.items():
-            c = _coeff(c)
-            if c:
-                row[self._index[var]] = c
-        self.rows.append((row, _coeff(rhs), provenance))
+        self.rows.append((_sparse(self._index, coeffs), index(rhs),
+                          provenance))
 
     @property
     def num_rows(self):
@@ -137,16 +127,17 @@ class Echelon:
     of the rows, and adding rows to an echelon gives exactly the echelon
     of the longer system.
 
-    An incoming row is scaled to integers and cleared at the pivot
-    columns in its support in one pass.  Each pivot row is zero at every
-    other pivot column, so subtracting it touches no other pivot entry:
-    the row is scaled once by the lcm L of the pivots it meets, and for
-    each such pivot column col (pivot p, row entry f before the scaling)
-    ``f * (L // p)`` times the pivot row is subtracted in place.  What
-    is left lies on free columns and the right-hand side, and is made
-    primitive.  If a free column is left, the leading one becomes a new
-    pivot and is cleared, by ``a * p - f * b``, from every pivot row
-    that holds it, found through a free column -> pivot rows index.
+    Integer rows come in and Fraction solutions go out (``space``).  An
+    incoming row is cleared at the pivot columns in its support in one
+    pass.  Each pivot row is zero at every other pivot column, so
+    subtracting it touches no other pivot entry: the row is scaled once
+    by the lcm L of the pivots it meets, and for each such pivot column
+    col (pivot p, row entry f before the scaling) ``f * (L // p)`` times
+    the pivot row is subtracted in place.  What is left lies on free
+    columns and the right-hand side, and is made primitive.  If a free
+    column is left, the leading one becomes a new pivot and is cleared,
+    by ``a * p - f * b``, from every pivot row that holds it, found
+    through a free column -> pivot rows index.
     """
 
     def __init__(self, variables):
@@ -165,33 +156,20 @@ class Echelon:
 
     def add_row(self, coeffs, rhs, provenance=""):
         """Insert the row sum(coeffs[v] * v) = rhs, keyed by variable."""
-        self._insert({self._index[v]: _coeff(c)
-                      for v, c in coeffs.items() if c},
-                     _coeff(rhs), provenance)
+        self._insert(_sparse(self._index, coeffs), index(rhs), provenance)
 
     def implies(self, coeffs, rhs):
         """Whether the row sum(coeffs[v] * v) = rhs follows from the rows
         so far: it clears to 0 = 0.  The echelon is left unchanged."""
-        return not self._clear({self._index[v]: _coeff(c)
-                                for v, c in coeffs.items() if c}, _coeff(rhs))
+        return not self._clear(_sparse(self._index, coeffs), index(rhs))
 
     def _clear(self, row, rhs):
-        """A row keyed by column, scaled to integers (the right-hand side
-        keyed ``len(variables)``) and cleared at the pivots it meets."""
-        nvars = len(self.variables)
+        """A row keyed by column (the right-hand side keyed
+        ``len(variables)``) cleared at the pivots it meets."""
         pivots = self.pivots
-        if type(rhs) is int and all(type(c) is int for c in row.values()):
-            vec = dict(row)                 # in integers already
-            if rhs:
-                vec[nvars] = rhs
-        else:
-            denom = rhs.denominator
-            for c in row.values():
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-            vec = {col: c.numerator * (denom // c.denominator)
-                   for col, c in row.items()}
-            if rhs:
-                vec[nvars] = rhs.numerator * (denom // rhs.denominator)
+        vec = dict(row)
+        if rhs:
+            vec[len(self.variables)] = rhs
         met = [(col, f, pivots[col]) for col, f in vec.items()
                if col in pivots]
         if met:
@@ -285,7 +263,8 @@ def solve(system):
 
 
 def int_kernel(rows):
-    """Integer basis of the right kernel of an integer matrix.
+    """Integer basis of the right kernel of an integer matrix (entries
+    read with ``operator.index``).
 
     One vector per free column fc, in column order: the primitive integer
     multiple, positive at fc, of the reduced-echelon kernel vector (1 at
@@ -293,10 +272,10 @@ def int_kernel(rows):
     The pivot rows of an ``Echelon`` are positive at their pivots, so
     scaling by the lcm of those pivots keeps it in integers.
     """
-    n = len(rows[0]) if rows else 0
+    n = len(rows[0]) if len(rows) else 0
     ech = Echelon(range(n))
     for r in rows:
-        ech._insert({c: int(x) for c, x in enumerate(r) if x}, 0, "")
+        ech.add_row(dict(enumerate(r)), 0)
     pivots = ech.pivots
     basis = []
     for fc in ech.free_columns:

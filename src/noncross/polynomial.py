@@ -1,5 +1,5 @@
 """Exact sparse polynomials in Q[x, y, z, m], terms held as a map from
-exponent 4-tuples to coefficients, each canonical (``exact._coeff``): an
+exponent 4-tuples to coefficients, each canonical (``_coeff``): an
 ``int`` when integral, else a ``Fraction``, never a float.  Every
 identity checked in this package is an exact polynomial identity.  Only
 exact numbers are put in for variables, all by one method,
@@ -14,8 +14,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from numbers import Integral, Rational
 
-from .exact import _coeff
+
+def _coeff(value):
+    """The canonical form of an exact number: an ``int`` when it is
+    integral (numpy integers included), otherwise a ``Fraction`` in
+    lowest terms.  Floats are refused with ``TypeError``."""
+    kind = type(value)
+    if kind is int:
+        return value
+    if kind is Fraction:
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, Integral):
+        return int(value)
+    if isinstance(value, Rational):
+        return _coeff(Fraction(value.numerator, value.denominator))
+    raise TypeError("exact coefficient expected, got %s %r"
+                    % (kind.__name__, value))
+
 
 VARS = ("x", "y", "z", "m")
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}

@@ -10,7 +10,8 @@ reduced, so ``space`` back-substitutes from the last pivot up.
 from fractions import Fraction
 from math import gcd
 
-from noncross.exact import InconsistentSystemError, SolutionSpace, _coeff
+from noncross.exact import InconsistentSystemError, SolutionSpace
+from noncross.polynomial import _coeff
 
 
 def _reduce_content(vec):

@@ -52,10 +52,9 @@ from math import comb, factorial
 from noncross.decomp import all_tuples_of_rank, orderings
 from noncross import closedform, ncposet
 from noncross.closedform import zeta_closed, zeta_forms
-from noncross.exact import _coeff
 from noncross.ncposet import characteristic_polynomial
 from noncross.polynomial import (VARS, ZERO, SparsePolynomial, Z, _VAR_INDEX,
-                                 _coerce, poly)
+                                 _coeff, _coerce, poly)
 from noncross.triangles import FTriangleCandidate, MTriangle, TransformFailure
 from noncross.typelabel import TypeLabel, label
 

@@ -2,7 +2,7 @@
 algebra (``exact``)."""
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import numpy as np
 import pytest
@@ -262,10 +262,20 @@ def test_echelon_pin_row_inconsistent_names_row():
     assert ech.space().as_dict() == {"a": 2, "b": 1, "c": 0}
 
 
+def _cleared(coeffs, rhs):
+    """A rational row and its right side times the lcm of their
+    denominators: the integer row that the solver takes, with the same
+    solutions."""
+    den = lcm(*(Fraction(x).denominator for x in (*coeffs.values(), rhs)))
+    return {v: int(x * den) for v, x in coeffs.items()}, int(rhs * den)
+
+
 def test_echelon_extended_equals_echelon_of_longer_system():
     system = LinearSystem(variables=("a", "b", "c", "d"))
-    system.add_row({"a": 2, "b": Fraction(1, 3), "d": 1}, 4, "r1")
-    system.add_row({"b": 3, "c": -2}, Fraction(1, 2), "r2")
+    system.add_row(*_cleared({"a": 2, "b": Fraction(1, 3), "d": 1}, 4), "r1")
+    system.add_row(*_cleared({"b": 3, "c": -2}, Fraction(1, 2)), "r2")
+    assert system.rows == [({0: 6, 1: 1, 3: 3}, 12, "r1"),
+                           ({1: 6, 2: -4}, 1, "r2")]
     longer = LinearSystem(variables=system.variables, rows=list(system.rows))
     longer.add_row({"c": 5, "d": 1}, 7, "p1")
     longer.add_row({"a": 1, "c": 1}, -1, "p2")
@@ -277,21 +287,38 @@ def test_echelon_extended_equals_echelon_of_longer_system():
     assert solve(ech) == solve(longer)
 
 
-def test_integer_rows_reduce_as_their_fraction_multiples():
-    # a row of ints skips the denominator pass; the same rows divided by
-    # a denominator take it, and the echelon is the same, the rows of
-    # the system left as they were
+def test_rows_of_non_integers_are_refused():
+    # every coefficient and right side is read with operator.index, zeros
+    # included: ints and numpy ints pass, a float or a Fraction (integral
+    # ones too) raises TypeError at all three row entry points and leaves
+    # the system and the echelon as they were
     rows = [({"a": 2, "b": 4, "c": -6}, 8), ({"b": 3, "c": 1}, 0),
             ({"a": 1, "c": 5}, -3)]
     system = LinearSystem(variables=("a", "b", "c", "d"))
-    halves = LinearSystem(variables=system.variables)
     for coeffs, rhs in rows:
         system.add_row(coeffs, rhs)
-        halves.add_row({v: Fraction(c, 6) for v, c in coeffs.items()},
-                       Fraction(rhs, 6))
     kept = [dict(row) for row, _, _ in system.rows]
-    assert echelon(system).pivots == echelon(halves).pivots
+    ech = echelon(system)
     assert [row for row, _, _ in system.rows] == kept
+    system_rows = list(system.rows)
+    pivots = {col: dict(row) for col, row in ech.pivots.items()}
+    holders = {c: set(held) for c, held in ech._holders.items()}
+    for bad in (0.5, 2.0, 0.0, Fraction(1, 2), Fraction(4, 2), Fraction(0)):
+        for coeffs, rhs in (({"a": 1, "d": bad}, 1), ({"a": 1, "d": 1}, bad),
+                            ({"d": bad}, 0)):
+            with pytest.raises(TypeError):
+                system.add_row(coeffs, rhs, "refused")
+            with pytest.raises(TypeError):
+                ech.add_row(coeffs, rhs, "refused")
+            with pytest.raises(TypeError):
+                ech.implies(coeffs, rhs)
+    assert system.rows == system_rows
+    assert ech.pivots == pivots and ech._holders == holders
+    assert ech.implies({"a": np.int64(3), "b": np.int32(7)}, np.int64(5))
+    system.add_row({"d": np.int64(2), "a": np.int8(0)}, np.int16(4), "numpy")
+    assert system.rows[-1] == ({3: 2}, 4, "numpy")
+    assert all(type(x) is int for x in (*system.rows[-1][0].values(),
+                                        system.rows[-1][1]))
     system.add_row({"a": 3, "b": 7}, 6, "clash")    # the sum of the rows, = 5
     with pytest.raises(InconsistentSystemError) as exc:
         solve(system)
@@ -365,6 +392,24 @@ def test_int_kernel_and_rank_match_sympy(rows):
         assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
 
 
+def test_int_kernel_refuses_non_integer_entries():
+    # entries are read with operator.index, never truncated by int(): the
+    # kernel of [3/2, 1] is spanned by (2, -3), not the (-1, 1) of [1, 1]
+    for rows in ([[1.5, 1]], [[Fraction(3, 2), 1]], [[0.5, 1]], [[2, 0.0]],
+                 [[Fraction(2), 1]], [[1, 0], [0, Fraction(0)]]):
+        with pytest.raises(TypeError):
+            int_kernel(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrices(max_dim=6, max_cols=10))
+def test_int_kernel_of_numpy_integers_is_the_kernel_of_ints(rows):
+    kernel = int_kernel(rows)
+    assert int_kernel(np.array(rows, dtype=np.int64)) == kernel
+    assert int_kernel([[np.int64(x) for x in row] for row in rows]) == kernel
+    assert all(type(x) is int for vec in kernel for x in vec)
+
+
 # ---------------------------------------------------------------------------
 # exact linear systems against sympy
 
@@ -395,7 +440,7 @@ def test_solve_matches_sympy(data):
     names = ["v%d" % i for i in range(n)]
     system = LinearSystem(variables=names)
     for i, (row, b) in enumerate(zip(coeffs, rhs)):
-        system.add_row(dict(zip(names, row)), b, "row%d" % i)
+        system.add_row(*_cleared(dict(zip(names, row)), b), "row%d" % i)
     a = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
                       for r in coeffs])
     b = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in rhs])
@@ -479,16 +524,31 @@ def _holders_of(pivots, nvars):
     return holders
 
 
+def _sparse_of(names, rows):
+    """The echelon of a system of rational rows keyed by column, each
+    cleared of its denominators before it reaches the solver."""
+    system = LinearSystem(variables=names)
+    for i, (row, rhs) in enumerate(rows):
+        system.add_row(*_cleared({names[c]: x for c, x in row.items()}, rhs),
+                       "row%d" % i)
+    return echelon(system)
+
+
+def _dense_of(names, rows):
+    """The dense oracle's echelon of the same rows, rational as drawn."""
+    dense = DenseEchelon(names)
+    for i, (row, rhs) in enumerate(rows):
+        dense.add_row({names[c]: x for c, x in row.items()}, rhs, "row%d" % i)
+    return dense
+
+
 def _check_against_dense(data):
     n, rows, pins = data
     names = ["v%d" % i for i in range(n)]
-    system = LinearSystem(variables=names)
-    for i, (row, rhs) in enumerate(rows):
-        system.add_row({names[c]: x for c, x in row.items()}, rhs, "row%d" % i)
     outcomes = []
-    for build in (echelon, DenseEchelon.of):
+    for build in (_sparse_of, _dense_of):
         try:
-            outcomes.append(build(system))
+            outcomes.append(build(names, rows))
         except InconsistentSystemError as exc:
             outcomes.append(exc.provenance)
     sparse, dense = outcomes
@@ -507,9 +567,10 @@ def _check_against_dense(data):
         coeffs = {names[c]: x for c, x in row.items()}
         before = {col: dict(r) for col, r in sparse.pivots.items()}
         failed = []
-        for ech in (sparse, dense):
+        for ech, pin in ((sparse, _cleared(coeffs, rhs)),
+                         (dense, (coeffs, rhs))):
             try:
-                ech.add_row(coeffs, rhs, "pin%d" % i)
+                ech.add_row(*pin, "pin%d" % i)
             except InconsistentSystemError as exc:
                 failed.append(exc.provenance)
         assert failed in ([], ["pin%d" % i] * 2)
@@ -557,11 +618,8 @@ def test_implies_matches_rank_oracle(data):
     # their sum always are, and asking leaves the echelon as it was
     n, rows, extra = data
     names = ["v%d" % i for i in range(n)]
-    system = LinearSystem(variables=names)
-    for i, (row, rhs) in enumerate(rows):
-        system.add_row({names[c]: x for c, x in row.items()}, rhs, "row%d" % i)
     try:
-        ech = echelon(system)
+        ech = _sparse_of(names, rows)
     except InconsistentSystemError:
         return
     total = {}
@@ -571,7 +629,7 @@ def test_implies_matches_rank_oracle(data):
     candidates = extra + rows + [(total, sum(rhs for _, rhs in rows))]
     for row, rhs in candidates:
         coeffs = {names[c]: x for c, x in row.items()}
-        dense = DenseEchelon.of(system)
+        dense = _dense_of(names, rows)
         try:
             dense.add_row(coeffs, rhs)
             expected = dense.dimension == ech.dimension
@@ -579,10 +637,11 @@ def test_implies_matches_rank_oracle(data):
             expected = False
         pivots = {col: dict(r) for col, r in ech.pivots.items()}
         holders = {c: set(held) for c, held in ech._holders.items()}
-        assert ech.implies(coeffs, rhs) == expected
+        assert ech.implies(*_cleared(coeffs, rhs)) == expected
         assert ech.pivots == pivots and ech._holders == holders
     for row, rhs in candidates[len(extra):]:
-        assert ech.implies({names[c]: x for c, x in row.items()}, rhs)
+        assert ech.implies(*_cleared({names[c]: x for c, x in row.items()},
+                                     rhs))
 
 
 @pytest.mark.parametrize("name", ["E6", "D6", "D7"])

@@ -148,10 +148,11 @@ def test_decomp_count_of_a_census_loads_no_closed_form():
 
 @pytest.mark.parametrize("argv", [["zeta", "D4", "--m", "1"], "triangles"])
 def test_closed_forms_load_no_walk(argv):
-    # ``zeta`` and the triangles reach the walk only at call time
+    # ``zeta`` and the triangles reach the walk only at call time, and
+    # the polynomials compile no linear solver
     modules = package_modules(loaded_by(argv))
-    assert "closedform" in modules
-    assert not modules & {"ncposet", "weyl"}
+    assert {"closedform", "polynomial"} <= modules
+    assert not modules & {"ncposet", "weyl", "exact"}
 
 
 def test_rootsys_info_loads_only_the_root_system():

@@ -12,7 +12,7 @@ from noncross import decomp, linsys
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple, full_table,
                              lower_table, orderings, tuple_rank)
-from noncross.exact import LinearSystem, _coeff, echelon
+from noncross.exact import echelon
 from noncross.cli import main
 from noncross.closedform import zeta_closed, zeta_forms
 from noncross.linsys import (EXPECTED_DIMENSION, PIN_TUPLES, RELATIONS,
@@ -197,10 +197,11 @@ def test_sparse_echelon_matches_dense_oracle(name):
 
 def _zeta_rows_per_tuple(name):
     """The zeta rows as built before the products were shared: one
-    product of shifted zeta polynomials per tuple entry."""
+    product of shifted zeta polynomials per tuple entry, as rational
+    (row keyed by column, rhs, provenance) triples."""
     ambient = label(name)
     n = ambient.rank
-    system = LinearSystem(variables=all_tuples_of_rank(n))
+    columns = {var: i for i, var in enumerate(all_tuples_of_rank(n))}
     forms = {}
     for s in range(1, n + 1):
         for tup in all_tuples_of_rank(s):
@@ -217,15 +218,16 @@ def _zeta_rows_per_tuple(name):
     buckets = {}
     for var, form in forms.items():
         for mz, c in _coeffs_mz(form).items():
-            buckets.setdefault(mz, {})[var] = c
+            buckets.setdefault(mz, {})[columns[var]] = c
     lhs = _coeffs_mz(zeta_closed(ambient, m="m") - poly(1))
+    rows = []
     for i in range(n + 1):
         for j in range(n + 1):
-            coeffs = buckets.get((i, j), {})
-            rhs = lhs.get((i, j), Fraction(0))
-            if coeffs or rhs:
-                system.add_row(coeffs, rhs, "zeta:m^%d z^%d" % (i, j))
-    return system.rows
+            row = buckets.get((i, j), {})
+            rhs = lhs.get((i, j), 0)
+            if row or rhs:
+                rows.append((row, rhs, "zeta:m^%d z^%d" % (i, j)))
+    return rows
 
 
 @pytest.mark.parametrize("name", ["D5", "E6", "E7", "E8", "D8"])
@@ -243,17 +245,10 @@ def test_zeta_rows_match_per_tuple_products(name):
 
 def _family_order(name, monkeypatch):
     """The system in the order its families were generated (forbidden,
-    special, split, zeta), with the zeta rows as Fractions, not cleared
-    of their denominator."""
+    special, split, zeta)."""
     with monkeypatch.context() as patch:
         patch.setattr(linsys, "_leading_column", lambda row: 0)
-        system = generate_equations(name)
-    _, den = zeta_forms(label(name).rank)
-    rows = [(row, rhs, provenance) if row_family(provenance) != "zeta"
-            else ({col: _coeff(Fraction(c, den)) for col, c in row.items()},
-                  _coeff(Fraction(rhs, den)), provenance)
-            for row, rhs, provenance in system.rows]
-    return LinearSystem(variables=system.variables, rows=rows)
+        return generate_equations(name)
 
 
 @pytest.mark.parametrize("name", ["E6", "D6", "D7", "E7", "E8", "D8"])

@@ -73,6 +73,13 @@ def test_linsys_prints_its_documented_keys_per_ambient():
                    for value in stages.values())
 
 
+def tree_values(node):
+    """The value of the tree ``this`` at every key of a group's report."""
+    if "this" in node:
+        return [node["this"]]
+    return [value for child in node.values() for value in tree_values(child)]
+
+
 def test_nc_prints_its_documented_keys_and_no_null():
     # a stage whose name a tree lacks reads null; none may in this tree
     report = run_harness("nc")["nc"]
@@ -80,10 +87,20 @@ def test_nc_prints_its_documented_keys_and_no_null():
     assert stage_keys(report) == set(documented_keys("nc")) | set(ambients)
     for per_ambient in ("descent_table_s", "root_tables_s"):
         assert list(report[per_ambient]) == ambients
+    assert None not in tree_values(report)
 
-    def values(node):
-        if "this" in node:
-            return [node["this"]]
-        return [value for child in node.values() for value in values(child)]
 
-    assert None not in values(report)
+def test_startup_prints_its_documented_keys_and_no_null():
+    report = run_harness("startup")["startup"]
+    commands = list(report["light_s"])
+    assert "zeta D4 --m 1" in commands
+    documented = set(documented_keys("startup"))
+    assert stage_keys(report) == documented | set(commands)
+    assert None not in tree_values(report)
+    loads = report["loads"]["this"]
+    assert list(loads) == commands
+    assert set(report["peak_rss_mb"]["this"]) == {
+        "import", "decomp count E7 A4,A3", "verify e8"}
+    # the closed forms compile neither the walk nor the linear solver
+    assert not set(loads["zeta D4 --m 1"]["noncross"]) & {
+        "ncposet", "weyl", "exact"}

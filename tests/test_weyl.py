@@ -1,5 +1,7 @@
 """Weyl group elements, absolute length, Coxeter conjugation orbits."""
 
+from fractions import Fraction
+
 import pytest
 
 import matrix_oracle
@@ -48,6 +50,14 @@ def test_absolute_length_equals_cayley_distance(name):
     assert len(dist) == rs.group_order
     for d, mat in dist.values():
         assert absolute_length(rs, mat) == d
+
+
+def test_absolute_length_refuses_non_integer_matrices():
+    # w - I is read with operator.index: no entry is truncated by int()
+    rs = build_root_system("A2")
+    for entry in (1.5, 1.0, Fraction(3, 2), Fraction(1)):
+        with pytest.raises(TypeError):
+            absolute_length(rs, ((entry, 0), (0, 1)))
 
 
 def test_enumerate_group_matches_group_order():

@@ -111,7 +111,7 @@ walked and the lower tables built:
 * ``generate_equations_s``: equation generation; cleared: memos;
 * ``elimination_s``: ``exact.echelon`` of the unpinned system, its rows
   in the order ``generate_equations`` emits them;
-* ``back_substitution_s``: ``Echelon.space`` of that echelon;
+* ``back_substitution_s``: ``exact.solve`` of that echelon;
 * ``relations_E7_s``, ``relations_E8_s``, ``relations_D8_s``: checking
   the published relations (``linsys.relation_rows``) with
   ``Echelon.implies`` on the unpinned echelon;
@@ -120,7 +120,8 @@ walked and the lower tables built:
   table; cleared: chi* (``ncposet.characteristic_polynomial`` and the
   cache of its y-vectors ``ncposet.chi_vector``);
 * ``assemble_dual_chi_warm_s``: the same with chi* warm;
-* ``rank``: the rank of the pinned system;
+* ``rank``: the rank of the pinned system, the unpinned echelon
+  extended by the pins through ``Echelon.add_row`` as in ``replay``;
 * ``max_bits``: the largest bit size of a numerator or denominator of
   its solution.
 
@@ -503,7 +504,7 @@ def linsys_stages(rec):
         system = linsys.generate_equations(name)
         rec.time("elimination_s", lambda: exact.echelon(system))
         ech = exact.echelon(system)
-        rec.time("back_substitution_s", ech.space)
+        rec.time("back_substitution_s", lambda: exact.solve(ech))
         rec.time("relations_%s_s" % name,
                  lambda: [ech.implies(coeffs, rhs)
                           for _, coeffs, rhs in linsys.relation_rows(name)])
@@ -515,8 +516,7 @@ def linsys_stages(rec):
 
         rec.time("assemble_dual_s", assemble, before=forget_chi)
         rec.time("assemble_dual_chi_warm_s", assemble, before=assemble)
-        pinned = exact.LinearSystem(variables=system.variables,
-                                    rows=list(system.rows))
+        pinned = exact.echelon(system)
         for key, value in report.pinned_values.items():
             pinned.add_row({key: 1}, value, "oracle-pin")
         space = exact.solve(pinned)

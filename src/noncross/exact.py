@@ -1,14 +1,15 @@
-"""Exact linear solving: integer rows in, Fraction solutions out.
+"""Exact linear solving, one way through: integer rows in by ``add_row``,
+``echelon`` eliminates, ``solve`` reads the Fraction solutions out.
 
-Every coefficient and right-hand side is read with ``operator.index``:
-a float or a ``Fraction`` raises ``TypeError``.  An ``Echelon`` holds
-the reduced row echelon form of the rows inserted so far, each a sparse
-map to primitive integers, and takes further rows at any time; a caller
-that orders its rows well (as ``linsys.generate_equations`` does, sparse
-rows by descending leading column, then the dense ones) saves work but
-gets the same echelon.  The affine solution space is read straight off
-its rows; only those final entries become fractions.  Integer kernels
-(``int_kernel``) are read off an ``Echelon`` too: one elimination.
+Every coefficient and right-hand side is read with ``operator.index``: a
+float or a ``Fraction`` raises ``TypeError``, as a repeated variable name
+raises ``ValueError``.  An ``Echelon`` holds the reduced row echelon form
+of the rows inserted so far, each a sparse map to primitive integers, and
+takes further rows at any time; a caller that orders its rows well (as
+``linsys.generate_equations`` does, sparse rows by descending leading
+column, then the dense ones) saves work but gets the same echelon.  Only
+the entries ``solve`` reads off its rows become fractions.  Integer
+kernels (``int_kernel``) are read off an ``Echelon`` too.
 """
 
 from __future__ import annotations
@@ -16,6 +17,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
+
+
+def _columns(variables):
+    """The column of each variable; a repeated name raises ValueError."""
+    columns = {}
+    for i, v in enumerate(variables):
+        if columns.setdefault(v, i) != i:
+            raise ValueError("repeated variable %r" % (v,))
+    return columns
 
 
 def _sparse(columns, coeffs):
@@ -30,16 +40,16 @@ def _sparse(columns, coeffs):
 
 
 class LinearSystem:
-    """A linear system over the integers with named variables.
+    """A linear system over the integers with distinct named variables.
 
-    Rows are (coefficient dict column->nonzero int, int rhs, provenance
-    string); ``add_row`` refuses any other number, the rows unchanged.
+    Rows enter only by ``add_row``, kept as (coefficient dict column->
+    nonzero int, int rhs, provenance string); it refuses any other number.
     """
 
-    def __init__(self, variables, rows=None):
+    def __init__(self, variables):
         self.variables = variables
-        self.rows = [] if rows is None else rows
-        self._index = {v: i for i, v in enumerate(variables)}
+        self._index = _columns(variables)
+        self.rows = []
 
     def add_row(self, coeffs, rhs, provenance=""):
         self.rows.append((_sparse(self._index, coeffs), index(rhs),
@@ -127,8 +137,8 @@ class Echelon:
     of the rows, and adding rows to an echelon gives exactly the echelon
     of the longer system.
 
-    Integer rows come in and Fraction solutions go out (``space``).  An
-    incoming row is cleared at the pivot columns in its support in one
+    Integer rows come in by ``add_row``; ``solve`` reads the solutions.
+    An incoming row is cleared at the pivot columns in its support in one
     pass.  Each pivot row is zero at every other pivot column, so
     subtracting it touches no other pivot entry: the row is scaled once
     by the lcm L of the pivots it meets, and for each such pivot column
@@ -142,7 +152,7 @@ class Echelon:
 
     def __init__(self, variables):
         self.variables = list(variables)
-        self._index = {v: i for i, v in enumerate(self.variables)}
+        self._index = _columns(self.variables)
         self.pivots = {}     # pivot column -> primitive sparse row
         self._holders = {}   # free column -> pivot columns of rows on it
 
@@ -214,36 +224,6 @@ class Echelon:
             if c != lead and c != nvars:
                 holders.setdefault(c, set()).add(lead)
 
-    def space(self):
-        """The affine solution space, read off the reduced rows: each
-        pivot row gives its pivot's particular value ``rhs / pivot`` and
-        its entry ``-row[fc] / pivot`` in the nullspace vector of each
-        free column fc."""
-        nvars = len(self.variables)
-        pivots = self.pivots
-        pivot_cols = sorted(pivots)
-        free_cols = self.free_columns
-        particular = [Fraction(0)] * nvars
-        for col in pivot_cols:
-            row = pivots[col]
-            particular[col] = Fraction(row.get(nvars, 0), row[col])
-        nullspace = []
-        for fc in free_cols:
-            basis = [Fraction(0)] * nvars
-            basis[fc] = Fraction(1)
-            for col in self._holders.get(fc, ()):
-                row = pivots[col]
-                basis[col] = Fraction(-row[fc], row[col])
-            nullspace.append(basis)
-
-        return SolutionSpace(
-            variables=list(self.variables),
-            particular=particular,
-            nullspace=nullspace,
-            pivot_columns=pivot_cols,
-            free_columns=free_cols,
-        )
-
 
 def echelon(system):
     """The Echelon of a LinearSystem, its rows inserted in order."""
@@ -253,13 +233,29 @@ def echelon(system):
     return ech
 
 
-def solve(system):
-    """The affine solution space of a LinearSystem.  Given an Echelon
-    instead (say one extended by pin rows), only reading the space off
-    its rows is left to do."""
-    if not isinstance(system, Echelon):
-        system = echelon(system)
-    return system.space()
+def solve(ech):
+    """The affine solution space of an Echelon (of a LinearSystem: ``solve(
+    echelon(system))``), read off its rows: each pivot row gives its pivot
+    the particular value ``rhs / pivot`` and the entry ``-row[fc] / pivot``
+    in the nullspace vector of each free column fc."""
+    nvars = len(ech.variables)
+    pivots = ech.pivots
+    pivot_cols = sorted(pivots)
+    free_cols = ech.free_columns
+    particular = [Fraction(0)] * nvars
+    for col in pivot_cols:
+        row = pivots[col]
+        particular[col] = Fraction(row.get(nvars, 0), row[col])
+    nullspace = []
+    for fc in free_cols:
+        basis = [Fraction(0)] * nvars
+        basis[fc] = Fraction(1)
+        for col in ech._holders.get(fc, ()):
+            row = pivots[col]
+            basis[col] = Fraction(-row[fc], row[col])
+        nullspace.append(basis)
+    return SolutionSpace(list(ech.variables), particular, nullspace,
+                         pivot_cols, free_cols)
 
 
 def int_kernel(rows):

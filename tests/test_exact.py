@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 import poly_oracle
 from dense_echelon import DenseEchelon
 from noncross import polynomial
-from noncross.exact import (InconsistentSystemError, LinearSystem, echelon,
-                            int_kernel, solve)
+from noncross.exact import (Echelon, InconsistentSystemError, LinearSystem,
+                            echelon, int_kernel, solve)
 from noncross.polynomial import SparsePolynomial, poly
 from noncross.linsys import generate_equations
 
@@ -224,7 +224,7 @@ def test_linear_solve_unique():
     system = LinearSystem(variables=("a", "b"))
     system.add_row({"a": 2, "b": 1}, 5, "r1")
     system.add_row({"a": 1, "b": -1}, 1, "r2")
-    space = solve(system)
+    space = solve(echelon(system))
     assert space.dimension == 0
     assert space.as_dict() == {"a": 2, "b": 1}
 
@@ -232,7 +232,7 @@ def test_linear_solve_unique():
 def test_linear_solve_underdetermined():
     system = LinearSystem(variables=("a", "b", "c"))
     system.add_row({"a": 1, "b": 1}, 3, "r1")
-    space = solve(system)
+    space = solve(echelon(system))
     assert space.dimension == 2
     values = space.as_dict()
     assert values["a"] + values["b"] == 3
@@ -243,7 +243,7 @@ def test_linear_solve_inconsistent():
     system.add_row({"a": 1}, 1, "r1")
     system.add_row({"a": 1}, 2, "bad-row")
     with pytest.raises(InconsistentSystemError) as exc:
-        solve(system)
+        solve(echelon(system))
     assert exc.value.provenance == "bad-row"
 
 
@@ -259,7 +259,7 @@ def test_echelon_pin_row_inconsistent_names_row():
         ech.add_row({"a": 1, "c": 2}, 5, "contradictory-pin")
     assert exc.value.provenance == "contradictory-pin"
     assert ech.pivots == pivots           # the failed row left no trace
-    assert ech.space().as_dict() == {"a": 2, "b": 1, "c": 0}
+    assert solve(ech).as_dict() == {"a": 2, "b": 1, "c": 0}
 
 
 def _cleared(coeffs, rhs):
@@ -276,15 +276,18 @@ def test_echelon_extended_equals_echelon_of_longer_system():
     system.add_row(*_cleared({"b": 3, "c": -2}, Fraction(1, 2)), "r2")
     assert system.rows == [({0: 6, 1: 1, 3: 3}, 12, "r1"),
                            ({1: 6, 2: -4}, 1, "r2")]
-    longer = LinearSystem(variables=system.variables, rows=list(system.rows))
+    longer = LinearSystem(variables=system.variables)
+    longer.add_row(*_cleared({"a": 2, "b": Fraction(1, 3), "d": 1}, 4), "r1")
+    longer.add_row(*_cleared({"b": 3, "c": -2}, Fraction(1, 2)), "r2")
     longer.add_row({"c": 5, "d": 1}, 7, "p1")
     longer.add_row({"a": 1, "c": 1}, -1, "p2")
     ech = echelon(system)
     assert ech.dimension == 2 and ech.free_columns == [2, 3]
     ech.add_row({"c": 5, "d": 1}, 7, "p1")
     ech.add_row({"a": 1, "c": 1}, -1, "p2")
+    assert longer.rows[:2] == system.rows
     assert ech.pivots == echelon(longer).pivots
-    assert solve(ech) == solve(longer)
+    assert solve(ech) == solve(echelon(longer))
 
 
 def test_rows_of_non_integers_are_refused():
@@ -321,8 +324,42 @@ def test_rows_of_non_integers_are_refused():
                                         system.rows[-1][1]))
     system.add_row({"a": 3, "b": 7}, 6, "clash")    # the sum of the rows, = 5
     with pytest.raises(InconsistentSystemError) as exc:
-        solve(system)
+        solve(echelon(system))
     assert exc.value.provenance == "clash"
+
+
+def test_rows_enter_only_through_add_row():
+    # the constructor takes no rows, so a float row cannot pass unchecked
+    # (dropped as 0 = 0 with right side 0.5, read as 0 = nonzero with 0.0)
+    for rhs in (0.5, 0.0):
+        rows = [({0: 2}, 1, "r"), ({0: 1.0}, rhs, "f")]
+        with pytest.raises(TypeError):
+            solve(echelon(LinearSystem(["a", "b"], rows=rows)))
+        system = LinearSystem(["a", "b"])
+        system.add_row({"a": 2}, 1, "r")
+        with pytest.raises(TypeError):
+            system.add_row({"a": 1.0}, rhs, "f")
+        assert system.rows == [({0: 2}, 1, "r")]
+    # solve reads an Echelon only; a system goes through echelon first
+    with pytest.raises(AttributeError):
+        solve(system)
+    assert solve(echelon(system)).as_dict() == {"a": Fraction(1, 2), "b": 0}
+
+
+def test_linear_system_refuses_repeated_variables():
+    # a repeated name would leave a column that no row can reach
+    with pytest.raises(ValueError, match="'a'"):
+        LinearSystem(["a", "a"])
+    with pytest.raises(ValueError):
+        LinearSystem([(1, 2), (3,), (1, 2)])
+
+
+def test_echelon_refuses_repeated_variables():
+    with pytest.raises(ValueError, match="'a'"):
+        Echelon(["a", "b", "a"])
+    ech = Echelon(["a", "b", "c"])
+    ech.add_row({"a": 1, "b": 1}, 2)
+    assert ech.dimension == 2 and ech.free_columns == [1, 2]
 
 
 def test_linear_solve_big_integer_coefficients():
@@ -331,7 +368,7 @@ def test_linear_solve_big_integer_coefficients():
     system = LinearSystem(variables=("a", "b"))
     system.add_row({"a": big, "b": 1}, big + 7, "r1")
     system.add_row({"a": 1, "b": big}, 7 * big + 1, "r2")
-    space = solve(system)
+    space = solve(echelon(system))
     assert space.dimension == 0
     values = space.as_dict()
     assert values["a"] * big + values["b"] == big + 7
@@ -447,10 +484,10 @@ def test_solve_matches_sympy(data):
     rank = a.rank()
     if a.row_join(b).rank() > rank:
         with pytest.raises(InconsistentSystemError) as exc:
-            solve(system)
+            solve(echelon(system))
         assert exc.value.provenance.startswith("row")
         return
-    space = solve(system)
+    space = solve(echelon(system))
     assert len(space.pivot_columns) == rank
     assert space.dimension == n - rank
     assert sorted(space.pivot_columns + space.free_columns) == list(range(n))
@@ -502,12 +539,6 @@ def sparse_systems(draw, max_vars=8, max_support=3, bound=6):
     return n, rows(draw(st.integers(0, 2 * n))), rows(draw(st.integers(0, 4)))
 
 
-def _space_fields(ech):
-    space = ech.space()
-    return (space.particular, space.nullspace, space.pivot_columns,
-            space.free_columns)
-
-
 def _dense_pivots(dense):
     """The reduced rows of a ``DenseEchelon`` as sparse pivot rows."""
     return {col: {c: v for c, v in enumerate(vec) if v}
@@ -557,7 +588,7 @@ def _check_against_dense(data):
         return
 
     def same_as_dense():
-        assert _space_fields(sparse) == _space_fields(dense)
+        assert solve(sparse) == dense.space()
         assert sparse.pivots == _dense_pivots(dense)
         assert {c: held for c, held in sparse._holders.items() if held} \
             == _holders_of(sparse.pivots, n)

@@ -104,3 +104,14 @@ def test_startup_prints_its_documented_keys_and_no_null():
     # the closed forms compile neither the walk nor the linear solver
     assert not set(loads["zeta D4 --m 1"]["noncross"]) & {
         "ncposet", "weyl", "exact"}
+
+
+def test_census_prints_its_documented_keys_and_one_walk_per_command():
+    report = run_harness("census")["census"]
+    assert stage_keys(report) == set(documented_keys("census"))
+    assert None not in tree_values(report)
+    # a process walks only its highest ambient and builds one root system
+    counts = {key: value["this"] for key, value in report.items()
+              if key.startswith(("walks_", "root_systems_"))}
+    assert len(counts) == 12
+    assert set(counts.values()) == {1}

@@ -66,8 +66,8 @@ The ``nc`` group: NC(W) enumeration and what reads it.
   chi* and the censuses, the D and E censuses then read again untimed,
   as the tables of ``verify e8`` read them before chi*;
 * ``full_table_D7_s``: every full-rank D7 value of a sub-diagram type by
-  ``count_bruteforce``, NC(D7) walked; cleared: the memo it keeps on
-  NC(D7);
+  ``count_bruteforce``, NC(D7) walked; cleared: the memo of
+  ``NcPoset.count`` on NC(D7);
 * ``build_ncm_D4_2_s``: ``direct.build_ncm("D4", 2)``, NC(D4) walked;
 * ``chi_D6_s``: ``characteristic_polynomial`` of D6; cleared: walks;
 * ``descent_table_s``: per D and E ambient, one uncached
@@ -434,7 +434,7 @@ def nc_stages(rec):
 
     d7 = ncposet.enumerate_nc("D7")
     rec.time("full_table_D7_s", lambda: brute_force_table("D7"),
-             before=lambda: d7.counts.clear())
+             before=lambda: d7._counts.clear())
     ncposet.enumerate_nc("D4")
     rec.time("build_ncm_D4_2_s", lambda: direct.build_ncm("D4", 2))
     rec.time("chi_D6_s",

@@ -8,8 +8,8 @@ tables are keyed by the canonical sorted tuple.
 
 Four routes are implemented:
 
-* ``count_bruteforce`` -- recursive descent over the enumerated poset
-  (the oracle the other routes are checked against);
+* ``count_bruteforce`` -- recursive descent over the enumerated poset,
+  ``NcPoset.count`` (the oracle the other routes are checked against);
 * ``count_typeA`` -- closed product formula for type A;
 * ``table_product`` -- the whole table of a product ambient from the
   tables of its two factors, in one pass over pairs of entries, each
@@ -91,63 +91,17 @@ def orderings(types):
 
 
 def count_bruteforce(name, types):
-    """Count factorizations by recursive descent over NC.
-
-    Works for any rank sum up to the ambient rank (rank-deficient tuples
-    simply leave part of the Coxeter element unused).  Tuples with rank
-    sum above the ambient rank return 0.  The first factor runs over the
-    c-orbits of its type (``NcPoset.records_of``).  At the top, each
-    orbit is descended from its head, weighted by its size (as in
-    ``NcPoset.pair_census``).  Below, at an element w, the member
-    c^j x c^{-j} of the orbit of a head x lies below w when x lies below
-    w_j = c^{-j} w c^j (``NcPoset.rotations``); conjugation by c keeps
-    the counts, so it is descended at comp(x) & w_j, conjugate to its
-    complement in w.  The key is canonicalized, and the descent is
-    memoized on (element mask, remaining suffix) in the walked poset's
-    ``counts``, which every call on one ambient shares; below the top,
-    the conjugates of an element also share the entry of the least mask
-    of their orbit, as their counts are equal.
+    """Count factorizations by recursive descent over the walked NC
+    (``NcPoset.count``), the key canonicalized first.  Works for any rank
+    sum up to the ambient rank (rank-deficient tuples simply leave part
+    of the Coxeter element unused); a larger rank sum returns 0.
     """
     from .ncposet import enumerate_nc
     poset = enumerate_nc(name)
     types = canonical_tuple(types)
     if tuple_rank(types) > poset.rs.n:
         return 0
-    memo, of_type, records_of = poset.counts, poset.types, poset.records_of
-    top = poset.records[0][0]
-
-    def descend(w, suffix):
-        if not suffix:
-            return 1
-        state = (w, suffix)
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        head, rest = suffix[0], suffix[1:]
-        total = 0
-        if not rest and head.rank == of_type[w].rank:
-            # full-rank last factor is forced
-            total = 1 if of_type[w] == head else 0
-        elif w == top:
-            # conjugation by c keeps factorizations and their types, so
-            # each c-orbit of the first factor is descended from its head
-            for _, size, _, _, comp in records_of(head):
-                total += size * descend(comp, rest)
-        else:
-            rotations = poset.rotations(w)
-            least = (min(rotations), suffix)
-            total = memo.get(least)
-            if total is None:
-                total = 0
-                for x, size, _, _, comp in records_of(head):
-                    for wj in rotations[:size]:
-                        if x & wj == x:
-                            total += descend(comp & wj, rest)
-                memo[least] = total
-        memo[state] = total
-        return total
-
-    return descend(top, types)
+    return poset.count(types)
 
 
 # ---------------------------------------------------------------------------

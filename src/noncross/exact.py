@@ -9,7 +9,7 @@ takes further rows at any time; a caller that orders its rows well (as
 ``linsys.generate_equations`` does, sparse rows by descending leading
 column, then the dense ones) saves work but gets the same echelon.  Only
 the entries ``solve`` reads off its rows become fractions.  Integer
-kernels (``int_kernel``) are read off an ``Echelon`` too.
+kernels are read off an ``Echelon`` one way (``_kernel``).
 """
 
 from __future__ import annotations
@@ -236,8 +236,8 @@ def echelon(system):
 def solve(ech):
     """The affine solution space of an Echelon (of a LinearSystem: ``solve(
     echelon(system))``), read off its rows: each pivot row gives its pivot
-    the particular value ``rhs / pivot`` and the entry ``-row[fc] / pivot``
-    in the nullspace vector of each free column fc."""
+    the particular value ``rhs / pivot``, and the nullspace vector of each
+    free column is its ``_kernel`` vector divided by its entry there."""
     nvars = len(ech.variables)
     pivots = ech.pivots
     pivot_cols = sorted(pivots)
@@ -246,32 +246,20 @@ def solve(ech):
     for col in pivot_cols:
         row = pivots[col]
         particular[col] = Fraction(row.get(nvars, 0), row[col])
-    nullspace = []
-    for fc in free_cols:
-        basis = [Fraction(0)] * nvars
-        basis[fc] = Fraction(1)
-        for col in ech._holders.get(fc, ()):
-            row = pivots[col]
-            basis[col] = Fraction(-row[fc], row[col])
-        nullspace.append(basis)
+    nullspace = [[Fraction(x, vec[fc]) for x in vec]
+                 for fc, vec in zip(free_cols, _kernel(ech))]
     return SolutionSpace(list(ech.variables), particular, nullspace,
                          pivot_cols, free_cols)
 
 
-def int_kernel(rows):
-    """Integer basis of the right kernel of an integer matrix (entries
-    read with ``operator.index``).
-
-    One vector per free column fc, in column order: the primitive integer
-    multiple, positive at fc, of the reduced-echelon kernel vector (1 at
-    fc, ``-row[fc] / row[pc]`` at the pivot pc of each row holding fc).
-    The pivot rows of an ``Echelon`` are positive at their pivots, so
-    scaling by the lcm of those pivots keeps it in integers.
-    """
-    n = len(rows[0]) if len(rows) else 0
-    ech = Echelon(range(n))
-    for r in rows:
-        ech.add_row(dict(enumerate(r)), 0)
+def _kernel(ech):
+    """The integer kernel of an Echelon's coefficient columns, one vector
+    per free column fc, in column order: the primitive integer multiple,
+    positive at fc, of the reduced-echelon kernel vector (1 at fc,
+    ``-row[fc] / row[pc]`` at the pivot pc of each row holding fc).  The
+    pivot rows are positive at their pivots, so scaling by the lcm of
+    those pivots keeps it in integers."""
+    n = len(ech.variables)
     pivots = ech.pivots
     basis = []
     for fc in ech.free_columns:
@@ -286,3 +274,12 @@ def int_kernel(rows):
         basis.append([x // g for x in vec])
     return basis
 
+
+def int_kernel(rows):
+    """Integer basis of the right kernel of an integer matrix (entries
+    read with ``operator.index``): the ``_kernel`` of the ``Echelon`` of
+    its rows, each with right-hand side 0."""
+    ech = Echelon(range(len(rows[0]) if len(rows) else 0))
+    for r in rows:
+        ech.add_row(dict(enumerate(r)), 0)
+    return _kernel(ech)

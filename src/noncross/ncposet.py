@@ -68,20 +68,21 @@ keeps reflection length, so each orbit lies inside one level, and
 orbit sizes divide the Coxeter number h, as c^h = 1; this is the cyclic
 action behind the cyclic sieving of NC(W).  The descent table is
 equivariant, rotate(zero[i]) = zero[pos[pi(order[i])]] (checked once
-per ambient), so the children of c u c^{-1} are the rotations of the
-children of u, and the complement of c u c^{-1} is c (u^{-1} c) c^{-1},
-the rotation of the complement of u.  Types are constant on an orbit,
-as the parabolic subgroup of c u c^{-1} is that of u conjugated by c.
-Enumeration therefore steps down, ANDs out the complement and
-classifies only from one head per orbit, and keeps each orbit as one
-record: its head, size, rank and type and the head's complement (the
-other members and their complements are rotations of these), with the
-type of every member's mask.  That is the only store of the poset: an
-element is its mask, and the direct oracles (``direct``: Moebius
-function, multichains, NC^m) and the cache text expand the records into
-masks (``NcPoset.members``).  On the reflections the orbits are the
-cycles of pi, and ``reflection_orbits`` types each orbit's t c, the
-complement of t, from one row of the descent table.
+per ambient, one block's ``MaskLayout.orbit`` at a time), so the
+children of c u c^{-1} are the rotations of the children of u, and the
+complement of c u c^{-1} is c (u^{-1} c) c^{-1}, the rotation of the
+complement of u.  Types are constant on an orbit, as the parabolic
+subgroup of c u c^{-1} is that of u conjugated by c.  Enumeration
+therefore steps down, ANDs out the complement and classifies only from
+one head per orbit, and keeps each orbit as one record: its head,
+size, rank and type and the head's complement (the other members and
+their complements are rotations of these), with the type of every
+member's mask.  That is the only store of the poset: an element is its
+mask, and the direct oracles (``direct``: Moebius function,
+multichains, NC^m) and the cache text expand the records into masks
+(``NcPoset.members``).  On the reflections the orbits are the cycles of
+pi, and ``reflection_orbits`` types each orbit's t c, the complement of
+t, from one row of the descent table.
 
 Censuses from intervals.  For q in NC of type S, the interval [1, q] is
 NC(W_S) with types kept (Brady-Watt), and the complement of u <= q in
@@ -93,11 +94,11 @@ orbit, lies below q exactly when x lies below q_j = c^{-j} q c^j, and
 then comp(u) & moved(q) is the rotation of comp(x) & moved(q_j), of
 the same type.  Each orbit is scanned from its head against the
 rotations of q, and so is the brute-force descent below the top
-(``decomp.count_bruteforce``).  The scan keeps the members it finds,
-per orbit, as the pool of [1, q]; an interval [1, q'] with q' <= q
-lies inside it, so its census is read off the pool alone.  One method
-reads every census, ``NcPoset.census(t)``, and keeps each on the poset
-with its pool.  At the top it counts per c-orbit (``pair_census``).
+(``NcPoset.count``).  The scan keeps the members it finds, per orbit,
+as the pool of [1, q]; an interval [1, q'] with q' <= q lies inside
+it, so its census is read off the pool alone.  One method reads every
+census, ``NcPoset.census(t)``, and keeps each on the poset with its
+pool.  At the top it counts per c-orbit (``pair_census``).
 Below it, the first call reads the D and E types largest first, and
 every type, A included, is read off the smallest interval already read
 that holds it: in NC(E8) only the E7 and D7 intervals scan the records,
@@ -141,7 +142,8 @@ class NcPoset:
     every element by its moved-root mask.  ``records_of`` lists the
     records of one type.  An element is its mask: ``members`` expands
     the records, ``ranked`` lists the masks by rank for the direct
-    oracles, and ``le`` is the order on masks.
+    oracles, and ``le`` is the order on masks.  Decomposition numbers
+    read the store only through ``census`` and ``count``, both memoized.
     """
 
     def __init__(self, rs, layout, records, types):
@@ -154,7 +156,7 @@ class NcPoset:
             self._by_type.setdefault(record[3], []).append(record)
         # the pool of [1, c] (``_scan``): every record, all its powers
         self._whole = records, [range(record[1]) for record in records]
-        self.counts = {}             # the memo of decomp.count_bruteforce
+        self._counts = {}            # the memo of count
         self._censuses = {}          # the memo of census: (census, pool)
 
     def __len__(self):
@@ -303,6 +305,56 @@ class NcPoset:
             counts[typ, types[comp]] += size
         return counts
 
+    def count(self, key):
+        """The decomposition number of a canonical key of rank sum at most
+        the ambient rank, by recursive descent.  The first factor runs
+        over the c-orbits of its type (``records_of``).  At the top, each
+        orbit is descended from its head, weighted by its size (as in
+        ``pair_census``).  Below, at an element w, the member c^j x c^{-j}
+        of the orbit of a head x lies below w when x lies below
+        w_j = c^{-j} w c^j (``rotations``); conjugation by c keeps the
+        counts, so it is descended at comp(x) & w_j, conjugate to its
+        complement in w.  The descent is memoized on (element mask,
+        remaining suffix) in ``_counts``, which every call shares; below
+        the top, the conjugates of an element also share the entry of the
+        least mask of their orbit, as their counts are equal.
+        """
+        memo, of_type, records_of = self._counts, self.types, self.records_of
+        top = self.records[0][0]
+
+        def descend(w, suffix):
+            if not suffix:
+                return 1
+            state = (w, suffix)
+            cached = memo.get(state)
+            if cached is not None:
+                return cached
+            head, rest = suffix[0], suffix[1:]
+            total = 0
+            if not rest and head.rank == of_type[w].rank:
+                # full-rank last factor is forced
+                total = 1 if of_type[w] == head else 0
+            elif w == top:
+                # conjugation by c keeps factorizations and their types, so
+                # each c-orbit of the first factor is descended from its head
+                for _, size, _, _, comp in records_of(head):
+                    total += size * descend(comp, rest)
+            else:
+                rotations = self.rotations(w)
+                least = (min(rotations), suffix)
+                total = memo.get(least)
+                if total is None:
+                    total = 0
+                    for x, size, _, _, comp in records_of(head):
+                        for wj in rotations[:size]:
+                            if x & wj == x:
+                                total += descend(comp & wj, rest)
+                    memo[least] = total
+            memo[state] = total
+            return total
+
+        return descend(top, key)
+
 
 class MaskLayout:
     """The layout of the moved-root masks of one ambient: bit i stands for
@@ -335,18 +387,11 @@ class MaskLayout:
         self._keep = ((1 << len(order)) - 1) ^ sum(lasts.values())
         self._wraps = tuple((last, size - 1) for size, last in lasts.items())
 
-    def conjugate(self, mask):
-        """The mask of c u c^{-1} from the mask of u: each block rotated
-        by one place, its last bit wrapping to its first."""
-        image = (mask & self._keep) << 1
-        for last, shift in self._wraps:
-            image |= (mask & last) >> shift
-        return image
-
     def orbit(self, mask):
         """The masks of the c-orbit of u from the mask of u: u, c u c^{-1},
-        c^2 u c^{-2} and so on, each the ``conjugate`` of the one before,
-        until it comes back to u; the rotation runs inline."""
+        c^2 u c^{-2} and so on until it comes back to u, each the one
+        before with every block rotated by one place, its last bit
+        wrapping to its first."""
         keep, wraps = self._keep, self._wraps
         found = [mask]
         image = mask
@@ -457,12 +502,14 @@ def enumerate_nc(name):
     rs = build_root_system(name)
     zero = _descent_masks(name)
     layout = mask_layout(name)
-    conjugate, orbit_of = layout.conjugate, layout.orbit
-    order, pos = layout.order, layout.pos
-    pi = coxeter_root_permutation(name)
-    for i, row in enumerate(zero):
-        if conjugate(row) != zero[pos[pi[order[i]]]]:
-            raise AssertionError("descent row %d is not c-equivariant" % i)
+    orbit_of, order = layout.orbit, layout.order
+    for first, size in layout.blocks:
+        # rotate(zero[i]) = zero[i + 1] along the block and the last row
+        # rotates to the first: the rows repeat the first row's orbit
+        found = orbit_of(zero[first])
+        if found * (size // len(found)) != list(zero[first:first + size]):
+            raise AssertionError("descent rows %d to %d are not "
+                                 "c-equivariant" % (first, first + size - 1))
     h = rs.coxeter_number
     top = (1 << len(zero)) - 1
     records, types = [], {}

@@ -179,6 +179,15 @@ def test_zero_power_of_a_bad_component_exits_2(capsys, argv, reason):
                             % (argv[-1], reason))
 
 
+@pytest.mark.parametrize("key, value", [("A1^0", 1), ("A1^0*D4,A4", 15),
+                                        ("D4,A4", 15)])
+def test_zero_power_of_a_good_component_is_the_empty_type(capsys, key, value):
+    # a component is checked first and then raised to its power, so A1^0
+    # is the empty type 0 and A1^0*D4 is D4
+    assert run(capsys, "decomp", "count", "E8", key) == (0, "%d\n" % value,
+                                                         "")
+
+
 @pytest.mark.parametrize("argv", [["chi", ""], ["chi", " "], ["zeta", ""],
                                   ["zeta", " "]])
 def test_blank_label_exits_2(capsys, argv):

@@ -47,7 +47,7 @@ def test_permutation_invariance():
 
 
 def test_bruteforce_memo_is_kept_on_the_walked_poset():
-    counts = enumerate_nc("E7").counts
+    counts = enumerate_nc("E7")._counts
     assert count_bruteforce("E7", "A1^3,A1^4".split(",")) == 9
     held = len(counts)
     assert held

@@ -427,6 +427,14 @@ def test_int_kernel_and_rank_match_sympy(rows):
     assert len(kernel) == len(rows[0]) - rank
     for vec in kernel:
         assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+    # solve's nullspace of the same rows is the kernel over the entries
+    # at the free columns
+    system = LinearSystem(range(len(rows[0])))
+    for row in rows:
+        system.add_row(dict(enumerate(row)), 0)
+    space = solve(echelon(system))
+    assert space.nullspace == [[Fraction(x, vec[fc]) for x in vec]
+                               for fc, vec in zip(space.free_columns, kernel)]
 
 
 def test_int_kernel_refuses_non_integer_entries():

@@ -1,4 +1,5 @@
-"""Import footprint of the CLI and the lazy package namespace.
+"""Import footprint of the CLI and the lazy package namespace, and the
+per-layer counts that perfbench's tracer records on a cold ``verify e8``.
 
 Each footprint check runs one fresh interpreter with ``-S`` (no site
 hooks, so nothing but the interpreter itself is loaded beforehand) and
@@ -224,3 +225,34 @@ def test_traced_names_resolve():
     for module, fn in tracer.TRACED:
         assert callable(getattr(importlib.import_module("noncross." + module),
                                 fn)), (module, fn)
+
+
+def test_traced_verify_e8_counts(tmp_path):
+    """A cold ``verify e8`` traced by perfbench/cli_child.py records the
+    same calls of each layer and the same counts as before: the walk
+    goes through one kernel pair, the tables through four brute-force
+    counts, and the E8 system through one replay and one solve."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    subprocess.run([sys.executable, os.path.join("perfbench", "cli_child.py"),
+                    "trace", "0", str(out), "verify", "e8", "--format",
+                    "json"], cwd=root, env=env, check=True,
+                   stdout=subprocess.DEVNULL, timeout=120)
+    trace = json.loads(out.read_text())
+    calls = {}
+    for name, *_ in trace["spans"]:
+        calls[name] = calls.get(name, 0) + 1
+    assert {name: calls.get(name) for name in (
+        "weyl.int_kernel", "exact.solve", "decomp.count_bruteforce",
+        "linsys.replay", "linsys.generate_equations")} == {
+        "weyl.int_kernel": 2, "exact.solve": 1,
+        "decomp.count_bruteforce": 4, "linsys.replay": 1,
+        "linsys.generate_equations": 1}
+    assert trace["counts"] == {
+        "linsys.rows.forbidden": 75, "linsys.rows.special": 27,
+        "linsys.rows.split": 688, "linsys.rows.zeta": 72,
+        "linsys.variables": 291, "linsys.dimension": 4,
+        "ncposet.elements": 25_080}
+    assert trace["maxima"] == {"exact.solve.rank": 291,
+                               "exact.solve.max_bits": 26}

@@ -299,8 +299,9 @@ def test_conjugation_orbits_stay_in_levels(name):
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
 def test_layout_rotation_is_conjugation_by_c(name):
     """The layout lays each cycle of pi out on consecutive bits, so the
-    rotation of the blocks is pi root by root on every element of NC,
-    carries complements along, and its h-th power is the identity."""
+    rotation of the blocks (``MaskLayout.orbit``) is pi root by root on
+    every element of NC, carries complements along, and closes up after
+    a number of steps dividing h."""
     rs = build_root_system(name)
     layout = mask_layout(name)
     pi = coxeter_root_permutation(name)
@@ -312,20 +313,19 @@ def test_layout_rotation_is_conjugation_by_c(name):
             succ = first + (j + 1) % size
             assert pi[layout.order[first + j]] == layout.order[succ]
     poset = enumerate_nc(name)
-    conjugate = layout.conjugate
     comps = {mask: comp for mask, _, _, comp in poset.members()}
     for mask, comp in comps.items():
-        image = conjugate(mask)
+        orbit = layout.orbit(mask)
+        assert rs.coxeter_number % len(orbit) == 0
+        image = orbit[1 % len(orbit)]
         assert image == _conjugate(name, mask)
-        assert comps[image] == conjugate(comp)
-        for _ in range(rs.coxeter_number - 1):
-            image = conjugate(image)
-        assert image == mask
+        assert comps[image] == _conjugate(name, comp)
+        assert _conjugate(name, orbit[-1]) == mask
 
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
 def test_orbits_are_conjugation_cycles_and_count_the_census(name):
-    """``MaskLayout.orbit`` is the cycle of ``conjugate``; the recorded
+    """``MaskLayout.orbit`` is the cycle of conjugation by c; the recorded
     orbits partition the poset, ``members`` lists each one from its
     head; and the census counted per orbit is the element scan, key
     order included."""
@@ -335,10 +335,10 @@ def test_orbits_are_conjugation_cycles_and_count_the_census(name):
     for head, size, _, typ, _ in poset.records:
         orbit = layout.orbit(head)
         cycle = [head]
-        image = layout.conjugate(head)
+        image = _conjugate(name, head)
         while image != head:
             cycle.append(image)
-            image = layout.conjugate(image)
+            image = _conjugate(name, image)
         assert orbit == cycle and len(orbit) == size
         assert all(poset.types[mask] is typ for mask in orbit)
         members += orbit
@@ -353,16 +353,23 @@ def test_orbits_are_conjugation_cycles_and_count_the_census(name):
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
 def test_tampered_descent_row_fails_the_walk(name, monkeypatch):
     """A descent table with one bit flipped is no longer c-equivariant,
-    and the walk refuses it before stepping down.  A1 has one root, a
+    and the walk refuses it before stepping down: in row 0, and in the
+    middle and the last row of the largest block, the last row being the
+    one that rotates back to the block's first.  A1 has one root, a
     cycle of size 1, so its one-row table is equivariant whatever it
     holds; its tampered walk fails the type-rank check instead."""
-    zero = list(_descent_masks(name))
-    zero[0] ^= 1 << (len(zero) - 1)
-    monkeypatch.setattr(ncposet, "_descent_masks", lambda _: tuple(zero))
-    size = mask_layout(name).blocks[0][1]
-    with pytest.raises(AssertionError,
-                       match="c-equivariant" if size > 1 else "type rank"):
-        enumerate_nc.__wrapped__(name)
+    blocks = mask_layout(name).blocks
+    first, size = max(blocks, key=lambda block: block[1])
+    for row, block_size in ((0, blocks[0][1]), (first + size // 2, size),
+                            (first + size - 1, size)):
+        zero = list(_descent_masks(name))
+        zero[row] ^= 1 << (len(zero) - 1)
+        monkeypatch.setattr(ncposet, "_descent_masks",
+                            lambda _, zero=tuple(zero): zero)
+        with pytest.raises(AssertionError,
+                           match=("c-equivariant" if block_size > 1
+                                  else "type rank")):
+            enumerate_nc.__wrapped__(name)
 
 
 def test_moebius_top_bottom_agree():

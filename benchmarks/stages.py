@@ -29,9 +29,11 @@ name that tree lacks) reads ``null`` and is named on stderr.
 A *cold* process is one ``python -m noncross.cli`` run, its stdout
 discarded, its peak RSS read through ``wait4``; a *probe* runs one
 snippet in a fresh ``python -S`` and reads the JSON line it prints.
-*Memos* are the reducible-type tables (``decomp.lower_table``,
-``product_table``, ``_matchings``, ``_joined``) and the zeta forms and
-rows (``closedform.zeta_forms``, ``zeta_rows``); *walks* are the walked
+*Memos* are the tables of ``decomp.full_table`` (the reducible types'
+tables and the closed-form A tables; the D and E tables stay in
+``census_table``'s cache), ``product_table``, ``_matchings``,
+``_joined`` and the zeta forms and rows (``closedform.zeta_forms``,
+``zeta_rows``); *walks* are the walked
 posets (``enumerate_nc``, ``ncposet._WALKED``) and the censuses kept on
 them (``NcPoset.census``), Moebius numbers
 (``closedform._mobius_number``), chi* values (with their cached
@@ -88,7 +90,9 @@ The ``census`` group: decomposition tables from pair censuses.
 
 * ``census_table_D7_s``, ``census_table_E7_s``, ``census_table_E8_s``,
   ``census_table_D8_s``: one uncached ``decomp.census_table``, the poset
-  walked and the lower tables built; cleared: memos;
+  walked and the lower D and E tables built; cleared: memos, so each
+  repeat also rebuilds the closed-form A tables it reads (about 1 ms
+  for A1-A7);
 * ``census_table_E8_cold_s``: ``census_table("E8")``, walking NC(E8);
   cleared: walks;
 * ``cold_decomp_count_D7_D4_A3_s``, ``cold_decomp_count_E7_A4_A3_s``,
@@ -108,14 +112,17 @@ The ``census`` group: decomposition tables from pair censuses.
 The ``linsys`` group, under ``E7``, ``E8`` and ``D8`` each, the poset
 walked and the lower tables built:
 
-* ``generate_equations_s``: equation generation; cleared: memos;
+* ``generate_equations_s``: equation generation; cleared: memos, so
+  each repeat also rebuilds the closed-form A tables (about 1 ms for
+  A1-A7);
 * ``elimination_s``: ``exact.echelon`` of the unpinned system, its rows
   in the order ``generate_equations`` emits them;
 * ``back_substitution_s``: ``exact.solve`` of that echelon;
 * ``relations_E7_s``, ``relations_E8_s``, ``relations_D8_s``: checking
   the published relations (``linsys.relation_rows``) with
   ``Echelon.implies`` on the unpinned echelon;
-* ``replay_s``: one uncached ``linsys.replay``; cleared: memos;
+* ``replay_s``: one uncached ``linsys.replay``; cleared: memos, the
+  closed-form A tables among them;
 * ``assemble_dual_s``: ``triangles.assemble_dual`` of the replayed
   table; cleared: chi* (``ncposet.characteristic_polynomial`` and the
   cache of its y-vectors ``ncposet.chi_vector``);
@@ -129,7 +136,8 @@ The ``families`` group: ``generate_equations("E8")`` split at the last
 row of each equation family, the lower irreducible tables built first.
 
 * ``cold``: the first call;
-* ``warm``: a further call; cleared: memos;
+* ``warm``: a further call; cleared: memos, the closed-form A tables
+  among them;
 * ``forbidden_special_s``: under each, from the call to the last special
   row;
 * ``split_s``: to the last split row;
@@ -342,7 +350,7 @@ def probe(code, *argv):
 
 def clear_memos():
     from noncross import closedform, decomp
-    for cached in (decomp.lower_table, decomp.product_table,
+    for cached in (decomp.full_table, decomp.product_table,
                    decomp._matchings, decomp._joined, closedform.zeta_forms,
                    closedform.zeta_rows):
         cached.cache_clear()

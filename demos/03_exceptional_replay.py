@@ -6,9 +6,10 @@ pins the two remaining degrees of freedom with two small brute-force
 counts, and prints the resulting full-rank table along with the
 classical arithmetic consistency checks.
 
-Running this for E8 works the same way (about half a minute) and yields
-the values N_E8(D4) = 325 and N_E8(D4, A4) = 15 that once required a
-very long direct computation.
+Running this for E8 works the same way (about 0.15 s for a cold
+``replay("E8")``, imports included, on a 2-core Xeon) and yields the
+values N_E8(D4) = 325 and N_E8(D4, A4) = 15 that once required a very
+long direct computation.
 """
 
 from noncross import replay

@@ -23,13 +23,11 @@ Four routes are implemented:
 
       N_W(T_1, ..., T_d) = sum_S N_W(S, T_d) * N_S(T_1, ..., T_{d-1}),
 
-  where N_W(S, T_d) is the pair census and N_S is the lower table of S
-  (``lower_table``: the ``product_table`` of the full tables of the
-  components of S, built once per type).
+  where N_W(S, T_d) is the pair census and N_S is the full table of S.
 
-``full_table`` builds the complete table for one ambient, once per
-process: the closed form for type A, the census for D and E; the CLI
-and the verify suites read it.
+``full_table`` is the one table of each type, built once per process
+and shared by every spelling of it; the CLI, the verify suites, the
+census and the split rows of the linear system read it.
 A table answers every lookup from one map: a canonical key it has
 answered before (0 included) is one ``dict.get``, and a rank-deficient
 key sums one extra factor over all types of the complementary rank.
@@ -428,19 +426,20 @@ def all_tuples_of_rank(total):
 
 @lru_cache(maxsize=None)
 def full_table(name):
-    """Complete full-rank table for one irreducible ambient, built once
-    per process and shared (not to be changed).
-
-    Type A takes the closed formula, D and E the census (both are
-    checked against brute force in the tests).  The linear system is
-    the paper's route, checked against this table by the replay suites.
-    A reducible or empty label is refused with ``ValueError``: its table
-    is the ``product_table`` of its components' tables.
+    """Complete full-rank table for any type, a label or its text, built
+    once per process and shared (not to be changed): every spelling is
+    answered by the table of the canonical text.  Irreducible type A
+    takes the closed formula, D and E the census (both checked against
+    brute force in the tests), a reducible type the ``product_table`` of
+    its components' tables, and 0 the table of N() = 1.  The linear
+    system is the paper's route, checked against these by the replays.
     """
     ambient = label(name)
+    if name != str(ambient):
+        return full_table(str(ambient))
     if not ambient.is_irreducible:
-        raise ValueError("full_table needs an irreducible ambient, got %s"
-                         % ambient)
+        return product_table(tuple(full_table(str(c))
+                                   for c in ambient.irreducibles()))
     n = ambient.rank
     if ambient.components[0][0] == "A":
         entries = {}
@@ -456,23 +455,26 @@ def full_table(name):
 
 @lru_cache(maxsize=None)
 def census_table(name):
-    """Complete full-rank table for one irreducible ambient, from its
-    pair census: N(T_1, ..., T_d) = sum over S of census[S, T_d] times
+    """Complete full-rank table for one irreducible ambient, a label or
+    its text, from its pair census (a label answered by the table of its
+    text): N(T_1, ..., T_d) = sum over S of census[S, T_d] times
     N_S(T_1, ..., T_{d-1}), with T_d the last (highest-sorting) entry of
     the canonical key.  Each census pair (S, T) walks the entries of
-    ``lower_table(S)`` whose last label sorts at or below T, so that T
+    ``full_table(S)`` whose last label sorts at or below T, so that T
     ends the key they make; a key no pair reaches vanishes.  The entries
     come out in ``all_tuples_of_rank`` order.  ``ncposet.census`` reads
     the census off an interval of a poset already walked, so the lower
     tables share the highest ambient's walk."""
     from .ncposet import census
     ambient = label(name)
+    if name != str(ambient):
+        return census_table(str(ambient))
     acc = {}
     for (prefix_type, last), count in census(ambient).items():
         if last.is_empty:
             continue
         bound = last._key
-        for prefix, value in lower_table(prefix_type).entries.items():
+        for prefix, value in full_table(prefix_type).entries.items():
             if not prefix or prefix[-1]._key <= bound:
                 key = prefix + (last,)
                 acc[key] = acc.get(key, 0) + count * value
@@ -483,16 +485,6 @@ def census_table(name):
 
 # the table of the empty ambient: N() = 1
 _EMPTY_TABLE = DecompositionTable(EMPTY_TYPE, {(): 1}, provenance="empty")
-
-
-@lru_cache(maxsize=None)
-def lower_table(t):
-    """The full-rank table of an ambient type T of lower rank, reducible
-    allowed: the ``product_table`` of the full tables of its
-    components, so the full table itself for an irreducible T and the
-    table of the empty type (N() = 1) for T = 0."""
-    return product_table(tuple(full_table(str(c))
-                               for c in t.irreducibles()))
 
 
 # ---------------------------------------------------------------------------

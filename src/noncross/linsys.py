@@ -41,7 +41,7 @@ from functools import lru_cache
 from .closedform import zeta_rows
 from .decomp import (DecompositionTable, all_labels_of_rank,
                      all_tuples_of_rank, canonical_tuple, count_bruteforce,
-                     lower_table, one_extra_factor, special_values,
+                     full_table, one_extra_factor, special_values,
                      tuple_rank)
 from .exact import LinearSystem, echelon, solve
 from .ncposet import enumerate_nc
@@ -184,7 +184,7 @@ def generate_equations(name):
     # tuple has the rank of each, so its counts are table entries
     for split_rank in range(1, n):
         labels = all_labels_of_rank(split_rank)
-        tables = [lower_table(t).entries for t in labels]
+        tables = [full_table(t).entries for t in labels]
         unprimed_names = _names(all_tuples_of_rank(n - split_rank))
         # unprimed tuple -> the variable it makes with each label
         joined = {unprimed: [canonical_tuple(unprimed + (t,)) for t in labels]
@@ -212,9 +212,11 @@ def generate_equations(name):
 
 
 def relation_rows(name):
-    """The published relations of one ambient as rows over its variables:
-    (description, coeffs, rhs) per entry of ``RELATIONS[name]``."""
-    n = label(name).rank
+    """The published relations of one ambient (a label or its text) as
+    rows over its variables: (description, coeffs, rhs) per entry of
+    ``RELATIONS`` under the ambient's text."""
+    ambient = label(name)
+    name, n = str(ambient), ambient.rank
     params = dict(zip("XYAB", PIN_TUPLES.get(name, ())))
     for desc, terms, rhs in RELATIONS.get(name, ()):
         coeffs = {}
@@ -249,10 +251,13 @@ def replay(name):
     """Solve the equation system for one ambient, check the published
     relations as consequences of it, pin the remaining freedom with
     brute-force oracle values, and check the published congruences on
-    the result.  An ambient with pins is enumerated first: the pins need
-    NC(name), and the lower tables of the split rows then read their
-    censuses off its intervals."""
+    the result; a label is answered by the report of its text.  An
+    ambient with pins is enumerated first: the pins need NC(name), and
+    the lower tables of the split rows then read their censuses off its
+    intervals."""
     ambient = label(name)
+    if name != str(ambient):
+        return replay(str(ambient))
     flags = []
     if name in PIN_TUPLES:
         enumerate_nc(name)

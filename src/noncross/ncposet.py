@@ -67,22 +67,22 @@ cycle's block of bits by one place, a few shifts of the whole mask.  It
 keeps reflection length, so each orbit lies inside one level, and
 orbit sizes divide the Coxeter number h, as c^h = 1; this is the cyclic
 action behind the cyclic sieving of NC(W).  The descent table is
-equivariant, rotate(zero[i]) = zero[pos[pi(order[i])]] (checked once
-per ambient, one block's ``MaskLayout.orbit`` at a time), so the
-children of c u c^{-1} are the rotations of the children of u, and the
-complement of c u c^{-1} is c (u^{-1} c) c^{-1}, the rotation of the
-complement of u.  Types are constant on an orbit, as the parabolic
-subgroup of c u c^{-1} is that of u conjugated by c.  Enumeration
-therefore steps down, ANDs out the complement and classifies only from
-one head per orbit, and keeps each orbit as one record: its head,
-size, rank and type and the head's complement (the other members and
-their complements are rotations of these), with the type of every
-member's mask.  That is the only store of the poset: an element is its
-mask, and the direct oracles (``direct``: Moebius function,
-multichains, NC^m) and the cache text expand the records into masks
-(``NcPoset.members``).  On the reflections the orbits are the cycles of
-pi, and ``reflection_orbits`` types each orbit's t c, the complement of
-t, from one row of the descent table.
+equivariant: along each block, rotate(zero[i]) = zero[i + 1] and the
+last row rotates to the first (checked once per ambient, one block's
+``MaskLayout.orbit`` at a time), so the children of c u c^{-1} are the
+rotations of the children of u, and the complement of c u c^{-1} is
+c (u^{-1} c) c^{-1}, the rotation of the complement of u.  Types are
+constant on an orbit, as the parabolic subgroup of c u c^{-1} is that of
+u conjugated by c.  Enumeration therefore steps down, ANDs out the
+complement and classifies only from one head per orbit, and keeps each
+orbit as one record: its head, size, rank and type and the head's
+complement (the other members and their complements are rotations of
+these), with the type of every member's mask.  That is the only store of
+the poset: an element is its mask, and the direct oracles (``direct``:
+Moebius function, multichains, NC^m) and the cache text expand the
+records into masks (``NcPoset.members``).  On the reflections the orbits
+are the cycles of pi, and ``reflection_orbits`` types each orbit's t c,
+the complement of t, from one row of the descent table.
 
 Censuses from intervals.  For q in NC of type S, the interval [1, q] is
 NC(W_S) with types kept (Brady-Watt), and the complement of u <= q in
@@ -361,10 +361,9 @@ class MaskLayout:
     the positive root ``order[i]``, and the roots of each cycle of pi
     (``weyl.coxeter_root_permutation``) take consecutive bits in the
     cycle's order, starting from its lowest root.  ``blocks`` holds the
-    (first bit, size) of each cycle, in the order of their lowest roots,
-    and ``pos`` inverts ``order``."""
+    (first bit, size) of each cycle, in the order of their lowest roots."""
 
-    __slots__ = ("order", "pos", "blocks", "_keep", "_wraps")
+    __slots__ = ("order", "blocks", "_keep", "_wraps")
 
     def __init__(self, pi):
         order, blocks = [], []
@@ -379,7 +378,6 @@ class MaskLayout:
             if len(order) > first:
                 blocks.append((first, len(order) - first))
         self.order = tuple(order)
-        self.pos = tuple(sorted(range(len(order)), key=order.__getitem__))
         self.blocks = tuple(blocks)
         lasts = {}                        # block size -> its last bits
         for first, size in blocks:
@@ -497,8 +495,10 @@ def enumerate_nc(name):
     every mask (``NcPoset``).  The descent table is checked to be
     c-equivariant, each head's type rank against its level, each orbit
     size to divide h, and the element count against the closed form
-    (two elements sharing a mask would collapse into one).
-    """
+    (two elements sharing a mask would collapse into one).  A label is
+    answered by the poset of its text."""
+    if str(name) != name:
+        return enumerate_nc(str(name))
     rs = build_root_system(name)
     zero = _descent_masks(name)
     layout = mask_layout(name)

@@ -1,7 +1,6 @@
 """Decomposition numbers: brute force, closed forms, product rule, tables."""
 
 import random
-import re
 from itertools import permutations
 
 import pytest
@@ -10,7 +9,7 @@ from noncross import decomp
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple,
                              census_table, count_bruteforce, count_product,
-                             count_typeA, full_table, lower_table, orderings,
+                             count_typeA, full_table, orderings,
                              product_table, special_values, table_product,
                              tuple_rank)
 from bruteforce_oracle import count_by_elements
@@ -306,7 +305,7 @@ def test_lower_count_of_reducible_type_matches_product_rule(ambient):
     t = label(ambient)
     factors = [DecompositionTable(c, reference_table(c))
                for c in map(str, t.irreducibles())]
-    table = lower_table(t)
+    table = full_table(t)
     for s in range(t.rank + 1):
         for key in all_tuples_of_rank(s):
             expected = _reference_product_value(factors, key)
@@ -323,7 +322,7 @@ def test_lower_count_of_reducible_type_matches_product_rule(ambient):
                                if not t.is_irreducible], ids=str)
 def test_lower_table_matches_product_rule(t):
     # every key of rank up to the type's, rank-deficient ones included
-    table = lower_table(t)
+    table = full_table(t)
     assert table.ambient is t
     assert all(tuple_rank(key) == t.rank and value
                for key, value in table.entries.items())
@@ -360,7 +359,7 @@ def test_table_product_does_not_depend_on_factor_order(ambient):
         assert table.ambient is tables[0].ambient
         assert table.entries == tables[0].entries
     # the empty ambient is the unit of the product
-    empty = lower_table(EMPTY_TYPE)
+    empty = full_table(EMPTY_TYPE)
     for table in tables[:1] + factors:
         for product in (table_product(empty, table),
                         table_product(table, empty)):
@@ -395,7 +394,7 @@ def test_product_table_is_keyed_by_tables_not_ambients():
         values.append(count_product(factors, key))
         assert values[-1] == _reference_product_value(factors, key), factors
     assert values[0] != values[1]
-    assert product_table(()) is lower_table(EMPTY_TYPE)
+    assert product_table(()) is full_table(EMPTY_TYPE)
     assert product_table(()).entries == {(): 1}
     assert product_table((a2,)) is a2
 
@@ -408,10 +407,22 @@ def test_census_table_keys_in_tuple_order(name):
 
 
 @pytest.mark.parametrize("name", ["A1*D4", "A2*A3"])
-def test_full_table_refuses_reducible_ambient(name):
-    # A1*D4 used to take the type-A branch and return the A5 table
-    with pytest.raises(ValueError, match=re.escape(name)):
-        full_table(name)
+def test_full_table_of_reducible_ambient_is_its_product(name):
+    # A1*D4 once took the type-A branch and returned the A5 table
+    table = full_table(name)
+    assert table.ambient is label(name)
+    assert table is full_table(label(name))
+    assert table.entries == product_table(tuple(
+        full_table(str(c)) for c in label(name).irreducibles())).entries
+
+
+@pytest.mark.parametrize("name", ["E7", "A1*D4", "0"])
+def test_full_table_is_one_table_per_type(name):
+    # every spelling of a type is answered by the table of its text
+    table = full_table(name)
+    assert full_table(label(name)) is table
+    assert full_table(" %s " % name) is table
+    assert table.ambient is label(name)
 
 
 def test_product_table_cache_is_bounded():
@@ -556,6 +567,6 @@ def test_tables_the_package_builds_keep_the_key_contract():
         _assert_key_contract(table)
     for rank in range(8):
         for t in all_labels_of_rank(rank):
-            _assert_key_contract(lower_table(t))
+            _assert_key_contract(full_table(t))
     for name in ("A4", "D4", "D5", "E6"):
         _assert_key_contract(replay(name).final_table)

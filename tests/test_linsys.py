@@ -8,10 +8,10 @@ from dense_echelon import DenseEchelon
 from relation_reader import read_relation
 from poly_oracle import _coeffs_mz, binomial_poly, zeta_shifted
 from product_oracle import _reference_product_value
-from noncross import decomp, linsys
+from noncross import decomp, linsys, ncposet
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple, full_table,
-                             lower_table, orderings, tuple_rank)
+                             orderings, tuple_rank)
 from noncross.exact import echelon, solve
 from noncross.cli import main
 from noncross.closedform import zeta_closed, zeta_forms
@@ -85,10 +85,10 @@ def test_D7_replay_dimension_relaxation():
 
 def test_lower_count_matches_bruteforce():
     from noncross.decomp import count_bruteforce
-    assert lower_table(label("A2")).lookup(L("A1", "A1")) == \
+    assert full_table(label("A2")).lookup(L("A1", "A1")) == \
         count_bruteforce("A2", L("A1", "A1"))
-    assert lower_table(label("A1*A2")).lookup(L("A1", "A2")) > 0
-    assert lower_table(label("0")).lookup(()) == 1
+    assert full_table(label("A1*A2")).lookup(L("A1", "A2")) > 0
+    assert full_table(label("0")).lookup(()) == 1
 
 
 def test_shared_lower_count_memo_matches_plain_product_rule():
@@ -96,9 +96,9 @@ def test_shared_lower_count_memo_matches_plain_product_rule():
     # read, against the key-by-key oracle; the table caches start empty
     # so that product types sharing trailing factors (A1*A3^2 and
     # A2*A3^2) meet in them
-    decomp.lower_table.cache_clear()
+    decomp.full_table.cache_clear()
     decomp.product_table.cache_clear()
-    assert decomp.lower_table.cache_info().currsize == 0
+    assert decomp.full_table.cache_info().currsize == 0
     pairs = 0
     for r in range(1, 8):
         for t in all_labels_of_rank(r):
@@ -106,11 +106,11 @@ def test_shared_lower_count_memo_matches_plain_product_rule():
                 continue
             factors = [full_table("%s%d" % comp) for comp in t.components]
             for key in all_tuples_of_rank(r):
-                assert lower_table(t).lookup(key) == \
+                assert full_table(t).lookup(key) == \
                     _reference_product_value(factors, key), (t, key)
                 pairs += 1
     assert pairs == 4046
-    assert decomp.lower_table.cache_info().currsize
+    assert decomp.full_table.cache_info().currsize
 
 
 def test_full_table_routes():
@@ -327,6 +327,24 @@ def test_relations_follow_from_the_unpinned_system(name):
         assert all(c for c in coeffs.values())
     checks = dict(replay(name).congruence_assertions)
     assert all(checks[desc] is True for desc, _, _ in rows)
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_label_ambient_is_answered_as_its_text(name):
+    # the pins, relations and point checks are keyed by text: a label
+    # once replayed E7 to dimension 2 and read no E8 relation, and
+    # walked its ambient a second time
+    ambient = label(name)
+    assert replay(ambient) is replay(name)
+    assert list(relation_rows(ambient)) == list(relation_rows(name))
+    assert len(list(relation_rows(ambient))) == len(RELATIONS[name])
+    assert replay(ambient).all_assertions_pass
+    assert ncposet.enumerate_nc(ambient) is ncposet.enumerate_nc(name)
+    assert decomp.census_table(ambient) is decomp.census_table(name)
+    key = canonical_tuple(PIN_TUPLES[name][0])
+    assert decomp.count_bruteforce(ambient, key) == \
+        replay(name).pinned_values[key]
+    assert all(isinstance(walked, str) for walked in ncposet._WALKED)
 
 
 def test_rank_deficient_keys_expand_by_one_factor():

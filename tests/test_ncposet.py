@@ -19,7 +19,7 @@ from poly_oracle import (characteristic_polynomial_by_census,
                          characteristic_polynomial_by_products,
                          ncm_cardinality_by_zeta, zeta_rows_by_polynomials,
                          zeta_shifted)
-from walk_oracle import eager_walk
+from walk_oracle import bit_positions, eager_walk
 from noncross import closedform, direct, ncposet, polynomial
 from noncross.cli import main
 from noncross.closedform import _mobius_number, zeta_closed, zeta_rows
@@ -87,7 +87,8 @@ def test_descent_masks_match_sympy_adjugate(name):
                      for v in vectors)
     layout = mask_layout(name)
     zero = _descent_masks(name)
-    assert tuple(sum(1 << b for b in _roots(layout, zero[layout.pos[a]]))
+    pos = bit_positions(layout)
+    assert tuple(sum(1 << b for b in _roots(layout, zero[pos[a]]))
                  for a in range(rs.num_positive_roots)) == expected
 
 
@@ -257,7 +258,8 @@ def _conjugate(name, mask):
     pi and the layout."""
     layout = mask_layout(name)
     pi = coxeter_root_permutation(name)
-    return sum(1 << layout.pos[pi[a]] for a in _roots(layout, mask))
+    pos = bit_positions(layout)
+    return sum(1 << pos[pi[a]] for a in _roots(layout, mask))
 
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
@@ -306,7 +308,7 @@ def test_layout_rotation_is_conjugation_by_c(name):
     layout = mask_layout(name)
     pi = coxeter_root_permutation(name)
     assert sorted(layout.order) == list(range(rs.num_positive_roots))
-    assert [layout.order[p] for p in layout.pos] == \
+    assert [layout.order[p] for p in bit_positions(layout)] == \
         list(range(rs.num_positive_roots))
     for first, size in layout.blocks:
         for j in range(size):

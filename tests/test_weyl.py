@@ -9,6 +9,7 @@ from noncross import weyl
 from matrix_oracle import (GroupElement, classify_parabolic_type,
                            coxeter_element, identity, le_absolute, reflection,
                            reflection_matrices)
+from walk_oracle import bit_positions
 from noncross.ncposet import (_descent_masks, enumerate_nc, mask_layout,
                               reflection_orbits)
 from noncross.rootsystem import SUPPORTED_AMBIENTS, build_root_system
@@ -192,9 +193,10 @@ def test_mask_typed_tc_matches_matrix_oracle(name):
     poset = enumerate_nc(name)
     c = coxeter_element(rs)
     comps = {mask: comp for mask, _, _, comp in poset.members()}
+    pos = bit_positions(layout)
     for b in range(rs.num_positive_roots):
-        row = zero[layout.pos[b]]
-        assert comps[1 << layout.pos[b]] == row
+        row = zero[pos[b]]
+        assert comps[1 << pos[b]] == row
         assert classify_moved_roots(rs, layout.roots(row)) == \
             classify_parabolic_type(rs, reflection(rs, b) * c)
 

@@ -6,7 +6,8 @@ package does, but builds one ``Element`` per element, with its
 complement mask rotated along its orbit, and fills ``elements``,
 ``levels``, ``by_type`` and ``orbits`` as it goes.  It registers nothing
 in the package's caches.  ``interval_scan`` is the element-by-element
-interval census; ``eager_walk`` keeps one walk per ambient.
+interval census; ``eager_walk`` keeps one walk per ambient, and
+``bit_positions`` inverts the mask layout's ``order``.
 """
 
 from collections import Counter, namedtuple
@@ -75,3 +76,10 @@ class EagerWalk:
 def eager_walk(name):
     """The ``EagerWalk`` of the named ambient, built once per process."""
     return EagerWalk(name)
+
+
+def bit_positions(layout):
+    """The mask bit of each positive root under a ``MaskLayout``: the
+    inverse of ``layout.order``."""
+    return tuple(sorted(range(len(layout.order)),
+                        key=layout.order.__getitem__))

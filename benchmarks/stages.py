@@ -33,26 +33,29 @@ snippet in a fresh ``python -S`` and reads the JSON line it prints.
 tables and the closed-form A tables; the D and E tables stay in
 ``census_table``'s cache), ``product_table``, ``_matchings``,
 ``_joined`` and the zeta forms and rows (``closedform.zeta_forms``,
-``zeta_rows``); *walks* are the walked
-posets (``enumerate_nc``, ``ncposet._WALKED``) and the censuses kept on
-them (``NcPoset.census``), Moebius numbers
-(``closedform._mobius_number``), chi* values (with their cached
-y-vectors) and census and full tables, with the memos.
+``zeta_rows``); *walks* are the walked posets (``enumerate_nc``,
+``ncposet._WALKED``, keyed by label) and the censuses kept on them
+(``NcPoset.census``), Moebius numbers (``closedform._mobius_number``),
+chi* values (with their cached y-vectors) and census and full tables,
+with the memos.  An *uncached* call of a function cached per type
+(``typelabel.per_type``) is its ``__wrapped__``: the same body past the
+cache, after one memoized ``label`` probe of its argument.
 
 The ``nc`` group: NC(W) enumeration and what reads it.
 
 * ``walk_classify_E8_s``, ``walk_classify_E7_s``, ``walk_classify_D8_s``:
-  one uncached ``enumerate_nc``, the walk with every element typed; the
-  diagram classifications (``weyl._classify_edges``) stay cached after
-  the first repeat, so these leave out most of what a cold process pays
-  to classify;
+  one uncached ``enumerate_nc`` (its ``__wrapped__``), the walk with
+  every element typed; the diagram classifications
+  (``weyl._classify_edges``) stay cached after the first repeat, so
+  these leave out most of what a cold process pays to classify;
 * ``classify_NC_E8_s``: ``weyl.classify_moved_roots`` on the moved set of
   every element of NC(E8), its masks read from ``NcPoset.types``;
 * ``classify_cold_E8_s``: classifying the distinct edge sets
   (``classify_cold_E8_sets`` of them) that one E8 walk classifies;
   cleared: ``weyl._classify_edges``;
 * ``classify_cold_E8_sets``;
-* ``subdiagram_types_E8_s``: one uncached ``subdiagram_types("E8")``;
+* ``subdiagram_types_E8_s``: one uncached ``subdiagram_types("E8")``
+  (its ``__wrapped__``);
 * ``pair_census_E8_s``: ``pair_census`` of NC(E8);
 * ``interval_census_E8_s``: the censuses of the 13 irreducible types
   below E8, each by ``NcPoset._scan`` below the head of the first
@@ -73,10 +76,11 @@ The ``nc`` group: NC(W) enumeration and what reads it.
 * ``build_ncm_D4_2_s``: ``direct.build_ncm("D4", 2)``, NC(D4) walked;
 * ``chi_D6_s``: ``characteristic_polynomial`` of D6; cleared: walks;
 * ``descent_table_s``: per D and E ambient, one uncached
-  ``ncposet._descent_masks``, the root system built;
+  ``ncposet._descent_masks`` (its ``__wrapped__``), the root system
+  built;
 * ``descent_tables_DE_s``: the sum of those medians;
 * ``root_tables_s``: per D and E ambient, one uncached
-  ``weyl._root_tables``, the root system built;
+  ``weyl._root_tables`` (its ``__wrapped__``), the root system built;
 * ``root_tables_DE_s``: the sum of those medians;
 * ``length_suite_s``: the checks of ``noncross verify length``;
 * ``poset_E8_mb``: the memory one walked NC(E8) holds (its orbit
@@ -89,10 +93,10 @@ The ``nc`` group: NC(W) enumeration and what reads it.
 The ``census`` group: decomposition tables from pair censuses.
 
 * ``census_table_D7_s``, ``census_table_E7_s``, ``census_table_E8_s``,
-  ``census_table_D8_s``: one uncached ``decomp.census_table``, the poset
-  walked and the lower D and E tables built; cleared: memos, so each
-  repeat also rebuilds the closed-form A tables it reads (about 1 ms
-  for A1-A7);
+  ``census_table_D8_s``: one uncached ``decomp.census_table`` (its
+  ``__wrapped__``), the poset walked and the lower D and E tables
+  built; cleared: memos, so each repeat also rebuilds the closed-form
+  A tables it reads (about 1 ms for A1-A7);
 * ``census_table_E8_cold_s``: ``census_table("E8")``, walking NC(E8);
   cleared: walks;
 * ``cold_decomp_count_D7_D4_A3_s``, ``cold_decomp_count_E7_A4_A3_s``,
@@ -121,8 +125,8 @@ walked and the lower tables built:
 * ``relations_E7_s``, ``relations_E8_s``, ``relations_D8_s``: checking
   the published relations (``linsys.relation_rows``) with
   ``Echelon.implies`` on the unpinned echelon;
-* ``replay_s``: one uncached ``linsys.replay``; cleared: memos, the
-  closed-form A tables among them;
+* ``replay_s``: one uncached ``linsys.replay`` (its ``__wrapped__``);
+  cleared: memos, the closed-form A tables among them;
 * ``assemble_dual_s``: ``triangles.assemble_dual`` of the replayed
   table; cleared: chi* (``ncposet.characteristic_polynomial`` and the
   cache of its y-vectors ``ncposet.chi_vector``);
@@ -161,8 +165,8 @@ duals.
 * ``zeta_identity_check:A7``, ``zeta_identity_check:D7``,
   ``zeta_identity_check:E7``: the zeta identity of the table;
 * ``zeta_forms:7``: ``closedform.zeta_forms(7)`` past its cache;
-* ``zeta_rows:E7``: ``closedform.zeta_rows("E7")`` past its cache, the
-  forms warm;
+* ``zeta_rows:E7``: one uncached ``closedform.zeta_rows("E7")`` (its
+  ``__wrapped__``), the forms warm;
 * ``shifted_zeta_vectors:all``: ``closedform._shifted_zeta_vector`` of the
   100 type labels of rank 1 to 8; cleared: those vectors and
   ``rootsystem.degrees``;
@@ -428,7 +432,7 @@ def nc_stages(rec):
 
     # as in ``verify e8``, NC(E8) is the only poset walked
     ncposet._WALKED.clear()
-    ncposet._WALKED["E8"] = poset
+    ncposet._WALKED[label("E8")] = poset
     rec.time("chi_star_below_E8_s",
              lambda: [ncposet.characteristic_polynomial(typ)
                       for typ in below],

@@ -18,7 +18,7 @@ from math import factorial, gcd, lcm
 from . import polynomial
 from .polynomial import Z as _Z, M as _M
 from .rootsystem import degree_pairs
-from .typelabel import ResourceGuardError, label
+from .typelabel import ResourceGuardError, per_type
 
 # The largest ranks whose zeta polynomial is computed (a larger type
 # raises ResourceGuardError); the cost grows about as rank^2.3, rank^3
@@ -47,7 +47,7 @@ def _mobius_number(t):
     return value
 
 
-@lru_cache(maxsize=None)
+@per_type
 def zeta_closed(t, m=1):
     """Closed-form zeta polynomial of NC^m of the given type, in z.
 
@@ -58,7 +58,6 @@ def zeta_closed(t, m=1):
     be changed.  Raises ``ResourceGuardError`` above rank
     ``MAX_ZETA_RANK``, or ``MAX_SYMBOLIC_ZETA_RANK`` for symbolic m.
     """
-    t = label(t)
     if m == "m":
         _guard_rank(t, MAX_SYMBOLIC_ZETA_RANK, "symbolic zeta polynomial")
     else:
@@ -194,7 +193,7 @@ def zeta_forms(n):
                       lambda tup, s: (1, one_extra_factor(tup, n)))
 
 
-@lru_cache(maxsize=None)
+@per_type
 def zeta_rows(t):
     """The closed-form zeta polynomial of NC^m of type t (a label or its
     text) less 1 against its expansion, ``zeta_forms``, in m and z.
@@ -204,7 +203,6 @@ def zeta_rows(t):
     ``zeta_forms`` ({} if none) and ``rhs`` the closed form's coefficient
     times ``den``, the forms' denominator, an int (else AssertionError).
     The cached rows are shared and not to be changed."""
-    t = label(t)
     forms, den = zeta_forms(t.rank)
     closed, closed_den = (zeta_closed(t, m="m") - 1).numerators()
     rows = []

@@ -26,8 +26,9 @@ Four routes are implemented:
   where N_W(S, T_d) is the pair census and N_S is the full table of S.
 
 ``full_table`` is the one table of each type, built once per process
-and shared by every spelling of it; the CLI, the verify suites, the
-census and the split rows of the linear system read it.
+and cached on its label, so every spelling of the type shares it; the
+CLI, the verify suites, the census and the split rows of the linear
+system read it.
 A table answers every lookup from one map: a canonical key it has
 answered before (0 included) is one ``dict.get``, and a rank-deficient
 key sums one extra factor over all types of the complementary rank.
@@ -45,7 +46,7 @@ from math import comb, factorial, prod
 from operator import attrgetter
 
 from .rootsystem import build_root_system, single_node_deletions
-from .typelabel import TypeLabel, label, EMPTY_TYPE
+from .typelabel import TypeLabel, label, per_type, EMPTY_TYPE
 
 # the order of TypeLabel.__lt__, compared without calling it
 _SORT_KEY = attrgetter("_key")
@@ -424,22 +425,18 @@ def all_tuples_of_rank(total):
                  _multisets([(t.rank, t) for t in pool], total))
 
 
-@lru_cache(maxsize=None)
-def full_table(name):
-    """Complete full-rank table for any type, a label or its text, built
-    once per process and shared (not to be changed): every spelling is
-    answered by the table of the canonical text.  Irreducible type A
-    takes the closed formula, D and E the census (both checked against
-    brute force in the tests), a reducible type the ``product_table`` of
-    its components' tables, and 0 the table of N() = 1.  The linear
-    system is the paper's route, checked against these by the replays.
+@per_type
+def full_table(ambient):
+    """Complete full-rank table for any type, built once per label and
+    shared (not to be changed) by every spelling of it.  Irreducible
+    type A takes the closed formula, D and E the census (both checked
+    against brute force in the tests), a reducible type the
+    ``product_table`` of its components' tables, and 0 the table of
+    N() = 1.  The linear system is the paper's route, checked against
+    these by the replays.
     """
-    ambient = label(name)
-    if name != str(ambient):
-        return full_table(str(ambient))
     if not ambient.is_irreducible:
-        return product_table(tuple(full_table(str(c))
-                                   for c in ambient.irreducibles()))
+        return product_table(tuple(map(full_table, ambient.irreducibles())))
     n = ambient.rank
     if ambient.components[0][0] == "A":
         entries = {}
@@ -450,25 +447,22 @@ def full_table(name):
             if value:
                 entries[key] = value
         return DecompositionTable(ambient, entries, provenance="typeA-closed-form")
-    return census_table(name)
+    return census_table(ambient)
 
 
-@lru_cache(maxsize=None)
-def census_table(name):
-    """Complete full-rank table for one irreducible ambient, a label or
-    its text, from its pair census (a label answered by the table of its
-    text): N(T_1, ..., T_d) = sum over S of census[S, T_d] times
-    N_S(T_1, ..., T_{d-1}), with T_d the last (highest-sorting) entry of
-    the canonical key.  Each census pair (S, T) walks the entries of
-    ``full_table(S)`` whose last label sorts at or below T, so that T
-    ends the key they make; a key no pair reaches vanishes.  The entries
-    come out in ``all_tuples_of_rank`` order.  ``ncposet.census`` reads
-    the census off an interval of a poset already walked, so the lower
-    tables share the highest ambient's walk."""
+@per_type
+def census_table(ambient):
+    """Complete full-rank table for one irreducible ambient, built once
+    per label, from its pair census: N(T_1, ..., T_d) = sum over S of
+    census[S, T_d] times N_S(T_1, ..., T_{d-1}), with T_d the last
+    (highest-sorting) entry of the canonical key.  Each census pair
+    (S, T) walks the entries of ``full_table(S)`` whose last label sorts
+    at or below T, so that T ends the key they make; a key no pair
+    reaches vanishes.  The entries come out in ``all_tuples_of_rank``
+    order.  ``ncposet.census`` reads the census off an interval of a
+    poset already walked, so the lower tables share the highest
+    ambient's walk."""
     from .ncposet import census
-    ambient = label(name)
-    if name != str(ambient):
-        return census_table(str(ambient))
     acc = {}
     for (prefix_type, last), count in census(ambient).items():
         if last.is_empty:

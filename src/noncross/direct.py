@@ -13,7 +13,7 @@ from operator import itemgetter
 
 from .ncposet import enumerate_nc, ncm_cardinality
 from .polynomial import SparsePolynomial
-from .typelabel import ResourceGuardError, label
+from .typelabel import ResourceGuardError
 
 # the largest posets ``mobius`` and ``build_ncm`` build
 MAX_MOBIUS_SIZE = 10_000
@@ -130,7 +130,7 @@ def build_ncm(name, m):
     if m < 1:
         raise ValueError("m must be >= 1")
     poset = enumerate_nc(name)
-    expected = ncm_cardinality(label(name), m)
+    expected = ncm_cardinality(name, m)
     if expected > MAX_NCM_SIZE:
         raise ResourceGuardError("|NC^m| = %d exceeds guard %d"
                                  % (expected, MAX_NCM_SIZE))

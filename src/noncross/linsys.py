@@ -36,8 +36,6 @@ at the pinned point alone are checked on the pinned solution.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .closedform import zeta_rows
 from .decomp import (DecompositionTable, all_labels_of_rank,
                      all_tuples_of_rank, canonical_tuple, count_bruteforce,
@@ -46,7 +44,7 @@ from .decomp import (DecompositionTable, all_labels_of_rank,
 from .exact import LinearSystem, echelon, solve
 from .ncposet import enumerate_nc
 from .rootsystem import subdiagram_types
-from .typelabel import label
+from .typelabel import label, per_type
 
 # the tuples whose brute-force values pin the freedom of the
 # under-determined ambients, one count per free parameter
@@ -246,26 +244,24 @@ def check_system_against_table(system, table):
                           for i, c in row.items())]
 
 
-@lru_cache(maxsize=None)
-def replay(name):
+@per_type
+def replay(ambient):
     """Solve the equation system for one ambient, check the published
     relations as consequences of it, pin the remaining freedom with
     brute-force oracle values, and check the published congruences on
-    the result; a label is answered by the report of its text.  An
-    ambient with pins is enumerated first: the pins need NC(name), and
-    the lower tables of the split rows then read their censuses off its
-    intervals."""
-    ambient = label(name)
-    if name != str(ambient):
-        return replay(str(ambient))
+    the result; one report per label, the pins, relations and expected
+    dimension read under its text.  An ambient with pins is enumerated
+    first: the pins need NC(ambient), and the lower tables of the split
+    rows then read their censuses off its intervals."""
+    name = str(ambient)
     flags = []
     if name in PIN_TUPLES:
-        enumerate_nc(name)
-    system = generate_equations(name)
+        enumerate_nc(ambient)
+    system = generate_equations(ambient)
     ech = echelon(system)
     dimension = ech.dimension
     relations = [(desc, ech.implies(coeffs, rhs))
-                 for desc, coeffs, rhs in relation_rows(name)]
+                 for desc, coeffs, rhs in relation_rows(ambient)]
 
     expected = EXPECTED_DIMENSION.get(name, 0)
     if dimension > expected:
@@ -279,7 +275,7 @@ def replay(name):
         flags.append("dimension %d below the reported %d "
                      "(extra independent relations)" % (dimension, expected))
 
-    pins = {key: count_bruteforce(name, key) for key in map(
+    pins = {key: count_bruteforce(ambient, key) for key in map(
         canonical_tuple, PIN_TUPLES.get(name, ())[:dimension])}
     for key, value in pins.items():        # inconsistency -> pins outside
         ech.add_row({key: 1}, value, "oracle-pin:%s" % ",".join(map(str, key)))

@@ -119,7 +119,7 @@ from operator import attrgetter, itemgetter
 from .exact import int_kernel
 from .rootsystem import (SUPPORTED_AMBIENTS, build_root_system, degree_pairs,
                          degrees)
-from .typelabel import label
+from .typelabel import label, per_type
 from .weyl import (_matmul, _minus_eye, bipartite_coxeter,
                    classify_moved_roots, coxeter_root_permutation)
 
@@ -409,13 +409,13 @@ class MaskLayout:
                       if mask >> i & 1)
 
 
-@lru_cache(maxsize=None)
+@per_type
 def mask_layout(name):
     """The ``MaskLayout`` of the named ambient."""
     return MaskLayout(coxeter_root_permutation(name))
 
 
-@lru_cache(maxsize=None)
+@per_type
 def _descent_masks(name):
     """The rows zero[i] of the zero pattern of Z[a, b] = b^T C (c - I)^{-1} a,
     in exact integers, for a = the root of bit i, each a mask over the
@@ -464,9 +464,8 @@ def reflection_orbits(rs):
     t_b c moves the roots of the row of b in the descent table.  Orbit
     sizes are checked to be h or h/2.
     """
-    name = str(rs.typ)
-    zero = _descent_masks(name)
-    layout = mask_layout(name)
+    zero = _descent_masks(rs.typ)
+    layout = mask_layout(rs.typ)
     h = rs.coxeter_number
     orbits = []
     for first, size in layout.blocks:
@@ -483,7 +482,7 @@ def reflection_orbits(rs):
     return orbits
 
 
-@lru_cache(maxsize=None)
+@per_type
 def enumerate_nc(name):
     """Enumerate and type the poset NC for the named ambient.
 
@@ -495,10 +494,7 @@ def enumerate_nc(name):
     every mask (``NcPoset``).  The descent table is checked to be
     c-equivariant, each head's type rank against its level, each orbit
     size to divide h, and the element count against the closed form
-    (two elements sharing a mask would collapse into one).  A label is
-    answered by the poset of its text."""
-    if str(name) != name:
-        return enumerate_nc(str(name))
+    (two elements sharing a mask would collapse into one)."""
     rs = build_root_system(name)
     zero = _descent_masks(name)
     layout = mask_layout(name)
@@ -542,7 +538,7 @@ def enumerate_nc(name):
             records.append((head, len(orbit), rank, typ, comp))
             types.update(dict.fromkeys(orbit, typ))
         orbits = below
-    expected = ncm_cardinality(label(name), 1)
+    expected = ncm_cardinality(name, 1)
     if len(types) != expected:
         raise AssertionError("NC(%s) has %d elements, expected %d"
                              % (name, len(types), expected))
@@ -551,7 +547,7 @@ def enumerate_nc(name):
     return poset
 
 
-# the posets enumerate_nc has built in this process, by ambient name
+# the posets enumerate_nc has built in this process, by ambient label
 _WALKED = {}
 
 
@@ -566,7 +562,7 @@ def census(t):
         raise ValueError("a census needs an irreducible type, not %r"
                          % str(t))
     walked = [poset for poset in _WALKED.values() if poset.records_of(t)]
-    poset = min(walked, key=len) if walked else enumerate_nc(str(t))
+    poset = min(walked, key=len) if walked else enumerate_nc(t)
     return dict(poset.census(t))
 
 
@@ -587,7 +583,7 @@ def ncm_cardinality(t, m):
 # characteristic polynomials
 
 
-@lru_cache(maxsize=None)
+@per_type
 def characteristic_polynomial(t):
     """chi* of NC of any type (a label or its text).  The cached
     polynomials are shared and not to be changed.
@@ -605,7 +601,6 @@ def characteristic_polynomial(t):
     """
     from .closedform import _convolve, _guard_rank, _mobius_number
     from .polynomial import SparsePolynomial
-    t = label(t)
     _guard_rank(t, MAX_CHI_RANK, "chi*")
     if t.is_irreducible:
         n = t.rank

@@ -16,11 +16,10 @@ Moebius number.  They read the degree table (``degrees``,
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from math import prod
 
-from .typelabel import TypeLabel, label
+from .typelabel import TypeLabel, per_type
 
 SUPPORTED_AMBIENTS = (
     "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
@@ -135,7 +134,7 @@ class RootSystem:
     bipartition : tuple        (block_a, block_b) node 2-coloring
     degrees : tuple            fundamental degrees, ascending
 
-    Equal and hashed by ``typ``.
+    ``build_root_system`` makes one per type, so identity is equality.
     """
 
     __slots__ = ("typ", "n", "cartan", "positive_roots", "edges",
@@ -165,12 +164,6 @@ class RootSystem:
     @property
     def num_positive_roots(self):
         return len(self.positive_roots)
-
-    def __hash__(self):
-        return hash(self.typ)
-
-    def __eq__(self, other):
-        return isinstance(other, RootSystem) and self.typ == other.typ
 
 
 def _positive_roots(cartan, n):
@@ -219,18 +212,20 @@ def _bipartition(n, edges):
     return (block_a, block_b)
 
 
-@lru_cache(maxsize=None)
-def degrees(name):
-    """The fundamental degrees of an ambient such as ``"E8"`` (a label or
-    its text), ascending; the largest is the Coxeter number h.
+@per_type
+def degrees(t):
+    """The fundamental degrees of an ambient such as ``"E8"``, ascending;
+    the largest is the Coxeter number h.
 
-    Raises ``ValueError`` for labels outside the supported ambient set.
+    Raises ``ValueError`` for text that is no type label and for labels
+    outside the supported ambient set, naming the canonical label
+    (``degrees("D2")`` names ``A1^2``).
     """
-    name = str(name)
-    if name not in SUPPORTED_AMBIENTS:
+    if str(t) not in SUPPORTED_AMBIENTS:
         raise ValueError("unsupported ambient type %r (supported: %s)"
-                         % (name, ", ".join(SUPPORTED_AMBIENTS)))
-    return tuple(sorted(_DEGREES[name[0]](int(name[1:]))))
+                         % (str(t), ", ".join(SUPPORTED_AMBIENTS)))
+    family, n = t.components[0]
+    return tuple(sorted(_DEGREES[family](n)))
 
 
 def degree_pairs(t):
@@ -238,20 +233,19 @@ def degree_pairs(t):
     label t, h the component's Coxeter number: the factors of the
     closed-form products over degrees."""
     for comp in t.irreducibles():
-        degs = degrees(str(comp))
+        degs = degrees(comp)
         for d in degs:
             yield degs[-1], d
 
 
-@lru_cache(maxsize=None)
-def build_root_system(name):
+@per_type
+def build_root_system(t):
     """Build the root system for an ambient label such as ``"E8"``.
 
     Raises ``ValueError`` for labels outside the supported ambient set.
     """
-    name = str(name)
-    degs = degrees(name)
-    family, n = name[0], int(name[1:])
+    degs = degrees(t)
+    family, n = t.components[0]
     edges = tuple(_edges(family, n))
     cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for a, b in edges:
@@ -259,17 +253,17 @@ def build_root_system(name):
     cartan = tuple(map(tuple, cartan))
     positives = _positive_roots(cartan, n)
     rs = RootSystem(
-        typ=label(name), n=n, cartan=cartan, positive_roots=positives,
+        typ=t, n=n, cartan=cartan, positive_roots=positives,
         edges=edges, bipartition=_bipartition(n, edges), degrees=degs,
     )
     h = rs.coxeter_number
     if len(positives) != n * h // 2:
         raise AssertionError("positive root count %d != n*h/2 for %s"
-                             % (len(positives), name))
+                             % (len(positives), t))
     return rs
 
 
-@lru_cache(maxsize=None)
+@per_type
 def subdiagram_types(name):
     """All type labels realized by induced subdiagrams of the ambient.
 

@@ -160,7 +160,7 @@ def zeta_identity_check(name, table):
     read off the integer rows of ``closedform.zeta_rows``: right side less
     the form at the entries, over the forms' denominator, per power of m
     and z.  Zero when the table is consistent."""
-    rows, den = zeta_rows(label(name))
+    rows, den = zeta_rows(name)
     entries = table.entries
     return SparsePolynomial({
         (0, 0, j, i): _ratio(rhs - sum(c * entries.get(var, 0)

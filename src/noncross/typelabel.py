@@ -17,7 +17,7 @@ code without importing the layers.
 from __future__ import annotations
 
 import re
-from functools import lru_cache, total_ordering
+from functools import lru_cache, total_ordering, wraps
 
 _COMPONENT_RE = re.compile(r"^([ADE])(\d+)(?:\^(\d+))?$")
 
@@ -189,3 +189,21 @@ def label(text):
     memoized (labels are interned and immutable); text that does not
     parse raises ``ValueError`` on every call."""
     return text if isinstance(text, TypeLabel) else TypeLabel.parse(text)
+
+
+def per_type(fn):
+    """Cache ``fn`` on the label of its first argument: every spelling of
+    a type (a label, its text, padded text, a synonym such as ``D3``) is
+    one call and one cache entry, and ``fn`` receives the label.  Keeps
+    ``cache_info`` and ``cache_clear``; ``__wrapped__`` is ``fn`` past
+    the cache, its first argument coerced the same way."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def keyed(t, *args, **kwargs):
+        return cached(label(t), *args, **kwargs)
+
+    keyed.cache_info, keyed.cache_clear = cached.cache_info, cached.cache_clear
+    keyed.__wrapped__ = lambda t, *args, **kwargs: fn(label(t), *args,
+                                                      **kwargs)
+    return keyed

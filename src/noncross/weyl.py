@@ -22,6 +22,7 @@ from functools import lru_cache
 
 from .exact import int_kernel
 from .rootsystem import build_root_system, classify_edge_list
+from .typelabel import per_type
 
 MAX_GROUP_ORDER = 200_000          # the guard of enumerate_group
 
@@ -43,7 +44,7 @@ def _minus_eye(mat):
             for i, row in enumerate(mat)]
 
 
-@lru_cache(maxsize=None)
+@per_type
 def _reflection_data(name):
     """The positive roots and their reflection matrices for an ambient:
     t_r = I - r p^T, with p the Cartan pairing row of the root r."""
@@ -73,7 +74,7 @@ def bipartite_coxeter(rs):
     return result
 
 
-@lru_cache(maxsize=None)
+@per_type
 def coxeter_root_permutation(name):
     """The permutation pi of the positive-root indices by the bipartite
     Coxeter element c: pi[b] is the index of the positive one of c.b and
@@ -90,7 +91,7 @@ def coxeter_root_permutation(name):
     return pi
 
 
-@lru_cache(maxsize=None)
+@per_type
 def _root_tables(name):
     """Root partners and linked roots of an ambient.
 
@@ -140,7 +141,7 @@ def classify_moved_roots(rs, moved):
     root_k and root_a lie in the subspace, so does root_k - root_a, so
     root_k is such a sum exactly when one of its partners is a member.
     """
-    partners, linked = _root_tables(str(rs.typ))
+    partners, linked = _root_tables(rs.typ)
     inside = sum(1 << a for a in moved)
     simples = [k for k in moved if not partners[k] & inside]
     edges = tuple((i, j) for i, a in enumerate(simples)
@@ -159,7 +160,7 @@ def enumerate_group(rs):
     if rs.group_order > MAX_GROUP_ORDER:
         raise ValueError("group order %d exceeds guard %d"
                          % (rs.group_order, MAX_GROUP_ORDER))
-    _, mats = _reflection_data(str(rs.typ))
+    _, mats = _reflection_data(rs.typ)
     eye = _eye(rs.n)
     dist = {eye: 0}
     frontier = [eye]

@@ -1,5 +1,6 @@
 """Decomposition numbers: brute force, closed forms, product rule, tables."""
 
+import importlib
 import random
 from itertools import permutations
 
@@ -416,13 +417,35 @@ def test_full_table_of_reducible_ambient_is_its_product(name):
         full_table(str(c)) for c in label(name).irreducibles())).entries
 
 
-@pytest.mark.parametrize("name", ["E7", "A1*D4", "0"])
-def test_full_table_is_one_table_per_type(name):
-    # every spelling of a type is answered by the table of its text
-    table = full_table(name)
-    assert full_table(label(name)) is table
-    assert full_table(" %s " % name) is table
-    assert table.ambient is label(name)
+# every function cached per type (``typelabel.per_type``), with a small
+# type it answers besides A3
+PER_TYPE = {
+    "rootsystem.degrees": "E6", "rootsystem.build_root_system": "D4",
+    "rootsystem.subdiagram_types": "E6", "weyl._reflection_data": "D4",
+    "weyl.coxeter_root_permutation": "E6", "weyl._root_tables": "D4",
+    "ncposet.mask_layout": "E6", "ncposet._descent_masks": "D4",
+    "ncposet.enumerate_nc": "E6", "ncposet.characteristic_polynomial": "D4",
+    "closedform.zeta_closed": "E6", "closedform.zeta_rows": "D4",
+    "decomp.full_table": "E6", "decomp.census_table": "D4",
+    "linsys.replay": "D4",
+}
+
+
+@pytest.mark.parametrize("fn, name", [
+    (fn, name) for fn, small in PER_TYPE.items() for name in ("A3", small)
+] + [("decomp.full_table", name) for name in ("E7", "A1*D4", "0")])
+def test_per_type_function_is_one_value_per_type(fn, name):
+    # the text, the label, padded text and, for A3, its synonym D3 are one
+    # call: one object, held in one cache entry
+    module, attr = fn.split(".")
+    fn = getattr(importlib.import_module("noncross." + module), attr)
+    value = fn(name)
+    size = fn.cache_info().currsize
+    for spelling in [label(name), " %s " % name] + ["D3"] * (name == "A3"):
+        assert fn(spelling) is value, spelling
+    assert fn.cache_info().currsize == size
+    if attr == "full_table":
+        assert value.ambient is label(name)
 
 
 def test_product_table_cache_is_bounded():

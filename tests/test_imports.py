@@ -256,3 +256,31 @@ def test_traced_verify_e8_counts(tmp_path):
         "ncposet.elements": 25_080}
     assert trace["maxima"] == {"exact.solve.rank": 291,
                                "exact.solve.max_bits": 26}
+
+
+# a traced call made with a label, in a fresh process: ``install`` rebinds
+# the module globals; prints the spans of the walk and the elements counted
+TRACED_LABEL = r"""
+import sys
+sys.path.insert(0, sys.argv[1])
+import tracer as tracing
+from noncross import ncposet
+from noncross.typelabel import label
+tracer = tracing.Tracer()
+tracing.install(tracer)
+ncposet.enumerate_nc(label("D5"))
+print(sum(span[0] == "ncposet.enumerate_nc" for span in tracer.spans),
+      tracer.counts["ncposet.elements"])
+"""
+
+
+def test_traced_label_call_counts_its_work_once():
+    """A label is one call of a per-type function: the tracer records one
+    walk of NC(D5) and its 182 elements, not a second pass through a
+    text re-entry."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    child = subprocess.run([sys.executable, "-c", TRACED_LABEL,
+                            os.path.join(root, "perfbench")],
+                           env=dict(os.environ, PYTHONPATH=SRC),
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == "1 182\n"

@@ -21,7 +21,7 @@ from noncross.linsys import (EXPECTED_DIMENSION, PIN_TUPLES, RELATIONS,
                              row_family)
 from noncross.polynomial import ZERO, poly
 from noncross.refdata import reference_table
-from noncross.typelabel import label
+from noncross.typelabel import TypeLabel, label
 
 
 def L(*names):
@@ -344,7 +344,7 @@ def test_label_ambient_is_answered_as_its_text(name):
     key = canonical_tuple(PIN_TUPLES[name][0])
     assert decomp.count_bruteforce(ambient, key) == \
         replay(name).pinned_values[key]
-    assert all(isinstance(walked, str) for walked in ncposet._WALKED)
+    assert all(isinstance(walked, TypeLabel) for walked in ncposet._WALKED)
 
 
 def test_rank_deficient_keys_expand_by_one_factor():

@@ -164,9 +164,12 @@ duals.
 * ``reciprocity_check:E7``, ``reciprocity_check:E8``: the m -> -m check;
 * ``zeta_identity_check:A7``, ``zeta_identity_check:D7``,
   ``zeta_identity_check:E7``: the zeta identity of the table;
-* ``zeta_forms:7``: ``closedform.zeta_forms(7)`` past its cache;
-* ``zeta_rows:E7``: one uncached ``closedform.zeta_rows("E7")`` (its
-  ``__wrapped__``), the forms warm;
+* ``zeta_forms:7``, ``zeta_forms:8``: ``closedform.zeta_forms(7)`` and
+  ``zeta_forms(8)`` past their cache;
+* ``zeta_rows:E7``, ``zeta_rows:E8``: one uncached
+  ``closedform.zeta_rows`` (its ``__wrapped__``), the forms warm;
+  cleared: ``closedform.zeta_closed``, so that rows read off the
+  symbolic closed form pay for it as a session does once;
 * ``shifted_zeta_vectors:all``: ``closedform._shifted_zeta_vector`` of the
   100 type labels of rank 1 to 8; cleared: those vectors and
   ``rootsystem.degrees``;
@@ -604,8 +607,13 @@ def algebra_stages(rec):
     for name in ("A7", "D7", "E7"):
         rec.time("zeta_identity_check:" + name,
                  lambda: triangles.zeta_identity_check(name, tables[name]))
-    rec.time("zeta_forms:7", lambda: closedform.zeta_forms.__wrapped__(7))
-    rec.time("zeta_rows:E7", lambda: closedform.zeta_rows.__wrapped__("E7"))
+    for n, name in ((7, "E7"), (8, "E8")):
+        rec.time("zeta_forms:%d" % n,
+                 lambda: closedform.zeta_forms.__wrapped__(n))
+        closedform.zeta_forms(n)
+        rec.time("zeta_rows:" + name,
+                 lambda: closedform.zeta_rows.__wrapped__(name),
+                 before=closedform.zeta_closed.cache_clear)
     labels = [typ for rank in range(1, 9)
               for typ in decomp.all_labels_of_rank(rank)]
 

@@ -5,15 +5,16 @@ None walks NC, so this module loads no ``ncposet`` and no ``weyl``.
 
 One zeta identity.  ``zeta_rows`` compares the closed-form zeta
 polynomial of NC^m with its decomposition-number expansion in integers,
-for the zeta rows of ``linsys`` and ``triangles.zeta_identity_check``.
+per binom(m, k) z^j (the row space of a comparison per m^k z^j), for the
+zeta rows of ``linsys`` and ``triangles.zeta_identity_check``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, gcd, lcm
+from functools import lru_cache, reduce
+from math import gcd, lcm, prod
 
 from . import polynomial
 from .polynomial import Z as _Z, M as _M
@@ -82,21 +83,6 @@ def _convolve(a, b):
     return out
 
 
-@lru_cache(maxsize=None)
-def _scaled_binomials(n):
-    """The coefficients of n! binom(m, k) in m, lowest power first, for
-    k = 0..n: integers, n!/k! times the falling factorial m (m-1) ...
-    (m-k+1), built one factor at a time.  The cached lists are shared
-    and not to be changed."""
-    n_factorial = factorial(n)
-    binomials, falling = [], [1]
-    for k in range(n + 1):
-        binomials.append([c * (n_factorial // factorial(k))
-                          for c in falling])
-        falling = _convolve(falling, [-k, 1])
-    return binomials
-
-
 def tuple_sums(n, factor, weigh):
     """The one sum over decomposition tuples, behind ``zeta_forms`` and
     ``triangles.assemble_dual``: over the nonempty canonical tuples T of
@@ -104,11 +90,11 @@ def tuple_sums(n, factor, weigh):
     with (w, keys) = ``weigh(T, s)``, added to each key.  ``factor(t)``
     is an integer vector in one variable v, lowest power first, over a
     denominator; none is asked for on account of a tuple of weight 0.
-    In integers: a tuple's product is one convolution from its prefix's,
-    the products are summed per key and length k, and n! binom(m, k)
-    enters once per key and length.  Returns (sums, den): ``sums`` maps
-    (power of m, power of v) to {key: nonzero int}, all over ``den``, n!
-    times the lcm of the products' denominators."""
+    In integers, per binom(m, k) v^j: a tuple's product is one
+    convolution from its prefix's, summed per key and length k.  Returns
+    (sums, den): ``sums`` maps (k, power of v) to {key: nonzero int}, the
+    coefficients of binom(m, k) v^j, all over ``den``, the lcm of the
+    products' denominators."""
     from .decomp import all_tuples_of_rank, orderings
     products, dens = {(): [1]}, {(): 1}   # per tuple, memoized
     weights, spread = {}, {}
@@ -135,21 +121,13 @@ def tuple_sums(n, factor, weigh):
             acc = by_key[key][len(tup)]
             for j, c in enumerate(vec):
                 acc[j] += scale * c
-    binomials = _scaled_binomials(n)
     sums = defaultdict(dict)
     for key, by_length in by_key.items():
-        rows = defaultdict(zero.copy)     # power of m -> vector
         for k, acc in by_length.items():
-            for i, b in enumerate(binomials[k]):
-                if b:
-                    row = rows[i]
-                    for j, c in enumerate(acc):
-                        row[j] += b * c
-        for i, row in rows.items():
-            for j, c in enumerate(row):
+            for j, c in enumerate(acc):
                 if c:
-                    sums[i, j][key] = c
-    return dict(sums), factorial(n) * common
+                    sums[k, j][key] = c
+    return dict(sums), common
 
 
 @lru_cache(maxsize=None)
@@ -186,8 +164,9 @@ def zeta_forms(n):
     a rank-deficient tuple's number is the sum over the full-rank tuples
     it extends by one factor (``one_extra_factor``), so its term adds
     to each of them.  Returns (forms, den), the ``tuple_sums``: ``forms``
-    maps (power of m, power of z) to {full-rank tuple: nonzero int}, all
-    over ``den``; the cached maps are shared and not to be changed."""
+    maps (k, power of z) to {full-rank tuple of k or k + 1 factors:
+    nonzero int}, the coefficients of binom(m, k) z^j, all over ``den``;
+    the cached maps are shared and not to be changed."""
     from .decomp import one_extra_factor
     return tuple_sums(n, _shifted_zeta_vector,
                       lambda tup, s: (1, one_extra_factor(tup, n)))
@@ -196,20 +175,32 @@ def zeta_forms(n):
 @per_type
 def zeta_rows(t):
     """The closed-form zeta polynomial of NC^m of type t (a label or its
-    text) less 1 against its expansion, ``zeta_forms``, in m and z.
+    text) less 1 against its expansion, ``zeta_forms``, per binom(m, k) z^j.
 
-    Returns (rows, den): one ((i, j), form, rhs) per power m^i z^j where
-    either side is nonzero, in order of i, then j; ``form`` is the map of
+    Returns (rows, den): one ((k, j), form, rhs) per binom(m, k) z^j where
+    either side is nonzero, in order of k, then j; ``form`` is the map of
     ``zeta_forms`` ({} if none) and ``rhs`` the closed form's coefficient
-    times ``den``, the forms' denominator, an int (else AssertionError).
-    The cached rows are shared and not to be changed."""
-    forms, den = zeta_forms(t.rank)
-    closed, closed_den = (zeta_closed(t, m="m") - 1).numerators()
+    times ``den``, the forms' denominator, an int (else AssertionError):
+    the k-th forward difference at m = 0 of the closed form at m = 0..n,
+    the products of the vectors (d - mh, mh) over ``degree_pairs``, over
+    prod d (at k = 0, where no form is, the closed form less 1 is 0).  The
+    cached rows are shared and not to be changed."""
+    n = t.rank
+    forms, den = zeta_forms(n)
+    pairs = list(degree_pairs(t))
+    closed_den = prod(d for _, d in pairs)
+    values = [reduce(_convolve, ([d - m * h, m * h] for h, d in pairs), [1])
+              for m in range(n + 1)]
     rows = []
-    for i, j in sorted(forms.keys() | {(i, j) for _, _, j, i in closed}):
-        rhs, rest = divmod(closed.get((0, 0, j, i), 0) * den, closed_den)
-        if rest:
-            raise AssertionError("non-integral zeta row m^%d z^%d of %s"
-                                 % (i, j, t))
-        rows.append(((i, j), forms.get((i, j), {}), rhs))
+    for k in range(1, n + 1):
+        values = [[b - a for a, b in zip(u, v)]
+                  for u, v in zip(values, values[1:])]
+        for j, c in enumerate(values[0]):
+            rhs, rest = divmod(c * den, closed_den)
+            if rest:
+                raise AssertionError("non-integral zeta row binom(m,%d) "
+                                     "z^%d of %s" % (k, j, t))
+            form = forms.get((k, j), {})
+            if form or rhs:
+                rows.append(((k, j), form, rhs))
     return rows, den

@@ -14,7 +14,6 @@ kernels are read off an ``Echelon`` one way (``_kernel``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 
@@ -238,6 +237,7 @@ def solve(ech):
     echelon(system))``), read off its rows: each pivot row gives its pivot
     the particular value ``rhs / pivot``, and the nullspace vector of each
     free column is its ``_kernel`` vector divided by its entry there."""
+    from fractions import Fraction   # only here: the walk and lookups skip it
     nvars = len(ech.variables)
     pivots = ech.pivots
     pivot_cols = sorted(pivots)

@@ -6,8 +6,8 @@ equation families:
 
 * splitting relations that express a mixed tuple through the tables of
   lower-rank ambients;
-* coefficient comparison, in both m and z, between the closed-form zeta
-  polynomial of NC^m and its decomposition-number expansion;
+* coefficient comparison, per binom(m, k) z^j, between the closed-form
+  zeta polynomial of NC^m and its decomposition-number expansion;
 * the directly-known special values (the ambient itself, the reflection
   count, the maximal-chain count, and the corank-1 two-factor values);
 * zero equations for tuples containing a type that is not realizable as
@@ -201,11 +201,11 @@ def generate_equations(name):
                                % (unprimed_name, primed_name))
 
     # sparse rows by descending leading column, then the dense zeta rows:
-    # coefficient comparison in m and z between the closed-form zeta
-    # polynomial of NC^m and its decomposition-number expansion
+    # coefficients of binom(m, k) z^j in the closed-form zeta polynomial
+    # of NC^m and in its decomposition-number expansion
     system.rows.sort(key=_leading_column, reverse=True)
-    for (i, j), form, rhs in zeta_rows(ambient)[0]:
-        system.add_row(form, rhs, "zeta:m^%d z^%d" % (i, j))
+    for (k, j), form, rhs in zeta_rows(ambient)[0]:
+        system.add_row(form, rhs, "zeta:binom(m,%d) z^%d" % (k, j))
     return system
 
 

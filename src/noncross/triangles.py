@@ -9,7 +9,8 @@ the transform producing F-triangle candidates, and the m -> -m
 reciprocity checks.
 
 The dual triangle is assembled in integers by ``closedform.tuple_sums``,
-the one sum over decomposition tuples that also builds the zeta forms.
+the one sum over decomposition tuples that also builds the zeta forms;
+its binom(m, k), and the zeta check's, become powers of m in one place.
 
 The checks multiply few whole polynomials.  A triangle is put at a
 numeric m by ``polynomial``'s one evaluator: ``MTriangle.at`` is
@@ -27,17 +28,17 @@ integer map.  The coefficientwise F-reciprocity is read off the same
 expansion as the two-variable one, one scatter pass over the nonzero
 coefficients of F^(-m), with no sum over every (k, l, r, s).
 The zeta check dots the table's entries with the integer rows of
-``closedform.zeta_rows``, the rows ``linsys`` puts in its system, and builds
-no Fraction and no polynomial difference.
+``closedform.zeta_rows``, the rows ``linsys`` puts in its system, and
+expands only the nonzero residuals in m.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from . import polynomial
-from .closedform import tuple_sums, zeta_rows
+from .closedform import _convolve, tuple_sums, zeta_rows
 from .polynomial import SparsePolynomial, _ratio
 from .typelabel import label
 
@@ -117,6 +118,23 @@ def _expand(terms, n):
             for i in range(len(out) - 1, -1, -1) if out[i]}
 
 
+def _in_powers_of_m(terms, n, den):
+    """The polynomial sum of c/den x^a y^b z^j binom(m, k) over
+    ``terms``, a map (a, b, j, k) -> int with k <= n, in powers of m:
+    c n!/k! times each coefficient of m (m-1) ... (m-k+1), over n! den."""
+    scale, out, falling = factorial(n), {}, [[1]]
+    for r in range(n):
+        falling.append(_convolve(falling[-1], [-r, 1]))
+    for (a, b, j, k), c in terms.items():
+        c *= scale // factorial(k)
+        row = out.setdefault((a, b, j), [0] * (n + 1))
+        for i, f in enumerate(falling[k]):
+            row[i] += c * f
+    return SparsePolynomial({(a, b, j, i): _ratio(c, den * scale)
+                             for (a, b, j), row in out.items()
+                             for i, c in enumerate(row) if c})
+
+
 def assemble_dual(name, table):
     """Assemble the dual M-triangle from a decomposition-number table:
     over the multisets T of nonempty types of rank s <= n, the sum of
@@ -131,11 +149,11 @@ def assemble_dual(name, table):
     ranks = [(s,) for s in range(ambient.rank + 1)]    # keys, shared
     sums, den = tuple_sums(ambient.rank, chi_vector,
                            lambda tup, s: (table.lookup(tup), ranks[s]))
-    terms = {(0, 0, 0, 0): 1}
-    for (i, j), by_rank in sums.items():
-        for s, c in by_rank.items():
-            terms[s, j, 0, i] = _ratio(c, den)
-    return MTriangle.from_dual(ambient, SparsePolynomial(terms))
+    terms = {(s, j, 0, k): c for (k, j), by_rank in sums.items()
+             for s, c in by_rank.items()}
+    terms[0, 0, 0, 0] = den
+    return MTriangle.from_dual(ambient,
+                               _in_powers_of_m(terms, ambient.rank, den))
 
 
 def mtriangle_direct(ncm):
@@ -157,15 +175,16 @@ def mtriangle_direct(ncm):
 def zeta_identity_check(name, table):
     """Difference between the closed-form zeta polynomial of NC^m and 1
     plus its decomposition-number expansion at the entries of ``table``,
-    read off the integer rows of ``closedform.zeta_rows``: right side less
-    the form at the entries, over the forms' denominator, per power of m
-    and z.  Zero when the table is consistent."""
+    per power of m and z: the nonzero residuals of the integer rows of
+    ``closedform.zeta_rows`` (right side less the form at the entries),
+    over the forms' denominator, in powers of m.  Zero when the table is
+    consistent."""
     rows, den = zeta_rows(name)
     entries = table.entries
-    return SparsePolynomial({
-        (0, 0, j, i): _ratio(rhs - sum(c * entries.get(var, 0)
-                                       for var, c in form.items()), den)
-        for (i, j), form, rhs in rows})
+    residuals = {(0, 0, j, k): rest for (k, j), form, rhs in rows
+                 if (rest := rhs - sum(c * entries.get(var, 0)
+                                       for var, c in form.items()))}
+    return _in_powers_of_m(residuals, label(name).rank, den)
 
 
 class FTriangleCandidate:

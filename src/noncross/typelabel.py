@@ -194,13 +194,18 @@ def label(text):
 def per_type(fn):
     """Cache ``fn`` on the label of its first argument: every spelling of
     a type (a label, its text, padded text, a synonym such as ``D3``) is
-    one call and one cache entry, and ``fn`` receives the label.  Keeps
+    one call and one cache entry, and ``fn`` receives the label; the
+    others, each with a default, are keyed by value however passed.  Keeps
     ``cache_info`` and ``cache_clear``; ``__wrapped__`` is ``fn`` past
     the cache, its first argument coerced the same way."""
     cached = lru_cache(maxsize=None)(fn)
+    names = fn.__code__.co_varnames[1:fn.__code__.co_argcount]
+    defaults = dict(zip(names[::-1], (fn.__defaults__ or ())[::-1]))
 
     @wraps(fn)
     def keyed(t, *args, **kwargs):
+        for name in names[len(args):]:
+            args += (kwargs.pop(name, defaults[name]),)
         return cached(label(t), *args, **kwargs)
 
     keyed.cache_info, keyed.cache_clear = cached.cache_info, cached.cache_clear

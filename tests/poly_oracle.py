@@ -39,10 +39,11 @@ components'.
 ``ncm_cardinality_by_zeta`` is |NC^m| as the package first computed it,
 the closed-form zeta polynomial at z = 2.
 
-``zeta_rows_by_polynomials`` is ``closedform.zeta_rows`` as ``linsys``
-first built it: the coefficients in m and z of the closed-form zeta
-polynomial less 1, a Fraction polynomial difference, times the forms'
-denominator.
+``zeta_rows_by_polynomials`` is ``closedform.zeta_rows`` in powers of
+m, as ``linsys`` first built it: the coefficients in m and z of the
+closed-form zeta polynomial less 1, a Fraction polynomial difference,
+times the forms' denominator.  ``in_powers_of_m`` maps rows in the basis
+binom(m, k) z^j, as the package builds them, to those in powers m^i z^j.
 """
 
 from fractions import Fraction
@@ -178,18 +179,44 @@ def ncm_cardinality_by_zeta(t, m):
     return int(value)
 
 
+def in_powers_of_m(rows, den, n):
+    """Rows ((k, j), form, rhs) in the basis binom(m, k) z^j over ``den``,
+    k <= n, as the rows ((i, j), form, rhs) in powers m^i z^j over n! den
+    where either side is nonzero, in order of i, then j: each row spreads
+    over the coefficients of n! ``binomial_poly(k)``, integers."""
+    scale = factorial(n)
+    forms, rhs = {}, {}
+    for (k, j), form, value in rows:
+        for (_, _, _, i), b in binomial_poly(k).terms.items():
+            b = int(b * scale)
+            summed = forms.setdefault((i, j), {})
+            for var, c in form.items():
+                summed[var] = summed.get(var, 0) + b * c
+            rhs[i, j] = rhs.get((i, j), 0) + b * value
+    out = []
+    for key in sorted(forms.keys() | rhs.keys()):
+        form = {var: c for var, c in forms.get(key, {}).items() if c}
+        if form or rhs.get(key, 0):
+            out.append((key, form, rhs.get(key, 0)))
+    return out, den * scale
+
+
 def zeta_rows_by_polynomials(t):
-    """``closedform.zeta_rows``, the right sides read off the polynomial
+    """``closedform.zeta_rows`` in powers of m: the forms of ``zeta_forms``
+    mapped by ``in_powers_of_m``, the right sides read off the polynomial
     closed form less 1 and multiplied by the forms' denominator."""
     ambient = label(t)
     n = ambient.rank
-    forms, den = zeta_forms(n)
+    binomial_forms, den = zeta_forms(n)
+    rows, den = in_powers_of_m([(kj, form, 0) for kj, form
+                                in binomial_forms.items()], den, n)
+    forms = {ij: form for ij, form, _ in rows}
     lhs = _coeffs_mz(zeta_closed(ambient, m="m") - poly(1))
     rows = []
     for i in range(n + 1):
         for j in range(n + 1):
             form = forms.get((i, j), {})
-            rhs = lhs.get((i, j), 0) * den
+            rhs = _coeff(lhs.get((i, j), 0) * den)
             if form or rhs:
                 rows.append(((i, j), form, rhs))
     return rows, den

@@ -372,13 +372,13 @@ def test_failed_replay_exits_1_with_one_line(capsys, monkeypatch):
 
 def test_inconsistent_replay_exits_1_naming_the_row(capsys, monkeypatch):
     def inconsistent(system):
-        raise exact.InconsistentSystemError("zeta:m^1 z^2")
+        raise exact.InconsistentSystemError("zeta:binom(m,1) z^2")
     monkeypatch.setattr(linsys, "echelon", inconsistent)
     monkeypatch.setattr(linsys, "replay", linsys.replay.__wrapped__)
     code, out, err = run(capsys, "linsys", "replay", "E6")
     assert (code, out) == (1, "")
     assert err == ("error: linsys replay E6: inconsistent linear system "
-                   "(row: zeta:m^1 z^2)\n")
+                   "(row: zeta:binom(m,1) z^2)\n")
 
 
 def test_linsys_replay_internal_check_exits_1_with_one_line(capsys,
@@ -412,13 +412,13 @@ def test_verify_failed_replay_exits_1_with_one_line(capsys, monkeypatch):
 def test_verify_inconsistent_replay_exits_1_naming_the_row(capsys,
                                                            monkeypatch):
     def inconsistent(system):
-        raise exact.InconsistentSystemError("zeta:m^1 z^2")
+        raise exact.InconsistentSystemError("zeta:binom(m,1) z^2")
     monkeypatch.setattr(linsys, "echelon", inconsistent)
     monkeypatch.setattr(linsys, "replay", linsys.replay.__wrapped__)
     code, out, err = run(capsys, "verify", "e6")
     assert (code, out) == (1, "")
     assert err == ("error: verify e6: inconsistent linear system "
-                   "(row: zeta:m^1 z^2)\n")
+                   "(row: zeta:binom(m,1) z^2)\n")
 
 
 def test_verify_internal_check_exits_1_with_one_line(capsys, monkeypatch):

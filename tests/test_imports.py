@@ -168,6 +168,14 @@ def test_type_a_lookups_load_no_fractions(argv):
     assert not loaded_by(argv) & {"fractions", "decimal"}
 
 
+@pytest.mark.parametrize("argv", [["nc", "enumerate", "D5"],
+                                  ["decomp", "count", "E7", "A4,A3"],
+                                  ["decomp", "count", "E8", "D4,A4"]])
+def test_walk_and_census_lookups_load_no_fractions(argv):
+    # ``exact`` imports Fraction only when ``solve`` reads a solution out
+    assert not loaded_by(argv) & {"fractions", "decimal"}
+
+
 @pytest.mark.parametrize("argv", [["decomp", "table", "D4"],
                                   ["mtriangle", "A3", "--dual"],
                                   ["ftriangle", "D4", "--format", "json"]])

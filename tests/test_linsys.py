@@ -1,20 +1,22 @@
 """Linear-system derivation of the decomposition tables."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from dense_echelon import DenseEchelon
 from relation_reader import read_relation
-from poly_oracle import _coeffs_mz, binomial_poly, zeta_shifted
+from poly_oracle import (_coeffs_mz, binomial_poly, in_powers_of_m,
+                         zeta_rows_by_polynomials, zeta_shifted)
 from product_oracle import _reference_product_value
 from noncross import decomp, linsys, ncposet
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              all_tuples_of_rank, canonical_tuple, full_table,
                              orderings, tuple_rank)
-from noncross.exact import echelon, solve
+from noncross.exact import LinearSystem, echelon, solve
 from noncross.cli import main
-from noncross.closedform import zeta_closed, zeta_forms
+from noncross.closedform import zeta_closed, zeta_forms, zeta_rows
 from noncross.linsys import (EXPECTED_DIMENSION, PIN_TUPLES, RELATIONS,
                              ROW_FAMILIES, check_system_against_table,
                              generate_equations, relation_rows, replay,
@@ -230,17 +232,53 @@ def _zeta_rows_per_tuple(name):
     return rows
 
 
+def _binomial_zeta_rows(system):
+    """The zeta rows of a system as ((k, j), row, rhs), (k, j) read off
+    the provenance ``zeta:binom(m,k) z^j``."""
+    rows = []
+    for row, rhs, provenance in system.rows:
+        if row_family(provenance) == "zeta":
+            kj = re.fullmatch(r"zeta:binom\(m,(\d+)\) z\^(\d+)", provenance)
+            rows.append((tuple(map(int, kj.groups())), row, rhs))
+    return rows
+
+
 @pytest.mark.parametrize("name", ["D5", "E6", "E7", "E8", "D8"])
 def test_zeta_rows_match_per_tuple_products(name):
-    # the rows are the oracle's cleared of the forms' denominator
-    _, den = zeta_forms(label(name).rank)
-    rows = [row for row in generate_equations(name).rows
-            if row_family(row[2]) == "zeta"]
-    assert rows == [({col: c * den for col, c in row.items()}, rhs * den,
-                     provenance)
-                    for row, rhs, provenance in _zeta_rows_per_tuple(name)]
+    # the rows in binom(m, k) z^j, in order of (k, j), mapped to powers of
+    # m, are the oracle's cleared of the forms' denominator times n!
+    n = label(name).rank
+    rows = _binomial_zeta_rows(generate_equations(name))
+    assert [kj for kj, _, _ in rows] == sorted(kj for kj, _, _ in rows)
     assert all(type(c) is int
-               for row, rhs, _ in rows for c in (*row.values(), rhs))
+               for _, row, rhs in rows for c in (*row.values(), rhs))
+    mapped, den = in_powers_of_m(rows, zeta_forms(n)[1], n)
+    assert [(row, rhs, "zeta:m^%d z^%d" % ij) for ij, row, rhs in mapped] == [
+        ({col: c * den for col, c in row.items()}, rhs * den, provenance)
+        for row, rhs, provenance in _zeta_rows_per_tuple(name)]
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8",
+                                  "E6", "E7", "E8"])
+def test_zeta_rows_in_powers_of_m_give_the_same_echelon(name):
+    # for each z^j the bases binom(m, k) and m^i differ by an invertible
+    # triangular map, so the rows span one space: one reduced echelon
+    system = generate_equations(name)
+    oracle = LinearSystem(system.variables)
+    for row, rhs, provenance in system.rows:
+        if row_family(provenance) != "zeta":
+            oracle.add_row({system.variables[c]: v for c, v in row.items()},
+                           rhs, provenance)
+    for (i, j), form, rhs in zeta_rows_by_polynomials(name)[0]:
+        oracle.add_row(form, rhs, "zeta:m^%d z^%d" % (i, j))
+    assert echelon(system).pivots == echelon(oracle).pivots
+
+
+def test_e8_zeta_row_k_holds_tuples_of_k_or_k_plus_1_factors():
+    rows, _ = zeta_rows("E8")
+    assert len(rows) == 72
+    for (k, j), form, _ in rows:
+        assert {len(var) for var in form} <= {k, k + 1}, (k, j)
 
 
 def _family_order(name, monkeypatch):

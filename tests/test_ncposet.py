@@ -16,7 +16,7 @@ import sympy
 from matrix_oracle import (GroupElement, classify_parabolic_type,
                            coxeter_element, le_absolute, moved_positive_roots)
 from poly_oracle import (characteristic_polynomial_by_census,
-                         characteristic_polynomial_by_products,
+                         characteristic_polynomial_by_products, in_powers_of_m,
                          ncm_cardinality_by_zeta, zeta_rows_by_polynomials,
                          zeta_shifted)
 from walk_oracle import bit_positions, eager_walk
@@ -705,12 +705,14 @@ def test_mobius_number_is_the_degree_product(rank):
 
 @pytest.mark.parametrize("rank", range(1, 9))
 def test_zeta_rows_match_polynomial_oracle(rank):
-    # the integer rows against the closed form less 1 as a Fraction
-    # polynomial, times the forms' denominator: same rows, same order,
-    # int right sides
+    # the integer rows in binom(m, k) z^j, mapped to powers of m, against
+    # the closed form less 1 as a Fraction polynomial, times the forms'
+    # denominator: same rows, same order, int right sides
     for t in all_labels_of_rank(rank):
         rows, den = zeta_rows(t)
-        assert (rows, den) == zeta_rows_by_polynomials(t), t
+        assert (in_powers_of_m(rows, den, rank)
+                == zeta_rows_by_polynomials(t)), t
+        assert [kj for kj, _, _ in rows] == sorted(kj for kj, _, _ in rows)
         assert all(type(rhs) is int for _, _, rhs in rows), t
 
 
@@ -802,6 +804,16 @@ def test_zeta_closed_counts_elements():
     # zeta at z=2 is the number of elements
     for name in ("A3", "D4", "E6"):
         assert zeta_closed(label(name)).evaluate(z=2) == SIZES[name]
+
+
+def test_zeta_closed_is_cached_once_per_value_of_m():
+    # a default, a keyword and a positional m = 1 are one entry
+    zeta_closed.cache_clear()
+    spellings = (zeta_closed("A2"), zeta_closed("A2", m=1),
+                 zeta_closed(label("A2"), 1))
+    assert spellings[0] is spellings[1] is spellings[2]
+    assert zeta_closed.cache_info().currsize == 1
+    assert zeta_closed("A2", m=2) is not spellings[0]
 
 
 def test_zeta_direct_matches_closed_A3():

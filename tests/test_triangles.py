@@ -104,10 +104,10 @@ def test_zeta_identity_zero_on_D8_census_table():
     assert not zeta_identity_expansion("D8", table).terms
 
 
-def test_symbolic_zeta_closed_form_built_once():
-    # the zeta rows of a type are built once, from one symbolic closed
-    # form; later checks and the system's zeta rows read the cached rows
-    # and leave them as they were
+def test_zeta_rows_built_once_without_a_closed_form():
+    # the zeta rows of a type are built once, with no closed-form
+    # polynomial; later checks and the system's zeta rows read the cached
+    # rows and leave them as they were
     table = full_table("E7")
     e7 = label("E7")
     zeta_rows.cache_clear()
@@ -120,7 +120,7 @@ def test_symbolic_zeta_closed_form_built_once():
     info = zeta_rows.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
     info = zeta_closed.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+    assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
     assert rows == before
 
 

@@ -24,7 +24,19 @@ seconds.  The report is one JSON object: ``rounds``, ``repeats`` and
 rounds, with ``wins`` when two or more trees run: per tree, the rounds
 in which it was the fastest.  Any other value (counts, rank, bits, loads, memory) comes from
 the first round.  A stage that raises ``AttributeError`` in a tree (a
-name that tree lacks) reads ``null`` and is named on stderr.
+name that tree lacks) reads ``null`` and is named on stderr.  The trees
+under comparison must be copied at the same time: a copy made later than
+another reads slower on a long-used host (a cold ``verify e8`` 7 % slower
+in an identical copy, lower in 3 of 21 rounds), where copies made
+together read alike (lower in 14 of 25).
+
+A stage that names a function moved or renamed between trees reads it
+under its name in the tree at hand and falls back to the older name, so
+an A/B of two trees keeps its keys: the diagram classifier is
+``ncposet.classify_simple_roots`` on the simple roots of a mask, picked
+inside the timing (earlier ``weyl.classify_moved_roots`` on its moved
+roots), its cache of diagram types ``ncposet._classify_edges`` and the
+root tables ``ncposet._root_tables`` (earlier both in ``weyl``).
 
 A *cold* process is one ``python -m noncross.cli`` run, its stdout
 discarded, its peak RSS read through ``wait4``; a *probe* runs one
@@ -46,13 +58,14 @@ The ``nc`` group: NC(W) enumeration and what reads it.
 * ``walk_classify_E8_s``, ``walk_classify_E7_s``, ``walk_classify_D8_s``:
   one uncached ``enumerate_nc`` (its ``__wrapped__``), the walk with
   every element typed; the diagram classifications
-  (``weyl._classify_edges``) stay cached after the first repeat, so
-  these leave out most of what a cold process pays to classify;
-* ``classify_NC_E8_s``: ``weyl.classify_moved_roots`` on the moved set of
-  every element of NC(E8), its masks read from ``NcPoset.types``;
+  (``_classify_edges``) stay cached after the first repeat, so these
+  leave out most of what a cold process pays to classify;
+* ``classify_NC_E8_s``: the classifier on every element of NC(E8), its
+  masks read from ``NcPoset.types`` (for ``classify_moved_roots``, the
+  roots of each mask's bits through ``mask_layout``, sorted untimed);
 * ``classify_cold_E8_s``: classifying the distinct edge sets
   (``classify_cold_E8_sets`` of them) that one E8 walk classifies;
-  cleared: ``weyl._classify_edges``;
+  cleared: ``_classify_edges``;
 * ``classify_cold_E8_sets``;
 * ``subdiagram_types_E8_s``: one uncached ``subdiagram_types("E8")``
   (its ``__wrapped__``);
@@ -79,14 +92,14 @@ The ``nc`` group: NC(W) enumeration and what reads it.
   ``ncposet._descent_masks`` (its ``__wrapped__``), the root system
   built;
 * ``descent_tables_DE_s``: the sum of those medians;
-* ``root_tables_s``: per D and E ambient, one uncached
-  ``weyl._root_tables`` (its ``__wrapped__``), the root system built;
+* ``root_tables_s``: per D and E ambient, one uncached ``_root_tables``
+  (its ``__wrapped__``), the root system built;
 * ``root_tables_DE_s``: the sum of those medians;
 * ``length_suite_s``: the checks of ``noncross verify length``;
 * ``poset_E8_mb``: the memory one walked NC(E8) holds (its orbit
   records and the type of each mask), as ``tracemalloc`` counts it;
-* ``classify_calls_verify_e8``: the calls of ``classify_moved_roots`` in
-  a probe of ``verify e8``, in ``total`` and inside ``enumerate_nc``;
+* ``classify_calls_verify_e8``: the calls of the classifier in a probe
+  of ``verify e8``, in ``total`` and inside ``enumerate_nc``;
 * ``chi_walks_D6``, ``chi_walks_E7``: the posets a probe of ``chi D6``
   (``chi E7``) walks.
 
@@ -246,14 +259,19 @@ HEAVY = ("dataclasses", "tempfile")
 RSS = ((), ("decomp", "count", "E7", "A4,A3"), ("verify", "e8"))
 
 # Runs one CLI command, its stdout swallowed, and prints the posets it
-# walked, the root systems it built and its calls of the classifier,
-# which is rebound wherever the package imported it.
+# walked, the root systems it built and its calls of the classifier
+# (``weyl.classify_moved_roots`` in a tree that predates
+# ``ncposet.classify_simple_roots``), which is rebound wherever the
+# package imported it.
 COUNT = r"""
 import contextlib, io, json, sys
 import noncross.cli
 from noncross import ncposet, rootsystem, weyl
 
-original = weyl.classify_moved_roots
+name, home = "classify_simple_roots", ncposet
+if not hasattr(home, name):
+    name, home = "classify_moved_roots", weyl
+original = getattr(home, name)
 calls = {"total": 0, "enumerate_nc": 0}
 
 
@@ -269,8 +287,8 @@ def counted(*args):
 
 
 for module in list(sys.modules.values()):
-    if getattr(module, "classify_moved_roots", None) is original:
-        module.classify_moved_roots = counted
+    if getattr(module, name, None) is original:
+        setattr(module, name, counted)
 with contextlib.redirect_stdout(io.StringIO()):
     code = noncross.cli.main(sys.argv[1:])
 assert code == 0, code
@@ -389,27 +407,43 @@ def nc_stages(rec):
     from noncross.rootsystem import build_root_system, subdiagram_types
     from noncross.typelabel import label
 
+    # the module that holds the classifier and the root tables: ``weyl``
+    # in a tree that predates ``ncposet.classify_simple_roots``
+    home = ncposet if hasattr(ncposet, "classify_simple_roots") else weyl
     for name in ("E8", "E7", "D8"):
         rec.time("walk_classify_%s_s" % name,
                  lambda: ncposet.enumerate_nc.__wrapped__(name))
     rs, poset = build_root_system("E8"), ncposet.enumerate_nc("E8")
-    moved = [[a for a in range(mask.bit_length()) if mask >> a & 1]
+    moved = [(mask, [a for a in range(mask.bit_length()) if mask >> a & 1])
              for mask in poset.types]
-    rec.time("classify_NC_E8_s",
-             lambda: [weyl.classify_moved_roots(rs, roots) for roots in moved])
+    if home is ncposet:
+        partners, linked = ncposet._root_tables("E8")
+
+        def classify_all():
+            return [ncposet.classify_simple_roots(
+                linked, [k for k in bits if not partners[k] & mask])
+                for mask, bits in moved]
+    else:
+        order = ncposet.mask_layout("E8").order
+        roots = [sorted(order[k] for k in bits) for _, bits in moved]
+
+        def classify_all():
+            return [weyl.classify_moved_roots(rs, sorted_roots)
+                    for sorted_roots in roots]
+    rec.time("classify_NC_E8_s", classify_all)
 
     # the distinct arguments of the classifier in one uncached E8 walk
-    original, edge_sets = weyl._classify_edges, {}
+    original, edge_sets = home._classify_edges, {}
 
     def record(k, edges):
         edge_sets[k, edges] = None
         return original(k, edges)
 
-    weyl._classify_edges = record
+    home._classify_edges = record
     try:
         ncposet.enumerate_nc.__wrapped__("E8")
     finally:
-        weyl._classify_edges = original
+        home._classify_edges = original
     rec.time("classify_cold_E8_s",
              lambda: [original(k, edges) for k, edges in edge_sets],
              before=original.cache_clear)
@@ -466,7 +500,7 @@ def nc_stages(rec):
     rec.value("descent_tables_DE_s", lambda: sum(tables.values()),
               timing=True)
     tables = rec.value("root_tables_s", lambda: per_ambient(
-        weyl._root_tables.__wrapped__), timing=True)
+        home._root_tables.__wrapped__), timing=True)
     rec.value("root_tables_DE_s", lambda: sum(tables.values()), timing=True)
     length = verify.SUITES["length"][0]
     rec.time("length_suite_s", lambda: all(ok for _, ok in length()))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 
 from .typelabel import ResourceGuardError, label
@@ -49,6 +48,7 @@ def _fail_input(message):
 def _emit(payload, fmt):
     """Render a report dict deterministically in the chosen format."""
     if fmt == "json":
+        import json
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     elif fmt == "csv":
         import csv
@@ -226,6 +226,7 @@ def cmd_linsys(args):
         "golden_diff": golden_diff or {"(none)": "table matches"},
     }
     if args.report:
+        import json
         try:
             with open(args.report, "w") as handle:
                 json.dump(dict(payload, rows_by_family=report.rows_by_family),

@@ -418,11 +418,11 @@ def one_extra_factor(key, n):
 @lru_cache(maxsize=None)
 def all_tuples_of_rank(total):
     """All canonical tuples (multisets of nonempty labels) with the given
-    rank sum, as a tuple."""
+    rank sum, as a tuple: ``_multisets`` over the sorted pool yields
+    each one sorted."""
     pool = sorted(t for r in range(1, total + 1)
                   for t in all_labels_of_rank(r))
-    return tuple(canonical_tuple(t) for t in
-                 _multisets([(t.rank, t) for t in pool], total))
+    return tuple(_multisets([(t.rank, t) for t in pool], total))
 
 
 @per_type

@@ -11,8 +11,10 @@ moved positive roots, a bit mask, which doubles as
   (the subspace map is injective and order-preserving on the interval;
   this is cross-checked against the definitional test in the test
   suite), and
-* the parabolic type of the element (classification of the sub-root
-  system spanned by the moved roots).
+* the parabolic type of the element: the simple roots of the sub-root
+  system of its moved roots are the bits with no root partner in the
+  mask, and their Dynkin diagram is classified, all in the bit space of
+  the masks (``_root_tables``, ``classify_simple_roots``).
 
 Moved-root sets without per-element linear algebra.  Let the walk
 reach u = t_{a_j} ... t_{a_1} c.  Reflection lengths add along it, so
@@ -109,7 +111,6 @@ before.  chi* needs no census of type A: it counts elements by type
 
 from __future__ import annotations
 
-import json
 import os
 from collections import Counter
 from functools import lru_cache
@@ -117,11 +118,11 @@ from math import lcm
 from operator import attrgetter, itemgetter
 
 from .exact import int_kernel
-from .rootsystem import (SUPPORTED_AMBIENTS, build_root_system, degree_pairs,
-                         degrees)
+from .rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
+                         classify_edge_list, degree_pairs, degrees)
 from .typelabel import label, per_type
 from .weyl import (_matmul, _minus_eye, bipartite_coxeter,
-                   classify_moved_roots, coxeter_root_permutation)
+                   coxeter_root_permutation)
 
 CACHE_SCHEMA_VERSION = 3
 
@@ -402,17 +403,57 @@ class MaskLayout:
             found.append(rotated)
             image = rotated
 
-    def roots(self, mask):
-        """The ascending positive-root indices of the set bits of a mask."""
-        order = self.order
-        return sorted(order[i] for i in range(mask.bit_length())
-                      if mask >> i & 1)
-
 
 @per_type
 def mask_layout(name):
     """The ``MaskLayout`` of the named ambient."""
     return MaskLayout(coxeter_root_permutation(name))
+
+
+@per_type
+def _root_tables(name):
+    """Root partners and linked roots over the bits of ``mask_layout``,
+    root_k the root of bit k: ``partners[k]`` masks the a with
+    root_k - root_a a positive root, ``linked[a]`` the other roots that
+    pair nonzero with root_a.  Simply laced, two positive roots pair to
+    -1 when their sum is a root, to +1 when their difference is, else to
+    0, so one pass over the triples root_a + root_b = root_k fills both.
+    A root packs into one int, a field per simple-root coefficient, each
+    wide enough for twice the largest coefficient, so that packed
+    positive roots add with no carry between fields."""
+    roots = build_root_system(name).positive_roots
+    width = (2 * max(map(max, roots))).bit_length()
+    packed = [sum(c << width * i for i, c in enumerate(roots[r]))
+              for r in mask_layout(name).order]
+    index = {p: i for i, p in enumerate(packed)}
+    partners = [0] * len(roots)
+    linked = [0] * len(roots)
+    for a, p in enumerate(packed):
+        for b in range(a + 1, len(roots)):
+            k = index.get(p + packed[b])
+            if k is not None:
+                partners[k] |= 1 << a | 1 << b
+                linked[a] |= 1 << b | 1 << k
+                linked[b] |= 1 << a | 1 << k
+                linked[k] |= 1 << a | 1 << b
+    return tuple(partners), tuple(linked)
+
+
+@lru_cache(maxsize=None)
+def _classify_edges(k, edges):
+    return classify_edge_list(range(k), edges)
+
+
+def classify_simple_roots(linked, simples):
+    """The type of the sub-root system with simple roots at the ascending
+    bits ``simples``; its Dynkin diagram has an edge wherever ``linked``
+    pairs two.  Moved roots lie in a subspace, so with root_k and root_a
+    so is root_k - root_a: the simple roots of a mask (its members not
+    the sum of two members) are its bits k with no partner in it."""
+    edges = tuple((i, j) for i, a in enumerate(simples)
+                  for j in range(i + 1, len(simples))
+                  if linked[a] >> simples[j] & 1)
+    return _classify_edges(len(simples), edges)
 
 
 @per_type
@@ -436,10 +477,8 @@ def _descent_masks(name):
     vectors = _matmul([[x * (scale // y[n + i]) for x in y[:n]]
                        for i, y in enumerate(kernel)],
                       tuple(zip(*rs.cartan)))
-    roots = rs.positive_roots
-    order = mask_layout(name).order
-    columns = [roots[b] for b in order]
-    values = [[sum(x * y for x, y in zip(r, v)) for r in columns]
+    roots, order = rs.positive_roots, mask_layout(name).order
+    values = [[sum(x * y for x, y in zip(roots[b], v)) for b in order]
               for v in vectors]
     index = {r: a for a, r in enumerate(roots)}
     for r in roots[n:]:                 # by height: r - alpha_i comes first
@@ -461,24 +500,25 @@ def reflection_orbits(rs):
     positive-root index b, the lowest of its cycle), and
     ``product_type``, the type of t_b c.  As t_b is an involution, t_b c
     is its right complement in NC; t_b moves no positive root but b, so
-    t_b c moves the roots of the row of b in the descent table.  Orbit
-    sizes are checked to be h or h/2.
+    t_b c moves the roots of the row of b in the descent table, typed
+    as the walk types a mask.  Orbit sizes are checked to be h or h/2.
     """
     zero = _descent_masks(rs.typ)
     layout = mask_layout(rs.typ)
+    partners, linked = _root_tables(rs.typ)
     h = rs.coxeter_number
     orbits = []
     for first, size in layout.blocks:
         if size not in (h, h // 2):
             raise AssertionError("orbit size %d not in {h, h/2}" % size)
-        typ = classify_moved_roots(rs, layout.roots(zero[first]))
+        row = zero[first]
+        typ = classify_simple_roots(linked, [
+            k for k in range(row.bit_length())
+            if row >> k & 1 and not partners[k] & row])
         if typ.rank != rs.n - 1:
             raise AssertionError("type rank %d of t*c != n - 1" % typ.rank)
-        orbits.append({
-            "size": size,
-            "representative": layout.order[first],
-            "product_type": typ,
-        })
+        orbits.append({"size": size, "representative": layout.order[first],
+                       "product_type": typ})
     return orbits
 
 
@@ -488,17 +528,19 @@ def enumerate_nc(name):
 
     Walks down from the bipartite Coxeter element by moved-root masks,
     one orbit of conjugation by c at a time: only the orbit's head steps
-    down, ANDs out its complement and is classified, and the rest of
-    the orbit comes by rotation (``MaskLayout.orbit``) and takes the
-    head's type.  The poset keeps one record per orbit and the type of
-    every mask (``NcPoset``).  The descent table is checked to be
-    c-equivariant, each head's type rank against its level, each orbit
-    size to divide h, and the element count against the closed form
-    (two elements sharing a mask would collapse into one)."""
+    down, ANDs out its complement and collects its simple roots, all in
+    one pass over its bits, and is classified; the rest of the orbit
+    comes by rotation (``MaskLayout.orbit``) and takes the head's type.
+    The poset keeps one record per orbit and the type of every mask
+    (``NcPoset``).  The descent table is checked to be c-equivariant,
+    each head's type rank against its level, each orbit size to divide
+    h, and the element count against the closed form (two elements
+    sharing a mask would collapse into one)."""
     rs = build_root_system(name)
     zero = _descent_masks(name)
     layout = mask_layout(name)
-    orbit_of, order = layout.orbit, layout.order
+    orbit_of = layout.orbit
+    partners, linked = _root_tables(name)
     for first, size in layout.blocks:
         # rotate(zero[i]) = zero[i + 1] along the block and the last row
         # rotates to the first: the rows repeat the first row's orbit
@@ -514,14 +556,15 @@ def enumerate_nc(name):
         seen, below = set(), []         # the orbits one level down
         for orbit in orbits:
             head = orbit[0]
-            comp, rest, moved = top, head, []
+            comp, rest, simples = top, head, []
             while rest:
                 low = rest & -rest
                 rest ^= low
                 bit = low.bit_length() - 1
                 row = zero[bit]
                 comp &= row
-                moved.append(order[bit])
+                if not partners[bit] & head:
+                    simples.append(bit)
                 child = head & row
                 if child not in seen:
                     found = orbit_of(child)
@@ -530,8 +573,7 @@ def enumerate_nc(name):
                                              "h = %d" % (len(found), h))
                     seen.update(found)
                     below.append(found)
-            moved.sort()
-            typ = classify_moved_roots(rs, moved)
+            typ = classify_simple_roots(linked, simples)
             if typ.rank != rank:
                 raise AssertionError("type rank %d != level %d"
                                      % (typ.rank, rank))
@@ -665,6 +707,7 @@ def _cache_text(poset):
     ambient label, then one record per element, level by level, with
     its moved-root mask (hexadecimal), rank and type.
     """
+    import json
     header = {
         "schema_version": CACHE_SCHEMA_VERSION,
         "ambient": str(poset.rs.typ),
@@ -710,6 +753,7 @@ def read_cache(path, expected_ambient=None):
         data = handle.read()
     name = expected_ambient
     if name is None:
+        import json
         try:
             name = json.loads(data.partition(b"\n")[0])["ambient"]
         except (ValueError, TypeError, KeyError) as err:

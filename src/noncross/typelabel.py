@@ -54,7 +54,7 @@ class TypeLabel:
     same object, and equality and hashing are by identity.
     """
 
-    __slots__ = ("components", "_str", "rank", "_key")
+    __slots__ = ("components", "_str", "rank", "_key", "_irreducibles")
 
     def __new__(cls, components=()):
         normalized = []
@@ -71,6 +71,7 @@ class TypeLabel:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_key", (rank, components))
         object.__setattr__(self, "_str", self._render())
+        object.__setattr__(self, "_irreducibles", None)
         return _INTERNED.setdefault(components, self)
 
     def __reduce__(self):
@@ -158,8 +159,13 @@ class TypeLabel:
         return not self.components
 
     def irreducibles(self):
-        """The components as a tuple of irreducible TypeLabels."""
-        return tuple(TypeLabel([c]) for c in self.components)
+        """The components as a tuple of irreducible TypeLabels, taken from
+        the intern table on the first call and kept on the label."""
+        if self._irreducibles is None:
+            object.__setattr__(self, "_irreducibles", tuple(
+                _INTERNED.get((c,)) or TypeLabel([c])
+                for c in self.components))
+        return self._irreducibles
 
     def __mul__(self, other):
         """Disjoint union of types."""

@@ -1,15 +1,14 @@
-"""Weyl group matrices in the simple-root basis, and the classifier of
-moved-root sets.
+"""Weyl group matrices in the simple-root basis, and the Coxeter
+permutation of the positive roots.
 
 The reflections, the bipartite Coxeter element c and the whole group
 (for small ambients) are exact integer matrices acting on root
 coordinates.  The permutation of the positive roots by c gives the
-conjugation orbits that ``ncposet`` types once each.  The reflection
-length (absolute length) of a matrix is the codimension of its fixed
-space, the kernel of ``w - I``; its Cayley-graph distance in
-``enumerate_group`` is the independent check.  ``classify_moved_roots``
-types a set of positive roots lying in a subspace, the moved roots of an
-element of NC(W).
+conjugation orbits that ``ncposet`` types once each, and the bit layout
+of its moved-root masks.  The reflection length (absolute length) of a
+matrix is the codimension of its fixed space, the kernel of ``w - I``;
+its Cayley-graph distance in ``enumerate_group`` is the independent
+check.
 
 All linear algebra here is exact: matrices are tuples of row tuples of
 Python ints, so no product can overflow, and kernels come from
@@ -18,10 +17,8 @@ Python ints, so no product can overflow, and kernels come from
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .exact import int_kernel
-from .rootsystem import build_root_system, classify_edge_list
+from .rootsystem import build_root_system
 from .typelabel import per_type
 
 MAX_GROUP_ORDER = 200_000          # the guard of enumerate_group
@@ -89,65 +86,6 @@ def coxeter_root_permutation(name):
     if sorted(pi) != list(range(len(pi))):
         raise AssertionError("c does not permute the positive roots")
     return pi
-
-
-@per_type
-def _root_tables(name):
-    """Root partners and linked roots of an ambient.
-
-    ``partners[k]`` is the mask of the positive roots a for which
-    root_k - root_a is a positive root too; ``linked[a]`` is the mask of
-    the other positive roots with a nonzero Cartan pairing with root_a.
-    In a simply-laced system two distinct positive roots pair to -1 when
-    their sum is a root, to +1 when their difference is, and to 0
-    otherwise; every such sum or difference is a triple root_a + root_b
-    = root_k, so one pass over the pairs with a root sum fills both.
-
-    Each root is packed into one int, a field per simple-root
-    coefficient, each field wide enough for twice the largest
-    coefficient.  Positive roots have nonnegative coefficients, so the
-    sum of two packed roots carries between no fields and is the packed
-    root sum.
-    """
-    roots = build_root_system(name).positive_roots
-    width = (2 * max(map(max, roots))).bit_length()
-    packed = [sum(c << width * i for i, c in enumerate(r)) for r in roots]
-    index = {p: i for i, p in enumerate(packed)}
-    partners = [0] * len(roots)
-    linked = [0] * len(roots)
-    for a, p in enumerate(packed):
-        for b in range(a + 1, len(roots)):
-            k = index.get(p + packed[b])
-            if k is not None:
-                partners[k] |= 1 << a | 1 << b
-                linked[a] |= 1 << b | 1 << k
-                linked[b] |= 1 << a | 1 << k
-                linked[k] |= 1 << a | 1 << b
-    return tuple(partners), tuple(linked)
-
-
-@lru_cache(maxsize=None)
-def _classify_edges(k, edges):
-    return classify_edge_list(range(k), edges)
-
-
-def classify_moved_roots(rs, moved):
-    """Type of the sub-root system formed by the positive roots with the
-    given ascending indices, the positive roots lying in a subspace (the
-    moved set of a group element).
-
-    Its simple roots are the members that are not the sum of two members
-    (ambient positivity); their pairings give the Dynkin diagram.  When
-    root_k and root_a lie in the subspace, so does root_k - root_a, so
-    root_k is such a sum exactly when one of its partners is a member.
-    """
-    partners, linked = _root_tables(rs.typ)
-    inside = sum(1 << a for a in moved)
-    simples = [k for k in moved if not partners[k] & inside]
-    edges = tuple((i, j) for i, a in enumerate(simples)
-                  for j in range(i + 1, len(simples))
-                  if linked[a] >> simples[j] & 1)
-    return _classify_edges(len(simples), edges)
 
 
 def enumerate_group(rs):

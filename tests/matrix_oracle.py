@@ -14,8 +14,9 @@ set of a ``DynkinDiagram`` about each node pair, in each call.
 ``DynkinDiagram.pairs`` gives the same diagram as the edge list that
 ``rootsystem.classify_edge_list`` takes.
 
-``root_tables`` is ``weyl._root_tables`` with each root sum built as a
-tuple of coefficients and looked up among the roots.
+``root_tables`` is ``ncposet._root_tables`` over the positive-root
+indices instead of the mask bits, with each root sum built as a tuple of
+coefficients and looked up among the roots.
 """
 
 from functools import lru_cache
@@ -23,11 +24,13 @@ from functools import lru_cache
 import sympy
 
 from noncross.exact import int_kernel
+from noncross.ncposet import mask_layout
 from noncross.rootsystem import build_root_system
 from noncross.typelabel import TypeLabel
 from noncross.weyl import (_eye, _matmul, _minus_eye, _reflection_data,
                            absolute_length, bipartite_coxeter,
-                           classify_moved_roots, coxeter_root_permutation)
+                           coxeter_root_permutation)
+from walk_oracle import mask_type, roots_mask
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +157,8 @@ def classify_parabolic_type(rs, w, coxeter=None, check=True):
         c = coxeter if coxeter is not None else coxeter_element(rs)
         if not le_absolute(rs, w, c):
             raise ValueError("element is not below the Coxeter element")
-    typ = classify_moved_roots(rs, sorted(moved_positive_roots(rs, w)))
+    typ = mask_type(rs.typ, roots_mask(mask_layout(rs.typ),
+                                       moved_positive_roots(rs, w)))
     length = absolute_length(rs, w.mat)
     if typ.rank != length:
         raise AssertionError("classified rank %d != reflection length %d"
@@ -291,7 +295,8 @@ def _classify_connected(diagram):
 
 
 def root_tables(name):
-    """``weyl._root_tables``, one coefficient tuple per pair of roots."""
+    """``ncposet._root_tables`` over the positive-root indices, one
+    coefficient tuple per pair of roots."""
     roots = build_root_system(name).positive_roots
     index = {r: i for i, r in enumerate(roots)}
     partners = [0] * len(roots)

@@ -112,9 +112,10 @@ def test_all_tuples_of_rank():
     assert canonical_tuple(L("A1", "A1")) in tuples2
     assert canonical_tuple(L("A2")) in tuples2
     assert canonical_tuple(L("A1^2")) in tuples2
-    for key in all_tuples_of_rank(3):
-        assert tuple_rank(key) == 3
-        assert key == canonical_tuple(key)
+    for rank in range(1, 9):
+        for key in all_tuples_of_rank(rank):
+            assert tuple_rank(key) == rank
+            assert key == canonical_tuple(key)
 
 
 def test_lookup_deficient_expansion():
@@ -422,7 +423,7 @@ def test_full_table_of_reducible_ambient_is_its_product(name):
 PER_TYPE = {
     "rootsystem.degrees": "E6", "rootsystem.build_root_system": "D4",
     "rootsystem.subdiagram_types": "E6", "weyl._reflection_data": "D4",
-    "weyl.coxeter_root_permutation": "E6", "weyl._root_tables": "D4",
+    "weyl.coxeter_root_permutation": "E6", "ncposet._root_tables": "D4",
     "ncposet.mask_layout": "E6", "ncposet._descent_masks": "D4",
     "ncposet.enumerate_nc": "E6", "ncposet.characteristic_polynomial": "D4",
     "closedform.zeta_closed": "E6", "closedform.zeta_rows": "D4",

@@ -7,6 +7,7 @@ records the modules that appear between the start of the script and the
 end of the call.  Nothing here is timed.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -54,35 +55,34 @@ EXPORTS = {
 
 HEAVY_STDLIB = {"dataclasses", "tempfile"}
 
-# run by a fresh ``python -S``: argv[1] is the command as a JSON list
-# ("import" only imports the CLI, "triangles" only ``noncross.triangles``);
-# the last line of stdout is the JSON list of modules loaded since the
-# script started
+# run by a fresh ``python -S``: the arguments are the command ("import"
+# alone only imports the CLI, "triangles" only ``noncross.triangles``);
+# the last line of stdout is the list of modules loaded since the script
+# started, printed as a Python literal, so that the script loads no json
 FOOTPRINT = """
 import sys
 before = set(sys.modules)
-import json
-argv = json.loads(sys.argv[1])
-if argv == "import":
+argv = sys.argv[1:]
+if argv == ["import"]:
     import noncross.cli
-elif argv == "triangles":
+elif argv == ["triangles"]:
     import noncross.triangles
-elif argv == "all":
+elif argv == ["all"]:
     from noncross import *
     import noncross.cli, noncross.verify
 else:
     from noncross import cli
     assert cli.main(argv) == 0
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(sorted(set(sys.modules) - before))
 """
 
 
 def loaded_by(argv):
-    child = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT,
-                            json.dumps(argv)],
+    argv = [argv] if isinstance(argv, str) else argv
+    child = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT, *argv],
                            env=dict(os.environ, PYTHONPATH=SRC),
                            capture_output=True, text=True, check=True)
-    return set(json.loads(child.stdout.splitlines()[-1]))
+    return set(ast.literal_eval(child.stdout.splitlines()[-1]))
 
 
 def package_modules(modules):
@@ -174,6 +174,18 @@ def test_type_a_lookups_load_no_fractions(argv):
 def test_walk_and_census_lookups_load_no_fractions(argv):
     # ``exact`` imports Fraction only when ``solve`` reads a solution out
     assert not loaded_by(argv) & {"fractions", "decimal"}
+
+
+@pytest.mark.parametrize("argv", [["decomp", "count", "E7", "A1,A1,A1,A1"],
+                                  ["chi", "D4"], ["verify", "e8"]])
+def test_text_commands_that_walk_load_no_json(argv):
+    # ``json`` is imported where JSON is written or read: ``--format
+    # json``, ``--report`` and the poset cache functions
+    assert "json" not in loaded_by(argv)
+
+
+def test_json_output_loads_json():
+    assert "json" in loaded_by(["nc", "enumerate", "D5", "--format", "json"])
 
 
 @pytest.mark.parametrize("argv", [["decomp", "table", "D4"],

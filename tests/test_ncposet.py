@@ -19,7 +19,7 @@ from poly_oracle import (characteristic_polynomial_by_census,
                          characteristic_polynomial_by_products, in_powers_of_m,
                          ncm_cardinality_by_zeta, zeta_rows_by_polynomials,
                          zeta_shifted)
-from walk_oracle import bit_positions, eager_walk
+from walk_oracle import bit_positions, eager_walk, mask_type
 from noncross import closedform, direct, ncposet, polynomial
 from noncross.cli import main
 from noncross.closedform import _mobius_number, zeta_closed, zeta_rows
@@ -37,8 +37,7 @@ from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
 from noncross.triangles import assemble_dual
 from noncross.typelabel import ResourceGuardError, label
 from noncross.weyl import (_reflection_data, bipartite_coxeter,
-                           classify_moved_roots, coxeter_root_permutation,
-                           enumerate_group)
+                           coxeter_root_permutation, enumerate_group)
 
 # total element counts: Cat(n+1) for A_n, known values for D and E
 SIZES = {
@@ -238,11 +237,7 @@ def test_orbit_typing_equals_per_element_classification(name):
     each one, gives: same masks, ranks, types and complements, and each
     level in one piece."""
     rs = build_root_system(name)
-    layout = mask_layout(name)
-    reference = {mask: (rs.n - depth,
-                        classify_moved_roots(rs, sorted(_roots(layout,
-                                                               mask))),
-                        comp)
+    reference = {mask: (rs.n - depth, mask_type(name, mask), comp)
                  for depth, level in enumerate(_and_walk(name))
                  for mask, comp in level.items()}
     poset = enumerate_nc(name)

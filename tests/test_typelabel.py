@@ -128,6 +128,32 @@ def test_labels_are_interned():
     assert label("D4").irreducibles()[0] is label("D4")
 
 
+def test_irreducibles_are_kept_on_the_label():
+    t = label("A1^2*D5")
+    assert t.irreducibles() is t.irreducibles()
+    assert t.irreducibles() == (label("A1"), label("A1"), label("D5"))
+
+
+def test_shifted_zeta_vectors_build_no_component_label(monkeypatch):
+    # the components come from the intern table and stay on each label,
+    # so the vectors of the 61 labels of rank 1-7 construct no label
+    # (164 constructions when each call of ``irreducibles`` built them)
+    from noncross import closedform
+    labels = [t for r in range(1, 8) for t in all_labels_of_rank(r)]
+    assert len(labels) == 61
+    calls = []
+    original = TypeLabel.__new__
+
+    def counting(cls, components=()):
+        calls.append(components)
+        return original(cls, components)
+
+    monkeypatch.setattr(TypeLabel, "__new__", staticmethod(counting))
+    for t in labels:
+        closedform._shifted_zeta_vector.__wrapped__(t)
+    assert calls == []
+
+
 def test_low_rank_d_synonyms_are_the_same_instance():
     assert label("D3") is label("A3")
     assert label("D2") is label("A1^2")

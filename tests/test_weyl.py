@@ -9,13 +9,12 @@ from noncross import weyl
 from matrix_oracle import (GroupElement, classify_parabolic_type,
                            coxeter_element, identity, le_absolute, reflection,
                            reflection_matrices)
-from walk_oracle import bit_positions
-from noncross.ncposet import (_descent_masks, enumerate_nc, mask_layout,
-                              reflection_orbits)
+from walk_oracle import bit_positions, mask_type
+from noncross.ncposet import (_descent_masks, _root_tables, enumerate_nc,
+                              mask_layout, reflection_orbits)
 from noncross.rootsystem import SUPPORTED_AMBIENTS, build_root_system
 from noncross.typelabel import label
-from noncross.weyl import (_root_tables, absolute_length, classify_moved_roots,
-                           enumerate_group)
+from noncross.weyl import absolute_length, enumerate_group
 
 
 def matmul(a, b):
@@ -197,7 +196,7 @@ def test_mask_typed_tc_matches_matrix_oracle(name):
     for b in range(rs.num_positive_roots):
         row = zero[pos[b]]
         assert comps[1 << pos[b]] == row
-        assert classify_moved_roots(rs, layout.roots(row)) == \
+        assert mask_type(name, row) == \
             classify_parabolic_type(rs, reflection(rs, b) * c)
 
 
@@ -205,6 +204,17 @@ def test_mask_typed_tc_matches_matrix_oracle(name):
 def test_reflection_orbits_match_matrix_oracle(name):
     rs = build_root_system(name)
     assert reflection_orbits(rs) == matrix_oracle.reflection_orbits(rs)
+
+
+def in_bits(layout, table):
+    """A table of masks over the positive-root indices, each entry and
+    each mask moved to the mask bits of ``layout``."""
+    pos = bit_positions(layout)
+    found = [0] * len(table)
+    for a, mask in enumerate(table):
+        found[pos[a]] = sum(1 << pos[b] for b in range(len(table))
+                            if mask >> b & 1)
+    return tuple(found)
 
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
@@ -215,11 +225,13 @@ def test_linked_roots_are_the_nonzero_cartan_pairings(name):
     roots = rs.positive_roots
     gram = matmul(matmul(roots, rs.cartan), tuple(zip(*roots)))
     _, linked = _root_tables(name)
-    assert linked == tuple(sum(1 << b for b, x in enumerate(row)
-                               if x and b != a)
-                           for a, row in enumerate(gram))
+    assert linked == in_bits(mask_layout(name), tuple(
+        sum(1 << b for b, x in enumerate(row) if x and b != a)
+        for a, row in enumerate(gram)))
 
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
 def test_packed_root_sums_match_tuple_sums(name):
-    assert _root_tables(name) == matrix_oracle.root_tables(name)
+    layout = mask_layout(name)
+    assert _root_tables(name) == tuple(
+        in_bits(layout, table) for table in matrix_oracle.root_tables(name))

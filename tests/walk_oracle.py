@@ -6,16 +6,18 @@ package does, but builds one ``Element`` per element, with its
 complement mask rotated along its orbit, and fills ``elements``,
 ``levels``, ``by_type`` and ``orbits`` as it goes.  It registers nothing
 in the package's caches.  ``interval_scan`` is the element-by-element
-interval census; ``eager_walk`` keeps one walk per ambient, and
-``bit_positions`` inverts the mask layout's ``order``.
+interval census; ``eager_walk`` keeps one walk per ambient,
+``bit_positions`` inverts the mask layout's ``order``, ``roots_mask``
+maps positive-root indices to a mask through it, and ``mask_type`` types
+a mask as the walk types a head.
 """
 
 from collections import Counter, namedtuple
 from functools import lru_cache
 
-from noncross.ncposet import _descent_masks, mask_layout
+from noncross.ncposet import (_descent_masks, _root_tables,
+                              classify_simple_roots, mask_layout)
 from noncross.rootsystem import build_root_system
-from noncross.weyl import classify_moved_roots
 
 # one element u of NC: its moved-root mask, rank, type and the mask of
 # its right complement u^{-1} c
@@ -29,7 +31,7 @@ class EagerWalk:
         rs = build_root_system(name)
         zero = _descent_masks(name)
         layout = mask_layout(name)
-        orbit_of, order = layout.orbit, layout.order
+        orbit_of = layout.orbit
         top = (1 << len(zero)) - 1
         self.elements, self.by_type, self.orbits = {}, {}, []
         self.levels = [[] for _ in range(rs.n + 1)]
@@ -38,19 +40,18 @@ class EagerWalk:
             seen, below = set(), []
             for orbit in orbits:
                 head = orbit[0]
-                comp, rest, moved = top, head, []
+                comp, rest = top, head
                 while rest:
                     low = rest & -rest
                     rest ^= low
                     bit = low.bit_length() - 1
                     comp &= zero[bit]
-                    moved.append(order[bit])
                     child = head & zero[bit]
                     if child not in seen:
                         found = orbit_of(child)
                         seen.update(found)
                         below.append(found)
-                typ = classify_moved_roots(rs, sorted(moved))
+                typ = mask_type(name, head)
                 typed = []
                 for mask, image in zip(orbit, orbit_of(comp)):
                     el = self.elements[mask] = Element(mask, rank, typ, image)
@@ -83,3 +84,20 @@ def bit_positions(layout):
     inverse of ``layout.order``."""
     return tuple(sorted(range(len(layout.order)),
                         key=layout.order.__getitem__))
+
+
+def roots_mask(layout, roots):
+    """The mask of a set of positive-root indices under a ``MaskLayout``."""
+    pos = bit_positions(layout)
+    return sum(1 << pos[a] for a in roots)
+
+
+def mask_type(name, mask):
+    """The type of the sub-root system of the moved-root mask of the
+    named ambient: its bits with no root partner in it are its simple
+    roots (``ncposet._root_tables``), classified by
+    ``ncposet.classify_simple_roots``."""
+    partners, linked = _root_tables(name)
+    return classify_simple_roots(linked, [
+        k for k in range(mask.bit_length())
+        if mask >> k & 1 and not partners[k] & mask])

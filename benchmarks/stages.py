@@ -199,7 +199,18 @@ duals.
   (seeded), on a table built afresh inside the timing;
 * ``lookup_text:E8``: the keys of ``lookup:E8`` spelt as text;
 * ``lookup_warm:E8``: the keys of ``lookup:E8`` again, on one table that
-  has looked them all up before.
+  has looked them all up before;
+* ``refdata_import_s``: a probe that imports ``noncross.refdata``, the
+  modules it imports loaded first, untimed;
+* ``golden_dual_E7_s``, ``golden_dual_E8_s``: one uncached
+  ``refdata.golden_dual`` (its ``__wrapped__``); cleared: the cache of
+  parsed factors (``refdata._factor_vector``) in a tree that has one;
+* ``reference_tables_s``: ``refdata.reference_table`` of the 14
+  published tables; cleared: its cache;
+* ``session_setup_s``: a probe of the package part of the set-up of
+  ``perfbench/session.py`` as its ``main`` runs it: the import of
+  ``noncross.decomp`` and ``set_up()``, the tables and the E7 and E8
+  triangles, not ``plan``.
 
 The ``startup`` group: cold processes.
 
@@ -227,6 +238,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
+PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 
 # run by ``python -c`` in each child: argv is this directory, then the
 # arguments of ``child``
@@ -298,6 +310,28 @@ print(json.dumps({"walks": ncposet.enumerate_nc.cache_info().misses,
                   "classify": calls}))
 """
 
+# Prints the time that importing ``noncross.refdata`` takes once the
+# modules it imports are loaded.
+REFDATA_IMPORT = r"""
+import time
+import noncross.decomp, noncross.polynomial, noncross.typelabel
+start = time.perf_counter()
+import noncross.refdata
+print(time.perf_counter() - start)
+"""
+
+# Prints the time of the package part of the set-up of the session
+# module in the directory argv[1], as its ``main`` runs it.
+SESSION_SETUP = r"""
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import session
+start = time.perf_counter()
+from noncross.decomp import count_product
+session.set_up()
+print(time.perf_counter() - start)
+"""
+
 # Runs one CLI command and prints the modules loaded since the start.
 LOADS = r"""
 import sys
@@ -333,6 +367,12 @@ class Stages:
 
     def time(self, key, fn, before=None):
         self.value(key, lambda: self.timed(fn, before), timing=True)
+
+    def probe_time(self, key, code, *argv):
+        """The median over the repeats of the time that a fresh ``probe``
+        of ``code`` prints."""
+        self.value(key, lambda: statistics.median(
+            probe(code, *argv) for _ in range(self.repeats)), timing=True)
 
     def value(self, key, fn, timing=False):
         """Store and return ``fn()`` under ``key``; ``None`` if it raises
@@ -690,6 +730,22 @@ def algebra_stages(rec):
             warm = decomp.DecompositionTable(name, entries)
             batch(keys, warm)
             rec.time("lookup_warm:E8", lambda: batch(keys, warm))
+    rec.probe_time("refdata_import_s", REFDATA_IMPORT)
+
+    def forget_factors():
+        factors = getattr(refdata, "_factor_vector", None)
+        if factors is not None:
+            factors.cache_clear()
+
+    for name in ("E7", "E8"):
+        rec.time("golden_dual_%s_s" % name,
+                 lambda: refdata.golden_dual.__wrapped__(name),
+                 before=forget_factors)
+    rec.time("reference_tables_s",
+             lambda: [refdata.reference_table(name)
+                      for name in refdata.REFERENCE_TABLE_NAMES],
+             before=refdata.reference_table.cache_clear)
+    rec.probe_time("session_setup_s", SESSION_SETUP, PERFBENCH)
 
 
 def loads(argv):

@@ -627,22 +627,33 @@ def ncm_cardinality(t, m):
 
 @per_type
 def characteristic_polynomial(t):
-    """chi* of NC of any type (a label or its text).  The cached
-    polynomials are shared and not to be changed.
+    """chi* of NC of any type (a label or its text): the polynomial in y
+    of its integer coefficients, ``chi_vector`` past its cache, so that
+    ``__wrapped__`` computes chi* afresh.  The cached polynomials are
+    shared and not to be changed."""
+    from .polynomial import SparsePolynomial
+    coeffs, _ = chi_vector.__wrapped__(t)
+    return SparsePolynomial({(0, j, 0, 0): c for j, c in enumerate(coeffs)})
+
+
+@lru_cache(maxsize=None)
+def chi_vector(t):
+    """chi* of NC of a type (a label) as integer y-coefficients, lowest
+    power first, over the denominator 1: the factor of ``tuple_sums`` for
+    the dual M-triangle.  The cached lists are shared and not to be
+    changed.
 
     A reducible type takes the product of its components' chi*, their
-    integer y-vectors convolved (``chi_vector``).  For an irreducible
-    type of rank n, the interval [u, c] of NC is NC of the type of
-    u^{-1} c (Armstrong), and u -> u^{-1} c is a bijection of NC that
-    takes rank r to rank n - r, so chi*(y) = sum over the elements v of
-    mu(type of v) * y^{n - rank v}: the number of elements of each type
-    (``_type_counts``) times its closed-form Moebius number.  The
-    coefficients are summed in a list indexed by the power of y.  Raises
-    ``AssertionError`` unless chi*(1) = 0, and ``ResourceGuardError``
-    above rank ``MAX_CHI_RANK``.
+    vectors convolved.  For an irreducible type of rank n, the interval
+    [u, c] of NC is NC of the type of u^{-1} c (Armstrong), and
+    u -> u^{-1} c is a bijection of NC that takes rank r to rank n - r,
+    so chi*(y) = sum over the elements v of mu(type of v) * y^{n - rank v}:
+    the number of elements of each type (``_type_counts``) times its
+    closed-form Moebius number.  The coefficients are summed in a list
+    indexed by the power of y.  Raises ``AssertionError`` unless
+    chi*(1) = 0, and ``ResourceGuardError`` above rank ``MAX_CHI_RANK``.
     """
     from .closedform import _convolve, _guard_rank, _mobius_number
-    from .polynomial import SparsePolynomial
     _guard_rank(t, MAX_CHI_RANK, "chi*")
     if t.is_irreducible:
         n = t.rank
@@ -657,7 +668,7 @@ def characteristic_polynomial(t):
         coeffs = [1]
         for comp in t.irreducibles():
             coeffs = _convolve(coeffs, chi_vector(comp)[0])
-    return SparsePolynomial({(0, j, 0, 0): c for j, c in enumerate(coeffs)})
+    return coeffs, 1
 
 
 def _type_counts(t):
@@ -680,16 +691,6 @@ def _type_counts(t):
     for (_, s), count in census(t).items():
         counts[s] += count
     return counts
-
-
-@lru_cache(maxsize=None)
-def chi_vector(t):
-    """chi*(t) (a label) as integer y-coefficients, lowest power first,
-    over the denominator 1: the factor of ``tuple_sums`` for the dual
-    M-triangle, read off ``characteristic_polynomial`` once per type.
-    The cached lists are shared and not to be changed."""
-    terms = characteristic_polynomial(t).terms
-    return [terms.get((0, j, 0, 0), 0) for j in range(t.rank + 1)], 1
 
 
 # ---------------------------------------------------------------------------

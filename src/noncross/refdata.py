@@ -12,15 +12,26 @@ Contents:
 Everything in this module is *input data* transcribed from published
 tables; the library recomputes all of it independently and the tests
 assert exact agreement.
+
+The tables and the duals are text, parsed per ambient on first use.  A
+table line is ``L1,...,Lr=N``: the type labels of a full-rank tuple,
+comma-separated, and its decomposition number.  A dual line is
+``k l c F1 ... Fs``, fields separated by single blanks: the coefficient
+of x^k y^l is the rational number c (``-?N`` or ``-?N/D``) times the
+product of the factors.  A factor is ``m`` or a parenthesized sum of
+terms ``N``, ``Nm``, ``m^E`` or ``Nm^E`` joined by ``+`` and ``-``, the
+first term optionally negative, either of them optionally followed by
+``^K`` for its K-th power; a line with no factor is the constant c.  A
+dual line that does not match in full raises ``ValueError`` naming it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 from functools import lru_cache
 
 from .decomp import canonical_tuple
-from .polynomial import M, X, Y, SparsePolynomial, poly
+from .polynomial import SparsePolynomial, _ratio
 from .typelabel import label
 
 # ---------------------------------------------------------------------------
@@ -47,10 +58,8 @@ CHI_STAR_COEFFS = {
 def chi_star_reference(name):
     coeffs = CHI_STAR_COEFFS[name]
     n = len(coeffs) - 1
-    result = poly(0)
-    for i, c in enumerate(coeffs):
-        result = result + SparsePolynomial.variable("y", n - i) * c
-    return result
+    return SparsePolynomial({(0, n - i, 0, 0): c
+                             for i, c in enumerate(coeffs)})
 
 
 # ---------------------------------------------------------------------------
@@ -838,11 +847,16 @@ A1,A1,A1,A1,A1,A1,A1,A1=37968750
 
 @lru_cache(maxsize=None)
 def reference_table(name):
-    """Parse one of the published full-rank tables: tuple-key -> value."""
-    table = {}
+    """Parse one of the published full-rank tables: tuple-key -> value.
+    Each distinct label token is parsed once per table."""
+    table, labels = {}, {}
     for line in _TABLES_TEXT[name].strip().splitlines():
         lhs, rhs = line.split("=")
-        key = canonical_tuple(tuple(label(tok) for tok in lhs.split(",")))
+        tokens = lhs.split(",")
+        for tok in tokens:
+            if tok not in labels:
+                labels[tok] = label(tok)
+        key = canonical_tuple(map(labels.__getitem__, tokens))
         value = int(rhs)
         if key in table and table[key] != value:
             raise AssertionError("conflicting reference entries for %r" % (line,))
@@ -854,106 +868,150 @@ REFERENCE_TABLE_NAMES = tuple(_TABLES_TEXT)
 
 
 # ---------------------------------------------------------------------------
-# closed-form dual M-triangles for E7 and E8
+# dual M-triangles of E7 and E8
+#
+# One line per coefficient of x^k y^l, as the paper prints it: k, l, the
+# rational factor, then the factored polynomial in m.  Coefficients not
+# listed are zero.
 
-def _f(num, den):
-    return Fraction(num, den)
+_DUALS_TEXT = {
+"E7": """
+7 7 1/280 m (9m-2) (9m-4) (9m-5) (9m-8) (3m-1) (3m-2)
+7 6 -9/40 m^2 (9m-2) (9m-5) (3m-1) (3m-2) (9m-4)
+7 5 3/40 m^2 (9m-2) (9m-4) (3m-1) (243m^2-81m-14)
+7 4 -3/8 m^2 (3m-1) (9m-2) (9m+2) (81m^2-9m-4)
+7 3 3/8 m^2 (9m-2) (3m+1) (9m+2) (81m^2+9m-4)
+7 2 -3/40 m^2 (3m+1) (9m+2) (9m+4) (243m^2+81m-14)
+7 1 9/40 m^2 (3m+1) (3m+2) (9m+2) (9m+4) (9m+5)
+7 0 -1/280 m (3m+1) (3m+2) (9m+2) (9m+4) (9m+5) (9m+8)
+6 6 9/40 m (9m-2) (9m-5) (3m-1) (3m-2) (9m-4)
+6 5 -27/20 m^2 (27m-13) (9m-2) (9m-4) (3m-1)
+6 4 27/8 m^2 (3m-1) (9m-2) (243m^2-45m-10)
+6 3 -27/2 m^2 (9m-2) (9m+2) (27m^2-1)
+6 2 27/8 m^2 (3m+1) (9m+2) (243m^2+45m-10)
+6 1 -27/20 m^2 (3m+1) (9m+2) (9m+4) (27m+13)
+6 0 9/40 m (3m+1) (3m+2) (9m+2) (9m+4) (9m+5)
+5 5 3/40 m (207m-103) (9m-2) (9m-4) (3m-1)
+5 4 -27/8 m^2 (207m-71) (3m-1) (9m-2)
+5 3 9/4 m^2 (9m-2) (1863m^2-144m-55)
+5 2 -9/4 m^2 (9m+2) (1863m^2+144m-55)
+5 1 27/8 m^2 (3m+1) (9m+2) (207m+71)
+5 0 -3/40 m (3m+1) (9m+2) (9m+4) (207m+103)
+4 4 21/8 m (63m-23) (3m-1) (9m-2)
+4 3 -189/2 m^2 (21m-5) (9m-2)
+4 2 63/4 m^2 (1701m^2-37)
+4 1 -189/2 m^2 (9m+2) (21m+5)
+4 0 21/8 m (3m+1) (9m+2) (63m+23)
+3 3 21/2 m (27m-7) (9m-2)
+3 2 -189/2 m^2 (81m-13)
+3 1 189/2 m^2 (81m+13)
+3 0 -21/2 m (9m+2) (27m+7)
+2 2 21/2 m (63m-11)
+2 1 -1323 m^2
+2 0 21/2 m (63m+11)
+1 1 63 m
+1 0 -63 m
+0 0 1
+""",
+"E8": """
+8 8 1/1344 m (15m-8) (15m-11) (15m-14) (5m-1) (5m-2) (3m-1) (5m-3)
+8 7 -5/56 m^2 (15m-8) (15m-11) (5m-1) (5m-2) (5m-3) (3m-1)
+8 6 5/48 m^2 (15m-8) (5m-1) (3m-1) (5m-2) (225m^2-90m-13)
+8 5 -15/8 m^2 (5m-1) (5m-2) (3m-1) (5m+1) (75m^2-15m-4)
+8 4 1/32 m^2 (5m+1) (5m-1) (84375m^4-12375m^2+436)
+8 3 -15/8 m^2 (5m-1) (3m+1) (5m+1) (5m+2) (75m^2+15m-4)
+8 2 5/48 m^2 (3m+1) (5m+1) (5m+2) (15m+8) (225m^2+90m-13)
+8 1 -5/56 m^2 (3m+1) (5m+1) (5m+2) (5m+3) (15m+8) (15m+11)
+8 0 1/1344 m (3m+1) (5m+1) (5m+2) (5m+3) (15m+8) (15m+11) (15m+14)
+7 7 5/56 m (15m-8) (15m-11) (5m-1) (5m-2) (5m-3) (3m-1)
+7 6 -25/8 m^2 (5m-1) (3m-1) (5m-2) (15m-8)^2
+7 5 375/8 m^2 (5m-1) (5m-2) (3m-1) (45m^2-12m-2)
+7 4 -15/8 m^2 (5m+1) (5m-1) (5625m^3-2250m^2-75m+74)
+7 3 15/8 m^2 (5m-1) (5m+1) (5625m^3+2250m^2-75m-74)
+7 2 -375/8 m^2 (3m+1) (5m+1) (5m+2) (45m^2+12m-2)
+7 1 25/8 m^2 (3m+1) (5m+1) (5m+2) (15m+8)^2
+7 0 -5/56 m (3m+1) (5m+1) (5m+2) (5m+3) (15m+8) (15m+11)
+6 6 5/48 m (15m-8) (5m-1) (5m-2) (3m-1) (195m-107)
+6 5 -375/8 m^2 (39m-16) (5m-1) (5m-2) (3m-1)
+6 4 5/16 m^2 (5m-1) (219375m^3-103500m^2+3675m+2342)
+6 3 -75/4 m^2 (5m-1) (5m+1) (975m^2-32)
+6 2 5/16 m^2 (5m+1) (219375m^3+103500m^2+3675m-2342)
+6 1 -375/8 m^2 (3m+1) (5m+1) (5m+2) (39m+16)
+6 0 5/48 m (3m+1) (5m+1) (5m+2) (15m+8) (195m+107)
+5 5 15 m (30m-13) (5m-1) (5m-2) (3m-1)
+5 4 -15 m^2 (5m-1) (2250m^2-1395m+218)
+5 3 75 m^2 (5m-1) (900m^2-66m-23)
+5 2 -75 m^2 (5m+1) (900m^2+66m-23)
+5 1 15 m^2 (5m+1) (2250m^2+1395m+218)
+5 0 -15 m (3m+1) (5m+1) (5m+2) (30m+13)
+4 4 1/2 m (5m-1) (10350m^2-6675m+1084)
+4 3 -15 m^2 (1380m-307) (5m-1)
+4 2 5 m^2 (31050m^2-577)
+4 1 -15 m^2 (5m+1) (1380m+307)
+4 0 1/2 m (5m+1) (10350m^2+6675m+1084)
+3 3 45 m (45m-11) (5m-1)
+3 2 -1125 m^2 (27m-4)
+3 1 1125 m^2 (27m+4)
+3 0 -45 m (5m+1) (45m+11)
+2 2 35/2 m (105m-17)
+2 1 -3675 m^2
+2 0 35/2 m (105m+17)
+1 1 120 m
+1 0 -120 m
+0 0 1
+""",
+}
+
+# a dual line, in the grammar of the module docstring
+_TERM = r"(?:[0-9]+|[0-9]*m(?:\^[0-9]+)?)"
+_LINE = (r"[0-9]+ [0-9]+ -?[0-9]+(?:/[1-9][0-9]*)?"
+         r"(?: (?:m|\(-?%s(?:[+-]%s)*\))(?:\^[0-9]+)?)*" % (_TERM, _TERM))
+
+
+@lru_cache(maxsize=None)
+def _factor_vector(field):
+    """The integer coefficients, lowest power of m first, of one factor
+    of a line that ``_LINE`` matched, its power taken.  The cached lists
+    are shared and not to be changed."""
+    from .closedform import _convolve
+    body, _, power = field.lstrip("(").partition(")")
+    vec = []
+    for term in body.replace("-", "+-").lstrip("+").split("+"):
+        coeff, m, exponent = term.partition("m")
+        d = int(exponent[1:]) if exponent else len(m)
+        vec += [0] * (d + 1 - len(vec))
+        vec[d] += int(coeff + "1" if coeff in ("", "-") else coeff)
+    out = vec
+    for _ in range(int(power[1:] or 1) - 1):
+        out = _convolve(out, vec)
+    return out
+
+
+def _dual_line(line):
+    """One line of ``_DUALS_TEXT`` as (k, l, num, den, vec): the
+    coefficient of x^k y^l is num/den times the polynomial in m of
+    integer coefficients ``vec``, lowest power first, the product of the
+    line's factors convolved.  Raises ``ValueError``, naming the line,
+    unless ``_LINE`` matches it in full."""
+    from .closedform import _convolve
+    if re.fullmatch(_LINE, line) is None:
+        raise ValueError("malformed dual M-triangle line %r" % line)
+    k, l, factor, *fields = line.split(" ")
+    num, _, den = factor.partition("/")
+    vec = [1]
+    for field in fields:
+        vec = _convolve(vec, _factor_vector(field))
+    return int(k), int(l), int(num), int(den or 1), vec
 
 
 @lru_cache(maxsize=None)
 def golden_dual(name):
-    """The published dual M-triangle of NC^m for E7 or E8 (symbolic m)."""
-    m = M
-    if name == "E7":
-        entries = [
-            (7, 7, _f(1, 280), m * (9*m-2) * (9*m-4) * (9*m-5) * (9*m-8) * (3*m-1) * (3*m-2)),
-            (7, 6, _f(-9, 40), m*m * (9*m-2) * (9*m-5) * (3*m-1) * (3*m-2) * (9*m-4)),
-            (7, 5, _f(3, 40), m*m * (9*m-2) * (9*m-4) * (3*m-1) * (243*m*m - 81*m - 14)),
-            (7, 4, _f(-3, 8), m*m * (3*m-1) * (9*m-2) * (9*m+2) * (81*m*m - 9*m - 4)),
-            (7, 3, _f(3, 8), m*m * (9*m-2) * (3*m+1) * (9*m+2) * (81*m*m + 9*m - 4)),
-            (7, 2, _f(-3, 40), m*m * (3*m+1) * (9*m+2) * (9*m+4) * (243*m*m + 81*m - 14)),
-            (7, 1, _f(9, 40), m*m * (3*m+1) * (3*m+2) * (9*m+2) * (9*m+4) * (9*m+5)),
-            (7, 0, _f(-1, 280), m * (3*m+1) * (3*m+2) * (9*m+2) * (9*m+4) * (9*m+5) * (9*m+8)),
-            (6, 6, _f(9, 40), m * (9*m-2) * (9*m-5) * (3*m-1) * (3*m-2) * (9*m-4)),
-            (6, 5, _f(-27, 20), m*m * (27*m-13) * (9*m-2) * (9*m-4) * (3*m-1)),
-            (6, 4, _f(27, 8), m*m * (3*m-1) * (9*m-2) * (243*m*m - 45*m - 10)),
-            (6, 3, _f(-27, 2), m*m * (9*m-2) * (9*m+2) * (27*m*m - 1)),
-            (6, 2, _f(27, 8), m*m * (3*m+1) * (9*m+2) * (243*m*m + 45*m - 10)),
-            (6, 1, _f(-27, 20), m*m * (3*m+1) * (9*m+2) * (9*m+4) * (27*m+13)),
-            (6, 0, _f(9, 40), m * (3*m+1) * (3*m+2) * (9*m+2) * (9*m+4) * (9*m+5)),
-            (5, 5, _f(3, 40), m * (207*m-103) * (9*m-2) * (9*m-4) * (3*m-1)),
-            (5, 4, _f(-27, 8), m*m * (207*m-71) * (3*m-1) * (9*m-2)),
-            (5, 3, _f(9, 4), m*m * (9*m-2) * (1863*m*m - 144*m - 55)),
-            (5, 2, _f(-9, 4), m*m * (9*m+2) * (1863*m*m + 144*m - 55)),
-            (5, 1, _f(27, 8), m*m * (3*m+1) * (9*m+2) * (207*m+71)),
-            (5, 0, _f(-3, 40), m * (3*m+1) * (9*m+2) * (9*m+4) * (207*m+103)),
-            (4, 4, _f(21, 8), m * (63*m-23) * (3*m-1) * (9*m-2)),
-            (4, 3, _f(-189, 2), m*m * (21*m-5) * (9*m-2)),
-            (4, 2, _f(63, 4), m*m * (1701*m*m - 37)),
-            (4, 1, _f(-189, 2), m*m * (9*m+2) * (21*m+5)),
-            (4, 0, _f(21, 8), m * (3*m+1) * (9*m+2) * (63*m+23)),
-            (3, 3, _f(21, 2), m * (27*m-7) * (9*m-2)),
-            (3, 2, _f(-189, 2), m*m * (81*m-13)),
-            (3, 1, _f(189, 2), m*m * (81*m+13)),
-            (3, 0, _f(-21, 2), m * (9*m+2) * (27*m+7)),
-            (2, 2, _f(21, 2), m * (63*m-11)),
-            (2, 1, -1323, m*m),
-            (2, 0, _f(21, 2), m * (63*m+11)),
-            (1, 1, 63, m),
-            (1, 0, -63, m),
-            (0, 0, 1, poly(1)),
-        ]
-    elif name == "E8":
-        entries = [
-            (8, 8, _f(1, 1344), m * (15*m-8) * (15*m-11) * (15*m-14) * (5*m-1) * (5*m-2) * (3*m-1) * (5*m-3)),
-            (8, 7, _f(-5, 56), m*m * (15*m-8) * (15*m-11) * (5*m-1) * (5*m-2) * (5*m-3) * (3*m-1)),
-            (8, 6, _f(5, 48), m*m * (15*m-8) * (5*m-1) * (3*m-1) * (5*m-2) * (225*m*m - 90*m - 13)),
-            (8, 5, _f(-15, 8), m*m * (5*m-1) * (5*m-2) * (3*m-1) * (5*m+1) * (75*m*m - 15*m - 4)),
-            (8, 4, _f(1, 32), m*m * (5*m+1) * (5*m-1) * (84375*m**4 - 12375*m*m + 436)),
-            (8, 3, _f(-15, 8), m*m * (5*m-1) * (3*m+1) * (5*m+1) * (5*m+2) * (75*m*m + 15*m - 4)),
-            (8, 2, _f(5, 48), m*m * (3*m+1) * (5*m+1) * (5*m+2) * (15*m+8) * (225*m*m + 90*m - 13)),
-            (8, 1, _f(-5, 56), m*m * (3*m+1) * (5*m+1) * (5*m+2) * (5*m+3) * (15*m+8) * (15*m+11)),
-            (8, 0, _f(1, 1344), m * (3*m+1) * (5*m+1) * (5*m+2) * (5*m+3) * (15*m+8) * (15*m+11) * (15*m+14)),
-            (7, 7, _f(5, 56), m * (15*m-8) * (15*m-11) * (5*m-1) * (5*m-2) * (5*m-3) * (3*m-1)),
-            (7, 6, _f(-25, 8), m*m * (5*m-1) * (3*m-1) * (5*m-2) * (15*m-8)**2),
-            (7, 5, _f(375, 8), m*m * (5*m-1) * (5*m-2) * (3*m-1) * (45*m*m - 12*m - 2)),
-            (7, 4, _f(-15, 8), m*m * (5*m+1) * (5*m-1) * (5625*m**3 - 2250*m*m - 75*m + 74)),
-            (7, 3, _f(15, 8), m*m * (5*m-1) * (5*m+1) * (5625*m**3 + 2250*m*m - 75*m - 74)),
-            (7, 2, _f(-375, 8), m*m * (3*m+1) * (5*m+1) * (5*m+2) * (45*m*m + 12*m - 2)),
-            (7, 1, _f(25, 8), m*m * (3*m+1) * (5*m+1) * (5*m+2) * (15*m+8)**2),
-            (7, 0, _f(-5, 56), m * (3*m+1) * (5*m+1) * (5*m+2) * (5*m+3) * (15*m+8) * (15*m+11)),
-            (6, 6, _f(5, 48), m * (15*m-8) * (5*m-1) * (5*m-2) * (3*m-1) * (195*m-107)),
-            (6, 5, _f(-375, 8), m*m * (39*m-16) * (5*m-1) * (5*m-2) * (3*m-1)),
-            (6, 4, _f(5, 16), m*m * (5*m-1) * (219375*m**3 - 103500*m*m + 3675*m + 2342)),
-            (6, 3, _f(-75, 4), m*m * (5*m-1) * (5*m+1) * (975*m*m - 32)),
-            (6, 2, _f(5, 16), m*m * (5*m+1) * (219375*m**3 + 103500*m*m + 3675*m - 2342)),
-            (6, 1, _f(-375, 8), m*m * (3*m+1) * (5*m+1) * (5*m+2) * (39*m+16)),
-            (6, 0, _f(5, 48), m * (3*m+1) * (5*m+1) * (5*m+2) * (15*m+8) * (195*m+107)),
-            (5, 5, 15, m * (30*m-13) * (5*m-1) * (5*m-2) * (3*m-1)),
-            (5, 4, -15, m*m * (5*m-1) * (2250*m*m - 1395*m + 218)),
-            (5, 3, 75, m*m * (5*m-1) * (900*m*m - 66*m - 23)),
-            (5, 2, -75, m*m * (5*m+1) * (900*m*m + 66*m - 23)),
-            (5, 1, 15, m*m * (5*m+1) * (2250*m*m + 1395*m + 218)),
-            (5, 0, -15, m * (3*m+1) * (5*m+1) * (5*m+2) * (30*m+13)),
-            (4, 4, _f(1, 2), m * (5*m-1) * (10350*m*m - 6675*m + 1084)),
-            (4, 3, -15, m*m * (1380*m-307) * (5*m-1)),
-            (4, 2, 5, m*m * (31050*m*m - 577)),
-            (4, 1, -15, m*m * (5*m+1) * (1380*m+307)),
-            (4, 0, _f(1, 2), m * (5*m+1) * (10350*m*m + 6675*m + 1084)),
-            (3, 3, 45, m * (45*m-11) * (5*m-1)),
-            (3, 2, -1125, m*m * (27*m-4)),
-            (3, 1, 1125, m*m * (27*m+4)),
-            (3, 0, -45, m * (5*m+1) * (45*m+11)),
-            (2, 2, _f(35, 2), m * (105*m-17)),
-            (2, 1, -3675, m*m),
-            (2, 0, _f(35, 2), m * (105*m+17)),
-            (1, 1, 120, m),
-            (1, 0, -120, m),
-            (0, 0, 1, poly(1)),
-        ]
-    else:
-        raise KeyError(name)
-    total = poly(0)
-    for xdeg, ydeg, coeff, body in entries:
-        total = total + (X ** xdeg) * (Y ** ydeg) * poly(coeff) * body
-    return total
+    """The published dual M-triangle of NC^m for E7 or E8 (symbolic m),
+    parsed from that ambient's lines of ``_DUALS_TEXT``; any other name
+    raises ``KeyError``."""
+    terms = {}
+    for line in _DUALS_TEXT[name].strip().splitlines():
+        k, l, num, den, vec = _dual_line(line)
+        for i, c in enumerate(vec):
+            terms[k, l, 0, i] = _ratio(num * c, den)
+    return SparsePolynomial(terms)

@@ -227,14 +227,14 @@ def test_integer_assembly_matches_polynomial_products(source, name):
     assert mine == oracle
 
 
-# one assembly in a fresh process: the chi* it computes
+# one assembly in a fresh process: the chi* y-vectors it computes
 CHI_MISSES = r"""
 import sys
 from noncross import decomp, ncposet, triangles
 table = decomp.full_table(sys.argv[1])
-before = ncposet.characteristic_polynomial.cache_info().misses
+before = ncposet.chi_vector.cache_info().misses
 triangles.assemble_dual(sys.argv[1], table)
-print(ncposet.characteristic_polynomial.cache_info().misses - before)
+print(ncposet.chi_vector.cache_info().misses - before)
 """
 
 

@@ -35,8 +35,11 @@ under its name in the tree at hand and falls back to the older name, so
 an A/B of two trees keeps its keys: the diagram classifier is
 ``ncposet.classify_simple_roots`` on the simple roots of a mask, picked
 inside the timing (earlier ``weyl.classify_moved_roots`` on its moved
-roots), its cache of diagram types ``ncposet._classify_edges`` and the
-root tables ``ncposet._root_tables`` (earlier both in ``weyl``).
+roots), its cache of diagram types ``ncposet._classify_edges``, the
+root tables ``ncposet._root_tables`` (earlier both in ``weyl``), the
+root permutation ``ncposet.coxeter_root_permutation`` (earlier
+``weyl.coxeter_root_permutation``) and the chi* y-vectors
+``decomp.chi_vector`` (earlier ``ncposet.chi_vector``).
 
 A *cold* process is one ``python -m noncross.cli`` run, its stdout
 discarded, its peak RSS read through ``wait4``; a *probe* runs one
@@ -92,6 +95,10 @@ The ``nc`` group: NC(W) enumeration and what reads it.
   ``ncposet._descent_masks`` (its ``__wrapped__``), the root system
   built;
 * ``descent_tables_DE_s``: the sum of those medians;
+* ``coxeter_permutation_s``: per D and E ambient, one uncached
+  ``coxeter_root_permutation`` (its ``__wrapped__``), the root system
+  built;
+* ``coxeter_permutations_DE_s``: the sum of those medians;
 * ``root_tables_s``: per D and E ambient, one uncached ``_root_tables``
   (its ``__wrapped__``), the root system built;
 * ``root_tables_DE_s``: the sum of those medians;
@@ -142,7 +149,7 @@ walked and the lower tables built:
   cleared: memos, the closed-form A tables among them;
 * ``assemble_dual_s``: ``triangles.assemble_dual`` of the replayed
   table; cleared: chi* (``ncposet.characteristic_polynomial`` and the
-  cache of its y-vectors ``ncposet.chi_vector``);
+  cache of its y-vectors ``decomp.chi_vector``);
 * ``assemble_dual_chi_warm_s``: the same with chi* warm;
 * ``rank``: the rank of the pinned system, the unpinned echelon
   extended by the pins through ``Echelon.add_row`` as in ``replay``;
@@ -220,6 +227,10 @@ The ``startup`` group: cold processes.
   process;
 * ``loads``: per light command, the ``noncross`` submodules and the
   ``HEAVY`` stdlib modules that a probe of it loads;
+* ``compiled_nodes``: per light command and for ``import`` (the import
+  of ``noncross.cli`` alone), the AST nodes of the package modules that
+  a probe of it loads, ``noncross`` itself included: what a cold
+  process compiles with bytecode writing off, a count with no noise;
 * ``bytecode_writing_off``: whether ``PYTHONDONTWRITEBYTECODE`` is set,
   so that every cold process compiles the package afresh unless
   ``__pycache__`` already holds its bytecode;
@@ -265,8 +276,12 @@ LIGHT = (("rootsys", "info", "A1"),
          ("zeta", "E7"),
          ("zeta", "D4", "--m", "1"),
          ("mtriangle", "A4", "--dual"),
+         ("mtriangle", "A4", "--m", "1"),
+         ("ftriangle", "A3", "--m", "3", "--format", "json"),
          ("chi", "A3*D4"),
-         ("decomp", "table", "A6"))
+         ("chi", "A1*A1"),
+         ("decomp", "table", "A6"),
+         ("decomp", "table", "A3", "--format", "json", "--full-rank-only"))
 HEAVY = ("dataclasses", "tempfile")
 RSS = ((), ("decomp", "count", "E7", "A4,A3"), ("verify", "e8"))
 
@@ -332,12 +347,14 @@ session.set_up()
 print(time.perf_counter() - start)
 """
 
-# Runs one CLI command and prints the modules loaded since the start.
+# Runs one CLI command (none: only imports the CLI) and prints the
+# modules loaded since the start.
 LOADS = r"""
 import sys
 before = set(sys.modules)
 from noncross import cli
-cli.main(sys.argv[1:])
+if sys.argv[1:]:
+    cli.main(sys.argv[1:])
 loaded = sorted(set(sys.modules) - before)
 import json
 print(json.dumps(loaded))
@@ -423,10 +440,10 @@ def clear_memos():
 
 def forget_chi():
     """Empty chi*: ``characteristic_polynomial`` and the cache of its
-    y-vectors (``ncposet.chi_vector``)."""
-    from noncross import ncposet
+    y-vectors (``decomp.chi_vector``, earlier ``ncposet.chi_vector``)."""
+    from noncross import decomp, ncposet
     ncposet.characteristic_polynomial.cache_clear()
-    ncposet.chi_vector.cache_clear()
+    (getattr(decomp, "chi_vector", None) or ncposet.chi_vector).cache_clear()
 
 
 def forget_walks():
@@ -538,6 +555,12 @@ def nc_stages(rec):
     tables = rec.value("descent_table_s", lambda: per_ambient(
         ncposet._descent_masks.__wrapped__), timing=True)
     rec.value("descent_tables_DE_s", lambda: sum(tables.values()),
+              timing=True)
+    permutation = getattr(ncposet, "coxeter_root_permutation", None) or \
+        weyl.coxeter_root_permutation
+    tables = rec.value("coxeter_permutation_s", lambda: per_ambient(
+        permutation.__wrapped__), timing=True)
+    rec.value("coxeter_permutations_DE_s", lambda: sum(tables.values()),
               timing=True)
     tables = rec.value("root_tables_s", lambda: per_ambient(
         home._root_tables.__wrapped__), timing=True)
@@ -755,6 +778,19 @@ def loads(argv):
             "heavy": [m for m in modules if m in HEAVY]}
 
 
+def compiled_nodes(argv):
+    """The AST nodes of the ``noncross`` modules that a probe of ``argv``
+    loads, the package itself included, read from their source files."""
+    import ast
+    import noncross
+    home = os.path.dirname(noncross.__file__)
+    total = 0
+    for name in ["__init__"] + loads(argv)["noncross"]:
+        with open(os.path.join(home, name + ".py")) as handle:
+            total += sum(1 for _ in ast.walk(ast.parse(handle.read())))
+    return total
+
+
 def startup_stages(rec):
     rec.time("import_cli_s", lambda: cold(()))
     rec.value("light_s", lambda: {
@@ -762,6 +798,9 @@ def startup_stages(rec):
         timing=True)
     rec.value("loads", lambda: {" ".join(argv): loads(argv)
                                 for argv in LIGHT})
+    rec.value("compiled_nodes", lambda: {
+        " ".join(argv) or "import": compiled_nodes(argv)
+        for argv in ((),) + LIGHT})
     rec.value("bytecode_writing_off",
               lambda: bool(os.environ.get("PYTHONDONTWRITEBYTECODE")))
     rec.value("peak_rss_mb", lambda: {" ".join(argv) or "import": cold(argv)

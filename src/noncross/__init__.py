@@ -36,12 +36,13 @@ _EXPORTS = {
     "polynomial": ("SparsePolynomial",),
     "refdata": ("CHI_STAR_COEFFS", "REFERENCE_TABLE_NAMES",
                 "chi_star_reference", "golden_dual", "reference_table"),
-    "rootsystem": ("SUPPORTED_AMBIENTS", "RootSystem", "build_root_system"),
+    "rootsystem": ("RootSystem", "build_root_system"),
     "triangles": ("FTriangleCandidate", "MTriangle", "TransformFailure",
                   "assemble_dual", "dual_to_primal", "f_reciprocity_checks",
                   "fm_transform", "mtriangle_direct", "reciprocity_check",
                   "zeta_identity_check"),
-    "typelabel": ("ResourceGuardError", "TypeLabel", "label"),
+    "typelabel": ("ResourceGuardError", "SUPPORTED_AMBIENTS", "TypeLabel",
+                  "label"),
     "weyl": ("absolute_length", "bipartite_coxeter", "enumerate_group"),
 }
 

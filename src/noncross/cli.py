@@ -5,9 +5,11 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 
 Importing this module loads only ``typelabel`` of the package: each
 command imports the layers it runs inside its function, so a cold call
-compiles and imports only those.  Layer functions are called through
-their modules or imported at call time, so that a wrapper installed on
-a module attribute sees the call.
+compiles and imports only those, and the check of an ambient reads the
+degree table's ``SUPPORTED_AMBIENTS`` there.  ``main`` builds the
+arguments of the invoked command only (``build_parser``).  Layer
+functions are called through their modules or imported at call time, so
+that a wrapper installed on a module attribute sees the call.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import io
 import sys
 
-from .typelabel import ResourceGuardError, label
+from .typelabel import SUPPORTED_AMBIENTS, ResourceGuardError, label
 
 
 def _parse_label(text):
@@ -81,7 +83,6 @@ def _emit(payload, fmt):
 
 
 def _require_ambient(name):
-    from .rootsystem import SUPPORTED_AMBIENTS
     if name not in SUPPORTED_AMBIENTS:
         raise SystemExit(_fail_input(
             "unsupported ambient %r (choose from %s)"
@@ -268,7 +269,22 @@ def cmd_verify(args):
 # argument parsing
 
 
-def build_parser():
+class _Unbuilt:
+    """Takes the calls that would build a command's arguments, and builds
+    nothing."""
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: self
+
+
+def build_parser(argv=None):
+    """The argument parser of ``noncross``.  Given the arguments ``argv``,
+    only the command they name (the first that is not an option) gets
+    its arguments; the other commands keep their names and help, so the
+    top-level help and errors read the same as the full parser's, which
+    no ``argv`` builds."""
+    wanted = None if argv is None else next(
+        (arg for arg in argv if not arg.startswith("-")), "")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
@@ -283,19 +299,25 @@ def build_parser():
                     "of ADE root systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rootsys", help="root-system facts")
+    def command(name, summary, **kwargs):
+        if wanted not in (None, name):
+            sub.add_parser(name, help=summary)
+            return _Unbuilt()
+        return sub.add_parser(name, help=summary, **kwargs)
+
+    p = command("rootsys", "root-system facts")
     psub = p.add_subparsers(dest="subcommand", required=True)
     pi = psub.add_parser("info", parents=parents)
     pi.add_argument("label")
     pi.set_defaults(func=cmd_rootsys)
 
-    p = sub.add_parser("nc", help="non-crossing partition posets")
+    p = command("nc", "non-crossing partition posets")
     psub = p.add_subparsers(dest="subcommand", required=True)
     pe = psub.add_parser("enumerate", parents=parents)
     pe.add_argument("label")
     pe.set_defaults(func=cmd_nc)
 
-    p = sub.add_parser("decomp", help="decomposition numbers")
+    p = command("decomp", "decomposition numbers")
     psub = p.add_subparsers(dest="subcommand", required=True)
     pc = psub.add_parser("count", parents=parents)
     pc.add_argument("ambient")
@@ -306,39 +328,36 @@ def build_parser():
     pt.add_argument("--full-rank-only", action="store_true")
     pt.set_defaults(func=cmd_decomp_table)
 
-    p = sub.add_parser("chi", parents=parents,
-                       help="characteristic polynomial chi*")
+    p = command("chi", "characteristic polynomial chi*", parents=parents)
     p.add_argument("label")
     p.set_defaults(func=cmd_chi)
 
-    p = sub.add_parser("zeta", parents=parents, help="zeta polynomial of NC^m")
+    p = command("zeta", "zeta polynomial of NC^m", parents=parents)
     p.add_argument("label")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--symbolic", action="store_true")
     p.set_defaults(func=cmd_zeta)
 
-    p = sub.add_parser("mtriangle", parents=parents, help="M-triangle of NC^m")
+    p = command("mtriangle", "M-triangle of NC^m", parents=parents)
     p.add_argument("label")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--symbolic", action="store_true")
     p.add_argument("--dual", action="store_true")
     p.set_defaults(func=cmd_mtriangle)
 
-    p = sub.add_parser("ftriangle", parents=parents,
-                       help="F-triangle candidate via F=M")
+    p = command("ftriangle", "F-triangle candidate via F=M", parents=parents)
     p.add_argument("label")
     p.add_argument("--m", type=int, default=1)
     p.set_defaults(func=cmd_ftriangle)
 
-    p = sub.add_parser("linsys", help="linear-system replay")
+    p = command("linsys", "linear-system replay")
     psub = p.add_subparsers(dest="subcommand", required=True)
     pr = psub.add_parser("replay", parents=parents)
     pr.add_argument("label")
     pr.add_argument("--report", default=None, help="write JSON report here")
     pr.set_defaults(func=cmd_linsys)
 
-    p = sub.add_parser("verify", parents=parents,
-                       help="run a verification suite")
+    p = command("verify", "run a verification suite", parents=parents)
     p.add_argument("suite")
     p.set_defaults(func=cmd_verify)
 
@@ -346,8 +365,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     # an exact answer may have more digits than Python's limit for
     # converting an int to text (3.10.7 and later); the limit holds while
     # the arguments parse, so an --m of more digits is still bad input

@@ -1,7 +1,8 @@
 """Closed forms read off the degree table: the zeta polynomial of NC^m
 (``zeta_closed``), the Moebius number of NC (``_mobius_number``) and the
 one sum over decomposition tuples that expands them (``tuple_sums``).
-None walks NC, so this module loads no ``ncposet`` and no ``weyl``.
+None walks NC, so this module loads no ``ncposet`` and no ``weyl``,
+and the degree table is ``typelabel``'s, so it loads no ``rootsystem``.
 
 One zeta identity.  ``zeta_rows`` compares the closed-form zeta
 polynomial of NC^m with its decomposition-number expansion in integers,
@@ -18,8 +19,7 @@ from math import gcd, lcm, prod
 
 from . import polynomial
 from .polynomial import Z as _Z, M as _M
-from .rootsystem import degree_pairs
-from .typelabel import ResourceGuardError, per_type
+from .typelabel import ResourceGuardError, degree_pairs, per_type
 
 # The largest ranks whose zeta polynomial is computed (a larger type
 # raises ResourceGuardError); the cost grows about as rank^2.3, rank^3

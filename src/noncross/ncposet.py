@@ -29,15 +29,28 @@ nonzero vector), hence
 
 The moved space is the Cartan-orthogonal complement of the fixed space,
 so a root b is moved by u exactly when Z[a_i, b] = 0 for every i, with
-``Z[a, b] = <b, (c - I)^{-1} a> = b^T C (c - I)^{-1} a``.  Its zero
-pattern is one K x K table per ambient (K positive roots), found in
-integers from one kernel: as c - I is invertible, the kernel of the
-n x 2n matrix [c - I | -I] has one basis vector per simple root alpha_i,
-a positive multiple of ((c - I)^{-1} alpha_i, e_i).  Z is linear in a,
-so over a common scale the row of a non-simple root r is the row of
-the positive root r - alpha_i plus the row of alpha_i.  The moved set
-of the child t_a w is the moved set of w intersected with the zero
-pattern of row a of Z: one AND of two masks per element.
+``Z[a, b] = <b, (c - I)^{-1} a>``.  Its zero pattern is one K x K table
+per ambient (K positive roots), read off the Coxeter word with no
+elimination.  Write c = s_{w_1} ... s_{w_n} (the word of
+``weyl.bipartite_coxeter``: the first color block, then the second) and
+beta_k = s_{w_1} ... s_{w_{k-1}} alpha_{w_k}.  The reflections after
+s_{w_k} fix the fundamental weight omega_{w_k}, and s_{w_k} takes it to
+omega_{w_k} - alpha_{w_k}, so
+
+    (I - c) omega_{w_k} = beta_k.
+
+The beta_k are a basis, so c - I is invertible, and for
+a = sum_k y_k beta_k, as <b, omega_j> = b_j, the coefficient of
+alpha_j in b,
+
+    Z[a, b] = -sum_k y_k b_{w_k}.
+
+Each beta_k is alpha_{w_k} plus simple roots earlier in the word, so
+y comes from a by back-substitution in integers.  Z is bilinear, so a
+row is a sum of the rows of the simple roots, each packed into one int
+with a byte per root b.  The moved set of the child t_a w is the moved
+set of w intersected with the zero pattern of row a of Z: one AND of
+two masks per element.
 
 Complements from the same table.  If u x = x then
 (u^{-1} c - I) c^{-1} x = (I - c^{-1}) x; both sides below have
@@ -61,7 +74,8 @@ One orbit of conjugation by c at a time.  The map u -> c u c^{-1}
 sends NC onto itself: it keeps the absolute order and fixes c.  It
 moves the space c Mov(u), so on moved sets it is the permutation pi of
 the positive roots with pi(b) = the index of +-c b
-(``weyl.coxeter_root_permutation``), applied root by root.  The mask
+(``coxeter_root_permutation``, c b as n simple reflections of the
+root b), applied root by root.  The mask
 bits are laid out along the cycles of pi (``mask_layout``): bit i stands
 for the positive root order[i], and the roots of each cycle take
 consecutive bits in the cycle's order, so conjugation by c rotates each
@@ -106,7 +120,7 @@ every type, A included, is read off the smallest interval already read
 that holds it: in NC(E8) only the E7 and D7 intervals scan the records,
 E6 is read inside [1, q_E7] and D6, D5 and D4 each inside the interval
 before.  chi* needs no census of type A: it counts elements by type
-(``characteristic_polynomial``), and type A has a closed form for that.
+(``decomp.chi_vector``), and type A has a closed form for that.
 """
 
 from __future__ import annotations
@@ -114,22 +128,12 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import lru_cache
-from math import lcm
 from operator import attrgetter, itemgetter
 
-from .exact import int_kernel
-from .rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
-                         classify_edge_list, degree_pairs, degrees)
-from .typelabel import label, per_type
-from .weyl import (_matmul, _minus_eye, bipartite_coxeter,
-                   coxeter_root_permutation)
+from .rootsystem import build_root_system, classify_edge_list
+from .typelabel import SUPPORTED_AMBIENTS, degree_pairs, label, per_type
 
 CACHE_SCHEMA_VERSION = 3
-
-# The largest rank whose chi* is computed; a larger type raises
-# ResourceGuardError.  The cost grows about as rank^2.3: at the bound,
-# chi* of A1^4000 takes 4 s on a 2-core host.
-MAX_CHI_RANK = 4000
 
 _RANK = attrgetter("rank")
 
@@ -360,7 +364,7 @@ class NcPoset:
 class MaskLayout:
     """The layout of the moved-root masks of one ambient: bit i stands for
     the positive root ``order[i]``, and the roots of each cycle of pi
-    (``weyl.coxeter_root_permutation``) take consecutive bits in the
+    (``coxeter_root_permutation``) take consecutive bits in the
     cycle's order, starting from its lowest root.  ``blocks`` holds the
     (first bit, size) of each cycle, in the order of their lowest roots."""
 
@@ -402,6 +406,52 @@ class MaskLayout:
                 return found
             found.append(rotated)
             image = rotated
+
+
+def _coxeter_word(rs):
+    """The word w_1 ... w_n of the bipartite Coxeter element c (the order
+    of ``weyl.bipartite_coxeter``: the first color block, then the
+    second, ascending node index in each), and ``reflect(root,
+    letters)``, which applies s_i for each letter i in turn, first letter
+    first, to a root held as a list of simple-root coefficients, in
+    place: s_i replaces coefficient i by the sum of its neighbors' less
+    itself, as the diagram is simply laced."""
+    word = [i for block in rs.bipartition for i in block]
+    neighbors = [[] for _ in range(rs.n)]
+    for a, b in rs.edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+
+    def reflect(root, letters):
+        for i in letters:
+            root[i] = sum(root[j] for j in neighbors[i]) - root[i]
+        return root
+
+    return word, reflect
+
+
+@per_type
+def coxeter_root_permutation(name):
+    """The permutation pi of the positive-root indices by the bipartite
+    Coxeter element c: pi[b] is the index of the positive one of c.b and
+    -c.b, c.b being the n simple reflections of the word of c applied to
+    the root b, the last letter first.  Conjugation by c maps the
+    reflection t_b to t_{pi[b]}, and an element moving the roots S to one
+    moving pi(S)."""
+    rs = build_root_system(name)
+    word, reflect = _coxeter_word(rs)
+    letters = word[::-1]
+    roots = rs.positive_roots
+    index = {r: i for i, r in enumerate(roots)}
+    pi = []
+    for root in roots:
+        image = tuple(reflect(list(root), letters))
+        found = index.get(image)
+        pi.append(found if found is not None
+                  else index[tuple(-x for x in image)])
+    if sorted(pi) != list(range(len(pi))):
+        raise AssertionError("c does not permute the positive roots")
+    return tuple(pi)
 
 
 @per_type
@@ -456,39 +506,58 @@ def classify_simple_roots(linked, simples):
     return _classify_edges(len(simples), edges)
 
 
+# a byte of a packed row of Z biased by 128 -> "1" if the value is 0
+_ZERO_BYTE = bytes.maketrans(bytes(range(256)),
+                             b"0" * 128 + b"1" + b"0" * 127)
+
+
 @per_type
 def _descent_masks(name):
-    """The rows zero[i] of the zero pattern of Z[a, b] = b^T C (c - I)^{-1} a,
+    """The rows zero[i] of the zero pattern of Z[a, b] = <b, (c - I)^{-1} a>,
     in exact integers, for a = the root of bit i, each a mask over the
-    bits of b (``mask_layout``).  The kernel of [c - I | -I] gives
-    (c - I)^{-1} alpha_i up to a positive factor; over their lcm, the
-    value rows of the simple roots add up to those of the others (see
-    the module docstring)."""
+    bits of b (``mask_layout``).  The Coxeter word gives the basis
+    beta_k = (I - c) omega_{w_k}; a simple root is sum_k y_k beta_k, y by
+    back-substitution, and Z[alpha_i, b] = -sum_k y_k b_{w_k} (see the
+    module docstring).
+
+    A row is packed into one int, a byte per bit of b: Z is bilinear, so
+    the row of a root a is sum_i a_i times the packed row of alpha_i,
+    itself sum_j v_i[j] times the packed coefficients b_j.  Each value
+    fits a signed byte: c keeps the Cartan form and its eigenvalues are
+    e^{2 pi i m / h} with 0 < m < h, so |Z[a, b]| <= |a| |b| /
+    |1 - e^{2 pi i / h}| = 1 / sin(pi / h) <= h / 2, at most 15 here.
+    Biased by 128 in every byte, the row's bytes read 128 exactly where
+    Z vanishes."""
     rs = build_root_system(name)
     n = rs.n
-    c_minus_eye = _minus_eye(bipartite_coxeter(rs))
-    if int_kernel(c_minus_eye):
-        raise ValueError("c - I is singular")
-    kernel = int_kernel([row + [-(i == j) for j in range(n)]
-                         for i, row in enumerate(c_minus_eye)])
-    scale = lcm(*(y[n + i] for i, y in enumerate(kernel)))
-    # v_i = C (c - I)^{-1} alpha_i times scale, so Z[alpha_i, b] = b . v_i
-    # times a positive factor common to all rows
-    vectors = _matmul([[x * (scale // y[n + i]) for x in y[:n]]
-                       for i, y in enumerate(kernel)],
-                      tuple(zip(*rs.cartan)))
+    word, reflect = _coxeter_word(rs)
+    # beta_k = s_{w_1} ... s_{w_{k-1}} alpha_{w_k}: coefficient 1 at w_k,
+    # the others at letters before it
+    betas = [reflect([int(j == i) for j in range(n)], word[:k][::-1])
+             for k, i in enumerate(word)]
     roots, order = rs.positive_roots, mask_layout(name).order
-    values = [[sum(x * y for x, y in zip(roots[b], v)) for b in order]
-              for v in vectors]
-    index = {r: a for a, r in enumerate(roots)}
-    for r in roots[n:]:                 # by height: r - alpha_i comes first
-        for i, coeff in enumerate(r):
-            lower = index.get(r[:i] + (coeff - 1,) + r[i + 1:])
-            if lower is not None:
-                break
-        values.append([x + y for x, y in zip(values[lower], values[i])])
-    return tuple(sum(1 << j for j, x in enumerate(values[a]) if not x)
-                 for a in order)
+    size = len(roots)
+    # coefficient j of every root b, a byte per bit of b
+    coeffs = [int.from_bytes(bytes(roots[b][j] for b in order), "little")
+              for j in range(n)]
+    simple = []
+    for i in range(n):
+        # v[w_k] = y_k for alpha_i = sum_k y_k beta_k, so that the row of
+        # alpha_i is -(b . v) over the roots b
+        rest, v = [int(j == i) for j in range(n)], [0] * n
+        for k in range(n - 1, -1, -1):
+            y = v[word[k]] = rest[word[k]]
+            if y:
+                rest = [x - y * z for x, z in zip(rest, betas[k])]
+        simple.append(sum(y * packed for y, packed in zip(v, coeffs) if y))
+    bias = int.from_bytes(b"\x80" * size, "little")
+    zero = []
+    for a in order:
+        row = bias + sum(x * packed for x, packed in zip(roots[a], simple)
+                         if x)
+        zero.append(int(row.to_bytes(size, "little")
+                        .translate(_ZERO_BYTE)[::-1], 2))
+    return tuple(zero)
 
 
 def reflection_orbits(rs):
@@ -628,69 +697,13 @@ def ncm_cardinality(t, m):
 @per_type
 def characteristic_polynomial(t):
     """chi* of NC of any type (a label or its text): the polynomial in y
-    of its integer coefficients, ``chi_vector`` past its cache, so that
-    ``__wrapped__`` computes chi* afresh.  The cached polynomials are
+    of its integer coefficients, ``decomp.chi_vector`` past its cache, so
+    that ``__wrapped__`` computes chi* afresh.  The cached polynomials are
     shared and not to be changed."""
+    from .decomp import chi_vector
     from .polynomial import SparsePolynomial
     coeffs, _ = chi_vector.__wrapped__(t)
     return SparsePolynomial({(0, j, 0, 0): c for j, c in enumerate(coeffs)})
-
-
-@lru_cache(maxsize=None)
-def chi_vector(t):
-    """chi* of NC of a type (a label) as integer y-coefficients, lowest
-    power first, over the denominator 1: the factor of ``tuple_sums`` for
-    the dual M-triangle.  The cached lists are shared and not to be
-    changed.
-
-    A reducible type takes the product of its components' chi*, their
-    vectors convolved.  For an irreducible type of rank n, the interval
-    [u, c] of NC is NC of the type of u^{-1} c (Armstrong), and
-    u -> u^{-1} c is a bijection of NC that takes rank r to rank n - r,
-    so chi*(y) = sum over the elements v of mu(type of v) * y^{n - rank v}:
-    the number of elements of each type (``_type_counts``) times its
-    closed-form Moebius number.  The coefficients are summed in a list
-    indexed by the power of y.  Raises ``AssertionError`` unless
-    chi*(1) = 0, and ``ResourceGuardError`` above rank ``MAX_CHI_RANK``.
-    """
-    from .closedform import _convolve, _guard_rank, _mobius_number
-    _guard_rank(t, MAX_CHI_RANK, "chi*")
-    if t.is_irreducible:
-        n = t.rank
-        coeffs = [0] * (n + 1)
-        for s, count in _type_counts(t).items():
-            coeffs[n - s.rank] += count * _mobius_number(s)
-        at_one = sum(coeffs)
-        if at_one:
-            raise AssertionError("chi*(1) = %s != 0 for NC(%s)"
-                                 % (at_one, t))
-    else:
-        coeffs = [1]
-        for comp in t.irreducibles():
-            coeffs = _convolve(coeffs, chi_vector(comp)[0])
-    return coeffs, 1
-
-
-def _type_counts(t):
-    """The number of elements of each type in NC of an irreducible type
-    t, by type.  Type A takes the closed form: the one-factor
-    decomposition number ``decomp.count_typeA(n, (S,))`` of every type S
-    with A components only, so no A poset or interval is scanned.  D and
-    E sum the pair ``census`` over its first factor, the counts of each
-    complement type u^{-1} c, as u -> u^{-1} c is a bijection.  An
-    unsupported A ambient is refused (``rootsystem.degrees``) before any
-    count, with the error its walk raised."""
-    if t.components[0][0] == "A":
-        from .decomp import all_labels_of_rank, count_typeA
-        degrees(t)
-        n = t.rank
-        return {s: count_typeA(n, (s,)) for r in range(n + 1)
-                for s in all_labels_of_rank(r)
-                if all(family == "A" for family, _ in s.components)}
-    counts = Counter()
-    for (_, s), count in census(t).items():
-        counts[s] += count
-    return counts
 
 
 # ---------------------------------------------------------------------------

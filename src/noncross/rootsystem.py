@@ -10,8 +10,10 @@ Supported ambient types: A_n (1 <= n <= 8), D_n (4 <= n <= 8), E6, E7, E8.
 The closed forms of the package are products over the fundamental
 degrees d_i, with the Coxeter number h the largest of them: the
 Fuss-Catalan number prod (mh + d_i)/d_i, the zeta polynomial and the
-Moebius number.  They read the degree table (``degrees``,
-``degree_pairs``) and build no root system.
+Moebius number.  They read the degree table, which lives in
+``typelabel`` (``SUPPORTED_AMBIENTS``, ``degrees``, ``degree_pairs``),
+and neither build a root system nor compile this module; the first two
+names are bound here too.
 """
 
 from __future__ import annotations
@@ -19,21 +21,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import prod
 
-from .typelabel import TypeLabel, per_type
-
-SUPPORTED_AMBIENTS = (
-    "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
-    "D4", "D5", "D6", "D7", "D8",
-    "E6", "E7", "E8",
-)
-
-_DEGREES = {
-    "A": lambda n: tuple(range(2, n + 2)),
-    "D": lambda n: tuple(range(2, 2 * n - 1, 2)) + (n,),
-    "E": lambda n: {6: (2, 5, 6, 8, 9, 12),
-                    7: (2, 6, 8, 10, 12, 14, 18),
-                    8: (2, 8, 12, 14, 18, 20, 24, 30)}[n],
-}
+from .typelabel import SUPPORTED_AMBIENTS, TypeLabel, degrees, per_type
 
 
 def _edges(family, n):
@@ -210,32 +198,6 @@ def _bipartition(n, edges):
     block_a = tuple(i for i in range(n) if color[i] == 0)
     block_b = tuple(i for i in range(n) if color[i] == 1)
     return (block_a, block_b)
-
-
-@per_type
-def degrees(t):
-    """The fundamental degrees of an ambient such as ``"E8"``, ascending;
-    the largest is the Coxeter number h.
-
-    Raises ``ValueError`` for text that is no type label and for labels
-    outside the supported ambient set, naming the canonical label
-    (``degrees("D2")`` names ``A1^2``).
-    """
-    if str(t) not in SUPPORTED_AMBIENTS:
-        raise ValueError("unsupported ambient type %r (supported: %s)"
-                         % (str(t), ", ".join(SUPPORTED_AMBIENTS)))
-    family, n = t.components[0]
-    return tuple(sorted(_DEGREES[family](n)))
-
-
-def degree_pairs(t):
-    """(h, d) for each degree d of each irreducible component of the
-    label t, h the component's Coxeter number: the factors of the
-    closed-form products over degrees."""
-    for comp in t.irreducibles():
-        degs = degrees(comp)
-        for d in degs:
-            yield degs[-1], d
 
 
 @per_type

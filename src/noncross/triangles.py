@@ -144,7 +144,7 @@ def assemble_dual(name, table):
     is computed once per label, and only for labels of tuples with a
     nonzero number.
     """
-    from .ncposet import chi_vector
+    from .decomp import chi_vector
     ambient = label(name)
     ranks = [(s,) for s in range(ambient.rank + 1)]    # keys, shared
     sums, den = tuple_sums(ambient.rank, chi_vector,

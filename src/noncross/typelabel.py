@@ -11,7 +11,10 @@ canonical label and one canonical string.
 
 ``ResourceGuardError`` lives here too, though ``ncposet`` raises it:
 the CLI loads this module anyway, so it can map the error to its exit
-code without importing the layers.
+code without importing the layers.  So does the degree table of the
+supported ambients (``SUPPORTED_AMBIENTS``, ``degrees``,
+``degree_pairs``): the closed forms and the CLI's check of an ambient
+read it without compiling ``rootsystem``.
 """
 
 from __future__ import annotations
@@ -218,3 +221,44 @@ def per_type(fn):
     keyed.__wrapped__ = lambda t, *args, **kwargs: fn(label(t), *args,
                                                       **kwargs)
     return keyed
+
+
+SUPPORTED_AMBIENTS = (
+    "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
+    "D4", "D5", "D6", "D7", "D8",
+    "E6", "E7", "E8",
+)
+
+_DEGREES = {
+    "A": lambda n: tuple(range(2, n + 2)),
+    "D": lambda n: tuple(range(2, 2 * n - 1, 2)) + (n,),
+    "E": lambda n: {6: (2, 5, 6, 8, 9, 12),
+                    7: (2, 6, 8, 10, 12, 14, 18),
+                    8: (2, 8, 12, 14, 18, 20, 24, 30)}[n],
+}
+
+
+@per_type
+def degrees(t):
+    """The fundamental degrees of an ambient such as ``"E8"``, ascending;
+    the largest is the Coxeter number h.
+
+    Raises ``ValueError`` for text that is no type label and for labels
+    outside the supported ambient set, naming the canonical label
+    (``degrees("D2")`` names ``A1^2``).
+    """
+    if str(t) not in SUPPORTED_AMBIENTS:
+        raise ValueError("unsupported ambient type %r (supported: %s)"
+                         % (str(t), ", ".join(SUPPORTED_AMBIENTS)))
+    family, n = t.components[0]
+    return tuple(sorted(_DEGREES[family](n)))
+
+
+def degree_pairs(t):
+    """(h, d) for each degree d of each irreducible component of the
+    label t, h the component's Coxeter number: the factors of the
+    closed-form products over degrees."""
+    for comp in t.irreducibles():
+        degs = degrees(comp)
+        for d in degs:
+            yield degs[-1], d

@@ -11,18 +11,18 @@ the command line and in the test suite.
 Layer functions are called through their modules (``linsys.replay``,
 not a name bound at import), so that a wrapper installed on a module
 attribute sees every call.  The suites that run the direct oracles
-import ``direct`` themselves, so that ``verify e8`` compiles none.
+import ``direct`` themselves, and ``length`` imports ``weyl``, the
+matrix layer, so that ``verify e8`` compiles neither.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from . import (closedform, decomp, linsys, ncposet, refdata, triangles,
-               weyl)
+from . import closedform, decomp, linsys, ncposet, refdata, triangles
 from .decomp import all_tuples_of_rank
-from .rootsystem import SUPPORTED_AMBIENTS, build_root_system
-from .typelabel import label
+from .rootsystem import build_root_system
+from .typelabel import SUPPORTED_AMBIENTS, label
 
 
 def _nonzero(values):
@@ -261,6 +261,7 @@ def _fm_reciprocity():
 
 def _length():
     """Absolute length equals the distance in the reflection Cayley graph."""
+    from . import weyl
     for name in ("A3", "D4"):
         rs = build_root_system(name)
         dist = weyl.enumerate_group(rs)

@@ -1,14 +1,13 @@
-"""Weyl group matrices in the simple-root basis, and the Coxeter
-permutation of the positive roots.
+"""Weyl group matrices in the simple-root basis: the matrix layer of the
+``length`` suite and of the test oracles.
 
 The reflections, the bipartite Coxeter element c and the whole group
 (for small ambients) are exact integer matrices acting on root
-coordinates.  The permutation of the positive roots by c gives the
-conjugation orbits that ``ncposet`` types once each, and the bit layout
-of its moved-root masks.  The reflection length (absolute length) of a
-matrix is the codimension of its fixed space, the kernel of ``w - I``;
-its Cayley-graph distance in ``enumerate_group`` is the independent
-check.
+coordinates.  The reflection length (absolute length) of a matrix is
+the codimension of its fixed space, the kernel of ``w - I``; its
+Cayley-graph distance in ``enumerate_group`` is the independent check.
+The walk of NC(W) multiplies no matrix: ``ncposet`` reads its tables
+off the word of c, so it loads neither this module nor ``exact``.
 
 All linear algebra here is exact: matrices are tuples of row tuples of
 Python ints, so no product can overflow, and kernels come from
@@ -60,32 +59,16 @@ def absolute_length(rs, w):
 
 def bipartite_coxeter(rs):
     """The bipartite Coxeter element: all simple reflections of the first
-    color block, then all of the second, ascending node index in each.
-    Returns its matrix, the product of the simple reflections
-    t_i = I - e_i C_i, C_i the row i of the Cartan matrix."""
+    color block, then all of the second, ascending node index in each
+    (the word ``ncposet`` reads its tables from).  Returns its matrix,
+    the product of the simple reflections t_i = I - e_i C_i, C_i the row
+    i of the Cartan matrix."""
     eye = result = _eye(rs.n)
     for block in rs.bipartition:
         for i in block:
             row = tuple(x - y for x, y in zip(eye[i], rs.cartan[i]))
             result = _matmul(result, eye[:i] + (row,) + eye[i + 1:])
     return result
-
-
-@per_type
-def coxeter_root_permutation(name):
-    """The permutation pi of the positive-root indices by the bipartite
-    Coxeter element c: pi[b] is the index of the positive one of c.b and
-    -c.b.  Conjugation by c maps the reflection t_b to t_{pi[b]}, and an
-    element moving the roots S to one moving pi(S)."""
-    rs = build_root_system(name)
-    index = {r: i for i, r in enumerate(rs.positive_roots)}
-    c = bipartite_coxeter(rs)
-    images = _matmul(rs.positive_roots, tuple(zip(*c)))
-    pi = tuple(index[r] if r in index else index[tuple(-x for x in r)]
-               for r in images)
-    if sorted(pi) != list(range(len(pi))):
-        raise AssertionError("c does not permute the positive roots")
-    return pi
 
 
 def enumerate_group(rs):

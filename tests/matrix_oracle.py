@@ -6,7 +6,9 @@ basis.  Its moved positive roots are read off an integer basis of its
 fixed space ker(w - I), and its parabolic type is the classification of
 that moved set.  The absolute order ``u <=_T w`` holds when reflection
 lengths add up along ``w = u * (u^{-1} w)``.  ``reflection_orbits`` types
-each orbit's t*c from the matrix of t*c.
+each orbit's t*c from the matrix of t*c.  ``coxeter_root_permutation``
+is the matrix route to pi that ``ncposet``'s Coxeter word replaced: every
+positive root times the matrix of c.
 
 The diagram classifier that the adjacency-list one replaced is kept
 here too (``classify_diagram``, ``induced``): it asks the frozenset edge
@@ -28,8 +30,7 @@ from noncross.ncposet import mask_layout
 from noncross.rootsystem import build_root_system
 from noncross.typelabel import TypeLabel
 from noncross.weyl import (_eye, _matmul, _minus_eye, _reflection_data,
-                           absolute_length, bipartite_coxeter,
-                           coxeter_root_permutation)
+                           absolute_length, bipartite_coxeter)
 from walk_oracle import mask_type, roots_mask
 
 
@@ -114,6 +115,19 @@ def reflection(rs, root_index):
 def coxeter_element(rs):
     """The bipartite Coxeter element as a group element."""
     return GroupElement(rs, bipartite_coxeter(rs))
+
+
+@lru_cache(maxsize=None)
+def coxeter_root_permutation(name):
+    """The permutation pi of the positive-root indices by the bipartite
+    Coxeter element, from its matrix: pi[b] is the index of the positive
+    one of c.b and -c.b, each image the product of the root with the
+    matrix of c."""
+    rs = build_root_system(name)
+    index = {r: i for i, r in enumerate(rs.positive_roots)}
+    images = _matmul(rs.positive_roots, tuple(zip(*bipartite_coxeter(rs))))
+    return tuple(index[r] if r in index else index[tuple(-x for x in r)]
+                 for r in images)
 
 
 def le_absolute(rs, u, w):

@@ -1,5 +1,8 @@
 """Command-line interface: commands, formats, exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +12,7 @@ import pytest
 
 import noncross
 from noncross import decomp, exact, linsys, ncposet
-from noncross.cli import main
+from noncross.cli import build_parser, main
 from noncross.typelabel import ResourceGuardError, TypeLabel
 from noncross.rootsystem import SUPPORTED_AMBIENTS
 from noncross.verify import SUITES
@@ -459,3 +462,50 @@ def test_csv_format(capsys):
     code, out, _ = run(capsys, "rootsys", "info", "A2", "--format", "csv")
     assert code == 0
     assert "rank,2" in out
+
+
+def _command_paths(parser, path=()):
+    """Every command path of a parser: the top level, each command and
+    each subcommand, from its subparser actions."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _command_paths(child, path + (name,))
+
+
+def _parse(parser, argv):
+    """(exit code or None, stdout, stderr) of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_PATHS = list(_command_paths(build_parser()))
+
+
+@pytest.mark.parametrize("argv", [
+    [*path, "-h"] for path in _PATHS] + [list(path) for path in _PATHS] + [
+    ["nonesuch"], ["nonesuch", "-h"], ["decomp", "nonesuch"],
+    ["decomp", "count", "A4"], ["zeta", "A2", "--m", "x"],
+    ["nc", "enumerate", "D4", "--format", "yaml"], ["--", "nc", "enumerate"]],
+    ids=" ".join)
+def test_parser_of_the_invoked_command_reads_as_the_full_parser(argv):
+    # the parser built for argv has only the named command's arguments;
+    # every help text and every error of argument parsing is byte for
+    # byte the full parser's: the top level, 9 commands, 5 subcommands
+    assert len(_PATHS) == 15
+    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+
+
+def test_parser_builds_only_the_invoked_command():
+    # the other commands are bare: their parsers hold only -h
+    sub = next(action for action in build_parser(["nc", "enumerate"])._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert [name for name, parser in sub.choices.items()
+            if len(parser._actions) > 1] == ["nc"]

@@ -423,7 +423,7 @@ def test_full_table_of_reducible_ambient_is_its_product(name):
 PER_TYPE = {
     "rootsystem.degrees": "E6", "rootsystem.build_root_system": "D4",
     "rootsystem.subdiagram_types": "E6", "weyl._reflection_data": "D4",
-    "weyl.coxeter_root_permutation": "E6", "ncposet._root_tables": "D4",
+    "ncposet.coxeter_root_permutation": "E6", "ncposet._root_tables": "D4",
     "ncposet.mask_layout": "E6", "ncposet._descent_masks": "D4",
     "ncposet.enumerate_nc": "E6", "ncposet.characteristic_polynomial": "D4",
     "closedform.zeta_closed": "E6", "closedform.zeta_rows": "D4",

@@ -25,7 +25,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(noncross.__file__)))
 # eagerly, by defining submodule, less ``classify_parabolic_type`` (now a
 # test oracle), with ``reflection_orbits`` moved to ``ncposet``, and with
 # the closed forms, the direct oracles and the polynomials split off
-# ``ncposet`` and ``exact``; the submodules are exported too
+# ``ncposet`` and ``exact``, and with ``SUPPORTED_AMBIENTS`` moved to
+# ``typelabel``; the submodules are exported too
 EXPORTS = {
     "closedform": ("zeta_closed",),
     "decomp": ("DecompositionTable", "all_labels_of_rank",
@@ -44,12 +45,13 @@ EXPORTS = {
     "polynomial": ("SparsePolynomial",),
     "refdata": ("CHI_STAR_COEFFS", "REFERENCE_TABLE_NAMES",
                 "chi_star_reference", "golden_dual", "reference_table"),
-    "rootsystem": ("SUPPORTED_AMBIENTS", "RootSystem", "build_root_system"),
+    "rootsystem": ("RootSystem", "build_root_system"),
     "triangles": ("FTriangleCandidate", "MTriangle", "TransformFailure",
                   "assemble_dual", "dual_to_primal", "f_reciprocity_checks",
                   "fm_transform", "mtriangle_direct", "reciprocity_check",
                   "zeta_identity_check"),
-    "typelabel": ("ResourceGuardError", "TypeLabel", "label"),
+    "typelabel": ("ResourceGuardError", "SUPPORTED_AMBIENTS", "TypeLabel",
+                  "label"),
     "weyl": ("absolute_length", "bipartite_coxeter", "enumerate_group"),
 }
 
@@ -136,10 +138,33 @@ NOT_WALKED = {"closedform", "direct", "polynomial"}
 
 
 def test_nc_enumerate_loads_only_the_walk():
-    # the walk checks its size against an integer Fuss-Catalan product
+    # the walk checks its size against an integer Fuss-Catalan product,
+    # and reads its tables off the Coxeter word: no matrix, no kernel
     modules = loaded_by(["nc", "enumerate", "D5", "--format", "json"])
     assert package_modules(modules) == {"cli", "typelabel", "rootsystem",
-                                        "weyl", "ncposet", "exact"}
+                                        "ncposet"}
+
+
+@pytest.mark.parametrize("argv", [["mtriangle", "A3", "--dual"],
+                                  ["ftriangle", "A3"]])
+def test_type_a_triangles_load_no_walk_and_no_root_system(argv):
+    # chi* of type A is a closed form beside the type-A counts in
+    # ``decomp``, and the ambient is checked against the degree table
+    modules = package_modules(loaded_by(argv))
+    assert {"decomp", "triangles"} <= modules
+    assert not modules & {"ncposet", "weyl", "exact", "rootsystem"}
+
+
+@pytest.mark.parametrize("argv", [["zeta", "D4"],
+                                  ["decomp", "count", "A5", "A2,A3"]])
+def test_closed_forms_load_no_root_system(argv):
+    # the degree table lives in ``typelabel``
+    assert "rootsystem" not in package_modules(loaded_by(argv))
+
+
+def test_verify_e8_loads_no_weyl():
+    # only the ``length`` suite multiplies matrices
+    assert "weyl" not in package_modules(loaded_by(["verify", "e8"]))
 
 
 def test_decomp_count_of_a_census_loads_no_closed_form():
@@ -250,8 +275,9 @@ def test_traced_names_resolve():
 def test_traced_verify_e8_counts(tmp_path):
     """A cold ``verify e8`` traced by perfbench/cli_child.py records the
     same calls of each layer and the same counts as before: the walk
-    goes through one kernel pair, the tables through four brute-force
-    counts, and the E8 system through one replay and one solve."""
+    eliminates nothing (its tables come from the Coxeter word, so no
+    ``int_kernel`` span), the tables go through four brute-force counts,
+    and the E8 system through one replay and one solve."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     out = tmp_path / "trace.json"
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -263,10 +289,10 @@ def test_traced_verify_e8_counts(tmp_path):
     calls = {}
     for name, *_ in trace["spans"]:
         calls[name] = calls.get(name, 0) + 1
-    assert {name: calls.get(name) for name in (
+    assert {name: calls.get(name, 0) for name in (
         "weyl.int_kernel", "exact.solve", "decomp.count_bruteforce",
         "linsys.replay", "linsys.generate_equations")} == {
-        "weyl.int_kernel": 2, "exact.solve": 1,
+        "weyl.int_kernel": 0, "exact.solve": 1,
         "decomp.count_bruteforce": 4, "linsys.replay": 1,
         "linsys.generate_equations": 1}
     assert trace["counts"] == {

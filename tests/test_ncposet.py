@@ -13,6 +13,7 @@ from math import comb, gcd
 import pytest
 import sympy
 
+import matrix_oracle
 from matrix_oracle import (GroupElement, classify_parabolic_type,
                            coxeter_element, le_absolute, moved_positive_roots)
 from poly_oracle import (characteristic_polynomial_by_census,
@@ -20,24 +21,24 @@ from poly_oracle import (characteristic_polynomial_by_census,
                          ncm_cardinality_by_zeta, zeta_rows_by_polynomials,
                          zeta_shifted)
 from walk_oracle import bit_positions, eager_walk, mask_type
-from noncross import closedform, direct, ncposet, polynomial
+from noncross import closedform, decomp, direct, ncposet, polynomial
 from noncross.cli import main
 from noncross.closedform import _mobius_number, zeta_closed, zeta_rows
 from noncross.decomp import all_labels_of_rank, full_table
 from noncross.direct import (build_ncm, characteristic_direct, mobius,
                              mobius_from_top, zeta_direct)
-from noncross.ncposet import (CacheFormatError, _descent_masks,
-                              characteristic_polynomial, enumerate_nc,
+from noncross.ncposet import (CacheFormatError, _coxeter_word,
+                              _descent_masks, characteristic_polynomial,
+                              coxeter_root_permutation, enumerate_nc,
                               mask_layout, ncm_cardinality, read_cache,
                               write_cache)
 from noncross.polynomial import SparsePolynomial
 from noncross.refdata import CHI_STAR_COEFFS, chi_star_reference
 from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
-                                 classify_edge_list, degree_pairs)
+                                 classify_edge_list)
 from noncross.triangles import assemble_dual
-from noncross.typelabel import ResourceGuardError, label
-from noncross.weyl import (_reflection_data, bipartite_coxeter,
-                           coxeter_root_permutation, enumerate_group)
+from noncross.typelabel import ResourceGuardError, degree_pairs, label
+from noncross.weyl import _reflection_data, bipartite_coxeter, enumerate_group
 
 # total element counts: Cat(n+1) for A_n, known values for D and E
 SIZES = {
@@ -255,6 +256,38 @@ def _conjugate(name, mask):
     pi = coxeter_root_permutation(name)
     pos = bit_positions(layout)
     return sum(1 << pos[pi[a]] for a in _roots(layout, mask))
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_coxeter_word_inverts_c_minus_one(name):
+    """With c = s_{w_1} ... s_{w_n} and beta_k = s_{w_1} ... s_{w_{k-1}}
+    alpha_{w_k}, as the word's reflections build them, (I - c) omega_{w_k}
+    = beta_k: in simple-root coordinates omega_j is column j of C^{-1},
+    so I - c is B C, B holding beta_k in column w_k.  Each beta_k is
+    alpha_{w_k} plus simple roots earlier in the word."""
+    rs = build_root_system(name)
+    n = rs.n
+    word, reflect = _coxeter_word(rs)
+    assert word == [i for block in rs.bipartition for i in block]
+    betas = {}
+    for k, i in enumerate(word):
+        beta = reflect([int(j == i) for j in range(n)], word[:k][::-1])
+        assert beta[i] == 1
+        assert all(not beta[j] for j in word[k + 1:])
+        betas[i] = beta
+    by_columns = tuple(tuple(betas[j][r] for j in range(n)) for r in range(n))
+    c = bipartite_coxeter(rs)
+    assert matmul(by_columns, rs.cartan) == tuple(
+        tuple(int(r == s) - x for s, x in enumerate(row))
+        for r, row in enumerate(c))
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_root_permutation_by_reflections_is_the_matrix_one(name):
+    """pi from n simple reflections of each root is pi from the matrix of
+    c (``matrix_oracle.coxeter_root_permutation``)."""
+    assert coxeter_root_permutation(name) == \
+        matrix_oracle.coxeter_root_permutation(name)
 
 
 @pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
@@ -785,14 +818,14 @@ def test_doctored_census_raises_the_polynomial_sum_message(monkeypatch):
     assert str(raised.value) == message
     # both chi* caches: the polynomials and the y-vectors read off them
     characteristic_polynomial.cache_clear()
-    ncposet.chi_vector.cache_clear()
+    decomp.chi_vector.cache_clear()
     try:
         with pytest.raises(AssertionError) as raised:
             assemble_dual("D4", table)
         assert str(raised.value) == message
     finally:
         characteristic_polynomial.cache_clear()
-        ncposet.chi_vector.cache_clear()
+        decomp.chi_vector.cache_clear()
 
 
 def test_zeta_closed_counts_elements():

@@ -85,7 +85,8 @@ def test_nc_prints_its_documented_keys_and_no_null():
     report = run_harness("nc")["nc"]
     ambients = ["D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8"]
     assert stage_keys(report) == set(documented_keys("nc")) | set(ambients)
-    for per_ambient in ("descent_table_s", "root_tables_s"):
+    for per_ambient in ("descent_table_s", "coxeter_permutation_s",
+                        "root_tables_s"):
         assert list(report[per_ambient]) == ambients
     assert None not in tree_values(report)
 
@@ -104,6 +105,11 @@ def test_startup_prints_its_documented_keys_and_no_null():
     # the closed forms compile neither the walk nor the linear solver
     assert not set(loads["zeta D4 --m 1"]["noncross"]) & {
         "ncposet", "weyl", "exact"}
+    nodes = report["compiled_nodes"]["this"]
+    assert list(nodes) == ["import"] + commands
+    # a command compiles the CLI and more; the walk more than a lookup
+    assert all(nodes["import"] < nodes[command] for command in commands)
+    assert nodes["decomp count A5 A2,A3"] < nodes["nc enumerate D5"]
 
 
 def test_census_prints_its_documented_keys_and_one_walk_per_command():

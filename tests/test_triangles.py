@@ -230,11 +230,11 @@ def test_integer_assembly_matches_polynomial_products(source, name):
 # one assembly in a fresh process: the chi* y-vectors it computes
 CHI_MISSES = r"""
 import sys
-from noncross import decomp, ncposet, triangles
+from noncross import decomp, triangles
 table = decomp.full_table(sys.argv[1])
-before = ncposet.chi_vector.cache_info().misses
+before = decomp.chi_vector.cache_info().misses
 triangles.assemble_dual(sys.argv[1], table)
-print(ncposet.chi_vector.cache_info().misses - before)
+print(decomp.chi_vector.cache_info().misses - before)
 """
 
 

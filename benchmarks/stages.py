@@ -151,6 +151,10 @@ walked and the lower tables built:
   table; cleared: chi* (``ncposet.characteristic_polynomial`` and the
   cache of its y-vectors ``decomp.chi_vector``);
 * ``assemble_dual_chi_warm_s``: the same with chi* warm;
+* ``pins_s``: the pins of ``replay`` added by ``Echelon.add_row`` to a
+  fresh unpinned echelon, then ``exact.solve``; the echelon is built
+  untimed before each repeat.  Here a new pivot is held by the most
+  pivot rows;
 * ``rank``: the rank of the pinned system, the unpinned echelon
   extended by the pins through ``Echelon.add_row`` as in ``replay``;
 * ``max_bits``: the largest bit size of a numerator or denominator of
@@ -628,10 +632,19 @@ def linsys_stages(rec):
 
         rec.time("assemble_dual_s", assemble, before=forget_chi)
         rec.time("assemble_dual_chi_warm_s", assemble, before=assemble)
-        pinned = exact.echelon(system)
-        for key, value in report.pinned_values.items():
-            pinned.add_row({key: 1}, value, "oracle-pin")
-        space = exact.solve(pinned)
+        unpinned = []
+
+        def unpin():
+            unpinned[:] = [exact.echelon(system)]
+
+        def pin_and_solve():
+            for key, value in report.pinned_values.items():
+                unpinned[0].add_row({key: 1}, value, "oracle-pin")
+            return exact.solve(unpinned[0])
+
+        rec.time("pins_s", pin_and_solve, before=unpin)
+        unpin()
+        space = pin_and_solve()
         rec.value("rank", lambda: len(space.pivot_columns))
         rec.value("max_bits", lambda: max(
             max(abs(v.numerator).bit_length(), v.denominator.bit_length())

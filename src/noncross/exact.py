@@ -8,8 +8,9 @@ of the rows inserted so far, each a sparse map to primitive integers, and
 takes further rows at any time; a caller that orders its rows well (as
 ``linsys.generate_equations`` does, sparse rows by descending leading
 column, then the dense ones) saves work but gets the same echelon.  Only
-the entries ``solve`` reads off its rows become fractions.  Integer
-kernels are read off an ``Echelon`` one way (``_kernel``).
+the entries ``solve`` reads off its rows become fractions.  An
+``Echelon`` keeps its pivot rows and nothing else; integer kernels are
+read off it one way (``_kernel``).
 """
 
 from __future__ import annotations
@@ -145,15 +146,16 @@ class Echelon:
     the pivot row is subtracted in place.  What is left lies on free
     columns and the right-hand side, and is made primitive.  If a free
     column is left, the leading one becomes a new pivot and is cleared,
-    by ``a * p - f * b``, from every pivot row that holds it, found
-    through a free column -> pivot rows index.
+    by ``a * p - f * b``, from every pivot row that holds it, found in
+    one pass over the pivot rows: only rows with smaller pivots can hold
+    it, and in the sparse-first order (rows by descending leading column)
+    four new pivots in five on E8 are held by none.
     """
 
     def __init__(self, variables):
         self.variables = list(variables)
         self._index = _columns(self.variables)
         self.pivots = {}     # pivot column -> primitive sparse row
-        self._holders = {}   # free column -> pivot columns of rows on it
 
     @property
     def dimension(self):
@@ -208,20 +210,10 @@ class Echelon:
                 raise InconsistentSystemError(provenance)
             return
         vec = _primitive(vec, lead)
-        holders = self._holders
-        for col in holders.pop(lead, ()):
-            old = pivots[col]
-            new = pivots[col] = _primitive(_combine(old, vec, lead), col)
-            for c in old.keys() - new.keys():
-                if c != lead and c != nvars:
-                    holders[c].discard(col)
-            for c in new.keys() - old.keys():
-                if c != nvars:
-                    holders.setdefault(c, set()).add(col)
+        for col, old in pivots.items():
+            if lead in old:
+                pivots[col] = _primitive(_combine(old, vec, lead), col)
         pivots[lead] = vec
-        for c in vec:
-            if c != lead and c != nvars:
-                holders.setdefault(c, set()).add(lead)
 
 
 def echelon(system):
@@ -257,13 +249,20 @@ def _kernel(ech):
     per free column fc, in column order: the primitive integer multiple,
     positive at fc, of the reduced-echelon kernel vector (1 at fc,
     ``-row[fc] / row[pc]`` at the pivot pc of each row holding fc).  The
-    pivot rows are positive at their pivots, so scaling by the lcm of
-    those pivots keeps it in integers."""
+    rows holding each free column are found in one pass over the pivot
+    rows, skipped when none is free.  The pivot rows are positive at
+    their pivots, so scaling by the lcm of those pivots keeps it in
+    integers."""
     n = len(ech.variables)
     pivots = ech.pivots
+    holders = {fc: [] for fc in ech.free_columns}
+    if holders:
+        for pc, row in pivots.items():
+            for c in row:
+                if c in holders:
+                    holders[c].append(pc)
     basis = []
-    for fc in ech.free_columns:
-        held = ech._holders.get(fc, ())
+    for fc, held in holders.items():
         scale = lcm(*(pivots[pc][pc] for pc in held))
         vec = [0] * n
         vec[fc] = scale

@@ -697,12 +697,12 @@ def ncm_cardinality(t, m):
 @per_type
 def characteristic_polynomial(t):
     """chi* of NC of any type (a label or its text): the polynomial in y
-    of its integer coefficients, ``decomp.chi_vector`` past its cache, so
-    that ``__wrapped__`` computes chi* afresh.  The cached polynomials are
-    shared and not to be changed."""
+    of its integer coefficients, read off the cached ``decomp.chi_vector``,
+    so that a process asking for both computes chi* once.  The cached
+    polynomials are shared and not to be changed."""
     from .decomp import chi_vector
     from .polynomial import SparsePolynomial
-    coeffs, _ = chi_vector.__wrapped__(t)
+    coeffs, _ = chi_vector(t)
     return SparsePolynomial({(0, j, 0, 0): c for j, c in enumerate(coeffs)})
 
 

@@ -305,7 +305,6 @@ def test_rows_of_non_integers_are_refused():
     assert [row for row, _, _ in system.rows] == kept
     system_rows = list(system.rows)
     pivots = {col: dict(row) for col, row in ech.pivots.items()}
-    holders = {c: set(held) for c, held in ech._holders.items()}
     for bad in (0.5, 2.0, 0.0, Fraction(1, 2), Fraction(4, 2), Fraction(0)):
         for coeffs, rhs in (({"a": 1, "d": bad}, 1), ({"a": 1, "d": 1}, bad),
                             ({"d": bad}, 0)):
@@ -316,7 +315,7 @@ def test_rows_of_non_integers_are_refused():
             with pytest.raises(TypeError):
                 ech.implies(coeffs, rhs)
     assert system.rows == system_rows
-    assert ech.pivots == pivots and ech._holders == holders
+    assert ech.pivots == pivots
     assert ech.implies({"a": np.int64(3), "b": np.int32(7)}, np.int64(5))
     system.add_row({"d": np.int64(2), "a": np.int8(0)}, np.int16(4), "numpy")
     assert system.rows[-1] == ({3: 2}, 4, "numpy")
@@ -553,16 +552,6 @@ def _dense_pivots(dense):
             for col, vec in dense.reduced().items()}
 
 
-def _holders_of(pivots, nvars):
-    """The free column -> pivot columns index that the pivot rows imply."""
-    holders = {}
-    for col, row in pivots.items():
-        for c in row:
-            if c != col and c != nvars:
-                holders.setdefault(c, set()).add(col)
-    return holders
-
-
 def _sparse_of(names, rows):
     """The echelon of a system of rational rows keyed by column, each
     cleared of its denominators before it reaches the solver."""
@@ -598,8 +587,6 @@ def _check_against_dense(data):
     def same_as_dense():
         assert solve(sparse) == dense.space()
         assert sparse.pivots == _dense_pivots(dense)
-        assert {c: held for c, held in sparse._holders.items() if held} \
-            == _holders_of(sparse.pivots, n)
 
     same_as_dense()
     for i, (row, rhs) in enumerate(pins):
@@ -675,12 +662,41 @@ def test_implies_matches_rank_oracle(data):
         except InconsistentSystemError:
             expected = False
         pivots = {col: dict(r) for col, r in ech.pivots.items()}
-        holders = {c: set(held) for c, held in ech._holders.items()}
         assert ech.implies(*_cleared(coeffs, rhs)) == expected
-        assert ech.pivots == pivots and ech._holders == holders
+        assert ech.pivots == pivots
     for row, rhs in candidates[len(extra):]:
         assert ech.implies(*_cleared({names[c]: x for c, x in row.items()},
                                      rhs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems(max_support=5), st.data())
+def test_echelon_does_not_depend_on_the_row_order(data, choice):
+    # a new pivot is cleared from every pivot row that holds it, whatever
+    # the order of the rows before it; the pins then extend both alike
+    n, rows, pins = data
+    names = ["v%d" % i for i in range(n)]
+    try:
+        given_order = _sparse_of(names, rows)
+    except InconsistentSystemError:
+        return
+    permuted = _sparse_of(names, choice.draw(st.permutations(rows)))
+
+    def same():
+        assert given_order.pivots == permuted.pivots
+        assert solve(given_order) == solve(permuted)
+
+    same()
+    for i, (row, rhs) in enumerate(pins):
+        pin = _cleared({names[c]: x for c, x in row.items()}, rhs)
+        failed = []
+        for ech in (given_order, permuted):
+            try:
+                ech.add_row(*pin, "pin%d" % i)
+            except InconsistentSystemError as exc:
+                failed.append(exc.provenance)
+        assert failed in ([], ["pin%d" % i] * 2)
+        same()
 
 
 @pytest.mark.parametrize("name", ["E6", "D6", "D7"])
@@ -688,5 +704,3 @@ def test_equation_system_echelon_matches_dense_oracle(name):
     system = generate_equations(name)
     ech = echelon(system)
     assert ech.pivots == _dense_pivots(DenseEchelon.of(system))
-    assert {c: held for c, held in ech._holders.items() if held} \
-        == _holders_of(ech.pivots, len(system.variables))

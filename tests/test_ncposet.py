@@ -794,7 +794,7 @@ def test_chi_star_checks_its_value_at_one(monkeypatch):
     census[next(iter(census))] += 1
     monkeypatch.setattr(ncposet, "census", lambda t: dict(census))
     with pytest.raises(AssertionError, match=r"chi\*\(1\) = .* NC\(D4\)"):
-        characteristic_polynomial.__wrapped__("D4")
+        decomp.chi_vector.__wrapped__(label("D4"))
 
 
 def test_doctored_census_raises_the_polynomial_sum_message(monkeypatch):
@@ -814,9 +814,9 @@ def test_doctored_census_raises_the_polynomial_sum_message(monkeypatch):
     monkeypatch.setattr(ncposet, "census",
                         lambda t: dict(doctored) if t is d4 else real(t))
     with pytest.raises(AssertionError) as raised:
-        characteristic_polynomial.__wrapped__("D4")
+        decomp.chi_vector.__wrapped__(d4)
     assert str(raised.value) == message
-    # both chi* caches: the polynomials and the y-vectors read off them
+    # both chi* caches: the y-vectors and the polynomials read off them
     characteristic_polynomial.cache_clear()
     decomp.chi_vector.cache_clear()
     try:

@@ -91,6 +91,9 @@ The ``nc`` group: NC(W) enumeration and what reads it.
   ``NcPoset.count`` on NC(D7);
 * ``build_ncm_D4_2_s``: ``direct.build_ncm("D4", 2)``, NC(D4) walked;
 * ``chi_D6_s``: ``characteristic_polynomial`` of D6; cleared: walks;
+* ``root_system_s``: per D and E ambient, one uncached
+  ``build_root_system`` (its ``__wrapped__``);
+* ``root_systems_DE_s``: the sum of those medians;
 * ``descent_table_s``: per D and E ambient, one uncached
   ``ncposet._descent_masks`` (its ``__wrapped__``), the root system
   built;
@@ -556,6 +559,10 @@ def nc_stages(rec):
     def per_ambient(fn):
         return {name: rec.timed(lambda: fn(name)) for name in DE}
 
+    tables = rec.value("root_system_s", lambda: per_ambient(
+        build_root_system.__wrapped__), timing=True)
+    rec.value("root_systems_DE_s", lambda: sum(tables.values()),
+              timing=True)
     tables = rec.value("descent_table_s", lambda: per_ambient(
         ncposet._descent_masks.__wrapped__), timing=True)
     rec.value("descent_tables_DE_s", lambda: sum(tables.values()),

@@ -137,22 +137,18 @@ def _shifted_zeta_vector(t):
     polynomial of NC^m, as integer z-coefficients (lowest power first)
     over a denominator, in lowest terms.
 
-    An irreducible type of Coxeter number h has prod_i ((z-2) h + d_i)/d_i,
-    the product of the vectors (d_i - 2h, h) over prod_i d_i; a reducible
-    type takes the product of its components' vectors.  Each gcd(h, d_i)
-    divides d_i, so an irreducible vector is primitive once reduced, and
-    by Gauss's lemma so is a product of them: the reducible products are
-    in lowest terms too."""
+    A type is the product over its degrees d_i, h_i the Coxeter number
+    of the component of d_i (``degree_pairs``), of ((z-2) h_i + d_i)/d_i:
+    the product of the vectors (d_i - 2h_i, h_i) over prod_i d_i, reduced
+    by their gcd.  Each gcd(h, d_i) divides d_i, so the vector of an
+    irreducible type is primitive once reduced, and by Gauss's lemma so
+    is a product of them: reducing the whole product once is reducing
+    each component's."""
     vec, den = [1], 1
-    if t.is_irreducible:
-        for h, d in degree_pairs(t):
-            vec, den = _convolve(vec, [d - 2 * h, h]), den * d
-        common = gcd(den, *vec)
-        return [c // common for c in vec], den // common
-    for comp in t.irreducibles():
-        comp_vec, comp_den = _shifted_zeta_vector(comp)
-        vec, den = _convolve(vec, comp_vec), den * comp_den
-    return vec, den
+    for h, d in degree_pairs(t):
+        vec, den = _convolve(vec, [d - 2 * h, h]), den * d
+    common = gcd(den, *vec)
+    return [c // common for c in vec], den // common
 
 
 @lru_cache(maxsize=None)

@@ -31,8 +31,8 @@ The moved space is the Cartan-orthogonal complement of the fixed space,
 so a root b is moved by u exactly when Z[a_i, b] = 0 for every i, with
 ``Z[a, b] = <b, (c - I)^{-1} a>``.  Its zero pattern is one K x K table
 per ambient (K positive roots), read off the Coxeter word with no
-elimination.  Write c = s_{w_1} ... s_{w_n} (the word of
-``weyl.bipartite_coxeter``: the first color block, then the second) and
+elimination.  Write c = s_{w_1} ... s_{w_n} (``RootSystem.word``: the
+first color block, then the second) and
 beta_k = s_{w_1} ... s_{w_{k-1}} alpha_{w_k}.  The reflections after
 s_{w_k} fix the fundamental weight omega_{w_k}, and s_{w_k} takes it to
 omega_{w_k} - alpha_{w_k}, so
@@ -130,7 +130,7 @@ from collections import Counter
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 
-from .rootsystem import build_root_system, classify_edge_list
+from .rootsystem import build_root_system, classify_edge_list, reflect
 from .typelabel import SUPPORTED_AMBIENTS, degree_pairs, label, per_type
 
 CACHE_SCHEMA_VERSION = 3
@@ -408,44 +408,21 @@ class MaskLayout:
             image = rotated
 
 
-def _coxeter_word(rs):
-    """The word w_1 ... w_n of the bipartite Coxeter element c (the order
-    of ``weyl.bipartite_coxeter``: the first color block, then the
-    second, ascending node index in each), and ``reflect(root,
-    letters)``, which applies s_i for each letter i in turn, first letter
-    first, to a root held as a list of simple-root coefficients, in
-    place: s_i replaces coefficient i by the sum of its neighbors' less
-    itself, as the diagram is simply laced."""
-    word = [i for block in rs.bipartition for i in block]
-    neighbors = [[] for _ in range(rs.n)]
-    for a, b in rs.edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-
-    def reflect(root, letters):
-        for i in letters:
-            root[i] = sum(root[j] for j in neighbors[i]) - root[i]
-        return root
-
-    return word, reflect
-
-
 @per_type
 def coxeter_root_permutation(name):
     """The permutation pi of the positive-root indices by the bipartite
     Coxeter element c: pi[b] is the index of the positive one of c.b and
-    -c.b, c.b being the n simple reflections of the word of c applied to
-    the root b, the last letter first.  Conjugation by c maps the
-    reflection t_b to t_{pi[b]}, and an element moving the roots S to one
-    moving pi(S)."""
+    -c.b, c.b being the n simple reflections of ``RootSystem.word``
+    applied to the root b (``rootsystem.reflect``), the last letter
+    first.  Conjugation by c maps the reflection t_b to t_{pi[b]}, and an
+    element moving the roots S to one moving pi(S)."""
     rs = build_root_system(name)
-    word, reflect = _coxeter_word(rs)
-    letters = word[::-1]
+    letters, neighbors = rs.word[::-1], rs.neighbors
     roots = rs.positive_roots
     index = {r: i for i, r in enumerate(roots)}
     pi = []
     for root in roots:
-        image = tuple(reflect(list(root), letters))
+        image = tuple(reflect(neighbors, list(root), letters))
         found = index.get(image)
         pi.append(found if found is not None
                   else index[tuple(-x for x in image)])
@@ -515,10 +492,10 @@ _ZERO_BYTE = bytes.maketrans(bytes(range(256)),
 def _descent_masks(name):
     """The rows zero[i] of the zero pattern of Z[a, b] = <b, (c - I)^{-1} a>,
     in exact integers, for a = the root of bit i, each a mask over the
-    bits of b (``mask_layout``).  The Coxeter word gives the basis
-    beta_k = (I - c) omega_{w_k}; a simple root is sum_k y_k beta_k, y by
-    back-substitution, and Z[alpha_i, b] = -sum_k y_k b_{w_k} (see the
-    module docstring).
+    bits of b (``mask_layout``).  The Coxeter word w (``RootSystem.word``)
+    gives the basis beta_k = (I - c) omega_{w_k}; a simple root is
+    sum_k y_k beta_k, y by back-substitution, and
+    Z[alpha_i, b] = -sum_k y_k b_{w_k} (see the module docstring).
 
     A row is packed into one int, a byte per bit of b: Z is bilinear, so
     the row of a root a is sum_i a_i times the packed row of alpha_i,
@@ -529,11 +506,11 @@ def _descent_masks(name):
     Biased by 128 in every byte, the row's bytes read 128 exactly where
     Z vanishes."""
     rs = build_root_system(name)
-    n = rs.n
-    word, reflect = _coxeter_word(rs)
+    n, word = rs.n, rs.word
     # beta_k = s_{w_1} ... s_{w_{k-1}} alpha_{w_k}: coefficient 1 at w_k,
     # the others at letters before it
-    betas = [reflect([int(j == i) for j in range(n)], word[:k][::-1])
+    betas = [reflect(rs.neighbors, [int(j == i) for j in range(n)],
+                     word[:k][::-1])
              for k, i in enumerate(word)]
     roots, order = rs.positive_roots, mask_layout(name).order
     size = len(roots)

@@ -5,6 +5,12 @@ integer coordinate vector, the invariant bilinear form is given by the
 Cartan matrix (all roots have squared length 2), and Weyl group elements
 are integer matrices acting on these coordinates.
 
+The Dynkin diagram is built once per ambient, as neighbor lists: they
+give the simple reflections (``reflect``), which close the simple roots
+into the positive roots, and the 2-coloring whose blocks spell the word
+of the bipartite Coxeter element c (``RootSystem.word``), read by the
+walk of NC(W) and by ``weyl.bipartite_coxeter``.
+
 Supported ambient types: A_n (1 <= n <= 8), D_n (4 <= n <= 8), E6, E7, E8.
 
 The closed forms of the package are products over the fundamental
@@ -119,23 +125,28 @@ class RootSystem:
                                a tuple of row tuples of ints
     positive_roots : tuple     coordinate tuples, simple roots first
     edges : tuple              (a, b) node pairs of the Dynkin diagram
+    neighbors : tuple          per node, its Dynkin neighbors, ascending
     bipartition : tuple        (block_a, block_b) node 2-coloring
+    word : tuple               the bipartite Coxeter word: block_a, then
+                               block_b, ascending node index in each
     degrees : tuple            fundamental degrees, ascending
 
     ``build_root_system`` makes one per type, so identity is equality.
     """
 
     __slots__ = ("typ", "n", "cartan", "positive_roots", "edges",
-                 "bipartition", "degrees")
+                 "neighbors", "bipartition", "word", "degrees")
 
-    def __init__(self, typ, n, cartan, positive_roots, edges, bipartition,
-                 degrees):
+    def __init__(self, typ, n, cartan, positive_roots, edges, neighbors,
+                 bipartition, degrees):
         self.typ = typ
         self.n = n
         self.cartan = cartan
         self.positive_roots = positive_roots
         self.edges = edges
+        self.neighbors = neighbors
         self.bipartition = bipartition
+        self.word = bipartition[0] + bipartition[1]
         self.degrees = degrees
 
     def __repr__(self):
@@ -154,19 +165,27 @@ class RootSystem:
         return len(self.positive_roots)
 
 
-def _positive_roots(cartan, n):
+def reflect(neighbors, root, letters):
+    """Apply s_i for each letter i in turn, first letter first, to a root
+    held as a list of simple-root coefficients, in place, and return it:
+    s_i replaces coefficient i by the sum of its neighbors' less itself,
+    as the diagram is simply laced."""
+    for i in letters:
+        root[i] = sum(root[j] for j in neighbors[i]) - root[i]
+    return root
+
+
+def _positive_roots(neighbors):
     """Close the simple roots under simple reflections, keep positives."""
+    n = len(neighbors)
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     roots = set(simples)
     frontier = list(simples)
     while frontier:
         new = []
         for v in frontier:
-            pair = [sum(v[k] * cartan[k][i] for k in range(n)) for i in range(n)]
             for i in range(n):
-                w = list(v)
-                w[i] -= pair[i]
-                w = tuple(w)
+                w = tuple(reflect(neighbors, list(v), (i,)))
                 if all(c >= 0 for c in w) and w not in roots:
                     roots.add(w)
                     new.append(w)
@@ -176,28 +195,18 @@ def _positive_roots(cartan, n):
     return tuple(simples + rest)
 
 
-def _bipartition(n, edges):
-    """2-color the diagram on nodes 0..n-1 by BFS from node 0 (ties by
-    ascending index)."""
-    neighbors = [[] for _ in range(n)]
-    for a, b in edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    color = {}
-    for start in range(n):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            for w in sorted(neighbors[v]):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-    block_a = tuple(i for i in range(n) if color[i] == 0)
-    block_b = tuple(i for i in range(n) if color[i] == 1)
-    return (block_a, block_b)
+def _bipartition(neighbors):
+    """2-color the diagram, a tree, by walking its neighbors from node 0."""
+    color = {0: 0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in neighbors[v]:
+            if w not in color:
+                color[w] = 1 - color[v]
+                stack.append(w)
+    return tuple(tuple(i for i in range(len(neighbors)) if color[i] == side)
+                 for side in (0, 1))
 
 
 @per_type
@@ -209,14 +218,18 @@ def build_root_system(t):
     degs = degrees(t)
     family, n = t.components[0]
     edges = tuple(_edges(family, n))
-    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    neighbors = [[] for _ in range(n)]
     for a, b in edges:
-        cartan[a][b] = cartan[b][a] = -1
-    cartan = tuple(map(tuple, cartan))
-    positives = _positive_roots(cartan, n)
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    neighbors = tuple(tuple(sorted(adj)) for adj in neighbors)
+    cartan = tuple(tuple(2 if i == j else -(j in adj) for j in range(n))
+                   for i, adj in enumerate(neighbors))
+    positives = _positive_roots(neighbors)
     rs = RootSystem(
-        typ=t, n=n, cartan=cartan, positive_roots=positives,
-        edges=edges, bipartition=_bipartition(n, edges), degrees=degs,
+        typ=t, n=n, cartan=cartan, positive_roots=positives, edges=edges,
+        neighbors=neighbors, bipartition=_bipartition(neighbors),
+        degrees=degs,
     )
     h = rs.coxeter_number
     if len(positives) != n * h // 2:

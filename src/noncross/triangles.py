@@ -37,7 +37,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial, lcm
 
-from . import polynomial
 from .closedform import _convolve, tuple_sums, zeta_rows
 from .polynomial import SparsePolynomial, _ratio
 from .typelabel import label
@@ -158,18 +157,15 @@ def assemble_dual(name, table):
 
 def mtriangle_direct(ncm):
     """Primal M-triangle of an explicitly built NC^m poset, by full
-    Moebius computation.  Returns a polynomial in x, y."""
+    Moebius computation: the sum of mu(u, w) x^rank(u) y^rank(w).
+    Returns a polynomial in x, y."""
     from .direct import mobius
-    mu = mobius(ncm)
     rank_of = dict(ncm.elements)
-    result = polynomial.ZERO
-    for (u_key, w_key), value in mu.items():
-        if value == 0:
-            continue
-        term = (SparsePolynomial.variable("x", rank_of[u_key])
-                * SparsePolynomial.variable("y", rank_of[w_key]))
-        result = result + term * value
-    return result
+    terms = {}
+    for (u_key, w_key), value in mobius(ncm).items():
+        key = (rank_of[u_key], rank_of[w_key], 0, 0)
+        terms[key] = terms.get(key, 0) + value
+    return SparsePolynomial(terms)
 
 
 def zeta_identity_check(name, table):

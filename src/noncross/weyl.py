@@ -58,16 +58,15 @@ def absolute_length(rs, w):
 
 
 def bipartite_coxeter(rs):
-    """The bipartite Coxeter element: all simple reflections of the first
-    color block, then all of the second, ascending node index in each
-    (the word ``ncposet`` reads its tables from).  Returns its matrix,
-    the product of the simple reflections t_i = I - e_i C_i, C_i the row
-    i of the Cartan matrix."""
+    """The bipartite Coxeter element, the product of the simple
+    reflections of ``RootSystem.word`` (the first color block, then the
+    second, ascending node index in each: the word ``ncposet`` reads its
+    tables from).  Returns its matrix, each reflection the matrix
+    t_i = I - e_i C_i, C_i the row i of the Cartan matrix."""
     eye = result = _eye(rs.n)
-    for block in rs.bipartition:
-        for i in block:
-            row = tuple(x - y for x, y in zip(eye[i], rs.cartan[i]))
-            result = _matmul(result, eye[:i] + (row,) + eye[i + 1:])
+    for i in rs.word:
+        row = tuple(x - y for x, y in zip(eye[i], rs.cartan[i]))
+        result = _matmul(result, eye[:i] + (row,) + eye[i + 1:])
     return result
 
 

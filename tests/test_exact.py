@@ -415,13 +415,21 @@ def _primitive(vec):
 @settings(max_examples=300, deadline=None)
 @given(int_matrices(max_dim=8, max_cols=40))
 def test_int_kernel_and_rank_match_sympy(rows):
-    # wide matrices too, like [c - I | -a_1 ... -a_K] of the descent tables
-    matrix = sympy.Matrix(rows)
-    rank = matrix.rank()
+    # wide matrices too: ``solve`` reads ``_kernel`` on the wide systems
+    # of ``linsys``
+    reduced, pivots = sympy.Matrix(rows).rref()
+    rank = len(pivots)
     kernel = int_kernel(rows)
-    # sympy's basis has one vector per free column, 1 at that column:
+    # sympy's nullspace basis, from the same rref: one vector per free
+    # column, 1 at that column and -rref[i, fc] at the pivot of row i;
     # its primitive integer multiple is exactly our vector
-    expected = [_primitive(list(v)) for v in matrix.nullspace()]
+    expected = []
+    for fc in range(len(rows[0])):
+        if fc not in pivots:
+            vec = [sympy.Integer(int(j == fc)) for j in range(len(rows[0]))]
+            for i, pc in enumerate(pivots):
+                vec[pc] = -reduced[i, fc]
+            expected.append(_primitive(vec))
     assert kernel == expected
     assert len(kernel) == len(rows[0]) - rank
     for vec in kernel:

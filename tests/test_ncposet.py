@@ -27,15 +27,15 @@ from noncross.closedform import _mobius_number, zeta_closed, zeta_rows
 from noncross.decomp import all_labels_of_rank, full_table
 from noncross.direct import (build_ncm, characteristic_direct, mobius,
                              mobius_from_top, zeta_direct)
-from noncross.ncposet import (CacheFormatError, _coxeter_word,
-                              _descent_masks, characteristic_polynomial,
+from noncross.ncposet import (CacheFormatError, _descent_masks,
+                              characteristic_polynomial,
                               coxeter_root_permutation, enumerate_nc,
                               mask_layout, ncm_cardinality, read_cache,
                               write_cache)
 from noncross.polynomial import SparsePolynomial
 from noncross.refdata import CHI_STAR_COEFFS, chi_star_reference
 from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
-                                 classify_edge_list)
+                                 classify_edge_list, reflect)
 from noncross.triangles import assemble_dual
 from noncross.typelabel import ResourceGuardError, degree_pairs, label
 from noncross.weyl import _reflection_data, bipartite_coxeter, enumerate_group
@@ -266,12 +266,12 @@ def test_coxeter_word_inverts_c_minus_one(name):
     so I - c is B C, B holding beta_k in column w_k.  Each beta_k is
     alpha_{w_k} plus simple roots earlier in the word."""
     rs = build_root_system(name)
-    n = rs.n
-    word, reflect = _coxeter_word(rs)
-    assert word == [i for block in rs.bipartition for i in block]
+    n, word = rs.n, rs.word
+    assert word == tuple(i for block in rs.bipartition for i in block)
     betas = {}
     for k, i in enumerate(word):
-        beta = reflect([int(j == i) for j in range(n)], word[:k][::-1])
+        beta = reflect(rs.neighbors, [int(j == i) for j in range(n)],
+                       word[:k][::-1])
         assert beta[i] == 1
         assert all(not beta[j] for j in word[k + 1:])
         betas[i] = beta

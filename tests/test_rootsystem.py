@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import matrix_oracle
 from matrix_oracle import DynkinDiagram
 from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
-                                 classify_edge_list, degrees,
+                                 classify_edge_list, degrees, reflect,
                                  single_node_deletions, subdiagram_types)
 from noncross.typelabel import label
 
@@ -82,6 +82,34 @@ def test_cartan_matrix_shape(name):
             if i != j:
                 assert cartan[i][j] in (0, -1)
     assert sympy.Matrix(cartan).det() > 0
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_one_letter_reflection_is_the_cartan_formula(name):
+    """s_i v = v - <v, alpha_i> alpha_i, the pairing read off the Cartan
+    matrix, for every positive root v and every node i."""
+    rs = build_root_system(name)
+    for v in rs.positive_roots:
+        for i in range(rs.n):
+            pairing = sum(x * row[i] for x, row in zip(v, rs.cartan))
+            expected = [x - pairing * (j == i) for j, x in enumerate(v)]
+            assert reflect(rs.neighbors, list(v), (i,)) == expected
+
+
+@pytest.mark.parametrize("name", SUPPORTED_AMBIENTS)
+def test_bipartition_is_a_proper_two_coloring(name):
+    """Every edge joins the two blocks, node 0 is in the first, and the
+    Coxeter word is the first block then the second."""
+    rs = build_root_system(name)
+    first, second = rs.bipartition
+    assert sorted(first + second) == list(range(rs.n))
+    assert 0 in first
+    for a, b in rs.edges:
+        assert (a in first) != (b in first)
+    assert rs.word == first + second
+    assert rs.neighbors == tuple(
+        tuple(sorted({b for e in rs.edges if a in e for b in e} - {a}))
+        for a in range(rs.n))
 
 
 def test_roots_are_distinct_and_positive(Dname="D5"):

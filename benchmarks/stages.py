@@ -30,17 +30,6 @@ another reads slower on a long-used host (a cold ``verify e8`` 7 % slower
 in an identical copy, lower in 3 of 21 rounds), where copies made
 together read alike (lower in 14 of 25).
 
-A stage that names a function moved or renamed between trees reads it
-under its name in the tree at hand and falls back to the older name, so
-an A/B of two trees keeps its keys: the diagram classifier is
-``ncposet.classify_simple_roots`` on the simple roots of a mask, picked
-inside the timing (earlier ``weyl.classify_moved_roots`` on its moved
-roots), its cache of diagram types ``ncposet._classify_edges``, the
-root tables ``ncposet._root_tables`` (earlier both in ``weyl``), the
-root permutation ``ncposet.coxeter_root_permutation`` (earlier
-``weyl.coxeter_root_permutation``) and the chi* y-vectors
-``decomp.chi_vector`` (earlier ``ncposet.chi_vector``).
-
 A *cold* process is one ``python -m noncross.cli`` run, its stdout
 discarded, its peak RSS read through ``wait4``; a *probe* runs one
 snippet in a fresh ``python -S`` and reads the JSON line it prints.
@@ -63,9 +52,9 @@ The ``nc`` group: NC(W) enumeration and what reads it.
   every element typed; the diagram classifications
   (``_classify_edges``) stay cached after the first repeat, so these
   leave out most of what a cold process pays to classify;
-* ``classify_NC_E8_s``: the classifier on every element of NC(E8), its
-  masks read from ``NcPoset.types`` (for ``classify_moved_roots``, the
-  roots of each mask's bits through ``mask_layout``, sorted untimed);
+* ``classify_NC_E8_s``: the classifier ``classify_simple_roots`` on
+  every element of NC(E8), its masks read from ``NcPoset.types``, the
+  simple roots of each mask picked inside the timing;
 * ``classify_cold_E8_s``: classifying the distinct edge sets
   (``classify_cold_E8_sets`` of them) that one E8 walk classifies;
   cleared: ``_classify_edges``;
@@ -195,8 +184,9 @@ duals.
   ``zeta_forms(8)`` past their cache;
 * ``zeta_rows:E7``, ``zeta_rows:E8``: one uncached
   ``closedform.zeta_rows`` (its ``__wrapped__``), the forms warm;
-  cleared: ``closedform.zeta_closed``, so that rows read off the
-  symbolic closed form pay for it as a session does once;
+* ``zeta_closed:E8@2``, ``zeta_closed:E8@m``: one uncached
+  ``closedform.zeta_closed`` (its ``__wrapped__``) of E8 at m = 2 and
+  at symbolic m;
 * ``shifted_zeta_vectors:all``: ``closedform._shifted_zeta_vector`` of the
   100 type labels of rank 1 to 8; cleared: those vectors and
   ``rootsystem.degrees``;
@@ -218,7 +208,7 @@ duals.
   modules it imports loaded first, untimed;
 * ``golden_dual_E7_s``, ``golden_dual_E8_s``: one uncached
   ``refdata.golden_dual`` (its ``__wrapped__``); cleared: the cache of
-  parsed factors (``refdata._factor_vector``) in a tree that has one;
+  parsed factors (``refdata._factor_vector``);
 * ``reference_tables_s``: ``refdata.reference_table`` of the 14
   published tables; cleared: its cache;
 * ``session_setup_s``: a probe of the package part of the set-up of
@@ -294,18 +284,15 @@ RSS = ((), ("decomp", "count", "E7", "A4,A3"), ("verify", "e8"))
 
 # Runs one CLI command, its stdout swallowed, and prints the posets it
 # walked, the root systems it built and its calls of the classifier
-# (``weyl.classify_moved_roots`` in a tree that predates
-# ``ncposet.classify_simple_roots``), which is rebound wherever the
+# ``ncposet.classify_simple_roots``, which is rebound wherever the
 # package imported it.
 COUNT = r"""
 import contextlib, io, json, sys
 import noncross.cli
-from noncross import ncposet, rootsystem, weyl
+from noncross import ncposet, rootsystem
 
-name, home = "classify_simple_roots", ncposet
-if not hasattr(home, name):
-    name, home = "classify_moved_roots", weyl
-original = getattr(home, name)
+name = "classify_simple_roots"
+original = getattr(ncposet, name)
 calls = {"total": 0, "enumerate_nc": 0}
 
 
@@ -447,10 +434,10 @@ def clear_memos():
 
 def forget_chi():
     """Empty chi*: ``characteristic_polynomial`` and the cache of its
-    y-vectors (``decomp.chi_vector``, earlier ``ncposet.chi_vector``)."""
+    y-vectors (``decomp.chi_vector``)."""
     from noncross import decomp, ncposet
     ncposet.characteristic_polynomial.cache_clear()
-    (getattr(decomp, "chi_vector", None) or ncposet.chi_vector).cache_clear()
+    decomp.chi_vector.cache_clear()
 
 
 def forget_walks():
@@ -467,47 +454,36 @@ def forget_walks():
 
 def nc_stages(rec):
     import tracemalloc
-    from noncross import decomp, direct, ncposet, verify, weyl
+    from noncross import decomp, direct, ncposet, verify
     from noncross.rootsystem import build_root_system, subdiagram_types
     from noncross.typelabel import label
 
-    # the module that holds the classifier and the root tables: ``weyl``
-    # in a tree that predates ``ncposet.classify_simple_roots``
-    home = ncposet if hasattr(ncposet, "classify_simple_roots") else weyl
     for name in ("E8", "E7", "D8"):
         rec.time("walk_classify_%s_s" % name,
                  lambda: ncposet.enumerate_nc.__wrapped__(name))
-    rs, poset = build_root_system("E8"), ncposet.enumerate_nc("E8")
+    poset = ncposet.enumerate_nc("E8")
     moved = [(mask, [a for a in range(mask.bit_length()) if mask >> a & 1])
              for mask in poset.types]
-    if home is ncposet:
-        partners, linked = ncposet._root_tables("E8")
+    partners, linked = ncposet._root_tables("E8")
 
-        def classify_all():
-            return [ncposet.classify_simple_roots(
-                linked, [k for k in bits if not partners[k] & mask])
-                for mask, bits in moved]
-    else:
-        order = ncposet.mask_layout("E8").order
-        roots = [sorted(order[k] for k in bits) for _, bits in moved]
-
-        def classify_all():
-            return [weyl.classify_moved_roots(rs, sorted_roots)
-                    for sorted_roots in roots]
+    def classify_all():
+        return [ncposet.classify_simple_roots(
+            linked, [k for k in bits if not partners[k] & mask])
+            for mask, bits in moved]
     rec.time("classify_NC_E8_s", classify_all)
 
     # the distinct arguments of the classifier in one uncached E8 walk
-    original, edge_sets = home._classify_edges, {}
+    original, edge_sets = ncposet._classify_edges, {}
 
     def record(k, edges):
         edge_sets[k, edges] = None
         return original(k, edges)
 
-    home._classify_edges = record
+    ncposet._classify_edges = record
     try:
         ncposet.enumerate_nc.__wrapped__("E8")
     finally:
-        home._classify_edges = original
+        ncposet._classify_edges = original
     rec.time("classify_cold_E8_s",
              lambda: [original(k, edges) for k, edges in edge_sets],
              before=original.cache_clear)
@@ -567,14 +543,12 @@ def nc_stages(rec):
         ncposet._descent_masks.__wrapped__), timing=True)
     rec.value("descent_tables_DE_s", lambda: sum(tables.values()),
               timing=True)
-    permutation = getattr(ncposet, "coxeter_root_permutation", None) or \
-        weyl.coxeter_root_permutation
     tables = rec.value("coxeter_permutation_s", lambda: per_ambient(
-        permutation.__wrapped__), timing=True)
+        ncposet.coxeter_root_permutation.__wrapped__), timing=True)
     rec.value("coxeter_permutations_DE_s", lambda: sum(tables.values()),
               timing=True)
     tables = rec.value("root_tables_s", lambda: per_ambient(
-        home._root_tables.__wrapped__), timing=True)
+        ncposet._root_tables.__wrapped__), timing=True)
     rec.value("root_tables_DE_s", lambda: sum(tables.values()), timing=True)
     length = verify.SUITES["length"][0]
     rec.time("length_suite_s", lambda: all(ok for _, ok in length()))
@@ -729,8 +703,10 @@ def algebra_stages(rec):
                  lambda: closedform.zeta_forms.__wrapped__(n))
         closedform.zeta_forms(n)
         rec.time("zeta_rows:" + name,
-                 lambda: closedform.zeta_rows.__wrapped__(name),
-                 before=closedform.zeta_closed.cache_clear)
+                 lambda: closedform.zeta_rows.__wrapped__(name))
+    for m in (2, "m"):
+        rec.time("zeta_closed:E8@%s" % m,
+                 lambda: closedform.zeta_closed.__wrapped__("E8", m))
     labels = [typ for rank in range(1, 9)
               for typ in decomp.all_labels_of_rank(rank)]
 
@@ -775,15 +751,10 @@ def algebra_stages(rec):
             rec.time("lookup_warm:E8", lambda: batch(keys, warm))
     rec.probe_time("refdata_import_s", REFDATA_IMPORT)
 
-    def forget_factors():
-        factors = getattr(refdata, "_factor_vector", None)
-        if factors is not None:
-            factors.cache_clear()
-
     for name in ("E7", "E8"):
         rec.time("golden_dual_%s_s" % name,
                  lambda: refdata.golden_dual.__wrapped__(name),
-                 before=forget_factors)
+                 before=refdata._factor_vector.cache_clear)
     rec.time("reference_tables_s",
              lambda: [refdata.reference_table(name)
                       for name in refdata.REFERENCE_TABLE_NAMES],

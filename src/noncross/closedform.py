@@ -1,8 +1,9 @@
 """Closed forms read off the degree table: the zeta polynomial of NC^m
 (``zeta_closed``), the Moebius number of NC (``_mobius_number``) and the
 one sum over decomposition tuples that expands them (``tuple_sums``).
-None walks NC, so this module loads no ``ncposet`` and no ``weyl``,
-and the degree table is ``typelabel``'s, so it loads no ``rootsystem``.
+The closed forms read ``typelabel.degree_product`` in integers.  None
+walks NC, so this module loads no ``ncposet`` and no ``weyl``, and the
+degree table is ``typelabel``'s, so it loads no ``rootsystem``.
 
 One zeta identity.  ``zeta_rows`` compares the closed-form zeta
 polynomial of NC^m with its decomposition-number expansion in integers,
@@ -13,18 +14,17 @@ zeta rows of ``linsys`` and ``triangles.zeta_identity_check``.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
-from functools import lru_cache, reduce
-from math import gcd, lcm, prod
+from functools import lru_cache
+from math import comb, gcd, lcm
 
-from . import polynomial
-from .polynomial import Z as _Z, M as _M
-from .typelabel import ResourceGuardError, degree_pairs, per_type
+from .polynomial import SparsePolynomial, _coeff, _ratio
+from .typelabel import ResourceGuardError, degree_product, per_type
 
 # The largest ranks whose zeta polynomial is computed (a larger type
-# raises ResourceGuardError); the cost grows about as rank^2.3, rank^3
-# for symbolic m.  At the bounds, on a 2-core host: E8^75 1.6 s (2.8 s
-# at m = 1000), with m symbolic E8^12 1.8 s.
+# raises ResourceGuardError); the cost grows about as rank^2.8, for
+# numeric and symbolic m alike.  At the bounds, on a 2-core host: E8^75
+# 0.18 s (0.41 s at m = 1000), with m symbolic E8^12 0.04 s; past them,
+# E8^300 takes 8.6 s at m = 2.
 MAX_ZETA_RANK = 600
 MAX_SYMBOLIC_ZETA_RANK = 100
 
@@ -50,24 +50,26 @@ def _mobius_number(t):
 
 @per_type
 def zeta_closed(t, m=1):
-    """Closed-form zeta polynomial of NC^m of the given type, in z.
-
-    ``m`` may be an integer or the symbol ``"m"`` for the fully symbolic
-    two-variable version.  For each irreducible component with Coxeter
-    number h and degrees d_i the factor is prod_i ((z-1) m h + d_i)/d_i;
-    components multiply.  The cached polynomials are shared and not to
-    be changed.  Raises ``ResourceGuardError`` above rank
-    ``MAX_ZETA_RANK``, or ``MAX_SYMBOLIC_ZETA_RANK`` for symbolic m.
+    """Closed-form zeta polynomial of NC^m of the given type, in z: the
+    product over the degrees d_i of each component, h its Coxeter number,
+    of ((z-1) m h + d_i)/d_i, the ``degree_product`` at (m, -m) over
+    prod d_i.  ``m`` is an exact number or the symbol ``"m"``, whose
+    product is the one at (1, 0) in u = m (z-1).  The cached polynomials
+    are shared and not to be changed.  Raises ``TypeError`` for an inexact
+    m and ``ResourceGuardError`` above rank ``MAX_ZETA_RANK``, or
+    ``MAX_SYMBOLIC_ZETA_RANK`` for symbolic m.
     """
     if m == "m":
         _guard_rank(t, MAX_SYMBOLIC_ZETA_RANK, "symbolic zeta polynomial")
-    else:
-        _guard_rank(t, MAX_ZETA_RANK, "zeta polynomial")
-    m_poly = _M if m == "m" else polynomial.poly(m)
-    result = polynomial.ONE
-    for h, d in degree_pairs(t):
-        result = result * ((_Z - 1) * m_poly * h + d) * Fraction(1, d)
-    return result
+        vec, den = degree_product(t, 1, 0)
+        return SparsePolynomial({
+            (0, 0, j, k): _ratio((-1) ** (k - j) * comb(k, j) * vec[k], den)
+            for j in range(t.rank, -1, -1) for k in range(t.rank, j - 1, -1)})
+    _guard_rank(t, MAX_ZETA_RANK, "zeta polynomial")
+    m = _coeff(m)   # an int of any integer type: no fixed-width product
+    vec, den = degree_product(t, m, -m)
+    return SparsePolynomial({(0, 0, j, 0): _ratio(vec[j], den)
+                             for j in range(t.rank, -1, -1) if vec[j]})
 
 
 def _convolve(a, b):
@@ -138,15 +140,12 @@ def _shifted_zeta_vector(t):
     over a denominator, in lowest terms.
 
     A type is the product over its degrees d_i, h_i the Coxeter number
-    of the component of d_i (``degree_pairs``), of ((z-2) h_i + d_i)/d_i:
-    the product of the vectors (d_i - 2h_i, h_i) over prod_i d_i, reduced
-    by their gcd.  Each gcd(h, d_i) divides d_i, so the vector of an
-    irreducible type is primitive once reduced, and by Gauss's lemma so
-    is a product of them: reducing the whole product once is reducing
-    each component's."""
-    vec, den = [1], 1
-    for h, d in degree_pairs(t):
-        vec, den = _convolve(vec, [d - 2 * h, h]), den * d
+    of the component of d_i, of ((z-2) h_i + d_i)/d_i: the
+    ``degree_product`` at (1, -2) over prod_i d_i, reduced by their gcd.
+    Each gcd(h, d_i) divides d_i, so the vector of an irreducible type
+    is primitive once reduced, and by Gauss's lemma so is a product of
+    them: reducing the whole product once is reducing each component's."""
+    vec, den = degree_product(t, 1, -2)
     common = gcd(den, *vec)
     return [c // common for c in vec], den // common
 
@@ -178,15 +177,13 @@ def zeta_rows(t):
     ``zeta_forms`` ({} if none) and ``rhs`` the closed form's coefficient
     times ``den``, the forms' denominator, an int (else AssertionError):
     the k-th forward difference at m = 0 of the closed form at m = 0..n,
-    the products of the vectors (d - mh, mh) over ``degree_pairs``, over
-    prod d (at k = 0, where no form is, the closed form less 1 is 0).  The
-    cached rows are shared and not to be changed."""
+    the ``degree_product`` at (m, -m), over prod d (at k = 0, where no
+    form is, the closed form less 1 is 0).  The cached rows are shared
+    and not to be changed."""
     n = t.rank
     forms, den = zeta_forms(n)
-    pairs = list(degree_pairs(t))
-    closed_den = prod(d for _, d in pairs)
-    values = [reduce(_convolve, ([d - m * h, m * h] for h, d in pairs), [1])
-              for m in range(n + 1)]
+    values, dens = zip(*(degree_product(t, m, -m) for m in range(n + 1)))
+    closed_den = dens[0]
     rows = []
     for k in range(1, n + 1):
         values = [[b - a for a, b in zip(u, v)]

@@ -54,7 +54,7 @@ from .typelabel import EMPTY_TYPE, TypeLabel, degrees, label, per_type
 
 # The largest rank whose chi* is computed; a larger type raises
 # ResourceGuardError.  The cost grows about as rank^2.3: at the bound,
-# chi* of A1^4000 takes 4 s on a 2-core host.
+# chi* of A1^4000 takes 9 s on a 2-core host.
 MAX_CHI_RANK = 4000
 
 # the order of TypeLabel.__lt__, compared without calling it

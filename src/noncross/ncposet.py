@@ -131,7 +131,7 @@ from functools import lru_cache
 from operator import attrgetter, itemgetter
 
 from .rootsystem import build_root_system, classify_edge_list, reflect
-from .typelabel import SUPPORTED_AMBIENTS, degree_pairs, label, per_type
+from .typelabel import SUPPORTED_AMBIENTS, degree_product, label, per_type
 
 CACHE_SCHEMA_VERSION = 3
 
@@ -656,12 +656,10 @@ def census(t):
 
 def ncm_cardinality(t, m):
     """|NC^m| for the given type (a label or its text): the Fuss-Catalan
-    number prod_i (mh + d_i)/d_i over the degrees d_i of each component
-    of Coxeter number h, one integer division, checked exact."""
-    num = den = 1
-    for h, d in degree_pairs(label(t)):
-        num, den = num * (m * h + d), den * d
-    value, rest = divmod(num, den)
+    number prod_i (mh + d_i)/d_i, the constant term of the
+    ``degree_product`` at (0, m) over prod d_i, checked exact."""
+    vec, den = degree_product(label(t), 0, m)
+    value, rest = divmod(vec[0], den)
     if rest:
         raise AssertionError("non-integral NC^m cardinality")
     return value

@@ -6,8 +6,8 @@ exact numbers are put in for variables, all by one method,
 ``numerators``: integer numerators over one common denominator, which
 ``substitute`` and ``evaluate`` turn into coefficients and ``triangles``
 reads directly; each polynomial keeps that integer form once computed.
-No polynomial is substituted into another or divided by another: the
-F=M transform of ``triangles`` is a direct binomial expansion.
+The package builds polynomials from term maps only and does no
+arithmetic on them; the ring operators serve the checks outside it.
 """
 
 from __future__ import annotations

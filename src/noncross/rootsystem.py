@@ -16,10 +16,10 @@ Supported ambient types: A_n (1 <= n <= 8), D_n (4 <= n <= 8), E6, E7, E8.
 The closed forms of the package are products over the fundamental
 degrees d_i, with the Coxeter number h the largest of them: the
 Fuss-Catalan number prod (mh + d_i)/d_i, the zeta polynomial and the
-Moebius number.  They read the degree table, which lives in
-``typelabel`` (``SUPPORTED_AMBIENTS``, ``degrees``, ``degree_pairs``),
-and neither build a root system nor compile this module; the first two
-names are bound here too.
+Moebius number, each ``typelabel.degree_product`` at its own point.
+They read the degree table, which lives in ``typelabel``
+(``SUPPORTED_AMBIENTS``, ``degrees``), and neither build a root system
+nor compile this module; both names are bound here too.
 """
 
 from __future__ import annotations

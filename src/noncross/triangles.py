@@ -73,7 +73,7 @@ class MTriangle:
     def from_dual(cls, ambient, dual):
         ambient = label(ambient)
         n = ambient.rank
-        if dual.substitute(x=0, y=0) != 1:
+        if dual.substitute(x=0, y=0).terms != {(0, 0, 0, 0): 1}:
             raise ValueError("dual constant term is not 1")
         return cls(ambient=ambient, n=n, dual=dual,
                    primal=dual_to_primal(dual, n))

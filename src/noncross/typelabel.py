@@ -9,12 +9,12 @@ Rank-2 and rank-3 "D" components are synonyms for A1^2 and A3 and are
 collapsed on construction, so every abstract type has exactly one
 canonical label and one canonical string.
 
-``ResourceGuardError`` lives here too, though ``ncposet`` raises it:
-the CLI loads this module anyway, so it can map the error to its exit
-code without importing the layers.  So does the degree table of the
-supported ambients (``SUPPORTED_AMBIENTS``, ``degrees``,
-``degree_pairs``): the closed forms and the CLI's check of an ambient
-read it without compiling ``rootsystem``.
+``ResourceGuardError`` lives here too, though ``closedform`` and
+``direct`` raise it: the CLI loads this module anyway, so it can map the
+error to its exit code without importing the layers.  So do the degree
+table (``SUPPORTED_AMBIENTS``, ``degrees``) and the one product over it
+(``degree_product``): the closed forms, the walk and the CLI read them
+without compiling ``rootsystem`` or ``closedform``.
 """
 
 from __future__ import annotations
@@ -254,11 +254,16 @@ def degrees(t):
     return tuple(sorted(_DEGREES[family](n)))
 
 
-def degree_pairs(t):
-    """(h, d) for each degree d of each irreducible component of the
-    label t, h the component's Coxeter number: the factors of the
-    closed-form products over degrees."""
+def degree_product(t, a, b):
+    """The product over each degree d of each component of the label t,
+    h its Coxeter number, of d + h (a z + b): (its z-coefficients lowest
+    power first, integers for integer a and b; prod d).  Every closed
+    form over the degrees is this product at its own a and b."""
+    vec, den = [1], 1
     for comp in t.irreducibles():
         degs = degrees(comp)
         for d in degs:
-            yield degs[-1], d
+            low, high = d + degs[-1] * b, degs[-1] * a
+            vec = [low * x + high * y for x, y in zip(vec + [0], [0] + vec)]
+            den *= d
+    return vec, den

@@ -11,6 +11,11 @@ denominator, and ``zeta_identity_expansion`` multiplies the
 polynomials.  ``zeta_shifted`` is the closed-form zeta polynomial at
 z - 1 by substitution, the reference for ``closedform._shifted_zeta_vector``.
 
+``zeta_closed_by_ring`` is ``closedform.zeta_closed`` as the package
+first computed it, one ring product per degree; the references below
+that read a closed form read it, so none checks
+``typelabel.degree_product`` against itself.
+
 ``assemble_dual_by_products`` is the dual M-triangle as the package
 first assembled it: each tuple's term a product of ``chi*``
 polynomials, summed per length and multiplied by binom(m, d) as a
@@ -51,13 +56,13 @@ from functools import lru_cache
 from math import comb, factorial
 
 from noncross.decomp import all_tuples_of_rank, orderings
-from noncross import closedform, ncposet
-from noncross.closedform import zeta_closed, zeta_forms
+from noncross import closedform, ncposet, polynomial
+from noncross.closedform import zeta_forms
 from noncross.ncposet import characteristic_polynomial
 from noncross.polynomial import (VARS, ZERO, SparsePolynomial, Z, _VAR_INDEX,
                                  _coeff, _coerce, poly)
 from noncross.triangles import FTriangleCandidate, MTriangle, TransformFailure
-from noncross.typelabel import TypeLabel, label
+from noncross.typelabel import TypeLabel, degrees, label, per_type
 
 X = SparsePolynomial.variable("x")
 Y = SparsePolynomial.variable("y")
@@ -128,12 +133,31 @@ def substitute_rational(p, substitutions, clearing_power):
     return result
 
 
+@per_type
+def zeta_closed_by_ring(t, m=1):
+    """``closedform.zeta_closed``, one ring product per degree d of each
+    component, h its Coxeter number."""
+    if m == "m":
+        closedform._guard_rank(t, closedform.MAX_SYMBOLIC_ZETA_RANK,
+                               "symbolic zeta polynomial")
+    else:
+        closedform._guard_rank(t, closedform.MAX_ZETA_RANK, "zeta polynomial")
+    m_poly = M if m == "m" else polynomial.poly(m)
+    result = polynomial.ONE
+    for comp in t.irreducibles():
+        degs = degrees(comp)
+        h = degs[-1]
+        for d in degs:
+            result = result * ((Z - 1) * m_poly * h + d) * Fraction(1, d)
+    return result
+
+
 @lru_cache(maxsize=None)
 def zeta_shifted(t):
     """The closed-form zeta polynomial of NC(t) at z - 1: the factor a
     type contributes to the decomposition-number expansion of the zeta
     polynomial of NC^m."""
-    return substitute(zeta_closed(t, m=1), z=Z - 1)
+    return substitute(zeta_closed_by_ring(t, m=1), z=Z - 1)
 
 
 def zeta_identity_expansion(name, table):
@@ -141,7 +165,7 @@ def zeta_identity_expansion(name, table):
     per factor of every tuple."""
     ambient = label(name) if not isinstance(name, TypeLabel) else name
     n = ambient.rank
-    lhs = zeta_closed(ambient, m="m")
+    lhs = zeta_closed_by_ring(ambient, m="m")
     by_length = {}
     for s in range(1, n + 1):
         for tup in all_tuples_of_rank(s):
@@ -173,7 +197,7 @@ def _coeffs_mz(p):
 def ncm_cardinality_by_zeta(t, m):
     """``ncposet.ncm_cardinality``: the closed-form zeta polynomial of
     NC^m at z = 2, a Fraction, checked integral."""
-    value = zeta_closed(label(t), m).evaluate(z=2)
+    value = zeta_closed_by_ring(label(t), m).evaluate(z=2)
     if value.denominator != 1:
         raise AssertionError("non-integral NC^m cardinality")
     return int(value)
@@ -211,7 +235,7 @@ def zeta_rows_by_polynomials(t):
     rows, den = in_powers_of_m([(kj, form, 0) for kj, form
                                 in binomial_forms.items()], den, n)
     forms = {ij: form for ij, form, _ in rows}
-    lhs = _coeffs_mz(zeta_closed(ambient, m="m") - poly(1))
+    lhs = _coeffs_mz(zeta_closed_by_ring(ambient, m="m") - poly(1))
     rows = []
     for i in range(n + 1):
         for j in range(n + 1):

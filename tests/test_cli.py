@@ -451,6 +451,72 @@ def test_cli_does_not_import_numpy():
     assert child.stdout.endswith("numpy imported: False\n")
 
 
+# Every verify suite, the polynomial commands and the algebra checks on
+# the published tables and duals, in a fresh interpreter whose
+# polynomial ring refuses every operator and constructor once the module
+# holding it is loaded; prints the exit codes and the ring calls.
+RING_FREE = r"""
+import contextlib, io, json, sys
+from noncross import polynomial
+
+calls = []
+
+
+def refuse(name):
+    def hook(*args, **kwargs):
+        calls.append(name)
+        raise AssertionError("ring call " + name)
+    return hook
+
+
+ring = polynomial.SparsePolynomial
+for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+             "__mul__", "__rmul__", "__pow__"):
+    setattr(ring, name, refuse(name))
+for name in ("constant", "variable"):
+    setattr(ring, name, classmethod(refuse(name)))
+
+from fractions import Fraction
+from noncross import refdata, triangles, verify
+from noncross.cli import main
+from noncross.decomp import DecompositionTable
+
+argvs = [["verify", suite] for suite in verify.SUITES]
+for name in ("A3", "D5", "E6", "E8"):
+    argvs += [["zeta", name, "--m", "2"], ["zeta", name, "--symbolic"],
+              ["chi", name]]
+for name in ("A3", "D5", "E6"):
+    argvs += [["mtriangle", name, "--symbolic"], ["mtriangle", name, "--dual"],
+              ["mtriangle", name, "--m", "2"], ["ftriangle", name, "--m", "3"]]
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in argvs:
+        codes.append(main(argv))
+for name in refdata.REFERENCE_TABLE_NAMES:
+    table = DecompositionTable(name, refdata.reference_table(name))
+    assert not triangles.zeta_identity_check(name, table), name
+for name in ("E7", "E8"):
+    mt = triangles.MTriangle.from_dual(name, refdata.golden_dual(name))
+    for m in (1, 2, 3):
+        triangles.fm_transform(mt, m)
+    assert not triangles.f_reciprocity_checks(mt, 2), name
+    assert not triangles.f_reciprocity_checks(mt, Fraction(1, 2)), name
+    assert not triangles.reciprocity_check(mt), name
+print(json.dumps({"codes": codes, "calls": calls}))
+"""
+
+
+def test_no_package_path_does_polynomial_arithmetic():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(noncross.__file__)))
+    child = subprocess.run([sys.executable, "-c", RING_FREE],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert report["calls"] == []
+    assert report["codes"] == [0] * (len(SUITES) + 24)
+
+
 def test_bad_threads_exit_code(capsys):
     # there is no --threads flag; argparse rejects it with exit 2
     with pytest.raises(SystemExit) as exc:

@@ -126,6 +126,8 @@ def expected(argv):
 @settings(max_examples=250, deadline=10_000,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ARGV, st.sampled_from(["text", "json", "csv"]))
+@example(["zeta", "E8^75", "--m", "2"], "text")
+@example(["zeta", "A1^100", "--symbolic"], "text")
 @example(["zeta", "E8^300"], "text")
 @example(["zeta", "A1^600", "--symbolic"], "text")
 @example(["zeta", "A1^3000", "--m", "2"], "text")

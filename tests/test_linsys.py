@@ -8,7 +8,8 @@ import pytest
 from dense_echelon import DenseEchelon
 from relation_reader import read_relation
 from poly_oracle import (_coeffs_mz, binomial_poly, in_powers_of_m,
-                         zeta_rows_by_polynomials, zeta_shifted)
+                         zeta_closed_by_ring, zeta_rows_by_polynomials,
+                         zeta_shifted)
 from product_oracle import _reference_product_value
 from noncross import decomp, linsys, ncposet
 from noncross.decomp import (DecompositionTable, all_labels_of_rank,
@@ -16,7 +17,7 @@ from noncross.decomp import (DecompositionTable, all_labels_of_rank,
                              orderings, tuple_rank)
 from noncross.exact import LinearSystem, echelon, solve
 from noncross.cli import main
-from noncross.closedform import zeta_closed, zeta_forms, zeta_rows
+from noncross.closedform import zeta_forms, zeta_rows
 from noncross.linsys import (EXPECTED_DIMENSION, PIN_TUPLES, RELATIONS,
                              ROW_FAMILIES, check_system_against_table,
                              generate_equations, relation_rows, replay,
@@ -221,7 +222,7 @@ def _zeta_rows_per_tuple(name):
     for var, form in forms.items():
         for mz, c in _coeffs_mz(form).items():
             buckets.setdefault(mz, {})[columns[var]] = c
-    lhs = _coeffs_mz(zeta_closed(ambient, m="m") - poly(1))
+    lhs = _coeffs_mz(zeta_closed_by_ring(ambient, m="m") - poly(1))
     rows = []
     for i in range(n + 1):
         for j in range(n + 1):

@@ -18,8 +18,8 @@ from matrix_oracle import (GroupElement, classify_parabolic_type,
                            coxeter_element, le_absolute, moved_positive_roots)
 from poly_oracle import (characteristic_polynomial_by_census,
                          characteristic_polynomial_by_products, in_powers_of_m,
-                         ncm_cardinality_by_zeta, zeta_rows_by_polynomials,
-                         zeta_shifted)
+                         ncm_cardinality_by_zeta, zeta_closed_by_ring,
+                         zeta_rows_by_polynomials, zeta_shifted)
 from walk_oracle import bit_positions, eager_walk, mask_type
 from noncross import closedform, decomp, direct, ncposet, polynomial
 from noncross.cli import main
@@ -37,7 +37,7 @@ from noncross.refdata import CHI_STAR_COEFFS, chi_star_reference
 from noncross.rootsystem import (SUPPORTED_AMBIENTS, build_root_system,
                                  classify_edge_list, reflect)
 from noncross.triangles import assemble_dual
-from noncross.typelabel import ResourceGuardError, degree_pairs, label
+from noncross.typelabel import ResourceGuardError, degrees, label
 from noncross.weyl import _reflection_data, bipartite_coxeter, enumerate_group
 
 # total element counts: Cat(n+1) for A_n, known values for D and E
@@ -725,8 +725,10 @@ def test_mobius_number_is_the_degree_product(rank):
     # component (Chapoton 2004), on every label of the rank
     for t in all_labels_of_rank(rank):
         value = Fraction(1)
-        for h, d in degree_pairs(t):
-            value *= Fraction(2 - h - d, d)
+        for comp in t.irreducibles():
+            degs = degrees(comp)
+            for d in degs:
+                value *= Fraction(2 - degs[-1] - d, d)
         assert _mobius_number(t) == value, t
         assert type(_mobius_number(t)) is int, t
 
@@ -832,6 +834,33 @@ def test_zeta_closed_counts_elements():
     # zeta at z=2 is the number of elements
     for name in ("A3", "D4", "E6"):
         assert zeta_closed(label(name)).evaluate(z=2) == SIZES[name]
+
+
+@pytest.mark.parametrize("rank", range(0, 9))
+def test_zeta_closed_is_the_ring_product(rank):
+    # the degree product in integers against one ring product per
+    # degree: the same terms in the same order, the same coefficient
+    # types, the same text
+    for t in all_labels_of_rank(rank):
+        for m in (-2, 0, 1, 2, 5, 1000, "m"):
+            closed, ring = zeta_closed(t, m), zeta_closed_by_ring(t, m)
+            assert [(e, type(c), c) for e, c in closed.terms.items()] == \
+                [(e, type(c), c) for e, c in ring.terms.items()], (t, m)
+            assert str(closed) == str(ring), (t, m)
+
+
+def test_zeta_closed_reads_m_as_an_exact_number():
+    # a numpy integer is read as an int, so that no int64 product wraps;
+    # a Fraction stays exact and a float is refused, as by the ring
+    import numpy
+    e8 = label("E8")
+    wide = zeta_closed.__wrapped__(e8, numpy.int64(10 ** 12))
+    assert wide.terms == zeta_closed.__wrapped__(e8, 10 ** 12).terms
+    assert all(type(c) in (int, Fraction) for c in wide.terms.values())
+    half = zeta_closed.__wrapped__(e8, Fraction(1, 2))
+    assert half.terms == zeta_closed_by_ring(e8, Fraction(1, 2)).terms
+    with pytest.raises(TypeError, match="exact coefficient expected"):
+        zeta_closed.__wrapped__(e8, 2.5)
 
 
 def test_zeta_closed_is_cached_once_per_value_of_m():
